@@ -20,6 +20,7 @@ from .complexes import (
     validate,
 )
 from .dissection import (
+    BlockFactor,
     CholeskyFactor,
     cholesky,
     edge_separator,
@@ -62,14 +63,12 @@ from .onelap import (
 from .pcg import LinearOperator, estimate_rel_condition, pcg
 from .reports import SolveReport
 from .uplap import (
-    block_eliminate,
     build_sphere_fast_solver,
     build_up_solver,
     schur_apply,
     schur_solve,
     up_lap_solve,
     up_lap_solve_fast,
-    uplap_F_solve,
 )
 from .upproj import (
     build_up_projection,

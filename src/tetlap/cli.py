@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .complexes import load_complex, save_complex, validate
-from .errors import NumericalError, UnsupportedGeometryError
+from .errors import NumericalError, UnsupportedGeometryError, check_vector
 from .hollowing import (
     HollowingConfig,
     find_hollowing,
@@ -45,10 +45,7 @@ def _load_vector(path, n, what="vector"):
     with open(path) as f:
         data = json.load(f)
     values = data["values"] if isinstance(data, dict) else data
-    vec = np.asarray(values, dtype=float)
-    if vec.shape != (n,):
-        raise ValueError(f"{what} has length {len(vec)}, expected {n}")
-    return vec
+    return check_vector(values, n, what)
 
 
 def _save_vector(path, vec):
@@ -112,7 +109,7 @@ def cmd_solve(args) -> int:
             f.write(report.to_json(indent=2))
     print(f"solved: residual {report.final_residual:.3e} "
           f"(target scale {args.eps:.1e}), {report.iterations} inner iterations")
-    return EXIT_OK
+    return _contract_exit(report, args.eps)
 
 
 def cmd_hodge(args) -> int:
@@ -146,7 +143,15 @@ def cmd_union_solve(args) -> int:
             f.write(report.to_json(indent=2))
     print(f"solved union of {len(chunks)} chunks: residual "
           f"{report.final_residual:.3e}")
-    return EXIT_OK
+    return _contract_exit(report, args.eps)
+
+
+def _contract_exit(report, eps) -> int:
+    if report.converged:
+        return EXIT_OK
+    print(f"numerical failure: residual {report.final_residual:.3e} exceeds "
+          f"eps * |b~| = {eps * report.initial_residual:.3e}", file=sys.stderr)
+    return EXIT_NUMERICAL
 
 
 def cmd_bench(args) -> int:

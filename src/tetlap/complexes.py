@@ -46,6 +46,7 @@ class Complex3:
     tets: np.ndarray              # (nt, 4) int, each row ascending, rows lex-sorted
     triangles: np.ndarray         # (nf, 3) derived, lex-sorted
     edges: np.ndarray             # (ne, 2) derived, lex-sorted
+    tri_edges: np.ndarray         # (nf, 3) edge ids, column j omits vertex j
     weights: list[np.ndarray]     # [w0, w1, w2, w3], all > 0
     exterior_triangles: np.ndarray  # bool (nf,), True iff in exactly one tet
     exterior_edges: np.ndarray      # bool (ne,)
@@ -162,20 +163,18 @@ def build_complex(tets, coords, weights=None) -> Complex3:
         if len(tets) else np.empty((0, 3), dtype=np.int64)
     triangles, tri_counts = _dedup_rows(faces)
 
-    tri_edges = np.vstack([np.delete(triangles, j, axis=1) for j in range(3)]) \
-        if len(triangles) else np.empty((0, 2), dtype=np.int64)
-    edges, _ = _dedup_rows(tri_edges)
+    sides = [np.delete(triangles, j, axis=1) for j in range(3)]
+    edges, _ = _dedup_rows(np.vstack(sides) if len(triangles)
+                           else np.empty((0, 2), dtype=np.int64))
+    tri_edges = np.stack([_find_rows(edges, side, nv) for side in sides],
+                         axis=1)
 
     # exterior classification: a triangle is exterior iff it bounds one tet
     exterior_tri = tri_counts == 1
     exterior_edge = np.zeros(len(edges), dtype=bool)
+    exterior_edge[tri_edges[exterior_tri]] = True
     exterior_vert = np.zeros(nv, dtype=bool)
-    if exterior_tri.any():
-        ext_t = triangles[exterior_tri]
-        for j in range(3):
-            eid = _find_rows(edges, np.delete(ext_t, j, axis=1), nv)
-            exterior_edge[eid] = True
-        exterior_vert[np.unique(ext_t)] = True
+    exterior_vert[triangles[exterior_tri]] = True
 
     counts = (nv, len(edges), len(triangles), len(tets))
     w = []
@@ -196,6 +195,7 @@ def build_complex(tets, coords, weights=None) -> Complex3:
         tets=tets,
         triangles=triangles,
         edges=edges,
+        tri_edges=tri_edges,
         weights=w,
         exterior_triangles=exterior_tri,
         exterior_edges=exterior_edge,
@@ -360,7 +360,9 @@ def min_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
         if np.all(np.linalg.norm(pts - center, axis=1) <= radius + tol):
             if best is None or radius < best[1]:
                 best = (center, radius)
-    assert best is not None, "minimum enclosing ball case analysis failed"
+    if best is None:
+        raise ValueError("minimum enclosing ball case analysis failed "
+                         "(non-finite coordinates?)")
     return best
 
 

@@ -1,5 +1,7 @@
-"""Geometric separators, nested dissection orderings, and rank-aware sparse
-Cholesky factorization for PSD matrices whose nonzero graph is a mesh graph.
+"""Geometric separators, nested dissection orderings, rank-aware sparse
+Cholesky factorization for PSD matrices whose nonzero graph is a mesh graph,
+and block factors that combine per-block exact solvers with a dense Schur
+complement on a shared index set.
 
 The factorization is multifrontal over the separator tree: every tree node
 eliminates its block against a dense frontal matrix and passes a Schur
@@ -20,6 +22,8 @@ from .errors import NumericalError
 
 DEFAULT_BASE_CASE = 64
 DEFAULT_PIVOT_TOL = 1e-12
+# largest shared set whose Schur complement BlockFactor pseudo-inverts densely
+DENSE_SHARED_CAP = 5000
 # tested balance bound for the axis-median bisection separator
 BALANCE_BOUND = 0.9
 
@@ -331,7 +335,10 @@ def _factor_node(node, mp, scale, pivot_tol, out):
     # child Schur updates (symmetric, scattered into the full front)
     for rows, upd in child_updates:
         # separator property: children may only touch their own ancestors
-        assert len(rows) == 0 or rows.min() >= c0
+        if len(rows) and rows.min() < c0:
+            raise NumericalError(
+                "ordering lacks the separator property: a subtree couples "
+                "to rows outside its ancestors")
         loc = np.where(rows < c1, rows - c0,
                        bs + np.searchsorted(above, rows))
         front[np.ix_(loc, loc)] += upd
@@ -429,3 +436,110 @@ def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,
         if np.any(bad & (norm_b > 0)):
             raise NumericalError("right-hand side is not in the image of the matrix")
     return x[:, 0] if single else x
+
+
+# -- block factors ---------------------------------------------------------------
+
+class BlockFactor:
+    """Exact solver for a symmetric PSD matrix whose rows split into
+    mutually uncoupled blocks plus an optional shared set.
+
+    Each block has its own exact solver of ``matrix[b][:, b]``: a
+    CholeskyFactor, or a GraphDownLap for a dual graph.  The Schur
+    complement onto the shared rows is pseudo-inverted densely up front.
+    Rows in neither a block nor the shared set are dropped, and the solution
+    is zero there.  Solves are exact for right-hand sides in the image.
+    """
+
+    def __init__(self, matrix, blocks, solvers, shared=()):
+        self.matrix = sp.csr_matrix(matrix)
+        self.blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
+        self.solvers = list(solvers)
+        self.shared = np.asarray(shared, dtype=np.int64)
+        if len(self.shared) > DENSE_SHARED_CAP:
+            raise NumericalError(
+                f"shared block has {len(self.shared)} rows, beyond the dense "
+                f"inversion cap {DENSE_SHARED_CAP}")
+        label = np.full(self.matrix.shape[0], -1, dtype=np.int64)
+        for i, b in enumerate(self.blocks):
+            label[b] = i
+        coo = self.matrix.tocoo()
+        lr, lc = label[coo.row], label[coo.col]
+        if np.any((lr >= 0) & (lc >= 0) & (lr != lc)):
+            raise NumericalError(
+                "index blocks are coupled; the partition does not match "
+                "the matrix")
+        self.couplings = []
+        self.schur_pinv = np.zeros((0, 0))
+        if len(self.shared):
+            rows = self.matrix[self.shared]
+            self.couplings = [rows[:, b].tocsr() for b in self.blocks]
+            schur = rows[:, self.shared].toarray()
+            for s, m_sb in zip(self.solvers, self.couplings):
+                if m_sb.shape[1]:
+                    schur -= m_sb @ s.solve(m_sb.toarray().T, check_image=False)
+            self.schur_pinv = pinv_via_pivoted_qr(schur)
+
+    @classmethod
+    def nested_dissection(cls, matrix, blocks, coords, shared=(),
+                          root_pins=None) -> "BlockFactor":
+        """One nested dissection factor per block, ordered by `coords` (a 3D
+        location per row); `root_pins[i]` are positions within block i that
+        its factor eliminates last."""
+        matrix = sp.csr_matrix(matrix)
+        coords = np.asarray(coords, dtype=float)
+        pins = [None] * len(blocks) if root_pins is None else root_pins
+        solvers = [nd_cholesky(matrix[b][:, b], coords[b], root_pin=pin)
+                   if len(b) else None for b, pin in zip(blocks, pins)]
+        return cls(matrix, blocks, solvers, shared)
+
+    def _block_solve(self, v):
+        out = np.zeros_like(v)
+        for b, s in zip(self.blocks, self.solvers):
+            if len(b):
+                out[b] = s.solve(v[b], check_image=False)
+        return out
+
+    def solve(self, v) -> np.ndarray:
+        """x with matrix x = v on the kept rows, for v in the image."""
+        v = np.asarray(v, dtype=float)
+        out = self._block_solve(v)
+        if not len(self.shared):
+            return out
+        pairs = [(b, m_sb) for b, m_sb in zip(self.blocks, self.couplings)
+                 if m_sb.shape[1]]
+        x_s = self.schur_pinv @ (v[self.shared]
+                                 - sum(m_sb @ out[b] for b, m_sb in pairs))
+        rhs = v.copy()
+        for b, m_sb in pairs:
+            rhs[b] -= m_sb.T @ x_s
+        out = self._block_solve(rhs)
+        out[self.shared] = x_s
+        return out
+
+
+def concat_blocks(parts):
+    """Concatenation of index arrays, plus each one's positions within it."""
+    flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    stops = np.cumsum([len(p) for p in parts], dtype=np.int64)
+    return flat, [np.arange(stop - len(p), stop) for p, stop in zip(parts, stops)]
+
+
+def pinv_via_pivoted_qr(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Pseudo-inverse through a complete orthogonal decomposition built from
+    Householder QR with column pivoting."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return a.T.copy()
+    q, r, piv = sla.qr(a, pivoting=True)
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > tol * (diag[0] if diag.size else 1.0)))
+    if rank == 0:
+        return np.zeros_like(a.T)
+    rk = r[:rank]                      # k x n
+    z, t = sla.qr(rk.T, mode="economic")   # rk^T = z @ t, t is k x k upper
+    tinv = sla.solve_triangular(t, np.eye(rank), lower=False)
+    core = z @ (tinv.T @ q[:, :rank].T)
+    p = np.zeros((a.shape[1], a.shape[1]))
+    p[piv, np.arange(a.shape[1])] = 1.0
+    return p @ core

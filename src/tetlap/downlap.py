@@ -17,7 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import NumericalError
+from .dissection import nd_cholesky
+from .errors import NumericalError, check_vector
 from .pcg import LinearOperator, estimate_rel_condition, pcg
 
 IMAGE_TOL = 1e-8
@@ -142,14 +143,14 @@ class GraphDownLap:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.lap @ x
 
-    def solve(self, b: np.ndarray, check: bool = True) -> np.ndarray:
+    def solve(self, b: np.ndarray, check_image: bool = True) -> np.ndarray:
         """Exact solve of (d^T W d) x = b for b in the image."""
         b = np.asarray(b, dtype=float)
         y = self.forest.solve_transpose(b)
         z = y / _col(self.sqrt_w, y.ndim)
         z1 = self._project_off_kernel(z)
         x = self.forest.solve_head(z1 / _col(self.sqrt_w, z1.ndim))
-        if check:
+        if check_image:
             resid = np.linalg.norm(self.lap @ x - b)
             if resid > EXACT_TOL * max(np.linalg.norm(b), 1e-300):
                 raise NumericalError(
@@ -170,23 +171,38 @@ def _col(v, ndim):
 
 # -- complex-level API -------------------------------------------------------
 
-def _down_state(c) -> GraphDownLap:
-    if "down_state" not in c._cache:
-        c._cache["down_state"] = GraphDownLap(c.num_vertices, c.edges,
-                                              c.weights[0])
-    return c._cache["down_state"]
+@dataclass
+class DownState:
+    """What the down solve and the gradient projection read, built once."""
+
+    graph: GraphDownLap              # 1-skeleton with the vertex weights
+    lap0: sp.csr_matrix              # unweighted vertex Laplacian d1 d1^T
+    lap0_condition: float            # safety-doubled condition estimate
+
+
+def _graph(c) -> GraphDownLap:
+    return GraphDownLap(c.num_vertices, c.edges, c.weights[0])
+
+
+def build_down_state(c) -> DownState:
+    graph = _graph(c)
+    lap0 = (graph.d @ graph.d.T).tocsr()
+    op = LinearOperator(dim=lap0.shape[0], apply=lambda v: lap0 @ v)
+    est = estimate_rel_condition(op, LinearOperator.identity(lap0.shape[0]),
+                                 iters=50)
+    return DownState(graph=graph, lap0=lap0, lap0_condition=2.0 * est)
 
 
 def spanning_forest(c) -> SpanningForest:
-    return _down_state(c).forest
+    return _graph(c).forest
 
 
 def solve_partial1(c, b0) -> np.ndarray:
     """x with d1 x = b0 for b0 in Im(d1); x is supported on forest edges."""
-    state = _down_state(c)
+    graph = _graph(c)
     b0 = np.asarray(b0, dtype=float)
-    x = state.forest.solve_head(b0)
-    resid = np.linalg.norm(state.d @ x - b0)
+    x = graph.forest.solve_head(b0)
+    resid = np.linalg.norm(graph.d @ x - b0)
     if resid > IMAGE_TOL * max(np.linalg.norm(b0), 1e-300):
         raise NumericalError("b is not in the image of d1")
     return x
@@ -194,40 +210,43 @@ def solve_partial1(c, b0) -> np.ndarray:
 
 def solve_partial1_transpose(c, b1) -> np.ndarray:
     """y with d1^T y = b1 for b1 in Im(d1^T)."""
-    state = _down_state(c)
+    graph = _graph(c)
     b1 = np.asarray(b1, dtype=float)
-    y = state.forest.solve_transpose(b1)
-    resid = np.linalg.norm(state.d.T @ y - b1)
+    y = graph.forest.solve_transpose(b1)
+    resid = np.linalg.norm(graph.d.T @ y - b1)
     if resid > IMAGE_TOL * max(np.linalg.norm(b1), 1e-300):
         raise NumericalError("b is not in the image of d1^T")
     return y
 
 
-def down_lap_solve(c, b) -> np.ndarray:
+def down_lap_solve(c, b, state: DownState | None = None) -> np.ndarray:
     """Exact solve of L1down x = b; errors when b is outside the image."""
-    return _down_state(c).solve(b)
+    graph = _graph(c) if state is None else state.graph
+    return graph.solve(b)
 
 
-def down_projection(c, b, eps: float, max_iters=None):
+def down_projection(c, b, eps: float, max_iters=None,
+                    state: DownState | None = None):
     """Approximation of the orthogonal projection onto Im(d1^T).
 
     Solves the (unweighted) vertex Laplacian system behind the projection
-    with Jacobi-preconditioned CG; falls back to a direct nested dissection
-    factorization if CG stalls.  Contract: |p - P b| <= eps |P b|.
+    with Jacobi-preconditioned CG; if CG stalls, this call factors the
+    vertex Laplacian by nested dissection and solves directly.  Contract:
+    |p - P b| <= eps |P b|.
     """
-    state = _down_state(c)
-    b = np.asarray(b, dtype=float)
-    g = state.d @ b  # in Im(d1) by construction
+    b = check_vector(b, c.num_edges, "b")
+    if state is None:
+        state = build_down_state(c)
+    d = state.graph.d
+    g = d @ b  # in Im(d1) by construction
     # below this level g is cancellation noise from a curl-only input and
     # the projection itself sits at machine precision
     if np.linalg.norm(g) <= 1e-12 * np.linalg.norm(b):
         return np.zeros_like(b)
 
-    lap0 = _unweighted_vertex_laplacian(c)
+    lap0 = state.lap0
     a_op = LinearOperator(dim=c.num_vertices, apply=lambda v: lap0 @ v)
-
-    kappa = _vertex_lap_condition(c, lap0)
-    delta = max(eps, 1e-15) / (2.0 * np.sqrt(kappa))
+    delta = max(eps, 1e-15) / (2.0 * np.sqrt(state.lap0_condition))
 
     diag = lap0.diagonal()
     inv_diag = np.where(diag > 0, 1.0 / np.where(diag > 0, diag, 1.0), 0.0)
@@ -236,32 +255,8 @@ def down_projection(c, b, eps: float, max_iters=None):
     phi, rep = pcg(a_op, jacobi, g, tol=delta, max_iters=max_iters,
                    stage="down_projection")
     if not rep.converged:
-        factor = _vertex_lap_factor(c, lap0)
-        phi = factor.solve(g, check_image=False)
+        phi = nd_cholesky(lap0, c.vertices).solve(g, check_image=False)
         resid = np.linalg.norm(lap0 @ phi - g)
         if resid > max(delta, 1e-12) * np.linalg.norm(g):
             raise NumericalError("down-projection solve failed to converge")
-    return state.d.T @ phi
-
-
-def _unweighted_vertex_laplacian(c):
-    if "lap0_unweighted" not in c._cache:
-        d = _down_state(c).d
-        c._cache["lap0_unweighted"] = (d @ d.T).tocsr()
-    return c._cache["lap0_unweighted"]
-
-
-def _vertex_lap_condition(c, lap0) -> float:
-    if "lap0_condition" not in c._cache:
-        op = LinearOperator(dim=lap0.shape[0], apply=lambda v: lap0 @ v)
-        est = estimate_rel_condition(op, LinearOperator.identity(lap0.shape[0]),
-                                     iters=50)
-        c._cache["lap0_condition"] = 2.0 * est
-    return c._cache["lap0_condition"]
-
-
-def _vertex_lap_factor(c, lap0):
-    if "lap0_factor" not in c._cache:
-        from .dissection import nd_cholesky
-        c._cache["lap0_factor"] = nd_cholesky(lap0, c.vertices)
-    return c._cache["lap0_factor"]
+    return d.T @ phi

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the vector check of the
+public entry points."""
+
+import numpy as np
 
 
 class TetlapError(Exception):
@@ -13,3 +16,14 @@ class NumericalError(TetlapError):
 class UnsupportedGeometryError(TetlapError):
     """The mesh does not satisfy the geometric preconditions of the
     requested operation; the message names the violated condition."""
+
+
+def check_vector(v, n: int, name: str) -> np.ndarray:
+    """`v` as a float vector of length n; raises ValueError naming `name`
+    when it has another shape or a non-finite entry."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} has shape {v.shape}, expected ({n},)")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has non-finite entries")
+    return v

@@ -570,8 +570,7 @@ def _record_metrics(c, h: Hollowing, r):
             boundary = len(st) + len(btris) + len(bedges) + len(bverts)
         else:
             btris = h.shells[k]
-            inc = triangle_edge_incidence(c)
-            bedges = np.unique(inc[btris].indices) if len(btris) else []
+            bedges = np.unique(c.tri_edges[btris]) if len(btris) else []
             bverts = np.unique(c.triangles[btris]) if len(btris) else []
             boundary = len(btris) + len(bedges) + len(bverts)
         sizes.append(interior + boundary)
@@ -606,9 +605,8 @@ def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
         outer = np.flatnonzero(labels == int(np.argmax(sizes))) if ncomp \
             else np.empty(0, dtype=np.int64)
         h.tri_class[outer] = -1
-        inc = triangle_edge_incidence(c)
         if len(outer):
-            h.edge_class[np.unique(inc[outer].indices)] = -1
+            h.edge_class[np.unique(c.tri_edges[outer])] = -1
             h.tri_disc[outer] = 0
         h.shells = [outer]
         _record_metrics(c, h, r)
@@ -749,9 +747,7 @@ def validate_hollowing(c, h: Hollowing, config: HollowingConfig | None = None):
         violations.extend(_check_shared_are_boundary(c, h))
 
     # triangle-level disjointness: no triangle may span two interior regions
-    inc_edges = np.stack([c.edge_ids(np.delete(c.triangles, j, axis=1))
-                          for j in range(3)], axis=1)
-    cls = h.edge_class[inc_edges]
+    cls = h.edge_class[c.tri_edges]
     pos = np.where(cls >= 0, cls, -1)
     mx = pos.max(axis=1)
     mn = np.where(pos < 0, np.iinfo(np.int64).max, pos).min(axis=1)
@@ -823,12 +819,11 @@ def _check_shared_are_boundary(c, h: Hollowing):
 
 def _validate_sphere_shells(c, h: Hollowing):
     violations = []
-    inc = triangle_edge_incidence(c)
     for k, shell in enumerate(h.shells):
         if len(shell) == 0:
             violations.append(f"region {k} has an empty boundary sphere")
             continue
-        chi = _euler_characteristic(c, shell, inc)
+        chi = _euler_characteristic(c, shell)
         if chi != 2:
             violations.append(
                 f"region {k} boundary has Euler characteristic {chi}, not 2")
@@ -838,7 +833,7 @@ def _validate_sphere_shells(c, h: Hollowing):
             shared = np.intersect1d(h.shells[i], h.shells[j])
             if len(shared) == 0:
                 continue
-            chi = _euler_characteristic(c, shared, inc)
+            chi = _euler_characteristic(c, shared)
             if chi != 1:
                 violations.append(
                     f"regions {i} and {j} intersect with Euler "
@@ -846,9 +841,8 @@ def _validate_sphere_shells(c, h: Hollowing):
     return violations
 
 
-def _euler_characteristic(c, tri_ids, inc=None) -> int:
-    inc = triangle_edge_incidence(c) if inc is None else inc
+def _euler_characteristic(c, tri_ids) -> int:
     nf = len(tri_ids)
-    ne = len(np.unique(inc[tri_ids].indices))
+    ne = len(np.unique(c.tri_edges[tri_ids]))
     nv = len(np.unique(c.triangles[tri_ids]))
     return nv - ne + nf

@@ -203,10 +203,7 @@ def exterior_triangle_components(c: Complex3) -> np.ndarray:
 def triangle_edge_incidence(c: Complex3) -> sp.csr_matrix:
     """0/1 triangle-by-edge incidence matrix."""
     rows = np.repeat(np.arange(c.num_triangles), 3)
-    cols = np.concatenate([c.edge_ids(np.delete(c.triangles, j, axis=1))
-                           for j in range(3)])
-    # interleave per triangle
-    cols = cols.reshape(3, -1).T.reshape(-1)
+    cols = c.tri_edges.reshape(-1)
     data = np.ones(len(rows), dtype=np.int8)
     return sp.csr_matrix((data, (rows, cols)),
                          shape=(c.num_triangles, c.num_edges))

@@ -15,7 +15,7 @@ dissection factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,18 +23,17 @@ import scipy.sparse as sp
 
 from . import oracle
 from .complexes import Complex3, build_complex
-from .dissection import nd_cholesky
-from .downlap import down_lap_solve, down_projection
-from .errors import NumericalError
+from .dissection import BlockFactor
+from .downlap import DownState, build_down_state, down_lap_solve, down_projection
+from .errors import check_vector
 from .hollowing import Hollowing
-from .pcg import LinearOperator, estimate_rel_condition, pcg
+from .pcg import LinearOperator, estimate_rel_condition
 from .reports import SolveReport
 from .uplap import UpSolverState, _up_solve_with_state, build_up_solver
 from .upproj import UpProjectionState, build_up_projection, up_project
 
 KAPPA_SAFETY = 2.0
 KAPPA_ITERS = 50
-DENSE_SHARED_CAP = 5000
 # worst-case inner tolerance eps / (11 kappa) falls below double precision
 # on large meshes; the floor keeps sub-solves feasible and the recomputed
 # final residual stays the arbiter of the contract
@@ -43,72 +42,78 @@ DELTA_FLOOR = 3e-12
 
 @dataclass
 class OneLapState:
-    complex: object
+    """Everything a solve or a Hodge split reads, built once; nothing in it
+    or in its complex changes afterwards."""
+    complex: Complex3
     hollowing: Hollowing
+    lap1: sp.csr_matrix
     up_state: UpSolverState
     proj_state: UpProjectionState
+    down_state: DownState
     kappa_hat: float
 
 
 def build_one_lap_solver(c, h: Hollowing) -> OneLapState:
-    up_state = build_up_solver(c, h)
-    proj_state = build_up_projection(c, h)
-    kappa_hat = _condition_estimate(c)
-    return OneLapState(complex=c, hollowing=h, up_state=up_state,
-                       proj_state=proj_state, kappa_hat=kappa_hat)
+    return _build_state(c, h, build_up_solver(c, h), build_up_projection(c, h))
+
+
+def _build_state(c, h, up_state, proj_state) -> OneLapState:
+    return OneLapState(complex=c, hollowing=h, lap1=c.lap1(),
+                       up_state=up_state, proj_state=proj_state,
+                       down_state=build_down_state(c),
+                       kappa_hat=_condition_estimate(c))
 
 
 def _condition_estimate(c) -> float:
-    if "kappa_hat" not in c._cache:
-        kup = estimate_rel_condition(
-            LinearOperator.from_matrix(c.lap_up(1)),
-            LinearOperator.identity(c.num_edges), iters=KAPPA_ITERS)
-        kdown = estimate_rel_condition(
-            LinearOperator.from_matrix(c.lap_down(1)),
-            LinearOperator.identity(c.num_edges), iters=KAPPA_ITERS)
-        c._cache["kappa_hat"] = KAPPA_SAFETY * max(kup, kdown, 1.0)
-    return c._cache["kappa_hat"]
+    kup = estimate_rel_condition(
+        LinearOperator.from_matrix(c.lap_up(1)),
+        LinearOperator.identity(c.num_edges), iters=KAPPA_ITERS)
+    kdown = estimate_rel_condition(
+        LinearOperator.from_matrix(c.lap_down(1)),
+        LinearOperator.identity(c.num_edges), iters=KAPPA_ITERS)
+    return KAPPA_SAFETY * max(kup, kdown, 1.0)
 
 
 def one_lap_solve(c, h: Hollowing, b, eps: float,
                   state: Optional[OneLapState] = None):
     """x with |L1 x - P1 b| <= eps |P1 b|, P1 the projection onto Im(L1)."""
+    b = check_vector(b, c.num_edges, "b")
     if state is None:
         state = build_one_lap_solver(c, h)
-    up_proj = lambda v, d: up_project(c, h, v, d, state=state.proj_state)[0]
-    down_proj = lambda v, d: down_projection(c, v, d)
-    up_solve = lambda v, d: _up_solve_with_state(state.up_state, v, d)
-    return _one_lap_core(c.lap1(), up_proj, down_proj, up_solve,
-                         lambda v: down_lap_solve(c, v),
-                         b, eps, state.kappa_hat)
+    return _one_lap_core(state, b, eps)
 
 
-def _one_lap_core(lap1, up_proj, down_proj, up_solve, down_solve, b,
-                  eps: float, kappa_hat: float):
-    b = np.asarray(b, dtype=float)
+def _one_lap_core(state: OneLapState, b, eps: float):
+    c, h = state.complex, state.hollowing
     report = SolveReport(stage="one_lap_solve", size=len(b),
-                         params={"eps": eps, "kappa_hat": kappa_hat})
+                         params={"eps": eps, "kappa_hat": state.kappa_hat})
     if np.linalg.norm(b) == 0.0:
         return np.zeros_like(b), report
-    delta = max(eps / (11.0 * kappa_hat), min(DELTA_FLOOR, eps))
+    delta = max(eps / (11.0 * state.kappa_hat), min(DELTA_FLOOR, eps))
     report.params["delta"] = delta
 
-    b_up = up_proj(b, delta)
-    b_down = down_proj(b, delta)
-    x_down = down_solve(b_down)
+    def up_proj(v):
+        return up_project(c, h, v, delta, state=state.proj_state)[0]
+
+    def down_proj(v):
+        return down_projection(c, v, delta, state=state.down_state)
+
+    b_up = up_proj(b)
+    b_down = down_proj(b)
+    x_down = down_lap_solve(c, b_down, state=state.down_state)
     if np.linalg.norm(b_up) > 0:
-        x_up, up_rep = up_solve(b_up, delta)
+        x_up, up_rep = _up_solve_with_state(state.up_state, b_up, delta)
         report.add_stage("up_solve", up_rep)
     else:
         x_up = np.zeros_like(b)
-    x = up_proj(x_up, delta) + down_proj(x_down, delta)
+    x = up_proj(x_up) + down_proj(x_down)
 
     # residual against the approximately projected right-hand side; the
     # exact-projection contract is certified against the dense oracle in
     # the acceptance tests
     b_tilde = b_up + b_down
     report.initial_residual = float(np.linalg.norm(b_tilde))
-    report.final_residual = float(np.linalg.norm(lap1 @ x - b_tilde))
+    report.final_residual = float(np.linalg.norm(state.lap1 @ x - b_tilde))
     report.converged = report.final_residual <= \
         eps * max(report.initial_residual, 1e-300)
     return x, report
@@ -117,10 +122,10 @@ def _one_lap_core(lap1, up_proj, down_proj, up_solve, down_solve, b,
 def hodge_decompose(c, h: Hollowing, f, eps: float,
                     state: Optional[OneLapState] = None):
     """Split a 1-chain into (gradient, curl, harmonic) parts."""
-    f = np.asarray(f, dtype=float)
+    f = check_vector(f, c.num_edges, "f")
     if state is None:
         state = build_one_lap_solver(c, h)
-    gradient = down_projection(c, f, eps)
+    gradient = down_projection(c, f, eps, state=state.down_state)
     curl, _ = up_project(c, h, f, eps, state=state.proj_state)
     harmonic = f - gradient - curl
     return gradient, curl, harmonic
@@ -156,7 +161,6 @@ class UnionComplex:
     shared_edges: np.ndarray          # global edges present in > 1 chunk
     shared_triangles: np.ndarray
     hollowing: Hollowing              # induced labels on the glued complex
-    _cache: dict = field(default_factory=dict, repr=False)
 
 
 def glue(chunks, identifications, hollowings) -> UnionComplex:
@@ -308,235 +312,70 @@ def _induced_union_hollowing(glued, chunks, hollowings, edge_maps, tri_maps,
                  "shared_triangles": int(len(shared_triangles))})
 
 
-class SplitPreconditioner:
-    """Exact solver for a PSD matrix whose index set splits into per-chunk
-    blocks (factored by nested dissection) plus a small shared block whose
-    Schur complement is pseudo-inverted densely."""
-
-    def __init__(self, mat: sp.spmatrix, blocks, coords_list, shared,
-                 base_case: int = 64, dense_cap: int = DENSE_SHARED_CAP):
-        mat = sp.csr_matrix(mat)
-        self.n = mat.shape[0]
-        self.blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
-        self.shared = np.asarray(shared, dtype=np.int64)
-        if len(self.shared) > dense_cap:
-            raise NumericalError(
-                f"shared block has {len(self.shared)} rows, beyond the dense "
-                f"inversion cap {dense_cap}")
-        for i, b in enumerate(self.blocks):
-            for j, b2 in enumerate(self.blocks):
-                if i < j and mat[b][:, b2].nnz:
-                    raise NumericalError(
-                        "per-chunk preconditioner blocks are coupled; "
-                        "shared simplexes were misclassified")
-        self.factors = [
-            nd_cholesky(mat[b][:, b], coords, base_case=base_case)
-            if len(b) else None
-            for b, coords in zip(self.blocks, coords_list)]
-        self.m_sb = [mat[self.shared][:, b].tocsr() for b in self.blocks]
-        m_ss = mat[self.shared][:, self.shared].toarray()
-        if len(self.shared):
-            schur = m_ss.copy()
-            for f, msb in zip(self.factors, self.m_sb):
-                if f is None or msb.shape[1] == 0:
-                    continue
-                rhs = msb.toarray().T
-                x = f.solve(rhs, check_image=False)
-                schur -= msb @ x
-            from .uplap import pinv_via_pivoted_qr
-            self.schur_pinv = pinv_via_pivoted_qr(schur)
-        else:
-            self.schur_pinv = np.zeros((0, 0))
-
-    def _block_solve(self, v):
-        out = np.zeros_like(v)
-        for f, b in zip(self.factors, self.blocks):
-            if f is None:
-                continue
-            out[b] = f.solve(v[b], check_image=False)
-        return out
-
-    def solve(self, v):
-        v = np.asarray(v, dtype=float)
-        y = self._block_solve(v)
-        if len(self.shared):
-            h_vec = v[self.shared] - sum(
-                msb @ y[b] for msb, b in zip(self.m_sb, self.blocks)
-                if msb.shape[1])
-            x_s = self.schur_pinv @ h_vec
-            rhs = v.copy()
-            for msb, b in zip(self.m_sb, self.blocks):
-                if msb.shape[1]:
-                    rhs[b] -= msb.T @ x_s
-            out = self._block_solve(rhs)
-            out[self.shared] = x_s
-            return out
-        return y
+def build_union_solver(u: UnionComplex) -> OneLapState:
+    """Solver state on the glued complex.  A glued union has no global
+    embedding, so each wall preconditioner is a BlockFactor of per-chunk
+    factors, ordered in each chunk's own chart, plus a dense shared block
+    on the simplexes that couple chunks."""
+    glued, h = u.complex, u.hollowing
+    midpoints = _chart_locations(u, glued.num_edges, u.edge_maps,
+                                 lambda ch: ch.edges)
+    centroids = _chart_locations(u, glued.num_triangles, u.tri_maps,
+                                 lambda ch: ch.triangles)
+    edge_parts = [m[hh.boundary_edges]
+                  for m, hh in zip(u.edge_maps, u.hollowings)]
+    tri_parts = [m[hh.boundary_triangles]
+                 for m, hh in zip(u.tri_maps, u.hollowings)]
+    # boundary triangles touching a shared edge couple chunks through the
+    # Gram matrix, so they join the dense block with the shared triangles
+    on_shared = np.zeros(glued.num_edges, dtype=bool)
+    on_shared[u.shared_edges] = True
+    touches = on_shared[glued.tri_edges].any(axis=1) & (h.tri_class < 0)
+    dense_tris = np.unique(np.concatenate(
+        [u.shared_triangles, np.flatnonzero(touches)]))
+    up_state = build_up_solver(
+        glued, h, wall=lambda lt: _chunk_wall(
+            lt, h.boundary_edges, edge_parts, u.shared_edges, midpoints))
+    proj_state = build_up_projection(
+        glued, h, centroids, wall=lambda gram: _chunk_wall(
+            gram, h.boundary_triangles, tri_parts, dense_tris, centroids))
+    return _build_state(glued, h, up_state, proj_state)
 
 
-def build_union_up_solver(u: UnionComplex, base_case: int = 64) -> UpSolverState:
-    """Up-solver on the glued complex; the wall preconditioner solves through
-    per-chunk factors plus the dense shared Schur block."""
-    glued = u.complex
-    h = u.hollowing
-    from .uplap import _build_without_precond, _coupling_norm
-    state = _build_without_precond(glued, h, base_case)
-    c_idx = state.c_idx
-    if len(c_idx) == 0:
-        return state
-
-    bt = h.boundary_triangles
-    d2c = glued.boundary(2).astype(float)[c_idx][:, bt]
-    lt = (d2c @ sp.diags(glued.weights[2][bt]) @ d2c.T).tocsr()
-
-    pos = np.full(glued.num_edges, -1, dtype=np.int64)
-    pos[c_idx] = np.arange(len(c_idx))
-    shared_local = pos[u.shared_edges]
-    shared_local = shared_local[shared_local >= 0]
-    # an edge is also "shared-adjacent" if it shares a wall triangle with a
-    # shared edge; for vertex-level gluings the shared triangles' edges are
-    # all shared, so the shared edges themselves suffice as the dense block
-    blocks, coords_list = [], []
-    taken = np.zeros(len(c_idx), dtype=bool)
-    taken[shared_local] = True
-    for k, ch in enumerate(u.chunks):
-        local_boundary = u.edge_maps[k][u.hollowings[k].boundary_edges]
-        locs = pos[local_boundary]
-        locs = locs[(locs >= 0) & ~taken[locs]]
-        taken[locs] = True
-        block = np.unique(locs)
-        blocks.append(block)
-        midpoints = ch.vertices[ch.edges].mean(axis=1)
-        back = np.full(glued.num_edges, -1, dtype=np.int64)
-        back[u.edge_maps[k]] = np.arange(ch.num_edges)
-        coords_list.append(midpoints[back[c_idx[block]]])
-    leftovers = np.flatnonzero(~taken)
-    if len(leftovers):
-        shared_local = np.union1d(shared_local, leftovers)
-
-    precond = SplitPreconditioner(lt, blocks, coords_list, shared_local,
-                                  base_case=base_case)
-    state.precond_solve = precond.solve
-    state.coupling_norm = _coupling_norm(state)
-    return state
+def _chart_locations(u: UnionComplex, n, maps, simplexes) -> np.ndarray:
+    """Location of each glued simplex in the chart of a chunk holding it."""
+    out = np.zeros((n, 3))
+    for ch, m in zip(u.chunks, maps):
+        out[m] = ch.vertices[simplexes(ch)].mean(axis=1)
+    return out
 
 
-def build_union_up_projection(u: UnionComplex,
-                              base_case: int = 64) -> UpProjectionState:
-    """Triangle-split projection on the glued complex with the same shared
-    dense-block treatment for the boundary Gram preconditioner."""
-    return _build_union_proj_state(u, base_case)
-
-
-def _build_union_proj_state(u: UnionComplex, base_case: int) -> UpProjectionState:
-    glued = u.complex
-    h = u.hollowing
-    d2 = glued.boundary(2).astype(float).tocsc()
-    f_regions = h.interior_triangles_by_region()
-    f_all = np.concatenate(f_regions) if f_regions else np.empty(0, dtype=np.int64)
-    c_t = h.boundary_triangles
-
-    slices, factors = [], []
-    start = 0
-    chunk_of_region = np.concatenate(
-        [np.full(hh.num_regions, k) for k, hh in enumerate(u.hollowings)])
-    chunk_centroids = [ch.vertices[ch.triangles].mean(axis=1) for ch in u.chunks]
-    glob_to_local = []
-    for k, ch in enumerate(u.chunks):
-        back = np.full(glued.num_triangles, -1, dtype=np.int64)
-        back[u.tri_maps[k]] = np.arange(ch.num_triangles)
-        glob_to_local.append(back)
-    for ridx, f in enumerate(f_regions):
-        slices.append(slice(start, start + len(f)))
-        start += len(f)
-        if len(f) == 0:
-            factors.append(None)
-            continue
-        cols = d2[:, f]
-        gram = (cols.T @ cols).tocsr()
-        k = int(chunk_of_region[ridx])
-        coords = chunk_centroids[k][glob_to_local[k][f]]
-        factors.append(nd_cholesky(gram, coords, base_case=base_case))
-
-    d2_c = d2[:, c_t]
-    gram_c = (d2_c.T @ d2_c).tocsr()
-    pos = np.full(glued.num_triangles, -1, dtype=np.int64)
-    pos[c_t] = np.arange(len(c_t))
-
-    # dense block: shared triangles plus boundary triangles touching a
-    # shared edge (they couple chunks through the Gram matrix)
-    inc_shared = np.zeros(glued.num_edges, dtype=bool)
-    inc_shared[u.shared_edges] = True
-    tri_edges = np.stack([glued.edge_ids(np.delete(glued.triangles, j, axis=1))
-                          for j in range(3)], axis=1)
-    touches = inc_shared[tri_edges].any(axis=1)
-    dense_global = np.unique(np.concatenate(
-        [u.shared_triangles, np.flatnonzero(touches & (h.tri_class < 0))]))
-    dense_local = pos[dense_global]
+def _chunk_wall(matrix, ids, chunk_parts, dense, locations) -> BlockFactor:
+    """BlockFactor of a wall matrix over the glued simplexes `ids`: one
+    block per chunk with its wall simplexes not already taken, and the
+    `dense` simplexes plus any left over as the shared set."""
+    pos = np.full(len(locations), -1, dtype=np.int64)
+    pos[ids] = np.arange(len(ids))
+    dense_local = pos[dense]
     dense_local = dense_local[dense_local >= 0]
-
-    taken = np.zeros(len(c_t), dtype=bool)
+    taken = np.zeros(len(ids), dtype=bool)
     taken[dense_local] = True
-    blocks, coords_list = [], []
-    for k, ch in enumerate(u.chunks):
-        local_boundary = u.tri_maps[k][u.hollowings[k].boundary_triangles]
-        locs = pos[local_boundary]
+    blocks = []
+    for part in chunk_parts:
+        locs = pos[part]
         locs = locs[(locs >= 0) & ~taken[locs]]
         taken[locs] = True
         blocks.append(np.unique(locs))
-        coords_list.append(chunk_centroids[k][glob_to_local[k][c_t[blocks[-1]]]])
-    leftovers = np.flatnonzero(~taken)
-    dense_local = np.union1d(dense_local, leftovers)
-
-    precond = SplitPreconditioner(gram_c, blocks, coords_list, dense_local,
-                                  base_case=base_case)
-
-    class _SplitFactor:
-        def solve(self, v, check_image=False):
-            return precond.solve(v)
-
-    return UpProjectionState(
-        complex=glued, hollowing=h, d2=d2,
-        f_regions=f_regions, f_all=f_all, f_slices=slices, c_t=c_t,
-        d2_f=d2[:, f_all], d2_c=d2_c,
-        region_factors=factors, precond_factor=_SplitFactor(),
-        lup_norm=_union_lup_norm(glued),
-    )
-
-
-def _union_lup_norm(glued) -> float:
-    from .upproj import _up_lap_norm
-    return _up_lap_norm(glued)
-
-
-@dataclass
-class UnionSolverState:
-    union: UnionComplex
-    up_state: UpSolverState
-    proj_state: UpProjectionState
-    kappa_hat: float
-
-
-def build_union_solver(u: UnionComplex) -> UnionSolverState:
-    return UnionSolverState(
-        union=u,
-        up_state=build_union_up_solver(u),
-        proj_state=_build_union_proj_state(u, 64),
-        kappa_hat=_condition_estimate(u.complex),
-    )
+    shared = np.union1d(dense_local, np.flatnonzero(~taken))
+    return BlockFactor.nested_dissection(matrix, blocks, locations[ids],
+                                         shared)
 
 
 def union_one_lap_solve(u: UnionComplex, b, eps: float,
-                        state: Optional[UnionSolverState] = None):
+                        state: Optional[OneLapState] = None):
     """1-Laplacian solve on the glued complex, same contract as
     one_lap_solve; b is indexed by the glued complex's edge order."""
+    b = check_vector(b, u.complex.num_edges, "b")
     if state is None:
         state = build_union_solver(u)
-    glued = u.complex
-    up_proj = lambda v, d: up_project(glued, u.hollowing, v, d,
-                                      state=state.proj_state)[0]
-    down_proj = lambda v, d: down_projection(glued, v, d)
-    up_solve = lambda v, d: _up_solve_with_state(state.up_state, v, d)
-    return _one_lap_core(glued.lap1(), up_proj, down_proj, up_solve,
-                         lambda v: down_lap_solve(glued, v),
-                         b, eps, state.kappa_hat)
+    return _one_lap_core(state, b, eps)

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .dissection import CholeskyFactor, nd_cholesky
+from .dissection import BlockFactor, concat_blocks
 from .downlap import GraphDownLap
-from .errors import NumericalError
+from .errors import NumericalError, check_vector
 from .hollowing import Hollowing
 from .pcg import LinearOperator, pcg
 from .reports import SolveReport
@@ -33,37 +32,54 @@ class UpSolverState:
     complex: object
     hollowing: Hollowing
     lup: sp.csr_matrix
-    f_regions: list                  # interior edge ids per region
-    f_all: np.ndarray                # concatenated F in region-block order
-    f_slices: list                   # slice per region into f_all
+    f_all: np.ndarray                # interior edge ids, region by region
     c_idx: np.ndarray                # boundary edge ids
-    region_factors: list
+    interior: BlockFactor            # Lup[F, F] over f_all, one block per region
+    wall: Optional[BlockFactor]      # wall-complex up-Laplacian over c_idx
     l_cc: sp.csr_matrix
     l_cf: sp.csr_matrix
     l_fc: sp.csr_matrix
-    precond_solve: Optional[Callable] = None
-    precond_factor: Optional[CholeskyFactor] = None
     coupling_norm: float = 0.0
-    fast: Optional[dict] = None      # reduced-system data (sphere hollowings)
 
     @property
     def num_edges(self) -> int:
         return self.lup.shape[0]
 
 
-def build_up_solver(c, h: Hollowing, base_case: int = 64) -> UpSolverState:
-    """Per-region factors of Lup[F, F] plus the wall-complex preconditioner."""
+def build_up_solver(c, h: Hollowing,
+                    wall: Optional[Callable] = None) -> UpSolverState:
+    """Per-region factors of Lup[F, F] plus the wall-complex preconditioner.
+
+    `wall(lt)` returns the exact solver of the wall complex's up-Laplacian
+    `lt` over the boundary edges; by default one nested dissection factor
+    ordered by edge midpoints.
+    """
     _check_match(c, h)
-    state = _build_without_precond(c, h, base_case)
-    if len(state.c_idx):
+    lup = c.lap_up(1)
+    f_regions = h.interior_edges_by_region()
+    f_all, blocks = concat_blocks(f_regions)
+    c_idx = h.boundary_edges
+    midpoints = c.vertices[c.edges].mean(axis=1)
+    boundary_mask = h.edge_class < 0
+    interior = BlockFactor.nested_dissection(
+        lup[f_all][:, f_all], blocks, midpoints[f_all],
+        root_pins=[_interface_edges(c, f, boundary_mask) for f in f_regions])
+    state = UpSolverState(
+        complex=c, hollowing=h, lup=lup, f_all=f_all, c_idx=c_idx,
+        interior=interior, wall=None,
+        l_cc=lup[c_idx][:, c_idx].tocsr(),
+        l_cf=lup[c_idx][:, f_all].tocsr(),
+        l_fc=lup[f_all][:, c_idx].tocsr(),
+    )
+    if len(c_idx):
         bt = h.boundary_triangles
-        c_idx = state.c_idx
         d2c = c.boundary(2).astype(float)[c_idx][:, bt]
         lt = (d2c @ sp.diags(c.weights[2][bt]) @ d2c.T).tocsr()
-        midpoints = c.vertices[c.edges].mean(axis=1)
-        factor = nd_cholesky(lt, midpoints[c_idx], base_case=base_case)
-        state.precond_factor = factor
-        state.precond_solve = lambda v: factor.solve(v, check_image=False)
+        if wall is None:
+            state.wall = BlockFactor.nested_dissection(
+                lt, [np.arange(len(c_idx))], midpoints[c_idx])
+        else:
+            state.wall = wall(lt)
         state.coupling_norm = _coupling_norm(state)
     return state
 
@@ -75,49 +91,16 @@ def _check_match(c, h: Hollowing) -> None:
         raise ValueError("index mismatch: hollowing does not describe this complex")
 
 
-def _tri_edge_table(c) -> np.ndarray:
-    if "tri_edge_table" not in c._cache:
-        c._cache["tri_edge_table"] = np.stack(
-            [c.edge_ids(np.delete(c.triangles, j, axis=1)) for j in range(3)],
-            axis=1)
-    return c._cache["tri_edge_table"]
-
-
-def _interface_edges(c, tri_edges, f, boundary_mask):
+def _interface_edges(c, f, boundary_mask):
     """Positions within `f` of edges sharing a triangle with the boundary."""
     in_f = np.zeros(c.num_edges, dtype=bool)
     in_f[f] = True
-    cls = boundary_mask[tri_edges]
+    cls = boundary_mask[c.tri_edges]
     mixed = cls.any(axis=1)
-    touched = np.unique(tri_edges[mixed][~cls[mixed]])
+    touched = np.unique(c.tri_edges[mixed][~cls[mixed]])
     touched = touched[in_f[touched]]
     pos = {e: i for i, e in enumerate(f)}
     return np.array([pos[e] for e in touched], dtype=np.int64)
-
-
-def uplap_F_solve(state: UpSolverState, b_f, check_image: bool = True):
-    """Exact region-by-region solve of Lup[F, F] x = b_f (b_f in f_all order)."""
-    b_f = np.asarray(b_f, dtype=float)
-    x = np.zeros_like(b_f)
-    for sl, factor in zip(state.f_slices, state.region_factors):
-        if factor is None:
-            continue
-        x[sl] = factor.solve(b_f[sl], check_image=False)
-    if check_image:
-        resid = np.linalg.norm(_apply_ff(state, x) - b_f)
-        if resid > 1e-8 * max(np.linalg.norm(b_f), 1e-300):
-            raise NumericalError("b_F is not in the image of Lup[F, F]")
-    return x
-
-
-def _apply_ff(state: UpSolverState, x_f):
-    out = np.zeros_like(x_f)
-    for sl, f, factor in zip(state.f_slices, state.f_regions,
-                             state.region_factors):
-        if factor is None:
-            continue
-        out[sl] = factor.matrix @ x_f[sl]
-    return out
 
 
 def schur_apply(state: UpSolverState, x_c):
@@ -125,8 +108,7 @@ def schur_apply(state: UpSolverState, x_c):
     x_c = np.asarray(x_c, dtype=float)
     if len(state.f_all) == 0:
         return state.l_cc @ x_c
-    w = state.l_fc @ x_c
-    y = uplap_F_solve(state, w, check_image=False)
+    y = state.interior.solve(state.l_fc @ x_c)
     return state.l_cc @ x_c - state.l_cf @ y
 
 
@@ -144,8 +126,7 @@ def _coupling_norm(state: UpSolverState) -> float:
     v = rng.standard_normal(nc)
     lam = 0.0
     for _ in range(POWER_ITERS):
-        w = state.l_cf @ uplap_F_solve(state, state.l_fc @ v,
-                                       check_image=False)
+        w = state.l_cf @ state.interior.solve(state.l_fc @ v)
         nrm = np.linalg.norm(w)
         if nrm == 0:
             return 0.0
@@ -160,7 +141,7 @@ def schur_solve(state: UpSolverState, h_vec, delta: float,
     h_vec = np.asarray(h_vec, dtype=float)
     if len(h_vec) == 0:
         return h_vec.copy(), SolveReport(stage="schur")
-    precond = LinearOperator(dim=len(state.c_idx), apply=state.precond_solve)
+    precond = LinearOperator(dim=len(state.c_idx), apply=state.wall.solve)
     x, report = pcg(schur_operator(state), precond, h_vec, tol=delta,
                     max_iters=max_iters, stage="schur")
     if not report.converged:
@@ -171,21 +152,10 @@ def schur_solve(state: UpSolverState, h_vec, delta: float,
     return x, report
 
 
-def block_eliminate(f_solve, sc_solve, a_cf, a_fc, b_f, b_c, delta: float):
-    """Three-step recombination of a 2x2 block solve.
-
-    f_solve must be exact on the image of the F block; sc_solve(h, delta)
-    must meet |Sc x - h| <= delta |h|.  Returns (x_f, x_c).
-    """
-    h_vec = b_c - a_cf @ f_solve(b_f)
-    x_c = sc_solve(h_vec, delta)
-    x_f = f_solve(b_f - a_fc @ x_c)
-    return x_f, x_c
-
-
 def up_lap_solve(c, h: Hollowing, b, eps: float,
                  state: Optional[UpSolverState] = None):
     """Solve Lup x = b to |Lup x - b| <= eps |b| for b in Im(Lup)."""
+    b = check_vector(b, c.num_edges, "b")
     if state is None:
         state = build_up_solver(c, h)
     return _up_solve_with_state(state, b, eps)
@@ -200,12 +170,12 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
         return np.zeros_like(b), report
 
     x = np.zeros_like(b)
+    f_solve = state.interior.solve
     if len(state.c_idx) == 0:
-        x[state.f_all] = uplap_F_solve(state, b[state.f_all])
+        x[state.f_all] = f_solve(b[state.f_all])
     else:
         b_f = b[state.f_all]
         b_c = b[state.c_idx]
-        f_solve = lambda v: uplap_F_solve(state, v, check_image=False)
         h_vec = b_c - state.l_cf @ f_solve(b_f)
         # the a-priori delta from the coupling-norm estimate, tightened by
         # the a-posteriori bound delta * |h| <= eps * |b|
@@ -233,59 +203,36 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
 
 # -- sphere-hollowing fast preconditioner -------------------------------------
 
-def build_sphere_fast_solver(c, h: Hollowing, base_case: int = 64) -> UpSolverState:
+def build_sphere_fast_solver(c, h: Hollowing) -> UpSolverState:
     """Up-solver whose wall preconditioner runs through the reduced system."""
     if h.kind != "sphere":
         raise ValueError("fast solver requires a sphere hollowing")
-    _check_match(c, h)
-    state = _build_without_precond(c, h, base_case)
-    if len(state.c_idx):
-        fast = _build_reduced_preconditioner(c, h, state)
-        state.fast = fast
-        state.precond_solve = fast["solve"]
-        state.precond_factor = None
-        state.coupling_norm = _coupling_norm(state)
-    return state
+    return build_up_solver(c, h, wall=lambda lt: _reduced_wall(c, h, lt))
 
 
-def _build_without_precond(c, h, base_case):
-    lup = c.lap_up(1)
-    f_regions = h.interior_edges_by_region()
-    f_all = np.concatenate([f for f in f_regions]) if f_regions \
-        else np.empty(0, dtype=np.int64)
+def _reduced_wall(c, h: Hollowing, lt) -> BlockFactor:
+    """Exact wall solver through the reduced system: disc-interior rows are
+    a dual-graph down-Laplacian, one rim row per disc signature forms the
+    dense shared set, and the duplicate rim rows are dropped."""
+    e1_local, e2hat_local, b1 = _disc_rows(c, h)
+    tails = b1.indices[b1.data < 0]
+    heads = b1.indices[b1.data > 0]
+    m11 = GraphDownLap(b1.shape[1], np.column_stack([tails, heads]),
+                       c.weights[2][h.boundary_triangles])
+    return BlockFactor(lt, [e1_local], [m11], shared=e2hat_local)
+
+
+def _disc_rows(c, h: Hollowing):
+    """Split the wall edges by the discs their boundary triangles lie in.
+
+    Returns the positions within the boundary edges of the disc-interior
+    edges, one position per rim-edge disc signature, and the disc-interior
+    rows of d2 over the boundary triangles with each disc oriented
+    consistently, so that every row holds one -1 and one +1.
+    """
     c_idx = h.boundary_edges
-    midpoints = c.vertices[c.edges].mean(axis=1)
-    tri_edges = _tri_edge_table(c)
-    boundary_mask = h.edge_class < 0
-    slices, factors = [], []
-    start = 0
-    for f in f_regions:
-        slices.append(slice(start, start + len(f)))
-        start += len(f)
-        if len(f) == 0:
-            factors.append(None)
-            continue
-        block = lup[f][:, f]
-        pin = _interface_edges(c, tri_edges, f, boundary_mask)
-        factors.append(nd_cholesky(block, midpoints[f], base_case=base_case,
-                                   root_pin=pin))
-    return UpSolverState(
-        complex=c, hollowing=h, lup=lup, f_regions=f_regions, f_all=f_all,
-        f_slices=slices, c_idx=c_idx, region_factors=factors,
-        l_cc=lup[c_idx][:, c_idx].tocsr(),
-        l_cf=lup[c_idx][:, f_all].tocsr(),
-        l_fc=lup[f_all][:, c_idx].tocsr(),
-    )
-
-
-def _build_reduced_preconditioner(c, h: Hollowing, state: UpSolverState) -> dict:
-    c_idx = state.c_idx
     bt = h.boundary_triangles
-    w2 = c.weights[2][bt]
-    d2 = c.boundary(2).astype(float)
-    d2tb = d2[c_idx][:, bt].tocsr()
-    lt = (d2tb @ sp.diags(w2) @ d2tb.T).tocsr()
-
+    d2tb = c.boundary(2).astype(float)[c_idx][:, bt].tocsr()
     disc_of = h.tri_disc[bt]
     if np.any(disc_of < 0):
         raise NumericalError("sphere hollowing lacks disc labels")
@@ -302,68 +249,20 @@ def _build_reduced_preconditioner(c, h: Hollowing, state: UpSolverState) -> dict
             e1_mask[e_local] = True
 
     signs = _orient_discs(d2tb, disc_of, e1_mask)
-    signed = d2tb @ sp.diags(signs)
-
-    # interior rows must now read +1/-1 against exactly two triangles
-    b1 = signed[e1_mask].tocsr()
+    b1 = (d2tb @ sp.diags(signs))[e1_mask].tocsr()
     counts = np.diff(b1.indptr)
-    if not np.all(counts == 2):
+    if not (np.all(counts == 2)
+            and np.all(b1.data.reshape(-1, 2).sum(axis=1) == 0)):
         raise NumericalError("disc interior edge with unexpected incidence")
 
     e1_local = np.flatnonzero(e1_mask)
-    e2_local = np.flatnonzero(~e1_mask)
     groups = {}
-    for e_local in e2_local:
+    for e_local in np.flatnonzero(~e1_mask):
         key = frozenset(edge_discs.get(e_local, ()))
         groups.setdefault(key, []).append(e_local)
     e2hat_local = np.array(sorted(min(g) for g in groups.values()),
                            dtype=np.int64)
-
-    # dual graph of the discs: vertices are boundary triangles, edges are E1
-    tails = np.zeros(len(e1_local), dtype=np.int64)
-    heads = np.zeros(len(e1_local), dtype=np.int64)
-    for i in range(len(e1_local)):
-        lo, hi = b1.indptr[i], b1.indptr[i + 1]
-        cols = b1.indices[lo:hi]
-        vals = b1.data[lo:hi]
-        tails[i] = cols[vals < 0][0]
-        heads[i] = cols[vals > 0][0]
-    m11 = GraphDownLap(len(bt), np.column_stack([tails, heads]), w2)
-
-    rows = np.concatenate([e1_local, e2hat_local])
-    m12 = lt[e1_local][:, e2hat_local].toarray()
-    m22 = lt[e2hat_local][:, e2hat_local].toarray()
-    if len(e2hat_local):
-        x12 = m11.solve(m12, check=False) if m12.size else m12
-        sc_small = m22 - m12.T @ x12
-        sc_pinv = pinv_via_pivoted_qr(sc_small)
-    else:
-        sc_pinv = np.zeros((0, 0))
-
-    def solve(v):
-        v = np.asarray(v, dtype=float)
-        x1, x2 = block_eliminate(
-            lambda w: m11.solve(w, check=False),
-            lambda hv, _d: sc_pinv @ hv if len(hv) else hv,
-            m12.T, m12, v[e1_local], v[e2hat_local], 0.0)
-        out = np.zeros_like(v)
-        out[e1_local] = x1
-        out[e2hat_local] = x2
-        return out
-
-    return {
-        "solve": solve,
-        "lt": lt,
-        "e1": c_idx[e1_local],
-        "e2hat": c_idx[e2hat_local],
-        "e1_local": e1_local,
-        "e2hat_local": e2hat_local,
-        "signs": signs,
-        "b1": b1,
-        "m11": m11,
-        "sc_small_pinv": sc_pinv,
-        "num_discs": int(disc_of.max()) + 1,
-    }
+    return e1_local, e2hat_local, b1
 
 
 def _orient_discs(d2tb, disc_of, e1_mask) -> np.ndarray:
@@ -397,29 +296,10 @@ def _orient_discs(d2tb, disc_of, e1_mask) -> np.ndarray:
     return signs
 
 
-def pinv_via_pivoted_qr(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Pseudo-inverse through a complete orthogonal decomposition built from
-    Householder QR with column pivoting."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return a.T.copy()
-    q, r, piv = sla.qr(a, pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > tol * (diag[0] if diag.size else 1.0)))
-    if rank == 0:
-        return np.zeros_like(a.T)
-    rk = r[:rank]                      # k x n
-    z, t = sla.qr(rk.T, mode="economic")   # rk^T = z @ t, t is k x k upper
-    tinv = sla.solve_triangular(t, np.eye(rank), lower=False)
-    core = z @ (tinv.T @ q[:, :rank].T)
-    p = np.zeros((a.shape[1], a.shape[1]))
-    p[piv, np.arange(a.shape[1])] = 1.0
-    return p @ core
-
-
 def up_lap_solve_fast(c, h: Hollowing, b, eps: float,
                       state: Optional[UpSolverState] = None):
     """Sphere-hollowing up-solver; same contract as up_lap_solve."""
+    b = check_vector(b, c.num_edges, "b")
     if state is None:
         state = build_sphere_fast_solver(c, h)
     return _up_solve_with_state(state, b, eps)
@@ -432,5 +312,5 @@ def schur_condition_estimate(state: UpSolverState, iters: int = 60) -> float:
     from .pcg import estimate_rel_condition
     if len(state.c_idx) == 0:
         return 1.0
-    precond = LinearOperator(dim=len(state.c_idx), apply=state.precond_solve)
+    precond = LinearOperator(dim=len(state.c_idx), apply=state.wall.solve)
     return estimate_rel_condition(schur_operator(state), precond, iters=iters)

@@ -12,14 +12,14 @@ positive simplex weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .dissection import nd_cholesky
-from .downlap import down_projection
-from .errors import NumericalError
+from .dissection import BlockFactor, concat_blocks
+from .downlap import build_down_state, down_projection
+from .errors import NumericalError, check_vector
 from .hollowing import Hollowing
 from .pcg import LinearOperator, pcg
 from .reports import SolveReport
@@ -33,14 +33,12 @@ class UpProjectionState:
     complex: object
     hollowing: Hollowing
     d2: sp.csc_matrix                # float copy of the triangle boundary map
-    f_regions: list                  # interior triangle ids per region
-    f_all: np.ndarray
-    f_slices: list
+    f_all: np.ndarray                # interior triangle ids, region by region
     c_t: np.ndarray                  # boundary triangle ids
     d2_f: sp.csc_matrix              # edges x interior triangles
     d2_c: sp.csc_matrix              # edges x boundary triangles
-    region_factors: list
-    precond_factor: object
+    interior: BlockFactor            # Gram of d2_f, one block per region
+    wall: Optional[BlockFactor]      # Gram of d2_c
     lup_norm: float
 
     @property
@@ -48,68 +46,54 @@ class UpProjectionState:
         return self.d2.shape[0]
 
 
-def build_up_projection(c, h: Hollowing, base_case: int = 64) -> UpProjectionState:
+def build_up_projection(c, h: Hollowing, centroids=None,
+                        wall: Optional[Callable] = None) -> UpProjectionState:
+    """Per-region factors of the interior-triangle Gram matrix plus the
+    boundary Gram preconditioner.
+
+    `centroids` gives the nested dissection location of every triangle
+    (default: its centroid in `c`).  `wall(gram)` returns the exact solver
+    of the boundary triangles' Gram matrix; by default one nested dissection
+    factor.
+    """
     if (len(h.tri_class) != c.num_triangles
             or len(h.edge_class) != c.num_edges):
         raise ValueError("index mismatch: hollowing does not describe this complex")
     d2 = c.boundary(2).astype(float).tocsc()
-    f_regions = h.interior_triangles_by_region()
-    f_all = np.concatenate(f_regions) if f_regions else np.empty(0, dtype=np.int64)
+    f_all, blocks = concat_blocks(h.interior_triangles_by_region())
     c_t = h.boundary_triangles
-    centroids = c.vertices[c.triangles].mean(axis=1)
-
-    slices, factors = [], []
-    start = 0
-    for f in f_regions:
-        slices.append(slice(start, start + len(f)))
-        start += len(f)
-        if len(f) == 0:
-            factors.append(None)
-            continue
-        cols = d2[:, f]
-        gram = (cols.T @ cols).tocsr()
-        factors.append(nd_cholesky(gram, centroids[f], base_case=base_case))
-
+    if centroids is None:
+        centroids = c.vertices[c.triangles].mean(axis=1)
+    d2_f = d2[:, f_all]
+    interior = BlockFactor.nested_dissection(
+        (d2_f.T @ d2_f).tocsr(), blocks, centroids[f_all])
     d2_c = d2[:, c_t]
-    precond_factor = None
+    wall_factor = None
     if len(c_t):
         gram_c = (d2_c.T @ d2_c).tocsr()
-        precond_factor = nd_cholesky(gram_c, centroids[c_t],
-                                     base_case=base_case)
-
-    state = UpProjectionState(
-        complex=c, hollowing=h, d2=d2,
-        f_regions=f_regions, f_all=f_all, f_slices=slices, c_t=c_t,
-        d2_f=d2[:, f_all], d2_c=d2_c,
-        region_factors=factors, precond_factor=precond_factor,
-        lup_norm=_up_lap_norm(c),
+        if wall is None:
+            wall_factor = BlockFactor.nested_dissection(
+                gram_c, [np.arange(len(c_t))], centroids[c_t])
+        else:
+            wall_factor = wall(gram_c)
+    return UpProjectionState(
+        complex=c, hollowing=h, d2=d2, f_all=f_all, c_t=c_t,
+        d2_f=d2_f, d2_c=d2_c, interior=interior, wall=wall_factor,
+        lup_norm=_up_lap_norm(c.lap_up(1)),
     )
-    return state
 
 
-def _up_lap_norm(c) -> float:
-    if "lup_norm" not in c._cache:
-        lup = c.lap_up(1)
-        rng = np.random.default_rng(23)
-        v = rng.standard_normal(lup.shape[0])
-        lam = 1.0
-        for _ in range(POWER_ITERS):
-            w = lup @ v
-            lam = np.linalg.norm(w)
-            if lam == 0:
-                break
-            v = w / lam
-        c._cache["lup_norm"] = SAFETY * max(lam, 1e-300)
-    return c._cache["lup_norm"]
-
-
-def _gram_f_solve(state: UpProjectionState, rhs):
-    out = np.zeros_like(rhs)
-    for sl, factor in zip(state.f_slices, state.region_factors):
-        if factor is None:
-            continue
-        out[sl] = factor.solve(rhs[sl], check_image=False)
-    return out
+def _up_lap_norm(lup) -> float:
+    rng = np.random.default_rng(23)
+    v = rng.standard_normal(lup.shape[0])
+    lam = 1.0
+    for _ in range(POWER_ITERS):
+        w = lup @ v
+        lam = np.linalg.norm(w)
+        if lam == 0:
+            break
+        v = w / lam
+    return SAFETY * max(lam, 1e-300)
 
 
 def proj_im_F(state: UpProjectionState, b) -> np.ndarray:
@@ -117,9 +101,7 @@ def proj_im_F(state: UpProjectionState, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if len(state.f_all) == 0:
         return np.zeros_like(b)
-    rhs = state.d2_f.T @ b
-    y = _gram_f_solve(state, rhs)
-    return state.d2_f @ y
+    return state.d2_f @ state.interior.solve(state.d2_f.T @ b)
 
 
 def proj_ker_F(state: UpProjectionState, b) -> np.ndarray:
@@ -140,9 +122,7 @@ def down2_schur_solve(state: UpProjectionState, h_vec, delta: float,
         return h_vec.copy(), SolveReport(stage="tri_schur")
     a_op = LinearOperator(dim=len(state.c_t),
                           apply=lambda v: down2_schur_apply(state, v))
-    m_op = LinearOperator(
-        dim=len(state.c_t),
-        apply=lambda v: state.precond_factor.solve(v, check_image=False))
+    m_op = LinearOperator(dim=len(state.c_t), apply=state.wall.solve)
     x, report = pcg(a_op, m_op, h_vec, tol=delta, max_iters=max_iters,
                     stage="tri_schur")
     if not report.converged:
@@ -156,9 +136,9 @@ def up_project(c, h: Hollowing, b, eps: float,
                state: Optional[UpProjectionState] = None):
     """p in Im(Lup) with |p - P b| <= eps |P b|, P the orthogonal projection
     onto Im(Lup)."""
+    b = check_vector(b, c.num_edges, "b")
     if state is None:
         state = build_up_projection(c, h)
-    b = np.asarray(b, dtype=float)
     report = SolveReport(stage="up_project", size=len(b), params={"eps": eps})
     if len(state.c_t) == 0:
         return proj_im_F(state, b), report
@@ -180,12 +160,13 @@ def up_project_betti0(c, b, eps: float):
     complement of the gradient projection, with one refinement round so the
     relative contract survives a large gradient part."""
     b = np.asarray(b, dtype=float)
-    g = down_projection(c, b, eps)
+    down_state = build_down_state(c)
+    g = down_projection(c, b, eps, state=down_state)
     p = b - g
     ng, np_ = np.linalg.norm(g), np.linalg.norm(p)
     if ng > 0.5 * np_:
         target = max(np_ - eps * ng, eps * np.linalg.norm(b), 1e-300)
         eps2 = eps * target / (2.0 * ng)
-        g = down_projection(c, b, eps2)
+        g = down_projection(c, b, eps2, state=down_state)
         p = b - g
     return p

@@ -152,7 +152,7 @@ def test_criterion_04_spectral_bound(spectral_states):
     details = []
     for r, c, h, state in spectral_states:
         precond = LinearOperator(dim=len(state.c_idx),
-                                 apply=state.precond_solve)
+                                 apply=state.wall.solve)
         lo, hi = generalized_ritz_extremes(schur_operator(state), precond,
                                            iters=60)
         worst_kappa_ratio = max(worst_kappa_ratio, (hi / lo) / (64 * r))
@@ -345,11 +345,11 @@ def test_criterion_11_fast_path_parity():
     # reduced preconditioner solves the wall system exactly
     bt = hs.boundary_triangles
     d2c = c.boundary(2).astype(float)[state.c_idx][:, bt]
-    lt = state.fast["lt"]
+    lt = state.wall.matrix
     worst_pre = 0.0
     for _ in range(5):
         b = d2c @ rng.standard_normal(len(bt))
-        x = state.precond_solve(b)
+        x = state.wall.solve(b)
         worst_pre = max(worst_pre,
                         np.linalg.norm(lt @ x - b) / np.linalg.norm(b))
 

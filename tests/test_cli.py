@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from tetlap import cli
 from tetlap.cli import main
 from tetlap.complexes import load_complex
 from tetlap.meshgen import GridSpec, gen_grid
 from tetlap.oracle import projection
+from tetlap.reports import SolveReport
 
 
 @pytest.fixture
@@ -79,6 +81,45 @@ def test_solve_meets_reported_contract(tmp_path, grid_files):
     # the embedded residual was recomputed from the returned vector and
     # meets the contract against the solver's own projected rhs
     assert report["final_residual"] <= 1e-6 * report["initial_residual"]
+
+
+def write_rhs(tmp_path, mesh_path, value=1.0):
+    n = load_complex(mesh_path).num_edges
+    b_path = tmp_path / "b.json"
+    b_path.write_text(json.dumps({"values": [1.0] * (n - 1) + [value]}))
+    return b_path, n
+
+
+@pytest.mark.parametrize("command", ["solve", "union-solve"])
+def test_missed_contract_exits_3(tmp_path, grid_files, monkeypatch, capsys,
+                                 command):
+    mesh_path, holl_path = grid_files
+    b_path, n = write_rhs(tmp_path, mesh_path)
+
+    def missed(*args, **kwargs):
+        return np.zeros(n), SolveReport(converged=False, initial_residual=1.0,
+                                        final_residual=0.5)
+    monkeypatch.setattr(cli, "one_lap_solve", missed)
+    monkeypatch.setattr(cli, "union_one_lap_solve", missed)
+    union = tmp_path / "union.json"
+    union.write_text(json.dumps({"chunks": [str(mesh_path)],
+                                 "hollowings": [str(holl_path)],
+                                 "identify": []}))
+    where = (["--mesh", str(mesh_path), "--holl", str(holl_path)]
+             if command == "solve" else ["--union", str(union)])
+    code = main([command, *where, "--b", str(b_path),
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 3
+    assert "residual 5.000e-01" in capsys.readouterr().err
+
+
+def test_non_finite_rhs_is_a_usage_error(tmp_path, grid_files, capsys):
+    mesh_path, holl_path = grid_files
+    b_path, _ = write_rhs(tmp_path, mesh_path, value=float("nan"))
+    code = main(["solve", "--mesh", str(mesh_path), "--holl", str(holl_path),
+                 "--b", str(b_path), "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert "right-hand side has non-finite entries" in capsys.readouterr().err
 
 
 def test_hodge_command(tmp_path, grid_files):

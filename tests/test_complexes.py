@@ -187,6 +187,12 @@ def test_min_ball_obtuse_triangle_uses_diameter():
     assert np.allclose(center, [1, 0, 0])
 
 
+def test_min_ball_rejects_non_finite_points():
+    pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, np.nan, 0]])
+    with pytest.raises(ValueError, match="case analysis failed"):
+        min_enclosing_ball(pts)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(*[st.floats(-5, 5) for _ in range(3)]),
                 min_size=2, max_size=4))

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import tetlap
 from tetlap import oracle
 from tetlap.complexes import one_laplacian, up_laplacian
 from tetlap.dissection import (
+    BlockFactor,
     cholesky,
     edge_separator,
     nd_cholesky,
@@ -13,6 +19,7 @@ from tetlap.dissection import (
     triangle_separator,
     vertex_separator,
 )
+from tetlap.downlap import GraphDownLap
 from tetlap.errors import NumericalError
 from tetlap.meshgen import GridSpec, gen_grid
 
@@ -252,3 +259,93 @@ def test_fill_scaling_subquadratic():
         fills.append(f.L.nnz)
     slope = np.polyfit(np.log(sizes), np.log(fills), 1)[0]
     assert slope <= 1.5
+
+
+# -- block factors -------------------------------------------------------------
+
+def coupled_psd(rng, parts, n, rank=3):
+    """G G^T where each group of columns of G is supported on one index set
+    of `parts`, so rows of different sets couple only through shared rows
+    in both; each group has `rank` columns, so the matrix is singular."""
+    cols = []
+    for rows in parts:
+        g = np.zeros((n, rank))
+        g[rows] = rng.standard_normal((len(rows), rank))
+        cols.append(g)
+    g = np.hstack(cols)
+    return g @ g.T
+
+
+def assert_solves_like_pinv(factor, m, rng):
+    b = m @ rng.standard_normal(len(m))
+    x = factor.solve(b)
+    x_oracle = oracle.pinv(m) @ b
+    assert np.linalg.norm(m @ x - b) <= 1e-9 * np.linalg.norm(b)
+    assert np.linalg.norm(m @ (x - x_oracle)) <= 1e-9 * np.linalg.norm(b)
+    assert not factor.solve(np.zeros(len(m))).any()
+
+
+def test_block_factor_blocks_only(rng):
+    idx = rng.permutation(11)
+    blocks = [np.sort(idx[:6]), np.sort(idx[6:])]
+    m = coupled_psd(rng, blocks, 11)
+    factor = BlockFactor.nested_dissection(m, blocks, rng.random((11, 3)))
+    assert_solves_like_pinv(factor, m, rng)
+
+
+def test_block_factor_with_shared_set(rng):
+    idx = rng.permutation(12)
+    blocks, shared = [np.sort(idx[:5]), np.sort(idx[5:9])], np.sort(idx[9:])
+    m = coupled_psd(rng, [np.union1d(b, shared) for b in blocks] + [shared],
+                    12)
+    factor = BlockFactor.nested_dissection(m, blocks, rng.random((12, 3)),
+                                           shared)
+    assert_solves_like_pinv(factor, m, rng)
+
+
+def test_block_factor_graph_block_with_shared_set(rng):
+    # rows 0..4 are the edges of a graph with a cycle, rows 5..6 shared
+    graph = GraphDownLap(4, [[0, 1], [1, 2], [2, 0], [2, 3], [0, 3]],
+                         rng.uniform(0.5, 2.0, 4))
+    g = np.zeros((7, 6))
+    g[:5, :4] = graph.d.T.toarray() * np.sqrt(graph.w)
+    g[5:, :] = rng.standard_normal((2, 6))
+    m = g @ g.T
+    assert np.allclose(m[:5, :5], graph.lap.toarray())
+    factor = BlockFactor(m, [np.arange(5)], [graph], shared=[5, 6])
+    assert_solves_like_pinv(factor, m, rng)
+
+
+def test_block_factor_rejects_coupled_blocks(rng):
+    m = coupled_psd(rng, [np.arange(6)], 6)
+    with pytest.raises(NumericalError, match="coupled"):
+        BlockFactor.nested_dissection(m, [np.arange(3), np.arange(3, 6)],
+                                      rng.random((6, 3)))
+
+
+SEPARATOR_SCRIPT = """
+import sys
+import numpy as np
+from tetlap.dissection import NdNode, NdOrdering, cholesky
+from tetlap.errors import NumericalError
+m = np.array([[4.0, 1, 1], [1, 4, 1], [1, 1, 4]])
+leaves = [NdNode(cols=np.array([0]), start=0, stop=1),
+          NdNode(cols=np.array([1]), start=1, stop=2)]
+root = NdNode(cols=np.array([2]), children=leaves, start=2, stop=3)
+try:
+    cholesky(m, NdOrdering(perm=np.arange(3), tree=root, n=3))
+except NumericalError as exc:
+    print("optimize", sys.flags.optimize, "raised", exc)
+"""
+
+
+def test_separator_violation_raises_without_asserts():
+    # the two leaves are coupled, so the ordering breaks the separator
+    # property; the check must hold when python -O strips asserts
+    src = os.path.dirname(os.path.dirname(tetlap.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", SEPARATOR_SCRIPT],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "optimize 1 raised" in out.stdout
+    assert "separator property" in out.stdout

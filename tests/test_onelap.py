@@ -2,16 +2,20 @@ import numpy as np
 import pytest
 
 from tetlap import oracle
+from tetlap.downlap import down_projection
 from tetlap.hollowing import HollowingConfig, find_hollowing, surface_hollowing
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
 from tetlap.onelap import (
     betti_numbers,
     build_one_lap_solver,
+    build_union_solver,
     glue,
     hodge_decompose,
     one_lap_solve,
     union_one_lap_solve,
 )
+from tetlap.uplap import up_lap_solve, up_lap_solve_fast
+from tetlap.upproj import up_project
 
 RELAXED = HollowingConfig(min_shell_width=2, min_component_separation=2)
 
@@ -132,6 +136,40 @@ def test_hodge_harmonic_on_tunnel(rng):
     assert np.linalg.norm(harm - want) <= 1e-4 * np.linalg.norm(f)
 
 
+def test_solves_leave_the_complex_unchanged(rng):
+    c, h = setup()
+    state = build_one_lap_solver(c, h)
+    keys = set(c._cache)
+    one_lap_solve(c, h, rng.standard_normal(c.num_edges), 1e-6, state=state)
+    hodge_decompose(c, h, rng.standard_normal(c.num_edges), 1e-6, state=state)
+    assert set(c._cache) == keys
+
+
+ENTRY_POINTS = {
+    "one_lap_solve": lambda c, h, u, v: one_lap_solve(c, h, v, 1e-6),
+    "union_one_lap_solve": lambda c, h, u, v: union_one_lap_solve(u, v, 1e-6),
+    "hodge_decompose": lambda c, h, u, v: hodge_decompose(c, h, v, 1e-6),
+    "up_lap_solve": lambda c, h, u, v: up_lap_solve(c, h, v, 1e-6),
+    "up_lap_solve_fast": lambda c, h, u, v: up_lap_solve_fast(c, h, v, 1e-6),
+    "up_project": lambda c, h, u, v: up_project(c, h, v, 1e-6),
+    "down_projection": lambda c, h, u, v: down_projection(c, v, 1e-6),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("defect", ["short", "nan", "inf"])
+def test_entry_points_reject_bad_vectors(entry, defect):
+    c, h = make_chunk((2, 2, 2))
+    u = glue([c], [], [h])
+    v = np.ones(c.num_edges - 1 if defect == "short" else c.num_edges)
+    if defect != "short":
+        v[3] = np.nan if defect == "nan" else np.inf
+    name = "f" if entry == "hodge_decompose" else "b"
+    message = "shape" if defect == "short" else "non-finite"
+    with pytest.raises(ValueError, match=rf"^{name} has {message}"):
+        ENTRY_POINTS[entry](c, h, u, v)
+
+
 def test_betti_numbers_diagnostics():
     assert betti_numbers(gen_grid(GridSpec((3, 3, 3)))) == (1, 0, 0)
     cav = gen_grid(GridSpec((4, 4, 4), holes=[HoleSpec((1, 1, 1), (1, 1, 1))]))
@@ -246,3 +284,14 @@ def test_union_ring_of_four_chunks(rng):
     x, rep = union_one_lap_solve(u, b, eps)
     target = pi1 @ b
     assert np.linalg.norm(lap1 @ x - target) <= eps * np.linalg.norm(target)
+
+
+def test_union_solve_leaves_the_glued_complex_unchanged(rng):
+    c0, h0 = make_chunk((3, 3, 3))
+    c1, h1 = make_chunk((3, 3, 3))
+    u = glue([c0, c1], face_identifications(c0, c1, 0, 3.0, 0.0), [h0, h1])
+    state = build_union_solver(u)
+    keys = set(u.complex._cache)
+    union_one_lap_solve(u, rng.standard_normal(u.complex.num_edges), 1e-6,
+                        state=state)
+    assert set(u.complex._cache) == keys

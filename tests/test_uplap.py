@@ -4,19 +4,18 @@ import scipy.sparse as sp
 
 from tetlap import oracle
 from tetlap.complexes import build_complex
+from tetlap.dissection import pinv_via_pivoted_qr
 from tetlap.hollowing import HollowingConfig, find_hollowing, sphere_hollowing
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
 from tetlap.uplap import (
-    block_eliminate,
+    _disc_rows,
     build_sphere_fast_solver,
     build_up_solver,
-    pinv_via_pivoted_qr,
     schur_apply,
     schur_condition_estimate,
     schur_solve,
     up_lap_solve,
     up_lap_solve_fast,
-    uplap_F_solve,
 )
 
 RELAXED = HollowingConfig(min_shell_width=2, min_component_separation=2)
@@ -80,8 +79,9 @@ def test_ff_block_is_region_diagonal():
     c, h = grid_with_hollowing()
     state = build_up_solver(c, h)
     lup = state.lup
-    for i, fi in enumerate(state.f_regions):
-        for j, fj in enumerate(state.f_regions):
+    regions = [state.f_all[blk] for blk in state.interior.blocks]
+    for i, fi in enumerate(regions):
+        for j, fj in enumerate(regions):
             if i < j and len(fi) and len(fj):
                 assert lup[fi][:, fj].nnz == 0
 
@@ -97,21 +97,22 @@ def test_f_solve_contract(rng):
     c, h = grid_with_hollowing()
     state = build_up_solver(c, h)
     nf = len(state.f_all)
-    assert np.array_equal(uplap_F_solve(state, np.zeros(nf)), np.zeros(nf))
+    f_solve = state.interior.solve
+    blocks = state.interior.blocks
+    assert np.array_equal(f_solve(np.zeros(nf)), np.zeros(nf))
     lff = state.lup[state.f_all][:, state.f_all]
     b_f = lff @ rng.standard_normal(nf)
-    x = uplap_F_solve(state, b_f)
+    x = f_solve(b_f)
     assert np.linalg.norm(lff @ x - b_f) <= 1e-8 * np.linalg.norm(b_f)
     # zeroing one region's rhs keeps that region's solution at zero
     b_f2 = b_f.copy()
-    b_f2[state.f_slices[0]] = 0.0
-    b_f2 = lff @ uplap_F_solve(state, lff @ rng.standard_normal(nf),
-                               check_image=False)
+    b_f2[blocks[0]] = 0.0
+    b_f2 = lff @ f_solve(lff @ rng.standard_normal(nf))
     b_region = np.zeros(nf)
-    sl = state.f_slices[1]
+    sl = blocks[1]
     b_region[sl] = (lff @ rng.standard_normal(nf))[sl]
-    x3 = uplap_F_solve(state, b_region, check_image=False)
-    assert np.allclose(x3[state.f_slices[0]], 0.0)
+    x3 = f_solve(b_region)
+    assert np.allclose(x3[blocks[0]], 0.0)
 
 
 def test_schur_apply_matches_dense_oracle(rng):
@@ -145,35 +146,6 @@ def test_schur_solve_matches_pinv_oracle(rng):
     assert np.linalg.norm(sc @ (x - x_oracle)) <= (delta + 1e-8) * np.linalg.norm(hv)
     zero, _ = schur_solve(state, np.zeros(len(state.c_idx)), delta)
     assert np.array_equal(zero, np.zeros(len(state.c_idx)))
-
-
-def test_block_eliminate_matches_dense(rng):
-    b = rng.standard_normal((4, 4))
-    a = b @ b.T + np.eye(4)
-    f, cset = np.arange(2), np.arange(2, 4)
-    aff = a[np.ix_(f, f)]
-    sc = dense_schur(a, cset, f)
-    f_solve = lambda v: np.linalg.solve(aff, v)
-    sc_solve = lambda hv, d: np.linalg.solve(sc, hv)
-    rhs = a @ rng.standard_normal(4)
-    x_f, x_c = block_eliminate(f_solve, sc_solve,
-                               a[np.ix_(cset, f)], a[np.ix_(f, cset)],
-                               rhs[f], rhs[cset], 1e-12)
-    x = np.concatenate([x_f, x_c])
-    assert np.linalg.norm(a @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
-
-    # block-diagonal A: off-diagonal zero, Schur equals A[C,C]
-    a2 = np.diag([1.0, 2.0, 3.0, 4.0])
-    x_f, x_c = block_eliminate(lambda v: v / np.array([1.0, 2.0]),
-                               lambda hv, d: hv / np.array([3.0, 4.0]),
-                               np.zeros((2, 2)), np.zeros((2, 2)),
-                               np.array([1.0, 2.0]), np.array([3.0, 4.0]),
-                               1e-12)
-    assert np.allclose(np.concatenate([x_f, x_c]), [1, 1, 1, 1])
-    x_f, x_c = block_eliminate(lambda v: v, lambda hv, d: hv,
-                               np.zeros((2, 2)), np.zeros((2, 2)),
-                               np.zeros(2), np.zeros(2), 1e-12)
-    assert not x_f.any() and not x_c.any()
 
 
 def test_up_lap_solve_contract_and_oracle(rng):
@@ -261,8 +233,7 @@ def test_reduced_rows_have_unit_pair_structure():
     c = gen_grid(GridSpec((6, 6, 6)))
     h = sphere_hollowing(c, 256)
     assert h.num_regions > 1
-    state = build_sphere_fast_solver(c, h)
-    b1 = state.fast["b1"]
+    _, _, b1 = _disc_rows(c, h)
     for i in range(b1.shape[0]):
         row = b1.data[b1.indptr[i]:b1.indptr[i + 1]]
         assert sorted(row) == [-1.0, 1.0]
@@ -272,12 +243,12 @@ def test_reduced_preconditioner_solves_wall_system(rng):
     c = gen_grid(GridSpec((6, 6, 6)))
     h = sphere_hollowing(c, 256)
     state = build_sphere_fast_solver(c, h)
-    lt = state.fast["lt"]
+    lt = state.wall.matrix
     bt = h.boundary_triangles
     d2c = c.boundary(2).astype(float)[state.c_idx][:, bt]
     for _ in range(5):
         b = d2c @ rng.standard_normal(len(bt))
-        x = state.precond_solve(b)
+        x = state.wall.solve(b)
         assert np.linalg.norm(lt @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
