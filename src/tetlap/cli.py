@@ -146,11 +146,12 @@ def cmd_union_solve(args) -> int:
     return _contract_exit(report, args.eps)
 
 
-def _contract_exit(report, eps) -> int:
+def _contract_exit(report, eps, where="") -> int:
     if report.converged:
         return EXIT_OK
-    print(f"numerical failure: residual {report.final_residual:.3e} exceeds "
-          f"eps * |b~| = {eps * report.initial_residual:.3e}", file=sys.stderr)
+    print(f"numerical failure{where}: residual "
+          f"{report.final_residual:.3e} exceeds eps * |b~| = "
+          f"{eps * report.initial_residual:.3e}", file=sys.stderr)
     return EXIT_NUMERICAL
 
 
@@ -159,7 +160,7 @@ def cmd_bench(args) -> int:
         raise ValueError(f"unknown bench family {args.family!r}")
     sizes = [int(s) for s in args.sizes.split(",")]
     rng = np.random.default_rng(args.seed)
-    rows = []
+    rows, reports = [], []
     config = _hollowing_config(args)
     for k in sizes:
         mesh = gen_grid(GridSpec((k, k, k)))
@@ -176,6 +177,7 @@ def cmd_bench(args) -> int:
         t0 = time.perf_counter()
         x, report = one_lap_solve(mesh, holl, b, args.eps, state=state)
         t_solve = time.perf_counter() - t0
+        reports.append(report)
         schur_iters = 0
         if "up_solve" in report.stages:
             schur_iters = report.stages["up_solve"].stages.get(
@@ -194,7 +196,8 @@ def cmd_bench(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {args.out}")
-    return EXIT_OK
+    return max(_contract_exit(report, args.eps, f" at k={k}")
+               for k, report in zip(sizes, reports))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -218,8 +218,9 @@ def _assign_intervals(node, perm, offset):
 class _NodeFactor:
     start: int
     stop: int
-    kept: np.ndarray       # local bool mask of accepted pivots
-    l11: np.ndarray        # dense lower-triangular block, zeroed at skips
+    skipped: np.ndarray    # local positions of skipped pivots
+    l11: np.ndarray        # dense lower-triangular block, Fortran order; a
+                           # skipped pivot's column is the identity's
     rows21: np.ndarray     # permuted row indices below the block
     l21: np.ndarray        # dense (len(rows21), block) sub-diagonal part
 
@@ -229,7 +230,6 @@ class CholeskyFactor:
     """P L L^T P^T factorization with skipped (rank-deficient) pivots."""
 
     perm: np.ndarray
-    L: sp.csc_matrix
     rank: int
     pivot_tol: float
     kept: np.ndarray              # bool per permuted position
@@ -239,6 +239,34 @@ class CholeskyFactor:
     @property
     def shape(self):
         return self.matrix.shape
+
+    @property
+    def L(self) -> sp.csc_matrix:
+        """The lower factor, assembled from the node blocks on each access;
+        its column at a skipped pivot is zero."""
+        coo_r, coo_c, coo_v = [], [], []
+        for nd in self._nodes:
+            bs = nd.stop - nd.start
+            r, c = np.tril_indices(bs)
+            v = nd.l11[r, c]
+            v[(r == c) & np.isin(r, nd.skipped)] = 0.0
+            keep = v != 0.0
+            coo_r.append(r[keep] + nd.start)
+            coo_c.append(c[keep] + nd.start)
+            coo_v.append(v[keep])
+            if len(nd.rows21):
+                rr = np.repeat(nd.rows21, bs).reshape(len(nd.rows21), bs)
+                cc = np.tile(np.arange(bs), (len(nd.rows21), 1)) + nd.start
+                keep = nd.l21 != 0.0
+                coo_r.append(rr[keep])
+                coo_c.append(cc[keep])
+                coo_v.append(nd.l21[keep])
+        n = len(self.perm)
+        return sp.csc_matrix(
+            (np.concatenate(coo_v) if coo_v else [],
+             (np.concatenate(coo_r) if coo_r else [],
+              np.concatenate(coo_c) if coo_c else [])),
+            shape=(n, n))
 
     def solve(self, b, check_image: bool = True,
               image_tol: float = 1e-6) -> np.ndarray:
@@ -271,31 +299,10 @@ def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL) -> Cholesky
     _factor_node(tree, mp, scale, pivot_tol, nodes)
     nodes.sort(key=lambda nd: nd.start)
 
-    kept = np.zeros(n, dtype=bool)
-    coo_r, coo_c, coo_v = [], [], []
+    kept = np.ones(n, dtype=bool)
     for nd in nodes:
-        kept[nd.start:nd.stop] = nd.kept
-        bs = nd.stop - nd.start
-        r, c = np.tril_indices(bs)
-        v = nd.l11[r, c]
-        keep = v != 0.0
-        coo_r.append(r[keep] + nd.start)
-        coo_c.append(c[keep] + nd.start)
-        coo_v.append(v[keep])
-        if len(nd.rows21):
-            rr = np.repeat(nd.rows21, bs).reshape(len(nd.rows21), bs)
-            cc = np.tile(np.arange(bs), (len(nd.rows21), 1)) + nd.start
-            keep = nd.l21 != 0.0
-            coo_r.append(rr[keep])
-            coo_c.append(cc[keep])
-            coo_v.append(nd.l21[keep])
-    L = sp.csc_matrix(
-        (np.concatenate(coo_v) if coo_v else [],
-         (np.concatenate(coo_r) if coo_r else [],
-          np.concatenate(coo_c) if coo_c else [])),
-        shape=(n, n))
-
-    return CholeskyFactor(perm=perm, L=L, rank=int(kept.sum()),
+        kept[nd.start + nd.skipped] = False
+    return CholeskyFactor(perm=perm, rank=int(kept.sum()),
                           pivot_tol=pivot_tol, kept=kept, matrix=matrix,
                           _nodes=nodes)
 
@@ -356,8 +363,14 @@ def _factor_node(node, mp, scale, pivot_tol, out):
         l21 = np.zeros((0, bs))
         update = np.zeros((0, 0))
 
-    out.append(_NodeFactor(start=c0, stop=c1, kept=kept_local,
-                           l11=l11, rows21=above, l21=l21))
+    if bs:  # an empty separator (disconnected halves) stores nothing
+        # solve-ready block: a unit diagonal at each skipped pivot, whose
+        # column is already zero below it, so the solve needs no masking
+        skipped = np.flatnonzero(~kept_local)
+        l11 = np.asfortranarray(l11)
+        l11[skipped, skipped] = 1.0
+        out.append(_NodeFactor(start=c0, stop=c1, skipped=skipped,
+                               l11=l11, rows21=above, l21=l21))
     return above, update
 
 
@@ -395,37 +408,38 @@ def _dense_rank_chol(a, scale, pivot_tol):
 
 def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,
                       image_tol: float = 1e-6) -> np.ndarray:
-    """Solve M x = b through the factor; zero pivots get the zero-tail
-    treatment, so the result is exact for b in Im(M)."""
+    """Solve M x = b through the factor, for b of shape (n,) or (n, k);
+    zero pivots get the zero-tail treatment (x is 0 there), so the result is
+    exact for b in Im(M).  Raises ValueError for a b of another row count
+    or with non-finite entries."""
     b = np.asarray(b, dtype=float)
+    n = factor.shape[0]
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"b has shape {b.shape}, expected ({n},) or ({n}, k)")
+    if not np.isfinite(b).all():
+        raise ValueError("b has non-finite entries")
     single = b.ndim == 1
     bm = b.reshape(-1, 1) if single else b
-    n = factor.matrix.shape[0]
-    z = bm[factor.perm].copy()
+    z = bm[factor.perm]
 
     nodes = factor._nodes
-    # forward: L y = P^T b, skipped pivots force y = 0
+    # forward: L y = P^T b; y at a skipped pivot is never read, since its
+    # column of l11 is zero below the diagonal and its column of l21 is zero
     for nd in nodes:
-        seg = z[nd.start:nd.stop]
-        y = np.zeros_like(seg)
-        kk = nd.kept
-        if kk.any():
-            y[kk] = sla.solve_triangular(nd.l11[np.ix_(kk, kk)], seg[kk],
-                                         lower=True)
-        z[nd.start:nd.stop] = y
+        # y stays a C-order view of z: multiplying LAPACK's Fortran-order
+        # result instead is slower under threaded BLAS for many columns
+        y = z[nd.start:nd.stop]
+        y[:] = _triangular_solve(nd.l11, y, trans=0)
         if len(nd.rows21):
             z[nd.rows21] -= nd.l21 @ y
-    # backward: L^T x = y
+    # backward: L^T x = y; a zero right-hand side at a skipped pivot makes
+    # x exactly 0 there
     for nd in reversed(nodes):
         seg = z[nd.start:nd.stop]
         if len(nd.rows21):
             seg = seg - nd.l21.T @ z[nd.rows21]
-        x = np.zeros_like(seg)
-        kk = nd.kept
-        if kk.any():
-            x[kk] = sla.solve_triangular(nd.l11[np.ix_(kk, kk)].T, seg[kk],
-                                         lower=False)
-        z[nd.start:nd.stop] = x
+        seg[nd.skipped] = 0.0
+        z[nd.start:nd.stop] = _triangular_solve(nd.l11, seg, trans=1)
 
     x = np.empty_like(z)
     x[factor.perm] = z
@@ -436,6 +450,17 @@ def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,
         if np.any(bad & (norm_b > 0)):
             raise NumericalError("right-hand side is not in the image of the matrix")
     return x[:, 0] if single else x
+
+
+_TRTRS = sla.get_lapack_funcs("trtrs", dtype=np.float64)
+
+
+def _triangular_solve(l11, rhs, trans):
+    """x with l11 x = rhs, or l11^T x = rhs when trans is 1."""
+    x, info = _TRTRS(l11, rhs, lower=1, trans=trans)
+    if info:
+        raise NumericalError(f"triangular solve failed (LAPACK info {info})")
+    return x
 
 
 # -- block factors ---------------------------------------------------------------

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from .dissection import BlockFactor, concat_blocks
 from .downlap import build_down_state, down_projection
-from .errors import NumericalError, check_vector
+from .errors import NumericalError, UnsupportedGeometryError, check_vector
 from .hollowing import Hollowing
 from .pcg import LinearOperator, pcg
 from .reports import SolveReport
@@ -59,6 +59,7 @@ def build_up_projection(c, h: Hollowing, centroids=None,
     if (len(h.tri_class) != c.num_triangles
             or len(h.edge_class) != c.num_edges):
         raise ValueError("index mismatch: hollowing does not describe this complex")
+    _check_uncoupled_interiors(c, h)
     d2 = c.boundary(2).astype(float).tocsc()
     f_all, blocks = concat_blocks(h.interior_triangles_by_region())
     c_t = h.boundary_triangles
@@ -81,6 +82,25 @@ def build_up_projection(c, h: Hollowing, centroids=None,
         d2_f=d2_f, d2_c=d2_c, interior=interior, wall=wall_factor,
         lup_norm=_up_lap_norm(c.lap_up(1)),
     )
+
+
+def _check_uncoupled_interiors(c, h: Hollowing) -> None:
+    """Raise UnsupportedGeometryError when interior triangles of two
+    regions share an edge, which couples their triangle Gram blocks."""
+    interior = np.flatnonzero(h.tri_class >= 0)
+    edges = c.tri_edges[interior].ravel()
+    regions = np.repeat(h.tri_class[interior], 3)
+    order = np.lexsort((regions, edges))
+    edges, regions = edges[order], regions[order]
+    clash = np.flatnonzero((edges[1:] == edges[:-1])
+                           & (regions[1:] != regions[:-1]))
+    if len(clash):
+        i = clash[0]
+        raise UnsupportedGeometryError(
+            f"interior triangles of regions {regions[i]} and "
+            f"{regions[i + 1]} share edge {edges[i]}; "
+            "the full 1-Laplacian solve needs uncoupled region interiors, "
+            "and sphere hollowings support only up_lap_solve_fast")
 
 
 def _up_lap_norm(lup) -> float:

@@ -59,6 +59,21 @@ def test_unsupported_geometry_exit_code(tmp_path, grid_files):
     assert code == 4
 
 
+def test_solve_on_sphere_hollowing_exits_4(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dims": [6, 6, 6], "holes": []}))
+    mesh = tmp_path / "mesh.json"
+    assert main(["gen", "--spec", str(spec), "--out", str(mesh)]) == 0
+    holl = tmp_path / "holl.json"
+    assert main(["hollow", "--mesh", str(mesh), "--r", "256", "--sphere",
+                 "--out", str(holl)]) == 0
+    b_path, _ = write_rhs(tmp_path, mesh)
+    code = main(["solve", "--mesh", str(mesh), "--holl", str(holl),
+                 "--b", str(b_path), "--out", str(tmp_path / "x.json")])
+    assert code == 4
+    assert "up_lap_solve_fast" in capsys.readouterr().err
+
+
 def test_solve_meets_reported_contract(tmp_path, grid_files):
     mesh_path, holl_path = grid_files
     mesh = load_complex(mesh_path)
@@ -196,3 +211,18 @@ def test_bench_schema(tmp_path):
                 "kappa_est"):
         assert col in rows[0]
     assert float(rows[0]["final_residual"]) <= 1e-5 * 1e3
+
+
+def test_bench_missed_contract_exits_3(tmp_path, monkeypatch, capsys):
+    def missed(*args, **kwargs):
+        return np.zeros(args[0].num_edges), SolveReport(
+            converged=False, initial_residual=1.0, final_residual=0.5)
+    monkeypatch.setattr(cli, "one_lap_solve", missed)
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "--sizes", "4", "--r-rule", "48",
+                 "--shell-width", "2", "--separation", "2",
+                 "--out", str(out)])
+    assert code == 3
+    with open(out) as f:
+        assert len(list(csv.DictReader(f))) == 1
+    assert "at k=4: residual 5.000e-01" in capsys.readouterr().err

@@ -4,7 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tetlap
 from tetlap import oracle
@@ -32,6 +35,12 @@ def path_laplacian(n):
     d = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
                  [-1, 0, 1]).tocsr()
     return d
+
+
+def graph_path_laplacian(n):
+    """The path graph's Laplacian, singular with a constant kernel."""
+    return (path_laplacian(n)
+            - sp.diags(np.r_[1.0, np.zeros(n - 2), 1.0])).tocsr()
 
 
 def symbolic_fill_count(mat, perm):
@@ -259,6 +268,147 @@ def test_fill_scaling_subquadratic():
         fills.append(f.L.nnz)
     slope = np.polyfit(np.log(sizes), np.log(fills), 1)[0]
     assert slope <= 1.5
+
+
+# -- factor solve against the masked reference -----------------------------
+
+def reference_solve(factor, b):
+    """The factor solve as a masked loop: every node solves only on its
+    kept pivots, through a copied kept-by-kept block, and leaves x = 0 at
+    skipped pivots."""
+    b = np.asarray(b, dtype=float)
+    single = b.ndim == 1
+    z = (b.reshape(-1, 1) if single else b)[factor.perm].copy()
+    masks = []
+    for nd in factor._nodes:
+        kk = np.ones(nd.stop - nd.start, dtype=bool)
+        kk[nd.skipped] = False
+        masks.append(kk)
+    for nd, kk in zip(factor._nodes, masks):
+        seg = z[nd.start:nd.stop]
+        y = np.zeros_like(seg)
+        if kk.any():
+            y[kk] = sla.solve_triangular(nd.l11[np.ix_(kk, kk)], seg[kk],
+                                         lower=True)
+        z[nd.start:nd.stop] = y
+        if len(nd.rows21):
+            z[nd.rows21] -= nd.l21 @ y
+    for nd, kk in zip(reversed(factor._nodes), reversed(masks)):
+        seg = z[nd.start:nd.stop]
+        if len(nd.rows21):
+            seg = seg - nd.l21.T @ z[nd.rows21]
+        x = np.zeros_like(seg)
+        if kk.any():
+            x[kk] = sla.solve_triangular(nd.l11[np.ix_(kk, kk)].T, seg[kk],
+                                         lower=False)
+        z[nd.start:nd.stop] = x
+    x = np.empty_like(z)
+    x[factor.perm] = z
+    return x[:, 0] if single else x
+
+
+# float64 roundoff of two triangular solves that order their sums differently
+SOLVE_RTOL = 1e-12
+
+
+def assert_matches_reference(factor, m, b):
+    x = factor.solve(b)
+    ref = reference_solve(factor, b)
+    assert x.shape == ref.shape
+    assert np.linalg.norm(x - ref) <= SOLVE_RTOL * np.linalg.norm(ref)
+    # the zero tail: x is exactly 0 at every skipped pivot
+    assert not x[factor.perm][~factor.kept].any()
+    assert np.linalg.norm(m @ x - b) <= 1e-9 * np.linalg.norm(b)
+
+
+def rank_deficient_fixtures(rng):
+    c = gen_grid(GridSpec((2, 2, 2)))
+    g = rng.standard_normal((10, 6))
+    n = 30
+    line = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
+    return [
+        (cholesky(sp.csr_matrix([[1.0, -1.0], [-1.0, 1.0]]), np.arange(2)),
+         np.array([[1.0, -1.0], [-1.0, 1.0]])),
+        (nd_cholesky(up_laplacian(c, 1), edge_midpoints(c), base_case=16),
+         up_laplacian(c, 1)),
+        (cholesky(sp.csr_matrix(g @ g.T), np.arange(10)), g @ g.T),
+        (nd_cholesky(graph_path_laplacian(n), line, base_case=4),
+         graph_path_laplacian(n)),
+    ]
+
+
+def test_solve_matches_reference_on_rank_deficient_fixtures(rng):
+    for factor, m in rank_deficient_fixtures(rng):
+        assert factor.rank < factor.shape[0]
+        n = factor.shape[0]
+        assert_matches_reference(factor, m, m @ rng.standard_normal(n))
+        assert_matches_reference(factor, m, m @ rng.standard_normal((n, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 80), degree=st.floats(0.5, 4.0),
+       base_case=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_solve_matches_reference_on_random_graph_laplacians(n, degree,
+                                                            base_case, seed):
+    # sparse random graphs are often disconnected: one skipped pivot per
+    # component, spread over several fronts
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(int(degree * n / 2) + 1, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    w = rng.uniform(0.1, 10.0, len(pairs))
+    adj = sp.csr_matrix((w, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    adj = adj + adj.T
+    m = (sp.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj).tocsr()
+    factor = nd_cholesky(m, rng.random((n, 3)), base_case=base_case)
+    assert factor.rank < n
+    assert_matches_reference(factor, m, m @ rng.standard_normal(n))
+    assert_matches_reference(factor, m, m @ rng.standard_normal((n, 2)))
+
+
+def test_factor_l_is_assembled_without_touching_the_nodes(rng):
+    n = 30
+    m = graph_path_laplacian(n)
+    line = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
+    f = nd_cholesky(m, line, base_case=4)
+    assert f.rank == n - 1
+    before = [(nd.skipped.copy(), nd.l11.copy(), nd.rows21.copy(),
+               nd.l21.copy()) for nd in f._nodes]
+    first, second = f.L, f.L
+    assert (first != second).nnz == 0
+    lp = first.toarray()
+    rec = np.empty((n, n))
+    rec[np.ix_(f.perm, f.perm)] = lp @ lp.T
+    assert np.linalg.norm(rec - m.toarray()) <= 1e-12 * n
+    assert not lp[:, ~f.kept].any()
+    for nd, arrays in zip(f._nodes, before):
+        for now, then in zip((nd.skipped, nd.l11, nd.rows21, nd.l21), arrays):
+            assert np.array_equal(now, then)
+
+
+def test_solve_through_an_empty_separator(rng):
+    # two disconnected paths at one point: the fallback split finds no
+    # crossing edge, so the root separator is empty
+    half = path_laplacian(6)
+    m = sp.block_diag([half, half]).tocsr()
+    ordering = nd_ordering(m, np.zeros((12, 3)), base_case=4)
+    assert len(ordering.tree.cols) == 0
+    f = cholesky(m, ordering)
+    assert_matches_reference(f, m.toarray(), m @ rng.standard_normal(12))
+
+
+@pytest.mark.parametrize("columns", [None, 3])
+@pytest.mark.parametrize("defect", ["long", "short", "nan", "inf"])
+def test_factor_solve_rejects_bad_rhs(defect, columns):
+    n = 20
+    f = nd_cholesky(path_laplacian(n) + sp.eye(n),
+                    np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)]),
+                    base_case=4)
+    rows = {"long": n + 3, "short": n - 1}.get(defect, n)
+    b = np.ones(rows if columns is None else (rows, columns))
+    if defect in ("nan", "inf"):
+        b[n // 2] = np.nan if defect == "nan" else np.inf
+    with pytest.raises(ValueError, match="^b has"):
+        solve_with_factor(f, b, check_image=False)
 
 
 # -- block factors -------------------------------------------------------------

@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 
 from tetlap import oracle
-from tetlap.hollowing import HollowingConfig, find_hollowing
+from tetlap.errors import UnsupportedGeometryError
+from tetlap.hollowing import HollowingConfig, find_hollowing, sphere_hollowing
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
+from tetlap.onelap import build_one_lap_solver
 from tetlap.upproj import (
     build_up_projection,
     down2_schur_apply,
@@ -176,3 +179,18 @@ def test_betti0_projection_documented_misuse_on_tunnel(rng):
     harm_part = harm @ (harm.T @ b)
     assert np.linalg.norm(gap - harm_part) <= 1e-6 * np.linalg.norm(b)
     assert np.linalg.norm(gap) >= 1e-3 * np.linalg.norm(b)
+
+
+def test_sphere_hollowing_regions_couple_and_are_unsupported():
+    # neighbouring sphere regions share wall edges between their interior
+    # triangles, so their triangle Gram blocks couple
+    c = gen_grid(GridSpec((6, 6, 6)))
+    h = sphere_hollowing(c, 256)
+    with pytest.raises(UnsupportedGeometryError,
+                       match="uncoupled region interiors"):
+        build_one_lap_solver(c, h)
+    # a single-region sphere hollowing has no pair of regions to couple
+    c = gen_grid(GridSpec((4, 4, 4)))
+    h = sphere_hollowing(c, 1000)
+    assert h.num_regions == 1
+    assert len(build_up_projection(c, h).interior.blocks) == 1
