@@ -16,7 +16,7 @@ i-th operator holds (-1)^j at the face dropping the j-th vertex of sigma.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,18 +40,23 @@ __all__ = [
 
 @dataclass
 class Complex3:
-    """A pure, oriented, weighted simplicial 3-complex embedded in R^3."""
+    """A pure, oriented, weighted simplicial 3-complex embedded in R^3.
+
+    Holds only arrays fixed by `build_complex`; every matrix is computed
+    from them, and from the current weights, on each request.
+    """
 
     vertices: np.ndarray          # (nv, 3) float
     tets: np.ndarray              # (nt, 4) int, each row ascending, rows lex-sorted
     triangles: np.ndarray         # (nf, 3) derived, lex-sorted
     edges: np.ndarray             # (ne, 2) derived, lex-sorted
     tri_edges: np.ndarray         # (nf, 3) edge ids, column j omits vertex j
+    tet_tris: np.ndarray          # (nt, 4) triangle ids, column j omits vertex j
+    tet_edges: np.ndarray         # (nt, 6) edge ids, vertex pairs 01 02 03 12 13 23
     weights: list[np.ndarray]     # [w0, w1, w2, w3], all > 0
     exterior_triangles: np.ndarray  # bool (nf,), True iff in exactly one tet
     exterior_edges: np.ndarray      # bool (ne,)
     exterior_vertices: np.ndarray   # bool (nv,)
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -88,30 +93,19 @@ class Complex3:
         """Row indices in ``self.triangles`` for ascending vertex triples."""
         return _find_rows(self.triangles, np.asarray(triples), self.num_vertices)
 
-    # convenience wrappers, cached per instance
+    # operators, computed on every call
 
     def boundary(self, i: int) -> sp.csc_matrix:
-        key = ("boundary", i)
-        if key not in self._cache:
-            self._cache[key] = boundary_operator(self, i)
-        return self._cache[key]
+        return boundary_operator(self, i)
 
     def lap_up(self, i: int = 1) -> sp.csr_matrix:
-        key = ("up", i)
-        if key not in self._cache:
-            self._cache[key] = up_laplacian(self, i)
-        return self._cache[key]
+        return up_laplacian(self, i)
 
     def lap_down(self, i: int = 1) -> sp.csr_matrix:
-        key = ("down", i)
-        if key not in self._cache:
-            self._cache[key] = down_laplacian(self, i)
-        return self._cache[key]
+        return down_laplacian(self, i)
 
     def lap1(self) -> sp.csr_matrix:
-        if "lap1" not in self._cache:
-            self._cache["lap1"] = one_laplacian(self)
-        return self._cache["lap1"]
+        return one_laplacian(self)
 
 
 def _encode_rows(rows: np.ndarray, base: int) -> np.ndarray:
@@ -158,16 +152,12 @@ def build_complex(tets, coords, weights=None) -> Complex3:
     if len(tets) > 1 and np.any(np.all(tets[:-1] == tets[1:], axis=1)):
         raise ValueError("duplicate tetrahedron")
 
-    # derive triangles: the four faces of every tet, deduplicated
-    faces = np.vstack([np.delete(tets, j, axis=1) for j in range(4)]) \
-        if len(tets) else np.empty((0, 3), dtype=np.int64)
-    triangles, tri_counts = _dedup_rows(faces)
-
-    sides = [np.delete(triangles, j, axis=1) for j in range(3)]
-    edges, _ = _dedup_rows(np.vstack(sides) if len(triangles)
-                           else np.empty((0, 2), dtype=np.int64))
-    tri_edges = np.stack([_find_rows(edges, side, nv) for side in sides],
-                         axis=1)
+    # faces of every tet and every triangle, deduplicated; the inverse of
+    # each deduplication is the table of face ids
+    triangles, tet_tris, tri_counts = _faces(tets)
+    edges, tri_edges, _ = _faces(triangles)
+    tet_edges = np.stack([tri_edges[tet_tris[:, k], m]
+                          for k, m in _TET_EDGE_SIDES], axis=1)
 
     # exterior classification: a triangle is exterior iff it bounds one tet
     exterior_tri = tri_counts == 1
@@ -184,6 +174,8 @@ def build_complex(tets, coords, weights=None) -> Complex3:
             if wd.shape != (counts[dim],):
                 raise ValueError(
                     f"w{dim} has length {wd.shape[0]}, expected {counts[dim]}")
+            if not np.all(np.isfinite(wd)):
+                raise ValueError(f"w{dim} contains a non-finite weight")
             if np.any(wd <= 0):
                 raise ValueError(f"w{dim} contains a nonpositive weight")
         else:
@@ -196,6 +188,8 @@ def build_complex(tets, coords, weights=None) -> Complex3:
         triangles=triangles,
         edges=edges,
         tri_edges=tri_edges,
+        tet_tris=tet_tris,
+        tet_edges=tet_edges,
         weights=w,
         exterior_triangles=exterior_tri,
         exterior_edges=exterior_edge,
@@ -203,12 +197,19 @@ def build_complex(tets, coords, weights=None) -> Complex3:
     )
 
 
-def _dedup_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lex-sorted unique rows plus multiplicities."""
-    if len(rows) == 0:
-        return rows, np.zeros(0, dtype=np.int64)
-    uniq, counts = np.unique(rows, axis=0, return_counts=True)
-    return uniq, counts
+# per tet edge, in the order 01 02 03 12 13 23: the face omitting tet
+# vertex k that holds it, and the side of that face omitting face vertex m
+_TET_EDGE_SIDES = ((3, 2), (3, 1), (1, 1), (3, 0), (0, 1), (0, 0))
+
+
+def _faces(simplexes: np.ndarray):
+    """Lex-sorted unique facets of ascending simplexes, the (n, k) table of
+    facet ids whose column j omits vertex j, and each facet's multiplicity."""
+    n, k = simplexes.shape
+    facets = np.concatenate([np.delete(simplexes, j, axis=1) for j in range(k)])
+    uniq, inverse, counts = np.unique(facets, axis=0, return_inverse=True,
+                                      return_counts=True)
+    return uniq, inverse.reshape(k, n).T, counts
 
 
 def boundary_operator(c: Complex3, i: int) -> sp.csc_matrix:
@@ -218,39 +219,25 @@ def boundary_operator(c: Complex3, i: int) -> sp.csc_matrix:
     sign (-1)^j at the face omitting the j-th vertex of sigma.
     """
     if i == 1:
-        simplexes, face_table = c.edges, None
+        faces, n_rows = c.edges[:, ::-1], c.num_vertices
     elif i == 2:
-        simplexes, face_table = c.triangles, c.edges
+        faces, n_rows = c.tri_edges, c.num_edges
     elif i == 3:
-        simplexes, face_table = c.tets, c.triangles
+        faces, n_rows = c.tet_tris, c.num_triangles
     else:
         raise ValueError("boundary operator defined for i in {1, 2, 3}")
-
-    k = i + 1
-    n_cols = len(simplexes)
-    face_rows = []
-    for j in range(k):
-        face = np.delete(simplexes, j, axis=1)
-        if face_table is None:
-            face_rows.append(face[:, 0])
-        else:
-            face_rows.append(_find_rows(face_table, face, c.num_vertices))
-    rows = np.concatenate(face_rows)
-    n_rows = c.num_vertices if face_table is None else len(face_table)
+    n_cols, k = faces.shape
     cols = np.tile(np.arange(n_cols), k)
-    signs = np.concatenate([np.full(n_cols, (-1) ** j, dtype=np.int64)
-                            for j in range(k)])
-    mat = sp.csc_matrix((signs, (rows, cols)), shape=(n_rows, n_cols), dtype=np.int64)
-    mat.sum_duplicates()
-    mat.eliminate_zeros()
-    return mat
+    signs = np.repeat((-1) ** np.arange(k, dtype=np.int64), n_cols)
+    return sp.csc_matrix((signs, (faces.T.ravel(), cols)),
+                         shape=(n_rows, n_cols), dtype=np.int64)
 
 
 def up_laplacian(c: Complex3, i: int) -> sp.csr_matrix:
     """d_{i+1} W_{i+1} d_{i+1}^T as a float CSR matrix."""
     if i not in (0, 1):
         raise ValueError("up-Laplacian supported for i in {0, 1}")
-    d = c.boundary(i + 1).astype(float)
+    d = boundary_operator(c, i + 1).astype(float)
     w = sp.diags(c.weights[i + 1])
     out = (d @ w @ d.T).tocsr()
     out.eliminate_zeros()
@@ -261,7 +248,7 @@ def down_laplacian(c: Complex3, i: int) -> sp.csr_matrix:
     """d_i^T W_{i-1} d_i as a float CSR matrix."""
     if i not in (1, 2):
         raise ValueError("down-Laplacian supported for i in {1, 2}")
-    d = c.boundary(i).astype(float)
+    d = boundary_operator(c, i).astype(float)
     w = sp.diags(c.weights[i - 1])
     out = (d.T @ w @ d).tocsr()
     out.eliminate_zeros()
@@ -289,19 +276,29 @@ def validate(c: Complex3) -> list[str]:
         violations.append("d2 d3 != 0")
 
     for dim, w in enumerate(c.weights):
-        if np.any(w <= 0) or not np.all(np.isfinite(w)):
+        if not np.all(np.isfinite(w)):
+            violations.append(f"non-finite weight in w{dim}")
+        if np.any(w <= 0):
             violations.append(f"nonpositive weight in w{dim}")
 
-    # closure: every face of every stored simplex is stored exactly once
+    # closure: every face of every stored simplex is stored, and the index
+    # tables the operators are built from name exactly those faces
     try:
-        if len(c.tets):
-            for j in range(4):
-                c.triangle_ids(np.delete(c.tets, j, axis=1))
-        if len(c.triangles):
-            for j in range(3):
-                c.edge_ids(np.delete(c.triangles, j, axis=1))
+        found = {
+            "tri_edges": np.stack([c.edge_ids(np.delete(c.triangles, j, axis=1))
+                                   for j in range(3)], axis=1),
+            "tet_tris": np.stack([c.triangle_ids(np.delete(c.tets, j, axis=1))
+                                  for j in range(4)], axis=1),
+            "tet_edges": np.stack([c.edge_ids(c.tets[:, [i, j]])
+                                   for i in range(4) for j in range(i + 1, 4)],
+                                  axis=1),
+        }
     except KeyError:
         violations.append("closure violated: missing face")
+        found = {}
+    for name, ids in found.items():
+        if not np.array_equal(getattr(c, name), ids):
+            violations.append(f"{name} table does not match the stored faces")
     for table in (c.edges, c.triangles, c.tets):
         if len(table) > 1 and np.any(np.all(table[:-1] == table[1:], axis=1)):
             violations.append("duplicate simplex")
@@ -309,10 +306,9 @@ def validate(c: Complex3) -> list[str]:
             violations.append("simplex vertices not ascending")
 
     # exterior flags must match triangle->tet incidence
-    if len(c.tets):
-        tri_counts = np.zeros(c.num_triangles, dtype=np.int64)
-        for j in range(4):
-            np.add.at(tri_counts, c.triangle_ids(np.delete(c.tets, j, axis=1)), 1)
+    if found and len(c.tets):
+        tri_counts = np.bincount(found["tet_tris"].ravel(),
+                                 minlength=c.num_triangles)
         if not np.array_equal(tri_counts == 1, c.exterior_triangles):
             violations.append("exterior triangle flags inconsistent")
         if np.any(tri_counts > 2):

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import UnsupportedGeometryError
-from .meshgen import exterior_triangle_components, skeleton_diameter, triangle_edge_incidence
+from .meshgen import _adjacency, _exterior_components, skeleton_diameter
 
 # default measured-constant thresholds; the asymptotic statements behind
 # them are O(.) bounds, so the validator takes them from the config
@@ -116,61 +116,7 @@ def load_hollowing(path) -> Hollowing:
         return Hollowing.from_dict(json.load(f))
 
 
-# -- shared incidence helpers -------------------------------------------------
-
-def _tet_faces(c) -> np.ndarray:
-    """(nt, 4) triangle ids of each tet."""
-    if "tet_faces" not in c._cache:
-        faces = np.stack([c.triangle_ids(np.delete(c.tets, j, axis=1))
-                          for j in range(4)], axis=1)
-        c._cache["tet_faces"] = faces
-    return c._cache["tet_faces"]
-
-
-def _tet_edges(c) -> np.ndarray:
-    """(nt, 6) edge ids of each tet."""
-    if "tet_edges" not in c._cache:
-        pairs = []
-        for i in range(4):
-            for j in range(i + 1, 4):
-                pairs.append(c.edge_ids(c.tets[:, [i, j]]))
-        c._cache["tet_edges"] = np.stack(pairs, axis=1)
-    return c._cache["tet_edges"]
-
-
-def _tri_tets(c) -> sp.csr_matrix:
-    """Triangle-by-tet incidence (0/1)."""
-    if "tri_tets" not in c._cache:
-        faces = _tet_faces(c)
-        rows = faces.reshape(-1)
-        cols = np.repeat(np.arange(c.num_tets), 4)
-        c._cache["tri_tets"] = sp.csr_matrix(
-            (np.ones(len(rows), dtype=np.int8), (rows, cols)),
-            shape=(c.num_triangles, c.num_tets))
-    return c._cache["tri_tets"]
-
-
-def _triangle_adjacency(c) -> sp.csr_matrix:
-    """Triangles sharing an edge."""
-    if "tri_adjacency" not in c._cache:
-        inc = triangle_edge_incidence(c)
-        g = inc @ inc.T
-        g.setdiag(0)
-        g.eliminate_zeros()
-        c._cache["tri_adjacency"] = (g > 0).astype(np.int8).tocsr()
-    return c._cache["tri_adjacency"]
-
-
-def _tet_adjacency(c) -> sp.csr_matrix:
-    """Tets sharing a triangle."""
-    if "tet_adjacency" not in c._cache:
-        tt = _tri_tets(c)
-        g = tt.T @ tt
-        g.setdiag(0)
-        g.eliminate_zeros()
-        c._cache["tet_adjacency"] = (g > 0).astype(np.int8).tocsr()
-    return c._cache["tet_adjacency"]
-
+# -- graph helpers ------------------------------------------------------------
 
 def _bfs_hops(graph: sp.csr_matrix, sources: np.ndarray, cap: float = np.inf):
     """Multi-source hop distances; inf where unreachable."""
@@ -262,12 +208,12 @@ def _axis_rot(axis, theta):
 
 # -- well-shapedness checks ---------------------------------------------------
 
-def check_boundary_structure(c, r, config: HollowingConfig):
+def _check_boundary_structure(c, r, config: HollowingConfig, tri_adj):
     """Raise UnsupportedGeometryError naming the violated condition."""
     if r >= c.num_simplexes:
         raise ValueError(f"r = {r} must be smaller than the complex "
                          f"({c.num_simplexes} simplexes)")
-    labels = exterior_triangle_components(c)
+    labels = _exterior_components(c, tri_adj)
     ncomp = int(labels.max()) + 1 if (labels >= 0).any() else 0
     if ncomp <= 1:
         return labels, ncomp
@@ -275,11 +221,10 @@ def check_boundary_structure(c, r, config: HollowingConfig):
     largest = int(np.argmax(sizes))
     # condition: boundary components far enough apart in triangle hops
     sep = config.min_component_separation
-    adj = _triangle_adjacency(c)
     for k in range(ncomp):
         if k == largest:
             continue
-        dist = _bfs_hops(adj, np.flatnonzero(labels == k), cap=sep + 1)
+        dist = _bfs_hops(tri_adj, np.flatnonzero(labels == k), cap=sep + 1)
         for other in range(ncomp):
             if other == k:
                 continue
@@ -352,14 +297,15 @@ def find_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
     degenerate single-region hollowing with an empty boundary class.
     """
     config = config or HollowingConfig()
-    labels, ncomp = check_boundary_structure(c, r, config)
+    tri_adj = _adjacency(abs(c.boundary(2)))
+    labels, ncomp = _check_boundary_structure(c, r, config, tri_adj)
     planes = _plane_positions(c, r, lattice=False)
 
     if not any(planes):
         return _single_region(c, r, "shell")
 
-    tri_adj = _triangle_adjacency(c)
-    tri_tets = _tri_tets(c)
+    tri_tets = abs(c.boundary(3)).tocsr()
+    tet_adj = _adjacency(tri_tets)
     wall = np.zeros(c.num_tets, dtype=bool)
 
     # seed: a band of tets along the largest boundary component
@@ -389,13 +335,12 @@ def find_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
                     centroid = tet_coords[..., axis].mean(axis=1)
                     wall |= half & (centroid >= q)
 
-    tet_adj = _tet_adjacency(c)
     for _ in range(config.max_expand_rounds + 1):
         if np.all(wall):
             raise UnsupportedGeometryError(
                 "hollowing walls swallowed the whole mesh; r is too small "
                 "for this complex at the requested shell width")
-        h = _classify_shell(c, wall, r)
+        h = _classify_shell(c, wall, r, tri_adj, tet_adj, tri_tets)
         widths = h.metrics.get("shell_widths", [])
         if not widths or min(widths) >= config.min_shell_width:
             break
@@ -416,11 +361,10 @@ def surface_hollowing(c, r=None) -> Hollowing:
     that is the whole surface complex."""
     r = float(c.num_simplexes if r is None else r)
     h = _single_region(c, r, "shell")
-    inc = triangle_edge_incidence(c)
     # triangles touching any exterior edge join the boundary class: glued
     # unions rely on interior triangles of different chunks never sharing
     # an edge, and surface walls have zero thickness
-    touches_ext = np.asarray((inc @ c.exterior_edges) > 0).ravel()
+    touches_ext = (abs(c.boundary(2)).T @ c.exterior_edges) > 0
     bt = np.flatnonzero(c.exterior_triangles | touches_ext)
     h.tri_class[bt] = -1
     h.edge_class[np.flatnonzero(c.exterior_edges)] = -1
@@ -444,16 +388,15 @@ def _single_region(c, r, kind) -> Hollowing:
     )
 
 
-def _classify_shell(c, wall, r) -> Hollowing:
-    tet_adj = _tet_adjacency(c)
+def _classify_shell(c, wall, r, tri_adj, tet_adj, tri_tets) -> Hollowing:
     interior_ids = np.flatnonzero(~wall)
     sub = tet_adj[interior_ids][:, interior_ids]
     nreg, comp = connected_components(sub, directed=False)
     tet_region = np.full(c.num_tets, -1, dtype=np.int64)
     tet_region[interior_ids] = comp
 
-    faces = _tet_faces(c)
-    edges6 = _tet_edges(c)
+    faces = c.tet_tris
+    edges6 = c.tet_edges
     tri_wall = np.zeros(c.num_triangles, dtype=bool)
     tri_wall[faces[wall].reshape(-1)] = True
     edge_wall = np.zeros(c.num_edges, dtype=bool)
@@ -469,7 +412,7 @@ def _classify_shell(c, wall, r) -> Hollowing:
     edge_class[~edge_wall] = eowner[~edge_wall]
 
     shells_t, shells_tri, widths, metrics = _assign_shells(
-        c, wall, tet_region, nreg)
+        c, wall, tet_region, nreg, tri_adj, tet_adj, tri_tets)
     metrics["shell_widths"] = widths
     metrics["num_regions"] = nreg
     h = Hollowing(r=r, kind="shell", num_regions=nreg, tet_region=tet_region,
@@ -479,13 +422,15 @@ def _classify_shell(c, wall, r) -> Hollowing:
     return h
 
 
-def _assign_shells(c, wall, tet_region, nreg):
-    """Per-region wall membership via geodesic channels through the wall."""
+def _assign_shells(c, wall, tet_region, nreg, tri_adj, tet_adj, tri_tets):
+    """Per-region wall membership via geodesic channels through the wall.
+
+    `tri_adj` and `tet_adj` are the triangle and tet adjacencies, and
+    `tri_tets` is |d3|, all as built by the calling public function."""
     wall_ids = np.flatnonzero(wall)
     nw = len(wall_ids)
-    tet_adj = _tet_adjacency(c)
     wsub = tet_adj[wall_ids][:, wall_ids]
-    faces = _tet_faces(c)
+    faces = c.tet_tris
 
     # interface wall tets per region: wall tets face-adjacent to the interior
     cross = tet_adj[wall_ids]           # wall x all
@@ -499,14 +444,12 @@ def _assign_shells(c, wall, tet_region, nreg):
         dists.append(_bfs_hops(wsub, sources))
     # the mesh exterior acts as one more "far side"
     ext_tris = np.flatnonzero(c.exterior_triangles)
-    tri_tets = _tri_tets(c)
     ext_tets = np.unique(tri_tets[ext_tris].indices)
     ext_local = np.flatnonzero(np.isin(wall_ids, ext_tets))
     dist_ext = _bfs_hops(wsub, ext_local)
 
     shells_t, shells_tri, widths = [], [], []
     tri_region_interface = _interface_triangles(c, wall, tet_region, nreg)
-    tri_adj = _triangle_adjacency(c)
     for k in range(nreg):
         member = np.zeros(nw, dtype=bool)
         for j in list(range(nreg)) + ["ext"]:
@@ -545,7 +488,7 @@ def _assign_shells(c, wall, tet_region, nreg):
 
 def _interface_triangles(c, wall, tet_region, nreg):
     """Triangles shared by a wall tet and an interior tet, per region."""
-    faces = _tet_faces(c)
+    faces = c.tet_tris
     count_wall = np.zeros(c.num_triangles, dtype=np.int64)
     np.add.at(count_wall, faces[wall].reshape(-1), 1)
     out = []
@@ -565,7 +508,7 @@ def _record_metrics(c, h: Hollowing, r):
         if h.kind == "shell":
             st = h.shell_tets[k]
             btris = h.shells[k]
-            bedges = np.unique(_tet_edges(c)[st].reshape(-1)) if len(st) else []
+            bedges = np.unique(c.tet_edges[st].reshape(-1)) if len(st) else []
             bverts = np.unique(c.tets[st]) if len(st) else []
             boundary = len(st) + len(btris) + len(bedges) + len(bverts)
         else:
@@ -596,7 +539,8 @@ def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
     pairwise intersect in discs.  Requires holes to stay clear of the
     cutting planes."""
     config = config or HollowingConfig()
-    labels, ncomp = check_boundary_structure(c, r, config)
+    d2 = abs(c.boundary(2))
+    labels, ncomp = _check_boundary_structure(c, r, config, _adjacency(d2))
     planes = _plane_positions(c, r, lattice=True)
     if not any(planes):
         # degenerate: one region whose boundary sphere is the outer surface
@@ -658,16 +602,15 @@ def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
                     disc_key[key] = len(disc_key)
                 tri_disc[t] = disc_key[key]
 
-    inc = triangle_edge_incidence(c)
-    edge_boundary = np.asarray((inc.T @ tri_boundary) > 0).ravel()
+    edge_boundary = (d2 @ tri_boundary) > 0
 
     tri_class = np.full(c.num_triangles, -1, dtype=np.int64)
-    faces = _tet_faces(c)
+    faces = c.tet_tris
     owner = np.full(c.num_triangles, -1, dtype=np.int64)
     owner[faces.reshape(-1)] = np.repeat(tet_region, 4)
     tri_class[~tri_boundary] = owner[~tri_boundary]
     edge_class = np.full(c.num_edges, -1, dtype=np.int64)
-    edges6 = _tet_edges(c)
+    edges6 = c.tet_edges
     eowner = np.full(c.num_edges, -1, dtype=np.int64)
     eowner[edges6.reshape(-1)] = np.repeat(tet_region, 6)
     edge_class[~edge_boundary] = eowner[~edge_boundary]
@@ -721,6 +664,23 @@ def _box_assignment(c, cuts):
 
 # -- validation ---------------------------------------------------------------
 
+def check_hollowing(c, h: Hollowing) -> None:
+    """Raise ValueError naming the field when `h` cannot label `c`: a label
+    array of the wrong length, or a class outside [-1, num_regions)."""
+    labels = [("tet_region", h.tet_region, c.num_tets),
+              ("edge_class", h.edge_class, c.num_edges),
+              ("tri_class", h.tri_class, c.num_triangles)]
+    for name, values, n in labels + [("tri_disc", h.tri_disc, c.num_triangles)]:
+        if values is not None and np.shape(values) != (n,):
+            raise ValueError(f"index mismatch: hollowing {name} has shape "
+                             f"{np.shape(values)}, expected ({n},)")
+    for name, values, _ in labels:
+        bad = (values < -1) | (values >= h.num_regions)
+        if bad.any():
+            raise ValueError(f"hollowing {name} has class {values[bad][0]} "
+                             f"outside [-1, {h.num_regions})")
+
+
 def validate_hollowing(c, h: Hollowing, config: HollowingConfig | None = None):
     """Check every structural invariant; returns a list of violations."""
     config = config or HollowingConfig()
@@ -764,17 +724,19 @@ def validate_hollowing(c, h: Hollowing, config: HollowingConfig | None = None):
         violations.append("region boundary exceeds boundary_factor * r^(2/3)")
 
     # shell width and boundary diameter
+    tri_adj = _adjacency(abs(c.boundary(2)))
     if h.kind == "shell" and h.num_regions > 1:
         widths = h.metrics.get("shell_widths")
         if widths is None:
-            _, _, widths, _ = _assign_shells(c, h.tet_region < 0,
-                                             h.tet_region, h.num_regions)
+            tri_tets = abs(c.boundary(3)).tocsr()
+            _, _, widths, _ = _assign_shells(
+                c, h.tet_region < 0, h.tet_region, h.num_regions,
+                tri_adj, _adjacency(tri_tets), tri_tets)
         bad_w = [w for w in widths if w < config.min_shell_width]
         if bad_w:
             violations.append(
                 f"shell width {min(bad_w)} below {config.min_shell_width}")
     diam_cap = config.diameter_factor * r ** (1 / 3)
-    tri_adj = _triangle_adjacency(c)
     for k, shell in enumerate(h.shells):
         if len(shell) == 0:
             continue
@@ -799,8 +761,8 @@ def _check_shared_are_boundary(c, h: Hollowing):
     violations = []
     reg = h.tet_region
     for name, members, cls in (
-            ("edge", _tet_edges(c), h.edge_class),
-            ("triangle", _tet_faces(c), h.tri_class)):
+            ("edge", c.tet_edges, h.edge_class),
+            ("triangle", c.tet_tris, h.tri_class)):
         n = len(cls)
         lo = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
         hi = np.full(n, -1, dtype=np.int64)

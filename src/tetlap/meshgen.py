@@ -187,26 +187,27 @@ def mesh_stats(c: Complex3) -> MeshStats:
 def exterior_triangle_components(c: Complex3) -> np.ndarray:
     """Label exterior triangles by connected component under shared-edge
     adjacency; -1 for interior triangles."""
+    return _exterior_components(c, _adjacency(abs(c.boundary(2))))
+
+
+def _adjacency(incidence) -> sp.csr_matrix:
+    """0/1 adjacency of the columns of an unsigned incidence matrix that
+    share a row: triangles sharing an edge from |d2|, tets sharing a
+    triangle from |d3|."""
+    g = (incidence.T @ incidence).tocsr()
+    g.setdiag(0)
+    g.eliminate_zeros()
+    return (g > 0).astype(np.int8).tocsr()
+
+
+def _exterior_components(c: Complex3, tri_adj) -> np.ndarray:
+    """exterior_triangle_components from the triangle adjacency."""
     labels = np.full(c.num_triangles, -1, dtype=np.int64)
-    ext = np.where(c.exterior_triangles)[0]
-    if len(ext) == 0:
-        return labels
-    adj = triangle_edge_incidence(c)[ext]          # (n_ext, n_edges)
-    gram = adj @ adj.T
-    gram.setdiag(0)
-    gram.eliminate_zeros()
-    n, comp = connected_components(gram, directed=False)
-    labels[ext] = comp
+    ext = np.flatnonzero(c.exterior_triangles)
+    if len(ext):
+        labels[ext] = connected_components(tri_adj[ext][:, ext],
+                                           directed=False)[1]
     return labels
-
-
-def triangle_edge_incidence(c: Complex3) -> sp.csr_matrix:
-    """0/1 triangle-by-edge incidence matrix."""
-    rows = np.repeat(np.arange(c.num_triangles), 3)
-    cols = c.tri_edges.reshape(-1)
-    data = np.ones(len(rows), dtype=np.int8)
-    return sp.csr_matrix((data, (rows, cols)),
-                         shape=(c.num_triangles, c.num_edges))
 
 
 def skeleton_diameter(c: Complex3, tri_mask: np.ndarray, exact_cap: int = 4000) -> int:

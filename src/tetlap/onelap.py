@@ -22,11 +22,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import oracle
-from .complexes import Complex3, build_complex
+from .complexes import Complex3, build_complex, down_laplacian
 from .dissection import BlockFactor
 from .downlap import DownState, build_down_state, down_lap_solve, down_projection
 from .errors import check_vector
-from .hollowing import Hollowing
+from .hollowing import Hollowing, check_hollowing
 from .pcg import LinearOperator, estimate_rel_condition
 from .reports import SolveReport
 from .uplap import UpSolverState, _up_solve_with_state, build_up_solver
@@ -58,19 +58,20 @@ def build_one_lap_solver(c, h: Hollowing) -> OneLapState:
 
 
 def _build_state(c, h, up_state, proj_state) -> OneLapState:
-    return OneLapState(complex=c, hollowing=h, lap1=c.lap1(),
+    lup, ldown = up_state.lup, down_laplacian(c, 1)
+    return OneLapState(complex=c, hollowing=h, lap1=(ldown + lup).tocsr(),
                        up_state=up_state, proj_state=proj_state,
                        down_state=build_down_state(c),
-                       kappa_hat=_condition_estimate(c))
+                       kappa_hat=_condition_estimate(lup, ldown))
 
 
-def _condition_estimate(c) -> float:
+def _condition_estimate(lup, ldown) -> float:
     kup = estimate_rel_condition(
-        LinearOperator.from_matrix(c.lap_up(1)),
-        LinearOperator.identity(c.num_edges), iters=KAPPA_ITERS)
+        LinearOperator.from_matrix(lup),
+        LinearOperator.identity(lup.shape[0]), iters=KAPPA_ITERS)
     kdown = estimate_rel_condition(
-        LinearOperator.from_matrix(c.lap_down(1)),
-        LinearOperator.identity(c.num_edges), iters=KAPPA_ITERS)
+        LinearOperator.from_matrix(ldown),
+        LinearOperator.identity(ldown.shape[0]), iters=KAPPA_ITERS)
     return KAPPA_SAFETY * max(kup, kdown, 1.0)
 
 
@@ -173,6 +174,8 @@ def glue(chunks, identifications, hollowings) -> UnionComplex:
     """
     if len(chunks) != len(hollowings):
         raise ValueError("need one hollowing per chunk")
+    for ch, hh in zip(chunks, hollowings):
+        check_hollowing(ch, hh)
     offsets = np.cumsum([0] + [ch.num_vertices for ch in chunks])
     total = offsets[-1]
     parent = np.arange(total)

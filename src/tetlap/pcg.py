@@ -24,6 +24,8 @@ from .reports import SolveReport
 
 CHECK_EVERY = 16
 SYMMETRY_DRIFT_TOL = 1e-8
+POWER_ITERS = 30
+NORM_SAFETY = 2.0
 
 
 @dataclass
@@ -171,6 +173,21 @@ def estimate_rel_condition(a_op: LinearOperator, b_op: LinearOperator,
     """Lanczos estimate of the relative condition number kappa(A, B)."""
     lo, hi = generalized_ritz_extremes(a_op, b_op, iters=iters, seed=seed)
     return float(hi / lo)
+
+
+def power_iteration(op: LinearOperator, seed: int) -> float:
+    """Power-iteration estimate of the largest eigenvalue of a PSD operator,
+    from a seeded N(0, 1) start so that equal builds give equal values;
+    0 for the zero operator."""
+    v = np.random.default_rng(seed).standard_normal(op.dim)
+    lam = 0.0
+    for _ in range(POWER_ITERS):
+        w = op.apply(v)
+        lam = float(np.linalg.norm(w))
+        if lam == 0.0:
+            break
+        v = w / lam
+    return lam
 
 
 def generalized_ritz_extremes(a_op: LinearOperator, b_op: LinearOperator,

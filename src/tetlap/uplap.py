@@ -19,12 +19,9 @@ import scipy.sparse as sp
 from .dissection import BlockFactor, concat_blocks
 from .downlap import GraphDownLap
 from .errors import NumericalError, check_vector
-from .hollowing import Hollowing
-from .pcg import LinearOperator, pcg
+from .hollowing import Hollowing, check_hollowing
+from .pcg import NORM_SAFETY, LinearOperator, pcg, power_iteration
 from .reports import SolveReport
-
-POWER_ITERS = 30
-SAFETY = 2.0
 
 
 @dataclass
@@ -54,7 +51,7 @@ def build_up_solver(c, h: Hollowing,
     `lt` over the boundary edges; by default one nested dissection factor
     ordered by edge midpoints.
     """
-    _check_match(c, h)
+    check_hollowing(c, h)
     lup = c.lap_up(1)
     f_regions = h.interior_edges_by_region()
     f_all, blocks = concat_blocks(f_regions)
@@ -82,13 +79,6 @@ def build_up_solver(c, h: Hollowing,
             state.wall = wall(lt)
         state.coupling_norm = _coupling_norm(state)
     return state
-
-
-def _check_match(c, h: Hollowing) -> None:
-    if (len(h.edge_class) != c.num_edges
-            or len(h.tri_class) != c.num_triangles
-            or len(h.tet_region) != c.num_tets):
-        raise ValueError("index mismatch: hollowing does not describe this complex")
 
 
 def _interface_edges(c, f, boundary_mask):
@@ -122,17 +112,9 @@ def _coupling_norm(state: UpSolverState) -> float:
     nc = len(state.c_idx)
     if nc == 0 or len(state.f_all) == 0:
         return 0.0
-    rng = np.random.default_rng(11)
-    v = rng.standard_normal(nc)
-    lam = 0.0
-    for _ in range(POWER_ITERS):
-        w = state.l_cf @ state.interior.solve(state.l_fc @ v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 0.0
-        lam = nrm
-        v = w / nrm
-    return SAFETY * float(np.sqrt(lam))
+    op = LinearOperator(
+        dim=nc, apply=lambda v: state.l_cf @ state.interior.solve(state.l_fc @ v))
+    return NORM_SAFETY * float(np.sqrt(power_iteration(op, 11)))
 
 
 def schur_solve(state: UpSolverState, h_vec, delta: float,

@@ -20,12 +20,9 @@ import scipy.sparse as sp
 from .dissection import BlockFactor, concat_blocks
 from .downlap import build_down_state, down_projection
 from .errors import NumericalError, UnsupportedGeometryError, check_vector
-from .hollowing import Hollowing
-from .pcg import LinearOperator, pcg
+from .hollowing import Hollowing, check_hollowing
+from .pcg import NORM_SAFETY, LinearOperator, pcg, power_iteration
 from .reports import SolveReport
-
-POWER_ITERS = 30
-SAFETY = 2.0
 
 
 @dataclass
@@ -39,7 +36,7 @@ class UpProjectionState:
     d2_c: sp.csc_matrix              # edges x boundary triangles
     interior: BlockFactor            # Gram of d2_f, one block per region
     wall: Optional[BlockFactor]      # Gram of d2_c
-    lup_norm: float
+    lup_norm: float                  # norm estimate of d2 d2^T
 
     @property
     def num_edges(self) -> int:
@@ -56,9 +53,7 @@ def build_up_projection(c, h: Hollowing, centroids=None,
     of the boundary triangles' Gram matrix; by default one nested dissection
     factor.
     """
-    if (len(h.tri_class) != c.num_triangles
-            or len(h.edge_class) != c.num_edges):
-        raise ValueError("index mismatch: hollowing does not describe this complex")
+    check_hollowing(c, h)
     _check_uncoupled_interiors(c, h)
     d2 = c.boundary(2).astype(float).tocsc()
     f_all, blocks = concat_blocks(h.interior_triangles_by_region())
@@ -80,7 +75,8 @@ def build_up_projection(c, h: Hollowing, centroids=None,
     return UpProjectionState(
         complex=c, hollowing=h, d2=d2, f_all=f_all, c_t=c_t,
         d2_f=d2_f, d2_c=d2_c, interior=interior, wall=wall_factor,
-        lup_norm=_up_lap_norm(c.lap_up(1)),
+        lup_norm=NORM_SAFETY * max(power_iteration(
+            LinearOperator.from_matrix((d2 @ d2.T).tocsr()), 23), 1e-300),
     )
 
 
@@ -101,19 +97,6 @@ def _check_uncoupled_interiors(c, h: Hollowing) -> None:
             f"{regions[i + 1]} share edge {edges[i]}; "
             "the full 1-Laplacian solve needs uncoupled region interiors, "
             "and sphere hollowings support only up_lap_solve_fast")
-
-
-def _up_lap_norm(lup) -> float:
-    rng = np.random.default_rng(23)
-    v = rng.standard_normal(lup.shape[0])
-    lam = 1.0
-    for _ in range(POWER_ITERS):
-        w = lup @ v
-        lam = np.linalg.norm(w)
-        if lam == 0:
-            break
-        v = w / lam
-    return SAFETY * max(lam, 1e-300)
 
 
 def proj_im_F(state: UpProjectionState, b) -> np.ndarray:

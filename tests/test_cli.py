@@ -137,6 +137,21 @@ def test_non_finite_rhs_is_a_usage_error(tmp_path, grid_files, capsys):
     assert "right-hand side has non-finite entries" in capsys.readouterr().err
 
 
+def test_solve_on_mislabelled_hollowing_is_a_usage_error(tmp_path, grid_files,
+                                                        capsys):
+    mesh_path, holl_path = grid_files
+    data = json.loads(holl_path.read_text())
+    interior = [i for i, k in enumerate(data["edge_class"]) if k >= 0]
+    data["edge_class"][interior[0]] = data["num_regions"] + 3
+    bad = tmp_path / "bad_holl.json"
+    bad.write_text(json.dumps(data))
+    b_path, _ = write_rhs(tmp_path, mesh_path)
+    code = main(["solve", "--mesh", str(mesh_path), "--holl", str(bad),
+                 "--b", str(b_path), "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert "hollowing edge_class has class" in capsys.readouterr().err
+
+
 def test_hodge_command(tmp_path, grid_files):
     mesh_path, holl_path = grid_files
     mesh = load_complex(mesh_path)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from tetlap.complexes import (
     up_laplacian,
     validate,
 )
+from tetlap.meshgen import mesh_from_cells
 
 TET_COORDS = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -136,9 +138,8 @@ def test_validate_clean_complex():
 
 def test_validate_detects_corrupted_sign():
     c = two_tets()
-    d2 = c.boundary(2).copy()
-    d2.data[0] *= -1
-    c._cache[("boundary", 2)] = d2
+    # swapping two sides of triangle 0 flips their signs in d2
+    c.tri_edges[0, [0, 1]] = c.tri_edges[0, [1, 0]]
     assert any("d1 d2" in v for v in validate(c))
 
 
@@ -147,6 +148,17 @@ def test_validate_detects_nonpositive_weight():
     c.weights[2] = c.weights[2].copy()
     c.weights[2][0] = 0.0
     assert any("nonpositive weight" in v for v in validate(c))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weight_rejected_and_reported(bad):
+    c = two_tets()
+    w1 = np.ones(c.num_edges)
+    w1[3] = bad
+    with pytest.raises(ValueError, match="w1 contains a non-finite weight"):
+        build_complex(c.tets, c.vertices, {"w1": w1})
+    c.weights[1] = w1
+    assert validate(c) == ["non-finite weight in w1"]
 
 
 def test_exterior_flags():
@@ -254,3 +266,46 @@ def test_weights_round_trip_and_validation():
     assert np.array_equal(c2.weights[2], c.weights[2])
     with pytest.raises(ValueError, match="nonpositive"):
         build_complex([[0, 1, 2, 3]], TET_COORDS, weights={"w1": [0.0] * 6})
+
+
+def reference_boundary(c, i):
+    """The search-based construction: every face of every i-simplex is
+    looked up in the sorted table of (i-1)-simplexes."""
+    simplexes = (c.edges, c.triangles, c.tets)[i - 1]
+    lookup = (lambda face: face[:, 0], c.edge_ids, c.triangle_ids)[i - 1]
+    n_rows = (c.num_vertices, c.num_edges, c.num_triangles)[i - 1]
+    n = len(simplexes)
+    rows = np.concatenate([lookup(np.delete(simplexes, j, axis=1))
+                           for j in range(i + 1)])
+    cols = np.tile(np.arange(n), i + 1)
+    signs = np.repeat([(-1) ** j for j in range(i + 1)], n)
+    return sp.csc_matrix((signs, (rows, cols)), shape=(n_rows, n),
+                         dtype=np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+       .flatmap(lambda dims: st.tuples(
+           st.just(dims),
+           st.lists(st.booleans(), min_size=int(np.prod(dims)),
+                    max_size=int(np.prod(dims))).filter(any))))
+def test_incidence_tables_match_searches(case):
+    dims, mask = case
+    c = mesh_from_cells(dims, np.reshape(mask, dims))
+    for j in range(4):
+        assert np.array_equal(c.tet_tris[:, j],
+                              c.triangle_ids(np.delete(c.tets, j, axis=1)))
+    for j in range(3):
+        assert np.array_equal(c.tri_edges[:, j],
+                              c.edge_ids(np.delete(c.triangles, j, axis=1)))
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    for col, pair in enumerate(pairs):
+        assert np.array_equal(c.tet_edges[:, col],
+                              c.edge_ids(c.tets[:, list(pair)]))
+    d = {i: c.boundary(i) for i in (1, 2, 3)}
+    for i in (1, 2, 3):
+        ref = reference_boundary(c, i)
+        assert d[i].dtype == np.int64 and d[i].shape == ref.shape
+        assert (d[i] != ref).nnz == 0
+    assert (d[1] @ d[2]).count_nonzero() == 0
+    assert (d[2] @ d[3]).count_nonzero() == 0

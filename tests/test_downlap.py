@@ -81,7 +81,6 @@ def test_down_lap_solve_weighted(rng):
     spec = GridSpec((2, 2, 1))
     c = gen_grid(spec)
     c.weights[0] = rng.uniform(0.5, 2.0, c.num_vertices)
-    c._cache.clear()
     ld = c.lap_down(1).toarray()
     b = oracle.project_onto_image(ld, rng.standard_normal(c.num_edges))
     x = down_lap_solve(c, b)

@@ -1,9 +1,18 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
-from tetlap import oracle
+from tetlap import dissection, oracle
+from tetlap.complexes import one_laplacian
 from tetlap.downlap import down_projection
-from tetlap.hollowing import HollowingConfig, find_hollowing, surface_hollowing
+from tetlap.hollowing import (
+    HollowingConfig,
+    check_hollowing,
+    find_hollowing,
+    surface_hollowing,
+)
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
 from tetlap.onelap import (
     betti_numbers,
@@ -136,13 +145,34 @@ def test_hodge_harmonic_on_tunnel(rng):
     assert np.linalg.norm(harm - want) <= 1e-4 * np.linalg.norm(f)
 
 
+def snapshot(obj) -> dict:
+    """Every field of a dataclass, pickled, so that a comparison sees any
+    change anywhere below it."""
+    return {f.name: pickle.dumps(getattr(obj, f.name))
+            for f in dataclasses.fields(obj)}
+
+
 def test_solves_leave_the_complex_unchanged(rng):
     c, h = setup()
     state = build_one_lap_solver(c, h)
-    keys = set(c._cache)
+    before = snapshot(c), snapshot(state)
     one_lap_solve(c, h, rng.standard_normal(c.num_edges), 1e-6, state=state)
     hodge_decompose(c, h, rng.standard_normal(c.num_edges), 1e-6, state=state)
-    assert set(c._cache) == keys
+    assert (snapshot(c), snapshot(state)) == before
+
+
+def test_reweighting_takes_effect_at_the_next_solve():
+    c, h = setup((5, 5, 5), 48)
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal(c.num_edges)
+    eps = 1e-6
+    one_lap_solve(c, h, b, eps)
+    c.weights[2] = rng.uniform(0.5, 2.0, c.num_triangles)
+    x, rep = one_lap_solve(c, h, b, eps)
+    # assembled here from the new weights; a solid box has P1 b = b
+    lap1 = one_laplacian(c)
+    assert rep.converged
+    assert np.linalg.norm(lap1 @ x - b) <= eps * np.linalg.norm(b)
 
 
 ENTRY_POINTS = {
@@ -168,6 +198,28 @@ def test_entry_points_reject_bad_vectors(entry, defect):
     message = "shape" if defect == "short" else "non-finite"
     with pytest.raises(ValueError, match=rf"^{name} has {message}"):
         ENTRY_POINTS[entry](c, h, u, v)
+
+
+@pytest.mark.parametrize("field", ["edge_class", "tri_class", "tet_region"])
+def test_mislabelled_hollowing_rejected_before_factoring(monkeypatch, field):
+    c, h = setup()
+    labels = getattr(h, field)
+    labels[np.flatnonzero(labels >= 0)[0]] = {
+        "edge_class": h.num_regions + 3, "tri_class": 99, "tet_region": -2}[field]
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factored before checking the hollowing")
+    monkeypatch.setattr(dissection, "cholesky", no_factor)
+    with pytest.raises(ValueError, match=f"hollowing {field} has class"):
+        one_lap_solve(c, h, np.ones(c.num_edges), 1e-6)
+
+
+def test_check_hollowing_names_a_wrong_length():
+    c, h = setup()
+    check_hollowing(c, h)
+    h.tri_disc = np.full(c.num_triangles - 1, -1)
+    with pytest.raises(ValueError, match="hollowing tri_disc has shape"):
+        check_hollowing(c, h)
 
 
 def test_betti_numbers_diagnostics():
@@ -225,6 +277,14 @@ def test_glue_rejects_interior_vertex():
     interior = np.flatnonzero(~c0.exterior_vertices)[0]
     with pytest.raises(ValueError, match="not exterior"):
         glue([c0, c1], [[(0, int(interior)), (1, 0)]], [h0, h1])
+
+
+def test_glue_checks_each_chunk_hollowing():
+    c0, h0 = make_chunk()
+    c1, h1 = make_chunk()
+    h1.tri_class = h1.tri_class[:-1]
+    with pytest.raises(ValueError, match="hollowing tri_class has shape"):
+        glue([c0, c1], face_identifications(c0, c1, 0, 3.0, 0.0), [h0, h1])
 
 
 def test_glue_rejects_duplicate_chunk_in_class():
@@ -291,7 +351,7 @@ def test_union_solve_leaves_the_glued_complex_unchanged(rng):
     c1, h1 = make_chunk((3, 3, 3))
     u = glue([c0, c1], face_identifications(c0, c1, 0, 3.0, 0.0), [h0, h1])
     state = build_union_solver(u)
-    keys = set(u.complex._cache)
+    before = snapshot(u.complex), snapshot(state)
     union_one_lap_solve(u, rng.standard_normal(u.complex.num_edges), 1e-6,
                         state=state)
-    assert set(u.complex._cache) == keys
+    assert (snapshot(u.complex), snapshot(state)) == before

@@ -180,7 +180,6 @@ def test_up_lap_solve_single_tet(rng):
 def test_up_lap_solve_weighted(rng):
     c = gen_grid(GridSpec((4, 4, 4)))
     c.weights[2] = rng.uniform(0.5, 2.0, c.num_triangles)
-    c._cache.clear()
     h = find_hollowing(c, 48, RELAXED)
     lup = c.lap_up(1)
     b = lup @ rng.standard_normal(c.num_edges)

@@ -5,7 +5,7 @@ from tetlap import oracle
 from tetlap.errors import UnsupportedGeometryError
 from tetlap.hollowing import HollowingConfig, find_hollowing, sphere_hollowing
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
-from tetlap.onelap import build_one_lap_solver
+from tetlap.onelap import build_one_lap_solver, hodge_decompose
 from tetlap.upproj import (
     build_up_projection,
     down2_schur_apply,
@@ -194,3 +194,22 @@ def test_sphere_hollowing_regions_couple_and_are_unsupported():
     h = sphere_hollowing(c, 1000)
     assert h.num_regions == 1
     assert len(build_up_projection(c, h).interior.blocks) == 1
+
+
+def test_projection_tolerance_ignores_triangle_weights():
+    # the projection does not see weights, so its inner tolerance must not
+    # loosen when the triangle weights are small
+    c = gen_grid(GridSpec((6, 6, 6)))
+    h = find_hollowing(c, 64, RELAXED)
+    c.weights[2] = np.full(c.num_triangles, 1e-4)
+    state = build_one_lap_solver(c, h)
+    p_exact = oracle_up_projection(c)
+    eps = 1e-6
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        b = rng.standard_normal(c.num_edges)
+        want = p_exact @ b
+        p, _ = up_project(c, h, b, eps, state=state.proj_state)
+        assert np.linalg.norm(p - want) <= eps * np.linalg.norm(want)
+        _, curl, _ = hodge_decompose(c, h, b, eps, state=state)
+        assert np.linalg.norm(curl - want) <= eps * np.linalg.norm(want)
