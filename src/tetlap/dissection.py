@@ -27,6 +27,14 @@ DENSE_SHARED_CAP = 5000
 # tested balance bound for the axis-median bisection separator
 BALANCE_BOUND = 0.9
 
+# Every dense kernel of this module goes through scipy's BLAS/LAPACK, never
+# numpy's: the two wheels bundle separate OpenBLAS copies, each with its own
+# thread pool, and alternating between them makes the pools starve each
+# other on a small machine.  One library, one thread pool.
+_POTRF = sla.get_lapack_funcs("potrf", dtype=np.float64)
+_TRTRS = sla.get_lapack_funcs("trtrs", dtype=np.float64)
+_GEMM = sla.get_blas_funcs("gemm", dtype=np.float64)
+
 
 # -- separators -------------------------------------------------------------
 
@@ -351,24 +359,21 @@ def _factor_node(node, mp, scale, pivot_tol, out):
         front[np.ix_(loc, loc)] += upd
 
     l11, kept_local = _dense_rank_chol(front[:bs, :bs], scale, pivot_tol)
-    if na:
-        f21 = front[bs:, :bs]
-        l21 = np.zeros_like(f21)
-        if kept_local.any():
-            kk = kept_local
-            l21[:, kk] = sla.solve_triangular(
-                l11[np.ix_(kk, kk)], f21[:, kk].T, lower=True).T
-        update = front[bs:, bs:] - l21 @ l21.T
+    # solve-ready block: a unit diagonal at each skipped pivot, whose
+    # column is already zero below it, so no solve needs masking
+    skipped = np.flatnonzero(~kept_local)
+    l11 = np.asfortranarray(l11)
+    l11[skipped, skipped] = 1.0
+    update = front[bs:, bs:]
+    if na and kept_local.any():
+        # l21 l11^T = f21; the kept columns never read the skipped ones
+        l21 = _triangular_solve(l11, front[bs:, :bs].T, trans=0).T
+        l21[:, skipped] = 0.0
+        update = update - _GEMM(1.0, l21.T, l21.T, trans_a=1)
     else:
-        l21 = np.zeros((0, bs))
-        update = np.zeros((0, 0))
+        l21 = np.zeros((na, bs))
 
     if bs:  # an empty separator (disconnected halves) stores nothing
-        # solve-ready block: a unit diagonal at each skipped pivot, whose
-        # column is already zero below it, so the solve needs no masking
-        skipped = np.flatnonzero(~kept_local)
-        l11 = np.asfortranarray(l11)
-        l11[skipped, skipped] = 1.0
         out.append(_NodeFactor(start=c0, stop=c1, skipped=skipped,
                                l11=l11, rows21=above, l21=l21))
     return above, update
@@ -379,14 +384,9 @@ def _dense_rank_chol(a, scale, pivot_tol):
     n = a.shape[0]
     thresh = pivot_tol * scale
     kept = np.ones(n, dtype=bool)
-    if n == 0:
-        return np.zeros((0, 0)), kept
-    try:
-        l = np.linalg.cholesky(a)
-        if n == 0 or (l.diagonal() ** 2 > thresh).all():
-            return l, kept
-    except np.linalg.LinAlgError:
-        pass
+    l, info = _POTRF(a, lower=1, clean=1)
+    if info == 0 and (l.diagonal() ** 2 > thresh).all():
+        return l, kept
     a = a.copy()
     l = np.zeros_like(a)
     for j in range(n):
@@ -426,33 +426,37 @@ def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,
     # forward: L y = P^T b; y at a skipped pivot is never read, since its
     # column of l11 is zero below the diagonal and its column of l21 is zero
     for nd in nodes:
-        # y stays a C-order view of z: multiplying LAPACK's Fortran-order
-        # result instead is slower under threaded BLAS for many columns
+        # y stays a C-order view of z, so y.T reaches gemm in Fortran
+        # order without a copy
         y = z[nd.start:nd.stop]
         y[:] = _triangular_solve(nd.l11, y, trans=0)
         if len(nd.rows21):
-            z[nd.rows21] -= nd.l21 @ y
+            z[nd.rows21] -= _GEMM(1.0, y.T, nd.l21.T).T
     # backward: L^T x = y; a zero right-hand side at a skipped pivot makes
     # x exactly 0 there
     for nd in reversed(nodes):
         seg = z[nd.start:nd.stop]
         if len(nd.rows21):
-            seg = seg - nd.l21.T @ z[nd.rows21]
+            zr = z[nd.rows21]
+            seg = seg - _GEMM(1.0, zr.T, nd.l21.T, trans_b=1).T
         seg[nd.skipped] = 0.0
         z[nd.start:nd.stop] = _triangular_solve(nd.l11, seg, trans=1)
 
     x = np.empty_like(z)
     x[factor.perm] = z
     if check_image:
-        resid = factor.matrix @ x - bm
-        norm_b = np.linalg.norm(bm, axis=0)
-        bad = np.linalg.norm(resid, axis=0) > image_tol * np.maximum(norm_b, 1e-300)
-        if np.any(bad & (norm_b > 0)):
-            raise NumericalError("right-hand side is not in the image of the matrix")
+        _check_image(factor.matrix, x, bm, image_tol)
     return x[:, 0] if single else x
 
 
-_TRTRS = sla.get_lapack_funcs("trtrs", dtype=np.float64)
+def _check_image(matrix, x, b, image_tol):
+    """Raise unless matrix x meets each nonzero column of b to image_tol;
+    `matrix` is sparse, so this check calls no dense BLAS."""
+    norm_b = np.linalg.norm(b, axis=0)
+    bad = (np.linalg.norm(matrix @ x - b, axis=0)
+           > image_tol * np.maximum(norm_b, 1e-300))
+    if np.any(bad & (norm_b > 0)):
+        raise NumericalError("right-hand side is not in the image of the matrix")
 
 
 def _triangular_solve(l11, rhs, trans):
@@ -533,8 +537,9 @@ class BlockFactor:
             return out
         pairs = [(b, m_sb) for b, m_sb in zip(self.blocks, self.couplings)
                  if m_sb.shape[1]]
-        x_s = self.schur_pinv @ (v[self.shared]
-                                 - sum(m_sb @ out[b] for b, m_sb in pairs))
+        r_s = v[self.shared] - sum(m_sb @ out[b] for b, m_sb in pairs)
+        x_s = _GEMM(1.0, self.schur_pinv,
+                    r_s.reshape(len(r_s), -1)).reshape(r_s.shape)
         rhs = v.copy()
         for b, m_sb in pairs:
             rhs[b] -= m_sb.T @ x_s
@@ -564,7 +569,8 @@ def pinv_via_pivoted_qr(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     rk = r[:rank]                      # k x n
     z, t = sla.qr(rk.T, mode="economic")   # rk^T = z @ t, t is k x k upper
     tinv = sla.solve_triangular(t, np.eye(rank), lower=False)
-    core = z @ (tinv.T @ q[:, :rank].T)
-    p = np.zeros((a.shape[1], a.shape[1]))
-    p[piv, np.arange(a.shape[1])] = 1.0
-    return p @ core
+    # pinv = P z t^-T q_k^T, the column permutation P applied as a scatter
+    core = _GEMM(1.0, z, _GEMM(1.0, q[:, :rank], tinv), trans_b=1)
+    out = np.empty_like(core)
+    out[piv] = core
+    return out

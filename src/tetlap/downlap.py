@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .dissection import nd_cholesky
-from .errors import NumericalError, check_vector
+from .errors import NumericalError, check_tolerance, check_vector
 from .pcg import LinearOperator, estimate_rel_condition, pcg
 
 IMAGE_TOL = 1e-8
@@ -235,6 +235,7 @@ def down_projection(c, b, eps: float, max_iters=None,
     |p - P b| <= eps |P b|.
     """
     b = check_vector(b, c.num_edges, "b")
+    eps = check_tolerance(eps)
     if state is None:
         state = build_down_state(c)
     d = state.graph.d

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the vector check of the
+"""Exception types shared across the package, and the input checks of the
 public entry points."""
 
 import numpy as np
@@ -27,3 +27,12 @@ def check_vector(v, n: int, name: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} has non-finite entries")
     return v
+
+
+def check_tolerance(eps) -> float:
+    """`eps` as a float; raises ValueError naming it unless it is finite
+    and positive."""
+    eps = float(eps)
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+    return eps

@@ -25,7 +25,7 @@ from . import oracle
 from .complexes import Complex3, build_complex, down_laplacian
 from .dissection import BlockFactor
 from .downlap import DownState, build_down_state, down_lap_solve, down_projection
-from .errors import check_vector
+from .errors import check_tolerance, check_vector
 from .hollowing import Hollowing, check_hollowing
 from .pcg import LinearOperator, estimate_rel_condition
 from .reports import SolveReport
@@ -79,6 +79,7 @@ def one_lap_solve(c, h: Hollowing, b, eps: float,
                   state: Optional[OneLapState] = None):
     """x with |L1 x - P1 b| <= eps |P1 b|, P1 the projection onto Im(L1)."""
     b = check_vector(b, c.num_edges, "b")
+    eps = check_tolerance(eps)
     if state is None:
         state = build_one_lap_solver(c, h)
     return _one_lap_core(state, b, eps)
@@ -124,6 +125,7 @@ def hodge_decompose(c, h: Hollowing, f, eps: float,
                     state: Optional[OneLapState] = None):
     """Split a 1-chain into (gradient, curl, harmonic) parts."""
     f = check_vector(f, c.num_edges, "f")
+    eps = check_tolerance(eps)
     if state is None:
         state = build_one_lap_solver(c, h)
     gradient = down_projection(c, f, eps, state=state.down_state)
@@ -379,6 +381,7 @@ def union_one_lap_solve(u: UnionComplex, b, eps: float,
     """1-Laplacian solve on the glued complex, same contract as
     one_lap_solve; b is indexed by the glued complex's edge order."""
     b = check_vector(b, u.complex.num_edges, "b")
+    eps = check_tolerance(eps)
     if state is None:
         state = build_union_solver(u)
     return _one_lap_core(state, b, eps)

@@ -18,10 +18,17 @@ import scipy.sparse as sp
 
 from .dissection import BlockFactor, concat_blocks
 from .downlap import GraphDownLap
-from .errors import NumericalError, check_vector
+from .errors import NumericalError, check_tolerance, check_vector
 from .hollowing import Hollowing, check_hollowing
 from .pcg import NORM_SAFETY, LinearOperator, pcg, power_iteration
 from .reports import SolveReport
+
+
+# float64's unit roundoff, and the multiple of the roundoff floor
+# u |Lup|_1 |x| within which a missed contract is put down to an eps below
+# the attainable accuracy rather than to b outside the image
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+ROUNDOFF_MULTIPLE = 10.0
 
 
 @dataclass
@@ -138,6 +145,7 @@ def up_lap_solve(c, h: Hollowing, b, eps: float,
                  state: Optional[UpSolverState] = None):
     """Solve Lup x = b to |Lup x - b| <= eps |b| for b in Im(Lup)."""
     b = check_vector(b, c.num_edges, "b")
+    eps = check_tolerance(eps)
     if state is None:
         state = build_up_solver(c, h)
     return _up_solve_with_state(state, b, eps)
@@ -177,9 +185,15 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
     report.final_residual = resid
     report.initial_residual = norm_b
     if resid > eps * norm_b * (1 + 1e-9):
-        raise NumericalError(
-            f"up-Laplacian solve missed its contract: residual {resid:.3e} "
-            f"> eps * |b| = {eps * norm_b:.3e} (b outside the image?)")
+        missed = (f"up-Laplacian solve missed its contract: residual "
+                  f"{resid:.3e} > eps * |b| = {eps * norm_b:.3e}")
+        floor = (UNIT_ROUNDOFF * abs(state.lup).sum(axis=0).max()
+                 * np.linalg.norm(x))
+        if resid <= ROUNDOFF_MULTIPLE * floor:
+            raise NumericalError(
+                f"{missed}; eps = {eps:.1e} is below the attainable accuracy "
+                f"(float64 roundoff floor u * |Lup|_1 * |x| = {floor:.3e})")
+        raise NumericalError(f"{missed} (b outside the image?)")
     return x, report
 
 
@@ -282,6 +296,7 @@ def up_lap_solve_fast(c, h: Hollowing, b, eps: float,
                       state: Optional[UpSolverState] = None):
     """Sphere-hollowing up-solver; same contract as up_lap_solve."""
     b = check_vector(b, c.num_edges, "b")
+    eps = check_tolerance(eps)
     if state is None:
         state = build_sphere_fast_solver(c, h)
     return _up_solve_with_state(state, b, eps)

@@ -19,7 +19,8 @@ import scipy.sparse as sp
 
 from .dissection import BlockFactor, concat_blocks
 from .downlap import build_down_state, down_projection
-from .errors import NumericalError, UnsupportedGeometryError, check_vector
+from .errors import (NumericalError, UnsupportedGeometryError,
+                     check_tolerance, check_vector)
 from .hollowing import Hollowing, check_hollowing
 from .pcg import NORM_SAFETY, LinearOperator, pcg, power_iteration
 from .reports import SolveReport
@@ -140,6 +141,7 @@ def up_project(c, h: Hollowing, b, eps: float,
     """p in Im(Lup) with |p - P b| <= eps |P b|, P the orthogonal projection
     onto Im(Lup)."""
     b = check_vector(b, c.num_edges, "b")
+    eps = check_tolerance(eps)
     if state is None:
         state = build_up_projection(c, h)
     report = SolveReport(stage="up_project", size=len(b), params={"eps": eps})

@@ -137,6 +137,23 @@ def test_non_finite_rhs_is_a_usage_error(tmp_path, grid_files, capsys):
     assert "right-hand side has non-finite entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "hodge", "union-solve"])
+def test_invalid_eps_is_a_usage_error(tmp_path, grid_files, capsys, command):
+    mesh_path, holl_path = grid_files
+    b_path, _ = write_rhs(tmp_path, mesh_path)
+    union = tmp_path / "union.json"
+    union.write_text(json.dumps({"chunks": [str(mesh_path)],
+                                 "hollowings": [str(holl_path)],
+                                 "identify": []}))
+    where = (["--union", str(union)] if command == "union-solve"
+             else ["--mesh", str(mesh_path), "--holl", str(holl_path)])
+    rhs = "--f" if command == "hodge" else "--b"
+    code = main([command, *where, rhs, str(b_path), "--eps", "0",
+                 "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert "eps must be finite and positive" in capsys.readouterr().err
+
+
 def test_solve_on_mislabelled_hollowing_is_a_usage_error(tmp_path, grid_files,
                                                         capsys):
     mesh_path, holl_path = grid_files

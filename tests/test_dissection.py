@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 
 import tetlap
 from tetlap import oracle
+from tetlap import dissection
 from tetlap.complexes import one_laplacian, up_laplacian
 from tetlap.dissection import (
+    DEFAULT_PIVOT_TOL,
     BlockFactor,
     cholesky,
     edge_separator,
@@ -409,6 +412,115 @@ def test_factor_solve_rejects_bad_rhs(defect, columns):
         b[n // 2] = np.nan if defect == "nan" else np.inf
     with pytest.raises(ValueError, match="^b has"):
         solve_with_factor(f, b, check_image=False)
+
+
+def rhs_layouts(m, rng):
+    """Right-hand sides in the image of m in every layout a caller may
+    hand over: no columns, one, many, Fortran order, a column-strided
+    view and a read-only vector."""
+    n = m.shape[0]
+    wide = m @ rng.standard_normal((n, 300))
+    fixed = m @ rng.standard_normal(n)
+    fixed.setflags(write=False)
+    return {
+        "empty": wide[:, :0],
+        "one": wide[:, :1].copy(),
+        "wide": wide,
+        "fortran": np.asfortranarray(wide[:, :7]),
+        "strided": wide[:, ::37],
+        "read_only": fixed,
+    }
+
+
+@pytest.mark.parametrize("layout", ["empty", "one", "wide", "fortran",
+                                    "strided", "read_only"])
+def test_solve_matches_reference_in_every_rhs_layout(rng, layout):
+    c = gen_grid(GridSpec((3, 3, 2)))
+    m = up_laplacian(c, 1).toarray()
+    factor = nd_cholesky(up_laplacian(c, 1), edge_midpoints(c), base_case=16)
+    assert factor.rank < factor.shape[0] and len(factor._nodes) > 1
+    b = rhs_layouts(m, rng)[layout]
+    before = b.copy()
+    assert_matches_reference(factor, m, b)
+    assert np.array_equal(b, before)
+
+
+@pytest.fixture
+def potrf_infos(monkeypatch):
+    """The LAPACK info of every potrf call _dense_rank_chol makes."""
+    infos = []
+
+    def spy(a, **kwargs):
+        l, info = potrf(a, **kwargs)
+        infos.append(info)
+        return l, info
+    potrf = dissection._POTRF
+    monkeypatch.setattr(dissection, "_POTRF", spy)
+    return infos
+
+
+def test_dense_rank_chol_takes_potrf_on_a_definite_front(rng, potrf_infos):
+    g = rng.standard_normal((9, 9))
+    a = g @ g.T + 9 * np.eye(9)
+    l, kept = dissection._dense_rank_chol(a, 1.0, DEFAULT_PIVOT_TOL)
+    assert potrf_infos == [0]
+    assert kept.all()
+    assert np.array_equal(l, np.tril(l))
+    assert np.linalg.norm(l @ l.T - a) <= 1e-13 * np.linalg.norm(a)
+
+
+def test_dense_rank_chol_falls_back_on_a_singular_front(potrf_infos):
+    a = graph_path_laplacian(6).toarray()   # singular: last pivot is 0
+    l, kept = dissection._dense_rank_chol(a, 2.0, DEFAULT_PIVOT_TOL)
+    assert potrf_infos[0] > 0
+    assert kept.tolist() == [True] * 5 + [False]
+    assert not l[:, 5].any()
+    assert np.linalg.norm(l @ l.T - a) <= 1e-13
+
+
+def test_dense_rank_chol_falls_back_below_the_pivot_threshold(potrf_infos):
+    # definite, so potrf accepts it, but the second pivot squared is 1e-14,
+    # at or below the threshold 1e-12 * scale
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+    l, kept = dissection._dense_rank_chol(a, 1.0, DEFAULT_PIVOT_TOL)
+    assert potrf_infos == [0]
+    assert kept.tolist() == [True, False]
+    assert np.array_equal(l, [[1.0, 0.0], [1.0, 0.0]])
+
+
+def test_dense_rank_chol_rejects_an_indefinite_front(potrf_infos):
+    a = np.array([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(NumericalError, match="not positive semidefinite"):
+        dissection._dense_rank_chol(a, 1.0, DEFAULT_PIVOT_TOL)
+    assert potrf_infos[0] > 0
+
+
+# the factor kernels use scipy's BLAS and LAPACK only; numpy's dense
+# products and np.linalg run on a second OpenBLAS with its own thread pool
+SCIPY_BLAS_ONLY = ("_factor_node", "_dense_rank_chol", "solve_with_factor",
+                   "pinv_via_pivoted_qr")
+NUMPY_BLAS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
+
+
+def numpy_blas_uses(func):
+    for node in ast.walk(func):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            yield f"line {node.lineno}: @"
+        elif isinstance(node, ast.Attribute) and node.attr == "dot":
+            yield f"line {node.lineno}: .dot"
+        elif (isinstance(node, ast.Attribute) and node.attr in NUMPY_BLAS
+              and isinstance(node.value, ast.Name) and node.value.id == "np"):
+            yield f"line {node.lineno}: np.{node.attr}"
+
+
+def test_factor_kernels_call_no_numpy_blas():
+    with open(dissection.__file__) as fh:
+        tree = ast.parse(fh.read())
+    funcs = {node.name: node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)}
+    for name in SCIPY_BLAS_ONLY:
+        assert list(numpy_blas_uses(funcs[name])) == [], name
 
 
 # -- block factors -------------------------------------------------------------

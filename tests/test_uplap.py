@@ -6,7 +6,9 @@ from tetlap import oracle
 from tetlap.complexes import build_complex
 from tetlap.dissection import pinv_via_pivoted_qr
 from tetlap.hollowing import HollowingConfig, find_hollowing, sphere_hollowing
+from tetlap.errors import NumericalError
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
+from tetlap.onelap import one_lap_solve
 from tetlap.uplap import (
     _disc_rows,
     build_sphere_fast_solver,
@@ -165,6 +167,27 @@ def test_up_lap_solve_zero_rhs():
     c, h = grid_with_hollowing((4, 4, 4), 48)
     x, rep = up_lap_solve(c, h, np.zeros(c.num_edges), 1e-8)
     assert not x.any()
+
+
+def test_eps_below_roundoff_is_named_as_the_cause():
+    # float64 cannot certify eps = 1e-15 here: the up solve's residual sits
+    # at the roundoff floor u |Lup|_1 |x|, although b_up is in the image
+    c = gen_grid(GridSpec((5, 5, 5)))
+    h = find_hollowing(c, c.num_simplexes ** 0.6, RELAXED)
+    b = np.random.default_rng(0).standard_normal(c.num_edges)
+    with pytest.raises(NumericalError,
+                       match="eps = 1.0e-15 is below the attainable accuracy"):
+        one_lap_solve(c, h, b, 1e-15)
+
+
+def test_rhs_with_a_gradient_part_is_named_off_image(rng):
+    c = gen_grid(GridSpec((5, 5, 5)))
+    h = find_hollowing(c, c.num_simplexes ** 0.6, RELAXED)
+    b = c.lap_up(1) @ rng.standard_normal(c.num_edges)
+    g = c.boundary(1).T @ rng.standard_normal(c.num_vertices)
+    b += 1e-2 * np.linalg.norm(b) * g / np.linalg.norm(g)
+    with pytest.raises(NumericalError, match=r"\(b outside the image\?\)$"):
+        up_lap_solve(c, h, b, 1e-6)
 
 
 def test_up_lap_solve_single_tet(rng):
