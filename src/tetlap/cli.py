@@ -150,7 +150,7 @@ def _contract_exit(report, eps, where="") -> int:
     if report.converged:
         return EXIT_OK
     print(f"numerical failure{where}: residual "
-          f"{report.final_residual:.3e} exceeds eps * |b~| = "
+          f"{report.final_residual:.3e} exceeds eps * |P1 b| = "
           f"{eps * report.initial_residual:.3e}", file=sys.stderr)
     return EXIT_NUMERICAL
 

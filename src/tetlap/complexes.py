@@ -233,11 +233,13 @@ def boundary_operator(c: Complex3, i: int) -> sp.csc_matrix:
                          shape=(n_rows, n_cols), dtype=np.int64)
 
 
-def up_laplacian(c: Complex3, i: int) -> sp.csr_matrix:
-    """d_{i+1} W_{i+1} d_{i+1}^T as a float CSR matrix."""
+def up_laplacian(c: Complex3, i: int, d=None) -> sp.csr_matrix:
+    """d_{i+1} W_{i+1} d_{i+1}^T as a float CSR matrix; `d` is d_{i+1} as
+    floats when the caller has assembled it already."""
     if i not in (0, 1):
         raise ValueError("up-Laplacian supported for i in {0, 1}")
-    d = boundary_operator(c, i + 1).astype(float)
+    if d is None:
+        d = boundary_operator(c, i + 1).astype(float)
     w = sp.diags(c.weights[i + 1])
     out = (d @ w @ d.T).tocsr()
     out.eliminate_zeros()

@@ -239,7 +239,11 @@ def down_projection(c, b, eps: float, max_iters=None,
     if state is None:
         state = build_down_state(c)
     d = state.graph.d
-    g = d @ b  # in Im(d1) by construction
+    # in Im(d1) by construction, so every component of g sums to zero; the
+    # roundoff that does not lies in ker L0, where CG cannot converge
+    g = d @ b
+    comp = state.graph.forest.component
+    g -= (np.bincount(comp, weights=g) / np.bincount(comp))[comp]
     # below this level g is cancellation noise from a curl-only input and
     # the projection itself sits at machine precision
     if np.linalg.norm(g) <= 1e-12 * np.linalg.norm(b):
@@ -261,3 +265,17 @@ def down_projection(c, b, eps: float, max_iters=None,
         if resid > max(delta, 1e-12) * np.linalg.norm(g):
             raise NumericalError("down-projection solve failed to converge")
     return d.T @ phi
+
+
+def gradient_part(c, f, eps: float, state: DownState, harmonic=0.0):
+    """down_projection of f, projected again, tighter, when the gradient
+    part dominates the rest: the gradient's error, up to eps |P_grad f|,
+    all lands in the complement f - gradient - harmonic, which then stays
+    within eps |P_curl f| as well."""
+    g = down_projection(c, f, eps, state=state)
+    ng = np.linalg.norm(g)
+    nc = np.linalg.norm(f - g - harmonic)
+    if ng > 0.5 * nc:
+        target = max(nc - eps * ng, eps * np.linalg.norm(f), 1e-300)
+        g = down_projection(c, f, eps * target / (2.0 * ng), state=state)
+    return g

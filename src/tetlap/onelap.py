@@ -1,16 +1,20 @@
 """Full 1-Laplacian solver, Hodge decomposition, Betti diagnostics, and the
 solver for unions of complexes glued along exterior simplexes.
 
-The solve follows the split route: approximately project the right-hand
-side onto curls and gradients, solve the up and down systems separately,
-project the partial solutions back, and add.  The inner tolerance is
-eps / (11 kappa) with kappa a safety-doubled estimate of the worse of the
-two operator condition numbers.
+The solve follows the split route of the Hodge decomposition
+b = gradient + curl + harmonic.  An orthonormal basis H of the harmonic
+space ker L1, one column per independent tunnel, is built once with the
+solver state; then P1 b = b - H H^T b exactly, the gradient part comes from
+the vertex-Laplacian projection, and the curl part is their complement, so
+no curl projection runs per request.  The up and down systems are solved
+separately and the partial solutions are projected back and added.  The
+inner tolerance is eps / (11 kappa) with kappa a safety-doubled estimate
+of the worse of the two operator condition numbers.
 
-A glued union usually has no global embedding, so the wall preconditioners
-cannot be factored by one geometric dissection.  Instead the shared
-simplexes form a small dense-Schur block on top of per-chunk nested
-dissection factors.
+A glued union usually has no global embedding, so the wall preconditioner
+cannot be factored by one geometric dissection.  Instead the shared edges
+form a small dense-Schur block on top of per-chunk nested dissection
+factors.
 """
 
 from __future__ import annotations
@@ -24,13 +28,15 @@ import scipy.sparse as sp
 from . import oracle
 from .complexes import Complex3, build_complex, down_laplacian
 from .dissection import BlockFactor
-from .downlap import DownState, build_down_state, down_lap_solve, down_projection
+from .downlap import (DownState, build_down_state, down_lap_solve,
+                      down_projection, gradient_part)
 from .errors import check_tolerance, check_vector
 from .hollowing import Hollowing, check_hollowing
 from .pcg import LinearOperator, estimate_rel_condition
 from .reports import SolveReport
-from .uplap import UpSolverState, _up_solve_with_state, build_up_solver
-from .upproj import UpProjectionState, build_up_projection, up_project
+from .uplap import (ROUNDOFF_MULTIPLE, UpSolverState, _up_solve_with_state,
+                    build_up_solver, roundoff_floor)
+from .upproj import _check_uncoupled_interiors
 
 KAPPA_SAFETY = 2.0
 KAPPA_ITERS = 50
@@ -38,6 +44,19 @@ KAPPA_ITERS = 50
 # on large meshes; the floor keeps sub-solves feasible and the recomputed
 # final residual stays the arbiter of the contract
 DELTA_FLOOR = 3e-12
+# a solve's gradient projections run at this share of delta: at delta
+# itself the gradient left in b_up, which lies outside Im(Lup), stalls the
+# Schur PCG, and the gradient part of x_up, which the solve discards, is
+# larger than x and would carry its projection error into the residual
+DOWN_DELTA_SHARE = 1e-2
+# the harmonic basis: each probe's up solve runs to PROBE_TOL; a probe adds
+# no direction when what is left of it, before or after one more up solve
+# takes off its leftover curl part, is shorter than sqrt(PROBE_TOL) |v|
+PROBE_TOL = 1e-12
+PROBE_SEED = 0
+# relative accuracy of the harmonic basis; a b whose P1 b is below it is
+# harmonic as far as the basis can tell, and its solution is 0
+HARMONIC_TOL = 1e-10
 
 
 @dataclass
@@ -48,20 +67,23 @@ class OneLapState:
     hollowing: Hollowing
     lap1: sp.csr_matrix
     up_state: UpSolverState
-    proj_state: UpProjectionState
     down_state: DownState
+    harmonic: np.ndarray              # orthonormal basis of ker L1, edges x b1
     kappa_hat: float
 
 
 def build_one_lap_solver(c, h: Hollowing) -> OneLapState:
-    return _build_state(c, h, build_up_solver(c, h), build_up_projection(c, h))
+    check_hollowing(c, h)
+    _check_uncoupled_interiors(c, h)
+    return _build_state(c, h, build_up_solver(c, h))
 
 
-def _build_state(c, h, up_state, proj_state) -> OneLapState:
+def _build_state(c, h, up_state) -> OneLapState:
     lup, ldown = up_state.lup, down_laplacian(c, 1)
+    down_state = build_down_state(c)
     return OneLapState(complex=c, hollowing=h, lap1=(ldown + lup).tocsr(),
-                       up_state=up_state, proj_state=proj_state,
-                       down_state=build_down_state(c),
+                       up_state=up_state, down_state=down_state,
+                       harmonic=harmonic_basis(c, up_state, down_state),
                        kappa_hat=_condition_estimate(lup, ldown))
 
 
@@ -75,9 +97,79 @@ def _condition_estimate(lup, ldown) -> float:
     return KAPPA_SAFETY * max(kup, kdown, 1.0)
 
 
+def harmonic_basis(c, up_state: UpSolverState,
+                   down_state: DownState) -> np.ndarray:
+    """Orthonormal basis of ker L1 (edges x b1) from seeded Gaussian probes.
+
+    A probe v loses its gradient part, u = v - P_grad v, and then its curl
+    part through an up solve: y solves Lup y = Lup u, so u - y lies in
+    ker Lup, and after a second gradient pass it is harmonic.  The kernel
+    part the solver adds to y depends only on the curl part of v, which is
+    independent of the Gaussian's harmonic part, so the probes span ker L1.
+    What the probe's solve leaves of the curl part is solved for once more
+    and taken off; the loop stops at the first probe that then adds no new
+    direction, so a curl leftover that survives one solve is not mistaken
+    for one whatever the condition of Lup.  One probe when b1 = 0.
+
+    Every up solve's right-hand side is formed as d2 (W2 (d2^T x)), in
+    Im(d2) = Im(Lup) up to rounding relative to itself.  The assembled
+    Lup x carries rounding of about u |Lup|_1 |x| in every direction,
+    ker Lup included; for a nearly harmonic x that is most of Lup x, and
+    the Schur PCG cannot solve it away.
+    """
+    lup, d2, n = up_state.lup, up_state.d2, c.num_edges
+    w2 = c.weights[2]
+    rng = np.random.default_rng(PROBE_SEED)
+    threshold = np.sqrt(PROBE_TOL)
+
+    def lup_apply(x):
+        return d2 @ (w2 * (d2.T @ x))
+
+    def grad_free(v):
+        return v - down_projection(c, v, PROBE_TOL, state=down_state)
+
+    def up_solve(rhs, tol):
+        return _up_solve_with_state(up_state, rhs, tol)[0]
+
+    def refine(w):
+        # solve the curl part away no tighter than the rounding error in
+        # Lup w allows, and not at all when Lup w is all rounding error
+        lup_w = lup_apply(w)
+        floor = ROUNDOFF_MULTIPLE * roundoff_floor(lup, w)
+        if np.linalg.norm(lup_w) <= floor:
+            return w
+        tol = max(PROBE_TOL, floor / np.linalg.norm(lup_w))
+        return grad_free(w - up_solve(lup_w, tol))
+
+    basis = np.zeros((n, 0))
+
+    def orthogonalize(w):
+        for _ in range(2):
+            w = w - basis @ (basis.T @ w)
+        return w
+
+    for _ in range(n + 1):
+        v = rng.standard_normal(n)
+        u = grad_free(v)
+        w = orthogonalize(grad_free(u - up_solve(lup_apply(u), PROBE_TOL)))
+        if np.linalg.norm(w) > threshold * np.linalg.norm(v):
+            w = orthogonalize(refine(w))
+        if np.linalg.norm(w) <= threshold * np.linalg.norm(v):
+            break
+        basis = np.column_stack([basis, w / np.linalg.norm(w)])
+    return basis
+
+
 def one_lap_solve(c, h: Hollowing, b, eps: float,
                   state: Optional[OneLapState] = None):
-    """x with |L1 x - P1 b| <= eps |P1 b|, P1 the projection onto Im(L1)."""
+    """x with |L1 x - P1 b| <= eps |P1 b|, P1 the projection onto Im(L1).
+
+    P1 b = b - H H^T b is known to the accuracy of the harmonic basis H,
+    about HARMONIC_TOL |b|.  A b with |P1 b| <= HARMONIC_TOL |b| is taken
+    as harmonic: x = 0, and the report says converged with
+    params["harmonic_input"] set, although its final residual, |P1 b|,
+    may exceed eps |P1 b|.
+    """
     b = check_vector(b, c.num_edges, "b")
     eps = check_tolerance(eps)
     if state is None:
@@ -86,51 +178,52 @@ def one_lap_solve(c, h: Hollowing, b, eps: float,
 
 
 def _one_lap_core(state: OneLapState, b, eps: float):
-    c, h = state.complex, state.hollowing
+    c, harm = state.complex, state.harmonic
     report = SolveReport(stage="one_lap_solve", size=len(b),
-                         params={"eps": eps, "kappa_hat": state.kappa_hat})
-    if np.linalg.norm(b) == 0.0:
+                         params={"eps": eps, "kappa_hat": state.kappa_hat,
+                                 "b1": harm.shape[1]})
+    p1b = b - harm @ (harm.T @ b)
+    report.initial_residual = report.final_residual = float(
+        np.linalg.norm(p1b))
+    harmonic_input = bool(report.initial_residual
+                          <= HARMONIC_TOL * np.linalg.norm(b))
+    report.params["harmonic_input"] = harmonic_input
+    if harmonic_input:
+        report.converged = True
         return np.zeros_like(b), report
     delta = max(eps / (11.0 * state.kappa_hat), min(DELTA_FLOOR, eps))
-    report.params["delta"] = delta
+    down_delta = DOWN_DELTA_SHARE * delta
+    report.params.update(delta=delta, down_delta=down_delta)
 
-    def up_proj(v):
-        return up_project(c, h, v, delta, state=state.proj_state)[0]
-
-    def down_proj(v):
-        return down_projection(c, v, delta, state=state.down_state)
-
-    b_up = up_proj(b)
-    b_down = down_proj(b)
+    b_down = down_projection(c, b, down_delta, state=state.down_state)
     x_down = down_lap_solve(c, b_down, state=state.down_state)
-    if np.linalg.norm(b_up) > 0:
-        x_up, up_rep = _up_solve_with_state(state.up_state, b_up, delta)
-        report.add_stage("up_solve", up_rep)
-    else:
-        x_up = np.zeros_like(b)
-    x = up_proj(x_up) + down_proj(x_down)
+    x_up, up_rep = _up_solve_with_state(state.up_state, p1b - b_down, delta)
+    report.add_stage("up_solve", up_rep)
+    # keep the curl part of x_up and the gradient part of x_down
+    x = x_up - harm @ (harm.T @ x_up) + down_projection(
+        c, x_down - x_up, down_delta, state=state.down_state)
 
-    # residual against the approximately projected right-hand side; the
-    # exact-projection contract is certified against the dense oracle in
-    # the acceptance tests
-    b_tilde = b_up + b_down
-    report.initial_residual = float(np.linalg.norm(b_tilde))
-    report.final_residual = float(np.linalg.norm(state.lap1 @ x - b_tilde))
-    report.converged = report.final_residual <= \
-        eps * max(report.initial_residual, 1e-300)
+    report.final_residual = float(np.linalg.norm(state.lap1 @ x - p1b))
+    report.converged = report.final_residual <= eps * report.initial_residual
     return x, report
 
 
 def hodge_decompose(c, h: Hollowing, f, eps: float,
                     state: Optional[OneLapState] = None):
-    """Split a 1-chain into (gradient, curl, harmonic) parts."""
+    """Split a 1-chain into (gradient, curl, harmonic) parts.
+
+    The gradient part is within eps |P_grad f| of the exact one, and the
+    curl part is f less the other two, within eps |P_curl f|.  The harmonic
+    part comes from the harmonic basis, so it and the curl part carry that
+    basis' error, about HARMONIC_TOL |f|, whatever eps asks for.
+    """
     f = check_vector(f, c.num_edges, "f")
     eps = check_tolerance(eps)
     if state is None:
         state = build_one_lap_solver(c, h)
-    gradient = down_projection(c, f, eps, state=state.down_state)
-    curl, _ = up_project(c, h, f, eps, state=state.proj_state)
-    harmonic = f - gradient - curl
+    harmonic = state.harmonic @ (state.harmonic.T @ f)
+    gradient = gradient_part(c, f, eps, state.down_state, harmonic)
+    curl = f - gradient - harmonic
     return gradient, curl, harmonic
 
 
@@ -319,40 +412,21 @@ def _induced_union_hollowing(glued, chunks, hollowings, edge_maps, tri_maps,
 
 def build_union_solver(u: UnionComplex) -> OneLapState:
     """Solver state on the glued complex.  A glued union has no global
-    embedding, so each wall preconditioner is a BlockFactor of per-chunk
+    embedding, so the wall preconditioner is a BlockFactor of per-chunk
     factors, ordered in each chunk's own chart, plus a dense shared block
-    on the simplexes that couple chunks."""
+    on the edges that couple chunks."""
     glued, h = u.complex, u.hollowing
-    midpoints = _chart_locations(u, glued.num_edges, u.edge_maps,
-                                 lambda ch: ch.edges)
-    centroids = _chart_locations(u, glued.num_triangles, u.tri_maps,
-                                 lambda ch: ch.triangles)
+    _check_uncoupled_interiors(glued, h)
+    # each glued edge's midpoint in the chart of a chunk holding it
+    midpoints = np.zeros((glued.num_edges, 3))
+    for ch, m in zip(u.chunks, u.edge_maps):
+        midpoints[m] = ch.vertices[ch.edges].mean(axis=1)
     edge_parts = [m[hh.boundary_edges]
                   for m, hh in zip(u.edge_maps, u.hollowings)]
-    tri_parts = [m[hh.boundary_triangles]
-                 for m, hh in zip(u.tri_maps, u.hollowings)]
-    # boundary triangles touching a shared edge couple chunks through the
-    # Gram matrix, so they join the dense block with the shared triangles
-    on_shared = np.zeros(glued.num_edges, dtype=bool)
-    on_shared[u.shared_edges] = True
-    touches = on_shared[glued.tri_edges].any(axis=1) & (h.tri_class < 0)
-    dense_tris = np.unique(np.concatenate(
-        [u.shared_triangles, np.flatnonzero(touches)]))
     up_state = build_up_solver(
         glued, h, wall=lambda lt: _chunk_wall(
             lt, h.boundary_edges, edge_parts, u.shared_edges, midpoints))
-    proj_state = build_up_projection(
-        glued, h, centroids, wall=lambda gram: _chunk_wall(
-            gram, h.boundary_triangles, tri_parts, dense_tris, centroids))
-    return _build_state(glued, h, up_state, proj_state)
-
-
-def _chart_locations(u: UnionComplex, n, maps, simplexes) -> np.ndarray:
-    """Location of each glued simplex in the chart of a chunk holding it."""
-    out = np.zeros((n, 3))
-    for ch, m in zip(u.chunks, maps):
-        out[m] = ch.vertices[simplexes(ch)].mean(axis=1)
-    return out
+    return _build_state(glued, h, up_state)
 
 
 def _chunk_wall(matrix, ids, chunk_parts, dense, locations) -> BlockFactor:

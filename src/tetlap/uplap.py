@@ -16,6 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .complexes import up_laplacian
 from .dissection import BlockFactor, concat_blocks
 from .downlap import GraphDownLap
 from .errors import NumericalError, check_tolerance, check_vector
@@ -31,11 +32,17 @@ UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 ROUNDOFF_MULTIPLE = 10.0
 
 
+def roundoff_floor(lup, x) -> float:
+    """u |Lup|_1 |x|: the size of the rounding error in Lup x."""
+    return UNIT_ROUNDOFF * abs(lup).sum(axis=0).max() * np.linalg.norm(x)
+
+
 @dataclass
 class UpSolverState:
     complex: object
     hollowing: Hollowing
     lup: sp.csr_matrix
+    d2: sp.csc_matrix                # float triangle boundary map behind lup
     f_all: np.ndarray                # interior edge ids, region by region
     c_idx: np.ndarray                # boundary edge ids
     interior: BlockFactor            # Lup[F, F] over f_all, one block per region
@@ -59,7 +66,8 @@ def build_up_solver(c, h: Hollowing,
     ordered by edge midpoints.
     """
     check_hollowing(c, h)
-    lup = c.lap_up(1)
+    d2 = c.boundary(2).astype(float)
+    lup = up_laplacian(c, 1, d2)
     f_regions = h.interior_edges_by_region()
     f_all, blocks = concat_blocks(f_regions)
     c_idx = h.boundary_edges
@@ -69,7 +77,7 @@ def build_up_solver(c, h: Hollowing,
         lup[f_all][:, f_all], blocks, midpoints[f_all],
         root_pins=[_interface_edges(c, f, boundary_mask) for f in f_regions])
     state = UpSolverState(
-        complex=c, hollowing=h, lup=lup, f_all=f_all, c_idx=c_idx,
+        complex=c, hollowing=h, lup=lup, d2=d2, f_all=f_all, c_idx=c_idx,
         interior=interior, wall=None,
         l_cc=lup[c_idx][:, c_idx].tocsr(),
         l_cf=lup[c_idx][:, f_all].tocsr(),
@@ -77,7 +85,7 @@ def build_up_solver(c, h: Hollowing,
     )
     if len(c_idx):
         bt = h.boundary_triangles
-        d2c = c.boundary(2).astype(float)[c_idx][:, bt]
+        d2c = d2[c_idx][:, bt]
         lt = (d2c @ sp.diags(c.weights[2][bt]) @ d2c.T).tocsr()
         if wall is None:
             state.wall = BlockFactor.nested_dissection(
@@ -187,8 +195,7 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
     if resid > eps * norm_b * (1 + 1e-9):
         missed = (f"up-Laplacian solve missed its contract: residual "
                   f"{resid:.3e} > eps * |b| = {eps * norm_b:.3e}")
-        floor = (UNIT_ROUNDOFF * abs(state.lup).sum(axis=0).max()
-                 * np.linalg.norm(x))
+        floor = roundoff_floor(state.lup, x)
         if resid <= ROUNDOFF_MULTIPLE * floor:
             raise NumericalError(
                 f"{missed}; eps = {eps:.1e} is below the attainable accuracy "

@@ -12,18 +12,19 @@ positive simplex weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .dissection import BlockFactor, concat_blocks
-from .downlap import build_down_state, down_projection
+from .downlap import build_down_state, gradient_part
 from .errors import (NumericalError, UnsupportedGeometryError,
                      check_tolerance, check_vector)
 from .hollowing import Hollowing, check_hollowing
 from .pcg import NORM_SAFETY, LinearOperator, pcg, power_iteration
 from .reports import SolveReport
+from .uplap import ROUNDOFF_MULTIPLE, UNIT_ROUNDOFF
 
 
 @dataclass
@@ -44,38 +45,27 @@ class UpProjectionState:
         return self.d2.shape[0]
 
 
-def build_up_projection(c, h: Hollowing, centroids=None,
-                        wall: Optional[Callable] = None) -> UpProjectionState:
-    """Per-region factors of the interior-triangle Gram matrix plus the
-    boundary Gram preconditioner.
-
-    `centroids` gives the nested dissection location of every triangle
-    (default: its centroid in `c`).  `wall(gram)` returns the exact solver
-    of the boundary triangles' Gram matrix; by default one nested dissection
-    factor.
-    """
+def build_up_projection(c, h: Hollowing) -> UpProjectionState:
+    """Per-region factors of the interior-triangle Gram matrix plus a nested
+    dissection factor of the boundary triangles' Gram matrix, both ordered
+    by triangle centroids."""
     check_hollowing(c, h)
     _check_uncoupled_interiors(c, h)
     d2 = c.boundary(2).astype(float).tocsc()
     f_all, blocks = concat_blocks(h.interior_triangles_by_region())
     c_t = h.boundary_triangles
-    if centroids is None:
-        centroids = c.vertices[c.triangles].mean(axis=1)
+    centroids = c.vertices[c.triangles].mean(axis=1)
     d2_f = d2[:, f_all]
     interior = BlockFactor.nested_dissection(
         (d2_f.T @ d2_f).tocsr(), blocks, centroids[f_all])
     d2_c = d2[:, c_t]
-    wall_factor = None
+    wall = None
     if len(c_t):
-        gram_c = (d2_c.T @ d2_c).tocsr()
-        if wall is None:
-            wall_factor = BlockFactor.nested_dissection(
-                gram_c, [np.arange(len(c_t))], centroids[c_t])
-        else:
-            wall_factor = wall(gram_c)
+        wall = BlockFactor.nested_dissection(
+            (d2_c.T @ d2_c).tocsr(), [np.arange(len(c_t))], centroids[c_t])
     return UpProjectionState(
         complex=c, hollowing=h, d2=d2, f_all=f_all, c_t=c_t,
-        d2_f=d2_f, d2_c=d2_c, interior=interior, wall=wall_factor,
+        d2_f=d2_f, d2_c=d2_c, interior=interior, wall=wall,
         lup_norm=NORM_SAFETY * max(power_iteration(
             LinearOperator.from_matrix((d2 @ d2.T).tocsr()), 23), 1e-300),
     )
@@ -153,7 +143,16 @@ def up_project(c, h: Hollowing, b, eps: float,
     if np.linalg.norm(b2) <= 1e-14 * np.linalg.norm(b):
         return b1, report
     delta = max(eps, 1e-15) / (2.0 * state.lup_norm)
-    b3, screp = down2_schur_solve(state, b2, delta)
+    try:
+        b3, screp = down2_schur_solve(state, b2, delta)
+    except NumericalError as exc:
+        if delta > ROUNDOFF_MULTIPLE * UNIT_ROUNDOFF:
+            raise
+        raise NumericalError(
+            f"{exc}; eps = {eps:.1e} is below the attainable accuracy (the "
+            f"triangle Schur PCG needs a relative residual of {delta:.1e}, "
+            f"within {ROUNDOFF_MULTIPLE:g} times float64 roundoff "
+            f"u = {UNIT_ROUNDOFF:.1e})") from exc
     b4 = proj_ker_F(state, state.d2_c @ b3)
     report.add_stage("tri_schur", screp)
     report.params["delta"] = delta
@@ -162,16 +161,7 @@ def up_project(c, h: Hollowing, b, eps: float,
 
 def up_project_betti0(c, b, eps: float):
     """Projection onto Im(Lup) assuming the first Betti number vanishes:
-    complement of the gradient projection, with one refinement round so the
-    relative contract survives a large gradient part."""
+    complement of the gradient projection, refined so the relative contract
+    survives a large gradient part."""
     b = np.asarray(b, dtype=float)
-    down_state = build_down_state(c)
-    g = down_projection(c, b, eps, state=down_state)
-    p = b - g
-    ng, np_ = np.linalg.norm(g), np.linalg.norm(p)
-    if ng > 0.5 * np_:
-        target = max(np_ - eps * ng, eps * np.linalg.norm(b), 1e-300)
-        eps2 = eps * target / (2.0 * ng)
-        g = down_projection(c, b, eps2, state=down_state)
-        p = b - g
-    return p
+    return b - gradient_part(c, b, eps, build_down_state(c))

@@ -157,3 +157,17 @@ def test_down_projection_on_cavity_mesh(rng):
     p = down_projection(c, b, eps=1e-6)
     target = proj @ b
     assert np.linalg.norm(p - target) <= 1e-6 * np.linalg.norm(target)
+
+
+def test_down_projection_of_an_almost_harmonic_input():
+    # d1 b is then mostly roundoff, some of it constant on the component,
+    # in ker L0, where CG cannot converge; it must not reach the solve
+    spec = GridSpec((6, 6, 6), holes=[HoleSpec((2, 2, 0), (1, 1, 6), "tunnel")])
+    c = gen_grid(spec)
+    harm = oracle.kernel_basis(c.lap1().toarray())[:, 0]
+    grad = c.boundary(1).T.astype(float) @ \
+        np.random.default_rng(0).standard_normal(c.num_vertices)
+    grad *= 1e-12 / np.linalg.norm(grad)
+    b = harm + grad
+    p = down_projection(c, b, eps=1e-6)
+    assert np.linalg.norm(p - grad) <= 1e-14 * np.linalg.norm(b)

@@ -18,6 +18,7 @@ from tetlap.hollowing import (
 )
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid, mesh_from_cells
 from tetlap.onelap import (
+    HARMONIC_TOL,
     betti_numbers,
     build_one_lap_solver,
     build_union_solver,
@@ -400,3 +401,142 @@ def test_union_solve_leaves_the_glued_complex_unchanged(rng):
     union_one_lap_solve(u, rng.standard_normal(u.complex.num_edges), 1e-6,
                         state=state)
     assert (snapshot(u.complex), snapshot(state)) == before
+
+
+# -- harmonic basis ------------------------------------------------------------
+
+def ring_of_four():
+    """Acceptance criterion 10's ring: four 3^3 boxes glued in a cycle."""
+    chunks, holls = zip(*[make_chunk((3, 3, 3)) for _ in range(4)])
+    groups = []
+    for k in range(4):
+        nxt = (k + 1) % 4
+        pairs = face_identifications(chunks[k], chunks[nxt], 0, 3.0, 0.0)
+        groups.extend([[(k, a[1]), (nxt, b[1])] for a, b in pairs])
+    return glue(list(chunks), groups, list(holls))
+
+
+TWO_TUNNELS = [HoleSpec((1, 1, 0), (1, 1, 4), "tunnel"),
+               HoleSpec((8, 1, 0), (1, 1, 4), "tunnel")]
+# name: (mesh and hollowing or union, its first Betti number)
+HARMONIC_MESHES = {
+    "solid": (lambda: setup((4, 4, 4), 48), 0),
+    "cavity": (lambda: setup((6, 6, 6), 64, [HoleSpec((2, 2, 2), (1, 1, 1))]),
+               0),
+    "tunnel": (lambda: setup((6, 6, 6), 64,
+                             [HoleSpec((2, 2, 0), (1, 1, 6), "tunnel")]), 1),
+    "two_tunnels": (lambda: setup((10, 4, 4), 64, TWO_TUNNELS), 2),
+    "ring": (ring_of_four, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def harmonic_case():
+    """name -> (complex, state, solve(b, eps), dense L1, oracle ker L1
+    basis), built once per module."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            mesh = HARMONIC_MESHES[name][0]()
+            if name == "ring":
+                c, state = mesh.complex, build_union_solver(mesh)
+                def solve(b, eps):
+                    return union_one_lap_solve(mesh, b, eps, state=state)
+            else:
+                (c, h), state = mesh, build_one_lap_solver(*mesh)
+                def solve(b, eps):
+                    return one_lap_solve(c, h, b, eps, state=state)
+            lap1 = c.lap1().toarray()
+            cache[name] = (c, state, solve, lap1, oracle.kernel_basis(lap1))
+        return cache[name]
+    return get
+
+
+@pytest.mark.parametrize("name", sorted(HARMONIC_MESHES))
+def test_harmonic_basis_spans_the_oracle_kernel(harmonic_case, name):
+    c, state, _, _, kernel = harmonic_case(name)
+    basis = state.harmonic
+    assert kernel.shape[1] == HARMONIC_MESHES[name][1]
+    assert basis.shape == kernel.shape
+    assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+    # sine of the largest principal angle between the two subspaces
+    gap = basis - kernel @ (kernel.T @ basis)
+    assert np.linalg.norm(gap, 2) <= 1e-10
+
+
+def test_harmonic_basis_is_bit_identical_across_builds():
+    c, h = setup((10, 4, 4), 64, TWO_TUNNELS)
+    first = build_one_lap_solver(c, h).harmonic
+    assert first.shape[1] == 2
+    assert first.tobytes() == build_one_lap_solver(c, h).harmonic.tobytes()
+
+
+@pytest.mark.parametrize("name", ["tunnel", "two_tunnels", "ring"])
+def test_one_solve_meets_a_tight_contract_with_harmonic_parts(harmonic_case,
+                                                              name):
+    c, _, solve, lap1, _ = harmonic_case(name)
+    eps = 1e-9
+    b = np.random.default_rng(3).standard_normal(c.num_edges)
+    x, _ = solve(b, eps)
+    target = oracle.projection(lap1) @ b
+    assert np.linalg.norm(lap1 @ x - target) <= eps * np.linalg.norm(target)
+
+
+@pytest.mark.parametrize("name", ["tunnel", "ring"])
+def test_report_residual_is_against_the_exact_projection(harmonic_case, name):
+    c, _, solve, lap1, kernel = harmonic_case(name)
+    b = np.random.default_rng(4).standard_normal(c.num_edges)
+    x, rep = solve(b, 1e-6)
+    target = b - kernel @ (kernel.T @ b)
+    want = np.linalg.norm(lap1 @ x - target)
+    assert abs(rep.final_residual - want) <= 1e-12 * np.linalg.norm(target)
+    assert rep.converged
+    assert rep.params["b1"] == 1
+    assert rep.params["down_delta"] < rep.params["delta"]
+    assert "up_solve" in rep.stages
+
+
+def test_harmonic_basis_on_widely_spread_triangle_weights():
+    # weights over six decades put kappa(Lup) near 4e5; the probe's leftover
+    # curl part must neither become a column nor keep the true one out
+    c, h = HARMONIC_MESHES["tunnel"][0]()
+    rng = np.random.default_rng(0)
+    c.weights[2] = np.exp(rng.uniform(np.log(1e-3), np.log(1e3),
+                                      c.num_triangles))
+    basis = build_one_lap_solver(c, h).harmonic
+    kernel = oracle.kernel_basis(c.lap1().toarray())
+    assert basis.shape == kernel.shape == (c.num_edges, 1)
+    assert np.linalg.norm(basis - kernel @ (kernel.T @ basis), 2) <= 1e-10
+
+
+def test_harmonic_input_is_reported_as_such(harmonic_case):
+    c, _, solve, lap1, kernel = harmonic_case("tunnel")
+    curl = c.boundary(2).astype(float) @ c.weights[2]
+    b = kernel[:, 0] + 1e-11 * curl / np.linalg.norm(curl)
+    x, rep = solve(b, 1e-6)
+    assert not x.any()
+    assert rep.params["harmonic_input"] and rep.converged
+    target = b - kernel @ (kernel.T @ b)
+    assert abs(rep.final_residual - np.linalg.norm(target)) <= 1e-12
+    assert rep.final_residual <= HARMONIC_TOL * np.linalg.norm(b)
+    _, rep = solve(curl, 1e-6)
+    assert not rep.params["harmonic_input"]
+
+
+@pytest.mark.parametrize("name", ["solid", "tunnel"])
+def test_hodge_curl_of_a_gradient_dominated_chain(harmonic_case, name):
+    # the gradient's own error, eps |P_grad f|, would be 1e4 times the
+    # curl's allowance eps |P_curl f|
+    c, state, _, _, kernel = harmonic_case(name)
+    rng = np.random.default_rng(5)
+    grad = c.boundary(1).T.astype(float) @ rng.standard_normal(c.num_vertices)
+    curl = c.lap_up(1) @ rng.standard_normal(c.num_edges)
+    f = grad + 1e-4 * curl * np.linalg.norm(grad) / np.linalg.norm(curl)
+    if kernel.shape[1]:
+        f += kernel[:, 0]
+    eps = 1e-6
+    g, got, harm = hodge_decompose(c, state.hollowing, f, eps, state=state)
+    want = oracle.projection(c.lap_up(1).toarray()) @ f
+    assert np.linalg.norm(got - want) <= eps * np.linalg.norm(want)
+    assert np.allclose(g + got + harm, f, rtol=0, atol=1e-12 * np.linalg.norm(f))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tetlap import oracle
-from tetlap.errors import UnsupportedGeometryError
+from tetlap.errors import NumericalError, UnsupportedGeometryError
 from tetlap.hollowing import HollowingConfig, find_hollowing, sphere_hollowing
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
 from tetlap.onelap import build_one_lap_solver, hodge_decompose
@@ -203,13 +203,25 @@ def test_projection_tolerance_ignores_triangle_weights():
     h = find_hollowing(c, 64, RELAXED)
     c.weights[2] = np.full(c.num_triangles, 1e-4)
     state = build_one_lap_solver(c, h)
+    proj_state = build_up_projection(c, h)
     p_exact = oracle_up_projection(c)
     eps = 1e-6
     rng = np.random.default_rng(0)
     for _ in range(5):
         b = rng.standard_normal(c.num_edges)
         want = p_exact @ b
-        p, _ = up_project(c, h, b, eps, state=state.proj_state)
+        p, _ = up_project(c, h, b, eps, state=proj_state)
         assert np.linalg.norm(p - want) <= eps * np.linalg.norm(want)
         _, curl, _ = hodge_decompose(c, h, b, eps, state=state)
         assert np.linalg.norm(curl - want) <= eps * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eps_below_roundoff_is_named_as_the_cause(seed):
+    # eps = 1e-15 asks the triangle Schur PCG for a relative residual
+    # below float64 roundoff, where it breaks down as "not PSD"
+    c, h, state = setup((5, 5, 5), 48)
+    b = np.random.default_rng(seed).standard_normal(c.num_edges)
+    with pytest.raises(NumericalError,
+                       match="eps = 1.0e-15 is below the attainable accuracy"):
+        up_project(c, h, b, 1e-15, state=state)
