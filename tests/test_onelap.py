@@ -540,3 +540,57 @@ def test_hodge_curl_of_a_gradient_dominated_chain(harmonic_case, name):
     want = oracle.projection(c.lap_up(1).toarray()) @ f
     assert np.linalg.norm(got - want) <= eps * np.linalg.norm(want)
     assert np.allclose(g + got + harm, f, rtol=0, atol=1e-12 * np.linalg.norm(f))
+
+
+@pytest.mark.parametrize("dims, r", [((6, 6, 6), 64), ((5, 5, 5), None)],
+                         ids=["box6-r64", "box5-r-n^0.6"])
+def test_gradient_dominated_rhs_meets_the_contract(dims, r):
+    # a gradient left in b_up at down_delta |P_grad b| lies outside Im(Lup);
+    # at 100 times the rest it stalled the Schur PCG or missed the up
+    # solve's contract unless projected off tighter
+    c = gen_grid(GridSpec(dims))
+    h = find_hollowing(c, r or c.num_simplexes ** 0.6, RELAXED)
+    phi = np.random.default_rng(9).standard_normal(c.num_vertices)
+    b = 100 * (c.boundary(1).T @ phi) \
+        + np.random.default_rng(0).standard_normal(c.num_edges)
+    eps = 1e-6
+    x, rep = one_lap_solve(c, h, b, eps)
+    target = oracle_pi1(c) @ b
+    assert rep.converged
+    assert np.linalg.norm(c.lap1() @ x - target) <= eps * np.linalg.norm(target)
+
+
+def test_full_solve_on_widely_spread_triangle_weights():
+    # kappa(Lup) near 4e5, far above what a Lanczos estimate reads: the
+    # solve is certified by its own residual, not by a condition bound
+    c, h = HARMONIC_MESHES["tunnel"][0]()
+    rng = np.random.default_rng(0)
+    c.weights[2] = np.exp(rng.uniform(np.log(1e-3), np.log(1e3),
+                                      c.num_triangles))
+    state = build_one_lap_solver(c, h)
+    pi1 = oracle_pi1(c)
+    eps = 1e-6
+    for seed in range(3):
+        b = np.random.default_rng(seed).standard_normal(c.num_edges)
+        x, rep = one_lap_solve(c, h, b, eps, state=state)
+        target = pi1 @ b
+        assert rep.converged
+        assert np.linalg.norm(c.lap1() @ x - target) \
+            <= eps * np.linalg.norm(target)
+
+
+def test_missed_first_attempt_is_retried_tighter():
+    # vertex weights over six decades: the first attempt, with the up solve
+    # at eps, misses the full contract, and the retry at eps / 100 meets it
+    c, h = setup((6, 6, 6), 64)
+    rng = np.random.default_rng(1)
+    c.weights[0] = np.exp(rng.uniform(-np.log(1e3), np.log(1e3),
+                                      c.num_vertices))
+    b = np.random.default_rng(0).standard_normal(c.num_edges)
+    eps = 1e-6
+    x, rep = one_lap_solve(c, h, b, eps)
+    assert rep.params["retried"] and rep.converged
+    assert {"up_solve", "up_solve_retry"} <= set(rep.stages)
+    assert rep.params["delta"] == pytest.approx(eps / 100)
+    target = oracle_pi1(c) @ b
+    assert np.linalg.norm(c.lap1() @ x - target) <= eps * np.linalg.norm(target)
