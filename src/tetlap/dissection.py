@@ -6,8 +6,9 @@ complement on a shared index set.
 The factorization is multifrontal over the separator tree: every tree node
 eliminates its block against a dense frontal matrix and passes a Schur
 update to its parent.  Zero pivots of semidefinite inputs are skipped (the
-corresponding factor column is zeroed), so the factor is rank-revealing and
-solves against right-hand sides in the image remain exact.
+corresponding factor column is zeroed, and pivoting inside the front moves
+it last), so the factor is rank-revealing and solves against right-hand
+sides in the image remain exact.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ BALANCE_BOUND = 0.9
 # thread pool, and alternating between them makes the pools starve each
 # other on a small machine.  One library, one thread pool.
 _POTRF = sla.get_lapack_funcs("potrf", dtype=np.float64)
+_PSTRF = sla.get_lapack_funcs("pstrf", dtype=np.float64)
 _TRTRS = sla.get_lapack_funcs("trtrs", dtype=np.float64)
 _GEMM = sla.get_blas_funcs("gemm", dtype=np.float64)
 
@@ -44,15 +46,21 @@ def vertex_separator(points, adjacency, base_case: int = DEFAULT_BASE_CASE):
     Tries the axis-median plane on each coordinate axis, moves plane
     stragglers into S so that no edge crosses, and keeps the smallest
     feasible separator (balance <= BALANCE_BOUND).  Graphs at or below
-    `base_case` nodes return everything as S.
+    `base_case` nodes return everything as S.  Every stored entry of
+    `adjacency`, an explicit zero too, counts as an edge.
     """
     points = np.asarray(points, dtype=float)
-    n = len(points)
-    idx = np.arange(n)
-    if n <= base_case:
+    idx = np.arange(len(points))
+    if len(points) <= base_case:
         return idx[:0], idx[:0], idx
-    adjacency = sp.csr_matrix(adjacency)
+    coo = sp.coo_matrix(adjacency)
+    return tuple(idx[mask] for mask in _split(points, coo.row, coo.col))
 
+
+def _split(points, eu, ev):
+    """Masks (A, B, S) of the vertex separator of the graph whose edges run
+    from eu[k] to ev[k]; all of S when no plane or index split separates."""
+    n = len(points)
     best = None
     for axis in range(points.shape[1]):
         coord = points[:, axis]
@@ -63,38 +71,30 @@ def vertex_separator(points, adjacency, base_case: int = DEFAULT_BASE_CASE):
             if not a_mask.any() or not b_mask.any():
                 continue
             # any remaining A-B edge pulls its A endpoint into S
-            cross = adjacency[a_mask][:, b_mask]
-            if cross.nnz:
-                bad = np.unique(cross.tocoo().row)
-                a_idx = idx[a_mask]
-                s_mask[a_idx[bad]] = True
-                a_mask[a_idx[bad]] = False
+            bad = eu[a_mask[eu] & b_mask[ev]]
+            s_mask[bad] = True
+            a_mask[bad] = False
             big = max(a_mask.sum(), b_mask.sum())
             if big > BALANCE_BOUND * n:
                 continue
             score = (s_mask.sum(), big)
             if best is None or score < best[0]:
-                best = (score, a_mask.copy(), b_mask.copy(), s_mask.copy())
+                best = (score, a_mask, b_mask, s_mask)
+    if best is not None:
+        return best[1:]
 
-    if best is None:
-        # no balanced plane (e.g. all points coincide): fall back to an
-        # index-median split with the adjacency frontier as separator
-        half = n // 2
-        order = np.lexsort(points.T)
-        a_mask = np.zeros(n, dtype=bool)
-        a_mask[order[:half]] = True
-        b_mask = ~a_mask
-        cross = adjacency[a_mask][:, b_mask]
-        s_local = np.unique(cross.tocoo().col)
-        s_mask = np.zeros(n, dtype=bool)
-        s_mask[idx[b_mask][s_local]] = True
-        b_mask &= ~s_mask
-        if not a_mask.any() or not b_mask.any():
-            return idx[:0], idx[:0], idx
-        return idx[a_mask], idx[b_mask], idx[s_mask]
-
-    _, a_mask, b_mask, s_mask = best
-    return idx[a_mask], idx[b_mask], idx[s_mask]
+    # no balanced plane (e.g. all points coincide): fall back to an
+    # index-median split with the adjacency frontier as separator
+    a_mask = np.zeros(n, dtype=bool)
+    a_mask[np.lexsort(points.T)[:n // 2]] = True
+    b_mask = ~a_mask
+    s_mask = np.zeros(n, dtype=bool)
+    s_mask[ev[a_mask[eu] & b_mask[ev]]] = True
+    b_mask &= ~s_mask
+    if not a_mask.any() or not b_mask.any():
+        none = np.zeros(n, dtype=bool)
+        return none, none, ~none
+    return a_mask, b_mask, s_mask
 
 
 def _median_candidates(coord):
@@ -115,43 +115,29 @@ def edge_separator(c, edge_ids=None, base_case: int = DEFAULT_BASE_CASE):
     """
     if edge_ids is None:
         edge_ids = np.arange(c.num_edges)
-    edge_ids = np.asarray(edge_ids)
-    pairs = c.edges[edge_ids]
-    verts, local = np.unique(pairs, return_inverse=True)
-    local = local.reshape(pairs.shape)
-    nv = len(verts)
-    adj = sp.csr_matrix((np.ones(len(local)), (local[:, 0], local[:, 1])),
-                        shape=(nv, nv))
-    a, b, s = vertex_separator(c.vertices[verts], adj + adj.T, base_case)
-    side = np.zeros(nv, dtype=np.int8)  # 1=A, 2=B, 3=S
-    side[a], side[b], side[s] = 1, 2, 3
-    touches_s = (side[local] == 3).any(axis=1)
-    in_a = (side[local] == 1).all(axis=1) & ~touches_s
-    in_b = (side[local] == 2).all(axis=1) & ~touches_s
-    e_s = ~(in_a | in_b)
-    return edge_ids[in_a], edge_ids[in_b], edge_ids[e_s]
+    return _cell_separator(c, c.edges, np.asarray(edge_ids), base_case)
 
 
 def triangle_separator(c, tri_ids=None, base_case: int = DEFAULT_BASE_CASE):
     """Partition triangles into edge-disjoint sets (T_A, T_B) plus T_S."""
     if tri_ids is None:
         tri_ids = np.arange(c.num_triangles)
-    tri_ids = np.asarray(tri_ids)
-    triples = c.triangles[tri_ids]
-    verts, local = np.unique(triples, return_inverse=True)
-    local = local.reshape(triples.shape)
-    nv = len(verts)
-    rows = np.concatenate([local[:, 0], local[:, 0], local[:, 1]])
-    cols = np.concatenate([local[:, 1], local[:, 2], local[:, 2]])
-    adj = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(nv, nv))
-    a, b, s = vertex_separator(c.vertices[verts], adj + adj.T, base_case)
-    side = np.zeros(nv, dtype=np.int8)
-    side[a], side[b], side[s] = 1, 2, 3
-    touches_s = (side[local] == 3).any(axis=1)
-    in_a = (side[local] == 1).all(axis=1) & ~touches_s
-    in_b = (side[local] == 2).all(axis=1) & ~touches_s
-    t_s = ~(in_a | in_b)
-    return tri_ids[in_a], tri_ids[in_b], tri_ids[t_s]
+    return _cell_separator(c, c.triangles, np.asarray(tri_ids), base_case)
+
+
+def _cell_separator(c, cells, ids, base_case):
+    """Split the cells `ids` (rows of `cells`, vertex tuples) by the vertex
+    separator of the graph joining every two vertices of a cell; a cell
+    with a separator vertex goes to the third set."""
+    verts, local = np.unique(cells[ids], return_inverse=True)
+    local = local.reshape(len(ids), -1)
+    if len(verts) <= base_case:
+        return ids[:0], ids[:0], ids
+    u, v = np.triu_indices(local.shape[1], 1)
+    eu, ev = local[:, u].ravel(), local[:, v].ravel()
+    a, b, _ = _split(c.vertices[verts], np.r_[eu, ev], np.r_[ev, eu])
+    in_a, in_b = a[local].all(axis=1), b[local].all(axis=1)
+    return ids[in_a], ids[in_b], ids[~(in_a | in_b)]
 
 
 # -- nested dissection ordering ---------------------------------------------
@@ -181,35 +167,44 @@ def nd_ordering(matrix, coords, base_case: int = DEFAULT_BASE_CASE,
 
     `coords` gives a 3D location per row (edge midpoints, triangle
     centroids, ...).  `root_pin` forces the given rows into the root
-    separator, eliminated after everything else.
+    separator, eliminated after everything else.  The graph is read once,
+    as an edge list of the stored entries, and no sparse matrix is sliced.
     """
-    structure = sp.csr_matrix(matrix, copy=False).astype(bool)
+    coo = sp.coo_matrix(matrix)
     coords = np.asarray(coords, dtype=float)
-    n = structure.shape[0]
+    n = coo.shape[0]
     idx = np.arange(n)
+    free = np.ones(n, dtype=bool)
     if root_pin is not None and len(root_pin):
-        pin_mask = np.zeros(n, dtype=bool)
-        pin_mask[np.asarray(root_pin)] = True
-        inner = _nd_recurse(structure, coords, idx[~pin_mask], base_case)
-        tree = NdNode(cols=idx[pin_mask], children=[inner])
-    else:
-        tree = _nd_recurse(structure, coords, idx, base_case)
+        free[np.asarray(root_pin)] = False
+    tree = _nd_recurse(coords, idx[free], *_sub_edges(free, coo.row, coo.col),
+                       base_case)
+    if not free.all():
+        tree = NdNode(cols=idx[~free], children=[tree])
     perm = np.empty(n, dtype=np.int64)
     _assign_intervals(tree, perm, 0)
     return NdOrdering(perm=perm, tree=tree, n=n)
 
 
-def _nd_recurse(structure, coords, idx, base_case):
+def _nd_recurse(coords, idx, eu, ev, base_case):
+    """Separator tree over the rows `idx`, whose graph has the edges
+    eu[k] -> ev[k] in positions within `idx`."""
     if len(idx) <= base_case:
         return NdNode(cols=idx)
-    sub = structure[idx][:, idx]
-    a, b, s = vertex_separator(coords[idx], sub, base_case)
-    if len(a) == 0 or len(b) == 0:
+    a, b, s = _split(coords[idx], eu, ev)
+    if not a.any() or not b.any():
         return NdNode(cols=idx)
-    node = NdNode(cols=idx[s],
-                  children=[_nd_recurse(structure, coords, idx[a], base_case),
-                            _nd_recurse(structure, coords, idx[b], base_case)])
-    return node
+    return NdNode(cols=idx[s], children=[
+        _nd_recurse(coords, idx[side], *_sub_edges(side, eu, ev), base_case)
+        for side in (a, b)])
+
+
+def _sub_edges(keep, eu, ev):
+    """The edges with both ends in the mask `keep`, renumbered to the kept
+    nodes' positions in index order."""
+    pos = np.cumsum(keep) - 1
+    inside = keep[eu] & keep[ev]
+    return pos[eu[inside]], pos[ev[inside]]
 
 
 def _assign_intervals(node, perm, offset):
@@ -288,7 +283,9 @@ def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL) -> Cholesky
     `ordering` is an NdOrdering or a plain permutation array (the latter is
     factored as a single dense block, desk scale only).  Pivots at or below
     pivot_tol * max(initial diagonal) are skipped; a pivot below the
-    negative of that threshold raises NumericalError.
+    negative of that threshold raises NumericalError.  A front with a
+    skipped pivot is factored with symmetric pivoting inside its interval,
+    so the factor's `perm` may differ from the ordering's there.
     """
     matrix = sp.csr_matrix(matrix).astype(float)
     n = matrix.shape[0]
@@ -304,13 +301,19 @@ def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL) -> Cholesky
         scale = 1.0
 
     nodes: list[_NodeFactor] = []
-    _factor_node(tree, mp, scale, pivot_tol, nodes)
+    new_pos = np.arange(n)   # ordering position -> factor position
+    _factor_node(tree, mp, scale, pivot_tol, nodes, new_pos)
     nodes.sort(key=lambda nd: nd.start)
 
+    # pivoting reorders positions within each front; a node's rows21 point
+    # into its ancestors' intervals, so they move with them
+    perm_new = np.empty_like(perm)
+    perm_new[new_pos] = perm
     kept = np.ones(n, dtype=bool)
     for nd in nodes:
+        nd.rows21 = new_pos[nd.rows21]
         kept[nd.start + nd.skipped] = False
-    return CholeskyFactor(perm=perm, rank=int(kept.sum()),
+    return CholeskyFactor(perm=perm_new, rank=int(kept.sum()),
                           pivot_tol=pivot_tol, kept=kept, matrix=matrix,
                           _nodes=nodes)
 
@@ -322,10 +325,11 @@ def nd_cholesky(matrix, coords, base_case: int = DEFAULT_BASE_CASE,
     return cholesky(matrix, ordering, pivot_tol=pivot_tol)
 
 
-def _factor_node(node, mp, scale, pivot_tol, out):
+def _factor_node(node, mp, scale, pivot_tol, out, new_pos):
     child_updates = []
     for ch in node.children:
-        child_updates.append(_factor_node(ch, mp, scale, pivot_tol, out))
+        child_updates.append(_factor_node(ch, mp, scale, pivot_tol, out,
+                                          new_pos))
 
     c0, c1 = node.start, node.stop
     bs = c1 - c0
@@ -358,16 +362,20 @@ def _factor_node(node, mp, scale, pivot_tol, out):
                        bs + np.searchsorted(above, rows))
         front[np.ix_(loc, loc)] += upd
 
-    l11, kept_local = _dense_rank_chol(front[:bs, :bs], scale, pivot_tol)
+    l11, kept_local, order = _dense_rank_chol(front[:bs, :bs], scale,
+                                              pivot_tol)
+    new_pos[c0 + order] = np.arange(c0, c1)
     # solve-ready block: a unit diagonal at each skipped pivot, whose
     # column is already zero below it, so no solve needs masking
     skipped = np.flatnonzero(~kept_local)
     l11 = np.asfortranarray(l11)
     l11[skipped, skipped] = 1.0
+    # the Schur update to the parent is the same under any order of the
+    # block's own columns
     update = front[bs:, bs:]
     if na and kept_local.any():
         # l21 l11^T = f21; the kept columns never read the skipped ones
-        l21 = _triangular_solve(l11, front[bs:, :bs].T, trans=0).T
+        l21 = _triangular_solve(l11, front[bs:, order].T, trans=0).T
         l21[:, skipped] = 0.0
         update = update - _GEMM(1.0, l21.T, l21.T, trans_a=1)
     else:
@@ -380,30 +388,30 @@ def _factor_node(node, mp, scale, pivot_tol, out):
 
 
 def _dense_rank_chol(a, scale, pivot_tol):
-    """Dense lower Cholesky that skips (zeroes) semidefinite pivots."""
+    """Dense lower Cholesky that skips (zeroes) pivots at or below
+    pivot_tol * scale: (l, kept, order), kept pivots first, with
+    l l^T = a[order][:, order] up to the skipped pivots.  A definite block
+    keeps its order (dpotrf); any other is pivoted by LAPACK's dpstrf, and
+    a pivot left below minus the threshold raises NumericalError."""
     n = a.shape[0]
     thresh = pivot_tol * scale
-    kept = np.ones(n, dtype=bool)
     l, info = _POTRF(a, lower=1, clean=1)
     if info == 0 and (l.diagonal() ** 2 > thresh).all():
-        return l, kept
-    a = a.copy()
-    l = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j]
-        if d <= thresh:
-            if d < -thresh:
-                raise NumericalError(
-                    f"matrix is not positive semidefinite (pivot {d:.3e})")
-            kept[j] = False
-            continue
-        root = np.sqrt(d)
-        l[j, j] = root
-        if j + 1 < n:
-            col = a[j + 1:, j] / root
-            l[j + 1:, j] = col
-            a[j + 1:, j + 1:] -= np.outer(col, col)
-    return l, kept
+        return l, np.ones(n, dtype=bool), np.arange(n)
+    l, piv, rank, _ = _PSTRF(a, tol=thresh, lower=1)
+    order = piv.astype(np.int64) - 1
+    # dpstrf tests its first pivot against zero only, not against tol
+    if rank and a[order[0], order[0]] <= thresh:
+        rank = 0
+    # dpstrf leaves the input above the diagonal and its stopping state
+    # from the rank on
+    l = np.tril(l)
+    l[:, rank:] = 0.0
+    rest = a.diagonal()[order[rank:]] - (l[rank:, :rank] ** 2).sum(axis=1)
+    if (rest < -thresh).any():
+        raise NumericalError(
+            f"matrix is not positive semidefinite (pivot {rest.min():.3e})")
+    return l, np.arange(n) < rank, order
 
 
 def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,

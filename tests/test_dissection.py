@@ -17,6 +17,8 @@ from tetlap.complexes import one_laplacian, up_laplacian
 from tetlap.dissection import (
     DEFAULT_PIVOT_TOL,
     BlockFactor,
+    NdNode,
+    NdOrdering,
     cholesky,
     edge_separator,
     nd_cholesky,
@@ -273,6 +275,159 @@ def test_fill_scaling_subquadratic():
     assert slope <= 1.5
 
 
+# -- ordering against the slicing reference ---------------------------------
+
+def reference_vertex_separator(points, adjacency, base_case):
+    """The vertex separator on sparse slices: a CSR slice per candidate
+    plane finds the crossing edges."""
+    n = len(points)
+    idx = np.arange(n)
+    if n <= base_case:
+        return idx[:0], idx[:0], idx
+    adjacency = sp.csr_matrix(adjacency)
+    best = None
+    for axis in range(points.shape[1]):
+        coord = points[:, axis]
+        for value in dissection._median_candidates(coord):
+            a_mask = coord < value
+            s_mask = coord == value
+            b_mask = coord > value
+            if not a_mask.any() or not b_mask.any():
+                continue
+            cross = adjacency[a_mask][:, b_mask]
+            if cross.nnz:
+                bad = np.unique(cross.tocoo().row)
+                a_idx = idx[a_mask]
+                s_mask[a_idx[bad]] = True
+                a_mask[a_idx[bad]] = False
+            big = max(a_mask.sum(), b_mask.sum())
+            if big > dissection.BALANCE_BOUND * n:
+                continue
+            score = (s_mask.sum(), big)
+            if best is None or score < best[0]:
+                best = (score, a_mask.copy(), b_mask.copy(), s_mask.copy())
+    if best is None:
+        half = n // 2
+        order = np.lexsort(points.T)
+        a_mask = np.zeros(n, dtype=bool)
+        a_mask[order[:half]] = True
+        b_mask = ~a_mask
+        cross = adjacency[a_mask][:, b_mask]
+        s_local = np.unique(cross.tocoo().col)
+        s_mask = np.zeros(n, dtype=bool)
+        s_mask[idx[b_mask][s_local]] = True
+        b_mask &= ~s_mask
+        if not a_mask.any() or not b_mask.any():
+            return idx[:0], idx[:0], idx
+        return idx[a_mask], idx[b_mask], idx[s_mask]
+    _, a_mask, b_mask, s_mask = best
+    return idx[a_mask], idx[b_mask], idx[s_mask]
+
+
+def reference_nd_recurse(structure, coords, idx, base_case):
+    if len(idx) <= base_case:
+        return NdNode(cols=idx)
+    sub = structure[idx][:, idx]
+    a, b, s = reference_vertex_separator(coords[idx], sub, base_case)
+    if len(a) == 0 or len(b) == 0:
+        return NdNode(cols=idx)
+    return NdNode(cols=idx[s], children=[
+        reference_nd_recurse(structure, coords, idx[a], base_case),
+        reference_nd_recurse(structure, coords, idx[b], base_case)])
+
+
+def reference_nd_ordering(matrix, coords,
+                          base_case=dissection.DEFAULT_BASE_CASE,
+                          root_pin=None):
+    """nd_ordering as a recursion over sparse slices of the matrix."""
+    structure = sp.csr_matrix(matrix, copy=False).astype(bool)
+    coords = np.asarray(coords, dtype=float)
+    n = structure.shape[0]
+    idx = np.arange(n)
+    if root_pin is not None and len(root_pin):
+        pin_mask = np.zeros(n, dtype=bool)
+        pin_mask[np.asarray(root_pin)] = True
+        inner = reference_nd_recurse(structure, coords, idx[~pin_mask],
+                                     base_case)
+        tree = NdNode(cols=idx[pin_mask], children=[inner])
+    else:
+        tree = reference_nd_recurse(structure, coords, idx, base_case)
+    perm = np.empty(n, dtype=np.int64)
+    dissection._assign_intervals(tree, perm, 0)
+    return NdOrdering(perm=perm, tree=tree, n=n)
+
+
+def intervals(node):
+    return ([iv for ch in node.children for iv in intervals(ch)]
+            + [(node.start, node.stop)])
+
+
+def assert_same_ordering(matrix, coords, *args, **kwargs):
+    got = nd_ordering(matrix, coords, *args, **kwargs)
+    ref = reference_nd_ordering(matrix, coords, *args, **kwargs)
+    assert np.array_equal(got.perm, ref.perm)
+    assert intervals(got.tree) == intervals(ref.tree)
+    return got
+
+
+def test_box_build_orders_like_the_reference(monkeypatch):
+    calls = []
+
+    def spy(matrix, coords, *args, **kwargs):
+        calls.append((matrix, coords, args, kwargs))
+        return nd_ordering(matrix, coords, *args, **kwargs)
+    monkeypatch.setattr(dissection, "nd_ordering", spy)
+    c = gen_grid(GridSpec((10, 10, 10)))
+    h = tetlap.find_hollowing(c, c.num_simplexes ** 0.6,
+                              tetlap.HollowingConfig(
+                                  min_shell_width=2,
+                                  min_component_separation=2))
+    tetlap.build_one_lap_solver(c, h)
+    assert len(calls) > 1
+    for matrix, coords, args, kwargs in calls:
+        assert_same_ordering(matrix, coords, *args, **kwargs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 120), degree=st.floats(0.5, 6.0),
+       base_case=st.integers(1, 20), lattice=st.integers(0, 4),
+       pins=st.integers(0, 3), symmetric=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_ordering_matches_reference_on_random_graphs(n, degree, base_case,
+                                                     lattice, pins, symmetric,
+                                                     seed):
+    # lattice > 0 puts the points on a small integer grid: ties on the
+    # median planes and coincident points; an unsymmetric pattern checks
+    # which endpoint of a crossing edge joins the separator
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, n, size=(int(degree * n / 2) + 1, 2))
+    adj = sp.csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                        shape=(n, n))
+    coords = (rng.integers(0, lattice + 1, (n, 3)).astype(float) if lattice
+              else rng.random((n, 3)))
+    pin = rng.choice(n, size=min(pins, n), replace=False)
+    assert_same_ordering(adj + adj.T if symmetric else adj, coords,
+                         base_case=base_case, root_pin=pin)
+
+
+def test_ordering_of_coincident_points_matches_reference():
+    # every point at the origin: no plane splits them, so every split is
+    # the index-median fallback with the adjacency frontier as separator
+    c = gen_grid(GridSpec((3, 3, 3)))
+    m = up_laplacian(c, 1)
+    got = assert_same_ordering(m, np.zeros((c.num_edges, 3)), base_case=8)
+    assert len(got.tree.children) == 2 and len(got.tree.cols)
+
+
+def test_ordering_with_root_pin_matches_reference():
+    c = gen_grid(GridSpec((3, 3, 3)))
+    m = up_laplacian(c, 1)
+    pin = np.arange(0, c.num_edges, 7)
+    got = assert_same_ordering(m, edge_midpoints(c), base_case=16,
+                               root_pin=pin)
+    assert np.array_equal(np.sort(got.perm[-len(pin):]), pin)
+
+
 # -- factor solve against the masked reference -----------------------------
 
 def reference_solve(factor, b):
@@ -462,30 +617,35 @@ def potrf_infos(monkeypatch):
 def test_dense_rank_chol_takes_potrf_on_a_definite_front(rng, potrf_infos):
     g = rng.standard_normal((9, 9))
     a = g @ g.T + 9 * np.eye(9)
-    l, kept = dissection._dense_rank_chol(a, 1.0, DEFAULT_PIVOT_TOL)
+    l, kept, order = dissection._dense_rank_chol(a, 1.0, DEFAULT_PIVOT_TOL)
     assert potrf_infos == [0]
     assert kept.all()
+    assert np.array_equal(order, np.arange(9))
     assert np.array_equal(l, np.tril(l))
     assert np.linalg.norm(l @ l.T - a) <= 1e-13 * np.linalg.norm(a)
 
 
 def test_dense_rank_chol_falls_back_on_a_singular_front(potrf_infos):
     a = graph_path_laplacian(6).toarray()   # singular: last pivot is 0
-    l, kept = dissection._dense_rank_chol(a, 2.0, DEFAULT_PIVOT_TOL)
+    l, kept, order = dissection._dense_rank_chol(a, 2.0, DEFAULT_PIVOT_TOL)
     assert potrf_infos[0] > 0
     assert kept.tolist() == [True] * 5 + [False]
     assert not l[:, 5].any()
-    assert np.linalg.norm(l @ l.T - a) <= 1e-13
+    assert np.linalg.norm(l @ l.T - a[np.ix_(order, order)]) <= 1e-13
 
 
 def test_dense_rank_chol_falls_back_below_the_pivot_threshold(potrf_infos):
     # definite, so potrf accepts it, but the second pivot squared is 1e-14,
     # at or below the threshold 1e-12 * scale
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
-    l, kept = dissection._dense_rank_chol(a, 1.0, DEFAULT_PIVOT_TOL)
+    l, kept, order = dissection._dense_rank_chol(a, 1.0, DEFAULT_PIVOT_TOL)
     assert potrf_infos == [0]
     assert kept.tolist() == [True, False]
-    assert np.array_equal(l, [[1.0, 0.0], [1.0, 0.0]])
+    # pivoting takes the larger diagonal first: l = [[1, 0], [1, 0]] up
+    # to the rounding of sqrt(1 + 1e-14)
+    root = np.sqrt(a[1, 1])
+    assert order.tolist() == [1, 0]
+    assert np.array_equal(l, [[root, 0.0], [1.0 / root, 0.0]])
 
 
 def test_dense_rank_chol_rejects_an_indefinite_front(potrf_infos):
@@ -495,10 +655,72 @@ def test_dense_rank_chol_rejects_an_indefinite_front(potrf_infos):
     assert potrf_infos[0] > 0
 
 
+def test_dense_rank_chol_pivots_past_interleaved_zero_pivots(potrf_infos):
+    # the whole 2^3 up-Laplacian as one front: in index order its zero
+    # pivots are interleaved with kept ones
+    c = gen_grid(GridSpec((2, 2, 2)))
+    a = up_laplacian(c, 1).toarray()
+    rank = oracle.rank(a)
+    l, kept, order = dissection._dense_rank_chol(a, a.diagonal().max(),
+                                                 DEFAULT_PIVOT_TOL)
+    assert potrf_infos[0] > 0
+    assert kept.tolist() == [True] * rank + [False] * (len(a) - rank)
+    assert sorted(order) == list(range(len(a)))
+    ap = a[np.ix_(order, order)]
+    assert np.linalg.norm(l @ l.T - ap) <= 1e-13 * np.linalg.norm(a)
+    assert np.array_equal(l, np.tril(l)) and not l[:, rank:].any()
+
+
+def test_dense_rank_chol_skips_a_tiny_first_pivot():
+    # dpstrf tests its first pivot against zero, not against the threshold
+    l, kept, order = dissection._dense_rank_chol(np.array([[1e-16]]), 2.0,
+                                                 DEFAULT_PIVOT_TOL)
+    assert kept.tolist() == [False]
+    assert not l.any()
+
+
+def test_dense_rank_chol_rejects_a_negative_pivot_left_over(potrf_infos):
+    # pivoting stops at rank 1 on the zero pivot; the -1 behind it is
+    # never a pivot, but it still makes the front indefinite
+    a = np.array([[4.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    with pytest.raises(NumericalError, match="not positive semidefinite"):
+        dissection._dense_rank_chol(a, 4.0, DEFAULT_PIVOT_TOL)
+    assert potrf_infos[0] > 0
+
+
+def test_factor_remaps_positions_pivoted_inside_fronts():
+    c = gen_grid(GridSpec((2, 2, 2)))
+    m = up_laplacian(c, 1)
+    ordering = nd_ordering(m, edge_midpoints(c), base_case=16)
+    f = cholesky(m, ordering)
+    assert len(f._nodes) > 1
+    moved = 0
+    for nd in f._nodes:
+        here = f.perm[nd.start:nd.stop]
+        there = ordering.perm[nd.start:nd.stop]
+        assert np.array_equal(np.sort(here), np.sort(there))
+        moved += not np.array_equal(here, there)
+        bs = nd.stop - nd.start
+        assert np.array_equal(nd.skipped,
+                              np.arange(bs - len(nd.skipped), bs))
+    assert moved
+    lp = f.L.toarray()
+    rec = np.empty(m.shape)
+    rec[np.ix_(f.perm, f.perm)] = lp @ lp.T
+    assert np.linalg.norm(rec - m.toarray()) <= 1e-12 * np.linalg.norm(
+        m.toarray())
+    # bit-for-bit determinism of the pivoted factor
+    again = cholesky(m, nd_ordering(m, edge_midpoints(c), base_case=16))
+    assert f.perm.tobytes() == again.perm.tobytes()
+    for nd, nd2 in zip(f._nodes, again._nodes):
+        assert nd.l11.tobytes() == nd2.l11.tobytes()
+        assert nd.rows21.tobytes() == nd2.rows21.tobytes()
+
+
 # the factor kernels use scipy's BLAS and LAPACK only; numpy's dense
 # products and np.linalg run on a second OpenBLAS with its own thread pool
 SCIPY_BLAS_ONLY = ("_factor_node", "_dense_rank_chol", "solve_with_factor",
-                   "pinv_via_pivoted_qr")
+                   "pinv_via_pivoted_qr", "cholesky", "_split")
 NUMPY_BLAS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
 
 
@@ -521,6 +743,23 @@ def test_factor_kernels_call_no_numpy_blas():
              if isinstance(node, ast.FunctionDef)}
     for name in SCIPY_BLAS_ONLY:
         assert list(numpy_blas_uses(funcs[name])) == [], name
+
+
+def test_nd_ordering_indexes_no_sparse_matrix(monkeypatch):
+    c = gen_grid(GridSpec((4, 4, 4)))
+    m = up_laplacian(c, 1)
+    calls = []
+
+    def spying(getitem):
+        def spy(self, key):
+            calls.append(key)
+            return getitem(self, key)
+        return spy
+    for cls in (sp.csr_matrix, sp.csr_array):
+        monkeypatch.setattr(cls, "__getitem__", spying(cls.__getitem__))
+    ordering = nd_ordering(m, edge_midpoints(c))
+    assert len(ordering.tree.children) == 2
+    assert calls == []
 
 
 # -- block factors -------------------------------------------------------------
