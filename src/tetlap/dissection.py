@@ -1,19 +1,20 @@
 """Geometric separators, nested dissection orderings, rank-aware sparse
 Cholesky factorization for PSD matrices whose nonzero graph is a mesh graph,
-and block factors that combine per-block exact solvers with a dense Schur
-complement on a shared index set.
+and block factors that combine one exact solver over uncoupled blocks with a
+dense Schur complement on a shared index set.
 
 The factorization is multifrontal over the separator tree: every tree node
 eliminates its block against a dense frontal matrix and passes a Schur
 update to its parent.  Zero pivots of semidefinite inputs are skipped (the
 corresponding factor column is zeroed, and pivoting inside the front moves
 it last), so the factor is rank-revealing and solves against right-hand
-sides in the image remain exact.
+sides in the image remain exact.  Solves walk the tree by levels, the
+fronts of one depth at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -225,7 +226,21 @@ class _NodeFactor:
     l11: np.ndarray        # dense lower-triangular block, Fortran order; a
                            # skipped pivot's column is the identity's
     rows21: np.ndarray     # permuted row indices below the block
-    l21: np.ndarray        # dense (len(rows21), block) sub-diagonal part
+    l21: np.ndarray        # dense (len(rows21), block) sub-diagonal part, a
+                           # Fortran-order view into its level's data
+    depth: int             # depth of the front in the separator tree
+
+
+@dataclass
+class _Level:
+    """The fronts at one depth of the separator tree: mutually independent,
+    with every row of their rows21 in a shallower front."""
+    nodes: list
+    cols: np.ndarray       # the level's positions, front by front
+    skipped: np.ndarray    # positions of the level's skipped pivots
+    a: sp.csc_matrix       # (n, len(cols)); column j holds the l21 column
+                           # below position cols[j]
+    at: sp.csr_matrix      # a.T, on the same arrays
 
 
 @dataclass
@@ -237,7 +252,8 @@ class CholeskyFactor:
     pivot_tol: float
     kept: np.ndarray              # bool per permuted position
     matrix: sp.csr_matrix         # original matrix, for residual checks
-    _nodes: list = field(default_factory=list, repr=False)
+    _nodes: list = field(default_factory=list, repr=False)   # by start
+    _levels: list = field(default_factory=list, repr=False)  # root first
 
     @property
     def shape(self):
@@ -285,9 +301,13 @@ def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL) -> Cholesky
     pivot_tol * max(initial diagonal) are skipped; a pivot below the
     negative of that threshold raises NumericalError.  A front with a
     skipped pivot is factored with symmetric pivoting inside its interval,
-    so the factor's `perm` may differ from the ordering's there.
+    so the factor's `perm` may differ from the ordering's there.  The fronts
+    are grouped by depth into levels for the solve (see `_schedule`).
+    Raises ValueError when `matrix` has a non-finite stored entry.
     """
     matrix = sp.csr_matrix(matrix).astype(float)
+    if not np.isfinite(matrix.data).all():
+        raise ValueError("matrix has non-finite entries")
     n = matrix.shape[0]
     if isinstance(ordering, NdOrdering):
         perm, tree = ordering.perm, ordering.tree
@@ -302,7 +322,7 @@ def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL) -> Cholesky
 
     nodes: list[_NodeFactor] = []
     new_pos = np.arange(n)   # ordering position -> factor position
-    _factor_node(tree, mp, scale, pivot_tol, nodes, new_pos)
+    _factor_node(tree, mp, scale, pivot_tol, nodes, new_pos, 0)
     nodes.sort(key=lambda nd: nd.start)
 
     # pivoting reorders positions within each front; a node's rows21 point
@@ -315,7 +335,61 @@ def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL) -> Cholesky
         kept[nd.start + nd.skipped] = False
     return CholeskyFactor(perm=perm_new, rank=int(kept.sum()),
                           pivot_tol=pivot_tol, kept=kept, matrix=matrix,
-                          _nodes=nodes)
+                          _nodes=nodes, _levels=_schedule(nodes, n))
+
+
+def _schedule(nodes, n):
+    """The solve's levels, root first: the fronts of each depth, with their
+    l21 blocks as one sparse matrix of n rows and one column per position
+    of the level.  Its data holds each l21 column by column, and each
+    node's l21 becomes a view into it, so no block is stored twice."""
+    levels = []
+    for depth in range(max((nd.depth for nd in nodes), default=-1) + 1):
+        group = [nd for nd in nodes if nd.depth == depth]
+        if not group:   # only empty separators at this depth
+            continue
+        heights = [len(nd.rows21) for nd in group]
+        widths = [nd.stop - nd.start for nd in group]
+        indptr = np.zeros(sum(widths) + 1, dtype=np.int32)
+        np.cumsum(np.repeat(heights, widths), out=indptr[1:])
+        data = np.empty(indptr[-1])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        off = 0
+        for nd, na, bs in zip(group, heights, widths):
+            view = data[off:off + na * bs].reshape((na, bs), order="F")
+            view[...] = nd.l21
+            nd.l21 = view
+            indices[off:off + na * bs] = np.tile(nd.rows21, bs)
+            off += na * bs
+        a = sp.csc_matrix((data, indices, indptr), shape=(n, sum(widths)))
+        levels.append(_Level(
+            nodes=group,
+            cols=np.concatenate([np.arange(nd.start, nd.stop)
+                                 for nd in group]),
+            skipped=np.concatenate([nd.start + nd.skipped for nd in group]),
+            a=a, at=a.T))
+    return levels
+
+
+def _join(factors) -> CholeskyFactor:
+    """One factor of the block-diagonal matrix of `factors`, whose rows are
+    the factors' rows in turn: every front keeps its arithmetic and is
+    shifted past the blocks before it, and the levels span all blocks."""
+    offsets = np.cumsum([0] + [f.shape[0] for f in factors])
+    nodes = [replace(nd, start=nd.start + off, stop=nd.stop + off,
+                     rows21=nd.rows21 + off)
+             for f, off in zip(factors, offsets) for nd in f._nodes]
+    n = int(offsets[-1])
+    return CholeskyFactor(
+        perm=np.concatenate([np.empty(0, dtype=np.int64)]
+                            + [f.perm + off for f, off in zip(factors, offsets)]),
+        rank=sum(f.rank for f in factors),
+        pivot_tol=max((f.pivot_tol for f in factors), default=DEFAULT_PIVOT_TOL),
+        kept=np.concatenate([np.empty(0, dtype=bool)]
+                            + [f.kept for f in factors]),
+        matrix=(sp.block_diag([f.matrix for f in factors], format="csr")
+                if factors else sp.csr_matrix((0, 0))),
+        _nodes=nodes, _levels=_schedule(nodes, n))
 
 
 def nd_cholesky(matrix, coords, base_case: int = DEFAULT_BASE_CASE,
@@ -325,11 +399,11 @@ def nd_cholesky(matrix, coords, base_case: int = DEFAULT_BASE_CASE,
     return cholesky(matrix, ordering, pivot_tol=pivot_tol)
 
 
-def _factor_node(node, mp, scale, pivot_tol, out, new_pos):
+def _factor_node(node, mp, scale, pivot_tol, out, new_pos, depth):
     child_updates = []
     for ch in node.children:
         child_updates.append(_factor_node(ch, mp, scale, pivot_tol, out,
-                                          new_pos))
+                                          new_pos, depth + 1))
 
     c0, c1 = node.start, node.stop
     bs = c1 - c0
@@ -383,7 +457,7 @@ def _factor_node(node, mp, scale, pivot_tol, out, new_pos):
 
     if bs:  # an empty separator (disconnected halves) stores nothing
         out.append(_NodeFactor(start=c0, stop=c1, skipped=skipped,
-                               l11=l11, rows21=above, l21=l21))
+                               l11=l11, rows21=above, l21=l21, depth=depth))
     return above, update
 
 
@@ -418,8 +492,10 @@ def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,
                       image_tol: float = 1e-6) -> np.ndarray:
     """Solve M x = b through the factor, for b of shape (n,) or (n, k);
     zero pivots get the zero-tail treatment (x is 0 there), so the result is
-    exact for b in Im(M).  Raises ValueError for a b of another row count
-    or with non-finite entries."""
+    exact for b in Im(M).  The solve walks the separator tree by levels:
+    one LAPACK `dtrtrs` per front and direction, and one sparse product per
+    level and direction for the blocks below the fronts.  Raises ValueError
+    for a b of another row count or with non-finite entries."""
     b = np.asarray(b, dtype=float)
     n = factor.shape[0]
     if b.ndim not in (1, 2) or b.shape[0] != n:
@@ -430,25 +506,22 @@ def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,
     bm = b.reshape(-1, 1) if single else b
     z = bm[factor.perm]
 
-    nodes = factor._nodes
-    # forward: L y = P^T b; y at a skipped pivot is never read, since its
-    # column of l11 is zero below the diagonal and its column of l21 is zero
-    for nd in nodes:
-        # y stays a C-order view of z, so y.T reaches gemm in Fortran
-        # order without a copy
-        y = z[nd.start:nd.stop]
-        y[:] = _triangular_solve(nd.l11, y, trans=0)
-        if len(nd.rows21):
-            z[nd.rows21] -= _GEMM(1.0, y.T, nd.l21.T).T
-    # backward: L^T x = y; a zero right-hand side at a skipped pivot makes
-    # x exactly 0 there
-    for nd in reversed(nodes):
-        seg = z[nd.start:nd.stop]
-        if len(nd.rows21):
-            zr = z[nd.rows21]
-            seg = seg - _GEMM(1.0, zr.T, nd.l21.T, trans_b=1).T
-        seg[nd.skipped] = 0.0
-        z[nd.start:nd.stop] = _triangular_solve(nd.l11, seg, trans=1)
+    # forward: L y = P^T b, deepest level first; y at a skipped pivot is
+    # never read, since its column of l11 is zero below the diagonal and
+    # its column of l21 is zero
+    for level in reversed(factor._levels):
+        for nd in level.nodes:
+            y = z[nd.start:nd.stop]
+            y[:] = _triangular_solve(nd.l11, y, trans=0)
+        _level_update(z, level, trans=False)
+    # backward: L^T x = y, root level first; a zero right-hand side at a
+    # skipped pivot makes x exactly 0 there
+    for level in factor._levels:
+        _level_update(z, level, trans=True)
+        z[level.skipped] = 0.0
+        for nd in level.nodes:
+            seg = z[nd.start:nd.stop]
+            seg[:] = _triangular_solve(nd.l11, seg, trans=1)
 
     x = np.empty_like(z)
     x[factor.perm] = z
@@ -457,12 +530,24 @@ def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,
     return x[:, 0] if single else x
 
 
+def _level_update(z, level, trans):
+    """z -= A z[cols] for the level's sparse block A, or z[cols] -= A^T z
+    when trans is true; sparse, so it calls no dense BLAS."""
+    if not level.a.nnz:
+        return
+    if trans:
+        z[level.cols] -= level.at @ z
+    else:
+        z -= level.a @ z[level.cols]
+
+
 def _check_image(matrix, x, b, image_tol):
-    """Raise unless matrix x meets each nonzero column of b to image_tol;
-    `matrix` is sparse, so this check calls no dense BLAS."""
+    """Raise unless matrix x meets each nonzero column of b to image_tol, a
+    NaN residual included; `matrix` is sparse, so this check calls no dense
+    BLAS."""
     norm_b = np.linalg.norm(b, axis=0)
-    bad = (np.linalg.norm(matrix @ x - b, axis=0)
-           > image_tol * np.maximum(norm_b, 1e-300))
+    bad = ~(np.linalg.norm(matrix @ x - b, axis=0)
+            <= image_tol * np.maximum(norm_b, 1e-300))
     if np.any(bad & (norm_b > 0)):
         raise NumericalError("right-hand side is not in the image of the matrix")
 
@@ -481,17 +566,19 @@ class BlockFactor:
     """Exact solver for a symmetric PSD matrix whose rows split into
     mutually uncoupled blocks plus an optional shared set.
 
-    Each block has its own exact solver of ``matrix[b][:, b]``: a
-    CholeskyFactor, or a GraphDownLap for a dual graph.  The Schur
-    complement onto the shared rows is pseudo-inverted densely up front.
-    Rows in neither a block nor the shared set are dropped, and the solution
-    is zero there.  Solves are exact for right-hand sides in the image.
+    `blocks` is the partition; one exact solver covers all of them, as the
+    matrix over their concatenated rows: a CholeskyFactor (one joined
+    factor), or a GraphDownLap for a dual graph.  The Schur complement onto
+    the shared rows is pseudo-inverted densely up front.  Rows in neither a
+    block nor the shared set are dropped, and the solution is zero there.
+    Solves are exact for right-hand sides in the image.
     """
 
-    def __init__(self, matrix, blocks, solvers, shared=()):
+    def __init__(self, matrix, blocks, solver, shared=()):
         self.matrix = sp.csr_matrix(matrix)
         self.blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
-        self.solvers = list(solvers)
+        self.rows = np.concatenate([np.empty(0, dtype=np.int64)] + self.blocks)
+        self.solver = solver
         self.shared = np.asarray(shared, dtype=np.int64)
         if len(self.shared) > DENSE_SHARED_CAP:
             raise NumericalError(
@@ -506,53 +593,41 @@ class BlockFactor:
             raise NumericalError(
                 "index blocks are coupled; the partition does not match "
                 "the matrix")
-        self.couplings = []
-        self.schur_pinv = np.zeros((0, 0))
+        self.coupling, self.schur_pinv = None, np.zeros((0, 0))
         if len(self.shared):
             rows = self.matrix[self.shared]
-            self.couplings = [rows[:, b].tocsr() for b in self.blocks]
-            schur = rows[:, self.shared].toarray()
-            for s, m_sb in zip(self.solvers, self.couplings):
-                if m_sb.shape[1]:
-                    schur -= m_sb @ s.solve(m_sb.toarray().T, check_image=False)
+            self.coupling = rows[:, self.rows].tocsr()
+            schur = rows[:, self.shared].toarray() - self.coupling @ (
+                self.solver.solve(self.coupling.toarray().T, check_image=False))
             self.schur_pinv = pinv_via_pivoted_qr(schur)
 
     @classmethod
     def nested_dissection(cls, matrix, blocks, coords, shared=(),
                           root_pins=None) -> "BlockFactor":
         """One nested dissection factor per block, ordered by `coords` (a 3D
-        location per row); `root_pins[i]` are positions within block i that
+        location per row) and judged by its own pivot threshold, joined
+        into one factor; `root_pins[i]` are positions within block i that
         its factor eliminates last."""
         matrix = sp.csr_matrix(matrix)
         coords = np.asarray(coords, dtype=float)
         pins = [None] * len(blocks) if root_pins is None else root_pins
-        solvers = [nd_cholesky(matrix[b][:, b], coords[b], root_pin=pin)
-                   if len(b) else None for b, pin in zip(blocks, pins)]
-        return cls(matrix, blocks, solvers, shared)
-
-    def _block_solve(self, v):
-        out = np.zeros_like(v)
-        for b, s in zip(self.blocks, self.solvers):
-            if len(b):
-                out[b] = s.solve(v[b], check_image=False)
-        return out
+        factors = [nd_cholesky(matrix[b][:, b], coords[b], root_pin=pin)
+                   for b, pin in zip(blocks, pins) if len(b)]
+        return cls(matrix, blocks, _join(factors), shared)
 
     def solve(self, v) -> np.ndarray:
         """x with matrix x = v on the kept rows, for v in the image."""
         v = np.asarray(v, dtype=float)
-        out = self._block_solve(v)
-        if not len(self.shared):
-            return out
-        pairs = [(b, m_sb) for b, m_sb in zip(self.blocks, self.couplings)
-                 if m_sb.shape[1]]
-        r_s = v[self.shared] - sum(m_sb @ out[b] for b, m_sb in pairs)
-        x_s = _GEMM(1.0, self.schur_pinv,
-                    r_s.reshape(len(r_s), -1)).reshape(r_s.shape)
-        rhs = v.copy()
-        for b, m_sb in pairs:
-            rhs[b] -= m_sb.T @ x_s
-        out = self._block_solve(rhs)
-        out[self.shared] = x_s
+        out = np.zeros_like(v)
+        rhs = v[self.rows]
+        if len(self.shared):
+            y = self.solver.solve(rhs, check_image=False)
+            r_s = v[self.shared] - self.coupling @ y
+            x_s = _GEMM(1.0, self.schur_pinv,
+                        r_s.reshape(len(r_s), -1)).reshape(r_s.shape)
+            rhs = rhs - self.coupling.T @ x_s
+            out[self.shared] = x_s
+        out[self.rows] = self.solver.solve(rhs, check_image=False)
         return out
 
 

@@ -209,7 +209,7 @@ def _reduced_wall(c, h: Hollowing, lt) -> BlockFactor:
     heads = b1.indices[b1.data > 0]
     m11 = GraphDownLap(b1.shape[1], np.column_stack([tails, heads]),
                        c.weights[2][h.boundary_triangles])
-    return BlockFactor(lt, [e1_local], [m11], shared=e2hat_local)
+    return BlockFactor(lt, [e1_local], m11, shared=e2hat_local)
 
 
 def _disc_rows(c, h: Hollowing):

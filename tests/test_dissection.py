@@ -189,6 +189,18 @@ def test_cholesky_rank_deficient_2x2():
         solve_with_factor(f, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_cholesky_rejects_a_non_finite_matrix(value):
+    with pytest.raises(ValueError, match="^matrix has non-finite"):
+        cholesky([[2.0, value], [value, 2.0]], np.arange(2))
+
+
+def test_image_check_fails_on_a_nan_residual():
+    with pytest.raises(NumericalError, match="image"):
+        dissection._check_image(sp.eye(2).tocsr(), np.array([[np.nan], [0.0]]),
+                                np.ones((2, 1)), 1e-6)
+
+
 def test_cholesky_rejects_indefinite():
     m = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(NumericalError, match="positive semidefinite"):
@@ -552,6 +564,29 @@ def test_solve_through_an_empty_separator(rng):
     assert len(ordering.tree.cols) == 0
     f = cholesky(m, ordering)
     assert_matches_reference(f, m.toarray(), m @ rng.standard_normal(12))
+    # the same without a common root: two blocks joined after each was
+    # factored under its own pivot threshold, one scaled far below the
+    # other, so one threshold for both would skip every pivot of the second
+    n = 30
+    line = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
+    parts = [graph_path_laplacian(n), 1e-13 * graph_path_laplacian(n)]
+    m = sp.block_diag(parts).tocsr()
+    joined = BlockFactor.nested_dissection(
+        m, [np.arange(n), np.arange(n, 2 * n)], np.vstack([line, line]))
+    f = joined.solver
+    for i, part in enumerate(parts):
+        assert f.kept[i * n:(i + 1) * n].sum() == nd_cholesky(part, line).rank
+        assert f.kept[i * n:(i + 1) * n].sum() == n - 1
+        b = np.zeros(2 * n)
+        b_i = b[i * n:(i + 1) * n]
+        b_i[:] = part @ rng.standard_normal(n)
+        got = joined.solve(b)
+        x_i = got[i * n:(i + 1) * n]
+        assert not got[(1 - i) * n:(2 - i) * n].any()
+        assert np.linalg.norm(part @ x_i - b_i) <= 1e-9 * np.linalg.norm(b_i)
+        assert (np.linalg.norm(part @ (x_i - oracle.pinv(part) @ b_i))
+                <= 1e-9 * np.linalg.norm(b_i))
+    assert_matches_reference(f, m.toarray(), m @ rng.standard_normal(2 * n))
 
 
 @pytest.mark.parametrize("columns", [None, 3])
@@ -717,6 +752,41 @@ def test_factor_remaps_positions_pivoted_inside_fronts():
         assert nd.rows21.tobytes() == nd2.rows21.tobytes()
 
 
+def test_solve_by_levels_makes_no_per_front_update(rng, monkeypatch):
+    # one triangular solve per front and direction, and the blocks below
+    # the fronts go through at most one sparse product per level and
+    # direction: no dense product, no per-front gather or scatter
+    c = gen_grid(GridSpec((4, 4, 4)))
+    m = up_laplacian(c, 1)
+    f = nd_cholesky(m, edge_midpoints(c), base_case=16)
+    assert f.rank < f.shape[0] and len(f._levels) < len(f._nodes)
+    # every l21 is a view into its level's sparse data, and the transpose
+    # shares it too: no block is stored twice
+    for level in f._levels[1:]:
+        assert level.a.nnz
+        assert np.shares_memory(level.at.data, level.a.data)
+        for nd in level.nodes:
+            assert np.shares_memory(nd.l21, level.a.data)
+    calls = {"gemm": 0, "trtrs": 0, "level": 0}
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+    for name, attr in (("gemm", "_GEMM"), ("trtrs", "_TRTRS"),
+                       ("level", "_level_update")):
+        monkeypatch.setattr(dissection, attr,
+                            counting(name, getattr(dissection, attr)))
+    for shape in (f.shape[0], (f.shape[0], 3)):
+        calls.update(gemm=0, trtrs=0, level=0)
+        b = m @ rng.standard_normal(shape)
+        assert np.linalg.norm(m @ f.solve(b) - b) <= 1e-9 * np.linalg.norm(b)
+        assert calls["gemm"] == 0
+        assert calls["trtrs"] == 2 * len(f._nodes)
+        assert calls["level"] <= 2 * len(f._levels)
+
+
 # the factor kernels use scipy's BLAS and LAPACK only; numpy's dense
 # products and np.linalg run on a second OpenBLAS with its own thread pool
 SCIPY_BLAS_ONLY = ("_factor_node", "_dense_rank_chol", "solve_with_factor",
@@ -813,7 +883,7 @@ def test_block_factor_graph_block_with_shared_set(rng):
     g[5:, :] = rng.standard_normal((2, 6))
     m = g @ g.T
     assert np.allclose(m[:5, :5], graph.lap.toarray())
-    factor = BlockFactor(m, [np.arange(5)], [graph], shared=[5, 6])
+    factor = BlockFactor(m, [np.arange(5)], graph, shared=[5, 6])
     assert_solves_like_pinv(factor, m, rng)
 
 
