@@ -1,7 +1,13 @@
-"""Exception types shared across the package, and the input checks of the
-public entry points."""
+"""Exception types shared across the package, the input checks of the
+public entry points, and the roundoff floor that residual checks allow."""
 
 import numpy as np
+
+# float64's unit roundoff, and the multiple of the roundoff floor
+# u |A|_1 |x| within which a residual is put down to rounding rather than
+# to a right-hand side outside the image
+UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+ROUNDOFF_MULTIPLE = 10.0
 
 
 class TetlapError(Exception):
@@ -36,3 +42,14 @@ def check_tolerance(eps) -> float:
     if not (np.isfinite(eps) and eps > 0.0):
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
     return eps
+
+
+def one_norm(matrix) -> float:
+    """|A|_1, the largest absolute column sum of a sparse matrix; 0 when it
+    has no columns."""
+    return float(np.max(np.asarray(abs(matrix).sum(axis=0)), initial=0.0))
+
+
+def roundoff_floor(norm1: float, x) -> float:
+    """u |A|_1 |x|: the size of the rounding error in A x, given |A|_1."""
+    return UNIT_ROUNDOFF * norm1 * np.linalg.norm(x)

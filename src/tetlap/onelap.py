@@ -5,12 +5,12 @@ The solve follows the split route of the Hodge decomposition
 b = gradient + curl + harmonic.  An orthonormal basis H of the harmonic
 space ker L1, one column per independent tunnel, is built once with the
 solver state; then P1 b = b - H H^T b exactly, the gradient part comes from
-the vertex-Laplacian projection, and the curl part is their complement, so
-no curl projection runs per request.  The up and down systems are solved
-separately and the partial solutions are projected back and added.  The
-up solve first runs at eps itself; the residual against P1 b is
-recomputed, and on a miss the solve runs once more with its tolerances a
-hundred times tighter.
+one solve with the vertex-Laplacian factor, also built with the state, and
+the curl part is their complement, so no curl projection runs per request.
+The up and down systems are solved separately and the partial solutions
+are projected back and added.  The up solve first runs at eps itself; the
+residual against P1 b is recomputed, and on a miss the up solve runs once
+more a hundred times tighter.
 
 A glued union usually has no global embedding, so the wall preconditioner
 cannot be factored by one geometric dissection.  Instead the shared edges
@@ -30,23 +30,18 @@ from . import oracle
 from .complexes import Complex3, build_complex, down_laplacian
 from .dissection import BlockFactor
 from .downlap import (DownState, build_down_state, down_lap_solve,
-                      down_projection, gradient_part)
-from .errors import check_tolerance, check_vector
+                      down_projection)
+from .errors import (ROUNDOFF_MULTIPLE, check_tolerance, check_vector,
+                     one_norm, roundoff_floor)
 from .hollowing import Hollowing, check_hollowing
 from .reports import SolveReport
-from .uplap import (ROUNDOFF_MULTIPLE, UpSolverState, _up_solve_with_state,
-                    build_up_solver, roundoff_floor)
+from .uplap import UpSolverState, _up_solve_with_state, build_up_solver
 from .upproj import _check_uncoupled_interiors
 
 # the up solve's tolerance is eps itself, and on a missed contract once
 # more at RETRY_SHARE * eps (Simoncini and Szyld, SIAM J. Sci. Comput.
 # 2003: inner tolerances need not be set a priori from a condition bound)
 RETRY_SHARE = 1e-2
-# a solve's gradient projections run at this share of delta: at delta
-# itself the gradient left in b_up, which lies outside Im(Lup), stalls the
-# Schur PCG, and the gradient part of x_up, which the solve discards, is
-# larger than x and would carry its projection error into the residual
-DOWN_DELTA_SHARE = 1e-2
 # the harmonic basis: each probe's up solve runs to PROBE_TOL; a probe adds
 # no direction when what is left of it, before or after one more up solve
 # takes off its leftover curl part, is shorter than sqrt(PROBE_TOL) |v|
@@ -103,8 +98,8 @@ def harmonic_basis(c, up_state: UpSolverState,
     ker Lup included; for a nearly harmonic x that is most of Lup x, and
     the Schur PCG cannot solve it away.
     """
-    lup, d2, n = up_state.lup, up_state.d2, c.num_edges
-    w2 = c.weights[2]
+    d2, n, w2 = up_state.d2, c.num_edges, c.weights[2]
+    lup_norm1 = one_norm(up_state.lup)
     rng = np.random.default_rng(PROBE_SEED)
     threshold = np.sqrt(PROBE_TOL)
 
@@ -121,7 +116,7 @@ def harmonic_basis(c, up_state: UpSolverState,
         # solve the curl part away no tighter than the rounding error in
         # Lup w allows, and not at all when Lup w is all rounding error
         lup_w = lup_apply(w)
-        floor = ROUNDOFF_MULTIPLE * roundoff_floor(lup, w)
+        floor = ROUNDOFF_MULTIPLE * roundoff_floor(lup_norm1, w)
         if np.linalg.norm(lup_w) <= floor:
             return w
         tol = max(PROBE_TOL, floor / np.linalg.norm(lup_w))
@@ -180,25 +175,22 @@ def _one_lap_core(state: OneLapState, b, eps: float):
         report.converged = True
         return np.zeros_like(b), report
     target = eps * report.initial_residual
+    down = state.down_state
+    b_down = down_projection(c, b, eps, state=down)
+    x_down = down_lap_solve(c, b_down, state=down)
     for stage, delta in (("up_solve", eps), ("up_solve_retry",
                                              RETRY_SHARE * eps)):
-        down_delta = DOWN_DELTA_SHARE * delta
-        # a gradient left in b_up lies outside Im(Lup); when it dominates,
-        # gradient_part takes it off tighter
-        b_down = gradient_part(c, b, down_delta, state.down_state, b - p1b)
-        x_down = down_lap_solve(c, b_down, state=state.down_state)
         x_up, up_rep = _up_solve_with_state(state.up_state, p1b - b_down,
                                             delta)
         report.add_stage(stage, up_rep)
         # keep the curl part of x_up and the gradient part of x_down
         x = x_up - harm @ (harm.T @ x_up) + down_projection(
-            c, x_down - x_up, down_delta, state=state.down_state)
+            c, x_down - x_up, eps, state=down)
         report.final_residual = float(np.linalg.norm(state.lap1 @ x - p1b))
         report.converged = report.final_residual <= target
         if report.converged:
             break
-    report.params.update(delta=delta, down_delta=down_delta,
-                         retried=stage != "up_solve")
+    report.params.update(delta=delta, retried=stage != "up_solve")
     return x, report
 
 
@@ -206,9 +198,10 @@ def hodge_decompose(c, h: Hollowing, f, eps: float,
                     state: Optional[OneLapState] = None):
     """Split a 1-chain into (gradient, curl, harmonic) parts.
 
-    The gradient part is within eps |P_grad f| of the exact one, and the
-    curl part is f less the other two, within eps |P_curl f|.  The harmonic
-    part comes from the harmonic basis, so it and the curl part carry that
+    The gradient part is one exact projection through the vertex-Laplacian
+    factor, correct up to roundoff, and the curl part is f less the other
+    two; both meet eps relative to their exact parts.  The harmonic part
+    comes from the harmonic basis, so it and the curl part carry that
     basis' error, about HARMONIC_TOL |f|, whatever eps asks for.
     """
     f = check_vector(f, c.num_edges, "f")
@@ -216,7 +209,7 @@ def hodge_decompose(c, h: Hollowing, f, eps: float,
     if state is None:
         state = build_one_lap_solver(c, h)
     harmonic = state.harmonic @ (state.harmonic.T @ f)
-    gradient = gradient_part(c, f, eps, state.down_state, harmonic)
+    gradient = down_projection(c, f, eps, state=state.down_state)
     curl = f - gradient - harmonic
     return gradient, curl, harmonic
 

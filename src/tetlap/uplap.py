@@ -19,22 +19,11 @@ import scipy.sparse as sp
 from .complexes import up_laplacian
 from .dissection import BlockFactor, concat_blocks
 from .downlap import GraphDownLap
-from .errors import NumericalError, check_tolerance, check_vector
+from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_tolerance,
+                     check_vector, one_norm, roundoff_floor)
 from .hollowing import Hollowing, check_hollowing
 from .pcg import LinearOperator, pcg
 from .reports import SolveReport
-
-
-# float64's unit roundoff, and the multiple of the roundoff floor
-# u |Lup|_1 |x| within which a missed contract is put down to an eps below
-# the attainable accuracy rather than to b outside the image
-UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-ROUNDOFF_MULTIPLE = 10.0
-
-
-def roundoff_floor(lup, x) -> float:
-    """u |Lup|_1 |x|: the size of the rounding error in Lup x."""
-    return UNIT_ROUNDOFF * abs(lup).sum(axis=0).max() * np.linalg.norm(x)
 
 
 @dataclass
@@ -182,7 +171,7 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
     if resid > eps * norm_b * (1 + 1e-9):
         missed = (f"up-Laplacian solve missed its contract: residual "
                   f"{resid:.3e} > eps * |b| = {eps * norm_b:.3e}")
-        floor = roundoff_floor(state.lup, x)
+        floor = roundoff_floor(one_norm(state.lup), x)
         if resid <= ROUNDOFF_MULTIPLE * floor:
             raise NumericalError(
                 f"{missed}; eps = {eps:.1e} is below the attainable accuracy "

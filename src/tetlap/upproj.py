@@ -18,13 +18,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dissection import BlockFactor, concat_blocks
-from .downlap import build_down_state, gradient_part
-from .errors import (NumericalError, UnsupportedGeometryError,
-                     check_tolerance, check_vector)
+from .downlap import down_projection
+from .errors import (ROUNDOFF_MULTIPLE, UNIT_ROUNDOFF, NumericalError,
+                     UnsupportedGeometryError, check_tolerance, check_vector)
 from .hollowing import Hollowing, check_hollowing
 from .pcg import NORM_SAFETY, LinearOperator, pcg, power_iteration
 from .reports import SolveReport
-from .uplap import ROUNDOFF_MULTIPLE, UNIT_ROUNDOFF
 
 
 @dataclass
@@ -161,7 +160,7 @@ def up_project(c, h: Hollowing, b, eps: float,
 
 def up_project_betti0(c, b, eps: float):
     """Projection onto Im(Lup) assuming the first Betti number vanishes:
-    complement of the gradient projection, refined so the relative contract
-    survives a large gradient part."""
+    the complement of the gradient projection, which is exact up to
+    roundoff, so the relative contract survives a large gradient part."""
     b = np.asarray(b, dtype=float)
-    return b - gradient_part(c, b, eps, build_down_state(c))
+    return b - down_projection(c, b, eps)

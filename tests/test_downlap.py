@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from tetlap import oracle
+from tetlap.complexes import build_complex
 from tetlap.downlap import (
     GraphDownLap,
     SpanningForest,
+    build_down_state,
     down_lap_solve,
     down_projection,
     solve_partial1,
@@ -105,6 +107,27 @@ def test_down_lap_solve_rejects_off_image():
         down_lap_solve(c, col)
 
 
+def test_down_lap_solve_on_vertex_weights_over_eight_decades():
+    # the exact solve of an exact gradient leaves a residual of about
+    # 1e-10 |b| from rounding alone, while an off-image part is still named
+    c = gen_grid(GridSpec((6, 6, 6)))
+    d1t = c.boundary(1).T.astype(float)
+    for seed in range(3):
+        c.weights[0] = np.exp(np.random.default_rng(seed).uniform(
+            np.log(1e-4), np.log(1e4), c.num_vertices))
+        ld = c.lap_down(1)
+        grad = d1t @ np.random.default_rng(9).standard_normal(c.num_vertices)
+        x = down_lap_solve(c, grad)
+        assert np.linalg.norm(ld @ x - grad) <= 1e-8 * np.linalg.norm(grad)
+        b = ld @ np.random.default_rng(7).standard_normal(c.num_edges)
+        curl = c.lap_up(1) @ np.random.default_rng(8).standard_normal(
+            c.num_edges)
+        for share in (1.0, 1e-6, 1e-9):
+            off = b + share * curl * np.linalg.norm(b) / np.linalg.norm(curl)
+            with pytest.raises(NumericalError, match="image"):
+                down_lap_solve(c, off)
+
+
 def test_down_lap_exactness_many_vectors(rng):
     c = gen_grid(GridSpec((2, 2, 2)))
     ld = c.lap_down(1)
@@ -129,15 +152,27 @@ def test_down_projection_kills_curls():
     assert np.linalg.norm(p) <= 1e-8 * np.linalg.norm(b)
 
 
+def two_boxes():
+    """Two disjoint 2^3 boxes in one complex: L0 has two kernel vectors."""
+    box = gen_grid(GridSpec((2, 2, 2)))
+    return build_complex(
+        np.vstack([box.tets, box.tets + box.num_vertices]),
+        np.vstack([box.vertices, box.vertices + [10.0, 0.0, 0.0]]))
+
+
 def test_down_projection_matches_oracle(rng):
-    c = gen_grid(GridSpec((2, 2, 1)))
-    d1 = c.boundary(1).toarray().astype(float)
-    proj = d1.T @ oracle.pinv(d1 @ d1.T) @ d1
-    for eps in (1e-6, 1e-10):
-        b = rng.standard_normal(c.num_edges)
-        p = down_projection(c, b, eps=eps)
-        target = proj @ b
-        assert np.linalg.norm(p - target) <= eps * np.linalg.norm(target)
+    for c in (gen_grid(GridSpec((2, 2, 1))), two_boxes()):
+        d1 = c.boundary(1).toarray().astype(float)
+        proj = d1.T @ oracle.pinv(d1 @ d1.T) @ d1
+        # the factor skips one pivot per connected component
+        state = build_down_state(c)
+        roots = state.graph.forest.roots
+        assert state.lap0_factor.rank == c.num_vertices - len(roots)
+        for eps in (1e-6, 1e-10, 1e-12):
+            b = rng.standard_normal(c.num_edges)
+            p = down_projection(c, b, eps=eps, state=state)
+            target = proj @ b
+            assert np.linalg.norm(p - target) <= eps * np.linalg.norm(target)
 
 
 def test_down_projection_idempotent(rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import pickle
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetlap import dissection, oracle
+from tetlap import dissection, downlap, onelap, oracle, uplap, upproj
 from tetlap.complexes import one_laplacian
 from tetlap.downlap import down_projection
 from tetlap.errors import TetlapError
@@ -29,6 +30,9 @@ from tetlap.onelap import (
 )
 from tetlap.uplap import up_lap_solve, up_lap_solve_fast
 from tetlap.upproj import up_project
+
+# the package exports the function pcg under the submodule's name
+pcg_module = importlib.import_module("tetlap.pcg")
 
 RELAXED = HollowingConfig(min_shell_width=2, min_component_separation=2)
 
@@ -493,7 +497,6 @@ def test_report_residual_is_against_the_exact_projection(harmonic_case, name):
     assert abs(rep.final_residual - want) <= 1e-12 * np.linalg.norm(target)
     assert rep.converged
     assert rep.params["b1"] == 1
-    assert rep.params["down_delta"] < rep.params["delta"]
     assert "up_solve" in rep.stages
 
 
@@ -545,9 +548,9 @@ def test_hodge_curl_of_a_gradient_dominated_chain(harmonic_case, name):
 @pytest.mark.parametrize("dims, r", [((6, 6, 6), 64), ((5, 5, 5), None)],
                          ids=["box6-r64", "box5-r-n^0.6"])
 def test_gradient_dominated_rhs_meets_the_contract(dims, r):
-    # a gradient left in b_up at down_delta |P_grad b| lies outside Im(Lup);
-    # at 100 times the rest it stalled the Schur PCG or missed the up
-    # solve's contract unless projected off tighter
+    # a gradient left in b_up lies outside Im(Lup); at 100 times the rest,
+    # what an inexact projection left of it stalled the Schur PCG or missed
+    # the up solve's contract
     c = gen_grid(GridSpec(dims))
     h = find_hollowing(c, r or c.num_simplexes ** 0.6, RELAXED)
     phi = np.random.default_rng(9).standard_normal(c.num_vertices)
@@ -579,18 +582,71 @@ def test_full_solve_on_widely_spread_triangle_weights():
             <= eps * np.linalg.norm(target)
 
 
-def test_missed_first_attempt_is_retried_tighter():
-    # vertex weights over six decades: the first attempt, with the up solve
-    # at eps, misses the full contract, and the retry at eps / 100 meets it
+def test_missed_first_attempt_is_retried_tighter(monkeypatch):
+    # the first up solve runs 1e3 times looser than asked, so the first
+    # attempt misses the full contract, and the retry at eps / 100 meets it
     c, h = setup((6, 6, 6), 64)
-    rng = np.random.default_rng(1)
-    c.weights[0] = np.exp(rng.uniform(-np.log(1e3), np.log(1e3),
-                                      c.num_vertices))
+    state = build_one_lap_solver(c, h)
+    real, asked = onelap._up_solve_with_state, []
+
+    def loose_first(up_state, rhs, tol):
+        asked.append(tol)
+        return real(up_state, rhs, tol * (1e3 if len(asked) == 1 else 1.0))
+
+    monkeypatch.setattr(onelap, "_up_solve_with_state", loose_first)
     b = np.random.default_rng(0).standard_normal(c.num_edges)
     eps = 1e-6
-    x, rep = one_lap_solve(c, h, b, eps)
+    x, rep = one_lap_solve(c, h, b, eps, state=state)
     assert rep.params["retried"] and rep.converged
     assert {"up_solve", "up_solve_retry"} <= set(rep.stages)
     assert rep.params["delta"] == pytest.approx(eps / 100)
     target = oracle_pi1(c) @ b
     assert np.linalg.norm(c.lap1() @ x - target) <= eps * np.linalg.norm(target)
+
+
+@pytest.mark.parametrize("decades", [3, 4])
+def test_spread_vertex_weights_converge_on_the_first_attempt(decades):
+    # vertex weights log-uniform over 10^-decades .. 10^decades: the
+    # gradient part of x dominates it, the down solve's product rounds at
+    # up to 1e-9 relative, and neither costs a retry
+    c, h = setup((6, 6, 6), 64)
+    b = np.random.default_rng(0).standard_normal(c.num_edges)
+    target = oracle_pi1(c) @ b          # Im L1 does not see the weights
+    eps = 1e-6
+    for seed in range(3):
+        c.weights[0] = np.exp(np.random.default_rng(seed).uniform(
+            -decades * np.log(10), decades * np.log(10), c.num_vertices))
+        x, rep = one_lap_solve(c, h, b, eps)
+        assert rep.converged and not rep.params["retried"]
+        assert np.linalg.norm(c.lap1() @ x - target) \
+            <= eps * np.linalg.norm(target)
+
+
+def test_requests_neither_iterate_nor_factor_on_the_gradient_side(
+        harmonic_case, monkeypatch):
+    # the gradient projection is one solve with the vertex-Laplacian factor
+    # built with the state
+    solid, ring = harmonic_case("solid"), harmonic_case("ring")
+    real_pcg, real_cholesky, seen = pcg_module.pcg, dissection.cholesky, []
+
+    def pcg_spy(*args, **kwargs):
+        x, rep = real_pcg(*args, **kwargs)
+        seen.append(rep.stage)
+        return x, rep
+
+    def cholesky_spy(*args, **kwargs):
+        seen.append("cholesky")
+        return real_cholesky(*args, **kwargs)
+
+    for mod in (pcg_module, dissection, downlap, uplap, upproj, onelap):
+        for name, real, spy in (("pcg", real_pcg, pcg_spy),
+                                ("cholesky", real_cholesky, cholesky_spy)):
+            if getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, spy)
+    for c, state, solve, _, _ in (solid, ring):
+        b = np.random.default_rng(6).standard_normal(c.num_edges)
+        solve(b, 1e-6)
+        hodge_decompose(c, state.hollowing, b, 1e-6, state=state)
+    assert "schur" in seen
+    assert "down_projection" not in seen
+    assert "cholesky" not in seen
