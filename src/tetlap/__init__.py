@@ -76,7 +76,6 @@ from .upproj import (
     proj_im_F,
     proj_ker_F,
     up_project,
-    up_project_betti0,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

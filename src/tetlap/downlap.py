@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .dissection import CholeskyFactor, nd_cholesky
 from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_tolerance,
@@ -44,47 +44,34 @@ class SpanningForest:
 
     @classmethod
     def from_graph(cls, n_vertices: int, edges) -> "SpanningForest":
+        """A vertex's parent is its smallest-index neighbour one level nearer
+        the root, through the first listed edge between the two."""
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         m = len(edges)
-        data = np.arange(m)
-        adj = sp.csr_matrix(
-            (np.concatenate([data, data]),
-             (np.concatenate([edges[:, 0], edges[:, 1]]),
-              np.concatenate([edges[:, 1], edges[:, 0]]))),
-            shape=(n_vertices, n_vertices))
-        if m:
-            graph = sp.csr_matrix(
-                (np.ones(2 * m),
-                 (np.concatenate([edges[:, 0], edges[:, 1]]),
-                  np.concatenate([edges[:, 1], edges[:, 0]]))),
-                shape=(n_vertices, n_vertices))
-        else:
-            graph = sp.csr_matrix((n_vertices, n_vertices))
-        ncomp, comp = connected_components(graph, directed=False)
-        roots = np.array([np.flatnonzero(comp == k)[0] for k in range(ncomp)],
-                         dtype=np.int64)
+        ends = np.concatenate([edges[:, 0], edges[:, 1]])
+        others = np.concatenate([edges[:, 1], edges[:, 0]])
+        graph = sp.csr_matrix((np.ones(2 * m), (ends, others)),
+                              shape=(n_vertices, n_vertices))
+        _, comp = connected_components(graph, directed=False)
+        _, roots = np.unique(comp, return_index=True)
+        depth = dijkstra(graph, unweighted=True, min_only=True,
+                         indices=roots).astype(np.int64)
 
+        # every edge that leads one level down, sorted by child, parent and
+        # edge id; each child keeps the first
+        up = depth[others] == depth[ends] + 1
+        child, par, edge = others[up], ends[up], np.tile(np.arange(m), 2)[up]
+        first = np.lexsort((edge, par, child))
+        first = first[np.unique(child[first], return_index=True)[1]]
         parent_edge = np.full(n_vertices, -1, dtype=np.int64)
         parent_vertex = np.full(n_vertices, -1, dtype=np.int64)
         head_sign = np.zeros(n_vertices, dtype=np.int64)
-        visited = np.zeros(n_vertices, dtype=bool)
-        visited[roots] = True
-        levels = [roots]
-        frontier = roots
-        while len(frontier):
-            nxt = []
-            for v in frontier:
-                lo, hi = adj.indptr[v], adj.indptr[v + 1]
-                for u, e in zip(adj.indices[lo:hi], adj.data[lo:hi]):
-                    if not visited[u]:
-                        visited[u] = True
-                        parent_edge[u] = e
-                        parent_vertex[u] = v
-                        head_sign[u] = 1 if edges[e, 1] == u else -1
-                        nxt.append(u)
-            frontier = np.array(sorted(nxt), dtype=np.int64)
-            if len(frontier):
-                levels.append(frontier)
+        kids, kid_edges = child[first], edge[first]
+        parent_edge[kids] = kid_edges
+        parent_vertex[kids] = par[first]
+        head_sign[kids] = np.where(edges[kid_edges, 1] == kids, 1, -1)
+        order = np.argsort(depth, kind="stable")
+        levels = np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)
         return cls(n_vertices=n_vertices, edges=edges, component=comp,
                    roots=roots, parent_edge=parent_edge,
                    parent_vertex=parent_vertex, head_sign=head_sign,

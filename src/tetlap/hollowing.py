@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import UnsupportedGeometryError
 from .meshgen import _adjacency, _exterior_components, skeleton_diameter
@@ -119,23 +119,28 @@ def load_hollowing(path) -> Hollowing:
 # -- graph helpers ------------------------------------------------------------
 
 def _bfs_hops(graph: sp.csr_matrix, sources: np.ndarray, cap: float = np.inf):
-    """Multi-source hop distances; inf where unreachable."""
-    n = graph.shape[0]
-    dist = np.full(n, np.inf)
-    if len(sources) == 0:
-        return dist
-    dist[sources] = 0.0
-    frontier = np.asarray(sources)
-    hops = 0
-    while len(frontier) and hops < cap:
-        hops += 1
-        neigh = np.unique(graph[frontier].indices)
-        neigh = neigh[dist[neigh] == np.inf]
-        if len(neigh) == 0:
-            break
-        dist[neigh] = hops
-        frontier = neigh
-    return dist
+    """Multi-source hop distances; inf where unreachable or beyond `cap`."""
+    return dijkstra(graph, unweighted=True, min_only=True, indices=sources,
+                    limit=cap)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique of an integer array, flattened, through a sort: numpy
+    2.4's np.unique hashes integers, which is 30-60x slower than sorting
+    on 1e5-1e6 mostly distinct values."""
+    values = np.sort(values, axis=None)
+    return values[np.r_[True, values[1:] != values[:-1]]] if len(values) \
+        else values
+
+
+def _grouped_unique(groups, ids, size: int, ngroups: int) -> list:
+    """The sorted distinct ids of each group, for groups in [0, ngroups) and
+    ids in [0, size): the distinct keys group * size + id, cut where each
+    group's keys start."""
+    keys = _distinct(np.asarray(groups, dtype=np.int64) * size + ids)
+    cuts = np.searchsorted(keys, np.arange(ngroups + 1) * size)
+    return [keys[lo:hi] - k * size
+            for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))]
 
 
 # -- bounding boxes -----------------------------------------------------------
@@ -308,32 +313,32 @@ def find_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
     tet_adj = _adjacency(tri_tets)
     wall = np.zeros(c.num_tets, dtype=bool)
 
+    def seed_band(tris):
+        """Tets with a face within seed_depth triangle hops of `tris`."""
+        near = _bfs_hops(tri_adj, tris, cap=config.seed_depth) < np.inf
+        return np.asarray((tri_tets[near].sum(axis=0) > 0)).ravel()
+
     # seed: a band of tets along the largest boundary component
     sizes = [np.sum(labels == k) for k in range(ncomp)]
     largest = int(np.argmax(sizes)) if ncomp else -1
     if ncomp:
-        seed_tris = np.flatnonzero(labels == largest)
-        near = _bfs_hops(tri_adj, seed_tris, cap=config.seed_depth) < np.inf
-        wall |= np.asarray((tri_tets[near].sum(axis=0) > 0)).ravel()
+        wall |= seed_band(np.flatnonzero(labels == largest))
+    # each hole's vertex coordinates and seed band
+    holes = [(c.vertices[np.unique(c.triangles[labels == k])],
+              seed_band(np.flatnonzero(labels == k)))
+             for k in range(ncomp) if k != largest]
 
     # plane walls plus half-bands around any hole a plane crosses
     tet_coords = c.vertices[c.tets]           # (nt, 4, 3)
     for axis in range(3):
+        cmin = tet_coords[..., axis].min(axis=1)
+        cmax = tet_coords[..., axis].max(axis=1)
+        centroid = tet_coords[..., axis].mean(axis=1)
         for q in planes[axis]:
-            cmin = tet_coords[..., axis].min(axis=1)
-            cmax = tet_coords[..., axis].max(axis=1)
             wall |= (cmin < q) & (q < cmax)
-            for k in range(ncomp):
-                if k == largest:
-                    continue
-                hole_tris = np.flatnonzero(labels == k)
-                hv = np.unique(c.triangles[hole_tris])
-                hole_coord = c.vertices[hv, axis]
-                if hole_coord.min() < q < hole_coord.max():
-                    near = _bfs_hops(tri_adj, hole_tris, cap=config.seed_depth) < np.inf
-                    half = np.asarray((tri_tets[near].sum(axis=0) > 0)).ravel()
-                    centroid = tet_coords[..., axis].mean(axis=1)
-                    wall |= half & (centroid >= q)
+            for hole_coords, band in holes:
+                if hole_coords[:, axis].min() < q < hole_coords[:, axis].max():
+                    wall |= band & (centroid >= q)
 
     for _ in range(config.max_expand_rounds + 1):
         if np.all(wall):
@@ -433,15 +438,11 @@ def _assign_shells(c, wall, tet_region, nreg, tri_adj, tet_adj, tri_tets):
     faces = c.tet_tris
 
     # interface wall tets per region: wall tets face-adjacent to the interior
-    cross = tet_adj[wall_ids]           # wall x all
-    dists = []
-    for k in range(nreg):
-        k_tets = np.flatnonzero(tet_region == k)
-        mask = np.zeros(c.num_tets, dtype=bool)
-        mask[k_tets] = True
-        sources = np.flatnonzero(np.asarray(
-            (cross[:, k_tets].sum(axis=1) > 0)).ravel())
-        dists.append(_bfs_hops(wsub, sources))
+    cross = tet_adj[wall_ids].tocoo()   # wall x all
+    region = tet_region[cross.col]
+    inner = region >= 0
+    dists = [_bfs_hops(wsub, sources) for sources in
+             _grouped_unique(region[inner], cross.row[inner], nw, nreg)]
     # the mesh exterior acts as one more "far side"
     ext_tris = np.flatnonzero(c.exterior_triangles)
     ext_tets = np.unique(tri_tets[ext_tris].indices)
@@ -449,7 +450,9 @@ def _assign_shells(c, wall, tet_region, nreg, tri_adj, tet_adj, tri_tets):
     dist_ext = _bfs_hops(wsub, ext_local)
 
     shells_t, shells_tri, widths = [], [], []
-    tri_region_interface = _interface_triangles(c, wall, tet_region, nreg)
+    interface = _interface_triangles(c, wall, tet_region)
+    outside = interface >= 0
+    outside[ext_tris] = True
     for k in range(nreg):
         member = np.zeros(nw, dtype=bool)
         for j in list(range(nreg)) + ["ext"]:
@@ -464,68 +467,64 @@ def _assign_shells(c, wall, tet_region, nreg, tri_adj, tet_adj, tri_tets):
             member = dists[k] < np.inf
         shell_tets = wall_ids[member]
         shells_t.append(shell_tets)
-        shell_tris = np.unique(faces[shell_tets].reshape(-1))
+        shell_tris = _distinct(faces[shell_tets])
         shells_tri.append(shell_tris)
 
-        inner = tri_region_interface[k]
-        outer = np.concatenate(
-            [tri_region_interface[j] for j in range(nreg) if j != k]
-            + [ext_tris]) if nreg > 0 else ext_tris
-        outer = np.intersect1d(outer, shell_tris)
-        inner = np.intersect1d(inner, shell_tris)
+        inner = shell_tris[interface[shell_tris] == k]
+        outer = shell_tris[outside[shell_tris] & (interface[shell_tris] != k)]
         if len(inner) == 0 or len(outer) == 0:
             widths.append(np.inf)
             continue
-        mask = np.zeros(c.num_triangles, dtype=bool)
-        mask[shell_tris] = True
-        ids = np.flatnonzero(mask)
-        sub = tri_adj[ids][:, ids]
-        pos = np.searchsorted(ids, inner)
-        d = _bfs_hops(sub, pos)
-        widths.append(float(d[np.searchsorted(ids, outer)].min()))
+        d = _bfs_hops(tri_adj[shell_tris][:, shell_tris],
+                      np.searchsorted(shell_tris, inner))
+        widths.append(float(d[np.searchsorted(shell_tris, outer)].min()))
     return shells_t, shells_tri, widths, {}
 
 
-def _interface_triangles(c, wall, tet_region, nreg):
-    """Triangles shared by a wall tet and an interior tet, per region."""
+def _interface_triangles(c, wall, tet_region):
+    """Per triangle, the region of the interior tet it shares with a wall
+    tet, or -1.  A triangle has at most two tets, so the region is unique."""
     faces = c.tet_tris
-    count_wall = np.zeros(c.num_triangles, dtype=np.int64)
-    np.add.at(count_wall, faces[wall].reshape(-1), 1)
-    out = []
-    for k in range(nreg):
-        tris_k = np.unique(faces[tet_region == k].reshape(-1))
-        out.append(tris_k[count_wall[tris_k] > 0])
-    return out
+    wall_face = np.zeros(c.num_triangles, dtype=bool)
+    wall_face[faces[wall].reshape(-1)] = True
+    tris = faces[~wall].reshape(-1)
+    on_wall = wall_face[tris]
+    interface = np.full(c.num_triangles, -1, dtype=np.int64)
+    interface[tris[on_wall]] = np.repeat(tet_region[~wall], 4)[on_wall]
+    return interface
 
 
 def _record_metrics(c, h: Hollowing, r):
-    sizes = []
-    bsizes = []
-    for k in range(h.num_regions):
-        interior = ((h.tet_region == k).sum()
-                    + (h.tri_class == k).sum()
-                    + (h.edge_class == k).sum())
-        if h.kind == "shell":
-            st = h.shell_tets[k]
-            btris = h.shells[k]
-            bedges = np.unique(c.tet_edges[st].reshape(-1)) if len(st) else []
-            bverts = np.unique(c.tets[st]) if len(st) else []
-            boundary = len(st) + len(btris) + len(bedges) + len(bverts)
-        else:
-            btris = h.shells[k]
-            bedges = np.unique(c.tri_edges[btris]) if len(btris) else []
-            bverts = np.unique(c.triangles[btris]) if len(btris) else []
-            boundary = len(btris) + len(bedges) + len(bverts)
-        sizes.append(interior + boundary)
-        bsizes.append(boundary)
+    def count(parts):
+        return np.array([len(p) for p in parts], dtype=np.int64)
+
+    nreg = h.num_regions
+    interior = sum(np.bincount(cls[cls >= 0], minlength=nreg)
+                   for cls in (h.tet_region, h.tri_class, h.edge_class))
+    # a region's boundary: its shell triangles, plus the edges and vertices
+    # of its wall tets and the tets themselves (shell), or of its shell
+    # triangles (sphere)
+    bsizes = count(h.shells)
+    if h.kind == "shell":
+        owned, edges, verts = h.shell_tets, c.tet_edges, c.tets
+        bsizes += count(owned)
+    else:
+        owned, edges, verts = h.shells, c.tri_edges, c.triangles
+    members = np.concatenate([np.empty(0, dtype=np.int64), *owned])
+    region = np.repeat(np.arange(nreg), count(owned))
+    for table, size in ((edges, c.num_edges), (verts, c.num_vertices)):
+        bsizes += count(_grouped_unique(
+            np.repeat(region, table.shape[1]), table[members].reshape(-1),
+            size, nreg))
+    sizes = interior + bsizes
     total_boundary = int((h.tri_class < 0).sum())
     h.metrics.update({
-        "region_simplexes_max": int(max(sizes)) if sizes else 0,
-        "boundary_simplexes_max": int(max(bsizes)) if bsizes else 0,
+        "region_simplexes_max": int(sizes.max()) if nreg else 0,
+        "boundary_simplexes_max": int(bsizes.max()) if nreg else 0,
         "boundary_triangles_total": total_boundary,
-        "region_factor_measured": (max(sizes) / r) if sizes else 0.0,
-        "boundary_factor_measured": (max(bsizes) / max(r, 1.0) ** (2 / 3))
-        if bsizes else 0.0,
+        "region_factor_measured": (sizes.max() / r) if nreg else 0.0,
+        "boundary_factor_measured": (bsizes.max() / max(r, 1.0) ** (2 / 3))
+        if nreg else 0.0,
         # constant in the total-boundary budget C * n * r^(-1/3)
         "boundary_total_factor": total_boundary
         / (c.num_simplexes * max(r, 1.0) ** (-1 / 3)),
@@ -690,17 +689,17 @@ def validate_hollowing(c, h: Hollowing, config: HollowingConfig | None = None):
     if h.kind == "shell":
         # interior simplexes of distinct regions share no subsimplex: every
         # vertex may touch interior simplexes of at most one region
-        vert_region = np.full(c.num_vertices, -1, dtype=np.int64)
-        tables = ((c.edges, h.edge_class), (c.triangles, h.tri_class),
-                  (c.tets, h.tet_region))
-        for table, cls in tables:
-            for k in range(h.num_regions):
-                vs = np.unique(table[cls == k])
-                clash = vert_region[vs]
-                if np.any((clash >= 0) & (clash != k)):
-                    violations.append(
-                        "interior simplexes of different regions share a vertex")
-                vert_region[vs] = k
+        lo = np.full(c.num_vertices, h.num_regions, dtype=np.int64)
+        hi = np.full(c.num_vertices, -1, dtype=np.int64)
+        for table, cls in ((c.edges, h.edge_class), (c.triangles, h.tri_class),
+                           (c.tets, h.tet_region)):
+            inner = (cls >= 0) & (cls < h.num_regions)
+            rep = np.repeat(cls[inner], table.shape[1])
+            np.minimum.at(lo, table[inner].reshape(-1), rep)
+            np.maximum.at(hi, table[inner].reshape(-1), rep)
+        if np.any(lo < hi):
+            violations.append(
+                "interior simplexes of different regions share a vertex")
     else:
         # surface walls: a simplex contained in tets of two regions must be
         # classified boundary (only boundary simplexes are shared)

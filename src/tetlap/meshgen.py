@@ -13,7 +13,8 @@ from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import (breadth_first_order, connected_components,
+                                  dijkstra)
 
 from .complexes import Complex3, aspect_ratio, build_complex
 
@@ -214,37 +215,34 @@ def skeleton_diameter(c: Complex3, tri_mask: np.ndarray, exact_cap: int = 4000) 
     """Diameter of the 1-skeleton graph of the given triangle set.
 
     Exact (all-pairs BFS) up to `exact_cap` vertices, double-sweep lower
-    bound beyond it.
+    bound beyond it: the second sweep starts from the first farthest vertex
+    in BFS order from vertex 0.
     """
     tris = c.triangles[tri_mask]
     if len(tris) == 0:
         return 0
     verts = np.unique(tris)
-    vmap = {v: i for i, v in enumerate(verts)}
-    pairs = set()
-    for t in tris:
-        pairs.update([(t[0], t[1]), (t[0], t[2]), (t[1], t[2])])
-    rows = [vmap[u] for u, v in pairs]
-    cols = [vmap[v] for u, v in pairs]
+    local = np.searchsorted(verts, tris)
     n = len(verts)
-    g = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    g = sp.csr_matrix((np.ones(3 * len(local)),
+                       (local[:, [0, 0, 1]].ravel(), local[:, [1, 2, 2]].ravel())),
+                      shape=(n, n))
     g = g + g.T
 
-    from scipy.sparse.csgraph import breadth_first_order
-
-    def ecc(src):
-        order, preds = breadth_first_order(g, src, directed=False)
-        depth = np.zeros(n, dtype=np.int64)
-        for node in order[1:]:
-            depth[node] = depth[preds[node]] + 1
-        return depth[order].max(), order[np.argmax(depth[order])]
-
     if n <= exact_cap:
-        best = 0
-        for s in range(n):
-            e, _ = ecc(s)
-            best = max(best, e)
+        # hop distances from 256 sources at a time bound the memory
+        best = 0.0
+        for start in range(0, n, 256):
+            dist = dijkstra(g, unweighted=True,
+                            indices=np.arange(start, min(start + 256, n)))
+            best = max(best, dist[np.isfinite(dist)].max())
         return int(best)
-    e1, far = ecc(0)
-    e2, _ = ecc(far)
-    return int(max(e1, e2))
+    best = 0.0
+    src = 0
+    for _ in range(2):
+        order = breadth_first_order(g, src, directed=False,
+                                    return_predecessors=False)
+        dist = dijkstra(g, unweighted=True, indices=src)[order]
+        best = max(best, dist.max())
+        src = order[np.argmax(dist)]
+    return int(best)

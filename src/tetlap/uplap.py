@@ -15,6 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .complexes import up_laplacian
 from .dissection import BlockFactor, concat_blocks
@@ -60,10 +61,10 @@ def build_up_solver(c, h: Hollowing,
     f_all, blocks = concat_blocks(f_regions)
     c_idx = h.boundary_edges
     midpoints = c.vertices[c.edges].mean(axis=1)
-    boundary_mask = h.edge_class < 0
+    interface = _interface_edges(c, h.edge_class < 0)
     interior = BlockFactor.nested_dissection(
         lup[f_all][:, f_all], blocks, midpoints[f_all],
-        root_pins=[_interface_edges(c, f, boundary_mask) for f in f_regions])
+        root_pins=[np.flatnonzero(interface[f]) for f in f_regions])
     state = UpSolverState(
         complex=c, hollowing=h, lup=lup, d2=d2, f_all=f_all, c_idx=c_idx,
         interior=interior, wall=None,
@@ -83,16 +84,13 @@ def build_up_solver(c, h: Hollowing,
     return state
 
 
-def _interface_edges(c, f, boundary_mask):
-    """Positions within `f` of edges sharing a triangle with the boundary."""
-    in_f = np.zeros(c.num_edges, dtype=bool)
-    in_f[f] = True
+def _interface_edges(c, boundary_mask):
+    """Mask of the interior edges that share a triangle with the boundary."""
     cls = boundary_mask[c.tri_edges]
     mixed = cls.any(axis=1)
-    touched = np.unique(c.tri_edges[mixed][~cls[mixed]])
-    touched = touched[in_f[touched]]
-    pos = {e: i for i, e in enumerate(f)}
-    return np.array([pos[e] for e in touched], dtype=np.int64)
+    interface = np.zeros(c.num_edges, dtype=bool)
+    interface[c.tri_edges[mixed][~cls[mixed]]] = True
+    return interface
 
 
 def schur_apply(state: UpSolverState, x_c):
@@ -216,62 +214,55 @@ def _disc_rows(c, h: Hollowing):
     if np.any(disc_of < 0):
         raise NumericalError("sphere hollowing lacks disc labels")
 
-    # disc signature per boundary edge
+    # edges x discs: the discs of each edge's triangles, one sorted entry
+    # per disc (the CSR constructor sums duplicates and sorts each row)
     coo = d2tb.tocoo()
-    edge_discs = {}
-    for e_local, t_local in zip(coo.row, coo.col):
-        edge_discs.setdefault(e_local, set()).add(int(disc_of[t_local]))
     n_c = len(c_idx)
-    e1_mask = np.zeros(n_c, dtype=bool)
-    for e_local in range(n_c):
-        if len(edge_discs.get(e_local, ())) == 1:
-            e1_mask[e_local] = True
+    sig = sp.csr_matrix((np.ones(coo.nnz), (coo.row, disc_of[coo.col])),
+                        shape=(n_c, int(disc_of.max(initial=-1)) + 1))
+    counts = np.diff(sig.indptr)
+    e1_mask = counts == 1
 
     signs = _orient_discs(d2tb, disc_of, e1_mask)
     b1 = (d2tb @ sp.diags(signs))[e1_mask].tocsr()
-    counts = np.diff(b1.indptr)
-    if not (np.all(counts == 2)
+    if not (np.all(np.diff(b1.indptr) == 2)
             and np.all(b1.data.reshape(-1, 2).sum(axis=1) == 0)):
         raise NumericalError("disc interior edge with unexpected incidence")
 
-    e1_local = np.flatnonzero(e1_mask)
-    groups = {}
-    for e_local in np.flatnonzero(~e1_mask):
-        key = frozenset(edge_discs.get(e_local, ()))
-        groups.setdefault(key, []).append(e_local)
-    e2hat_local = np.array(sorted(min(g) for g in groups.values()),
-                           dtype=np.int64)
-    return e1_local, e2hat_local, b1
+    # one rim edge per distinct disc signature: the first with it
+    rim = np.flatnonzero(~e1_mask)
+    padded = np.full((n_c, max(counts.max(initial=0), 1)), -1, dtype=np.int64)
+    padded[np.repeat(np.arange(n_c), counts),
+           np.arange(sig.nnz) - np.repeat(sig.indptr[:-1], counts)] = sig.indices
+    _, first = np.unique(padded[rim], axis=0, return_index=True)
+    return np.flatnonzero(e1_mask), np.sort(rim[first]), b1
 
 
 def _orient_discs(d2tb, disc_of, e1_mask) -> np.ndarray:
-    """Flip triangle orientations so triangles agree within each disc."""
+    """Flip triangle orientations so triangles agree within each disc.
+
+    Two triangles of one disc sharing a disc-interior edge must give it
+    opposite signs.  Each piece of triangles linked that way keeps the
+    orientation of its smallest triangle, and the signs spread from it
+    level by level in a breadth-first search."""
     nt = d2tb.shape[1]
-    signs = np.zeros(nt)
-    csr = d2tb.tocsr()
-    csc = d2tb.tocsc()
-    for start in range(nt):
-        if signs[start] != 0.0:
-            continue
-        signs[start] = 1.0
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            lo, hi = csc.indptr[t], csc.indptr[t + 1]
-            for e, val in zip(csc.indices[lo:hi], csc.data[lo:hi]):
-                if not e1_mask[e]:
-                    continue
-                elo, ehi = csr.indptr[e], csr.indptr[e + 1]
-                for t2, val2 in zip(csr.indices[elo:ehi], csr.data[elo:ehi]):
-                    if t2 == t or disc_of[t2] != disc_of[t]:
-                        continue
-                    want = -signs[t] * val * val2
-                    if signs[t2] == 0.0:
-                        signs[t2] = want
-                        stack.append(t2)
-                    elif signs[t2] != want:
-                        raise NumericalError("disc is not orientable")
-    signs[signs == 0.0] = 1.0
+    rows = d2tb.tocsr()[e1_mask]
+    # links[t, t2] = d2[e, t] * d2[e, t2] for the edge e the two share
+    links = (rows.T @ rows).tocoo()
+    keep = (links.row != links.col) & (disc_of[links.row] == disc_of[links.col])
+    t1, t2, val = links.row[keep], links.col[keep], links.data[keep]
+    link = sp.csr_matrix((val, (t1, t2)), shape=(nt, nt))
+    graph = abs(link)
+    _, piece = connected_components(graph, directed=False)
+    _, roots = np.unique(piece, return_index=True)
+    depth, pred = dijkstra(graph, unweighted=True, min_only=True,
+                           indices=roots, return_predecessors=True)[:2]
+    signs = np.ones(nt)
+    for level in range(1, int(depth.max(initial=0)) + 1):
+        t = np.flatnonzero(depth == level)
+        signs[t] = -signs[pred[t]] * np.asarray(link[pred[t], t]).ravel()
+    if np.any(signs[t2] != -signs[t1] * val):
+        raise NumericalError("disc is not orientable")
     return signs
 
 

@@ -18,7 +18,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dissection import BlockFactor, concat_blocks
-from .downlap import down_projection
 from .errors import (ROUNDOFF_MULTIPLE, UNIT_ROUNDOFF, NumericalError,
                      UnsupportedGeometryError, check_tolerance, check_vector)
 from .hollowing import Hollowing, check_hollowing
@@ -157,10 +156,3 @@ def up_project(c, h: Hollowing, b, eps: float,
     report.params["delta"] = delta
     return b1 + b4, report
 
-
-def up_project_betti0(c, b, eps: float):
-    """Projection onto Im(Lup) assuming the first Betti number vanishes:
-    the complement of the gradient projection, which is exact up to
-    roundoff, so the relative contract survives a large gradient part."""
-    b = np.asarray(b, dtype=float)
-    return b - down_projection(c, b, eps)

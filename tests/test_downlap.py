@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from tetlap import oracle
 from tetlap.complexes import build_complex
@@ -206,3 +210,90 @@ def test_down_projection_of_an_almost_harmonic_input():
     b = harm + grad
     p = down_projection(c, b, eps=1e-6)
     assert np.linalg.norm(p - grad) <= 1e-14 * np.linalg.norm(b)
+
+
+# -- spanning forest against the breadth-first reference -----------------------
+
+def reference_spanning_forest(n_vertices, edges):
+    """SpanningForest.from_graph as a Python breadth-first search: levels
+    in ascending order, each vertex's neighbours in ascending order, and a
+    vertex takes the first visitor as its parent.  Needs a simple graph:
+    parallel edges would sum their ids."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    m = len(edges)
+    rows = np.concatenate([edges[:, 0], edges[:, 1]])
+    cols = np.concatenate([edges[:, 1], edges[:, 0]])
+    adj = sp.csr_matrix((np.tile(np.arange(m), 2), (rows, cols)),
+                        shape=(n_vertices, n_vertices))
+    graph = sp.csr_matrix((np.ones(2 * m), (rows, cols)),
+                          shape=(n_vertices, n_vertices))
+    ncomp, comp = connected_components(graph, directed=False)
+    roots = np.array([np.flatnonzero(comp == k)[0] for k in range(ncomp)],
+                     dtype=np.int64)
+    parent_edge = np.full(n_vertices, -1, dtype=np.int64)
+    parent_vertex = np.full(n_vertices, -1, dtype=np.int64)
+    head_sign = np.zeros(n_vertices, dtype=np.int64)
+    visited = np.zeros(n_vertices, dtype=bool)
+    visited[roots] = True
+    levels = [roots]
+    frontier = roots
+    while len(frontier):
+        nxt = []
+        for v in frontier:
+            lo, hi = adj.indptr[v], adj.indptr[v + 1]
+            for u, e in zip(adj.indices[lo:hi], adj.data[lo:hi]):
+                if not visited[u]:
+                    visited[u] = True
+                    parent_edge[u] = e
+                    parent_vertex[u] = v
+                    head_sign[u] = 1 if edges[e, 1] == u else -1
+                    nxt.append(u)
+        frontier = np.array(sorted(nxt), dtype=np.int64)
+        if len(frontier):
+            levels.append(frontier)
+    return dict(component=comp, roots=roots, parent_edge=parent_edge,
+                parent_vertex=parent_vertex, head_sign=head_sign,
+                levels=levels)
+
+
+def assert_forest_like_reference(n_vertices, edges):
+    got = SpanningForest.from_graph(n_vertices, edges)
+    for name, want in reference_spanning_forest(n_vertices, edges).items():
+        have = getattr(got, name)
+        if name == "levels":
+            assert len(have) == len(want)
+            pairs = zip(have, want)
+        else:
+            pairs = [(have, want)]
+        for a, b in pairs:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (3, 2, 1), (5, 5, 5)])
+def test_forest_on_grids_matches_reference(dims):
+    c = gen_grid(GridSpec(dims))
+    assert_forest_like_reference(c.num_vertices, c.edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 40), density=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=0, density=0.0, seed=0)
+@example(n=6, density=0.0, seed=0)
+def test_forest_on_random_graphs_matches_reference(n, density, seed):
+    # sparse draws leave several components and isolated vertices; edges
+    # come shuffled, with tails and heads flipped at random
+    rng = np.random.default_rng(seed)
+    pairs = rng.integers(0, max(n, 1), size=(int(density * n), 2))
+    pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1),
+                      axis=0).reshape(-1, 2)
+    pairs = pairs[rng.permutation(len(pairs))]
+    flip = rng.random(len(pairs)) < 0.5
+    pairs[flip] = pairs[flip][:, ::-1]
+    assert_forest_like_reference(n, pairs)
+
+
+def test_forest_takes_the_first_listed_of_parallel_edges():
+    forest = SpanningForest.from_graph(3, [[0, 1], [1, 2], [1, 0], [0, 1]])
+    assert forest.parent_edge.tolist() == [-1, 0, 1]
+    assert forest.head_sign.tolist() == [0, 1, 1]

@@ -1,18 +1,26 @@
+import ast
+import hashlib
+import inspect
+import json
+import textwrap
+
 import numpy as np
 import pytest
 
-from tetlap import oracle
+from tetlap import downlap, hollowing, meshgen, oracle, uplap
 from tetlap.complexes import build_complex
 from tetlap.errors import UnsupportedGeometryError
 from tetlap.hollowing import (
     Hollowing,
     HollowingConfig,
+    _bfs_hops,
     find_hollowing,
     nice_bounding_box,
     sphere_hollowing,
     validate_hollowing,
 )
-from tetlap.meshgen import GridSpec, HoleSpec, gen_grid, mesh_from_cells
+from tetlap.meshgen import (GridSpec, HoleSpec, _adjacency, gen_grid,
+                            mesh_from_cells)
 
 RELAXED = HollowingConfig(min_shell_width=2)
 
@@ -181,3 +189,109 @@ def test_boundary_triangle_total_scaling():
         h = find_hollowing(c, r, RELAXED)
         fractions.append(h.metrics["boundary_triangles_total"] / c.num_triangles)
     assert fractions[1] <= fractions[0]
+
+
+# -- graph searches without Python loops -----------------------------------------
+
+def reference_bfs_hops(graph, sources, cap=np.inf):
+    """_bfs_hops as a frontier loop over sparse row slices."""
+    n = graph.shape[0]
+    dist = np.full(n, np.inf)
+    if len(sources) == 0:
+        return dist
+    dist[sources] = 0.0
+    frontier = np.asarray(sources)
+    hops = 0
+    while len(frontier) and hops < cap:
+        hops += 1
+        neigh = np.unique(graph[frontier].indices)
+        neigh = neigh[dist[neigh] == np.inf]
+        if len(neigh) == 0:
+            break
+        dist[neigh] = hops
+        frontier = neigh
+    return dist
+
+
+@pytest.mark.parametrize("cap", [np.inf, 1, 3, 6])
+def test_hop_fields_match_reference(cap):
+    # a cavity box has two exterior components, so some triangles are far
+    c = gen_grid(GridSpec((7, 7, 7), holes=[HoleSpec((3, 3, 3), (1, 1, 1))]))
+    tri_adj = _adjacency(abs(c.boundary(2)))
+    ext = np.flatnonzero(c.exterior_triangles)
+    rng = np.random.default_rng(0)
+    for sources in (ext, rng.choice(c.num_triangles, 5, replace=False),
+                    np.array([0]), np.empty(0, dtype=np.int64)):
+        got = _bfs_hops(tri_adj, sources, cap=cap)
+        want = reference_bfs_hops(tri_adj, sources, cap=cap)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # the exterior alone has two components, so the cavity is unreachable
+    surface = tri_adj[ext][:, ext]
+    got = _bfs_hops(surface, np.array([0, 7]), cap=cap)
+    assert np.isinf(got).any()
+    assert np.array_equal(
+        got, reference_bfs_hops(surface, np.array([0, 7]), cap=cap))
+
+
+RELAXED_BENCH = HollowingConfig(min_shell_width=2, min_component_separation=2)
+
+# sha256 of json.dumps(h.to_dict(), sort_keys=True), recorded with the
+# frontier-loop searches and per-region passes that the grouped ones replace
+HOLLOWING_DIGESTS = {
+    "box10": (lambda: gen_grid(GridSpec((10, 10, 10))), None, RELAXED_BENCH,
+              "8c872c439177b50d020fcd75baba098963af9f0fd2948e4d00e44f8c9ba65805",
+              []),
+    "chunk644": (lambda: gen_grid(GridSpec((6, 4, 4))), None, RELAXED_BENCH,
+                 "62ae4395bf552c5fe77e1b7e16d966052bf75b5a465b544ed4ee409fa0fbc0d6",
+                 []),
+    "tunnel12": (lambda: gen_grid(GridSpec((12, 12, 12), holes=[
+        HoleSpec((5, 5, 0), (2, 2, 12), "tunnel")])), None, RELAXED_BENCH,
+        "d62b1c77251a168dcae85a884c5bb9dbcfbaa7952b564a112b28d0c935af0b96",
+        ["region boundary exceeds boundary_factor * r^(2/3)"]),
+    "cavity9": (lambda: gen_grid(GridSpec((9, 9, 9), holes=[
+        HoleSpec((4, 4, 4), (1, 1, 1))])), 1000, RELAXED,
+        "9fee504fef2d65200213867c43539eba09ba0015f9a2b6427bf0be470447408d",
+        []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOLLOWING_DIGESTS))
+def test_hollowing_is_unchanged(name):
+    make, r, config, digest, violations = HOLLOWING_DIGESTS[name]
+    c = make()
+    h = find_hollowing(c, c.num_simplexes ** 0.6 if r is None else r, config)
+    text = json.dumps(h.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert validate_hollowing(c, h, config) == violations
+
+
+def test_validate_names_a_vertex_shared_by_two_regions_once():
+    # two tets meeting in vertex 0 only, each its own region: their edges,
+    # triangles and tets all touch vertex 0, and nothing else is wrong
+    c = build_complex([[0, 1, 2, 3], [0, 4, 5, 6]],
+                      [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                       [-1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    empty = np.empty(0, dtype=np.int64)
+    h = Hollowing(r=1.0, kind="shell", num_regions=2,
+                  tet_region=np.array([0, 1]),
+                  edge_class=(c.edges.max(axis=1) > 3).astype(np.int64),
+                  tri_class=(c.triangles.max(axis=1) > 3).astype(np.int64),
+                  shells=[empty, empty], shell_tets=[empty, empty],
+                  metrics={"shell_widths": [5, 5]})
+    assert validate_hollowing(c, h) == [
+        "interior simplexes of different regions share a vertex"]
+
+
+# functions whose graph searches and per-region passes run in scipy.sparse
+# .csgraph and grouped array operations
+LOOP_FREE = [hollowing._bfs_hops, hollowing.find_hollowing,
+             hollowing._assign_shells, hollowing._interface_triangles,
+             hollowing._record_metrics, hollowing.validate_hollowing,
+             downlap.SpanningForest.from_graph, uplap._interface_edges,
+             uplap._disc_rows, uplap._orient_discs, meshgen.skeleton_diameter]
+
+
+@pytest.mark.parametrize("func", LOOP_FREE, ids=lambda f: f.__qualname__)
+def test_graph_searches_have_no_while_loop(func):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    assert not any(isinstance(node, ast.While) for node in ast.walk(tree))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 
 from tetlap import oracle
 from tetlap.complexes import aspect_ratio, validate
-from tetlap.meshgen import GridSpec, HoleSpec, gen_grid, mesh_stats
+from tetlap.meshgen import (GridSpec, HoleSpec, gen_grid, mesh_stats,
+                            skeleton_diameter)
 
 
 def oracle_betti(c):
@@ -112,3 +115,51 @@ def test_spec_round_trip():
     assert again.dims == spec.dims
     assert again.holes[0].lo == spec.holes[0].lo
     assert again.holes[0].kind == "cavity"
+
+
+# -- skeleton diameter against the breadth-first reference ---------------------
+
+def reference_skeleton_diameter(c, tri_mask, exact_cap=4000):
+    """skeleton_diameter with vertex pairs in a set and one breadth-first
+    search per source, depths summed in a Python loop."""
+    tris = c.triangles[tri_mask]
+    if len(tris) == 0:
+        return 0
+    verts = np.unique(tris)
+    vmap = {v: i for i, v in enumerate(verts)}
+    pairs = set()
+    for t in tris:
+        pairs.update([(t[0], t[1]), (t[0], t[2]), (t[1], t[2])])
+    rows = [vmap[u] for u, v in pairs]
+    cols = [vmap[v] for u, v in pairs]
+    n = len(verts)
+    g = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    g = g + g.T
+
+    def ecc(src):
+        order, preds = breadth_first_order(g, src, directed=False)
+        depth = np.zeros(n, dtype=np.int64)
+        for node in order[1:]:
+            depth[node] = depth[preds[node]] + 1
+        return depth[order].max(), order[np.argmax(depth[order])]
+
+    if n <= exact_cap:
+        return int(max(ecc(s)[0] for s in range(n)))
+    e1, far = ecc(0)
+    e2, _ = ecc(far)
+    return int(max(e1, e2))
+
+
+@pytest.mark.parametrize("exact_cap", [4000, 30, 0])
+def test_skeleton_diameter_matches_reference(exact_cap):
+    # a cap below the vertex count takes the double sweep; random triangle
+    # subsets give disconnected skeletons
+    rng = np.random.default_rng(3)
+    for dims in ((3, 3, 3), (4, 5, 6)):
+        c = gen_grid(GridSpec(dims))
+        masks = [c.exterior_triangles] + [
+            rng.random(c.num_triangles) < share for share in (0.02, 0.1)]
+        for mask in masks:
+            got = skeleton_diameter(c, mask, exact_cap)
+            assert type(got) is int
+            assert got == reference_skeleton_diameter(c, mask, exact_cap)

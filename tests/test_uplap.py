@@ -11,6 +11,7 @@ from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
 from tetlap.onelap import one_lap_solve
 from tetlap.uplap import (
     _disc_rows,
+    _orient_discs,
     build_sphere_fast_solver,
     build_up_solver,
     schur_apply,
@@ -294,3 +295,85 @@ def test_pinv_via_pivoted_qr_matches_svd(rng):
         got = pinv_via_pivoted_qr(a)
         want = np.linalg.pinv(a, rcond=1e-12)
         assert np.linalg.norm(got - want) <= 1e-8 * max(np.linalg.norm(want), 1)
+
+
+# -- disc rows against the depth-first reference -------------------------------
+
+def reference_orient_discs(d2tb, disc_of, e1_mask):
+    """_orient_discs as a depth-first search from each unsigned triangle in
+    index order."""
+    nt = d2tb.shape[1]
+    signs = np.zeros(nt)
+    csr = d2tb.tocsr()
+    csc = d2tb.tocsc()
+    for start in range(nt):
+        if signs[start] != 0.0:
+            continue
+        signs[start] = 1.0
+        stack = [start]
+        while stack:
+            t = stack.pop()
+            lo, hi = csc.indptr[t], csc.indptr[t + 1]
+            for e, val in zip(csc.indices[lo:hi], csc.data[lo:hi]):
+                if not e1_mask[e]:
+                    continue
+                elo, ehi = csr.indptr[e], csr.indptr[e + 1]
+                for t2, val2 in zip(csr.indices[elo:ehi], csr.data[elo:ehi]):
+                    if t2 == t or disc_of[t2] != disc_of[t]:
+                        continue
+                    want = -signs[t] * val * val2
+                    if signs[t2] == 0.0:
+                        signs[t2] = want
+                        stack.append(t2)
+                    elif signs[t2] != want:
+                        raise NumericalError("disc is not orientable")
+    return signs
+
+
+def reference_disc_rows(c, h):
+    """_disc_rows with the disc signatures held in per-edge sets."""
+    c_idx = h.boundary_edges
+    bt = h.boundary_triangles
+    d2tb = c.boundary(2).astype(float)[c_idx][:, bt].tocsr()
+    disc_of = h.tri_disc[bt]
+    coo = d2tb.tocoo()
+    edge_discs = {}
+    for e_local, t_local in zip(coo.row, coo.col):
+        edge_discs.setdefault(e_local, set()).add(int(disc_of[t_local]))
+    e1_mask = np.array([len(edge_discs.get(e, ())) == 1
+                        for e in range(len(c_idx))], dtype=bool)
+    signs = reference_orient_discs(d2tb, disc_of, e1_mask)
+    b1 = (d2tb @ sp.diags(signs))[e1_mask].tocsr()
+    groups = {}
+    for e_local in np.flatnonzero(~e1_mask):
+        groups.setdefault(frozenset(edge_discs.get(e_local, ())),
+                          []).append(e_local)
+    e2hat_local = np.array(sorted(min(g) for g in groups.values()),
+                           dtype=np.int64)
+    return np.flatnonzero(e1_mask), e2hat_local, b1
+
+
+@pytest.mark.parametrize("k", [6, 8, 12, 16])
+def test_disc_rows_match_reference(k):
+    c = gen_grid(GridSpec((k, k, k)))
+    h = sphere_hollowing(c, c.num_simplexes ** 0.6, RELAXED)
+    got = _disc_rows(c, h)
+    want = reference_disc_rows(c, h)
+    for a, b in zip(got[:2], want[:2]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for name in ("shape", "indptr", "indices", "data"):
+        assert np.array_equal(getattr(got[2], name), getattr(want[2], name))
+
+
+def test_disc_with_an_odd_cycle_of_flips_is_not_orientable():
+    # three triangles in a cycle; consistent signs need each shared edge
+    # to hold one +1 and one -1, and the last edge holds two +1s
+    d2tb = sp.csr_matrix(np.array([[1.0, -1.0, 0.0],
+                                   [0.0, 1.0, -1.0],
+                                   [1.0, 0.0, 1.0]]))
+    disc_of = np.zeros(3, dtype=np.int64)
+    e1_mask = np.ones(3, dtype=bool)
+    with pytest.raises(NumericalError, match="disc is not orientable"):
+        _orient_discs(d2tb, disc_of, e1_mask)
+    d2tb[2, 0] = -1.0
+    assert np.array_equal(_orient_discs(d2tb, disc_of, e1_mask), np.ones(3))
