@@ -186,7 +186,8 @@ def cmd_bench(args) -> int:
         rows.append({
             "n": n, "r": r, "t_preprocess": t_pre, "t_solve": t_solve,
             "pcg_iters_schur": schur_iters, "kappa_est": kappa,
-            "regions": holl.num_regions, "eps": args.eps,
+            "regions": holl.num_regions, "b1": state.harmonic.shape[1],
+            "probes": state.probes, "eps": args.eps,
             "final_residual": report.final_residual,
         })
         print(f"k={k}: n={n} r={r:.0f} pre={t_pre:.2f}s solve={t_solve:.2f}s "

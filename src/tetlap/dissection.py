@@ -292,6 +292,15 @@ class CholeskyFactor:
         return solve_with_factor(self, b, check_image=check_image,
                                  image_tol=image_tol)
 
+    def gram(self, b) -> np.ndarray:
+        """b^T x for x = solve(b), b a sparse (n, k) matrix, from the forward
+        half of the solve only: the solve is x = P L^-T D L^-1 P^T b, with D
+        zeroing the skipped pivots, so b^T x = W^T W for W = D L^-1 P^T b."""
+        w = b.toarray()[self.perm]
+        _forward(self, w)
+        w[~self.kept] = 0.0
+        return _GEMM(1.0, w, w, trans_a=1)
+
 
 def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL) -> CholeskyFactor:
     """Factor a symmetric PSD matrix along a nested dissection ordering.
@@ -505,15 +514,7 @@ def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,
     single = b.ndim == 1
     bm = b.reshape(-1, 1) if single else b
     z = bm[factor.perm]
-
-    # forward: L y = P^T b, deepest level first; y at a skipped pivot is
-    # never read, since its column of l11 is zero below the diagonal and
-    # its column of l21 is zero
-    for level in reversed(factor._levels):
-        for nd in level.nodes:
-            y = z[nd.start:nd.stop]
-            y[:] = _triangular_solve(nd.l11, y, trans=0)
-        _level_update(z, level, trans=False)
+    _forward(factor, z)
     # backward: L^T x = y, root level first; a zero right-hand side at a
     # skipped pivot makes x exactly 0 there
     for level in factor._levels:
@@ -528,6 +529,17 @@ def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,
     if check_image:
         _check_image(factor.matrix, x, bm, image_tol)
     return x[:, 0] if single else x
+
+
+def _forward(factor: CholeskyFactor, z):
+    """L y = z in place, deepest level first; y at a skipped pivot is never
+    read, since its column of l11 is zero below the diagonal and its column
+    of l21 is zero."""
+    for level in reversed(factor._levels):
+        for nd in level.nodes:
+            y = z[nd.start:nd.stop]
+            y[:] = _triangular_solve(nd.l11, y, trans=0)
+        _level_update(z, level, trans=False)
 
 
 def _level_update(z, level, trans):
@@ -569,9 +581,11 @@ class BlockFactor:
     `blocks` is the partition; one exact solver covers all of them, as the
     matrix over their concatenated rows: a CholeskyFactor (one joined
     factor), or a GraphDownLap for a dual graph.  The Schur complement onto
-    the shared rows is pseudo-inverted densely up front.  Rows in neither a
-    block nor the shared set are dropped, and the solution is zero there.
-    Solves are exact for right-hand sides in the image.
+    the shared rows, C_ss - C M^+ C^T with the last term from the solver's
+    `gram`, is pseudo-inverted densely up front.  Rows in neither a block nor the
+    shared set are dropped, and the solution is zero there.  Solves are
+    exact for right-hand sides in the image.  `rank` is the solver's rank
+    plus the Schur complement's, the matrix's rank on the kept rows.
     """
 
     def __init__(self, matrix, blocks, solver, shared=()):
@@ -594,12 +608,14 @@ class BlockFactor:
                 "index blocks are coupled; the partition does not match "
                 "the matrix")
         self.coupling, self.schur_pinv = None, np.zeros((0, 0))
+        schur_rank = 0
         if len(self.shared):
             rows = self.matrix[self.shared]
             self.coupling = rows[:, self.rows].tocsr()
-            schur = rows[:, self.shared].toarray() - self.coupling @ (
-                self.solver.solve(self.coupling.toarray().T, check_image=False))
-            self.schur_pinv = pinv_via_pivoted_qr(schur)
+            schur = rows[:, self.shared].toarray() - self.solver.gram(
+                self.coupling.T)
+            self.schur_pinv, schur_rank = pinv_via_pivoted_qr(schur)
+        self.rank = self.solver.rank + schur_rank
 
     @classmethod
     def nested_dissection(cls, matrix, blocks, coords, shared=(),
@@ -638,17 +654,18 @@ def concat_blocks(parts):
     return flat, [np.arange(stop - len(p), stop) for p, stop in zip(parts, stops)]
 
 
-def pinv_via_pivoted_qr(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Pseudo-inverse through a complete orthogonal decomposition built from
-    Householder QR with column pivoting."""
+def pinv_via_pivoted_qr(a: np.ndarray, tol: float = 1e-12):
+    """(pseudo-inverse, rank) through a complete orthogonal decomposition
+    built from Householder QR with column pivoting; the rank counts the
+    diagonal entries of R above tol times the first."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
-        return a.T.copy()
+        return a.T.copy(), 0
     q, r, piv = sla.qr(a, pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > tol * (diag[0] if diag.size else 1.0)))
     if rank == 0:
-        return np.zeros_like(a.T)
+        return np.zeros_like(a.T), 0
     rk = r[:rank]                      # k x n
     z, t = sla.qr(rk.T, mode="economic")   # rk^T = z @ t, t is k x k upper
     tinv = sla.solve_triangular(t, np.eye(rank), lower=False)
@@ -656,4 +673,4 @@ def pinv_via_pivoted_qr(a: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     core = _GEMM(1.0, z, _GEMM(1.0, q[:, :rank], tinv), trans_b=1)
     out = np.empty_like(core)
     out[piv] = core
-    return out
+    return out, rank

@@ -132,8 +132,17 @@ class GraphDownLap:
         self.lap = (self.d.T @ sp.diags(self.w) @ self.d).tocsr()
         self.lap_norm1 = one_norm(self.lap)
 
+    @property
+    def rank(self) -> int:
+        """rank d^T W d = rank d = vertices - components."""
+        return self.n_vertices - len(self.forest.roots)
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.lap @ x
+
+    def gram(self, b) -> np.ndarray:
+        """b^T x for x = solve(b), b a sparse (edges, k) matrix."""
+        return b.T @ self.solve(b.toarray(), check_image=False)
 
     def solve(self, b: np.ndarray, check_image: bool = True) -> np.ndarray:
         """Exact solve of (d^T W d) x = b for b in the image.

@@ -31,8 +31,8 @@ from .complexes import Complex3, build_complex, down_laplacian
 from .dissection import BlockFactor
 from .downlap import (DownState, build_down_state, down_lap_solve,
                       down_projection)
-from .errors import (ROUNDOFF_MULTIPLE, check_tolerance, check_vector,
-                     one_norm, roundoff_floor)
+from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_tolerance,
+                     check_vector, one_norm, roundoff_floor)
 from .hollowing import Hollowing, check_hollowing
 from .reports import SolveReport
 from .uplap import UpSolverState, _up_solve_with_state, build_up_solver
@@ -62,25 +62,68 @@ class OneLapState:
     up_state: UpSolverState
     down_state: DownState
     harmonic: np.ndarray              # orthonormal basis of ker L1, edges x b1
+    probes: int                       # probes the harmonic basis drew
 
 
 def build_one_lap_solver(c, h: Hollowing) -> OneLapState:
     check_hollowing(c, h)
     _check_uncoupled_interiors(c, h)
-    return _build_state(c, h, build_up_solver(c, h))
+    return _build_state(c, h, build_up_solver(c, h), embedded=True)
 
 
-def _build_state(c, h, up_state) -> OneLapState:
+def _build_state(c, h, up_state, embedded: bool) -> OneLapState:
+    """The state over an up solver; an `embedded` complex (a mesh in R^3,
+    so b3 = 0) also has its probe budget checked against b0 - chi."""
     lup, ldown = up_state.lup, down_laplacian(c, 1)
     down_state = build_down_state(c)
+    budget, closed = probe_budget(c, h, up_state, down_state)
+    _check_budget(c, budget, down_state, embedded)
+    harmonic, probes = harmonic_basis(c, up_state, down_state, budget, closed)
     return OneLapState(complex=c, hollowing=h, lap1=(ldown + lup).tocsr(),
                        up_state=up_state, down_state=down_state,
-                       harmonic=harmonic_basis(c, up_state, down_state))
+                       harmonic=harmonic, probes=probes)
 
 
-def harmonic_basis(c, up_state: UpSolverState,
-                   down_state: DownState) -> np.ndarray:
-    """Orthonormal basis of ker L1 (edges x b1) from seeded Gaussian probes.
+def probe_budget(c, h: Hollowing, up_state: UpSolverState,
+                 down_state: DownState):
+    """(budget, closed): an upper bound on b1 from the ranks the factors
+    hold, and whether the wall is closed, every wall triangle's three edges
+    wall edges.
+
+    b1 = E - rank Lup - rank L0, and rank Lup = rank Lup[F,F] + rank S for
+    S the Schur complement on the wall (Haynsworth, Linear Algebra Appl.
+    1968).  On a closed wall an x_c in ker S extends to an x with
+    d2^T x = 0, which makes x_c a kernel vector of the wall up-Laplacian,
+    so rank(wall) <= rank S and the budget E - rank Lup[F,F] - rank L0 -
+    rank(wall) bounds b1; with the wall preconditioner working the two
+    ranks agree and the budget is b1.  A wall triangle with an interior
+    edge (a surface wall) breaks that: the wall term is left out there.
+    """
+    budget = (c.num_edges - up_state.interior.rank
+              - down_state.lap0_factor.rank)
+    closed = bool((h.edge_class[c.tri_edges[h.boundary_triangles]] < 0).all())
+    if closed and up_state.wall is not None:
+        budget -= up_state.wall.rank
+    return budget, closed
+
+
+def _check_budget(c, budget, down_state: DownState, embedded: bool):
+    """Raise when the budget is below a lower bound on b1: 0, and for an
+    embedded complex (b3 = 0) b0 - chi = b1 - b2, which where b2 = 0
+    catches a factor rank counted too high."""
+    b0 = len(down_state.graph.forest.roots)
+    chi = c.num_vertices - c.num_edges + c.num_triangles - c.num_tets
+    if budget < 0 or (embedded and budget < b0 - chi):
+        raise NumericalError(
+            f"the factors' ranks bound b1 by {budget}, below a lower bound "
+            f"on b1 (0, or b0 - chi = {b0 - chi} for a complex in R^3); a "
+            "factor's rank is counted too high")
+
+
+def harmonic_basis(c, up_state: UpSolverState, down_state: DownState,
+                   budget: int, closed: bool):
+    """(H, probes): an orthonormal basis H of ker L1 (edges x b1) from
+    seeded Gaussian probes, and the number of probes drawn.
 
     A probe v loses its gradient part, u = v - P_grad v, and then its curl
     part through an up solve: y solves Lup y = Lup u, so u - y lies in
@@ -88,9 +131,13 @@ def harmonic_basis(c, up_state: UpSolverState,
     part the solver adds to y depends only on the curl part of v, which is
     independent of the Gaussian's harmonic part, so the probes span ker L1.
     What the probe's solve leaves of the curl part is solved for once more
-    and taken off; the loop stops at the first probe that then adds no new
-    direction, so a curl leftover that survives one solve is not mistaken
-    for one whatever the condition of Lup.  One probe when b1 = 0.
+    and taken off, so a curl leftover that survives one solve is not
+    mistaken for a direction whatever the condition of Lup.
+
+    At most `budget` probes run (see probe_budget).  On a closed wall the
+    budget is b1: every probe must add a direction, else NumericalError,
+    and no probe runs when b1 = 0.  On an open wall it is only an upper
+    bound, and the loop stops at the first probe that adds nothing.
 
     Every up solve's right-hand side is formed as d2 (W2 (d2^T x)), in
     Im(d2) = Im(Lup) up to rounding relative to itself.  The assembled
@@ -99,7 +146,6 @@ def harmonic_basis(c, up_state: UpSolverState,
     the Schur PCG cannot solve it away.
     """
     d2, n, w2 = up_state.d2, c.num_edges, c.weights[2]
-    lup_norm1 = one_norm(up_state.lup)
     rng = np.random.default_rng(PROBE_SEED)
     threshold = np.sqrt(PROBE_TOL)
 
@@ -116,7 +162,7 @@ def harmonic_basis(c, up_state: UpSolverState,
         # solve the curl part away no tighter than the rounding error in
         # Lup w allows, and not at all when Lup w is all rounding error
         lup_w = lup_apply(w)
-        floor = ROUNDOFF_MULTIPLE * roundoff_floor(lup_norm1, w)
+        floor = ROUNDOFF_MULTIPLE * roundoff_floor(one_norm(up_state.lup), w)
         if np.linalg.norm(lup_w) <= floor:
             return w
         tol = max(PROBE_TOL, floor / np.linalg.norm(lup_w))
@@ -129,16 +175,22 @@ def harmonic_basis(c, up_state: UpSolverState,
             w = w - basis @ (basis.T @ w)
         return w
 
-    for _ in range(n + 1):
+    probes = 0
+    for probes in range(1, budget + 1):
         v = rng.standard_normal(n)
         u = grad_free(v)
         w = orthogonalize(grad_free(u - up_solve(lup_apply(u), PROBE_TOL)))
         if np.linalg.norm(w) > threshold * np.linalg.norm(v):
             w = orthogonalize(refine(w))
         if np.linalg.norm(w) <= threshold * np.linalg.norm(v):
+            if closed:
+                raise NumericalError(
+                    f"harmonic probe {probes} added no direction: "
+                    f"{basis.shape[1]} found, but the factors' ranks give "
+                    f"b1 = {budget}")
             break
         basis = np.column_stack([basis, w / np.linalg.norm(w)])
-    return basis
+    return basis, probes
 
 
 def one_lap_solve(c, h: Hollowing, b, eps: float,
@@ -413,7 +465,7 @@ def build_union_solver(u: UnionComplex) -> OneLapState:
     up_state = build_up_solver(
         glued, h, wall=lambda lt: _chunk_wall(
             lt, h.boundary_edges, edge_parts, u.shared_edges, midpoints))
-    return _build_state(glued, h, up_state)
+    return _build_state(glued, h, up_state, embedded=False)
 
 
 def _chunk_wall(matrix, ids, chunk_parts, dense, locations) -> BlockFactor:

@@ -8,7 +8,9 @@ so the iteration effectively runs in the quotient space.
 
 Convergence is judged on the true residual |A x - b| / |b|, recomputed
 every `check_every` iterations; the cheap preconditioned estimate only
-schedules extra checks.
+schedules extra checks.  The iteration gives up once STALL_CHECKS checks in
+a row set no new least true residual: it has reached the rounding floor of
+A x, which no further iteration goes below.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import NumericalError
 from .reports import SolveReport
 
 CHECK_EVERY = 16
+STALL_CHECKS = 2
 SYMMETRY_DRIFT_TOL = 1e-8
 POWER_ITERS = 30
 NORM_SAFETY = 2.0
@@ -74,9 +77,10 @@ def pcg(a_op: LinearOperator, m_op: Optional[LinearOperator], b, tol: float,
         max_iters: Optional[int] = None, stage: str = "pcg"):
     """Solve A x = b for b in Im(A) to relative residual `tol`.
 
-    Returns (x, SolveReport).  Non-convergence within max_iters is reported
-    (converged=False), never silently accepted; operator asymmetry and
-    indefiniteness raise NumericalError.
+    Returns (x, SolveReport).  Non-convergence within max_iters, or a true
+    residual that stalls above the target, is reported (converged=False),
+    never silently accepted; operator asymmetry and indefiniteness raise
+    NumericalError.
     """
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
@@ -104,6 +108,7 @@ def pcg(a_op: LinearOperator, m_op: Optional[LinearOperator], b, tol: float,
     p = z.copy()
     target = tol * norm_b
     trace = [norm_b]
+    least, stalls = np.inf, 0
 
     it = 0
     op_scale = 0.0
@@ -147,6 +152,13 @@ def pcg(a_op: LinearOperator, m_op: Optional[LinearOperator], b, tol: float,
                 report.final_residual = true_res
                 report.residual_trace = trace
                 return x, report
+            if true_res < least:
+                least, stalls = true_res, 0
+            else:
+                stalls += 1
+                if stalls == STALL_CHECKS:
+                    report.params["stalled"] = True
+                    break
             # refresh against drift and restart the direction: reusing the
             # pre-refresh beta would break conjugacy and stall the iteration
             r = b - ax

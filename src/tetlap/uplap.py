@@ -117,10 +117,15 @@ def schur_solve(state: UpSolverState, h_vec, delta: float,
     x, report = pcg(schur_operator(state), precond, h_vec, tol=delta,
                     max_iters=max_iters, stage="schur")
     if not report.converged:
+        floor = roundoff_floor(one_norm(state.lup), x)
+        why = ("its true residual stopped falling"
+               if report.params.get("stalled") else "out of iterations")
         raise NumericalError(
-            f"Schur-complement PCG did not reach {delta:.2e} within "
-            f"{report.iterations} iterations "
-            f"(final residual {report.final_residual:.2e})")
+            f"Schur-complement PCG did not reach {delta:.2e} ({why} after "
+            f"{report.iterations} iterations; final residual "
+            f"{report.final_residual:.2e}, target "
+            f"{delta * np.linalg.norm(h_vec):.2e}; float64 roundoff floor "
+            f"u * |Lup|_1 * |x| = {floor:.2e})")
     return x, report
 
 

@@ -242,6 +242,8 @@ def test_bench_schema(tmp_path):
     for col in ("n", "r", "t_preprocess", "t_solve", "pcg_iters_schur",
                 "kappa_est"):
         assert col in rows[0]
+    # a solid box: the factors' ranks give b1 = 0, so no probe runs
+    assert rows[0]["b1"] == rows[0]["probes"] == "0"
     assert float(rows[0]["final_residual"]) <= 1e-5 * 1e3
 
 

@@ -790,7 +790,8 @@ def test_solve_by_levels_makes_no_per_front_update(rng, monkeypatch):
 # the factor kernels use scipy's BLAS and LAPACK only; numpy's dense
 # products and np.linalg run on a second OpenBLAS with its own thread pool
 SCIPY_BLAS_ONLY = ("_factor_node", "_dense_rank_chol", "solve_with_factor",
-                   "pinv_via_pivoted_qr", "cholesky", "_split")
+                   "_forward", "gram", "pinv_via_pivoted_qr", "cholesky",
+                   "_split")
 NUMPY_BLAS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
 
 
@@ -848,6 +849,7 @@ def coupled_psd(rng, parts, n, rank=3):
 
 
 def assert_solves_like_pinv(factor, m, rng):
+    assert factor.rank == oracle.rank(m)
     b = m @ rng.standard_normal(len(m))
     x = factor.solve(b)
     x_oracle = oracle.pinv(m) @ b
@@ -883,6 +885,9 @@ def test_block_factor_graph_block_with_shared_set(rng):
     g[5:, :] = rng.standard_normal((2, 6))
     m = g @ g.T
     assert np.allclose(m[:5, :5], graph.lap.toarray())
+    assert graph.rank == oracle.rank(graph.lap) == 3
+    assert_solves_like_pinv(BlockFactor(m[:5, :5], [np.arange(5)], graph),
+                            m[:5, :5], rng)
     factor = BlockFactor(m, [np.arange(5)], graph, shared=[5, 6])
     assert_solves_like_pinv(factor, m, rng)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tetlap import dissection, downlap, onelap, oracle, uplap, upproj
 from tetlap.complexes import one_laplacian
 from tetlap.downlap import down_projection
-from tetlap.errors import TetlapError
+from tetlap.errors import NumericalError, TetlapError
 from tetlap.hollowing import (
     HollowingConfig,
     check_hollowing,
@@ -26,6 +26,7 @@ from tetlap.onelap import (
     glue,
     hodge_decompose,
     one_lap_solve,
+    probe_budget,
     union_one_lap_solve,
 )
 from tetlap.uplap import up_lap_solve, up_lap_solve_fast
@@ -183,12 +184,9 @@ def test_reweighting_takes_effect_at_the_next_solve():
     assert np.linalg.norm(lap1 @ x - b) <= eps * np.linalg.norm(b)
 
 
-# derandomized so the suite is repeatable; drop derandomize to explore
-# further draws of the same strategy
-@settings(max_examples=10, deadline=None, derandomize=True)
-@given(dims=st.tuples(*[st.integers(4, 6)] * 3),
-       keep=st.floats(0.85, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_one_lap_solve_meets_the_contract_or_raises(dims, keep, seed):
+def random_mesh(dims, keep, seed):
+    """A box of `dims` cells keeping about `keep` of them, with random
+    weights; returns the mesh and the generator, to draw more from."""
     rng = np.random.default_rng(seed)
     cells = int(np.prod(dims))
     mask = np.ones(cells, dtype=bool)
@@ -196,6 +194,20 @@ def test_one_lap_solve_meets_the_contract_or_raises(dims, keep, seed):
     c = mesh_from_cells(dims, mask.reshape(dims))
     for dim, w in enumerate(c.weights):
         c.weights[dim] = rng.uniform(0.5, 2.0, len(w))
+    return c, rng
+
+
+RANDOM_MESHES = dict(dims=st.tuples(*[st.integers(4, 6)] * 3),
+                     keep=st.floats(0.85, 1.0),
+                     seed=st.integers(0, 2**32 - 1))
+
+
+# derandomized so the suite is repeatable; drop derandomize to explore
+# further draws of the same strategy
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(**RANDOM_MESHES)
+def test_one_lap_solve_meets_the_contract_or_raises(dims, keep, seed):
+    c, rng = random_mesh(dims, keep, seed)
     b = rng.standard_normal(c.num_edges)
     eps = 1e-6
     try:
@@ -469,6 +481,65 @@ def test_harmonic_basis_spans_the_oracle_kernel(harmonic_case, name):
     assert np.linalg.norm(gap, 2) <= 1e-10
 
 
+@pytest.mark.parametrize("name", sorted(HARMONIC_MESHES))
+def test_probe_budget_is_b1_on_closed_walls(harmonic_case, name):
+    # the ring's surface walls hold triangles with an interior edge, so its
+    # budget leaves the wall out, and one more probe finds nothing
+    c, state, _, _, _ = harmonic_case(name)
+    budget, closed = probe_budget(c, state.hollowing, state.up_state,
+                                  state.down_state)
+    b1 = betti_numbers(c)[1]
+    assert closed == (name != "ring")
+    if closed:
+        assert budget == b1 == state.probes
+    else:
+        assert budget > b1 and state.probes == b1 + 1
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(**RANDOM_MESHES)
+def test_probe_budget_is_b1_on_random_meshes(dims, keep, seed):
+    c, _ = random_mesh(dims, keep, seed)
+    try:
+        h = find_hollowing(c, c.num_simplexes ** 0.75, RELAXED)
+    except TetlapError:
+        return
+    state = build_one_lap_solver(c, h)
+    budget, closed = probe_budget(c, h, state.up_state, state.down_state)
+    assert closed
+    assert budget == betti_numbers(c)[1] == state.harmonic.shape[1] \
+        == state.probes
+
+
+def miscount_interior_rank(monkeypatch, delta):
+    real = onelap.build_up_solver
+
+    def miscounted(*args, **kwargs):
+        up_state = real(*args, **kwargs)
+        up_state.interior.rank += delta
+        return up_state
+    monkeypatch.setattr(onelap, "build_up_solver", miscounted)
+
+
+def test_a_probe_short_of_the_budget_raises(monkeypatch):
+    # an interior rank one too low makes the budget 2 on the one-tunnel box
+    c, h = HARMONIC_MESHES["tunnel"][0]()
+    miscount_interior_rank(monkeypatch, -1)
+    with pytest.raises(NumericalError, match="harmonic probe 2 added no "
+                       "direction: 1 found, but the factors' ranks give "
+                       "b1 = 2"):
+        build_one_lap_solver(c, h)
+
+
+def test_a_budget_below_the_euler_bound_raises(monkeypatch):
+    # an interior rank one too high makes the budget -1 on a solid box
+    c, h = HARMONIC_MESHES["solid"][0]()
+    miscount_interior_rank(monkeypatch, 1)
+    with pytest.raises(NumericalError, match=r"bound b1 by -1, below a "
+                       r"lower bound on b1 \(0, or b0 - chi = 0 "):
+        build_one_lap_solver(c, h)
+
+
 def test_harmonic_basis_is_bit_identical_across_builds():
     c, h = setup((10, 4, 4), 64, TWO_TUNNELS)
     first = build_one_lap_solver(c, h).harmonic
@@ -507,7 +578,10 @@ def test_harmonic_basis_on_widely_spread_triangle_weights():
     rng = np.random.default_rng(0)
     c.weights[2] = np.exp(rng.uniform(np.log(1e-3), np.log(1e3),
                                       c.num_triangles))
-    basis = build_one_lap_solver(c, h).harmonic
+    state = build_one_lap_solver(c, h)
+    assert probe_budget(c, h, state.up_state, state.down_state) == (1, True)
+    assert state.probes == 1
+    basis = state.harmonic
     kernel = oracle.kernel_basis(c.lap1().toarray())
     assert basis.shape == kernel.shape == (c.num_edges, 1)
     assert np.linalg.norm(basis - kernel @ (kernel.T @ basis), 2) <= 1e-10

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tetlap import oracle
+from tetlap import oracle, uplap
 from tetlap.complexes import build_complex
 from tetlap.dissection import pinv_via_pivoted_qr
 from tetlap.hollowing import HollowingConfig, find_hollowing, sphere_hollowing
 from tetlap.errors import NumericalError
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
-from tetlap.onelap import one_lap_solve
+from tetlap.onelap import build_one_lap_solver, one_lap_solve
 from tetlap.uplap import (
     _disc_rows,
+    _up_solve_with_state,
     _orient_discs,
     build_sphere_fast_solver,
     build_up_solver,
@@ -191,6 +192,30 @@ def test_rhs_with_a_gradient_part_is_named_off_image(rng):
         up_lap_solve(c, h, b, 1e-6)
 
 
+def test_stalled_schur_pcg_stops_and_names_the_floor(monkeypatch):
+    # Lup h for a harmonic h is rounding error with a part in ker Lup, so
+    # the Schur PCG's true residual stops falling far above the target; it
+    # used to iterate on to max_iters (1,056 iterations)
+    c = gen_grid(GridSpec((6, 6, 6),
+                          holes=[HoleSpec((2, 2, 0), (1, 1, 6), "tunnel")]))
+    h = find_hollowing(c, 64, RELAXED)
+    state = build_one_lap_solver(c, h)
+    real, traces = uplap.pcg, []
+
+    def spy(*args, **kwargs):
+        x, rep = real(*args, **kwargs)
+        traces.append(rep.residual_trace)
+        return x, rep
+    monkeypatch.setattr(uplap, "pcg", spy)
+    b = state.up_state.lup @ state.harmonic[:, 0]
+    with pytest.raises(NumericalError, match=r"stopped falling.*roundoff "
+                       r"floor u \* \|Lup\|_1 \* \|x\| = "):
+        _up_solve_with_state(state.up_state, b, 1e-6)
+    # the true-residual checks, then the final residual
+    checks = traces[-1][1:]
+    assert len(checks) - 1 - int(np.argmin(checks)) <= 3
+
+
 def test_up_lap_solve_single_tet(rng):
     c = build_complex([[0, 1, 2, 3]],
                       [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -292,7 +317,8 @@ def test_pinv_via_pivoted_qr_matches_svd(rng):
     for shape, rank in [((6, 6), 6), ((7, 7), 4), ((5, 5), 2)]:
         b = rng.standard_normal((shape[0], rank))
         a = b @ b.T
-        got = pinv_via_pivoted_qr(a)
+        got, got_rank = pinv_via_pivoted_qr(a)
+        assert got_rank == rank
         want = np.linalg.pinv(a, rcond=1e-12)
         assert np.linalg.norm(got - want) <= 1e-8 * max(np.linalg.norm(want), 1)
 
