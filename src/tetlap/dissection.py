@@ -9,7 +9,9 @@ update to its parent.  Zero pivots of semidefinite inputs are skipped (the
 corresponding factor column is zeroed, and pivoting inside the front moves
 it last), so the factor is rank-revealing and solves against right-hand
 sides in the image remain exact.  Solves walk the tree by levels, the
-fronts of one depth at a time.
+fronts of one depth at a time: by substitution in an exact solver, and in a
+factor applied as a preconditioner through each level's inverted blocks,
+folded into one sparse matrix.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ BALANCE_BOUND = 0.9
 _POTRF = sla.get_lapack_funcs("potrf", dtype=np.float64)
 _PSTRF = sla.get_lapack_funcs("pstrf", dtype=np.float64)
 _TRTRS = sla.get_lapack_funcs("trtrs", dtype=np.float64)
+_TRTRI = sla.get_lapack_funcs("trtri", dtype=np.float64)
 _GEMM = sla.get_blas_funcs("gemm", dtype=np.float64)
 
 
@@ -235,23 +238,29 @@ class _NodeFactor:
 class _Level:
     """The fronts at one depth of the separator tree: mutually independent,
     with every row of their rows21 in a shallower front."""
-    nodes: list
+    nodes: list            # the fronts left to substitute; none when folded
     cols: np.ndarray       # the level's positions, front by front
     skipped: np.ndarray    # positions of the level's skipped pivots
     a: sp.csc_matrix       # (n, len(cols)); column j holds the l21 column
-                           # below position cols[j]
+                           # below position cols[j], or when folded the
+                           # column of [I - L11^-1; L21 L11^-1] there
     at: sp.csr_matrix      # a.T, on the same arrays
 
 
 @dataclass
 class CholeskyFactor:
-    """P L L^T P^T factorization with skipped (rank-deficient) pivots."""
+    """P L L^T P^T factorization with skipped (rank-deficient) pivots.
+
+    A folded factor (see `fold`) keeps only its levels' sparse matrices: it
+    solves with one sparse product per level and direction, and has no
+    fronts left to assemble L from."""
 
     perm: np.ndarray
     rank: int
     pivot_tol: float
     kept: np.ndarray              # bool per permuted position
     matrix: sp.csr_matrix         # original matrix, for residual checks
+    folded: bool = False
     _nodes: list = field(default_factory=list, repr=False)   # by start
     _levels: list = field(default_factory=list, repr=False)  # root first
 
@@ -260,9 +269,25 @@ class CholeskyFactor:
         return self.matrix.shape
 
     @property
+    def nbytes(self) -> int:
+        """Bytes stored by the factor: its fronts' dense blocks and its
+        levels' sparse matrices (each front's l21 is a view into its
+        level's), not the input matrix."""
+        arrays = [self.perm, self.kept]
+        for nd in self._nodes:
+            arrays += [nd.skipped, nd.l11, nd.rows21]
+        for level in self._levels:
+            arrays += [level.cols, level.skipped, level.a.data,
+                       level.a.indices, level.a.indptr]
+        return sum(a.nbytes for a in arrays)
+
+    @property
     def L(self) -> sp.csc_matrix:
         """The lower factor, assembled from the node blocks on each access;
         its column at a skipped pivot is zero."""
+        if self.folded:
+            raise ValueError("a folded factor stores its levels' inverted "
+                             "blocks, not L")
         coo_r, coo_c, coo_v = [], [], []
         for nd in self._nodes:
             bs = nd.stop - nd.start
@@ -347,32 +372,42 @@ def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL) -> Cholesky
                           _nodes=nodes, _levels=_schedule(nodes, n))
 
 
-def _schedule(nodes, n):
+def _schedule(nodes, n, folded=False):
     """The solve's levels, root first: the fronts of each depth, with their
-    l21 blocks as one sparse matrix of n rows and one column per position
-    of the level.  Its data holds each l21 column by column, and each
-    node's l21 becomes a view into it, so no block is stored twice."""
+    blocks as one sparse matrix of n rows and one column per position of
+    the level, its data the blocks column by column.  Unfolded, the blocks
+    are the l21, and each node's l21 becomes a view into the data, so no
+    block is stored twice.  Folded, they are the columns of `_fold_front`,
+    and the level keeps no fronts."""
     levels = []
     for depth in range(max((nd.depth for nd in nodes), default=-1) + 1):
         group = [nd for nd in nodes if nd.depth == depth]
         if not group:   # only empty separators at this depth
             continue
-        heights = [len(nd.rows21) for nd in group]
-        widths = [nd.stop - nd.start for nd in group]
-        indptr = np.zeros(sum(widths) + 1, dtype=np.int32)
-        np.cumsum(np.repeat(heights, widths), out=indptr[1:])
+        counts = np.concatenate([_fold_counts(nd) if folded
+                                 else np.full(nd.stop - nd.start,
+                                              len(nd.rows21))
+                                 for nd in group])
+        indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
         data = np.empty(indptr[-1])
         indices = np.empty(indptr[-1], dtype=np.int32)
         off = 0
-        for nd, na, bs in zip(group, heights, widths):
-            view = data[off:off + na * bs].reshape((na, bs), order="F")
-            view[...] = nd.l21
-            nd.l21 = view
-            indices[off:off + na * bs] = np.tile(nd.rows21, bs)
-            off += na * bs
-        a = sp.csc_matrix((data, indices, indptr), shape=(n, sum(widths)))
+        for nd in group:
+            if folded:
+                rows, values = _fold_front(nd)
+            else:
+                rows, values = np.tile(nd.rows21, nd.stop - nd.start), nd.l21
+            end = off + values.size
+            view = data[off:end].reshape(values.shape, order="F")
+            view[...] = values
+            indices[off:end] = rows
+            if not folded:
+                nd.l21 = view
+            off = end
+        a = sp.csc_matrix((data, indices, indptr), shape=(n, len(counts)))
         levels.append(_Level(
-            nodes=group,
+            nodes=[] if folded else group,
             cols=np.concatenate([np.arange(nd.start, nd.stop)
                                  for nd in group]),
             skipped=np.concatenate([nd.start + nd.skipped for nd in group]),
@@ -380,10 +415,59 @@ def _schedule(nodes, n):
     return levels
 
 
+def _fold_counts(nd):
+    """Entries per column of the front's folded block (see `_fold_front`)."""
+    counts = np.arange(nd.stop - nd.start + len(nd.rows21), len(nd.rows21),
+                       -1)
+    counts[nd.skipped] = 0
+    return counts
+
+
+def _fold_front(nd):
+    """(rows, values) of the front's folded block [I - L11^-1; L21 L11^-1]
+    over the rows (front, rows21), column by column.  With it z -= A z[cols]
+    is the front's whole forward step, the substitution included.  L11^-1
+    comes from LAPACK `dtrtri`, and the product from `dgemm`.  Only the
+    lower triangle of I - L11^-1 is kept, and a skipped pivot's column,
+    exactly zero since L11 and L21 have the identity's and a zero column
+    there, is left out."""
+    bs, na = nd.stop - nd.start, len(nd.rows21)
+    inv, info = _TRTRI(nd.l11, lower=1)
+    if info:
+        raise NumericalError(f"triangular inverse failed (LAPACK info {info})")
+    block = np.empty((bs + na, bs), order="F")
+    block[:bs] = -inv
+    block[np.arange(bs), np.arange(bs)] += 1.0
+    if na:
+        block[bs:] = _GEMM(1.0, nd.l21, inv)
+    # column by row: row i of column j is kept when i >= j
+    keep = ~np.tri(bs, bs + na, -1, dtype=bool)
+    keep[nd.skipped] = False
+    rows = np.concatenate((np.arange(nd.start, nd.stop), nd.rows21))
+    return np.broadcast_to(rows, keep.shape)[keep], block.T[keep]
+
+
+def fold(factor: CholeskyFactor) -> CholeskyFactor:
+    """The factor in folded level form, for a factor applied as a
+    preconditioner: each level is one sparse matrix holding its fronts'
+    [I - L11^-1; L21 L11^-1], so a solve makes one sparse product per level
+    and direction and no per-front LAPACK call.  An inverse rounds worse
+    than substitution, so exact solvers stay unfolded.  The folded factor
+    keeps no dense front blocks and has no L."""
+    if factor.folded:
+        return factor
+    return replace(factor, folded=True, _nodes=[],
+                   _levels=_schedule(factor._nodes, factor.shape[0],
+                                     folded=True))
+
+
 def _join(factors) -> CholeskyFactor:
     """One factor of the block-diagonal matrix of `factors`, whose rows are
     the factors' rows in turn: every front keeps its arithmetic and is
-    shifted past the blocks before it, and the levels span all blocks."""
+    shifted past the blocks before it, and the levels span all blocks.  A
+    single factor is its own join."""
+    if len(factors) == 1:
+        return factors[0]
     offsets = np.cumsum([0] + [f.shape[0] for f in factors])
     nodes = [replace(nd, start=nd.start + off, stop=nd.stop + off,
                      rows21=nd.rows21 + off)
@@ -502,8 +586,8 @@ def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,
     """Solve M x = b through the factor, for b of shape (n,) or (n, k);
     zero pivots get the zero-tail treatment (x is 0 there), so the result is
     exact for b in Im(M).  The solve walks the separator tree by levels:
-    one LAPACK `dtrtrs` per front and direction, and one sparse product per
-    level and direction for the blocks below the fronts.  Raises ValueError
+    one sparse product per level and direction, and in an unfolded factor
+    one LAPACK `dtrtrs` per front and direction besides.  Raises ValueError
     for a b of another row count or with non-finite entries."""
     b = np.asarray(b, dtype=float)
     n = factor.shape[0]
@@ -516,10 +600,12 @@ def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,
     z = bm[factor.perm]
     _forward(factor, z)
     # backward: L^T x = y, root level first; a zero right-hand side at a
-    # skipped pivot makes x exactly 0 there
+    # skipped pivot makes x exactly 0 there, and zeroing it before the
+    # level's product changes nothing else, since the level matrix's
+    # column at a skipped pivot is zero
     for level in factor._levels:
-        _level_update(z, level, trans=True)
         z[level.skipped] = 0.0
+        _level_update(z, level, trans=True)
         for nd in level.nodes:
             seg = z[nd.start:nd.stop]
             seg[:] = _triangular_solve(nd.l11, seg, trans=1)
@@ -534,7 +620,8 @@ def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,
 def _forward(factor: CholeskyFactor, z):
     """L y = z in place, deepest level first; y at a skipped pivot is never
     read, since its column of l11 is zero below the diagonal and its column
-    of l21 is zero."""
+    of l21 is zero.  A folded level has no fronts: its product is the whole
+    step."""
     for level in reversed(factor._levels):
         for nd in level.nodes:
             y = z[nd.start:nd.stop]
@@ -543,7 +630,7 @@ def _forward(factor: CholeskyFactor, z):
 
 
 def _level_update(z, level, trans):
-    """z -= A z[cols] for the level's sparse block A, or z[cols] -= A^T z
+    """z -= A z[cols] for the level's sparse matrix A, or z[cols] -= A^T z
     when trans is true; sparse, so it calls no dense BLAS."""
     if not level.a.nnz:
         return
@@ -624,12 +711,18 @@ class BlockFactor:
         location per row) and judged by its own pivot threshold, joined
         into one factor; `root_pins[i]` are positions within block i that
         its factor eliminates last."""
-        matrix = sp.csr_matrix(matrix)
-        coords = np.asarray(coords, dtype=float)
-        pins = [None] * len(blocks) if root_pins is None else root_pins
-        factors = [nd_cholesky(matrix[b][:, b], coords[b], root_pin=pin)
-                   for b, pin in zip(blocks, pins) if len(b)]
-        return cls(matrix, blocks, _join(factors), shared)
+        return cls(matrix, blocks,
+                   _join(_nd_factors(matrix, blocks, coords, root_pins)),
+                   shared)
+
+    @classmethod
+    def nd_preconditioner(cls, matrix, blocks, coords,
+                          shared=()) -> "BlockFactor":
+        """`nested_dissection` with its joined factor folded (see `fold`),
+        for a BlockFactor applied as a preconditioner once per iteration;
+        the shared Schur block comes from the folded factor's `gram`."""
+        return cls(matrix, blocks,
+                   fold(_join(_nd_factors(matrix, blocks, coords))), shared)
 
     def solve(self, v) -> np.ndarray:
         """x with matrix x = v on the kept rows, for v in the image."""
@@ -645,6 +738,15 @@ class BlockFactor:
             out[self.shared] = x_s
         out[self.rows] = self.solver.solve(rhs, check_image=False)
         return out
+
+
+def _nd_factors(matrix, blocks, coords, root_pins=None):
+    """One nested dissection factor per nonempty block of `matrix`."""
+    matrix = sp.csr_matrix(matrix)
+    coords = np.asarray(coords, dtype=float)
+    pins = [None] * len(blocks) if root_pins is None else root_pins
+    return [nd_cholesky(matrix[b][:, b], coords[b], root_pin=pin)
+            for b, pin in zip(blocks, pins) if len(b)]
 
 
 def concat_blocks(parts):

@@ -471,7 +471,8 @@ def build_union_solver(u: UnionComplex) -> OneLapState:
 def _chunk_wall(matrix, ids, chunk_parts, dense, locations) -> BlockFactor:
     """BlockFactor of a wall matrix over the glued simplexes `ids`: one
     block per chunk with its wall simplexes not already taken, and the
-    `dense` simplexes plus any left over as the shared set."""
+    `dense` simplexes plus any left over as the shared set, with the
+    blocks' joined factor folded, as a preconditioner's."""
     pos = np.full(len(locations), -1, dtype=np.int64)
     pos[ids] = np.arange(len(ids))
     dense_local = pos[dense]
@@ -485,7 +486,7 @@ def _chunk_wall(matrix, ids, chunk_parts, dense, locations) -> BlockFactor:
         taken[locs] = True
         blocks.append(np.unique(locs))
     shared = np.union1d(dense_local, np.flatnonzero(~taken))
-    return BlockFactor.nested_dissection(matrix, blocks, locations[ids],
+    return BlockFactor.nd_preconditioner(matrix, blocks, locations[ids],
                                          shared)
 
 

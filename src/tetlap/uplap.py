@@ -52,7 +52,9 @@ def build_up_solver(c, h: Hollowing,
 
     `wall(lt)` returns the exact solver of the wall complex's up-Laplacian
     `lt` over the boundary edges; by default one nested dissection factor
-    ordered by edge midpoints.
+    ordered by edge midpoints, folded, since it is applied once per Schur
+    iteration.  The interior factors stay unfolded: the Schur residual is
+    the whole residual only while the interior solve is exact.
     """
     check_hollowing(c, h)
     d2 = c.boundary(2).astype(float)
@@ -77,7 +79,7 @@ def build_up_solver(c, h: Hollowing,
         d2c = d2[c_idx][:, bt]
         lt = (d2c @ sp.diags(c.weights[2][bt]) @ d2c.T).tocsr()
         if wall is None:
-            state.wall = BlockFactor.nested_dissection(
+            state.wall = BlockFactor.nd_preconditioner(
                 lt, [np.arange(len(c_idx))], midpoints[c_idx])
         else:
             state.wall = wall(lt)

@@ -245,6 +245,8 @@ def test_bench_schema(tmp_path):
     # a solid box: the factors' ranks give b1 = 0, so no probe runs
     assert rows[0]["b1"] == rows[0]["probes"] == "0"
     assert float(rows[0]["final_residual"]) <= 1e-5 * 1e3
+    # the wall preconditioner's stored factor, in MB
+    assert float(rows[0]["wall_mb"]) > 0
 
 
 def test_bench_missed_contract_exits_3(tmp_path, monkeypatch, capsys):

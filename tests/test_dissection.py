@@ -21,6 +21,7 @@ from tetlap.dissection import (
     NdOrdering,
     cholesky,
     edge_separator,
+    fold,
     nd_cholesky,
     nd_ordering,
     solve_with_factor,
@@ -753,20 +754,26 @@ def test_factor_remaps_positions_pivoted_inside_fronts():
 
 
 def test_solve_by_levels_makes_no_per_front_update(rng, monkeypatch):
-    # one triangular solve per front and direction, and the blocks below
-    # the fronts go through at most one sparse product per level and
-    # direction: no dense product, no per-front gather or scatter
+    # unfolded, one triangular solve per front and direction; folded, none.
+    # In both forms the blocks go through at most one sparse product per
+    # level and direction: no dense product, no per-front gather or scatter
     c = gen_grid(GridSpec((4, 4, 4)))
     m = up_laplacian(c, 1)
-    f = nd_cholesky(m, edge_midpoints(c), base_case=16)
-    assert f.rank < f.shape[0] and len(f._levels) < len(f._nodes)
-    # every l21 is a view into its level's sparse data, and the transpose
-    # shares it too: no block is stored twice
-    for level in f._levels[1:]:
-        assert level.a.nnz
-        assert np.shares_memory(level.at.data, level.a.data)
-        for nd in level.nodes:
-            assert np.shares_memory(nd.l21, level.a.data)
+    exact = nd_cholesky(m, edge_midpoints(c), base_case=16)
+    folded = fold(exact)
+    assert exact.rank < exact.shape[0]
+    assert len(exact._levels) == len(folded._levels) < len(exact._nodes)
+    # the transpose shares each level's arrays; unfolded, every l21 is a
+    # view into its level's data too, so no block is stored twice, and
+    # folded, no front is left and no dense block kept
+    for f in (exact, folded):
+        for level in f._levels[1:]:
+            assert level.a.nnz
+            assert np.shares_memory(level.at.data, level.a.data)
+            for nd in level.nodes:
+                assert np.shares_memory(nd.l21, level.a.data)
+    assert all(level.nodes for level in exact._levels)
+    assert not folded._nodes and not any(lv.nodes for lv in folded._levels)
     calls = {"gemm": 0, "trtrs": 0, "level": 0}
 
     def counting(name, fn):
@@ -778,20 +785,58 @@ def test_solve_by_levels_makes_no_per_front_update(rng, monkeypatch):
                        ("level", "_level_update")):
         monkeypatch.setattr(dissection, attr,
                             counting(name, getattr(dissection, attr)))
-    for shape in (f.shape[0], (f.shape[0], 3)):
-        calls.update(gemm=0, trtrs=0, level=0)
-        b = m @ rng.standard_normal(shape)
-        assert np.linalg.norm(m @ f.solve(b) - b) <= 1e-9 * np.linalg.norm(b)
-        assert calls["gemm"] == 0
-        assert calls["trtrs"] == 2 * len(f._nodes)
-        assert calls["level"] <= 2 * len(f._levels)
+    for f, trtrs in ((exact, 2 * len(exact._nodes)), (folded, 0)):
+        for shape in (f.shape[0], (f.shape[0], 3)):
+            calls.update(gemm=0, trtrs=0, level=0)
+            b = m @ rng.standard_normal(shape)
+            assert (np.linalg.norm(m @ f.solve(b) - b)
+                    <= 1e-9 * np.linalg.norm(b))
+            assert calls["gemm"] == 0
+            assert calls["trtrs"] == trtrs
+            assert calls["level"] <= 2 * len(f._levels)
+
+
+# the folded solve multiplies by inverted triangular blocks instead of
+# substituting: roundoff of a different order of sums, on well-scaled fixtures
+FOLD_RTOL = 1e-13
+
+
+def test_folded_factor_matches_its_substitution_twin(rng):
+    for exact, m in rank_deficient_fixtures(rng):
+        folded = fold(exact)
+        assert folded.folded and not exact.folded
+        assert (folded.rank, folded.perm.tobytes(), folded.kept.tobytes()) == (
+            exact.rank, exact.perm.tobytes(), exact.kept.tobytes())
+        n = exact.shape[0]
+        for shape in (n, (n, 3)):
+            b = m @ rng.standard_normal(shape)
+            x, twin = folded.solve(b), exact.solve(b)
+            assert x.shape == twin.shape
+            assert np.linalg.norm(x - twin) <= FOLD_RTOL * np.linalg.norm(twin)
+            # the zero tail: x is exactly 0 at every skipped pivot
+            assert not x[folded.perm][~folded.kept].any()
+        rhs = sp.csr_matrix(m @ rng.standard_normal((n, 4)))
+        gram, twin = folded.gram(rhs), exact.gram(rhs)
+        assert np.linalg.norm(gram - twin) <= FOLD_RTOL * np.linalg.norm(twin)
+
+
+def test_folded_factor_keeps_no_dense_block_and_has_no_l():
+    c = gen_grid(GridSpec((4, 4, 4)))
+    exact = nd_cholesky(up_laplacian(c, 1), edge_midpoints(c), base_case=16)
+    folded = fold(exact)
+    assert fold(folded) is folded
+    assert 0 < folded.nbytes < exact.nbytes
+    with pytest.raises(ValueError, match="folded"):
+        folded.L
+    # the factor cholesky returned keeps its fronts and its L
+    assert exact.L.nnz and all(nd.l11.size for nd in exact._nodes)
 
 
 # the factor kernels use scipy's BLAS and LAPACK only; numpy's dense
 # products and np.linalg run on a second OpenBLAS with its own thread pool
 SCIPY_BLAS_ONLY = ("_factor_node", "_dense_rank_chol", "solve_with_factor",
                    "_forward", "gram", "pinv_via_pivoted_qr", "cholesky",
-                   "_split")
+                   "_split", "fold", "_fold_front", "_schedule")
 NUMPY_BLAS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
 
 

@@ -419,6 +419,45 @@ def test_union_solve_leaves_the_glued_complex_unchanged(rng):
     assert (snapshot(u.complex), snapshot(state)) == before
 
 
+def factor_bytes(f) -> list:
+    """The bytes of every array a CholeskyFactor stores."""
+    arrays = [f.perm, f.kept, f.matrix.data]
+    for nd in f._nodes:
+        arrays += [nd.skipped, nd.l11, nd.rows21, nd.l21]
+    for level in f._levels:
+        arrays += [level.cols, level.skipped, level.a.data, level.a.indices,
+                   level.a.indptr]
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("union", [False, True])
+def test_only_the_wall_preconditioner_is_folded(rng, union):
+    # the wall is applied once per Schur iteration and folded at build;
+    # the interior and vertex-Laplacian solves must be exact and substitute
+    if union:
+        c0, h0 = make_chunk((3, 3, 3))
+        c1, h1 = make_chunk((3, 3, 3))
+        u = glue([c0, c1], face_identifications(c0, c1, 0, 3.0, 0.0),
+                 [h0, h1])
+        state = build_union_solver(u)
+        requests = [lambda b: union_one_lap_solve(u, b, 1e-6, state=state)]
+    else:
+        c, h = setup()
+        state = build_one_lap_solver(c, h)
+        requests = [lambda b: one_lap_solve(c, h, b, 1e-6, state=state),
+                    lambda b: hodge_decompose(c, h, b, 1e-6, state=state)]
+    factors = {"wall": state.up_state.wall.solver,
+               "interior": state.up_state.interior.solver,
+               "lap0": state.down_state.lap0_factor}
+    assert {name: f.folded for name, f in factors.items()} == {
+        "wall": True, "interior": False, "lap0": False}
+    assert not factors["wall"]._nodes
+    before = {name: factor_bytes(f) for name, f in factors.items()}
+    for request in requests:
+        request(rng.standard_normal(state.complex.num_edges))
+    assert {name: factor_bytes(f) for name, f in factors.items()} == before
+
+
 # -- harmonic basis ------------------------------------------------------------
 
 def ring_of_four():
