@@ -182,8 +182,8 @@ def cmd_bench(args) -> int:
         if "up_solve" in report.stages:
             schur_iters = report.stages["up_solve"].stages.get(
                 "schur", report.stages["up_solve"]).iterations
-        kappa = schur_condition_estimate(state.up_state, iters=args.kappa_iters)
-        wall = state.up_state.wall
+        up, wall = state.up_state, state.up_state.wall
+        kappa = schur_condition_estimate(up, iters=args.kappa_iters)
         rows.append({
             "n": n, "r": r, "t_preprocess": t_pre, "t_solve": t_solve,
             "pcg_iters_schur": schur_iters, "kappa_est": kappa,
@@ -191,6 +191,8 @@ def cmd_bench(args) -> int:
             "probes": state.probes, "eps": args.eps,
             "final_residual": report.final_residual,
             "wall_mb": wall.solver.nbytes / 1e6 if wall is not None else 0.0,
+            # a Schur iteration solves through the interface rows' fronts
+            "interior_rows": len(up.f_all), "iface_rows": len(up.iface),
         })
         print(f"k={k}: n={n} r={r:.0f} pre={t_pre:.2f}s solve={t_solve:.2f}s "
               f"schur_iters={schur_iters} kappa={kappa:.1f}")

@@ -11,12 +11,14 @@ it last), so the factor is rank-revealing and solves against right-hand
 sides in the image remain exact.  Solves walk the tree by levels, the
 fronts of one depth at a time: by substitution in an exact solver, and in a
 factor applied as a preconditioner through each level's inverted blocks,
-folded into one sparse matrix.
+folded into one sparse matrix.  A right-hand side that lives on root fronts
+solves, for those rows, through those fronts alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -262,7 +264,8 @@ class CholeskyFactor:
     matrix: sp.csr_matrix         # original matrix, for residual checks
     folded: bool = False
     _nodes: list = field(default_factory=list, repr=False)   # by start
-    _levels: list = field(default_factory=list, repr=False)  # root first
+    # root first; None until scheduled (see `_scheduled`)
+    _levels: Optional[list] = field(default=None, repr=False)
 
     @property
     def shape(self):
@@ -317,6 +320,29 @@ class CholeskyFactor:
         return solve_with_factor(self, b, check_image=check_image,
                                  image_tol=image_tol)
 
+    def root_solve(self, rows) -> "RootSolve":
+        """The solve for right-hand sides that vanish outside `rows`, read
+        on `rows` only, through the root (depth-0) fronts that hold them.
+        Raises NumericalError when a row lies in a deeper front."""
+        if self.folded:
+            raise ValueError("a folded factor keeps no fronts to solve with")
+        n = self.shape[0]
+        pos = np.empty(n, dtype=np.int64)
+        pos[self.perm] = np.arange(n)
+        p = pos[np.asarray(rows, dtype=np.int64)]
+        fronts = [nd for nd in self._nodes if nd.depth == 0
+                  and np.any((nd.start <= p) & (p < nd.stop))]
+        cols = np.concatenate([np.empty(0, dtype=np.int64)]
+                              + [np.arange(nd.start, nd.stop) for nd in fronts])
+        where = np.full(n, -1, dtype=np.int64)
+        where[cols] = np.arange(len(cols))
+        at = where[p]
+        if np.any(at < 0):
+            raise NumericalError(
+                f"{int(np.sum(at < 0))} of the rows lie below the factor's "
+                "root fronts")
+        return RootSolve(fronts=fronts, at=at, size=len(cols))
+
     def gram(self, b) -> np.ndarray:
         """b^T x for x = solve(b), b a sparse (n, k) matrix, from the forward
         half of the solve only: the solve is x = P L^-T D L^-1 P^T b, with D
@@ -325,6 +351,30 @@ class CholeskyFactor:
         _forward(self, w)
         w[~self.kept] = 0.0
         return _GEMM(1.0, w, w, trans_a=1)
+
+
+@dataclass
+class RootSolve:
+    """`CholeskyFactor.solve` for a right-hand side b that vanishes outside
+    some rows of the root fronts, read back on those rows alone.  Below the
+    root every front and level product then acts on zeros, forward, and
+    backward it writes only rows below the root, so the root fronts' own
+    substitutions give the same rows, in the same arithmetic."""
+    fronts: list           # the root fronts holding the rows
+    at: np.ndarray         # each row's position in the fronts, one after another
+    size: int              # rows of the fronts together
+
+    def solve(self, b) -> np.ndarray:
+        z = np.zeros((self.size, 1))
+        z[self.at, 0] = b
+        off = 0
+        for nd in self.fronts:
+            seg = z[off:off + nd.stop - nd.start]
+            seg[:] = _triangular_solve(nd.l11, seg, trans=0)
+            seg[nd.skipped] = 0.0
+            seg[:] = _triangular_solve(nd.l11, seg, trans=1)
+            off += nd.stop - nd.start
+        return z[self.at, 0]
 
 
 def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL) -> CholeskyFactor:
@@ -339,6 +389,14 @@ def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL) -> Cholesky
     are grouped by depth into levels for the solve (see `_schedule`).
     Raises ValueError when `matrix` has a non-finite stored entry.
     """
+    return _scheduled(_factor_fronts(matrix, ordering, pivot_tol))
+
+
+def _factor_fronts(matrix, ordering,
+                   pivot_tol: float = DEFAULT_PIVOT_TOL) -> CholeskyFactor:
+    """`cholesky`'s factor with its fronts only: it has no levels and
+    cannot solve until `_scheduled` (or `_join`) schedules them, once, in
+    the form its consumer solves with."""
     matrix = sp.csr_matrix(matrix).astype(float)
     if not np.isfinite(matrix.data).all():
         raise ValueError("matrix has non-finite entries")
@@ -369,7 +427,15 @@ def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL) -> Cholesky
         kept[nd.start + nd.skipped] = False
     return CholeskyFactor(perm=perm_new, rank=int(kept.sum()),
                           pivot_tol=pivot_tol, kept=kept, matrix=matrix,
-                          _nodes=nodes, _levels=_schedule(nodes, n))
+                          _nodes=nodes)
+
+
+def _scheduled(factor: CholeskyFactor, folded=False) -> CholeskyFactor:
+    """The factor with its fronts scheduled into levels, unfolded or folded
+    (see `_schedule`); folded, it keeps no fronts."""
+    return replace(factor, folded=folded,
+                   _nodes=[] if folded else factor._nodes,
+                   _levels=_schedule(factor._nodes, factor.shape[0], folded))
 
 
 def _schedule(nodes, n, folded=False):
@@ -454,26 +520,22 @@ def fold(factor: CholeskyFactor) -> CholeskyFactor:
     and direction and no per-front LAPACK call.  An inverse rounds worse
     than substitution, so exact solvers stay unfolded.  The folded factor
     keeps no dense front blocks and has no L."""
-    if factor.folded:
-        return factor
-    return replace(factor, folded=True, _nodes=[],
-                   _levels=_schedule(factor._nodes, factor.shape[0],
-                                     folded=True))
+    return factor if factor.folded else _scheduled(factor, folded=True)
 
 
-def _join(factors) -> CholeskyFactor:
-    """One factor of the block-diagonal matrix of `factors`, whose rows are
-    the factors' rows in turn: every front keeps its arithmetic and is
-    shifted past the blocks before it, and the levels span all blocks.  A
-    single factor is its own join."""
+def _join(factors, folded=False) -> CholeskyFactor:
+    """One factor of the block-diagonal matrix of `factors`, which come
+    unscheduled from `_factor_fronts`, and whose rows are the factors'
+    rows in turn: every front keeps its arithmetic and is shifted past the
+    blocks before it, and the levels, scheduled once in the form asked
+    for, span all blocks."""
     if len(factors) == 1:
-        return factors[0]
+        return _scheduled(factors[0], folded)
     offsets = np.cumsum([0] + [f.shape[0] for f in factors])
     nodes = [replace(nd, start=nd.start + off, stop=nd.stop + off,
                      rows21=nd.rows21 + off)
              for f, off in zip(factors, offsets) for nd in f._nodes]
-    n = int(offsets[-1])
-    return CholeskyFactor(
+    return _scheduled(CholeskyFactor(
         perm=np.concatenate([np.empty(0, dtype=np.int64)]
                             + [f.perm + off for f, off in zip(factors, offsets)]),
         rank=sum(f.rank for f in factors),
@@ -482,7 +544,7 @@ def _join(factors) -> CholeskyFactor:
                             + [f.kept for f in factors]),
         matrix=(sp.block_diag([f.matrix for f in factors], format="csr")
                 if factors else sp.csr_matrix((0, 0))),
-        _nodes=nodes, _levels=_schedule(nodes, n))
+        _nodes=nodes), folded)
 
 
 def nd_cholesky(matrix, coords, base_case: int = DEFAULT_BASE_CASE,
@@ -722,7 +784,8 @@ class BlockFactor:
         for a BlockFactor applied as a preconditioner once per iteration;
         the shared Schur block comes from the folded factor's `gram`."""
         return cls(matrix, blocks,
-                   fold(_join(_nd_factors(matrix, blocks, coords))), shared)
+                   _join(_nd_factors(matrix, blocks, coords), folded=True),
+                   shared)
 
     def solve(self, v) -> np.ndarray:
         """x with matrix x = v on the kept rows, for v in the image."""
@@ -741,12 +804,15 @@ class BlockFactor:
 
 
 def _nd_factors(matrix, blocks, coords, root_pins=None):
-    """One nested dissection factor per nonempty block of `matrix`."""
+    """One nested dissection factor per nonempty block of `matrix`, its
+    levels left for `_join` to schedule."""
     matrix = sp.csr_matrix(matrix)
     coords = np.asarray(coords, dtype=float)
     pins = [None] * len(blocks) if root_pins is None else root_pins
-    return [nd_cholesky(matrix[b][:, b], coords[b], root_pin=pin)
+    subs = [(matrix[b][:, b], coords[b], pin)
             for b, pin in zip(blocks, pins) if len(b)]
+    return [_factor_fronts(m, nd_ordering(m, xyz, root_pin=pin))
+            for m, xyz, pin in subs]
 
 
 def concat_blocks(parts):

@@ -2,6 +2,13 @@
 hollowing, nested dissection factors per region, and PCG on the Schur
 complement preconditioned by the wall complex.
 
+The Schur complement reaches the interior only through the interface rows,
+the interior edges that share a triangle with a wall edge.  They are pinned
+into their region's root front, so each Schur apply solves through those
+root fronts alone: deeper fronts would act on zeros forward and write only
+rows the apply never reads backward, so the result is the full interior
+solve's, bit for bit, and the Schur residual stays the whole residual.
+
 For sphere hollowings the preconditioner solve is replaced by the reduced
 system route: interior disc edges collapse to a dual-graph down-Laplacian,
 rim edges deduplicate by their disc signature, and the leftover Schur
@@ -18,7 +25,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .complexes import up_laplacian
-from .dissection import BlockFactor, concat_blocks
+from .dissection import BlockFactor, RootSolve, concat_blocks
 from .downlap import GraphDownLap
 from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_tolerance,
                      check_vector, one_norm, roundoff_floor)
@@ -37,9 +44,11 @@ class UpSolverState:
     c_idx: np.ndarray                # boundary edge ids
     interior: BlockFactor            # Lup[F, F] over f_all, one block per region
     wall: Optional[BlockFactor]      # wall-complex up-Laplacian over c_idx
+    iface: np.ndarray                # positions in f_all of the interface rows
+    root: RootSolve                  # the interior solve through their fronts
     l_cc: sp.csr_matrix
-    l_cf: sp.csr_matrix
-    l_fc: sp.csr_matrix
+    l_ci: sp.csr_matrix              # Lup[C, F] over the interface columns
+    l_ic: sp.csr_matrix              # Lup[F, C] over the interface rows
 
     @property
     def num_edges(self) -> int:
@@ -54,7 +63,9 @@ def build_up_solver(c, h: Hollowing,
     `lt` over the boundary edges; by default one nested dissection factor
     ordered by edge midpoints, folded, since it is applied once per Schur
     iteration.  The interior factors stay unfolded: the Schur residual is
-    the whole residual only while the interior solve is exact.
+    the whole residual only while the interior solve is exact.  The
+    interface rows are pinned into their region's root front, and a wall
+    coupling to any other interior row raises NumericalError.
     """
     check_hollowing(c, h)
     d2 = c.boundary(2).astype(float)
@@ -67,12 +78,24 @@ def build_up_solver(c, h: Hollowing,
     interior = BlockFactor.nested_dissection(
         lup[f_all][:, f_all], blocks, midpoints[f_all],
         root_pins=[np.flatnonzero(interface[f]) for f in f_regions])
+    # column slices keep each row's entries in f_all order, so products
+    # with them sum in the order the full Lup[C, F] does
+    iface = np.flatnonzero(interface[f_all])
+    l_cf = lup[c_idx][:, f_all].tocsr()
+    l_ci = l_cf[:, iface].tocsr()
+    if l_ci.nnz != l_cf.nnz:
+        raise NumericalError(
+            f"{l_cf.nnz - l_ci.nnz} wall couplings reach interior edges "
+            "outside the pinned interface")
     state = UpSolverState(
         complex=c, hollowing=h, lup=lup, d2=d2, f_all=f_all, c_idx=c_idx,
-        interior=interior, wall=None,
+        interior=interior, wall=None, iface=iface,
+        # the interior's blocks are f_all's positions in order, so its
+        # solver's rows are f_all's
+        root=interior.solver.root_solve(iface),
         l_cc=lup[c_idx][:, c_idx].tocsr(),
-        l_cf=lup[c_idx][:, f_all].tocsr(),
-        l_fc=lup[f_all][:, c_idx].tocsr(),
+        l_ci=l_ci,
+        l_ic=lup[f_all[iface]][:, c_idx].tocsr(),
     )
     if len(c_idx):
         bt = h.boundary_triangles
@@ -96,12 +119,14 @@ def _interface_edges(c, boundary_mask):
 
 
 def schur_apply(state: UpSolverState, x_c):
-    """Sc[Lup]_C x = Lup[C,C] x - Lup[C,F] Lup[F,F]^+ Lup[F,C] x, implicit."""
+    """Sc[Lup]_C x = Lup[C,C] x - Lup[C,F] Lup[F,F]^+ Lup[F,C] x, implicit.
+
+    Lup[F,C] x vanishes off the interface rows, and Lup[C,F] reads only
+    them, so the interior solve runs through the root fronts holding them:
+    the same arithmetic on the same rows as the full solve."""
     x_c = np.asarray(x_c, dtype=float)
-    if len(state.f_all) == 0:
-        return state.l_cc @ x_c
-    y = state.interior.solve(state.l_fc @ x_c)
-    return state.l_cc @ x_c - state.l_cf @ y
+    y = state.root.solve(state.l_ic @ x_c)
+    return state.l_cc @ x_c - state.l_ci @ y
 
 
 def schur_operator(state: UpSolverState) -> LinearOperator:
@@ -156,7 +181,7 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
     else:
         b_f = b[state.f_all]
         b_c = b[state.c_idx]
-        h_vec = b_c - state.l_cf @ f_solve(b_f)
+        h_vec = b_c - state.l_ci @ f_solve(b_f)[state.iface]
         # b_f - L_fc x_c lies in Im d2[F,:] = Im Lup[F,F] and the interior
         # solve is exact, so the F rows of Lup x - b vanish and the full
         # residual is the Schur residual: delta |h| <= eps |b| / 2 meets
@@ -164,7 +189,9 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
         nh = np.linalg.norm(h_vec)
         delta = 0.5 * eps * norm_b / nh if nh > 0 else eps
         x_c, screp = schur_solve(state, h_vec, delta)
-        x_f = f_solve(b_f - state.l_fc @ x_c)
+        r_f = b_f.copy()
+        r_f[state.iface] -= state.l_ic @ x_c
+        x_f = f_solve(r_f)
         x[state.f_all] = x_f
         x[state.c_idx] = x_c
         report.add_stage("schur", screp)

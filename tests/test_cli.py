@@ -247,6 +247,8 @@ def test_bench_schema(tmp_path):
     assert float(rows[0]["final_residual"]) <= 1e-5 * 1e3
     # the wall preconditioner's stored factor, in MB
     assert float(rows[0]["wall_mb"]) > 0
+    # the interior rows a Schur iteration reads
+    assert 0 <= int(rows[0]["iface_rows"]) <= int(rows[0]["interior_rows"])
 
 
 def test_bench_missed_contract_exits_3(tmp_path, monkeypatch, capsys):

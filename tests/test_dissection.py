@@ -836,7 +836,8 @@ def test_folded_factor_keeps_no_dense_block_and_has_no_l():
 # products and np.linalg run on a second OpenBLAS with its own thread pool
 SCIPY_BLAS_ONLY = ("_factor_node", "_dense_rank_chol", "solve_with_factor",
                    "_forward", "gram", "pinv_via_pivoted_qr", "cholesky",
-                   "_split", "fold", "_fold_front", "_schedule")
+                   "_factor_fronts", "_split", "fold", "_fold_front",
+                   "_schedule", "root_solve")
 NUMPY_BLAS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
 
 

@@ -740,20 +740,21 @@ def test_requests_neither_iterate_nor_factor_on_the_gradient_side(
     # the gradient projection is one solve with the vertex-Laplacian factor
     # built with the state
     solid, ring = harmonic_case("solid"), harmonic_case("ring")
-    real_pcg, real_cholesky, seen = pcg_module.pcg, dissection.cholesky, []
+    # every factorization, public or per block, goes through _factor_fronts
+    real_pcg, real_fronts, seen = pcg_module.pcg, dissection._factor_fronts, []
 
     def pcg_spy(*args, **kwargs):
         x, rep = real_pcg(*args, **kwargs)
         seen.append(rep.stage)
         return x, rep
 
-    def cholesky_spy(*args, **kwargs):
+    def fronts_spy(*args, **kwargs):
         seen.append("cholesky")
-        return real_cholesky(*args, **kwargs)
+        return real_fronts(*args, **kwargs)
 
     for mod in (pcg_module, dissection, downlap, uplap, upproj, onelap):
         for name, real, spy in (("pcg", real_pcg, pcg_spy),
-                                ("cholesky", real_cholesky, cholesky_spy)):
+                                ("_factor_fronts", real_fronts, fronts_spy)):
             if getattr(mod, name, None) is real:
                 monkeypatch.setattr(mod, name, spy)
     for c, state, solve, _, _ in (solid, ring):

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tetlap import oracle, uplap
+from tetlap import dissection, oracle, uplap
 from tetlap.complexes import build_complex
 from tetlap.dissection import pinv_via_pivoted_qr
-from tetlap.hollowing import HollowingConfig, find_hollowing, sphere_hollowing
+from tetlap.hollowing import (HollowingConfig, find_hollowing,
+                              sphere_hollowing, surface_hollowing)
 from tetlap.errors import NumericalError
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
-from tetlap.onelap import build_one_lap_solver, one_lap_solve
+from tetlap.onelap import (build_one_lap_solver, build_union_solver, glue,
+                           one_lap_solve)
 from tetlap.uplap import (
     _disc_rows,
     _up_solve_with_state,
@@ -135,6 +137,131 @@ def test_schur_apply_matches_dense_oracle(rng):
     for _ in range(100):
         v = rng.standard_normal(len(cset))
         assert v @ schur_apply(state, v) >= -1e-10 * (v @ v)
+
+
+def glued_ring():
+    """Four 3^3 boxes, each one surface-hollowed region, glued in a cycle
+    along their x faces."""
+    chunks = [gen_grid(GridSpec((3, 3, 3))) for _ in range(4)]
+    groups = []
+    for k, c in enumerate(chunks):
+        nxt = chunks[(k + 1) % 4]
+        lookup = {tuple(nxt.vertices[v, 1:]): int(v)
+                  for v in np.flatnonzero(nxt.vertices[:, 0] == 0.0)}
+        groups += [[(k, int(v)), ((k + 1) % 4, lookup[tuple(c.vertices[v, 1:])])]
+                   for v in np.flatnonzero(c.vertices[:, 0] == 3.0)]
+    return glue(chunks, groups, [surface_hollowing(c) for c in chunks])
+
+
+def sphere_state():
+    c = gen_grid(GridSpec((6, 6, 6)))
+    return build_sphere_fast_solver(c, sphere_hollowing(c, 256))
+
+
+def holed_state(dims, holes):
+    c = gen_grid(GridSpec(dims, holes=holes))
+    return build_up_solver(c, find_hollowing(c, 64, RELAXED))
+
+
+def box_state(k, r=None):
+    c = gen_grid(GridSpec((k, k, k)))
+    return build_up_solver(
+        c, find_hollowing(c, r or c.num_simplexes ** 0.6, RELAXED))
+
+
+SCHUR_STATES = {
+    "box": lambda: box_state(4, 48),
+    # big enough for regions whose interior reaches below the root front
+    "box8": lambda: box_state(8),
+    "sphere": sphere_state,
+    "tunnel": lambda: holed_state(
+        (6, 6, 6), [HoleSpec((2, 2, 0), (1, 1, 6), "tunnel")]),
+    "two_tunnels": lambda: holed_state(
+        (10, 4, 4), [HoleSpec((1, 1, 0), (1, 1, 4), "tunnel"),
+                     HoleSpec((8, 1, 0), (1, 1, 4), "tunnel")]),
+    "ring": lambda: build_union_solver(glued_ring()).up_state,
+}
+
+
+def full_interior_schur_apply(state, x):
+    """The Schur apply through a full interior solve over all of Lup[C, F]."""
+    lup = state.lup
+    l_cf = lup[state.c_idx][:, state.f_all].tocsr()
+    l_fc = lup[state.f_all][:, state.c_idx].tocsr()
+    return state.l_cc @ x - l_cf @ state.interior.solve(l_fc @ x)
+
+
+@pytest.mark.parametrize("name", list(SCHUR_STATES))
+def test_schur_apply_equals_the_full_interior_solve(rng, name):
+    # the interface rows sit in the root fronts, so solving through those
+    # alone is the same arithmetic on the same rows
+    state = SCHUR_STATES[name]()
+    assert len(state.iface)
+    for _ in range(3):
+        x = rng.standard_normal(len(state.c_idx))
+        assert np.array_equal(schur_apply(state, x),
+                              full_interior_schur_apply(state, x))
+
+
+@pytest.mark.parametrize("name", ["box8", "sphere", "ring"])
+def test_schur_apply_solves_through_the_interface_root_fronts(rng, monkeypatch,
+                                                              name):
+    # two triangular solves per root front that holds an interface row, and
+    # no deeper front, level product or dense product
+    state = SCHUR_STATES[name]()
+    factor = state.interior.solver
+    pos = np.empty(factor.shape[0], dtype=np.int64)
+    pos[factor.perm] = np.arange(factor.shape[0])
+    holding = [nd for nd in factor._nodes if nd.depth == 0 and np.any(
+        (pos[state.iface] >= nd.start) & (pos[state.iface] < nd.stop))]
+    assert state.root.fronts == holding
+    assert len(holding) < len(factor._nodes)
+    calls = {"trtrs": 0, "level": 0, "gemm": 0}
+
+    def counting(name, fn):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+    for key, attr in (("trtrs", "_TRTRS"), ("level", "_level_update"),
+                      ("gemm", "_GEMM")):
+        monkeypatch.setattr(dissection, attr,
+                            counting(key, getattr(dissection, attr)))
+    schur_apply(state, rng.standard_normal(len(state.c_idx)))
+    assert calls == {"trtrs": 2 * len(holding), "level": 0, "gemm": 0}
+
+
+def test_an_unpinned_interface_edge_is_refused(monkeypatch):
+    # an interface edge left out of the root pins would drop its couplings
+    # from every Schur apply; the build refuses it instead
+    real = uplap._interface_edges
+
+    def dropping_one(c, boundary_mask):
+        interface = real(c, boundary_mask)
+        interface[np.flatnonzero(interface)[0]] = False
+        return interface
+    monkeypatch.setattr(uplap, "_interface_edges", dropping_one)
+    c, h = grid_with_hollowing((4, 4, 4), 48)
+    with pytest.raises(NumericalError, match="outside the pinned interface"):
+        build_up_solver(c, h)
+
+
+def test_each_factor_is_scheduled_once_per_build(monkeypatch):
+    # per-region fronts are joined before any level is built, and the wall
+    # is scheduled folded at once: the interior, the folded wall and the
+    # vertex Laplacian on a box; the interior alone on the sphere path,
+    # whose wall goes through the reduced system
+    real, forms = dissection._schedule, []
+
+    def spy(nodes, n, folded=False):
+        forms.append(folded)
+        return real(nodes, n, folded)
+    monkeypatch.setattr(dissection, "_schedule", spy)
+    build_one_lap_solver(*grid_with_hollowing())
+    assert sorted(forms) == [False, False, True]
+    forms.clear()
+    sphere_state()
+    assert forms == [False]
 
 
 def test_schur_solve_matches_pinv_oracle(rng):
