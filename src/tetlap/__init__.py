@@ -24,7 +24,6 @@ from .dissection import (
     CholeskyFactor,
     cholesky,
     edge_separator,
-    fold,
     nd_cholesky,
     nd_ordering,
     solve_with_factor,

@@ -190,7 +190,7 @@ def cmd_bench(args) -> int:
             "regions": holl.num_regions, "b1": state.harmonic.shape[1],
             "probes": state.probes, "eps": args.eps,
             "final_residual": report.final_residual,
-            "wall_mb": wall.solver.nbytes / 1e6 if wall is not None else 0.0,
+            "wall_mb": wall.nbytes / 1e6 if wall is not None else 0.0,
             # a Schur iteration solves through the interface rows' fronts
             "interior_rows": len(up.f_all), "iface_rows": len(up.iface),
         })

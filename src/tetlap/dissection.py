@@ -1,7 +1,9 @@
 """Geometric separators, nested dissection orderings, rank-aware sparse
 Cholesky factorization for PSD matrices whose nonzero graph is a mesh graph,
-and block factors that combine one exact solver over uncoupled blocks with a
-dense Schur complement on a shared index set.
+and block factors that combine one exact solver with a dense Schur
+complement on a shared index set.  Every factor comes from `cholesky`, along
+one given ordering, or from `nd_cholesky`, one ordering per uncoupled block
+with the fronts joined into one factor.
 
 The factorization is multifrontal over the separator tree: every tree node
 eliminates its block against a dense frontal matrix and passes a Schur
@@ -18,7 +20,6 @@ solves, for those rows, through those fronts alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,6 +29,8 @@ from .errors import NumericalError
 
 DEFAULT_BASE_CASE = 64
 DEFAULT_PIVOT_TOL = 1e-12
+# relative residual above which a checked solve calls b outside the image
+IMAGE_TOL = 1e-6
 # largest shared set whose Schur complement BlockFactor pseudo-inverts densely
 DENSE_SHARED_CAP = 5000
 # tested balance bound for the axis-median bisection separator
@@ -253,19 +256,17 @@ class _Level:
 class CholeskyFactor:
     """P L L^T P^T factorization with skipped (rank-deficient) pivots.
 
-    A folded factor (see `fold`) keeps only its levels' sparse matrices: it
-    solves with one sparse product per level and direction, and has no
-    fronts left to assemble L from."""
+    A folded factor (built with `folded=True`) keeps only its levels'
+    sparse matrices: it solves with one sparse product per level and
+    direction, and has no fronts left to assemble L from."""
 
     perm: np.ndarray
     rank: int
-    pivot_tol: float
     kept: np.ndarray              # bool per permuted position
     matrix: sp.csr_matrix         # original matrix, for residual checks
+    _nodes: list = field(repr=False)    # by start; none when folded
+    _levels: list = field(repr=False)   # root first (see `_schedule`)
     folded: bool = False
-    _nodes: list = field(default_factory=list, repr=False)   # by start
-    # root first; None until scheduled (see `_scheduled`)
-    _levels: Optional[list] = field(default=None, repr=False)
 
     @property
     def shape(self):
@@ -315,10 +316,11 @@ class CholeskyFactor:
               np.concatenate(coo_c) if coo_c else [])),
             shape=(n, n))
 
-    def solve(self, b, check_image: bool = True,
-              image_tol: float = 1e-6) -> np.ndarray:
-        return solve_with_factor(self, b, check_image=check_image,
-                                 image_tol=image_tol)
+    def solve(self, b, check_image: bool = True) -> np.ndarray:
+        """`solve_with_factor`, whose image check a folded factor skips:
+        it is applied as a preconditioner, whose solves are never checked."""
+        return solve_with_factor(self, b,
+                                 check_image=check_image and not self.folded)
 
     def root_solve(self, rows) -> "RootSolve":
         """The solve for right-hand sides that vanish outside `rows`, read
@@ -377,7 +379,8 @@ class RootSolve:
         return z[self.at, 0]
 
 
-def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL) -> CholeskyFactor:
+def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL,
+             folded: bool = False) -> CholeskyFactor:
     """Factor a symmetric PSD matrix along a nested dissection ordering.
 
     `ordering` is an NdOrdering or a plain permutation array (the latter is
@@ -386,20 +389,66 @@ def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL) -> Cholesky
     negative of that threshold raises NumericalError.  A front with a
     skipped pivot is factored with symmetric pivoting inside its interval,
     so the factor's `perm` may differ from the ordering's there.  The fronts
-    are grouped by depth into levels for the solve (see `_schedule`).
-    Raises ValueError when `matrix` has a non-finite stored entry.
+    are grouped by depth into levels for the solve, folded or not (see
+    `_schedule`).  Raises ValueError when `matrix` has a non-finite stored
+    entry.
     """
-    return _scheduled(_factor_fronts(matrix, ordering, pivot_tol))
+    matrix = _finite_csr(matrix)
+    return _join(matrix, [_factor_fronts(matrix, ordering, pivot_tol)],
+                 folded)
 
 
-def _factor_fronts(matrix, ordering,
-                   pivot_tol: float = DEFAULT_PIVOT_TOL) -> CholeskyFactor:
-    """`cholesky`'s factor with its fronts only: it has no levels and
-    cannot solve until `_scheduled` (or `_join`) schedules them, once, in
-    the form its consumer solves with."""
+def nd_cholesky(matrix, coords, blocks=None, root_pins=None,
+                folded: bool = False, base_case: int = DEFAULT_BASE_CASE,
+                pivot_tol: float = DEFAULT_PIVOT_TOL) -> CholeskyFactor:
+    """The factor of `matrix` over the rows of `blocks`, one block after
+    another (all rows when `blocks` is None), the builder of every nested
+    dissection factor.
+
+    Each nonempty block gets its own ordering by its rows' `coords` (a 3D
+    location per row), with `root_pins[i]`, positions within block i, in
+    its root separator, and its own pivot threshold; the fronts are then
+    joined, and the levels scheduled once, `folded` for a factor applied as
+    a preconditioner (see `_schedule`: an inverse rounds worse than
+    substitution, so exact solvers stay unfolded).  Raises NumericalError
+    when two blocks are coupled.
+    """
+    matrix = _finite_csr(matrix)
+    coords = np.asarray(coords, dtype=float)
+    if blocks is None:
+        sizes = [matrix.shape[0]]
+    else:
+        rows = np.concatenate([np.empty(0, dtype=np.int64)] + list(blocks))
+        matrix, coords = matrix[rows][:, rows], coords[rows]
+        sizes = [len(b) for b in blocks]
+    stops = np.cumsum(sizes, dtype=np.int64)
+    label = np.repeat(np.arange(len(sizes)), sizes)
+    coo = matrix.tocoo()
+    if np.any(label[coo.row] != label[coo.col]):
+        raise NumericalError(
+            "index blocks are coupled; the partition does not match the "
+            "matrix")
+    pins = [None] * len(sizes) if root_pins is None else root_pins
+    parts = []
+    for stop, size, pin in zip(stops, sizes, pins):
+        if size:
+            own = slice(stop - size, stop)
+            m = matrix[own, own]
+            parts.append(_factor_fronts(m, nd_ordering(
+                m, coords[own], base_case=base_case, root_pin=pin), pivot_tol))
+    return _join(matrix, parts, folded)
+
+
+def _finite_csr(matrix) -> sp.csr_matrix:
     matrix = sp.csr_matrix(matrix).astype(float)
     if not np.isfinite(matrix.data).all():
         raise ValueError("matrix has non-finite entries")
+    return matrix
+
+
+def _factor_fronts(matrix, ordering, pivot_tol):
+    """(perm, kept, fronts) of the factor of the float CSR `matrix` along
+    `ordering`; `_join` schedules the fronts into levels."""
     n = matrix.shape[0]
     if isinstance(ordering, NdOrdering):
         perm, tree = ordering.perm, ordering.tree
@@ -425,17 +474,27 @@ def _factor_fronts(matrix, ordering,
     for nd in nodes:
         nd.rows21 = new_pos[nd.rows21]
         kept[nd.start + nd.skipped] = False
-    return CholeskyFactor(perm=perm_new, rank=int(kept.sum()),
-                          pivot_tol=pivot_tol, kept=kept, matrix=matrix,
-                          _nodes=nodes)
+    return perm_new, kept, nodes
 
 
-def _scheduled(factor: CholeskyFactor, folded=False) -> CholeskyFactor:
-    """The factor with its fronts scheduled into levels, unfolded or folded
-    (see `_schedule`); folded, it keeps no fronts."""
-    return replace(factor, folded=folded,
-                   _nodes=[] if folded else factor._nodes,
-                   _levels=_schedule(factor._nodes, factor.shape[0], folded))
+def _join(matrix, parts, folded) -> CholeskyFactor:
+    """The factor of the block-diagonal `matrix` from its blocks' `parts`
+    (see `_factor_fronts`), in turn: every front keeps its arithmetic and
+    is shifted past the blocks before it, and the levels, scheduled once
+    in the form asked for, span all blocks."""
+    offsets = np.cumsum([0] + [len(perm) for perm, _, _ in parts])
+    nodes = [replace(nd, start=nd.start + off, stop=nd.stop + off,
+                     rows21=nd.rows21 + off)
+             for (_, _, fronts), off in zip(parts, offsets) for nd in fronts]
+    kept = np.concatenate([np.empty(0, dtype=bool)]
+                          + [kept for _, kept, _ in parts])
+    return CholeskyFactor(
+        perm=np.concatenate([np.empty(0, dtype=np.int64)]
+                            + [perm + off for (perm, _, _), off
+                               in zip(parts, offsets)]),
+        rank=int(kept.sum()), kept=kept, matrix=matrix,
+        _nodes=[] if folded else nodes,
+        _levels=_schedule(nodes, matrix.shape[0], folded), folded=folded)
 
 
 def _schedule(nodes, n, folded=False):
@@ -511,47 +570,6 @@ def _fold_front(nd):
     keep[nd.skipped] = False
     rows = np.concatenate((np.arange(nd.start, nd.stop), nd.rows21))
     return np.broadcast_to(rows, keep.shape)[keep], block.T[keep]
-
-
-def fold(factor: CholeskyFactor) -> CholeskyFactor:
-    """The factor in folded level form, for a factor applied as a
-    preconditioner: each level is one sparse matrix holding its fronts'
-    [I - L11^-1; L21 L11^-1], so a solve makes one sparse product per level
-    and direction and no per-front LAPACK call.  An inverse rounds worse
-    than substitution, so exact solvers stay unfolded.  The folded factor
-    keeps no dense front blocks and has no L."""
-    return factor if factor.folded else _scheduled(factor, folded=True)
-
-
-def _join(factors, folded=False) -> CholeskyFactor:
-    """One factor of the block-diagonal matrix of `factors`, which come
-    unscheduled from `_factor_fronts`, and whose rows are the factors'
-    rows in turn: every front keeps its arithmetic and is shifted past the
-    blocks before it, and the levels, scheduled once in the form asked
-    for, span all blocks."""
-    if len(factors) == 1:
-        return _scheduled(factors[0], folded)
-    offsets = np.cumsum([0] + [f.shape[0] for f in factors])
-    nodes = [replace(nd, start=nd.start + off, stop=nd.stop + off,
-                     rows21=nd.rows21 + off)
-             for f, off in zip(factors, offsets) for nd in f._nodes]
-    return _scheduled(CholeskyFactor(
-        perm=np.concatenate([np.empty(0, dtype=np.int64)]
-                            + [f.perm + off for f, off in zip(factors, offsets)]),
-        rank=sum(f.rank for f in factors),
-        pivot_tol=max((f.pivot_tol for f in factors), default=DEFAULT_PIVOT_TOL),
-        kept=np.concatenate([np.empty(0, dtype=bool)]
-                            + [f.kept for f in factors]),
-        matrix=(sp.block_diag([f.matrix for f in factors], format="csr")
-                if factors else sp.csr_matrix((0, 0))),
-        _nodes=nodes), folded)
-
-
-def nd_cholesky(matrix, coords, base_case: int = DEFAULT_BASE_CASE,
-                pivot_tol: float = DEFAULT_PIVOT_TOL, root_pin=None) -> CholeskyFactor:
-    """Convenience wrapper: ordering + factorization in one call."""
-    ordering = nd_ordering(matrix, coords, base_case=base_case, root_pin=root_pin)
-    return cholesky(matrix, ordering, pivot_tol=pivot_tol)
 
 
 def _factor_node(node, mp, scale, pivot_tol, out, new_pos, depth):
@@ -643,14 +661,16 @@ def _dense_rank_chol(a, scale, pivot_tol):
     return l, np.arange(n) < rank, order
 
 
-def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,
-                      image_tol: float = 1e-6) -> np.ndarray:
+def solve_with_factor(factor: CholeskyFactor, b,
+                      check_image: bool = True) -> np.ndarray:
     """Solve M x = b through the factor, for b of shape (n,) or (n, k);
     zero pivots get the zero-tail treatment (x is 0 there), so the result is
     exact for b in Im(M).  The solve walks the separator tree by levels:
     one sparse product per level and direction, and in an unfolded factor
     one LAPACK `dtrtrs` per front and direction besides.  Raises ValueError
-    for a b of another row count or with non-finite entries."""
+    for a b of another row count or with non-finite entries, and with
+    `check_image` NumericalError when M x misses a nonzero column of b by
+    more than IMAGE_TOL relative to it."""
     b = np.asarray(b, dtype=float)
     n = factor.shape[0]
     if b.ndim not in (1, 2) or b.shape[0] != n:
@@ -675,7 +695,7 @@ def solve_with_factor(factor: CholeskyFactor, b, check_image: bool = True,
     x = np.empty_like(z)
     x[factor.perm] = z
     if check_image:
-        _check_image(factor.matrix, x, bm, image_tol)
+        _check_image(factor.matrix, x, bm)
     return x[:, 0] if single else x
 
 
@@ -702,13 +722,13 @@ def _level_update(z, level, trans):
         z -= level.a @ z[level.cols]
 
 
-def _check_image(matrix, x, b, image_tol):
-    """Raise unless matrix x meets each nonzero column of b to image_tol, a
+def _check_image(matrix, x, b):
+    """Raise unless matrix x meets each nonzero column of b to IMAGE_TOL, a
     NaN residual included; `matrix` is sparse, so this check calls no dense
     BLAS."""
     norm_b = np.linalg.norm(b, axis=0)
     bad = ~(np.linalg.norm(matrix @ x - b, axis=0)
-            <= image_tol * np.maximum(norm_b, 1e-300))
+            <= IMAGE_TOL * np.maximum(norm_b, 1e-300))
     if np.any(bad & (norm_b > 0)):
         raise NumericalError("right-hand side is not in the image of the matrix")
 
@@ -724,38 +744,28 @@ def _triangular_solve(l11, rhs, trans):
 # -- block factors ---------------------------------------------------------------
 
 class BlockFactor:
-    """Exact solver for a symmetric PSD matrix whose rows split into
-    mutually uncoupled blocks plus an optional shared set.
+    """Exact solver for a symmetric PSD matrix whose kept rows split into
+    the rows of one exact solver plus a shared set.
 
-    `blocks` is the partition; one exact solver covers all of them, as the
-    matrix over their concatenated rows: a CholeskyFactor (one joined
-    factor), or a GraphDownLap for a dual graph.  The Schur complement onto
-    the shared rows, C_ss - C M^+ C^T with the last term from the solver's
-    `gram`, is pseudo-inverted densely up front.  Rows in neither a block nor the
-    shared set are dropped, and the solution is zero there.  Solves are
-    exact for right-hand sides in the image.  `rank` is the solver's rank
-    plus the Schur complement's, the matrix's rank on the kept rows.
+    `solver` solves the matrix over `rows`: a CholeskyFactor, or a
+    GraphDownLap for a dual graph.  The Schur complement onto the shared
+    rows, C_ss - C M^+ C^T with the last term from the solver's `gram`, is
+    pseudo-inverted densely up front.  Rows in neither set are dropped, and
+    the solution is zero there.  Solves are exact for right-hand sides in
+    the image, and not checked: both users apply one as a preconditioner.
+    `rank` is the solver's rank plus the Schur complement's, the matrix's
+    rank on the kept rows.
     """
 
-    def __init__(self, matrix, blocks, solver, shared=()):
+    def __init__(self, matrix, rows, solver, shared):
         self.matrix = sp.csr_matrix(matrix)
-        self.blocks = [np.asarray(b, dtype=np.int64) for b in blocks]
-        self.rows = np.concatenate([np.empty(0, dtype=np.int64)] + self.blocks)
+        self.rows = np.asarray(rows, dtype=np.int64)
         self.solver = solver
         self.shared = np.asarray(shared, dtype=np.int64)
         if len(self.shared) > DENSE_SHARED_CAP:
             raise NumericalError(
                 f"shared block has {len(self.shared)} rows, beyond the dense "
                 f"inversion cap {DENSE_SHARED_CAP}")
-        label = np.full(self.matrix.shape[0], -1, dtype=np.int64)
-        for i, b in enumerate(self.blocks):
-            label[b] = i
-        coo = self.matrix.tocoo()
-        lr, lc = label[coo.row], label[coo.col]
-        if np.any((lr >= 0) & (lc >= 0) & (lr != lc)):
-            raise NumericalError(
-                "index blocks are coupled; the partition does not match "
-                "the matrix")
         self.coupling, self.schur_pinv = None, np.zeros((0, 0))
         schur_rank = 0
         if len(self.shared):
@@ -765,27 +775,6 @@ class BlockFactor:
                 self.coupling.T)
             self.schur_pinv, schur_rank = pinv_via_pivoted_qr(schur)
         self.rank = self.solver.rank + schur_rank
-
-    @classmethod
-    def nested_dissection(cls, matrix, blocks, coords, shared=(),
-                          root_pins=None) -> "BlockFactor":
-        """One nested dissection factor per block, ordered by `coords` (a 3D
-        location per row) and judged by its own pivot threshold, joined
-        into one factor; `root_pins[i]` are positions within block i that
-        its factor eliminates last."""
-        return cls(matrix, blocks,
-                   _join(_nd_factors(matrix, blocks, coords, root_pins)),
-                   shared)
-
-    @classmethod
-    def nd_preconditioner(cls, matrix, blocks, coords,
-                          shared=()) -> "BlockFactor":
-        """`nested_dissection` with its joined factor folded (see `fold`),
-        for a BlockFactor applied as a preconditioner once per iteration;
-        the shared Schur block comes from the folded factor's `gram`."""
-        return cls(matrix, blocks,
-                   _join(_nd_factors(matrix, blocks, coords), folded=True),
-                   shared)
 
     def solve(self, v) -> np.ndarray:
         """x with matrix x = v on the kept rows, for v in the image."""
@@ -801,18 +790,6 @@ class BlockFactor:
             out[self.shared] = x_s
         out[self.rows] = self.solver.solve(rhs, check_image=False)
         return out
-
-
-def _nd_factors(matrix, blocks, coords, root_pins=None):
-    """One nested dissection factor per nonempty block of `matrix`, its
-    levels left for `_join` to schedule."""
-    matrix = sp.csr_matrix(matrix)
-    coords = np.asarray(coords, dtype=float)
-    pins = [None] * len(blocks) if root_pins is None else root_pins
-    subs = [(matrix[b][:, b], coords[b], pin)
-            for b, pin in zip(blocks, pins) if len(b)]
-    return [_factor_fronts(m, nd_ordering(m, xyz, root_pin=pin))
-            for m, xyz, pin in subs]
 
 
 def concat_blocks(parts):

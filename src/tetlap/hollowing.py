@@ -32,6 +32,8 @@ DEFAULT_BOUNDARY_FACTOR = 256.0    # boundary simplexes <= C_b * r^(2/3)
 DEFAULT_DIAMETER_FACTOR = 16.0     # shell triangle diameter <= C_d * r^(1/3)
 MIN_SHELL_WIDTH = 5
 CHANNEL_SLACK = 2
+SEED_DEPTH = 2            # triangle hops of a hole's seed band
+MAX_EXPAND_ROUNDS = 8     # wall growth rounds toward the shell width
 
 
 @dataclass
@@ -41,8 +43,6 @@ class HollowingConfig:
     diameter_factor: float = DEFAULT_DIAMETER_FACTOR
     min_shell_width: int = MIN_SHELL_WIDTH
     min_component_separation: int = 5   # triangle distance between holes
-    seed_depth: int = 2          # triangle distance for seed layers
-    max_expand_rounds: int = 8
 
 
 @dataclass
@@ -314,8 +314,8 @@ def find_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
     wall = np.zeros(c.num_tets, dtype=bool)
 
     def seed_band(tris):
-        """Tets with a face within seed_depth triangle hops of `tris`."""
-        near = _bfs_hops(tri_adj, tris, cap=config.seed_depth) < np.inf
+        """Tets with a face within SEED_DEPTH triangle hops of `tris`."""
+        near = _bfs_hops(tri_adj, tris, cap=SEED_DEPTH) < np.inf
         return np.asarray((tri_tets[near].sum(axis=0) > 0)).ravel()
 
     # seed: a band of tets along the largest boundary component
@@ -340,7 +340,7 @@ def find_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
                 if hole_coords[:, axis].min() < q < hole_coords[:, axis].max():
                     wall |= band & (centroid >= q)
 
-    for _ in range(config.max_expand_rounds + 1):
+    for _ in range(MAX_EXPAND_ROUNDS + 1):
         if np.all(wall):
             raise UnsupportedGeometryError(
                 "hollowing walls swallowed the whole mesh; r is too small "
@@ -354,7 +354,7 @@ def find_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
     else:
         raise UnsupportedGeometryError(
             f"could not reach shell width {config.min_shell_width} within "
-            f"{config.max_expand_rounds} expansion rounds")
+            f"{MAX_EXPAND_ROUNDS} expansion rounds")
     h.metrics["planes"] = [list(map(float, p)) for p in planes]
     return h
 
@@ -616,10 +616,9 @@ def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
 
     # region boundary spheres: boundary triangles on the region's box faces
     shells = []
+    ids = np.flatnonzero(tri_boundary)
     for b in range(nreg):
-        member = np.zeros(c.num_triangles, dtype=bool)
         blo, bhi = boxes[b]
-        ids = np.flatnonzero(tri_boundary)
         inside = np.ones(len(ids), dtype=bool)
         for a in range(3):
             inside &= (centroids[ids, a] >= blo[a] - 1e-9) \

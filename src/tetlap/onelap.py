@@ -27,8 +27,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import oracle
-from .complexes import Complex3, build_complex, down_laplacian
-from .dissection import BlockFactor
+from .complexes import Complex3, build_complex
+from .dissection import BlockFactor, nd_cholesky
 from .downlap import (DownState, build_down_state, down_lap_solve,
                       down_projection)
 from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_tolerance,
@@ -74,8 +74,9 @@ def build_one_lap_solver(c, h: Hollowing) -> OneLapState:
 def _build_state(c, h, up_state, embedded: bool) -> OneLapState:
     """The state over an up solver; an `embedded` complex (a mesh in R^3,
     so b3 = 0) also has its probe budget checked against b0 - chi."""
-    lup, ldown = up_state.lup, down_laplacian(c, 1)
     down_state = build_down_state(c)
+    # the skeleton graph's d1^T W0 d1 is the down-Laplacian, assembled once
+    lup, ldown = up_state.lup, down_state.graph.lap
     budget, closed = probe_budget(c, h, up_state, down_state)
     _check_budget(c, budget, down_state, embedded)
     harmonic, probes = harmonic_basis(c, up_state, down_state, budget, closed)
@@ -470,9 +471,9 @@ def build_union_solver(u: UnionComplex) -> OneLapState:
 
 def _chunk_wall(matrix, ids, chunk_parts, dense, locations) -> BlockFactor:
     """BlockFactor of a wall matrix over the glued simplexes `ids`: one
-    block per chunk with its wall simplexes not already taken, and the
-    `dense` simplexes plus any left over as the shared set, with the
-    blocks' joined factor folded, as a preconditioner's."""
+    block per chunk with its wall simplexes not already taken, factored
+    together by `nd_cholesky` and folded, as a preconditioner's, and the
+    `dense` simplexes plus any left over as the shared set."""
     pos = np.full(len(locations), -1, dtype=np.int64)
     pos[ids] = np.arange(len(ids))
     dense_local = pos[dense]
@@ -486,8 +487,8 @@ def _chunk_wall(matrix, ids, chunk_parts, dense, locations) -> BlockFactor:
         taken[locs] = True
         blocks.append(np.unique(locs))
     shared = np.union1d(dense_local, np.flatnonzero(~taken))
-    return BlockFactor.nd_preconditioner(matrix, blocks, locations[ids],
-                                         shared)
+    solver = nd_cholesky(matrix, locations[ids], blocks=blocks, folded=True)
+    return BlockFactor(matrix, np.concatenate(blocks), solver, shared)
 
 
 def union_one_lap_solve(u: UnionComplex, b, eps: float,

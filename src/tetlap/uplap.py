@@ -17,6 +17,7 @@ complement is small enough to pseudo-invert densely up front.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,7 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .complexes import up_laplacian
-from .dissection import BlockFactor, RootSolve, concat_blocks
+from .dissection import BlockFactor, CholeskyFactor, RootSolve, nd_cholesky
 from .downlap import GraphDownLap
 from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_tolerance,
                      check_vector, one_norm, roundoff_floor)
@@ -42,8 +43,9 @@ class UpSolverState:
     d2: sp.csc_matrix                # float triangle boundary map behind lup
     f_all: np.ndarray                # interior edge ids, region by region
     c_idx: np.ndarray                # boundary edge ids
-    interior: BlockFactor            # Lup[F, F] over f_all, one block per region
-    wall: Optional[BlockFactor]      # wall-complex up-Laplacian over c_idx
+    interior: CholeskyFactor         # Lup[F, F] over f_all, one block per region
+    # wall-complex up-Laplacian over c_idx: a folded factor by default
+    wall: Optional[CholeskyFactor | BlockFactor]
     iface: np.ndarray                # positions in f_all of the interface rows
     root: RootSolve                  # the interior solve through their fronts
     l_cc: sp.csr_matrix
@@ -71,12 +73,12 @@ def build_up_solver(c, h: Hollowing,
     d2 = c.boundary(2).astype(float)
     lup = up_laplacian(c, 1, d2)
     f_regions = h.interior_edges_by_region()
-    f_all, blocks = concat_blocks(f_regions)
+    f_all = np.concatenate([np.empty(0, dtype=np.int64)] + f_regions)
     c_idx = h.boundary_edges
     midpoints = c.vertices[c.edges].mean(axis=1)
     interface = _interface_edges(c, h.edge_class < 0)
-    interior = BlockFactor.nested_dissection(
-        lup[f_all][:, f_all], blocks, midpoints[f_all],
+    interior = nd_cholesky(
+        lup, midpoints, blocks=f_regions,
         root_pins=[np.flatnonzero(interface[f]) for f in f_regions])
     # column slices keep each row's entries in f_all order, so products
     # with them sum in the order the full Lup[C, F] does
@@ -90,9 +92,8 @@ def build_up_solver(c, h: Hollowing,
     state = UpSolverState(
         complex=c, hollowing=h, lup=lup, d2=d2, f_all=f_all, c_idx=c_idx,
         interior=interior, wall=None, iface=iface,
-        # the interior's blocks are f_all's positions in order, so its
-        # solver's rows are f_all's
-        root=interior.solver.root_solve(iface),
+        # the interior factor's rows are f_all's
+        root=interior.root_solve(iface),
         l_cc=lup[c_idx][:, c_idx].tocsr(),
         l_ci=l_ci,
         l_ic=lup[f_all[iface]][:, c_idx].tocsr(),
@@ -102,8 +103,7 @@ def build_up_solver(c, h: Hollowing,
         d2c = d2[c_idx][:, bt]
         lt = (d2c @ sp.diags(c.weights[2][bt]) @ d2c.T).tocsr()
         if wall is None:
-            state.wall = BlockFactor.nd_preconditioner(
-                lt, [np.arange(len(c_idx))], midpoints[c_idx])
+            state.wall = nd_cholesky(lt, midpoints[c_idx], folded=True)
         else:
             state.wall = wall(lt)
     return state
@@ -134,25 +134,34 @@ def schur_operator(state: UpSolverState) -> LinearOperator:
                           apply=lambda v: schur_apply(state, v))
 
 
-def schur_solve(state: UpSolverState, h_vec, delta: float,
-                max_iters: Optional[int] = None):
-    """PCG on the Schur complement, preconditioned by the wall complex."""
+def schur_solve(state: UpSolverState, h_vec, delta: float):
+    """PCG on the Schur complement, preconditioned by the wall complex.
+
+    A stalled PCG names the share of |h| its residual stalled at: that
+    share of h lies outside the Schur complement's image, and rounding in
+    forming b = Lup y counts as such a part."""
     h_vec = np.asarray(h_vec, dtype=float)
     if len(h_vec) == 0:
         return h_vec.copy(), SolveReport(stage="schur")
     precond = LinearOperator(dim=len(state.c_idx), apply=state.wall.solve)
     x, report = pcg(schur_operator(state), precond, h_vec, tol=delta,
-                    max_iters=max_iters, stage="schur")
+                    stage="schur")
     if not report.converged:
         floor = roundoff_floor(one_norm(state.lup), x)
-        why = ("its true residual stopped falling"
-               if report.params.get("stalled") else "out of iterations")
+        norm_h = np.linalg.norm(h_vec)
+        why, outside = "out of iterations", ""
+        if report.params.get("stalled"):
+            why = "its true residual stopped falling"
+            outside = (f"; the residual stalled at "
+                       f"{report.final_residual / norm_h:.2e} of |h|: that "
+                       "share of h lies outside the image, and rounding in "
+                       "forming b = Lup y counts as such a part")
         raise NumericalError(
             f"Schur-complement PCG did not reach {delta:.2e} ({why} after "
             f"{report.iterations} iterations; final residual "
-            f"{report.final_residual:.2e}, target "
-            f"{delta * np.linalg.norm(h_vec):.2e}; float64 roundoff floor "
-            f"u * |Lup|_1 * |x| = {floor:.2e})")
+            f"{report.final_residual:.2e}, target {delta * norm_h:.2e}; "
+            f"float64 roundoff floor u * |Lup|_1 * |x| = {floor:.2e}"
+            f"{outside})")
     return x, report
 
 
@@ -175,7 +184,8 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
         return np.zeros_like(b), report
 
     x = np.zeros_like(b)
-    f_solve = state.interior.solve
+    # the interior solves go unchecked: the residual below checks them all
+    f_solve = functools.partial(state.interior.solve, check_image=False)
     if len(state.c_idx) == 0:
         x[state.f_all] = f_solve(b[state.f_all])
     else:
@@ -230,7 +240,7 @@ def _reduced_wall(c, h: Hollowing, lt) -> BlockFactor:
     heads = b1.indices[b1.data > 0]
     m11 = GraphDownLap(b1.shape[1], np.column_stack([tails, heads]),
                        c.weights[2][h.boundary_triangles])
-    return BlockFactor(lt, [e1_local], m11, shared=e2hat_local)
+    return BlockFactor(lt, e1_local, m11, e2hat_local)
 
 
 def _disc_rows(c, h: Hollowing):

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .dissection import BlockFactor, concat_blocks
+from .dissection import CholeskyFactor, concat_blocks, nd_cholesky
 from .errors import (ROUNDOFF_MULTIPLE, UNIT_ROUNDOFF, NumericalError,
                      UnsupportedGeometryError, check_tolerance, check_vector)
 from .hollowing import Hollowing, check_hollowing
@@ -34,8 +34,8 @@ class UpProjectionState:
     c_t: np.ndarray                  # boundary triangle ids
     d2_f: sp.csc_matrix              # edges x interior triangles
     d2_c: sp.csc_matrix              # edges x boundary triangles
-    interior: BlockFactor            # Gram of d2_f, one block per region
-    wall: Optional[BlockFactor]      # Gram of d2_c
+    interior: CholeskyFactor         # Gram of d2_f, one block per region
+    wall: Optional[CholeskyFactor]   # Gram of d2_c
     lup_norm: float                  # norm estimate of d2 d2^T
 
     @property
@@ -54,13 +54,12 @@ def build_up_projection(c, h: Hollowing) -> UpProjectionState:
     c_t = h.boundary_triangles
     centroids = c.vertices[c.triangles].mean(axis=1)
     d2_f = d2[:, f_all]
-    interior = BlockFactor.nested_dissection(
-        (d2_f.T @ d2_f).tocsr(), blocks, centroids[f_all])
+    interior = nd_cholesky((d2_f.T @ d2_f).tocsr(), centroids[f_all],
+                           blocks=blocks)
     d2_c = d2[:, c_t]
     wall = None
     if len(c_t):
-        wall = BlockFactor.nested_dissection(
-            (d2_c.T @ d2_c).tocsr(), [np.arange(len(c_t))], centroids[c_t])
+        wall = nd_cholesky((d2_c.T @ d2_c).tocsr(), centroids[c_t])
     return UpProjectionState(
         complex=c, hollowing=h, d2=d2, f_all=f_all, c_t=c_t,
         d2_f=d2_f, d2_c=d2_c, interior=interior, wall=wall,
@@ -93,7 +92,8 @@ def proj_im_F(state: UpProjectionState, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if len(state.f_all) == 0:
         return np.zeros_like(b)
-    return state.d2_f @ state.interior.solve(state.d2_f.T @ b)
+    return state.d2_f @ state.interior.solve(state.d2_f.T @ b,
+                                             check_image=False)
 
 
 def proj_ker_F(state: UpProjectionState, b) -> np.ndarray:
@@ -107,16 +107,16 @@ def down2_schur_apply(state: UpProjectionState, x) -> np.ndarray:
     return state.d2_c.T @ proj_ker_F(state, state.d2_c @ np.asarray(x, float))
 
 
-def down2_schur_solve(state: UpProjectionState, h_vec, delta: float,
-                      max_iters: Optional[int] = None):
+def down2_schur_solve(state: UpProjectionState, h_vec, delta: float):
     h_vec = np.asarray(h_vec, dtype=float)
     if len(h_vec) == 0:
         return h_vec.copy(), SolveReport(stage="tri_schur")
     a_op = LinearOperator(dim=len(state.c_t),
                           apply=lambda v: down2_schur_apply(state, v))
-    m_op = LinearOperator(dim=len(state.c_t), apply=state.wall.solve)
-    x, report = pcg(a_op, m_op, h_vec, tol=delta, max_iters=max_iters,
-                    stage="tri_schur")
+    m_op = LinearOperator(
+        dim=len(state.c_t),
+        apply=lambda v: state.wall.solve(v, check_image=False))
+    x, report = pcg(a_op, m_op, h_vec, tol=delta, stage="tri_schur")
     if not report.converged:
         raise NumericalError(
             f"triangle Schur PCG did not reach {delta:.2e} "

@@ -21,7 +21,6 @@ from tetlap.dissection import (
     NdOrdering,
     cholesky,
     edge_separator,
-    fold,
     nd_cholesky,
     nd_ordering,
     solve_with_factor,
@@ -199,7 +198,7 @@ def test_cholesky_rejects_a_non_finite_matrix(value):
 def test_image_check_fails_on_a_nan_residual():
     with pytest.raises(NumericalError, match="image"):
         dissection._check_image(sp.eye(2).tocsr(), np.array([[np.nan], [0.0]]),
-                                np.ones((2, 1)), 1e-6)
+                                np.ones((2, 1)))
 
 
 def test_cholesky_rejects_indefinite():
@@ -492,18 +491,22 @@ def assert_matches_reference(factor, m, b):
     assert np.linalg.norm(m @ x - b) <= 1e-9 * np.linalg.norm(b)
 
 
-def rank_deficient_fixtures(rng):
+def rank_deficient_fixtures(rng, folded=False):
     c = gen_grid(GridSpec((2, 2, 2)))
     g = rng.standard_normal((10, 6))
     n = 30
     line = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
     return [
-        (cholesky(sp.csr_matrix([[1.0, -1.0], [-1.0, 1.0]]), np.arange(2)),
+        (cholesky(sp.csr_matrix([[1.0, -1.0], [-1.0, 1.0]]), np.arange(2),
+                  folded=folded),
          np.array([[1.0, -1.0], [-1.0, 1.0]])),
-        (nd_cholesky(up_laplacian(c, 1), edge_midpoints(c), base_case=16),
+        (nd_cholesky(up_laplacian(c, 1), edge_midpoints(c), base_case=16,
+                     folded=folded),
          up_laplacian(c, 1)),
-        (cholesky(sp.csr_matrix(g @ g.T), np.arange(10)), g @ g.T),
-        (nd_cholesky(graph_path_laplacian(n), line, base_case=4),
+        (cholesky(sp.csr_matrix(g @ g.T), np.arange(10), folded=folded),
+         g @ g.T),
+        (nd_cholesky(graph_path_laplacian(n), line, base_case=4,
+                     folded=folded),
          graph_path_laplacian(n)),
     ]
 
@@ -572,9 +575,8 @@ def test_solve_through_an_empty_separator(rng):
     line = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
     parts = [graph_path_laplacian(n), 1e-13 * graph_path_laplacian(n)]
     m = sp.block_diag(parts).tocsr()
-    joined = BlockFactor.nested_dissection(
-        m, [np.arange(n), np.arange(n, 2 * n)], np.vstack([line, line]))
-    f = joined.solver
+    f = joined = nd_cholesky(m, np.vstack([line, line]),
+                             blocks=[np.arange(n), np.arange(n, 2 * n)])
     for i, part in enumerate(parts):
         assert f.kept[i * n:(i + 1) * n].sum() == nd_cholesky(part, line).rank
         assert f.kept[i * n:(i + 1) * n].sum() == n - 1
@@ -760,7 +762,7 @@ def test_solve_by_levels_makes_no_per_front_update(rng, monkeypatch):
     c = gen_grid(GridSpec((4, 4, 4)))
     m = up_laplacian(c, 1)
     exact = nd_cholesky(m, edge_midpoints(c), base_case=16)
-    folded = fold(exact)
+    folded = nd_cholesky(m, edge_midpoints(c), base_case=16, folded=True)
     assert exact.rank < exact.shape[0]
     assert len(exact._levels) == len(folded._levels) < len(exact._nodes)
     # the transpose shares each level's arrays; unfolded, every l21 is a
@@ -802,15 +804,20 @@ FOLD_RTOL = 1e-13
 
 
 def test_folded_factor_matches_its_substitution_twin(rng):
-    for exact, m in rank_deficient_fixtures(rng):
-        folded = fold(exact)
+    # each twin comes from the same builder, folded=True the only change
+    twins = zip(rank_deficient_fixtures(np.random.default_rng(3)),
+                rank_deficient_fixtures(np.random.default_rng(3), folded=True))
+    for (exact, m), (folded, _) in twins:
         assert folded.folded and not exact.folded
-        assert (folded.rank, folded.perm.tobytes(), folded.kept.tobytes()) == (
-            exact.rank, exact.perm.tobytes(), exact.kept.tobytes())
+        assert (folded.rank, folded.perm.tobytes(), folded.kept.tobytes(),
+                len(folded._levels)) == (
+            exact.rank, exact.perm.tobytes(), exact.kept.tobytes(),
+            len(exact._levels))
         n = exact.shape[0]
         for shape in (n, (n, 3)):
             b = m @ rng.standard_normal(shape)
             x, twin = folded.solve(b), exact.solve(b)
+            assert np.array_equal(x, solve_with_factor(folded, b))
             assert x.shape == twin.shape
             assert np.linalg.norm(x - twin) <= FOLD_RTOL * np.linalg.norm(twin)
             # the zero tail: x is exactly 0 at every skipped pivot
@@ -823,8 +830,8 @@ def test_folded_factor_matches_its_substitution_twin(rng):
 def test_folded_factor_keeps_no_dense_block_and_has_no_l():
     c = gen_grid(GridSpec((4, 4, 4)))
     exact = nd_cholesky(up_laplacian(c, 1), edge_midpoints(c), base_case=16)
-    folded = fold(exact)
-    assert fold(folded) is folded
+    folded = nd_cholesky(up_laplacian(c, 1), edge_midpoints(c), base_case=16,
+                         folded=True)
     assert 0 < folded.nbytes < exact.nbytes
     with pytest.raises(ValueError, match="folded"):
         folded.L
@@ -836,8 +843,8 @@ def test_folded_factor_keeps_no_dense_block_and_has_no_l():
 # products and np.linalg run on a second OpenBLAS with its own thread pool
 SCIPY_BLAS_ONLY = ("_factor_node", "_dense_rank_chol", "solve_with_factor",
                    "_forward", "gram", "pinv_via_pivoted_qr", "cholesky",
-                   "_factor_fronts", "_split", "fold", "_fold_front",
-                   "_schedule", "root_solve")
+                   "_factor_fronts", "_split", "nd_cholesky", "_join",
+                   "_fold_front", "_schedule", "root_solve")
 NUMPY_BLAS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
 
 
@@ -904,12 +911,16 @@ def assert_solves_like_pinv(factor, m, rng):
     assert not factor.solve(np.zeros(len(m))).any()
 
 
-def test_block_factor_blocks_only(rng):
+def test_nd_cholesky_over_blocks_solves_their_rows(rng):
+    # the factor's rows are the blocks' rows, one block after another
     idx = rng.permutation(11)
     blocks = [np.sort(idx[:6]), np.sort(idx[6:])]
     m = coupled_psd(rng, blocks, 11)
-    factor = BlockFactor.nested_dissection(m, blocks, rng.random((11, 3)))
-    assert_solves_like_pinv(factor, m, rng)
+    rows = np.concatenate(blocks)
+    factor = nd_cholesky(m, rng.random((11, 3)), blocks=blocks)
+    assert factor.shape == (11, 11)
+    assert_solves_like_pinv(factor, m[np.ix_(rows, rows)], rng)
+    assert_solves_like_pinv(BlockFactor(m, rows, factor, shared=()), m, rng)
 
 
 def test_block_factor_with_shared_set(rng):
@@ -917,9 +928,11 @@ def test_block_factor_with_shared_set(rng):
     blocks, shared = [np.sort(idx[:5]), np.sort(idx[5:9])], np.sort(idx[9:])
     m = coupled_psd(rng, [np.union1d(b, shared) for b in blocks] + [shared],
                     12)
-    factor = BlockFactor.nested_dissection(m, blocks, rng.random((12, 3)),
-                                           shared)
-    assert_solves_like_pinv(factor, m, rng)
+    coords = rng.random((12, 3))
+    for folded in (False, True):
+        solver = nd_cholesky(m, coords, blocks=blocks, folded=folded)
+        factor = BlockFactor(m, np.concatenate(blocks), solver, shared)
+        assert_solves_like_pinv(factor, m, rng)
 
 
 def test_block_factor_graph_block_with_shared_set(rng):
@@ -932,17 +945,41 @@ def test_block_factor_graph_block_with_shared_set(rng):
     m = g @ g.T
     assert np.allclose(m[:5, :5], graph.lap.toarray())
     assert graph.rank == oracle.rank(graph.lap) == 3
-    assert_solves_like_pinv(BlockFactor(m[:5, :5], [np.arange(5)], graph),
+    assert_solves_like_pinv(BlockFactor(m[:5, :5], np.arange(5), graph, ()),
                             m[:5, :5], rng)
-    factor = BlockFactor(m, [np.arange(5)], graph, shared=[5, 6])
+    factor = BlockFactor(m, np.arange(5), graph, shared=[5, 6])
     assert_solves_like_pinv(factor, m, rng)
 
 
-def test_block_factor_rejects_coupled_blocks(rng):
+def test_nd_cholesky_rejects_coupled_blocks(rng):
     m = coupled_psd(rng, [np.arange(6)], 6)
     with pytest.raises(NumericalError, match="coupled"):
-        BlockFactor.nested_dissection(m, [np.arange(3), np.arange(3, 6)],
-                                      rng.random((6, 3)))
+        nd_cholesky(m, rng.random((6, 3)), blocks=[np.arange(3),
+                                                   np.arange(3, 6)])
+    # one block, or blocks that leave the coupling rows out, are fine
+    nd_cholesky(m, rng.random((6, 3)), blocks=[np.arange(6)])
+    m = coupled_psd(rng, [np.arange(4), np.arange(3, 7)], 7)
+    nd_cholesky(m, rng.random((7, 3)), blocks=[np.arange(3),
+                                               np.arange(4, 7)])
+
+
+def test_exact_solves_check_the_image_and_preconditioners_do_not(rng):
+    c = gen_grid(GridSpec((2, 2, 2)))
+    m = up_laplacian(c, 1)
+    exact = nd_cholesky(m, edge_midpoints(c), base_case=16)
+    folded = nd_cholesky(m, edge_midpoints(c), base_case=16, folded=True)
+    _, vecs = np.linalg.eigh(m.toarray())
+    b = m @ rng.standard_normal(m.shape[0]) + vecs[:, 0]   # a part in ker m
+    for solve in (exact.solve, lambda v: solve_with_factor(exact, v),
+                  lambda v: solve_with_factor(folded, v)):
+        with pytest.raises(NumericalError, match="not in the image"):
+            solve(b)
+    # a folded factor's solve and a block factor's, applied as
+    # preconditioners, are not checked
+    unchecked = solve_with_factor(folded, b, check_image=False)
+    assert np.array_equal(folded.solve(b), unchecked)
+    block = BlockFactor(m, np.arange(m.shape[0]), folded, shared=())
+    assert np.array_equal(block.solve(b), unchecked)
 
 
 SEPARATOR_SCRIPT = """

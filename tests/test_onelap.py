@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetlap import dissection, downlap, onelap, oracle, uplap, upproj
-from tetlap.complexes import one_laplacian
+from tetlap.complexes import down_laplacian, one_laplacian
 from tetlap.downlap import down_projection
 from tetlap.errors import NumericalError, TetlapError
 from tetlap.hollowing import (
@@ -430,6 +430,27 @@ def factor_bytes(f) -> list:
     return [a.tobytes() for a in arrays]
 
 
+def test_state_assembles_the_down_laplacian_once(monkeypatch):
+    # L1 is the skeleton graph's d1^T W0 d1 plus Lup: the same entries as
+    # down_laplacian's, on vertex weights that are not all one
+    c, h = setup()
+    c.weights[0] = np.random.default_rng(4).uniform(0.5, 2.0, c.num_vertices)
+    calls = []
+    real = onelap.build_down_state
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(onelap, "build_down_state", spy)
+    state = build_one_lap_solver(c, h)
+    assert len(calls) == 1
+    want = (down_laplacian(c, 1) + state.up_state.lup).tocsr().sorted_indices()
+    got = state.lap1.sorted_indices()
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert not hasattr(onelap, "down_laplacian")
+
+
 @pytest.mark.parametrize("union", [False, True])
 def test_only_the_wall_preconditioner_is_folded(rng, union):
     # the wall is applied once per Schur iteration and folded at build;
@@ -446,8 +467,9 @@ def test_only_the_wall_preconditioner_is_folded(rng, union):
         state = build_one_lap_solver(c, h)
         requests = [lambda b: one_lap_solve(c, h, b, 1e-6, state=state),
                     lambda b: hodge_decompose(c, h, b, 1e-6, state=state)]
-    factors = {"wall": state.up_state.wall.solver,
-               "interior": state.up_state.interior.solver,
+    wall = state.up_state.wall
+    factors = {"wall": wall.solver if union else wall,
+               "interior": state.up_state.interior,
                "lap0": state.down_state.lap0_factor}
     assert {name: f.folded for name, f in factors.items()} == {
         "wall": True, "interior": False, "lap0": False}

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from tetlap import dissection, oracle, uplap
 from tetlap.complexes import build_complex
-from tetlap.dissection import pinv_via_pivoted_qr
+from tetlap.dissection import concat_blocks, pinv_via_pivoted_qr
 from tetlap.hollowing import (HollowingConfig, find_hollowing,
                               sphere_hollowing, surface_hollowing)
 from tetlap.errors import NumericalError
@@ -85,7 +85,7 @@ def test_ff_block_is_region_diagonal():
     c, h = grid_with_hollowing()
     state = build_up_solver(c, h)
     lup = state.lup
-    regions = [state.f_all[blk] for blk in state.interior.blocks]
+    regions = h.interior_edges_by_region()
     for i, fi in enumerate(regions):
         for j, fj in enumerate(regions):
             if i < j and len(fi) and len(fj):
@@ -104,7 +104,7 @@ def test_f_solve_contract(rng):
     state = build_up_solver(c, h)
     nf = len(state.f_all)
     f_solve = state.interior.solve
-    blocks = state.interior.blocks
+    _, blocks = concat_blocks(h.interior_edges_by_region())
     assert np.array_equal(f_solve(np.zeros(nf)), np.zeros(nf))
     lff = state.lup[state.f_all][:, state.f_all]
     b_f = lff @ rng.standard_normal(nf)
@@ -209,7 +209,7 @@ def test_schur_apply_solves_through_the_interface_root_fronts(rng, monkeypatch,
     # two triangular solves per root front that holds an interface row, and
     # no deeper front, level product or dense product
     state = SCHUR_STATES[name]()
-    factor = state.interior.solver
+    factor = state.interior
     pos = np.empty(factor.shape[0], dtype=np.int64)
     pos[factor.perm] = np.arange(factor.shape[0])
     holding = [nd for nd in factor._nodes if nd.depth == 0 and np.any(
@@ -327,20 +327,26 @@ def test_stalled_schur_pcg_stops_and_names_the_floor(monkeypatch):
                           holes=[HoleSpec((2, 2, 0), (1, 1, 6), "tunnel")]))
     h = find_hollowing(c, 64, RELAXED)
     state = build_one_lap_solver(c, h)
-    real, traces = uplap.pcg, []
+    real, traces, shares = uplap.pcg, [], []
 
     def spy(*args, **kwargs):
         x, rep = real(*args, **kwargs)
         traces.append(rep.residual_trace)
+        shares.append(rep.final_residual / np.linalg.norm(args[2]))
         return x, rep
     monkeypatch.setattr(uplap, "pcg", spy)
     b = state.up_state.lup @ state.harmonic[:, 0]
     with pytest.raises(NumericalError, match=r"stopped falling.*roundoff "
-                       r"floor u \* \|Lup\|_1 \* \|x\| = "):
+                       r"floor u \* \|Lup\|_1 \* \|x\| = ") as caught:
         _up_solve_with_state(state.up_state, b, 1e-6)
     # the true-residual checks, then the final residual
     checks = traces[-1][1:]
     assert len(checks) - 1 - int(np.argmin(checks)) <= 3
+    # the message names the stalled share of |h|, the part of the
+    # right-hand side outside the image, which the floor does not show
+    assert (f"stalled at {shares[-1]:.2e} of |h|: that share of h lies "
+            "outside the image" in str(caught.value))
+    assert shares[-1] > 1e-3
 
 
 def test_up_lap_solve_single_tet(rng):

@@ -198,7 +198,9 @@ def test_sphere_hollowing_regions_couple_and_are_unsupported():
     c = gen_grid(GridSpec((4, 4, 4)))
     h = sphere_hollowing(c, 1000)
     assert h.num_regions == 1
-    assert len(build_up_projection(c, h).interior.blocks) == 1
+    assert len(h.interior_triangles_by_region()) == 1
+    assert build_up_projection(c, h).interior.shape[0] == np.sum(
+        h.tri_class == 0)
 
 
 def test_projection_tolerance_ignores_triangle_weights():
