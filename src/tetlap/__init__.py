@@ -23,19 +23,15 @@ from .dissection import (
     BlockFactor,
     CholeskyFactor,
     cholesky,
-    edge_separator,
     nd_cholesky,
     nd_ordering,
     solve_with_factor,
-    triangle_separator,
-    vertex_separator,
 )
 from .downlap import (
     down_lap_solve,
     down_projection,
     solve_partial1,
     solve_partial1_transpose,
-    spanning_forest,
 )
 from .errors import NumericalError, TetlapError, UnsupportedGeometryError
 from .hollowing import (
@@ -43,7 +39,6 @@ from .hollowing import (
     HollowingConfig,
     find_hollowing,
     load_hollowing,
-    nice_bounding_box,
     save_hollowing,
     sphere_hollowing,
     surface_hollowing,

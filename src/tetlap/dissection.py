@@ -49,23 +49,6 @@ _GEMM = sla.get_blas_funcs("gemm", dtype=np.float64)
 
 # -- separators -------------------------------------------------------------
 
-def vertex_separator(points, adjacency, base_case: int = DEFAULT_BASE_CASE):
-    """Split graph nodes into (A, B, S) with no A-B edges.
-
-    Tries the axis-median plane on each coordinate axis, moves plane
-    stragglers into S so that no edge crosses, and keeps the smallest
-    feasible separator (balance <= BALANCE_BOUND).  Graphs at or below
-    `base_case` nodes return everything as S.  Every stored entry of
-    `adjacency`, an explicit zero too, counts as an edge.
-    """
-    points = np.asarray(points, dtype=float)
-    idx = np.arange(len(points))
-    if len(points) <= base_case:
-        return idx[:0], idx[:0], idx
-    coo = sp.coo_matrix(adjacency)
-    return tuple(idx[mask] for mask in _split(points, coo.row, coo.col))
-
-
 def _split(points, eu, ev):
     """Masks (A, B, S) of the vertex separator of the graph whose edges run
     from eu[k] to ev[k]; all of S when no plane or index split separates."""
@@ -114,39 +97,6 @@ def _median_candidates(coord):
     target = len(coord) / 2
     order = np.argsort(np.abs(below - target))
     return values[order[:3]]
-
-
-def edge_separator(c, edge_ids=None, base_case: int = DEFAULT_BASE_CASE):
-    """Partition edges into triangle-disjoint sets (E_A, E_B) plus E_S.
-
-    Runs the vertex separator on the 1-skeleton spanned by the edge set;
-    E_S collects every edge incident to a separator vertex.
-    """
-    if edge_ids is None:
-        edge_ids = np.arange(c.num_edges)
-    return _cell_separator(c, c.edges, np.asarray(edge_ids), base_case)
-
-
-def triangle_separator(c, tri_ids=None, base_case: int = DEFAULT_BASE_CASE):
-    """Partition triangles into edge-disjoint sets (T_A, T_B) plus T_S."""
-    if tri_ids is None:
-        tri_ids = np.arange(c.num_triangles)
-    return _cell_separator(c, c.triangles, np.asarray(tri_ids), base_case)
-
-
-def _cell_separator(c, cells, ids, base_case):
-    """Split the cells `ids` (rows of `cells`, vertex tuples) by the vertex
-    separator of the graph joining every two vertices of a cell; a cell
-    with a separator vertex goes to the third set."""
-    verts, local = np.unique(cells[ids], return_inverse=True)
-    local = local.reshape(len(ids), -1)
-    if len(verts) <= base_case:
-        return ids[:0], ids[:0], ids
-    u, v = np.triu_indices(local.shape[1], 1)
-    eu, ev = local[:, u].ravel(), local[:, v].ravel()
-    a, b, _ = _split(c.vertices[verts], np.r_[eu, ev], np.r_[ev, eu])
-    in_a, in_b = a[local].all(axis=1), b[local].all(axis=1)
-    return ids[in_a], ids[in_b], ids[~(in_a | in_b)]
 
 
 # -- nested dissection ordering ---------------------------------------------

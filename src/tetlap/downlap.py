@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .dissection import CholeskyFactor, nd_cholesky
+from .dissection import _GEMM, CholeskyFactor, nd_cholesky
 from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_tolerance,
                      check_vector, one_norm, roundoff_floor)
 
@@ -129,7 +129,9 @@ class GraphDownLap:
         cols = np.concatenate([np.arange(m), np.arange(m)])
         vals = np.concatenate([-np.ones(m), np.ones(m)])
         self.d = sp.csc_matrix((vals, (rows, cols)), shape=(n_vertices, m))
+        # sorted once, here: products with it sum in one order from the start
         self.lap = (self.d.T @ sp.diags(self.w) @ self.d).tocsr()
+        self.lap.sort_indices()
         self.lap_norm1 = one_norm(self.lap)
 
     @property
@@ -141,8 +143,12 @@ class GraphDownLap:
         return self.lap @ x
 
     def gram(self, b) -> np.ndarray:
-        """b^T x for x = solve(b), b a sparse (edges, k) matrix."""
-        return b.T @ self.solve(b.toarray(), check_image=False)
+        """b^T x for x = solve(b), b a sparse (edges, k) matrix, from the
+        first half of the solve only.  x lives on forest edges, where b =
+        d^T y, and d x = W^(-1/2) z for z = _half(b); so b^T x = (W^(-1/2)
+        y)^T z = z^T z, as z is W^(-1/2) y less a part orthogonal to it."""
+        z = self._half(b.toarray())
+        return _GEMM(1.0, z, z, trans_a=1)
 
     def solve(self, b: np.ndarray, check_image: bool = True) -> np.ndarray:
         """Exact solve of (d^T W d) x = b for b in the image.
@@ -150,9 +156,7 @@ class GraphDownLap:
         The image check allows EXACT_TOL |b|, or the rounding error of
         the product (d^T W d) x when spread weights make that larger."""
         b = np.asarray(b, dtype=float)
-        y = self.forest.solve_transpose(b)
-        z = y / _col(self.sqrt_w, y.ndim)
-        z1 = self._project_off_kernel(z)
+        z1 = self._half(b)
         x = self.forest.solve_head(z1 / _col(self.sqrt_w, z1.ndim))
         if check_image:
             resid = np.linalg.norm(self.lap @ x - b)
@@ -163,6 +167,13 @@ class GraphDownLap:
                 raise NumericalError(
                     "right-hand side is not in the image of the down-Laplacian")
         return x
+
+    def _half(self, b: np.ndarray) -> np.ndarray:
+        """z = W^(-1/2) y for the forest's y with d^T y = b, projected off
+        the kernel of d^T W^(1/2)."""
+        z = self.forest.solve_transpose(b)
+        z /= _col(self.sqrt_w, z.ndim)
+        return self._project_off_kernel(z)
 
     def _project_off_kernel(self, z: np.ndarray) -> np.ndarray:
         comp = self.forest.component
@@ -196,10 +207,6 @@ def build_down_state(c) -> DownState:
     lap0 = (graph.d @ graph.d.T).tocsr()
     return DownState(graph=graph, lap0=lap0,
                      lap0_factor=nd_cholesky(lap0, c.vertices))
-
-
-def spanning_forest(c) -> SpanningForest:
-    return _graph(c).forest
 
 
 def solve_partial1(c, b0) -> np.ndarray:

@@ -46,8 +46,10 @@ def check_tolerance(eps) -> float:
 
 def one_norm(matrix) -> float:
     """|A|_1, the largest absolute column sum of a sparse matrix; 0 when it
-    has no columns."""
-    return float(np.max(np.asarray(abs(matrix).sum(axis=0)), initial=0.0))
+    has no columns.  The matrix is left as it is: scipy's abs sums
+    duplicates and sorts indices in place, so it runs on a copy."""
+    return float(np.max(np.asarray(abs(matrix.copy()).sum(axis=0)),
+                        initial=0.0))
 
 
 def roundoff_floor(norm1: float, x) -> float:

@@ -143,74 +143,6 @@ def _grouped_unique(groups, ids, size: int, ngroups: int) -> list:
             for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:]))]
 
 
-# -- bounding boxes -----------------------------------------------------------
-
-def nice_bounding_box(c) -> dict:
-    """Axis box after trying a few deterministic rotations, with the volume
-    blow-up against the convex hull reported."""
-    pts = c.vertices
-    candidates = [np.eye(3)]
-    centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered
-    _, vecs = np.linalg.eigh(cov)
-    candidates.append(vecs.T)
-    # coarse-to-fine single-axis rotation sweep, greedily composed
-    best_rot = None
-    for base in candidates:
-        rot = base
-        for _ in range(2):
-            for axis in range(3):
-                rot = _best_axis_rotation(centered, rot, axis)
-        vol = np.prod(np.ptp(centered @ rot.T, axis=0))
-        if best_rot is None or vol < best_rot[0]:
-            best_rot = (vol, rot)
-    vol, rot = best_rot
-
-    hull_volume = None
-    try:
-        from scipy.spatial import ConvexHull
-        hull_volume = float(ConvexHull(pts).volume)
-    except Exception:
-        pass
-    local = pts @ rot.T
-    out = {
-        "rotation": rot,
-        "lo": local.min(axis=0),
-        "hi": local.max(axis=0),
-        "volume": float(np.prod(local.max(axis=0) - local.min(axis=0))),
-    }
-    if hull_volume and hull_volume > 0:
-        out["hull_volume"] = hull_volume
-        out["volume_factor"] = out["volume"] / hull_volume
-    return out
-
-
-def _best_axis_rotation(pts, rot, axis, coarse=15, fine=1):
-    best = (np.inf, rot)
-    for step in (coarse, fine):
-        center = 0.0 if step == coarse else best_angle
-        angles = np.arange(center - (coarse if step == fine else 45),
-                           center + (coarse if step == fine else 46), step)
-        for ang in angles:
-            r = _axis_rot(axis, np.deg2rad(ang)) @ rot
-            vol = np.prod(np.ptp(pts @ r.T, axis=0))
-            if vol < best[0]:
-                best = (vol, r)
-                best_angle = ang
-    return best[1]
-
-
-def _axis_rot(axis, theta):
-    c, s = np.cos(theta), np.sin(theta)
-    m = np.eye(3)
-    i, j = [(1, 2), (0, 2), (0, 1)][axis]
-    m[i, i] = c
-    m[j, j] = c
-    m[i, j] = -s
-    m[j, i] = s
-    return m
-
-
 # -- well-shapedness checks ---------------------------------------------------
 
 def _check_boundary_structure(c, r, config: HollowingConfig, tri_adj):

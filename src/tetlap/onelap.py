@@ -36,7 +36,6 @@ from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_tolerance,
 from .hollowing import Hollowing, check_hollowing
 from .reports import SolveReport
 from .uplap import UpSolverState, _up_solve_with_state, build_up_solver
-from .upproj import _check_uncoupled_interiors
 
 # the up solve's tolerance is eps itself, and on a missed contract once
 # more at RETRY_SHARE * eps (Simoncini and Szyld, SIAM J. Sci. Comput.
@@ -67,7 +66,6 @@ class OneLapState:
 
 def build_one_lap_solver(c, h: Hollowing) -> OneLapState:
     check_hollowing(c, h)
-    _check_uncoupled_interiors(c, h)
     return _build_state(c, h, build_up_solver(c, h), embedded=True)
 
 
@@ -456,7 +454,6 @@ def build_union_solver(u: UnionComplex) -> OneLapState:
     factors, ordered in each chunk's own chart, plus a dense shared block
     on the edges that couple chunks."""
     glued, h = u.complex, u.hollowing
-    _check_uncoupled_interiors(glued, h)
     # each glued edge's midpoint in the chart of a chunk holding it
     midpoints = np.zeros((glued.num_edges, 3))
     for ch, m in zip(u.chunks, u.edge_maps):

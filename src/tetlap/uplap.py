@@ -9,10 +9,11 @@ root fronts alone: deeper fronts would act on zeros forward and write only
 rows the apply never reads backward, so the result is the full interior
 solve's, bit for bit, and the Schur residual stays the whole residual.
 
-For sphere hollowings the preconditioner solve is replaced by the reduced
-system route: interior disc edges collapse to a dual-graph down-Laplacian,
-rim edges deduplicate by their disc signature, and the leftover Schur
-complement is small enough to pseudo-invert densely up front.
+On sphere hollowings `build_sphere_fast_solver` replaces the preconditioner
+solve by the reduced system route: interior disc edges collapse to a
+dual-graph down-Laplacian, rim edges deduplicate by their disc signature,
+and the leftover Schur complement is small enough to pseudo-invert densely
+up front.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ def build_up_solver(c, h: Hollowing,
     check_hollowing(c, h)
     d2 = c.boundary(2).astype(float)
     lup = up_laplacian(c, 1, d2)
+    # sorted once, here: products with it sum in one order from the start
+    lup.sort_indices()
     f_regions = h.interior_edges_by_region()
     f_all = np.concatenate([np.empty(0, dtype=np.int64)] + f_regions)
     c_idx = h.boundary_edges

@@ -82,9 +82,9 @@ def _check_uncoupled_interiors(c, h: Hollowing) -> None:
         i = clash[0]
         raise UnsupportedGeometryError(
             f"interior triangles of regions {regions[i]} and "
-            f"{regions[i + 1]} share edge {edges[i]}; "
-            "the full 1-Laplacian solve needs uncoupled region interiors, "
-            "and sphere hollowings support only up_lap_solve_fast")
+            f"{regions[i + 1]} share edge {edges[i]}, which couples their "
+            "triangle Gram blocks; the up projection needs uncoupled "
+            "region interiors")
 
 
 def proj_im_F(state: UpProjectionState, b) -> np.ndarray:

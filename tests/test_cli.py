@@ -59,19 +59,36 @@ def test_unsupported_geometry_exit_code(tmp_path, grid_files):
     assert code == 4
 
 
-def test_solve_on_sphere_hollowing_exits_4(tmp_path, capsys):
+def test_solve_and_hodge_on_a_sphere_hollowing(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"dims": [6, 6, 6], "holes": []}))
-    mesh = tmp_path / "mesh.json"
-    assert main(["gen", "--spec", str(spec), "--out", str(mesh)]) == 0
+    mesh_path = tmp_path / "mesh.json"
+    assert main(["gen", "--spec", str(spec), "--out", str(mesh_path)]) == 0
     holl = tmp_path / "holl.json"
-    assert main(["hollow", "--mesh", str(mesh), "--r", "256", "--sphere",
+    assert main(["hollow", "--mesh", str(mesh_path), "--r", "256", "--sphere",
                  "--out", str(holl)]) == 0
-    b_path, _ = write_rhs(tmp_path, mesh)
-    code = main(["solve", "--mesh", str(mesh), "--holl", str(holl),
-                 "--b", str(b_path), "--out", str(tmp_path / "x.json")])
-    assert code == 4
-    assert "up_lap_solve_fast" in capsys.readouterr().err
+    mesh = load_complex(mesh_path)
+    b = np.random.default_rng(5).standard_normal(mesh.num_edges)
+    b_path = tmp_path / "b.json"
+    b_path.write_text(json.dumps({"values": b.tolist()}))
+    x_path, rep_path = tmp_path / "x.json", tmp_path / "rep.json"
+    assert main(["solve", "--mesh", str(mesh_path), "--holl", str(holl),
+                 "--b", str(b_path), "--eps", "1e-6", "--out", str(x_path),
+                 "--report", str(rep_path)]) == 0
+    x = np.asarray(json.loads(x_path.read_text())["values"])
+    assert json.loads(rep_path.read_text())["converged"]
+    lap1 = mesh.lap1().toarray()
+    pi_b = projection(lap1) @ b
+    assert np.linalg.norm(lap1 @ x - pi_b) <= 1e-6 * np.linalg.norm(pi_b)
+
+    out = tmp_path / "parts.json"
+    assert main(["hodge", "--mesh", str(mesh_path), "--holl", str(holl),
+                 "--f", str(b_path), "--eps", "1e-6", "--out", str(out)]) == 0
+    parts = {k: np.asarray(v) for k, v in json.loads(out.read_text()).items()}
+    for name, lap in (("gradient", mesh.lap_down(1)), ("curl", mesh.lap_up(1))):
+        want = projection(lap.toarray()) @ b
+        assert np.linalg.norm(parts[name] - want) <= 1e-6 * np.linalg.norm(want)
+    assert np.linalg.norm(parts["harmonic"]) <= 1e-9 * np.linalg.norm(b)
 
 
 def test_solve_meets_reported_contract(tmp_path, grid_files):

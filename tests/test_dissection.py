@@ -20,12 +20,9 @@ from tetlap.dissection import (
     NdNode,
     NdOrdering,
     cholesky,
-    edge_separator,
     nd_cholesky,
     nd_ordering,
     solve_with_factor,
-    triangle_separator,
-    vertex_separator,
 )
 from tetlap.downlap import GraphDownLap
 from tetlap.errors import NumericalError
@@ -64,13 +61,26 @@ def symbolic_fill_count(mat, perm):
 
 # -- separators --------------------------------------------------------------
 
+def root_split(points, adjacency, base_case):
+    """(A, B, S) of the root split of nd_ordering: the rows under each child
+    of the root, and the root's own rows, the separator."""
+    tree = nd_ordering(adjacency, points, base_case=base_case).tree
+
+    def rows(node):
+        return np.concatenate([node.cols] + [rows(ch) for ch in node.children])
+    if not tree.children:
+        return tree.cols[:0], tree.cols[:0], tree.cols
+    a, b = (np.sort(rows(ch)) for ch in tree.children)
+    return a, b, np.sort(tree.cols)
+
+
 def test_vertex_separator_grid_plane():
     c = gen_grid(GridSpec((4, 1, 1)))
     skel = sp.csr_matrix((np.ones(c.num_edges),
                           (c.edges[:, 0], c.edges[:, 1])),
                          shape=(c.num_vertices, c.num_vertices))
     skel = skel + skel.T
-    a, b, s = vertex_separator(c.vertices, skel, base_case=4)
+    a, b, s = root_split(c.vertices, skel, base_case=4)
     assert len(a) and len(b)
     assert abs(len(a) - len(b)) <= len(s)
     # no A-B adjacency
@@ -82,7 +92,7 @@ def test_vertex_separator_grid_plane():
 def test_vertex_separator_base_case():
     c = gen_grid(GridSpec((1, 1, 1)))
     skel = sp.eye(c.num_vertices).tocsr()
-    a, b, s = vertex_separator(c.vertices, skel, base_case=64)
+    a, b, s = root_split(c.vertices, skel, base_case=64)
     assert len(a) == len(b) == 0 and len(s) == c.num_vertices
 
 
@@ -93,71 +103,10 @@ def test_vertex_separator_size_scales_with_surface(k):
                           (c.edges[:, 0], c.edges[:, 1])),
                          shape=(c.num_vertices, c.num_vertices))
     skel = skel + skel.T
-    a, b, s = vertex_separator(c.vertices, skel, base_case=16)
+    a, b, s = root_split(c.vertices, skel, base_case=16)
     assert len(s) <= 4 * k * k
     assert max(len(a), len(b)) <= 0.9 * c.num_vertices
     assert skel[a][:, b].nnz == 0
-
-
-def assert_triangle_disjoint_edges(c, e_a, e_b):
-    in_a, in_b = np.zeros(c.num_edges, bool), np.zeros(c.num_edges, bool)
-    in_a[e_a], in_b[e_b] = True, True
-    for j in range(3):
-        pass
-    tri_edges = np.stack([c.edge_ids(np.delete(c.triangles, j, axis=1))
-                          for j in range(3)], axis=1)
-    has_a = in_a[tri_edges].any(axis=1)
-    has_b = in_b[tri_edges].any(axis=1)
-    assert not np.any(has_a & has_b)
-
-
-def test_edge_separator_two_tets():
-    from tetlap.complexes import build_complex
-    coords = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
-    c = build_complex([[0, 1, 2, 3], [0, 1, 2, 4]], coords)
-    e_a, e_b, e_s = edge_separator(c, base_case=2)
-    assert_triangle_disjoint_edges(c, e_a, e_b)
-    assert len(e_a) + len(e_b) + len(e_s) == c.num_edges
-
-
-def test_edge_separator_path_of_tets_balanced():
-    c = gen_grid(GridSpec((10, 1, 1)))
-    e_a, e_b, e_s = edge_separator(c, base_case=8)
-    m = c.num_edges
-    assert len(e_a) <= 0.9 * m and len(e_b) <= 0.9 * m
-    assert len(e_a) and len(e_b)
-    assert_triangle_disjoint_edges(c, e_a, e_b)
-
-
-def test_edge_separator_base_case_all_segregated():
-    from tetlap.complexes import build_complex
-    c = build_complex([[0, 1, 2, 3]],
-                      [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    e_a, e_b, e_s = edge_separator(c)
-    assert len(e_s) == c.num_edges and len(e_a) == 0
-
-
-def test_triangle_separator_cases():
-    from tetlap.complexes import build_complex
-    coords = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
-    c2 = build_complex([[0, 1, 2, 3], [0, 1, 2, 4]], coords)
-    t_a, t_b, t_s = triangle_separator(c2, base_case=2)
-    shared_a = set(map(tuple, np.sort(np.vstack(
-        [np.delete(c2.triangles[t_a], j, axis=1) for j in range(3)]), axis=1)))
-    shared_b = set(map(tuple, np.sort(np.vstack(
-        [np.delete(c2.triangles[t_b], j, axis=1) for j in range(3)]), axis=1))) \
-        if len(t_b) else set()
-    assert not (shared_a & shared_b)
-
-    c = gen_grid(GridSpec((10, 1, 1)))
-    t_a, t_b, t_s = triangle_separator(c, base_case=8)
-    p = c.num_triangles
-    assert len(t_a) <= 0.9 * p and len(t_b) <= 0.9 * p
-    assert len(t_a) and len(t_b)
-
-    c1 = build_complex([[0, 1, 2, 3]], coords[:4])
-    t_a, t_b, t_s = triangle_separator(c1)
-    assert len(t_s) == c1.num_triangles
 
 
 # -- ordering and factorization ----------------------------------------------
@@ -949,6 +898,13 @@ def test_block_factor_graph_block_with_shared_set(rng):
                             m[:5, :5], rng)
     factor = BlockFactor(m, np.arange(5), graph, shared=[5, 6])
     assert_solves_like_pinv(factor, m, rng)
+    # the Gram from the half solve is b^T solve(b), for the coupling's
+    # columns and for a b outside the image alike
+    for b in (factor.coupling.T, sp.csr_matrix(rng.standard_normal((5, 3)))):
+        want = b.T @ graph.solve(b.toarray(), check_image=False)
+        gram = graph.gram(b)
+        assert gram.shape == want.shape
+        assert np.linalg.norm(gram - want) <= SOLVE_RTOL * np.linalg.norm(want)
 
 
 def test_nd_cholesky_rejects_coupled_blocks(rng):

@@ -16,7 +16,7 @@ from tetlap.downlap import (
     solve_partial1,
     solve_partial1_transpose,
 )
-from tetlap.errors import NumericalError
+from tetlap.errors import NumericalError, one_norm
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
 
 
@@ -109,6 +109,25 @@ def test_down_lap_solve_rejects_off_image():
     col = c.boundary(2).toarray()[:, 0].astype(float)
     with pytest.raises(NumericalError):
         down_lap_solve(c, col)
+
+
+def test_one_norm_leaves_a_non_canonical_csr_alone():
+    # row 0 stores its columns out of order, row 1 column 1 twice
+    m = sp.csr_matrix((np.array([3.0, -1.0, 2.0, -4.0, 1.0]),
+                       np.array([2, 0, 1, 1, 1]), np.array([0, 3, 5])),
+                      shape=(2, 3))
+    indices, data = m.indices.copy(), m.data.copy()
+    assert one_norm(m) == 5.0
+    assert np.array_equal(m.indices, indices)
+    assert np.array_equal(m.data, data)
+
+
+def test_graph_laplacian_is_stored_sorted():
+    # sorted where it is built, not as a side effect of a norm
+    c = gen_grid(GridSpec((3, 3, 3)))
+    lap = GraphDownLap(c.num_vertices, c.edges, c.weights[0]).lap
+    for row in np.split(lap.indices, lap.indptr[1:-1]):
+        assert np.all(np.diff(row) > 0)
 
 
 def test_down_lap_solve_on_vertex_weights_over_eight_decades():

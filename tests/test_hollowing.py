@@ -15,7 +15,6 @@ from tetlap.hollowing import (
     HollowingConfig,
     _bfs_hops,
     find_hollowing,
-    nice_bounding_box,
     sphere_hollowing,
     validate_hollowing,
 )
@@ -23,31 +22,6 @@ from tetlap.meshgen import (GridSpec, HoleSpec, _adjacency, gen_grid,
                             mesh_from_cells)
 
 RELAXED = HollowingConfig(min_shell_width=2)
-
-
-def test_bounding_box_axis_aligned_grid():
-    c = gen_grid(GridSpec((4, 4, 4)))
-    box = nice_bounding_box(c)
-    assert np.allclose(box["volume"], 64.0, rtol=1e-9)
-
-
-def test_bounding_box_rotated_grid():
-    c = gen_grid(GridSpec((4, 4, 4)))
-    theta = np.deg2rad(45)
-    rot = np.array([[np.cos(theta), -np.sin(theta), 0],
-                    [np.sin(theta), np.cos(theta), 0],
-                    [0, 0, 1.0]])
-    c2 = build_complex(c.tets, c.vertices @ rot.T)
-    box = nice_bounding_box(c2)
-    mesh_volume = 64.0
-    assert box["volume"] <= 2.0 * mesh_volume
-
-
-def test_bounding_box_single_tet():
-    c = build_complex([[0, 1, 2, 3]],
-                      [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    box = nice_bounding_box(c)
-    assert box["volume"] <= 1.0 + 1e-9
 
 
 def test_find_hollowing_grid_regions_and_sizes():

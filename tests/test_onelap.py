@@ -15,6 +15,7 @@ from tetlap.hollowing import (
     HollowingConfig,
     check_hollowing,
     find_hollowing,
+    sphere_hollowing,
     surface_hollowing,
 )
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid, mesh_from_cells
@@ -42,6 +43,11 @@ def setup(dims=(4, 4, 4), r=48, holes=()):
     c = gen_grid(GridSpec(dims, holes=list(holes)))
     h = find_hollowing(c, r, RELAXED)
     return c, h
+
+
+def sphere_setup(dims, r, holes=()):
+    c = gen_grid(GridSpec(dims, holes=list(holes)))
+    return c, sphere_hollowing(c, r, RELAXED)
 
 
 def oracle_pi1(c):
@@ -82,19 +88,23 @@ def test_one_lap_matches_oracle_solid(rng):
         assert np.linalg.norm(lap1 @ x - target) <= eps * np.linalg.norm(target)
 
 
+def assert_matches_oracle(c, solve, b, eps):
+    """solve(b, eps) meets |L1 x - P1 b| <= eps |P1 b|, and its energy-norm
+    gap to the pseudo-inverse answer is within 1e-4 |P1 b|."""
+    lap1 = c.lap1().toarray()
+    target = oracle_pi1(c) @ b
+    x, _ = solve(b, eps)
+    assert np.linalg.norm(lap1 @ x - target) <= eps * np.linalg.norm(target)
+    diff = x - oracle.pinv(lap1) @ target
+    assert np.sqrt(diff @ lap1 @ diff) <= 1e-4 * np.linalg.norm(target)
+
+
 def test_one_lap_matches_oracle_cavity(rng):
     c, h = setup((6, 6, 6), 64, [HoleSpec((2, 2, 2), (1, 1, 1))])
     state = build_one_lap_solver(c, h)
-    lap1 = c.lap1().toarray()
-    pi1 = oracle_pi1(c)
-    eps = 1e-6
-    b = rng.standard_normal(c.num_edges)
-    x, rep = one_lap_solve(c, h, b, eps, state=state)
-    target = pi1 @ b
-    assert np.linalg.norm(lap1 @ x - target) <= eps * np.linalg.norm(target)
-    x_oracle = oracle.pinv(lap1) @ target
-    diff = x - x_oracle
-    assert np.sqrt(diff @ lap1 @ diff) <= 1e-4 * np.linalg.norm(target)
+    assert_matches_oracle(
+        c, lambda b, eps: one_lap_solve(c, h, b, eps, state=state),
+        rng.standard_normal(c.num_edges), 1e-6)
 
 
 def test_recombination_consistency_with_exact_subsolves(rng):
@@ -504,7 +514,16 @@ HARMONIC_MESHES = {
                              [HoleSpec((2, 2, 0), (1, 1, 6), "tunnel")]), 1),
     "two_tunnels": (lambda: setup((10, 4, 4), 64, TWO_TUNNELS), 2),
     "ring": (ring_of_four, 1),
+    # neighbouring sphere regions meet in discs of wall triangles
+    "sphere_box": (lambda: sphere_setup((6, 6, 6), 64), 0),
+    "sphere_cavity": (lambda: sphere_setup(
+        (6, 6, 6), 256, [HoleSpec((1, 1, 1), (1, 1, 1))]), 0),
+    "sphere_tunnel": (lambda: sphere_setup(
+        (6, 6, 6), 64, [HoleSpec((2, 2, 0), (1, 1, 6), "tunnel")]), 1),
+    "sphere_two_tunnels": (lambda: sphere_setup((10, 4, 4), 64, TWO_TUNNELS),
+                           2),
 }
+SPHERES = sorted(name for name in HARMONIC_MESHES if name.startswith("sphere"))
 
 
 @pytest.fixture(scope="module")
@@ -540,6 +559,13 @@ def test_harmonic_basis_spans_the_oracle_kernel(harmonic_case, name):
     # sine of the largest principal angle between the two subspaces
     gap = basis - kernel @ (kernel.T @ basis)
     assert np.linalg.norm(gap, 2) <= 1e-10
+
+
+@pytest.mark.parametrize("name", SPHERES)
+def test_one_lap_matches_oracle_on_sphere_hollowings(harmonic_case, name):
+    c, _, solve, _, _ = harmonic_case(name)
+    b = np.random.default_rng(0).standard_normal(c.num_edges)
+    assert_matches_oracle(c, solve, b, 1e-6)
 
 
 @pytest.mark.parametrize("name", sorted(HARMONIC_MESHES))
@@ -662,7 +688,7 @@ def test_harmonic_input_is_reported_as_such(harmonic_case):
     assert not rep.params["harmonic_input"]
 
 
-@pytest.mark.parametrize("name", ["solid", "tunnel"])
+@pytest.mark.parametrize("name", ["solid", "tunnel"] + SPHERES)
 def test_hodge_curl_of_a_gradient_dominated_chain(harmonic_case, name):
     # the gradient's own error, eps |P_grad f|, would be 1e4 times the
     # curl's allowance eps |P_curl f|

@@ -192,8 +192,9 @@ def test_sphere_hollowing_regions_couple_and_are_unsupported():
     c = gen_grid(GridSpec((6, 6, 6)))
     h = sphere_hollowing(c, 256)
     with pytest.raises(UnsupportedGeometryError,
-                       match="uncoupled region interiors"):
-        build_one_lap_solver(c, h)
+                       match="couples their triangle Gram blocks; the up "
+                             "projection needs uncoupled region interiors"):
+        build_up_projection(c, h)
     # a single-region sphere hollowing has no pair of regions to couple
     c = gen_grid(GridSpec((4, 4, 4)))
     h = sphere_hollowing(c, 1000)
