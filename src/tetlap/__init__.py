@@ -22,7 +22,6 @@ from .complexes import (
 from .dissection import (
     BlockFactor,
     CholeskyFactor,
-    cholesky,
     nd_cholesky,
     nd_ordering,
     solve_with_factor,
@@ -30,8 +29,6 @@ from .dissection import (
 from .downlap import (
     down_lap_solve,
     down_projection,
-    solve_partial1,
-    solve_partial1_transpose,
 )
 from .errors import NumericalError, TetlapError, UnsupportedGeometryError
 from .hollowing import (

@@ -109,7 +109,7 @@ def cmd_solve(args) -> int:
             f.write(report.to_json(indent=2))
     print(f"solved: residual {report.final_residual:.3e} "
           f"(target scale {args.eps:.1e}), {report.iterations} inner iterations")
-    return _contract_exit(report, args.eps)
+    return EXIT_OK
 
 
 def cmd_hodge(args) -> int:
@@ -143,66 +143,62 @@ def cmd_union_solve(args) -> int:
             f.write(report.to_json(indent=2))
     print(f"solved union of {len(chunks)} chunks: residual "
           f"{report.final_residual:.3e}")
-    return _contract_exit(report, args.eps)
-
-
-def _contract_exit(report, eps, where="") -> int:
-    if report.converged:
-        return EXIT_OK
-    print(f"numerical failure{where}: residual "
-          f"{report.final_residual:.3e} exceeds eps * |P1 b| = "
-          f"{eps * report.initial_residual:.3e}", file=sys.stderr)
-    return EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def cmd_bench(args) -> int:
+    """One CSV row per size that meets the contract; a size whose build or
+    solve raises NumericalError is named on stderr, and the exit is 3."""
     if args.family != "grid":
         raise ValueError(f"unknown bench family {args.family!r}")
     sizes = [int(s) for s in args.sizes.split(",")]
     rng = np.random.default_rng(args.seed)
-    rows, reports = [], []
-    config = _hollowing_config(args)
+    rows, code = [], EXIT_OK
     for k in sizes:
-        mesh = gen_grid(GridSpec((k, k, k)))
-        n = mesh.num_simplexes
-        if args.r_rule == "n35":
-            r = float(n) ** 0.6
-        else:
-            r = float(args.r_rule)
-        t0 = time.perf_counter()
-        holl = find_hollowing(mesh, r, config)
-        state = build_one_lap_solver(mesh, holl)
-        t_pre = time.perf_counter() - t0
-        b = rng.standard_normal(mesh.num_edges)
-        t0 = time.perf_counter()
-        x, report = one_lap_solve(mesh, holl, b, args.eps, state=state)
-        t_solve = time.perf_counter() - t0
-        reports.append(report)
-        schur_iters = 0
-        if "up_solve" in report.stages:
-            schur_iters = report.stages["up_solve"].stages.get(
-                "schur", report.stages["up_solve"]).iterations
-        up, wall = state.up_state, state.up_state.wall
-        kappa = schur_condition_estimate(up, iters=args.kappa_iters)
-        rows.append({
-            "n": n, "r": r, "t_preprocess": t_pre, "t_solve": t_solve,
-            "pcg_iters_schur": schur_iters, "kappa_est": kappa,
-            "regions": holl.num_regions, "b1": state.harmonic.shape[1],
-            "probes": state.probes, "eps": args.eps,
-            "final_residual": report.final_residual,
-            "wall_mb": wall.nbytes / 1e6 if wall is not None else 0.0,
-            # a Schur iteration solves through the interface rows' fronts
-            "interior_rows": len(up.f_all), "iface_rows": len(up.iface),
-        })
-        print(f"k={k}: n={n} r={r:.0f} pre={t_pre:.2f}s solve={t_solve:.2f}s "
-              f"schur_iters={schur_iters} kappa={kappa:.1f}")
-    with open(args.out, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {args.out}")
-    return max(_contract_exit(report, args.eps, f" at k={k}")
-               for k, report in zip(sizes, reports))
+        try:
+            rows.append(_bench_row(args, k, rng))
+        except NumericalError as exc:
+            print(f"numerical failure at k={k}: {exc}", file=sys.stderr)
+            code = EXIT_NUMERICAL
+    if rows:
+        with open(args.out, "w", newline="") as f:
+            writer = csv.DictWriter(f, fieldnames=list(rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(rows)
+        print(f"wrote {args.out}")
+    return code
+
+
+def _bench_row(args, k, rng) -> dict:
+    mesh = gen_grid(GridSpec((k, k, k)))
+    n = mesh.num_simplexes
+    r = float(n) ** 0.6 if args.r_rule == "n35" else float(args.r_rule)
+    t0 = time.perf_counter()
+    holl = find_hollowing(mesh, r, _hollowing_config(args))
+    state = build_one_lap_solver(mesh, holl)
+    t_pre = time.perf_counter() - t0
+    b = rng.standard_normal(mesh.num_edges)
+    t0 = time.perf_counter()
+    x, report = one_lap_solve(mesh, holl, b, args.eps, state=state)
+    t_solve = time.perf_counter() - t0
+    schur_iters = 0
+    if "up_solve" in report.stages:
+        schur_iters = report.stages["up_solve"].stages.get(
+            "schur", report.stages["up_solve"]).iterations
+    up, wall = state.up_state, state.up_state.wall
+    kappa = schur_condition_estimate(up, iters=args.kappa_iters)
+    print(f"k={k}: n={n} r={r:.0f} pre={t_pre:.2f}s solve={t_solve:.2f}s "
+          f"schur_iters={schur_iters} kappa={kappa:.1f}")
+    return {
+        "n": n, "r": r, "t_preprocess": t_pre, "t_solve": t_solve,
+        "pcg_iters_schur": schur_iters, "kappa_est": kappa,
+        "regions": holl.num_regions, "b1": state.harmonic.shape[1],
+        "probes": state.probes, "eps": args.eps,
+        "final_residual": report.final_residual,
+        "wall_mb": wall.nbytes / 1e6 if wall is not None else 0.0,
+        # a Schur iteration solves through the interface rows' fronts
+        "interior_rows": len(up.f_all), "iface_rows": len(up.iface),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,9 +1,8 @@
 """Geometric separators, nested dissection orderings, rank-aware sparse
 Cholesky factorization for PSD matrices whose nonzero graph is a mesh graph,
 and block factors that combine one exact solver with a dense Schur
-complement on a shared index set.  Every factor comes from `cholesky`, along
-one given ordering, or from `nd_cholesky`, one ordering per uncoupled block
-with the fronts joined into one factor.
+complement on a shared index set.  Every factor comes from `nd_cholesky`,
+one ordering per uncoupled block with the fronts joined into one factor.
 
 The factorization is multifrontal over the separator tree: every tree node
 eliminates its block against a dense frontal matrix and passes a Schur
@@ -329,25 +328,6 @@ class RootSolve:
         return z[self.at, 0]
 
 
-def cholesky(matrix, ordering, pivot_tol: float = DEFAULT_PIVOT_TOL,
-             folded: bool = False) -> CholeskyFactor:
-    """Factor a symmetric PSD matrix along a nested dissection ordering.
-
-    `ordering` is an NdOrdering or a plain permutation array (the latter is
-    factored as a single dense block, desk scale only).  Pivots at or below
-    pivot_tol * max(initial diagonal) are skipped; a pivot below the
-    negative of that threshold raises NumericalError.  A front with a
-    skipped pivot is factored with symmetric pivoting inside its interval,
-    so the factor's `perm` may differ from the ordering's there.  The fronts
-    are grouped by depth into levels for the solve, folded or not (see
-    `_schedule`).  Raises ValueError when `matrix` has a non-finite stored
-    entry.
-    """
-    matrix = _finite_csr(matrix)
-    return _join(matrix, [_factor_fronts(matrix, ordering, pivot_tol)],
-                 folded)
-
-
 def nd_cholesky(matrix, coords, blocks=None, root_pins=None,
                 folded: bool = False, base_case: int = DEFAULT_BASE_CASE,
                 pivot_tol: float = DEFAULT_PIVOT_TOL) -> CholeskyFactor:
@@ -361,7 +341,8 @@ def nd_cholesky(matrix, coords, blocks=None, root_pins=None,
     joined, and the levels scheduled once, `folded` for a factor applied as
     a preconditioner (see `_schedule`: an inverse rounds worse than
     substitution, so exact solvers stay unfolded).  Raises NumericalError
-    when two blocks are coupled.
+    when two blocks are coupled or a block is indefinite, and ValueError
+    when `matrix` has a non-finite stored entry.
     """
     matrix = _finite_csr(matrix)
     coords = np.asarray(coords, dtype=float)
@@ -398,14 +379,9 @@ def _finite_csr(matrix) -> sp.csr_matrix:
 
 def _factor_fronts(matrix, ordering, pivot_tol):
     """(perm, kept, fronts) of the factor of the float CSR `matrix` along
-    `ordering`; `_join` schedules the fronts into levels."""
+    the NdOrdering `ordering`; `_join` schedules the fronts into levels."""
     n = matrix.shape[0]
-    if isinstance(ordering, NdOrdering):
-        perm, tree = ordering.perm, ordering.tree
-    else:
-        perm = np.asarray(ordering, dtype=np.int64)
-        tree = NdNode(cols=perm.copy(), start=0, stop=n)
-        tree.cols = np.arange(n)  # interval semantics below are positional
+    perm, tree = ordering.perm, ordering.tree
     mp = matrix[perm][:, perm].tocsc()
     scale = max(mp.diagonal().max(initial=0.0), 0.0)
     if scale <= 0.0:
@@ -700,11 +676,12 @@ class BlockFactor:
     `solver` solves the matrix over `rows`: a CholeskyFactor, or a
     GraphDownLap for a dual graph.  The Schur complement onto the shared
     rows, C_ss - C M^+ C^T with the last term from the solver's `gram`, is
-    pseudo-inverted densely up front.  Rows in neither set are dropped, and
-    the solution is zero there.  Solves are exact for right-hand sides in
-    the image, and not checked: both users apply one as a preconditioner.
-    `rank` is the solver's rank plus the Schur complement's, the matrix's
-    rank on the kept rows.
+    pseudo-inverted densely up front through its eigendecomposition, with
+    the eigenvalues above DEFAULT_PIVOT_TOL times the largest kept.  Rows in
+    neither set are dropped, and the solution is zero there.  Solves are
+    exact for right-hand sides in the image, and not checked: both users
+    apply one as a preconditioner.  `rank` is the solver's rank plus the
+    Schur complement's, the matrix's rank on the kept rows.
     """
 
     def __init__(self, matrix, rows, solver, shared):
@@ -723,7 +700,11 @@ class BlockFactor:
             self.coupling = rows[:, self.rows].tocsr()
             schur = rows[:, self.shared].toarray() - self.solver.gram(
                 self.coupling.T)
-            self.schur_pinv, schur_rank = pinv_via_pivoted_qr(schur)
+            w, v = sla.eigh(schur)
+            keep = w > DEFAULT_PIVOT_TOL * max(w[-1], 0.0)
+            self.schur_pinv = _GEMM(1.0, v[:, keep] / w[keep], v[:, keep],
+                                    trans_b=1)
+            schur_rank = int(keep.sum())
         self.rank = self.solver.rank + schur_rank
 
     def solve(self, v) -> np.ndarray:
@@ -747,25 +728,3 @@ def concat_blocks(parts):
     flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     stops = np.cumsum([len(p) for p in parts], dtype=np.int64)
     return flat, [np.arange(stop - len(p), stop) for p, stop in zip(parts, stops)]
-
-
-def pinv_via_pivoted_qr(a: np.ndarray, tol: float = 1e-12):
-    """(pseudo-inverse, rank) through a complete orthogonal decomposition
-    built from Householder QR with column pivoting; the rank counts the
-    diagonal entries of R above tol times the first."""
-    a = np.asarray(a, dtype=float)
-    if a.size == 0:
-        return a.T.copy(), 0
-    q, r, piv = sla.qr(a, pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > tol * (diag[0] if diag.size else 1.0)))
-    if rank == 0:
-        return np.zeros_like(a.T), 0
-    rk = r[:rank]                      # k x n
-    z, t = sla.qr(rk.T, mode="economic")   # rk^T = z @ t, t is k x k upper
-    tinv = sla.solve_triangular(t, np.eye(rank), lower=False)
-    # pinv = P z t^-T q_k^T, the column permutation P applied as a scatter
-    core = _GEMM(1.0, z, _GEMM(1.0, q[:, :rank], tinv), trans_b=1)
-    out = np.empty_like(core)
-    out[piv] = core
-    return out, rank

@@ -25,7 +25,6 @@ from .dissection import _GEMM, CholeskyFactor, nd_cholesky
 from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_tolerance,
                      check_vector, one_norm, roundoff_floor)
 
-IMAGE_TOL = 1e-8
 EXACT_TOL = 1e-10
 
 
@@ -207,28 +206,6 @@ def build_down_state(c) -> DownState:
     lap0 = (graph.d @ graph.d.T).tocsr()
     return DownState(graph=graph, lap0=lap0,
                      lap0_factor=nd_cholesky(lap0, c.vertices))
-
-
-def solve_partial1(c, b0) -> np.ndarray:
-    """x with d1 x = b0 for b0 in Im(d1); x is supported on forest edges."""
-    graph = _graph(c)
-    b0 = np.asarray(b0, dtype=float)
-    x = graph.forest.solve_head(b0)
-    resid = np.linalg.norm(graph.d @ x - b0)
-    if resid > IMAGE_TOL * max(np.linalg.norm(b0), 1e-300):
-        raise NumericalError("b is not in the image of d1")
-    return x
-
-
-def solve_partial1_transpose(c, b1) -> np.ndarray:
-    """y with d1^T y = b1 for b1 in Im(d1^T)."""
-    graph = _graph(c)
-    b1 = np.asarray(b1, dtype=float)
-    y = graph.forest.solve_transpose(b1)
-    resid = np.linalg.norm(graph.d.T @ y - b1)
-    if resid > IMAGE_TOL * max(np.linalg.norm(b1), 1e-300):
-        raise NumericalError("b is not in the image of d1^T")
-    return y
 
 
 def down_lap_solve(c, b, state: DownState | None = None) -> np.ndarray:

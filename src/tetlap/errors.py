@@ -44,6 +44,14 @@ def check_tolerance(eps) -> float:
     return eps
 
 
+def check_state(state, c, h) -> None:
+    """Raise ValueError unless `state` was built for the complex `c` and
+    the hollowing `h` themselves: a state answers for its own operators,
+    whatever the arguments beside it say."""
+    if state.complex is not c or state.hollowing is not h:
+        raise ValueError("state was built for another complex or hollowing")
+
+
 def one_norm(matrix) -> float:
     """|A|_1, the largest absolute column sum of a sparse matrix; 0 when it
     has no columns.  The matrix is left as it is: scipy's abs sums
@@ -55,3 +63,19 @@ def one_norm(matrix) -> float:
 def roundoff_floor(norm1: float, x) -> float:
     """u |A|_1 |x|: the size of the rounding error in A x, given |A|_1."""
     return UNIT_ROUNDOFF * norm1 * np.linalg.norm(x)
+
+
+def missed_contract(what: str, resid: float, bound: str, target: float,
+                    eps: float, norm: str, floor: float,
+                    cause: str) -> NumericalError:
+    """The error of a solve whose recomputed residual `resid` missed
+    `target`, written `bound`.  Within ROUNDOFF_MULTIPLE times the roundoff
+    floor u |A|_1 |x| (`norm` names |A|_1) the miss is put down to an eps
+    below the attainable accuracy; otherwise the message gives `cause`."""
+    missed = (f"{what} missed its contract: residual {resid:.3e} > "
+              f"{bound} = {target:.3e}")
+    if resid <= ROUNDOFF_MULTIPLE * floor:
+        return NumericalError(
+            f"{missed}; eps = {eps:.1e} is below the attainable accuracy "
+            f"(float64 roundoff floor u * {norm} * |x| = {floor:.3e})")
+    return NumericalError(f"{missed} ({cause})")

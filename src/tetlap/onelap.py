@@ -10,7 +10,7 @@ the curl part is their complement, so no curl projection runs per request.
 The up and down systems are solved separately and the partial solutions
 are projected back and added.  The up solve first runs at eps itself; the
 residual against P1 b is recomputed, and on a miss the up solve runs once
-more a hundred times tighter.
+more a hundred times tighter; a second miss raises NumericalError.
 
 A glued union usually has no global embedding, so the wall preconditioner
 cannot be factored by one geometric dissection.  Instead the shared edges
@@ -31,8 +31,9 @@ from .complexes import Complex3, build_complex
 from .dissection import BlockFactor, nd_cholesky
 from .downlap import (DownState, build_down_state, down_lap_solve,
                       down_projection)
-from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_tolerance,
-                     check_vector, one_norm, roundoff_floor)
+from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_state,
+                     check_tolerance, check_vector, missed_contract, one_norm,
+                     roundoff_floor)
 from .hollowing import Hollowing, check_hollowing
 from .reports import SolveReport
 from .uplap import UpSolverState, _up_solve_with_state, build_up_solver
@@ -203,12 +204,15 @@ def one_lap_solve(c, h: Hollowing, b, eps: float,
     may exceed eps |P1 b|.
 
     The residual is recomputed from x; a solve that misses it with its up
-    solve at eps, and again at RETRY_SHARE * eps, returns converged=False.
+    solve at eps, and again at RETRY_SHARE * eps, raises NumericalError
+    naming the residual, the target and the roundoff floor.  A `state`
+    built for another complex or hollowing raises ValueError.
     """
     b = check_vector(b, c.num_edges, "b")
     eps = check_tolerance(eps)
     if state is None:
         state = build_one_lap_solver(c, h)
+    check_state(state, c, h)
     return _one_lap_core(state, b, eps)
 
 
@@ -223,7 +227,6 @@ def _one_lap_core(state: OneLapState, b, eps: float):
                           <= HARMONIC_TOL * np.linalg.norm(b))
     report.params["harmonic_input"] = harmonic_input
     if harmonic_input:
-        report.converged = True
         return np.zeros_like(b), report
     target = eps * report.initial_residual
     down = state.down_state
@@ -238,9 +241,15 @@ def _one_lap_core(state: OneLapState, b, eps: float):
         x = x_up - harm @ (harm.T @ x_up) + down_projection(
             c, x_down - x_up, eps, state=down)
         report.final_residual = float(np.linalg.norm(state.lap1 @ x - p1b))
-        report.converged = report.final_residual <= target
-        if report.converged:
+        if report.final_residual <= target:
             break
+    else:
+        floor = roundoff_floor(one_norm(state.lap1), x)
+        raise missed_contract(
+            "1-Laplacian solve", report.final_residual, "eps * |P1 b|",
+            target, eps, "|L1|_1", floor,
+            f"also with the up solve at {delta:.1e}; float64 roundoff floor "
+            f"u * |L1|_1 * |x| = {floor:.3e}")
     report.params.update(delta=delta, retried=stage != "up_solve")
     return x, report
 
@@ -253,12 +262,14 @@ def hodge_decompose(c, h: Hollowing, f, eps: float,
     factor, correct up to roundoff, and the curl part is f less the other
     two; both meet eps relative to their exact parts.  The harmonic part
     comes from the harmonic basis, so it and the curl part carry that
-    basis' error, about HARMONIC_TOL |f|, whatever eps asks for.
+    basis' error, about HARMONIC_TOL |f|, whatever eps asks for.  A
+    `state` built for another complex or hollowing raises ValueError.
     """
     f = check_vector(f, c.num_edges, "f")
     eps = check_tolerance(eps)
     if state is None:
         state = build_one_lap_solver(c, h)
+    check_state(state, c, h)
     harmonic = state.harmonic @ (state.harmonic.T @ f)
     gradient = down_projection(c, f, eps, state=state.down_state)
     curl = f - gradient - harmonic
@@ -496,4 +507,5 @@ def union_one_lap_solve(u: UnionComplex, b, eps: float,
     eps = check_tolerance(eps)
     if state is None:
         state = build_union_solver(u)
+    check_state(state, u.complex, u.hollowing)
     return _one_lap_core(state, b, eps)

@@ -27,17 +27,15 @@ from .reports import SolveReport
 CHECK_EVERY = 16
 STALL_CHECKS = 2
 SYMMETRY_DRIFT_TOL = 1e-8
-POWER_ITERS = 30
-NORM_SAFETY = 2.0
 
 
 @dataclass
 class LinearOperator:
-    """A square operator: `apply` maps a vector, `solve` (optional) inverts."""
+    """A square operator; a preconditioner's `apply` is its inverse's
+    action."""
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
-    solve: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     @staticmethod
     def from_matrix(m) -> "LinearOperator":
@@ -46,12 +44,7 @@ class LinearOperator:
 
     @staticmethod
     def identity(n: int) -> "LinearOperator":
-        return LinearOperator(dim=n, apply=lambda v: v.copy(),
-                              solve=lambda v: v.copy())
-
-    def precondition(self, v: np.ndarray) -> np.ndarray:
-        """Preconditioner action: prefer `solve`, fall back to `apply`."""
-        return self.solve(v) if self.solve is not None else self.apply(v)
+        return LinearOperator(dim=n, apply=lambda v: v.copy())
 
 
 def check_linearity(op: LinearOperator, rng, trials: int = 8,
@@ -101,7 +94,7 @@ def pcg(a_op: LinearOperator, m_op: Optional[LinearOperator], b, tol: float,
 
     x = np.zeros(n)
     r = b.copy()
-    z = m_op.precondition(r)
+    z = m_op.apply(r)
     rz = r @ z
     if rz < -SYMMETRY_DRIFT_TOL * (np.linalg.norm(r) * np.linalg.norm(z) + 1e-300):
         raise NumericalError("preconditioner is not positive semidefinite")
@@ -131,7 +124,7 @@ def pcg(a_op: LinearOperator, m_op: Optional[LinearOperator], b, tol: float,
         r -= alpha * ap
         it += 1
 
-        z = m_op.precondition(r)
+        z = m_op.apply(r)
         rz_new = r @ z
         if rz_new < 0 and abs(rz_new) > SYMMETRY_DRIFT_TOL * (r @ r + 1e-300):
             raise NumericalError("preconditioner is not positive semidefinite")
@@ -162,7 +155,7 @@ def pcg(a_op: LinearOperator, m_op: Optional[LinearOperator], b, tol: float,
             # refresh against drift and restart the direction: reusing the
             # pre-refresh beta would break conjugacy and stall the iteration
             r = b - ax
-            z = m_op.precondition(r)
+            z = m_op.apply(r)
             rz = max(r @ z, 0.0)
             p = z.copy()
             continue
@@ -187,21 +180,6 @@ def estimate_rel_condition(a_op: LinearOperator, b_op: LinearOperator,
     return float(hi / lo)
 
 
-def power_iteration(op: LinearOperator, seed: int) -> float:
-    """Power-iteration estimate of the largest eigenvalue of a PSD operator,
-    from a seeded N(0, 1) start so that equal builds give equal values;
-    0 for the zero operator."""
-    v = np.random.default_rng(seed).standard_normal(op.dim)
-    lam = 0.0
-    for _ in range(POWER_ITERS):
-        w = op.apply(v)
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            break
-        v = w / lam
-    return lam
-
-
 def generalized_ritz_extremes(a_op: LinearOperator, b_op: LinearOperator,
                               iters: int = 50, seed: int = 7):
     """Extreme generalized Ritz values of the pencil (A, B) over the common
@@ -217,7 +195,7 @@ def generalized_ritz_extremes(a_op: LinearOperator, b_op: LinearOperator,
     alphas, betas = [], []
     x = np.zeros(n)
     r = b.copy()
-    z = b_op.precondition(r)
+    z = b_op.apply(r)
     rz = r @ z
     rz0 = max(rz, 1e-300)
     p = z.copy()
@@ -229,7 +207,7 @@ def generalized_ritz_extremes(a_op: LinearOperator, b_op: LinearOperator,
         alpha = rz / p_ap
         x += alpha * p
         r -= alpha * ap
-        z = b_op.precondition(r)
+        z = b_op.apply(r)
         rz_new = r @ z
         alphas.append(alpha)
         # once converged, further coefficients are roundoff junk that would

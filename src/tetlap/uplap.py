@@ -29,8 +29,8 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from .complexes import up_laplacian
 from .dissection import BlockFactor, CholeskyFactor, RootSolve, nd_cholesky
 from .downlap import GraphDownLap
-from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_tolerance,
-                     check_vector, one_norm, roundoff_floor)
+from .errors import (NumericalError, check_state, check_tolerance,
+                     check_vector, missed_contract, one_norm, roundoff_floor)
 from .hollowing import Hollowing, check_hollowing
 from .pcg import LinearOperator, pcg
 from .reports import SolveReport
@@ -175,6 +175,7 @@ def up_lap_solve(c, h: Hollowing, b, eps: float,
     eps = check_tolerance(eps)
     if state is None:
         state = build_up_solver(c, h)
+    check_state(state, c, h)
     return _up_solve_with_state(state, b, eps)
 
 
@@ -214,14 +215,10 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
     report.final_residual = resid
     report.initial_residual = norm_b
     if resid > eps * norm_b * (1 + 1e-9):
-        missed = (f"up-Laplacian solve missed its contract: residual "
-                  f"{resid:.3e} > eps * |b| = {eps * norm_b:.3e}")
-        floor = roundoff_floor(one_norm(state.lup), x)
-        if resid <= ROUNDOFF_MULTIPLE * floor:
-            raise NumericalError(
-                f"{missed}; eps = {eps:.1e} is below the attainable accuracy "
-                f"(float64 roundoff floor u * |Lup|_1 * |x| = {floor:.3e})")
-        raise NumericalError(f"{missed} (b outside the image?)")
+        raise missed_contract(
+            "up-Laplacian solve", resid, "eps * |b|", eps * norm_b, eps,
+            "|Lup|_1", roundoff_floor(one_norm(state.lup), x),
+            "b outside the image?")
     return x, report
 
 
@@ -320,6 +317,7 @@ def up_lap_solve_fast(c, h: Hollowing, b, eps: float,
     eps = check_tolerance(eps)
     if state is None:
         state = build_sphere_fast_solver(c, h)
+    check_state(state, c, h)
     return _up_solve_with_state(state, b, eps)
 
 

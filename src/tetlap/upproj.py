@@ -19,9 +19,10 @@ import scipy.sparse as sp
 
 from .dissection import CholeskyFactor, concat_blocks, nd_cholesky
 from .errors import (ROUNDOFF_MULTIPLE, UNIT_ROUNDOFF, NumericalError,
-                     UnsupportedGeometryError, check_tolerance, check_vector)
+                     UnsupportedGeometryError, check_state, check_tolerance,
+                     check_vector, one_norm)
 from .hollowing import Hollowing, check_hollowing
-from .pcg import NORM_SAFETY, LinearOperator, pcg, power_iteration
+from .pcg import LinearOperator, pcg
 from .reports import SolveReport
 
 
@@ -36,7 +37,7 @@ class UpProjectionState:
     d2_c: sp.csc_matrix              # edges x boundary triangles
     interior: CholeskyFactor         # Gram of d2_f, one block per region
     wall: Optional[CholeskyFactor]   # Gram of d2_c
-    lup_norm: float                  # norm estimate of d2 d2^T
+    lup_norm: float                  # |d2 d2^T|_1, a bound on its 2-norm
 
     @property
     def num_edges(self) -> int:
@@ -63,8 +64,8 @@ def build_up_projection(c, h: Hollowing) -> UpProjectionState:
     return UpProjectionState(
         complex=c, hollowing=h, d2=d2, f_all=f_all, c_t=c_t,
         d2_f=d2_f, d2_c=d2_c, interior=interior, wall=wall,
-        lup_norm=NORM_SAFETY * max(power_iteration(
-            LinearOperator.from_matrix((d2 @ d2.T).tocsr()), 23), 1e-300),
+        # for a symmetric matrix |A|_2 <= sqrt(|A|_1 |A|_inf) = |A|_1
+        lup_norm=max(one_norm(d2 @ d2.T), 1e-300),
     )
 
 
@@ -127,11 +128,13 @@ def down2_schur_solve(state: UpProjectionState, h_vec, delta: float):
 def up_project(c, h: Hollowing, b, eps: float,
                state: Optional[UpProjectionState] = None):
     """p in Im(Lup) with |p - P b| <= eps |P b|, P the orthogonal projection
-    onto Im(Lup)."""
+    onto Im(Lup).  A `state` built for another complex or hollowing raises
+    ValueError."""
     b = check_vector(b, c.num_edges, "b")
     eps = check_tolerance(eps)
     if state is None:
         state = build_up_projection(c, h)
+    check_state(state, c, h)
     report = SolveReport(stage="up_project", size=len(b), params={"eps": eps})
     if len(state.c_t) == 0:
         return proj_im_F(state, b), report

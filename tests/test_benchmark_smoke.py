@@ -21,12 +21,20 @@ import spans  # noqa: E402
 import workloads  # noqa: E402
 
 
+# hooked functions the package deleted on purpose: no build called
+# dissection.cholesky, so the metrics its hook fed read 0 before it went;
+# spans.install lists it as untraced, and the name leaves this set when
+# spans.py drops the hook
+DELETED = {"tetlap.dissection.cholesky"}
+
+
 def test_hooked_names_exist():
     # the functions whose return values the trace counts
     for full in spans.HOOKS:
         modname, attr = full.rsplit(".", 1)
         module = importlib.import_module(modname)
-        assert callable(getattr(module, attr, None)), full
+        exists = callable(getattr(module, attr, None))
+        assert exists == (full not in DELETED), full
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))

@@ -7,9 +7,9 @@ import pytest
 from tetlap import cli
 from tetlap.cli import main
 from tetlap.complexes import load_complex
+from tetlap.errors import missed_contract
 from tetlap.meshgen import GridSpec, gen_grid
 from tetlap.oracle import projection
-from tetlap.reports import SolveReport
 
 
 @pytest.fixture
@@ -129,8 +129,8 @@ def test_missed_contract_exits_3(tmp_path, grid_files, monkeypatch, capsys,
     b_path, n = write_rhs(tmp_path, mesh_path)
 
     def missed(*args, **kwargs):
-        return np.zeros(n), SolveReport(converged=False, initial_residual=1.0,
-                                        final_residual=0.5)
+        raise missed_contract("1-Laplacian solve", 0.5, "eps * |P1 b|", 1e-6,
+                              1e-6, "|L1|_1", 1e-15, "also with the up solve")
     monkeypatch.setattr(cli, "one_lap_solve", missed)
     monkeypatch.setattr(cli, "union_one_lap_solve", missed)
     union = tmp_path / "union.json"
@@ -269,15 +269,23 @@ def test_bench_schema(tmp_path):
 
 
 def test_bench_missed_contract_exits_3(tmp_path, monkeypatch, capsys):
-    def missed(*args, **kwargs):
-        return np.zeros(args[0].num_edges), SolveReport(
-            converged=False, initial_residual=1.0, final_residual=0.5)
-    monkeypatch.setattr(cli, "one_lap_solve", missed)
+    # the k = 4 solve misses: its row is left out, the k = 3 row is written
+    real = cli.one_lap_solve
+
+    def missed_at_4(mesh, *args, **kwargs):
+        if mesh.num_vertices == 5 ** 3:
+            raise missed_contract("1-Laplacian solve", 0.5, "eps * |P1 b|",
+                                  1e-6, 1e-6, "|L1|_1", 1e-15,
+                                  "also with the up solve")
+        return real(mesh, *args, **kwargs)
+    monkeypatch.setattr(cli, "one_lap_solve", missed_at_4)
     out = tmp_path / "bench.csv"
-    code = main(["bench", "--sizes", "4", "--r-rule", "48",
+    code = main(["bench", "--sizes", "3,4", "--r-rule", "48",
                  "--shell-width", "2", "--separation", "2",
                  "--out", str(out)])
     assert code == 3
     with open(out) as f:
-        assert len(list(csv.DictReader(f))) == 1
-    assert "at k=4: residual 5.000e-01" in capsys.readouterr().err
+        rows = list(csv.DictReader(f))
+    assert [row["n"] for row in rows] == ["883"]
+    assert ("numerical failure at k=4: 1-Laplacian solve missed its "
+            "contract: residual 5.000e-01" in capsys.readouterr().err)

@@ -19,7 +19,6 @@ from tetlap.dissection import (
     BlockFactor,
     NdNode,
     NdOrdering,
-    cholesky,
     nd_cholesky,
     nd_ordering,
     solve_with_factor,
@@ -111,15 +110,23 @@ def test_vertex_separator_size_scales_with_surface(k):
 
 # -- ordering and factorization ----------------------------------------------
 
+def single_front(m, folded=False):
+    """The factor of `m` as one front in the identity order."""
+    n = sp.csr_matrix(m).shape[0]
+    return nd_cholesky(m, np.zeros((n, 3)), base_case=n, folded=folded)
+
+
 def test_cholesky_identity():
-    f = cholesky(sp.eye(5).tocsr(), np.arange(5))
+    f = single_front(sp.eye(5).tocsr())
     assert np.allclose(f.L.toarray(), np.eye(5))
     assert f.rank == 5
 
 
 def test_cholesky_diagonal_any_permutation():
     d = sp.diags([1.0, 4.0, 9.0, 16.0]).tocsr()
-    f = cholesky(d, np.array([2, 0, 3, 1]))
+    line = np.column_stack([[1.0, 3.0, 0.0, 2.0], np.zeros(4), np.zeros(4)])
+    f = nd_cholesky(d, line, base_case=1)
+    assert not np.array_equal(f.perm, np.arange(4))
     assert f.L.nnz == 4
     assert f.rank == 4
     x = solve_with_factor(f, np.array([1.0, 4.0, 9.0, 16.0]))
@@ -128,7 +135,7 @@ def test_cholesky_diagonal_any_permutation():
 
 def test_cholesky_rank_deficient_2x2():
     m = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    f = cholesky(m, np.arange(2))
+    f = single_front(m)
     assert f.rank == 1
     assert np.allclose(f.L.toarray()[:, 0], [1.0, -1.0])
     assert f.L.toarray()[1, 1] == 0.0
@@ -141,7 +148,7 @@ def test_cholesky_rank_deficient_2x2():
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_cholesky_rejects_a_non_finite_matrix(value):
     with pytest.raises(ValueError, match="^matrix has non-finite"):
-        cholesky([[2.0, value], [value, 2.0]], np.arange(2))
+        single_front([[2.0, value], [value, 2.0]])
 
 
 def test_image_check_fails_on_a_nan_residual():
@@ -153,7 +160,7 @@ def test_image_check_fails_on_a_nan_residual():
 def test_cholesky_rejects_indefinite():
     m = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(NumericalError, match="positive semidefinite"):
-        cholesky(m, np.arange(2))
+        single_front(m)
 
 
 def test_path_within_base_case_is_fill_free():
@@ -169,7 +176,7 @@ def test_path_fill_matches_symbolic_oracle():
     m = path_laplacian(n) + sp.eye(n)
     coords = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
     ordering = nd_ordering(m, coords, base_case=16)
-    f = cholesky(m, ordering)
+    f = nd_cholesky(m, coords, base_case=16)
     assert f.L.nnz == symbolic_fill_count(m, ordering.perm)
     assert f.L.nnz <= 3 * n  # near fill-free: at most two extra per separator
 
@@ -208,7 +215,7 @@ def test_random_psd_cholesky_rank(rng):
     for trial in range(5):
         b = rng.standard_normal((10, 6))
         m = sp.csr_matrix(b @ b.T)
-        f = cholesky(m, np.arange(10))
+        f = single_front(m)
         assert f.rank == oracle.rank(m.toarray())
         v = m @ rng.standard_normal(10)
         assert np.allclose(m @ f.solve(v), v, atol=1e-9)
@@ -446,13 +453,12 @@ def rank_deficient_fixtures(rng, folded=False):
     n = 30
     line = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
     return [
-        (cholesky(sp.csr_matrix([[1.0, -1.0], [-1.0, 1.0]]), np.arange(2),
-                  folded=folded),
+        (single_front(sp.csr_matrix([[1.0, -1.0], [-1.0, 1.0]]), folded),
          np.array([[1.0, -1.0], [-1.0, 1.0]])),
         (nd_cholesky(up_laplacian(c, 1), edge_midpoints(c), base_case=16,
                      folded=folded),
          up_laplacian(c, 1)),
-        (cholesky(sp.csr_matrix(g @ g.T), np.arange(10), folded=folded),
+        (single_front(sp.csr_matrix(g @ g.T), folded),
          g @ g.T),
         (nd_cholesky(graph_path_laplacian(n), line, base_case=4,
                      folded=folded),
@@ -515,7 +521,7 @@ def test_solve_through_an_empty_separator(rng):
     m = sp.block_diag([half, half]).tocsr()
     ordering = nd_ordering(m, np.zeros((12, 3)), base_case=4)
     assert len(ordering.tree.cols) == 0
-    f = cholesky(m, ordering)
+    f = nd_cholesky(m, np.zeros((12, 3)), base_case=4)
     assert_matches_reference(f, m.toarray(), m @ rng.standard_normal(12))
     # the same without a common root: two blocks joined after each was
     # factored under its own pivot threshold, one scaled far below the
@@ -679,7 +685,7 @@ def test_factor_remaps_positions_pivoted_inside_fronts():
     c = gen_grid(GridSpec((2, 2, 2)))
     m = up_laplacian(c, 1)
     ordering = nd_ordering(m, edge_midpoints(c), base_case=16)
-    f = cholesky(m, ordering)
+    f = nd_cholesky(m, edge_midpoints(c), base_case=16)
     assert len(f._nodes) > 1
     moved = 0
     for nd in f._nodes:
@@ -697,7 +703,7 @@ def test_factor_remaps_positions_pivoted_inside_fronts():
     assert np.linalg.norm(rec - m.toarray()) <= 1e-12 * np.linalg.norm(
         m.toarray())
     # bit-for-bit determinism of the pivoted factor
-    again = cholesky(m, nd_ordering(m, edge_midpoints(c), base_case=16))
+    again = nd_cholesky(m, edge_midpoints(c), base_case=16)
     assert f.perm.tobytes() == again.perm.tobytes()
     for nd, nd2 in zip(f._nodes, again._nodes):
         assert nd.l11.tobytes() == nd2.l11.tobytes()
@@ -784,15 +790,14 @@ def test_folded_factor_keeps_no_dense_block_and_has_no_l():
     assert 0 < folded.nbytes < exact.nbytes
     with pytest.raises(ValueError, match="folded"):
         folded.L
-    # the factor cholesky returned keeps its fronts and its L
+    # the unfolded factor keeps its fronts and its L
     assert exact.L.nnz and all(nd.l11.size for nd in exact._nodes)
 
 
 # the factor kernels use scipy's BLAS and LAPACK only; numpy's dense
 # products and np.linalg run on a second OpenBLAS with its own thread pool
 SCIPY_BLAS_ONLY = ("_factor_node", "_dense_rank_chol", "solve_with_factor",
-                   "_forward", "gram", "pinv_via_pivoted_qr", "cholesky",
-                   "_factor_fronts", "_split", "nd_cholesky", "_join",
+                   "_forward", "gram", "__init__", "_factor_fronts", "_split", "nd_cholesky", "_join",
                    "_fold_front", "_schedule", "root_solve")
 NUMPY_BLAS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
 
@@ -941,14 +946,15 @@ def test_exact_solves_check_the_image_and_preconditioners_do_not(rng):
 SEPARATOR_SCRIPT = """
 import sys
 import numpy as np
-from tetlap.dissection import NdNode, NdOrdering, cholesky
+import scipy.sparse as sp
+from tetlap.dissection import NdNode, NdOrdering, _factor_fronts
 from tetlap.errors import NumericalError
-m = np.array([[4.0, 1, 1], [1, 4, 1], [1, 1, 4]])
+m = sp.csr_matrix([[4.0, 1, 1], [1, 4, 1], [1, 1, 4]])
 leaves = [NdNode(cols=np.array([0]), start=0, stop=1),
           NdNode(cols=np.array([1]), start=1, stop=2)]
 root = NdNode(cols=np.array([2]), children=leaves, start=2, stop=3)
 try:
-    cholesky(m, NdOrdering(perm=np.arange(3), tree=root, n=3))
+    _factor_fronts(m, NdOrdering(perm=np.arange(3), tree=root, n=3), 1e-12)
 except NumericalError as exc:
     print("optimize", sys.flags.optimize, "raised", exc)
 """

@@ -13,8 +13,6 @@ from tetlap.downlap import (
     build_down_state,
     down_lap_solve,
     down_projection,
-    solve_partial1,
-    solve_partial1_transpose,
 )
 from tetlap.errors import NumericalError, one_norm
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
@@ -36,23 +34,15 @@ def test_triangle_graph_partial_solve():
 
 
 def test_all_ones_is_infeasible():
+    # d x = 1 has no solution: the leaf-to-root solve leaves each
+    # component's sum at its root, where the caller's residual sees it
     c = gen_grid(GridSpec((1, 1, 1)))
-    with pytest.raises(NumericalError, match="image"):
-        solve_partial1(c, np.ones(c.num_vertices))
-
-
-def test_partial1_on_mesh(rng):
-    c = gen_grid(GridSpec((2, 2, 1)))
-    b0 = c.boundary(1) @ rng.standard_normal(c.num_edges)
-    x = solve_partial1(c, b0)
-    assert np.allclose(c.boundary(1) @ x, b0, atol=1e-10)
-
-
-def test_partial1_transpose_on_mesh(rng):
-    c = gen_grid(GridSpec((2, 2, 1)))
-    b1 = c.boundary(1).T @ rng.standard_normal(c.num_vertices)
-    y = solve_partial1_transpose(c, b1)
-    assert np.allclose(c.boundary(1).T @ y, b1, atol=1e-10)
+    g = GraphDownLap(c.num_vertices, c.edges)
+    ones = np.ones(c.num_vertices)
+    resid = g.d @ g.forest.solve_head(ones) - ones
+    want = np.zeros(c.num_vertices)
+    want[g.forest.roots] = -c.num_vertices
+    assert np.allclose(resid, want, atol=1e-12)
 
 
 def test_kernel_vector_is_exact(rng):

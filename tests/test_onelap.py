@@ -267,7 +267,7 @@ def test_entry_points_reject_bad_tolerance(monkeypatch, entry, eps):
 
     def no_factor(*args, **kwargs):
         raise AssertionError("factored before checking eps")
-    monkeypatch.setattr(dissection, "cholesky", no_factor)
+    monkeypatch.setattr(dissection, "_factor_fronts", no_factor)
     with pytest.raises(ValueError, match="^eps must be finite and positive"):
         ENTRY_POINTS[entry](c, h, u, np.ones(c.num_edges), eps)
 
@@ -281,7 +281,7 @@ def test_mislabelled_hollowing_rejected_before_factoring(monkeypatch, field):
 
     def no_factor(*args, **kwargs):
         raise AssertionError("factored before checking the hollowing")
-    monkeypatch.setattr(dissection, "cholesky", no_factor)
+    monkeypatch.setattr(dissection, "_factor_fronts", no_factor)
     with pytest.raises(ValueError, match=f"hollowing {field} has class"):
         one_lap_solve(c, h, np.ones(c.num_edges), 1e-6)
 
@@ -763,6 +763,53 @@ def test_missed_first_attempt_is_retried_tighter(monkeypatch):
     assert rep.params["delta"] == pytest.approx(eps / 100)
     target = oracle_pi1(c) @ b
     assert np.linalg.norm(c.lap1() @ x - target) <= eps * np.linalg.norm(target)
+
+
+def test_missed_retry_raises_naming_residual_target_and_floor(monkeypatch):
+    # both up solves run 1e5 times looser than asked, so both attempts miss
+    # the full contract: the solve raises, never returns a miss
+    c, h = setup((6, 6, 6), 64)
+    state = build_one_lap_solver(c, h)
+    real = onelap._up_solve_with_state
+    monkeypatch.setattr(onelap, "_up_solve_with_state",
+                        lambda up_state, rhs, tol: real(up_state, rhs,
+                                                        tol * 1e5))
+    b = np.random.default_rng(0).standard_normal(c.num_edges)
+    with pytest.raises(NumericalError) as caught:
+        one_lap_solve(c, h, b, 1e-6, state=state)
+    message = str(caught.value)
+    assert message.startswith("1-Laplacian solve missed its contract: "
+                              "residual ")
+    assert "> eps * |P1 b| = " in message
+    assert "also with the up solve at 1.0e-08" in message
+    assert "roundoff floor u * |L1|_1 * |x| = " in message
+
+
+def test_state_for_another_complex_is_rejected():
+    # c2 has the same mesh with triangle weights 10: a state built on c
+    # answers for c's L1, not c2's, so every entry point refuses it
+    c, h = setup()
+    c2, h2 = setup()
+    c2.weights[2] = np.full(c2.num_triangles, 10.0)
+    b = np.random.default_rng(0).standard_normal(c.num_edges)
+    full, up = build_one_lap_solver(c, h), uplap.build_up_solver(c, h)
+    sc, sh = sphere_setup((4, 4, 4), 48)
+    fast = uplap.build_sphere_fast_solver(sc, sh)
+    u, u2 = glue([c], [], [h]), glue([c2], [], [h2])
+    calls = [
+        lambda: one_lap_solve(c2, h2, b, 1e-6, state=full),
+        lambda: one_lap_solve(c, h2, b, 1e-6, state=full),
+        lambda: hodge_decompose(c2, h2, b, 1e-6, state=full),
+        lambda: up_lap_solve(c2, h2, b, 1e-6, state=up),
+        lambda: up_lap_solve_fast(c2, sh, b, 1e-6, state=fast),
+        lambda: up_project(c2, h2, b, 1e-6,
+                           state=upproj.build_up_projection(c, h)),
+        lambda: union_one_lap_solve(u2, b, 1e-6,
+                                    state=build_union_solver(u)),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^state was built for another"):
+            call()
 
 
 @pytest.mark.parametrize("decades", [3, 4])

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from tetlap import dissection, oracle, uplap
 from tetlap.complexes import build_complex
-from tetlap.dissection import concat_blocks, pinv_via_pivoted_qr
+from tetlap.dissection import concat_blocks
 from tetlap.hollowing import (HollowingConfig, find_hollowing,
                               sphere_hollowing, surface_hollowing)
 from tetlap.errors import NumericalError
@@ -444,16 +444,6 @@ def test_fast_and_slow_paths_meet_same_contract(rng):
     hshell = find_hollowing(c, 256, RELAXED)
     x_slow, rep_slow = up_lap_solve(c, hshell, b, eps)
     assert np.linalg.norm(lup @ x_slow - b) <= eps * np.linalg.norm(b)
-
-
-def test_pinv_via_pivoted_qr_matches_svd(rng):
-    for shape, rank in [((6, 6), 6), ((7, 7), 4), ((5, 5), 2)]:
-        b = rng.standard_normal((shape[0], rank))
-        a = b @ b.T
-        got, got_rank = pinv_via_pivoted_qr(a)
-        assert got_rank == rank
-        want = np.linalg.pinv(a, rcond=1e-12)
-        assert np.linalg.norm(got - want) <= 1e-8 * max(np.linalg.norm(want), 1)
 
 
 # -- disc rows against the depth-first reference -------------------------------
