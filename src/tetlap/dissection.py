@@ -6,7 +6,8 @@ one ordering per uncoupled block with the fronts joined into one factor.
 
 The factorization is multifrontal over the separator tree: every tree node
 eliminates its block against a dense frontal matrix and passes a Schur
-update to its parent.  Zero pivots of semidefinite inputs are skipped (the
+update to its parent.  A symbolic pass fixes every front's rows before any
+arithmetic.  Zero pivots of semidefinite inputs are skipped (the
 corresponding factor column is zeroed, and pivoting inside the front moves
 it last), so the factor is rank-revealing and solves against right-hand
 sides in the image remain exact.  Solves walk the tree by levels, the
@@ -89,13 +90,15 @@ def _split(points, eu, ev):
 
 
 def _median_candidates(coord):
-    values = np.unique(coord)
-    if len(values) == 1:
+    """Up to three distinct values of `coord`, those with the count of
+    smaller entries nearest half first; one sort gives both the values and
+    the counts, each value's first position in the sorted array."""
+    ordered = np.sort(coord)
+    below = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    if len(below) == 1:
         return []
-    below = np.searchsorted(np.sort(coord), values, side="left")
-    target = len(coord) / 2
-    order = np.argsort(np.abs(below - target))
-    return values[order[:3]]
+    order = np.argsort(np.abs(below - len(coord) / 2))
+    return ordered[below[order[:3]]]
 
 
 # -- nested dissection ordering ---------------------------------------------
@@ -377,20 +380,118 @@ def _finite_csr(matrix) -> sp.csr_matrix:
     return matrix
 
 
+@dataclass
+class _Front:
+    """The pattern of one front, from `_symbolic`: its rows are its block
+    start:stop, then `above`."""
+    start: int
+    stop: int
+    depth: int             # depth in the separator tree
+    above: np.ndarray      # sorted rows >= stop: the front's update rows
+    own: np.ndarray        # positions in the CSC arrays of the block's
+                           # stored entries at rows >= start
+    own_at: np.ndarray     # their flat positions in the front
+    locs: list             # per child, its update rows' positions here
+
+
+def _symbolic(tree, mp):
+    """The fronts of the separator tree over the permuted CSC matrix `mp`,
+    children before parents, the order of their starts (Liu's multifrontal
+    structure): a front's rows above its block are its own columns' rows
+    there and its children's update rows there, one sorted union.  Raises
+    NumericalError when a child's update reaches below its parent's
+    block."""
+    fronts = []
+    _symbolic_front(tree, 0, mp, np.empty(mp.shape[0], dtype=np.int64),
+                    fronts)
+    return fronts
+
+
+def _symbolic_front(node, depth, mp, where, fronts):
+    """Appends the fronts of the subtree at `node` to `fronts`, its own
+    last, and returns its own; `where` maps a row to its row in the front
+    at hand."""
+    kids = [_symbolic_front(ch, depth + 1, mp, where, fronts)
+            for ch in node.children]
+    c0, c1 = node.start, node.stop
+    for kid in kids:
+        # separator property: children may only touch their own ancestors
+        if len(kid.above) and kid.above[0] < c0:
+            raise NumericalError(
+                "ordering lacks the separator property: a subtree couples "
+                "to rows outside its ancestors")
+    p0, p1 = mp.indptr[c0], mp.indptr[c1]
+    rows = mp.indices[p0:p1]
+    above = np.unique(np.concatenate(
+        [rows[rows >= c1]]
+        + [kid.above[np.searchsorted(kid.above, c1):] for kid in kids]))
+    bs = c1 - c0
+    where[c0:c1] = np.arange(bs)
+    where[above] = np.arange(bs, bs + len(above))
+    own = np.flatnonzero(rows >= c0)
+    cols = np.repeat(np.arange(bs), np.diff(mp.indptr[c0:c1 + 1]))[own]
+    fronts.append(_Front(
+        start=c0, stop=c1, depth=depth, above=above, own=own + p0,
+        own_at=where[rows[own]] + cols * (bs + len(above)),
+        locs=[where[kid.above] for kid in kids]))
+    return fronts[-1]
+
+
 def _factor_fronts(matrix, ordering, pivot_tol):
     """(perm, kept, fronts) of the factor of the float CSR `matrix` along
-    the NdOrdering `ordering`; `_join` schedules the fronts into levels."""
+    the NdOrdering `ordering`; `_join` schedules the fronts into levels.
+
+    The numeric pass over `_symbolic`'s fronts: each front adds up its own
+    stored entries, read straight from the permuted CSC arrays, then its
+    children's Schur updates in order, each through flat indices built for
+    that child alone, and eliminates its block.  Fronts are in Fortran
+    order, as dgemm returns the updates, so every sum reads both operands
+    in one order."""
     n = matrix.shape[0]
-    perm, tree = ordering.perm, ordering.tree
+    perm = ordering.perm
     mp = matrix[perm][:, perm].tocsc()
     scale = max(mp.diagonal().max(initial=0.0), 0.0)
     if scale <= 0.0:
         scale = 1.0
 
     nodes: list[_NodeFactor] = []
+    updates = []             # Schur updates of fronts whose parent is next
     new_pos = np.arange(n)   # ordering position -> factor position
-    _factor_node(tree, mp, scale, pivot_tol, nodes, new_pos, 0)
-    nodes.sort(key=lambda nd: nd.start)
+    for fr in _symbolic(ordering.tree, mp):
+        c0, c1 = fr.start, fr.stop
+        bs, na = c1 - c0, len(fr.above)
+        front = np.zeros((bs + na, bs + na), order="F")
+        flat = front.ravel("F")   # a view: (i, j) is at i + j * (bs + na)
+        flat[fr.own_at] += mp.data[fr.own]
+        first = len(updates) - len(fr.locs)
+        for loc, upd in zip(fr.locs, updates[first:]):
+            flat[(loc[:, None] * (bs + na) + loc).ravel()] += upd.ravel("F")
+        del updates[first:]
+
+        l11, kept_local, order = _dense_rank_chol(front[:bs, :bs], scale,
+                                                  pivot_tol)
+        new_pos[c0 + order] = np.arange(c0, c1)
+        # solve-ready block: a unit diagonal at each skipped pivot, whose
+        # column is already zero below it, so no solve needs masking
+        skipped = np.flatnonzero(~kept_local)
+        l11 = np.asfortranarray(l11)
+        l11[skipped, skipped] = 1.0
+        # the Schur update to the parent is the same under any order of the
+        # block's own columns
+        update = front[bs:, bs:]
+        if na and kept_local.any():
+            # l21 l11^T = f21; the kept columns never read the skipped ones
+            l21 = _triangular_solve(l11, front[bs:, order].T, trans=0).T
+            l21[:, skipped] = 0.0
+            gram = _GEMM(1.0, l21.T, l21.T, trans_a=1)
+            update = np.subtract(update, gram, out=gram)   # update - gram
+        else:
+            l21 = np.zeros((na, bs))
+        updates.append(update)
+        if bs:  # an empty separator (disconnected halves) stores nothing
+            nodes.append(_NodeFactor(start=c0, stop=c1, skipped=skipped,
+                                     l11=l11, rows21=fr.above, l21=l21,
+                                     depth=fr.depth))
 
     # pivoting reorders positions within each front; a node's rows21 point
     # into its ancestors' intervals, so they move with them
@@ -496,68 +597,6 @@ def _fold_front(nd):
     keep[nd.skipped] = False
     rows = np.concatenate((np.arange(nd.start, nd.stop), nd.rows21))
     return np.broadcast_to(rows, keep.shape)[keep], block.T[keep]
-
-
-def _factor_node(node, mp, scale, pivot_tol, out, new_pos, depth):
-    child_updates = []
-    for ch in node.children:
-        child_updates.append(_factor_node(ch, mp, scale, pivot_tol, out,
-                                          new_pos, depth + 1))
-
-    c0, c1 = node.start, node.stop
-    bs = c1 - c0
-    n = mp.shape[0]
-
-    block_cols = mp[:, c0:c1].tocoo()
-    above_from_m = np.unique(block_cols.row[block_cols.row >= c1])
-    above = above_from_m
-    for rows, _ in child_updates:
-        above = np.union1d(above, rows[rows >= c1])
-
-    na = len(above)
-    front = np.zeros((bs + na, bs + na))
-    # own matrix columns: diagonal block plus rows below it
-    sel = block_cols.row >= c0
-    r, cloc, v = block_cols.row[sel], block_cols.col[sel], block_cols.data[sel]
-    in_block = r < c1
-    front[r[in_block] - c0, cloc[in_block]] += v[in_block]
-    if na:
-        pos = np.searchsorted(above, r[~in_block])
-        front[pos + bs, cloc[~in_block]] += v[~in_block]
-    # child Schur updates (symmetric, scattered into the full front)
-    for rows, upd in child_updates:
-        # separator property: children may only touch their own ancestors
-        if len(rows) and rows.min() < c0:
-            raise NumericalError(
-                "ordering lacks the separator property: a subtree couples "
-                "to rows outside its ancestors")
-        loc = np.where(rows < c1, rows - c0,
-                       bs + np.searchsorted(above, rows))
-        front[np.ix_(loc, loc)] += upd
-
-    l11, kept_local, order = _dense_rank_chol(front[:bs, :bs], scale,
-                                              pivot_tol)
-    new_pos[c0 + order] = np.arange(c0, c1)
-    # solve-ready block: a unit diagonal at each skipped pivot, whose
-    # column is already zero below it, so no solve needs masking
-    skipped = np.flatnonzero(~kept_local)
-    l11 = np.asfortranarray(l11)
-    l11[skipped, skipped] = 1.0
-    # the Schur update to the parent is the same under any order of the
-    # block's own columns
-    update = front[bs:, bs:]
-    if na and kept_local.any():
-        # l21 l11^T = f21; the kept columns never read the skipped ones
-        l21 = _triangular_solve(l11, front[bs:, order].T, trans=0).T
-        l21[:, skipped] = 0.0
-        update = update - _GEMM(1.0, l21.T, l21.T, trans_a=1)
-    else:
-        l21 = np.zeros((na, bs))
-
-    if bs:  # an empty separator (disconnected halves) stores nothing
-        out.append(_NodeFactor(start=c0, stop=c1, skipped=skipped,
-                               l11=l11, rows21=above, l21=l21, depth=depth))
-    return above, update
 
 
 def _dense_rank_chol(a, scale, pivot_tol):

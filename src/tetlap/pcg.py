@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError
 from .reports import SolveReport
@@ -36,11 +35,6 @@ class LinearOperator:
 
     dim: int
     apply: Callable[[np.ndarray], np.ndarray]
-
-    @staticmethod
-    def from_matrix(m) -> "LinearOperator":
-        m = sp.csr_matrix(m) if sp.issparse(m) else np.asarray(m, dtype=float)
-        return LinearOperator(dim=m.shape[0], apply=lambda v: m @ v)
 
     @staticmethod
     def identity(n: int) -> "LinearOperator":

@@ -28,6 +28,10 @@ from tetlap.errors import NumericalError
 from tetlap.meshgen import GridSpec, gen_grid
 
 
+RELAXED = tetlap.HollowingConfig(min_shell_width=2,
+                                 min_component_separation=2)
+
+
 def edge_midpoints(c):
     return c.vertices[c.edges].mean(axis=1)
 
@@ -245,6 +249,30 @@ def test_fill_scaling_subquadratic():
 
 # -- ordering against the slicing reference ---------------------------------
 
+def reference_median_candidates(coord):
+    """_median_candidates with two sorts: the values from np.unique, and
+    each one's count of smaller entries by a search of the sorted array."""
+    values = np.unique(coord)
+    if len(values) == 1:
+        return []
+    below = np.searchsorted(np.sort(coord), values, side="left")
+    order = np.argsort(np.abs(below - len(coord) / 2))
+    return values[order[:3]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 60), lattice=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_median_candidates_match_the_two_sort_reference(n, lattice, seed):
+    # a small lattice gives ties, the values np.unique collapses
+    rng = np.random.default_rng(seed)
+    coord = (rng.integers(-lattice, lattice + 1, n).astype(float) if lattice
+             else rng.standard_normal(n))
+    got = dissection._median_candidates(coord)
+    want = reference_median_candidates(coord)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 def reference_vertex_separator(points, adjacency, base_case):
     """The vertex separator on sparse slices: a CSR slice per candidate
     plane finds the crossing edges."""
@@ -256,7 +284,7 @@ def reference_vertex_separator(points, adjacency, base_case):
     best = None
     for axis in range(points.shape[1]):
         coord = points[:, axis]
-        for value in dissection._median_candidates(coord):
+        for value in reference_median_candidates(coord):
             a_mask = coord < value
             s_mask = coord == value
             b_mask = coord > value
@@ -796,8 +824,9 @@ def test_folded_factor_keeps_no_dense_block_and_has_no_l():
 
 # the factor kernels use scipy's BLAS and LAPACK only; numpy's dense
 # products and np.linalg run on a second OpenBLAS with its own thread pool
-SCIPY_BLAS_ONLY = ("_factor_node", "_dense_rank_chol", "solve_with_factor",
-                   "_forward", "gram", "__init__", "_factor_fronts", "_split", "nd_cholesky", "_join",
+SCIPY_BLAS_ONLY = ("_symbolic", "_symbolic_front", "_dense_rank_chol",
+                   "solve_with_factor", "_forward", "gram", "__init__",
+                   "_factor_fronts", "_split", "nd_cholesky", "_join",
                    "_fold_front", "_schedule", "root_solve")
 NUMPY_BLAS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
 
@@ -838,6 +867,204 @@ def test_nd_ordering_indexes_no_sparse_matrix(monkeypatch):
     ordering = nd_ordering(m, edge_midpoints(c))
     assert len(ordering.tree.children) == 2
     assert calls == []
+
+
+# -- factor build against the per-front slicing reference -------------------
+
+def reference_factor_fronts(matrix, ordering, pivot_tol):
+    """_factor_fronts as one recursion over the separator tree that slices
+    each front's columns out of the sparse matrix (`tocoo`), grows its row
+    set by `union1d` and scatters each child update through `np.ix_`."""
+    n = matrix.shape[0]
+    perm = ordering.perm
+    mp = matrix[perm][:, perm].tocsc()
+    scale = max(mp.diagonal().max(initial=0.0), 0.0) or 1.0
+    nodes = []
+    new_pos = np.arange(n)
+
+    def factor(node, depth):
+        child_updates = [factor(ch, depth + 1) for ch in node.children]
+        c0, c1 = node.start, node.stop
+        bs = c1 - c0
+        block_cols = mp[:, c0:c1].tocoo()
+        above = np.unique(block_cols.row[block_cols.row >= c1])
+        for rows, _ in child_updates:
+            above = np.union1d(above, rows[rows >= c1])
+        na = len(above)
+        front = np.zeros((bs + na, bs + na))
+        sel = block_cols.row >= c0
+        r, cloc, v = (block_cols.row[sel], block_cols.col[sel],
+                      block_cols.data[sel])
+        in_block = r < c1
+        front[r[in_block] - c0, cloc[in_block]] += v[in_block]
+        if na:
+            pos = np.searchsorted(above, r[~in_block])
+            front[pos + bs, cloc[~in_block]] += v[~in_block]
+        for rows, upd in child_updates:
+            if len(rows) and rows.min() < c0:
+                raise NumericalError("ordering lacks the separator property")
+            loc = np.where(rows < c1, rows - c0,
+                           bs + np.searchsorted(above, rows))
+            front[np.ix_(loc, loc)] += upd
+        l11, kept_local, order = dissection._dense_rank_chol(
+            front[:bs, :bs], scale, pivot_tol)
+        new_pos[c0 + order] = np.arange(c0, c1)
+        skipped = np.flatnonzero(~kept_local)
+        l11 = np.asfortranarray(l11)
+        l11[skipped, skipped] = 1.0
+        update = front[bs:, bs:]
+        if na and kept_local.any():
+            l21 = dissection._triangular_solve(l11, front[bs:, order].T,
+                                               trans=0).T
+            l21[:, skipped] = 0.0
+            update = update - dissection._GEMM(1.0, l21.T, l21.T, trans_a=1)
+        else:
+            l21 = np.zeros((na, bs))
+        if bs:
+            nodes.append(dissection._NodeFactor(
+                start=c0, stop=c1, skipped=skipped, l11=l11, rows21=above,
+                l21=l21, depth=depth))
+        return above, update
+
+    factor(ordering.tree, 0)
+    nodes.sort(key=lambda nd: nd.start)
+    perm_new = np.empty_like(perm)
+    perm_new[new_pos] = perm
+    kept = np.ones(n, dtype=bool)
+    for nd in nodes:
+        nd.rows21 = new_pos[nd.rows21]
+        kept[nd.start + nd.skipped] = False
+    return perm_new, kept, nodes
+
+
+def same_bytes(a, b):
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def assert_builds_like_the_reference(matrix, ordering, pivot_tol):
+    """The factor's fronts, and its levels folded and unfolded, are
+    byte-identical to the reference's; returns the factor."""
+    got = dissection._factor_fronts(matrix, ordering, pivot_tol)
+    want = reference_factor_fronts(matrix, ordering, pivot_tol)
+    assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+    assert [(nd.start, nd.stop, nd.depth) for nd in got[2]] == [
+        (nd.start, nd.stop, nd.depth) for nd in want[2]]
+    for nd, ref in zip(got[2], want[2]):
+        for name in ("skipped", "l11", "rows21", "l21"):
+            assert same_bytes(getattr(nd, name), getattr(ref, name)), name
+    for folded in (False, True):
+        f = dissection._join(matrix, [got], folded)
+        r = dissection._join(matrix, [want], folded)
+        assert f.rank == r.rank and len(f._levels) == len(r._levels)
+        for level, ref in zip(f._levels, r._levels):
+            for name in ("data", "indices", "indptr"):
+                assert same_bytes(getattr(level.a, name),
+                                  getattr(ref.a, name)), name
+    return dissection._join(matrix, [got], False)
+
+
+def factor_calls(monkeypatch, build):
+    """The (matrix, ordering, pivot_tol) of every `_factor_fronts` call
+    that `build()` makes."""
+    calls = []
+    real = dissection._factor_fronts
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    with monkeypatch.context() as patch:
+        patch.setattr(dissection, "_factor_fronts", spy)
+        build()
+    assert calls
+    return calls
+
+
+def test_shell_box_factors_build_like_the_reference(monkeypatch):
+    # the wall (folded, the largest), the region interiors and L0
+    c = gen_grid(GridSpec((6, 6, 6)))
+    h = tetlap.find_hollowing(c, c.num_simplexes ** 0.6, RELAXED)
+    calls = factor_calls(monkeypatch,
+                         lambda: tetlap.build_one_lap_solver(c, h))
+    assert max(m.shape[0] for m, _, _ in calls) == len(h.boundary_edges)
+    for args in calls:
+        assert_builds_like_the_reference(*args)
+
+
+def test_sphere_interior_factors_build_like_the_reference(monkeypatch):
+    # the interiors' interface rows are pinned into their root fronts
+    c = gen_grid(GridSpec((6, 6, 6)))
+    h = tetlap.sphere_hollowing(c, c.num_simplexes ** 0.6, RELAXED)
+    calls = factor_calls(monkeypatch,
+                         lambda: tetlap.build_one_lap_solver(c, h))
+    # a pinned root is the one front with a single child
+    assert any(len(o.tree.children) == 1 for _, o, _ in calls)
+    for args in calls:
+        assert_builds_like_the_reference(*args)
+
+
+def test_ring_factors_build_like_the_reference(monkeypatch):
+    # four boxes glued in a ring, each box's far x face to the next box's
+    # x = 0 face; the wall is one factor over the chunks' blocks
+    k = 4
+    chunks = [gen_grid(GridSpec((k, 3, 3))) for _ in range(4)]
+    groups = []
+    for j, (a, b) in enumerate(zip(chunks, chunks[1:] + chunks[:1])):
+        far = {tuple(a.vertices[v, 1:]): int(v)
+               for v in np.flatnonzero(a.vertices[:, 0] == k)}
+        groups += [[(j, far[tuple(b.vertices[v, 1:])]), ((j + 1) % 4, int(v))]
+                   for v in np.flatnonzero(b.vertices[:, 0] == 0)]
+    holls = [tetlap.find_hollowing(ch, ch.num_simplexes ** 0.6, RELAXED)
+             for ch in chunks]
+    u = tetlap.glue(chunks, groups, holls)
+    calls = factor_calls(monkeypatch, lambda: tetlap.build_union_solver(u))
+    for args in calls:
+        assert_builds_like_the_reference(*args)
+
+
+def test_semidefinite_factors_build_like_the_reference(rng):
+    # skipped pivots: an up-Laplacian over several fronts, a random
+    # rank-deficient Gram as one front, a singular path Laplacian
+    c = gen_grid(GridSpec((3, 3, 3)))
+    g = rng.standard_normal((12, 5))
+    n = 40
+    for m, coords, base_case in (
+            (up_laplacian(c, 1), edge_midpoints(c), 16),
+            (sp.csr_matrix(g @ g.T), np.zeros((12, 3)), 12),
+            (graph_path_laplacian(n),
+             np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)]), 4)):
+        m = dissection._finite_csr(m)
+        ordering = nd_ordering(m, coords, base_case=base_case)
+        f = assert_builds_like_the_reference(m, ordering, DEFAULT_PIVOT_TOL)
+        assert f.rank == oracle.rank(m.toarray()) < m.shape[0]
+
+
+def test_factor_build_slices_no_sparse_matrix_per_front(monkeypatch):
+    # the build reads the permuted matrix's arrays: its sparse indexing and
+    # COO conversions do not grow with the number of fronts
+    calls, counts = [], {}
+
+    def spying(name, method):
+        def spy(self, *args, **kwargs):
+            calls.append(name)
+            return method(self, *args, **kwargs)
+        return spy
+    for k in (3, 6):
+        c = gen_grid(GridSpec((k, k, k)))
+        m = dissection._finite_csr(up_laplacian(c, 1))
+        ordering = nd_ordering(m, edge_midpoints(c), base_case=8)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            for cls in (sp.csr_matrix, sp.csc_matrix, sp.csr_array,
+                        sp.csc_array, sp.coo_matrix, sp.coo_array):
+                for name in ("__getitem__", "tocoo"):
+                    patch.setattr(cls, name,
+                                  spying(name, getattr(cls, name)))
+            _, _, fronts = dissection._factor_fronts(m, ordering,
+                                                     DEFAULT_PIVOT_TOL)
+        counts[len(fronts)] = len(calls)
+    (few, small), (many, large) = sorted(counts.items())
+    assert many > 4 * few
+    assert large == small
 
 
 # -- block factors -------------------------------------------------------------

@@ -11,6 +11,12 @@ from tetlap.pcg import (
 )
 
 
+def matrix_operator(m):
+    """The operator of multiplying by the matrix `m`, dense or sparse."""
+    m = sp.csr_matrix(m) if sp.issparse(m) else np.asarray(m, dtype=float)
+    return LinearOperator(dim=m.shape[0], apply=lambda v: m @ v)
+
+
 def path_graph_laplacian(n):
     return sp.diags([-np.ones(n - 1), np.r_[1, 2 * np.ones(n - 2), 1],
                      -np.ones(n - 1)], [-1, 0, 1]).toarray()
@@ -18,7 +24,7 @@ def path_graph_laplacian(n):
 
 def test_perfect_preconditioner_one_iteration(rng):
     a = np.diag([1.0, 3.0, 7.0])
-    op = LinearOperator.from_matrix(a)
+    op = matrix_operator(a)
     m = LinearOperator(dim=3, apply=lambda v: np.linalg.solve(a, v))
     x, rep = pcg(op, m, np.array([1.0, 2.0, 3.0]), tol=1e-12)
     assert rep.iterations == 1
@@ -27,7 +33,7 @@ def test_perfect_preconditioner_one_iteration(rng):
 
 def test_cg_finite_termination_diag():
     a = np.diag([1.0, 4.0])
-    x, rep = pcg(LinearOperator.from_matrix(a), None, np.array([1.0, 2.0]),
+    x, rep = pcg(matrix_operator(a), None, np.array([1.0, 2.0]),
                  tol=1e-12)
     assert rep.iterations <= 2
     assert np.allclose(x, [1.0, 0.5], atol=1e-10)
@@ -38,7 +44,7 @@ def test_path_laplacian_singular_system(rng):
     lap = path_graph_laplacian(n)
     b = rng.standard_normal(n)
     b -= b.mean()  # orthogonal to the all-ones kernel
-    x, rep = pcg(LinearOperator.from_matrix(lap), None, b, tol=1e-8,
+    x, rep = pcg(matrix_operator(lap), None, b, tol=1e-8,
                  max_iters=64)
     assert rep.iterations <= 16
     assert np.linalg.norm(lap @ x - b) <= 1e-8 * np.linalg.norm(b)
@@ -46,7 +52,7 @@ def test_path_laplacian_singular_system(rng):
 
 def test_pcg_zero_rhs():
     a = np.eye(4)
-    x, rep = pcg(LinearOperator.from_matrix(a), None, np.zeros(4), tol=1e-10)
+    x, rep = pcg(matrix_operator(a), None, np.zeros(4), tol=1e-10)
     assert np.array_equal(x, np.zeros(4))
     assert rep.iterations == 0
 
@@ -54,14 +60,14 @@ def test_pcg_zero_rhs():
 def test_pcg_detects_asymmetry():
     a = np.array([[1.0, 0.5], [0.0, 1.0]])
     with pytest.raises(NumericalError, match="asymmetry"):
-        pcg(LinearOperator.from_matrix(a), None, np.array([1.0, 1.0]),
+        pcg(matrix_operator(a), None, np.array([1.0, 1.0]),
             tol=1e-14, max_iters=50)
 
 
 def test_pcg_detects_indefiniteness():
     a = np.diag([1.0, -1.0])
     with pytest.raises(NumericalError, match="not PSD"):
-        pcg(LinearOperator.from_matrix(a), None, np.array([1.0, 1.0]),
+        pcg(matrix_operator(a), None, np.array([1.0, 1.0]),
             tol=1e-12)
 
 
@@ -71,7 +77,7 @@ def test_pcg_reports_nonconvergence(rng):
     a = q @ np.diag(np.geomspace(1, 1e8, n)) @ q.T
     a = 0.5 * (a + a.T)
     b = a @ rng.standard_normal(n)
-    x, rep = pcg(LinearOperator.from_matrix(a), None, b, tol=1e-12, max_iters=3)
+    x, rep = pcg(matrix_operator(a), None, b, tol=1e-12, max_iters=3)
     assert not rep.converged
     assert rep.final_residual > 1e-12 * np.linalg.norm(b)
 
@@ -79,7 +85,7 @@ def test_pcg_reports_nonconvergence(rng):
 def test_final_residual_is_recomputed(rng):
     a = np.diag(np.arange(1.0, 9.0))
     b = rng.standard_normal(8)
-    x, rep = pcg(LinearOperator.from_matrix(a), None, b, tol=1e-10)
+    x, rep = pcg(matrix_operator(a), None, b, tol=1e-10)
     assert rep.final_residual == pytest.approx(np.linalg.norm(a @ x - b), rel=1e-12)
 
 
@@ -91,7 +97,7 @@ def test_a_norm_error_monotone(rng):
     a = 0.5 * (a + a.T)
     x_star = rng.standard_normal(n)
     b = a @ x_star
-    op = LinearOperator.from_matrix(a)
+    op = matrix_operator(a)
 
     errors = []
     for iters in range(1, 12):
@@ -106,13 +112,13 @@ def test_preconditioned_residual_trace_monotone_on_small_instances(rng):
     lap = path_graph_laplacian(n)
     b = rng.standard_normal(n)
     b -= b.mean()
-    x, rep = pcg(LinearOperator.from_matrix(lap), None, b, tol=1e-10)
+    x, rep = pcg(matrix_operator(lap), None, b, tol=1e-10)
     trace = rep.residual_trace
     assert all(t2 <= t1 * (1 + 1e-9) for t1, t2 in zip(trace, trace[1:]))
 
 
 def test_linearity_check(rng):
-    op = LinearOperator.from_matrix(np.diag([1.0, 2.0]))
+    op = matrix_operator(np.diag([1.0, 2.0]))
     assert check_linearity(op, rng)
     bad = LinearOperator(dim=2, apply=lambda v: v + 1.0)
     assert not check_linearity(bad, rng)
@@ -120,7 +126,7 @@ def test_linearity_check(rng):
 
 def test_rel_condition_identity_pair(rng):
     a = np.diag([2.0, 5.0, 9.0, 11.0])
-    op = LinearOperator.from_matrix(a)
+    op = matrix_operator(a)
     m = LinearOperator(dim=4, apply=lambda v: np.linalg.solve(a, v))
     k = estimate_rel_condition(op, m, iters=10)
     assert k == pytest.approx(1.0, rel=0.05)
@@ -128,7 +134,7 @@ def test_rel_condition_identity_pair(rng):
 
 def test_rel_condition_scaled_pair():
     a = np.diag([2.0, 5.0, 9.0, 11.0])
-    op = LinearOperator.from_matrix(2.0 * a)
+    op = matrix_operator(2.0 * a)
     m = LinearOperator(dim=4, apply=lambda v: np.linalg.solve(a, v))
     k = estimate_rel_condition(op, m, iters=10)
     assert k == pytest.approx(1.0, rel=0.05)
@@ -136,6 +142,6 @@ def test_rel_condition_scaled_pair():
 
 def test_rel_condition_diag_vs_identity():
     a = np.diag([1.0, 10.0])
-    k = estimate_rel_condition(LinearOperator.from_matrix(a),
+    k = estimate_rel_condition(matrix_operator(a),
                                LinearOperator.identity(2), iters=5)
     assert k == pytest.approx(10.0, rel=0.05)
