@@ -131,11 +131,13 @@ def build_complex(tets, coords, weights=None) -> Complex3:
     """Build a pure 3-complex from tetrahedra over explicit coordinates.
 
     Faces are derived and deduplicated; missing weights default to 1.
-    Rejects duplicate tetrahedra and tetrahedra with repeated vertices.
+    Rejects non-finite coordinates, duplicate tetrahedra and tetrahedra
+    with repeated vertices.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise ValueError("coords must be an (n, 3) array")
+    _check_finite_rows(coords, "coords")
     tets = np.asarray(tets, dtype=np.int64)
     if tets.ndim != 2 or tets.shape[1] != 4:
         raise ValueError("tets must be an (m, 4) array")
@@ -204,12 +206,24 @@ _TET_EDGE_SIDES = ((3, 2), (3, 1), (1, 1), (3, 0), (0, 1), (0, 0))
 
 def _faces(simplexes: np.ndarray):
     """Lex-sorted unique facets of ascending simplexes, the (n, k) table of
-    facet ids whose column j omits vertex j, and each facet's multiplicity."""
+    facet ids whose column j omits vertex j, and each facet's multiplicity,
+    from one 1-D sort: of int64 row keys, or `np.lexsort` if one overflows."""
     n, k = simplexes.shape
     facets = np.concatenate([np.delete(simplexes, j, axis=1) for j in range(k)])
-    uniq, inverse, counts = np.unique(facets, axis=0, return_inverse=True,
-                                      return_counts=True)
-    return uniq, inverse.reshape(k, n).T, counts
+    base = int(facets.max(initial=-1)) + 1
+    first = np.ones(len(facets), dtype=bool)
+    if base ** (k - 1) <= np.iinfo(np.int64).max:
+        key = _encode_rows(facets, base)
+        order = np.argsort(key)
+        first[1:] = np.diff(key[order]) != 0
+    else:
+        order = np.lexsort(facets.T[::-1])
+        first[1:] = np.any(np.diff(facets[order], axis=0) != 0, axis=1)
+    starts = np.flatnonzero(first)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(first) - 1
+    counts = np.diff(np.append(starts, len(facets)))
+    return facets[order[starts]], inverse.reshape(k, n).T, counts
 
 
 def boundary_operator(c: Complex3, i: int) -> sp.csc_matrix:
@@ -325,12 +339,14 @@ def min_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact minimum enclosing ball of at most four points in R^3.
 
     Case analysis over support sets of size 2, 3 and 4: the smallest
-    candidate ball that contains all points wins.
+    candidate ball that contains all points wins.  A non-finite point
+    raises ValueError naming its row.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     if n == 0:
         raise ValueError("need at least one point")
+    _check_finite_rows(pts, "points")
     if n == 1:
         return pts[0].copy(), 0.0
     if n > 4:
@@ -359,9 +375,15 @@ def min_enclosing_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
             if best is None or radius < best[1]:
                 best = (center, radius)
     if best is None:
-        raise ValueError("minimum enclosing ball case analysis failed "
-                         "(non-finite coordinates?)")
+        raise ValueError("minimum enclosing ball case analysis failed")
     return best
+
+
+def _check_finite_rows(table, name):
+    """Raise ValueError naming the first row of `table` with a NaN or inf."""
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{name} row {bad[0]} has a non-finite entry")
 
 
 def _circumcenter_triangle(p):

@@ -42,6 +42,7 @@ BALANCE_BOUND = 0.9
 # other on a small machine.  One library, one thread pool.
 _POTRF = sla.get_lapack_funcs("potrf", dtype=np.float64)
 _PSTRF = sla.get_lapack_funcs("pstrf", dtype=np.float64)
+_SYEVD = sla.get_lapack_funcs("syevd", dtype=np.float64)
 _TRTRS = sla.get_lapack_funcs("trtrs", dtype=np.float64)
 _TRTRI = sla.get_lapack_funcs("trtri", dtype=np.float64)
 _GEMM = sla.get_blas_funcs("gemm", dtype=np.float64)
@@ -300,11 +301,13 @@ class CholeskyFactor:
     def gram(self, b) -> np.ndarray:
         """b^T x for x = solve(b), b a sparse (n, k) matrix, from the forward
         half of the solve only: the solve is x = P L^-T D L^-1 P^T b, with D
-        zeroing the skipped pivots, so b^T x = W^T W for W = D L^-1 P^T b."""
-        w = b.toarray()[self.perm]
-        _forward(self, w)
-        w[~self.kept] = 0.0
-        return _GEMM(1.0, w, w, trans_a=1)
+        zeroing the skipped pivots, so b^T x = W^T W for W = D L^-1 P^T b.
+        W stays sparse through folded levels (an unfolded factor's folded for
+        the call), so the work follows its nonzeros (Gilbert and Peierls)."""
+        levels = (self._levels if self.folded
+                  else _schedule(self._nodes, self.shape[0], folded=True))
+        w = _forward(levels, sp.csr_matrix(b)[self.perm])
+        return _sparse_gram(w[np.flatnonzero(self.kept)])
 
 
 @dataclass
@@ -644,8 +647,7 @@ def solve_with_factor(factor: CholeskyFactor, b,
         raise ValueError("b has non-finite entries")
     single = b.ndim == 1
     bm = b.reshape(-1, 1) if single else b
-    z = bm[factor.perm]
-    _forward(factor, z)
+    z = _forward(factor._levels, bm[factor.perm])
     # backward: L^T x = y, root level first; a zero right-hand side at a
     # skipped pivot makes x exactly 0 there, and zeroing it before the
     # level's product changes nothing else, since the level matrix's
@@ -664,27 +666,34 @@ def solve_with_factor(factor: CholeskyFactor, b,
     return x[:, 0] if single else x
 
 
-def _forward(factor: CholeskyFactor, z):
-    """L y = z in place, deepest level first; y at a skipped pivot is never
-    read, since its column of l11 is zero below the diagonal and its column
-    of l21 is zero.  A folded level has no fronts: its product is the whole
-    step."""
-    for level in reversed(factor._levels):
+def _forward(levels, z):
+    """y with L y = z, deepest level first, in place for a dense z; y at a
+    skipped pivot is never read, since its column of l11 is zero below the
+    diagonal and its column of l21 is zero.  A folded level has no fronts:
+    its product is the whole step, and a sparse z stays sparse."""
+    for level in reversed(levels):
         for nd in level.nodes:
             y = z[nd.start:nd.stop]
             y[:] = _triangular_solve(nd.l11, y, trans=0)
-        _level_update(z, level, trans=False)
+        z = _level_update(z, level, trans=False)
+    return z
 
 
 def _level_update(z, level, trans):
     """z -= A z[cols] for the level's sparse matrix A, or z[cols] -= A^T z
-    when trans is true; sparse, so it calls no dense BLAS."""
-    if not level.a.nnz:
-        return
-    if trans:
-        z[level.cols] -= level.at @ z
-    else:
-        z -= level.a @ z[level.cols]
+    when trans is true, and z: in place for a dense z, a new matrix for a
+    sparse one (forward only).  Sparse, so it calls no dense BLAS."""
+    if level.a.nnz:
+        if trans:
+            z[level.cols] -= level.at @ z
+        else:
+            z -= level.a @ z[level.cols]
+    return z
+
+
+def _sparse_gram(w) -> np.ndarray:
+    """W^T W, dense, for a sparse W; a sparse product, no dense BLAS."""
+    return (w.T @ w).toarray()
 
 
 def _check_image(matrix, x, b):
@@ -715,9 +724,10 @@ class BlockFactor:
     `solver` solves the matrix over `rows`: a CholeskyFactor, or a
     GraphDownLap for a dual graph.  The Schur complement onto the shared
     rows, C_ss - C M^+ C^T with the last term from the solver's `gram`, is
-    pseudo-inverted densely up front through its eigendecomposition, with
-    the eigenvalues above DEFAULT_PIVOT_TOL times the largest kept.  Rows in
-    neither set are dropped, and the solution is zero there.  Solves are
+    pseudo-inverted densely up front through its eigendecomposition (LAPACK
+    `dsyevd`, divide and conquer), with the eigenvalues above
+    DEFAULT_PIVOT_TOL times the largest kept.  Rows in neither set are
+    dropped, and the solution is zero there.  Solves are
     exact for right-hand sides in the image, and not checked: both users
     apply one as a preconditioner.  `rank` is the solver's rank plus the
     Schur complement's, the matrix's rank on the kept rows.
@@ -739,7 +749,10 @@ class BlockFactor:
             self.coupling = rows[:, self.rows].tocsr()
             schur = rows[:, self.shared].toarray() - self.solver.gram(
                 self.coupling.T)
-            w, v = sla.eigh(schur)
+            w, v, info = _SYEVD(schur, lower=1)
+            if info:
+                raise NumericalError(
+                    f"eigendecomposition failed (LAPACK info {info})")
             keep = w > DEFAULT_PIVOT_TOL * max(w[-1], 0.0)
             self.schur_pinv = _GEMM(1.0, v[:, keep] / w[keep], v[:, keep],
                                     trans_b=1)

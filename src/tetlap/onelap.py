@@ -58,6 +58,7 @@ class OneLapState:
     or in its complex changes afterwards."""
     complex: Complex3
     hollowing: Hollowing
+    weights: list                     # the up state's copies of c.weights
     lap1: sp.csr_matrix
     up_state: UpSolverState
     down_state: DownState
@@ -79,7 +80,8 @@ def _build_state(c, h, up_state, embedded: bool) -> OneLapState:
     budget, closed = probe_budget(c, h, up_state, down_state)
     _check_budget(c, budget, down_state, embedded)
     harmonic, probes = harmonic_basis(c, up_state, down_state, budget, closed)
-    return OneLapState(complex=c, hollowing=h, lap1=(ldown + lup).tocsr(),
+    return OneLapState(complex=c, hollowing=h, weights=up_state.weights,
+                       lap1=(ldown + lup).tocsr(),
                        up_state=up_state, down_state=down_state,
                        harmonic=harmonic, probes=probes)
 
@@ -362,7 +364,10 @@ def glue(chunks, identifications, hollowings) -> UnionComplex:
         coords[vertex_maps[k]] = ch.vertices  # later chunks win; charts only
 
     tets = np.vstack([vertex_maps[k][ch.tets] for k, ch in enumerate(chunks)])
-    if len(np.unique(np.sort(tets, axis=1), axis=0)) != len(tets):
+    # build_complex lex-sorts tets; `order` recovers the permutation
+    ordered = np.sort(tets, axis=1)
+    order = np.lexsort(ordered.T[::-1])
+    if np.any(np.all(np.diff(ordered[order], axis=0) == 0, axis=1)):
         raise ValueError("gluing identifies two tetrahedra")
     glued = build_complex(tets, coords)
 
@@ -370,29 +375,20 @@ def glue(chunks, identifications, hollowings) -> UnionComplex:
                  for k, ch in enumerate(chunks)]
     tri_maps = [glued.triangle_ids(np.sort(vertex_maps[k][ch.triangles], axis=1))
                 for k, ch in enumerate(chunks)]
-    tet_start = np.cumsum([0] + [ch.num_tets for ch in chunks])
-    tet_maps = [np.arange(tet_start[k], tet_start[k + 1]) for k in range(len(chunks))]
-    # build_complex lex-sorts tets; recover the permutation
-    order = np.lexsort(np.sort(tets, axis=1).T[::-1])
     rank = np.empty(len(tets), dtype=np.int64)
     rank[order] = np.arange(len(tets))
-    tet_maps = [rank[m] for m in tet_maps]
+    tet_maps = np.split(rank, np.cumsum([ch.num_tets for ch in chunks])[:-1])
 
     _merge_weights(glued, chunks, edge_maps, tri_maps, tet_maps, vertex_maps)
 
-    edge_count = np.zeros(glued.num_edges, dtype=np.int64)
-    for m in edge_maps:
-        np.add.at(edge_count, m, 1)
-    tri_count = np.zeros(glued.num_triangles, dtype=np.int64)
-    for m in tri_maps:
-        np.add.at(tri_count, m, 1)
-    shared_edges = np.flatnonzero(edge_count > 1)
-    shared_triangles = np.flatnonzero(tri_count > 1)
+    edge_shared = np.bincount(np.concatenate(edge_maps),
+                              minlength=glued.num_edges) > 1
+    shared_edges = np.flatnonzero(edge_shared)
+    shared_triangles = np.flatnonzero(np.bincount(
+        np.concatenate(tri_maps), minlength=glued.num_triangles) > 1)
 
     for k, ch in enumerate(chunks):
-        back = np.zeros(glued.num_edges, dtype=bool)
-        back[shared_edges] = True
-        local_shared = np.flatnonzero(back[edge_maps[k]])
+        local_shared = np.flatnonzero(edge_shared[edge_maps[k]])
         if np.any(~ch.exterior_edges[local_shared]):
             raise ValueError(f"chunk {k} shares a non-exterior edge")
         if np.any(hollowings[k].edge_class[local_shared] >= 0):
@@ -412,14 +408,10 @@ def glue(chunks, identifications, hollowings) -> UnionComplex:
 
 
 def _merge_weights(glued, chunks, edge_maps, tri_maps, tet_maps, vertex_maps):
-    specs = [(0, vertex_maps, lambda ch: ch.weights[0]),
-             (1, edge_maps, lambda ch: ch.weights[1]),
-             (2, tri_maps, lambda ch: ch.weights[2]),
-             (3, tet_maps, lambda ch: ch.weights[3])]
-    for dim, maps, getter in specs:
+    for dim, maps in enumerate((vertex_maps, edge_maps, tri_maps, tet_maps)):
         out = np.full(len(glued.weights[dim]), np.nan)
         for k, ch in enumerate(chunks):
-            w = getter(ch)
+            w = ch.weights[dim]
             prev = out[maps[k]]
             clash = ~np.isnan(prev) & (np.abs(prev - w) > 1e-12)
             if np.any(clash):
@@ -436,15 +428,10 @@ def _induced_union_hollowing(glued, chunks, hollowings, edge_maps, tri_maps,
     edge_class = np.full(glued.num_edges, -1, dtype=np.int64)
     tri_class = np.full(glued.num_triangles, -1, dtype=np.int64)
     for k, h in enumerate(hollowings):
-        reg = h.tet_region.copy()
-        reg[reg >= 0] += offsets[k]
-        tet_region[tet_maps[k]] = reg
-        ecls = h.edge_class.copy()
-        ecls[ecls >= 0] += offsets[k]
-        edge_class[edge_maps[k]] = ecls
-        tcls = h.tri_class.copy()
-        tcls[tcls >= 0] += offsets[k]
-        tri_class[tri_maps[k]] = tcls
+        for out, labels, maps in ((tet_region, h.tet_region, tet_maps),
+                                  (edge_class, h.edge_class, edge_maps),
+                                  (tri_class, h.tri_class, tri_maps)):
+            out[maps[k]] = np.where(labels >= 0, labels + offsets[k], labels)
     edge_class[shared_edges] = -1
     tri_class[shared_triangles] = -1
     shells = []

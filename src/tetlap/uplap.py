@@ -40,6 +40,7 @@ from .reports import SolveReport
 class UpSolverState:
     complex: object
     hollowing: Hollowing
+    weights: list                    # copies of the complex's weights
     lup: sp.csr_matrix
     d2: sp.csc_matrix                # float triangle boundary map behind lup
     f_all: np.ndarray                # interior edge ids, region by region
@@ -93,7 +94,8 @@ def build_up_solver(c, h: Hollowing,
             f"{l_cf.nnz - l_ci.nnz} wall couplings reach interior edges "
             "outside the pinned interface")
     state = UpSolverState(
-        complex=c, hollowing=h, lup=lup, d2=d2, f_all=f_all, c_idx=c_idx,
+        complex=c, hollowing=h, weights=[w.copy() for w in c.weights],
+        lup=lup, d2=d2, f_all=f_all, c_idx=c_idx,
         interior=interior, wall=None, iface=iface,
         # the interior factor's rows are f_all's
         root=interior.root_solve(iface),

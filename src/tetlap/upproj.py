@@ -30,6 +30,7 @@ from .reports import SolveReport
 class UpProjectionState:
     complex: object
     hollowing: Hollowing
+    weights: list                    # copies of the complex's weights
     d2: sp.csc_matrix                # float copy of the triangle boundary map
     f_all: np.ndarray                # interior triangle ids, region by region
     c_t: np.ndarray                  # boundary triangle ids
@@ -62,7 +63,8 @@ def build_up_projection(c, h: Hollowing) -> UpProjectionState:
     if len(c_t):
         wall = nd_cholesky((d2_c.T @ d2_c).tocsr(), centroids[c_t])
     return UpProjectionState(
-        complex=c, hollowing=h, d2=d2, f_all=f_all, c_t=c_t,
+        complex=c, hollowing=h, weights=[w.copy() for w in c.weights],
+        d2=d2, f_all=f_all, c_t=c_t,
         d2_f=d2_f, d2_c=d2_c, interior=interior, wall=wall,
         # for a symmetric matrix |A|_2 <= sqrt(|A|_1 |A|_inf) = |A|_1
         lup_norm=max(one_norm(d2 @ d2.T), 1e-300),

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetlap.complexes import (
+    _faces,
     aspect_ratio,
     boundary_operator,
     build_complex,
@@ -16,7 +17,9 @@ from tetlap.complexes import (
     up_laplacian,
     validate,
 )
-from tetlap.meshgen import mesh_from_cells
+from tetlap.hollowing import surface_hollowing
+from tetlap.meshgen import GridSpec, HoleSpec, gen_grid, mesh_from_cells
+from tetlap.onelap import glue
 
 TET_COORDS = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
@@ -161,6 +164,14 @@ def test_non_finite_weight_rejected_and_reported(bad):
     assert validate(c) == ["non-finite weight in w1"]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coordinate_rejected_naming_its_row(bad):
+    coords = np.vstack([TET_COORDS, [[1.0, 1, 1]]])
+    coords[3, 1] = bad
+    with pytest.raises(ValueError, match="coords row 3 has a non-finite"):
+        build_complex([[0, 1, 2, 3], [0, 1, 2, 4]], coords)
+
+
 def test_exterior_flags():
     c = two_tets()
     # shared triangle (0,1,2) is the only interior one
@@ -201,8 +212,20 @@ def test_min_ball_obtuse_triangle_uses_diameter():
 
 def test_min_ball_rejects_non_finite_points():
     pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, np.nan, 0]])
-    with pytest.raises(ValueError, match="case analysis failed"):
+    with pytest.raises(ValueError, match="points row 2 has a non-finite entry"):
         min_enclosing_ball(pts)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_min_ball_names_the_non_finite_row_before_any_arithmetic(bad):
+    # a NaN that reached the case analysis would warn in np.linalg.det
+    for n in (1, 2, 3, 4):
+        pts = TET_COORDS[:n].copy()
+        pts[n - 1, 2] = bad
+        with pytest.raises(ValueError,
+                           match=f"points row {n - 1} has a non-finite"):
+            min_enclosing_ball(pts)
 
 
 @settings(max_examples=40, deadline=None)
@@ -309,3 +332,62 @@ def test_incidence_tables_match_searches(case):
         assert (d[i] != ref).nnz == 0
     assert (d[1] @ d[2]).count_nonzero() == 0
     assert (d[2] @ d[3]).count_nonzero() == 0
+
+
+# -- facet dedup against np.unique(axis=0) ----------------------------------
+
+def reference_faces(simplexes):
+    """_faces through np.unique(axis=0), its row sort on a void dtype."""
+    n, k = simplexes.shape
+    facets = np.concatenate([np.delete(simplexes, j, axis=1)
+                             for j in range(k)])
+    uniq, inverse, counts = np.unique(facets, axis=0, return_inverse=True,
+                                      return_counts=True)
+    return uniq, inverse.reshape(k, n).T, counts
+
+
+def assert_faces_match_reference(simplexes):
+    got, want = _faces(simplexes), reference_faces(simplexes)
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.lists(st.integers(0, 12), min_size=k, max_size=k,
+                      unique=True), max_size=30),
+    # 2**21 and up overflow the int64 keys of tets' facets: the lexsort path
+    st.sampled_from([0, 2**21, 2**40]))))
+def test_faces_match_np_unique_on_ascending_tables(case):
+    k, rows, offset = case
+    table = np.sort(np.array(rows, dtype=np.int64).reshape(-1, k), axis=1)
+    assert_faces_match_reference(table + offset)
+
+
+@pytest.mark.parametrize("spec", [
+    GridSpec((1, 1, 1)), GridSpec((4, 4, 4)), GridSpec((6, 4, 4)),
+    GridSpec((6, 6, 6), [HoleSpec((2, 2, 0), (1, 1, 6), "tunnel")])])
+def test_faces_match_np_unique_on_grid_meshes(spec):
+    c = gen_grid(spec)
+    assert_faces_match_reference(c.tets)
+    assert_faces_match_reference(c.triangles)
+
+
+def test_faces_match_np_unique_on_a_ring_union():
+    # four 3^3 boxes glued in a cycle, box k's x = 3 face to box k+1's x = 0
+    chunks = [gen_grid(GridSpec((3, 3, 3))) for _ in range(4)]
+    groups = []
+    for k in range(4):
+        nxt = chunks[(k + 1) % 4]
+        lookup = {tuple(np.round(nxt.vertices[v, 1:], 9)): int(v)
+                  for v in np.flatnonzero(np.isclose(nxt.vertices[:, 0], 0))}
+        groups += [[(k, int(v)), ((k + 1) % 4,
+                                  lookup[tuple(np.round(p[1:], 9))])]
+                   for v, p in enumerate(chunks[k].vertices)
+                   if np.isclose(p[0], 3)]
+    u = glue(chunks, groups, [surface_hollowing(ch) for ch in chunks])
+    assert len(u.shared_triangles)
+    assert_faces_match_reference(u.complex.tets)
+    assert_faces_match_reference(u.complex.triangles)

@@ -1139,6 +1139,62 @@ def test_block_factor_graph_block_with_shared_set(rng):
         assert np.linalg.norm(gram - want) <= SOLVE_RTOL * np.linalg.norm(want)
 
 
+GRAM_RTOL = 1e-13
+
+
+def assert_gram_matches_solve(factor, exact, rhs):
+    """gram(rhs) is rhs^T x for x the exact factor's solve of rhs."""
+    want = rhs.T @ exact.solve(rhs.toarray(), check_image=False)
+    got = factor.gram(rhs)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= GRAM_RTOL * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("folded", [False, True])
+def test_gram_matches_the_exact_solve(rng, folded):
+    # the shared-set fixture of the BlockFactor tests, and a rank-deficient
+    # up-Laplacian with sparse right-hand sides in and off its image
+    idx = rng.permutation(12)
+    blocks, shared = [np.sort(idx[:5]), np.sort(idx[5:9])], np.sort(idx[9:])
+    m = coupled_psd(rng, [np.union1d(b, shared) for b in blocks] + [shared],
+                    12)
+    coords = rng.random((12, 3))
+    factor = nd_cholesky(m, coords, blocks=blocks, folded=folded)
+    rhs = BlockFactor(m, np.concatenate(blocks), factor, shared).coupling.T
+    assert_gram_matches_solve(factor, nd_cholesky(m, coords, blocks=blocks),
+                              rhs)
+    c = gen_grid(GridSpec((4, 4, 4)))
+    lup = up_laplacian(c, 1)
+    factor = nd_cholesky(lup, edge_midpoints(c), folded=folded)
+    exact = nd_cholesky(lup, edge_midpoints(c))
+    off = sp.random(lup.shape[0], 7, density=0.02, random_state=1,
+                    format="csc")
+    for rhs in (off, sp.csc_matrix(lup @ off)):
+        assert_gram_matches_solve(factor, exact, rhs)
+
+
+def test_folded_gram_never_densifies_its_right_hand_side(rng, monkeypatch):
+    c = gen_grid(GridSpec((4, 4, 4)))
+    lup = up_laplacian(c, 1)
+    n = lup.shape[0]
+    factor = nd_cholesky(lup, edge_midpoints(c), folded=True)
+    rhs = sp.random(n, 9, density=0.02, random_state=2, format="csc")
+    dense = []
+
+    def spying(method):
+        def spy(self, *args, **kwargs):
+            dense.append(self.shape)
+            return method(self, *args, **kwargs)
+        return spy
+    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.csr_array,
+                sp.csc_array, sp.coo_array):
+        for name in ("toarray", "todense"):
+            monkeypatch.setattr(cls, name, spying(getattr(cls, name)))
+    gram = factor.gram(rhs)
+    assert gram.shape == (9, 9)
+    assert dense and all(shape[0] != n for shape in dense)
+
+
 def test_nd_cholesky_rejects_coupled_blocks(rng):
     m = coupled_psd(rng, [np.arange(6)], 6)
     with pytest.raises(NumericalError, match="coupled"):

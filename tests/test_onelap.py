@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -490,6 +491,55 @@ def test_only_the_wall_preconditioner_is_folded(rng, union):
     assert {name: factor_bytes(f) for name, f in factors.items()} == before
 
 
+def ring_wall(monkeypatch):
+    """The wall BlockFactor of ring_of_four's union solver, and the exact
+    (unfolded) factor over the same blocks as its folded solver."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return dissection.nd_cholesky(*args, **kwargs)
+    monkeypatch.setattr(onelap, "nd_cholesky", spy)
+    wall = build_union_solver(ring_of_four()).up_state.wall
+    (args, kwargs), = calls
+    return wall, dissection.nd_cholesky(*args, **dict(kwargs, folded=False))
+
+
+def test_ring_wall_gram_matches_the_exact_solve(monkeypatch):
+    wall, exact = ring_wall(monkeypatch)
+    assert wall.solver.folded and len(wall.shared)
+    rhs = wall.coupling.T
+    want = rhs.T @ exact.solve(rhs.toarray(), check_image=False)
+    got = wall.solver.gram(rhs)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def assert_schur_matches_evr(wall):
+    """The shared block's rank and pseudo-inverse against LAPACK's other
+    full eigensolver, dsyevr (scipy's default for `eigh`), on the same
+    Schur complement."""
+    rows = wall.matrix[wall.shared]
+    schur = rows[:, wall.shared].toarray() - wall.solver.gram(
+        wall.coupling.T)
+    w, v = sla.eigh(schur)
+    keep = w > dissection.DEFAULT_PIVOT_TOL * max(w[-1], 0.0)
+    want = (v[:, keep] / w[keep]) @ v[:, keep].T
+    assert wall.rank - wall.solver.rank == keep.sum() > 0
+    assert (np.linalg.norm(wall.schur_pinv - want)
+            <= 1e-12 * np.linalg.norm(want))
+
+
+def test_ring_schur_block_matches_evr(monkeypatch):
+    assert_schur_matches_evr(ring_wall(monkeypatch)[0])
+
+
+def test_sphere_reduced_wall_schur_block_matches_evr():
+    c, h = sphere_setup((6, 6, 6), 64)
+    wall = uplap.build_sphere_fast_solver(c, h).wall
+    assert len(wall.shared)
+    assert_schur_matches_evr(wall)
+
+
 # -- harmonic basis ------------------------------------------------------------
 
 def ring_of_four():
@@ -810,6 +860,35 @@ def test_state_for_another_complex_is_rejected():
     for call in calls:
         with pytest.raises(ValueError, match="^state was built for another"):
             call()
+
+
+def test_a_state_rejects_weights_changed_in_place():
+    # the complex is the same object, so only the recorded weights tell the
+    # state's L1 from the complex's: a solve on the stale state would report
+    # a small residual against the old L1
+    c, h = setup((6, 6, 6), 64)
+    b = np.random.default_rng(0).standard_normal(c.num_edges)
+    full, up = build_one_lap_solver(c, h), uplap.build_up_solver(c, h)
+    u = glue([c], [], [h])
+    union = build_union_solver(u)
+    projection = upproj.build_up_projection(c, h)
+    c.weights[2] *= 10
+    u.complex.weights[0][3] = 2.0
+    calls = [
+        lambda: one_lap_solve(c, h, b, 1e-6, state=full),
+        lambda: hodge_decompose(c, h, b, 1e-6, state=full),
+        lambda: up_lap_solve(c, h, b, 1e-6, state=up),
+        lambda: up_project(c, h, b, 1e-6, state=projection),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^weights w2 changed since"):
+            call()
+    with pytest.raises(ValueError, match="^weights w0 changed since"):
+        union_one_lap_solve(u, b, 1e-6, state=union)
+    # a state built on the new weights answers for them
+    x, rep = one_lap_solve(c, h, b, 1e-6)
+    assert rep.converged
+    assert np.linalg.norm(one_laplacian(c) @ x - b) <= 1e-6 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("decades", [3, 4])
