@@ -62,12 +62,6 @@ from .uplap import (
     up_lap_solve,
     up_lap_solve_fast,
 )
-from .upproj import (
-    build_up_projection,
-    down2_schur_solve,
-    proj_im_F,
-    proj_ker_F,
-    up_project,
-)
+from .upproj import build_up_projection, up_project
 
 __all__ = [name for name in dir() if not name.startswith("_")]

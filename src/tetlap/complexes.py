@@ -117,10 +117,41 @@ def _encode_rows(rows: np.ndarray, base: int) -> np.ndarray:
     return code
 
 
+def _keys_fit(base: int, width: int) -> bool:
+    """Whether `_encode_rows` keys of rows `width` long with entries below
+    `base` fit in int64."""
+    return int(base) ** width <= np.iinfo(np.int64).max
+
+
+def _lex_groups(rows: np.ndarray, base: int):
+    """(order, first): a permutation that lex-sorts `rows`, entries below
+    `base`, and along it where each run of equal rows starts; one sort of
+    int64 row keys while they fit, `np.lexsort` otherwise."""
+    first = np.ones(len(rows), dtype=bool)
+    if _keys_fit(base, rows.shape[1]):
+        key = _encode_rows(rows, base)
+        order = np.argsort(key)
+        first[1:] = np.diff(key[order]) != 0
+    else:
+        order = np.lexsort(rows.T[::-1])
+        first[1:] = np.any(np.diff(rows[order], axis=0) != 0, axis=1)
+    return order, first
+
+
 def _find_rows(table: np.ndarray, query: np.ndarray, base: int) -> np.ndarray:
-    """Positions of `query` rows inside lex-sorted `table` (must all exist)."""
-    tcode = _encode_rows(table, base)
-    qcode = _encode_rows(query, base)
+    """Positions of `query` rows inside lex-sorted `table` (must all exist).
+    Rows are matched by int64 keys while they fit, else by their ranks in
+    one lex sort of both tables: equal rows share a rank, and ranks rise
+    along the sorted table."""
+    if _keys_fit(base, table.shape[1]):
+        tcode = _encode_rows(table, base)
+        qcode = _encode_rows(query, base)
+    else:
+        order, first = _lex_groups(
+            np.concatenate([table, np.asarray(query, dtype=table.dtype)]), base)
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.cumsum(first)
+        tcode, qcode = rank[:len(table)], rank[len(table):]
     pos = np.searchsorted(tcode, qcode)
     if pos.size and (pos.max() >= len(tcode) or np.any(tcode[pos] != qcode)):
         raise KeyError("simplex not present in complex")
@@ -207,18 +238,10 @@ _TET_EDGE_SIDES = ((3, 2), (3, 1), (1, 1), (3, 0), (0, 1), (0, 0))
 def _faces(simplexes: np.ndarray):
     """Lex-sorted unique facets of ascending simplexes, the (n, k) table of
     facet ids whose column j omits vertex j, and each facet's multiplicity,
-    from one 1-D sort: of int64 row keys, or `np.lexsort` if one overflows."""
+    from one sort (`_lex_groups`)."""
     n, k = simplexes.shape
     facets = np.concatenate([np.delete(simplexes, j, axis=1) for j in range(k)])
-    base = int(facets.max(initial=-1)) + 1
-    first = np.ones(len(facets), dtype=bool)
-    if base ** (k - 1) <= np.iinfo(np.int64).max:
-        key = _encode_rows(facets, base)
-        order = np.argsort(key)
-        first[1:] = np.diff(key[order]) != 0
-    else:
-        order = np.lexsort(facets.T[::-1])
-        first[1:] = np.any(np.diff(facets[order], axis=0) != 0, axis=1)
+    order, first = _lex_groups(facets, int(facets.max(initial=-1)) + 1)
     starts = np.flatnonzero(first)
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(first) - 1

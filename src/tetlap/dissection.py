@@ -774,9 +774,3 @@ class BlockFactor:
         out[self.rows] = self.solver.solve(rhs, check_image=False)
         return out
 
-
-def concat_blocks(parts):
-    """Concatenation of index arrays, plus each one's positions within it."""
-    flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    stops = np.cumsum([len(p) for p in parts], dtype=np.int64)
-    return flat, [np.arange(stop - len(p), stop) for p, stop in zip(parts, stops)]

@@ -2,12 +2,16 @@
 hollowing, nested dissection factors per region, and PCG on the Schur
 complement preconditioned by the wall complex.
 
+`eliminate` builds that elimination for any symmetric PSD matrix split by
+a hollowing; `upproj` runs it on the triangle Gram matrix d2^T d2, and
+`schur_rhs` and `back_substitute` serve both.
+
 The Schur complement reaches the interior only through the interface rows,
-the interior edges that share a triangle with a wall edge.  They are pinned
-into their region's root front, so each Schur apply solves through those
-root fronts alone: deeper fronts would act on zeros forward and write only
-rows the apply never reads backward, so the result is the full interior
-solve's, bit for bit, and the Schur residual stays the whole residual.
+the interior rows coupled to the wall.  They are pinned into their region's
+root front, so each Schur apply solves through those root fronts alone:
+deeper fronts would act on zeros forward and write only rows the apply
+never reads backward, so the result is the full interior solve's, bit for
+bit, and the Schur residual stays the whole residual.
 
 On sphere hollowings `build_sphere_fast_solver` replaces the preconditioner
 solve by the reduced system route: interior disc edges collapse to a
@@ -18,7 +22,6 @@ up front.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -38,97 +41,97 @@ from .reports import SolveReport
 
 @dataclass
 class UpSolverState:
+    """One block elimination, built by `eliminate`: of Lup over the edges
+    for the up solve, or of the triangle Gram matrix d2^T d2 for the up
+    projection (`upproj`).  Nothing in it changes after the build."""
     complex: object
     hollowing: Hollowing
     weights: list                    # copies of the complex's weights
-    lup: sp.csr_matrix
-    d2: sp.csc_matrix                # float triangle boundary map behind lup
-    f_all: np.ndarray                # interior edge ids, region by region
-    c_idx: np.ndarray                # boundary edge ids
-    interior: CholeskyFactor         # Lup[F, F] over f_all, one block per region
-    # wall-complex up-Laplacian over c_idx: a folded factor by default
+    lup: sp.csr_matrix               # the eliminated matrix: Lup, or d2^T d2
+    d2: sp.csc_matrix                # float triangle boundary map behind it
+    f_all: np.ndarray                # interior rows, region by region
+    c_idx: np.ndarray                # wall rows
+    interior: CholeskyFactor         # lup[F, F] over f_all, one block per region
+    # the wall preconditioner over c_idx: a folded factor by default
     wall: Optional[CholeskyFactor | BlockFactor]
     iface: np.ndarray                # positions in f_all of the interface rows
     root: RootSolve                  # the interior solve through their fronts
     l_cc: sp.csr_matrix
-    l_ci: sp.csr_matrix              # Lup[C, F] over the interface columns
-    l_ic: sp.csr_matrix              # Lup[F, C] over the interface rows
-
-    @property
-    def num_edges(self) -> int:
-        return self.lup.shape[0]
+    l_ci: sp.csr_matrix              # lup[C, F] over the interface columns
+    l_ic: sp.csr_matrix              # lup[F, C] over the interface rows
 
 
 def build_up_solver(c, h: Hollowing,
                     wall: Optional[Callable] = None) -> UpSolverState:
-    """Per-region factors of Lup[F, F] plus the wall-complex preconditioner.
+    """`eliminate` on Lup: per-region factors of Lup[F, F] plus the
+    wall-complex preconditioner.
 
     `wall(lt)` returns the exact solver of the wall complex's up-Laplacian
     `lt` over the boundary edges; by default one nested dissection factor
     ordered by edge midpoints, folded, since it is applied once per Schur
-    iteration.  The interior factors stay unfolded: the Schur residual is
-    the whole residual only while the interior solve is exact.  The
-    interface rows are pinned into their region's root front, and a wall
-    coupling to any other interior row raises NumericalError.
+    iteration.
     """
     check_hollowing(c, h)
     d2 = c.boundary(2).astype(float)
     lup = up_laplacian(c, 1, d2)
-    # sorted once, here: products with it sum in one order from the start
-    lup.sort_indices()
-    f_regions = h.interior_edges_by_region()
-    f_all = np.concatenate([np.empty(0, dtype=np.int64)] + f_regions)
     c_idx = h.boundary_edges
     midpoints = c.vertices[c.edges].mean(axis=1)
-    interface = _interface_edges(c, h.edge_class < 0)
-    interior = nd_cholesky(
-        lup, midpoints, blocks=f_regions,
-        root_pins=[np.flatnonzero(interface[f]) for f in f_regions])
-    # column slices keep each row's entries in f_all order, so products
-    # with them sum in the order the full Lup[C, F] does
-    iface = np.flatnonzero(interface[f_all])
-    l_cf = lup[c_idx][:, f_all].tocsr()
-    l_ci = l_cf[:, iface].tocsr()
-    if l_ci.nnz != l_cf.nnz:
-        raise NumericalError(
-            f"{l_cf.nnz - l_ci.nnz} wall couplings reach interior edges "
-            "outside the pinned interface")
-    state = UpSolverState(
-        complex=c, hollowing=h, weights=[w.copy() for w in c.weights],
-        lup=lup, d2=d2, f_all=f_all, c_idx=c_idx,
-        interior=interior, wall=None, iface=iface,
-        # the interior factor's rows are f_all's
-        root=interior.root_solve(iface),
-        l_cc=lup[c_idx][:, c_idx].tocsr(),
-        l_ci=l_ci,
-        l_ic=lup[f_all[iface]][:, c_idx].tocsr(),
-    )
+    wall_factor = None
     if len(c_idx):
         bt = h.boundary_triangles
         d2c = d2[c_idx][:, bt]
         lt = (d2c @ sp.diags(c.weights[2][bt]) @ d2c.T).tocsr()
-        if wall is None:
-            state.wall = nd_cholesky(lt, midpoints[c_idx], folded=True)
-        else:
-            state.wall = wall(lt)
-    return state
+        wall_factor = (nd_cholesky(lt, midpoints[c_idx], folded=True)
+                       if wall is None else wall(lt))
+    return eliminate(c, h, lup, d2, midpoints, h.interior_edges_by_region(),
+                     c_idx, wall_factor)
 
 
-def _interface_edges(c, boundary_mask):
-    """Mask of the interior edges that share a triangle with the boundary."""
-    cls = boundary_mask[c.tri_edges]
-    mixed = cls.any(axis=1)
-    interface = np.zeros(c.num_edges, dtype=bool)
-    interface[c.tri_edges[mixed][~cls[mixed]]] = True
-    return interface
+def eliminate(c, h: Hollowing, matrix, d2, coords, regions, c_idx,
+              wall) -> UpSolverState:
+    """The block elimination of the symmetric PSD `matrix` (CSR) whose
+    interior rows, one index array per region in `regions`, are factored
+    exactly by nested dissection ordered by the rows' `coords`, and whose
+    wall rows `c_idx` are left to PCG on the Schur complement,
+    preconditioned by `wall` (None when there are no wall rows).
+
+    The interface rows are the interior rows that matrix[F, C] couples to
+    the wall; for Lup they are the interior edges that share a triangle
+    with a wall edge.  They are pinned into their region's root front.
+    The interior factors stay unfolded: the Schur residual is the whole
+    residual only while the interior solve is exact.
+    """
+    # sorted once, here: products with it sum in one order from the start
+    matrix.sort_indices()
+    f_all = np.concatenate([np.empty(0, dtype=np.int64)] + list(regions))
+    l_fc = matrix[f_all][:, c_idx]
+    iface = np.flatnonzero(np.diff(l_fc.indptr))
+    pinned = np.zeros(matrix.shape[0], dtype=bool)
+    pinned[f_all[iface]] = True
+    interior = nd_cholesky(
+        matrix, coords, blocks=regions,
+        root_pins=[np.flatnonzero(pinned[f]) for f in regions])
+    return UpSolverState(
+        complex=c, hollowing=h, weights=[w.copy() for w in c.weights],
+        lup=matrix, d2=d2, f_all=f_all, c_idx=c_idx,
+        interior=interior, wall=wall, iface=iface,
+        # the interior factor's rows are f_all's
+        root=interior.root_solve(iface),
+        l_cc=matrix[c_idx][:, c_idx].tocsr(),
+        # column slices keep each row's entries in the matrix's column
+        # order, so products with them sum as the full matrix[C, F] does
+        l_ci=matrix[c_idx][:, f_all[iface]].tocsr(),
+        l_ic=l_fc[iface],
+    )
 
 
 def schur_apply(state: UpSolverState, x_c):
-    """Sc[Lup]_C x = Lup[C,C] x - Lup[C,F] Lup[F,F]^+ Lup[F,C] x, implicit.
+    """Sc[A]_C x = A[C,C] x - A[C,F] A[F,F]^+ A[F,C] x, implicit, for the
+    eliminated matrix A.
 
-    Lup[F,C] x vanishes off the interface rows, and Lup[C,F] reads only
-    them, so the interior solve runs through the root fronts holding them:
-    the same arithmetic on the same rows as the full solve."""
+    A[F,C] x vanishes off the interface rows, and A[C,F] reads only them,
+    so the interior solve runs through the root fronts holding them: the
+    same arithmetic on the same rows as the full solve."""
     x_c = np.asarray(x_c, dtype=float)
     y = state.root.solve(state.l_ic @ x_c)
     return state.l_cc @ x_c - state.l_ci @ y
@@ -140,11 +143,11 @@ def schur_operator(state: UpSolverState) -> LinearOperator:
 
 
 def schur_solve(state: UpSolverState, h_vec, delta: float):
-    """PCG on the Schur complement, preconditioned by the wall complex.
+    """PCG on the Schur complement, preconditioned by the wall.
 
     A stalled PCG names the share of |h| its residual stalled at: that
     share of h lies outside the Schur complement's image, and rounding in
-    forming b = Lup y counts as such a part."""
+    forming the right-hand side counts as such a part."""
     h_vec = np.asarray(h_vec, dtype=float)
     if len(h_vec) == 0:
         return h_vec.copy(), SolveReport(stage="schur")
@@ -160,14 +163,32 @@ def schur_solve(state: UpSolverState, h_vec, delta: float):
             outside = (f"; the residual stalled at "
                        f"{report.final_residual / norm_h:.2e} of |h|: that "
                        "share of h lies outside the image, and rounding in "
-                       "forming b = Lup y counts as such a part")
+                       "forming the right-hand side counts as such a part")
         raise NumericalError(
             f"Schur-complement PCG did not reach {delta:.2e} ({why} after "
             f"{report.iterations} iterations; final residual "
             f"{report.final_residual:.2e}, target {delta * norm_h:.2e}; "
-            f"float64 roundoff floor u * |Lup|_1 * |x| = {floor:.2e}"
-            f"{outside})")
+            f"float64 roundoff floor u * |A|_1 * |x| = {floor:.2e}, A the "
+            f"eliminated matrix{outside})")
     return x, report
+
+
+def schur_rhs(state: UpSolverState, b) -> np.ndarray:
+    """h = b_C - A[C,F] A[F,F]^+ b_F, the Schur complement's right-hand
+    side; the interior solve goes unchecked, as in `back_substitute`."""
+    y = state.interior.solve(b[state.f_all], check_image=False)
+    return b[state.c_idx] - state.l_ci @ y[state.iface]
+
+
+def back_substitute(state: UpSolverState, b, x_c) -> np.ndarray:
+    """x with x_C = x_c and x_F = A[F,F]^+ (b_F - A[F,C] x_c).  The
+    interior solve goes unchecked: each caller checks its own answer."""
+    x = np.zeros_like(b)
+    r_f = b[state.f_all]
+    r_f[state.iface] -= state.l_ic @ x_c
+    x[state.f_all] = state.interior.solve(r_f, check_image=False)
+    x[state.c_idx] = x_c
+    return x
 
 
 def up_lap_solve(c, h: Hollowing, b, eps: float,
@@ -189,15 +210,9 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
     if norm_b == 0.0:
         return np.zeros_like(b), report
 
-    x = np.zeros_like(b)
-    # the interior solves go unchecked: the residual below checks them all
-    f_solve = functools.partial(state.interior.solve, check_image=False)
-    if len(state.c_idx) == 0:
-        x[state.f_all] = f_solve(b[state.f_all])
-    else:
-        b_f = b[state.f_all]
-        b_c = b[state.c_idx]
-        h_vec = b_c - state.l_ci @ f_solve(b_f)[state.iface]
+    x_c = np.zeros(0)
+    if len(state.c_idx):
+        h_vec = schur_rhs(state, b)
         # b_f - L_fc x_c lies in Im d2[F,:] = Im Lup[F,F] and the interior
         # solve is exact, so the F rows of Lup x - b vanish and the full
         # residual is the Schur residual: delta |h| <= eps |b| / 2 meets
@@ -205,13 +220,9 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
         nh = np.linalg.norm(h_vec)
         delta = 0.5 * eps * norm_b / nh if nh > 0 else eps
         x_c, screp = schur_solve(state, h_vec, delta)
-        r_f = b_f.copy()
-        r_f[state.iface] -= state.l_ic @ x_c
-        x_f = f_solve(r_f)
-        x[state.f_all] = x_f
-        x[state.c_idx] = x_c
         report.add_stage("schur", screp)
         report.params["delta"] = delta
+    x = back_substitute(state, b, x_c)
 
     resid = np.linalg.norm(state.lup @ x - b)
     report.final_residual = resid

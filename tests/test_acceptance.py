@@ -190,7 +190,7 @@ def test_criterion_06_up_projection_correctness():
         state = build_up_projection(c, h)
         d2 = c.boundary(2).toarray().astype(float)
         target = oracle.projection(d2)
-        fset, cset = state.f_all, state.c_t
+        fset, cset = state.f_all, state.c_idx
         proj_f = oracle.projection(d2[:, fset])
         ker_f = np.eye(c.num_edges) - proj_f
         gram = d2.T @ d2

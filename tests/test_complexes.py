@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from tetlap.complexes import (
     _faces,
+    _find_rows,
     aspect_ratio,
     boundary_operator,
     build_complex,
@@ -391,3 +392,27 @@ def test_faces_match_np_unique_on_a_ring_union():
     assert len(u.shared_triangles)
     assert_faces_match_reference(u.complex.tets)
     assert_faces_match_reference(u.complex.triangles)
+
+
+@pytest.mark.parametrize("base", [3_000_000, 2_000_000])
+def test_find_rows_past_the_int64_keys(base):
+    # a key of three entries below 3e6 overflows int64, below 2e6 it fits;
+    # found rows come back by position, in the order asked for
+    t = np.array([[5, 6, 7], [base - 1_000_000, base - 2, base - 1]])
+    assert np.array_equal(_find_rows(t, t, base), [0, 1])
+    assert np.array_equal(_find_rows(t, t[::-1], base), [1, 0])
+    assert np.array_equal(_find_rows(t, t[:0], base), np.empty(0))
+    for absent in ([5, 6, 8], [base - 1_000_000, base - 2, base - 2],
+                   [base - 3, base - 2, base - 1]):
+        with pytest.raises(KeyError, match="not present"):
+            _find_rows(t, np.array([absent]), base)
+
+
+def test_find_rows_by_lex_rank_matches_the_int64_keys_on_a_mesh():
+    # a base past the int64 keys takes the rank path on the same rows
+    c = gen_grid(GridSpec((3, 3, 3)))
+    edges = c.edges[np.random.default_rng(0).permutation(c.num_edges)]
+    for table, query in ((c.edges, edges), (c.triangles, c.triangles[::-1])):
+        assert np.array_equal(_find_rows(table, query, 2**40),
+                              _find_rows(table, query, c.num_vertices))
+    assert np.array_equal(c.edges[c.edge_ids(edges)], edges)

@@ -261,8 +261,8 @@ def test_validate_names_a_vertex_shared_by_two_regions_once():
 LOOP_FREE = [hollowing._bfs_hops, hollowing.find_hollowing,
              hollowing._assign_shells, hollowing._interface_triangles,
              hollowing._record_metrics, hollowing.validate_hollowing,
-             downlap.SpanningForest.from_graph, uplap._interface_edges,
-             uplap._disc_rows, uplap._orient_discs, meshgen.skeleton_diameter]
+             downlap.SpanningForest.from_graph, uplap._disc_rows,
+             uplap._orient_discs, meshgen.skeleton_diameter]
 
 
 @pytest.mark.parametrize("func", LOOP_FREE, ids=lambda f: f.__qualname__)

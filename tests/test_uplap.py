@@ -4,13 +4,13 @@ import scipy.sparse as sp
 
 from tetlap import dissection, oracle, uplap
 from tetlap.complexes import build_complex
-from tetlap.dissection import concat_blocks
 from tetlap.hollowing import (HollowingConfig, find_hollowing,
                               sphere_hollowing, surface_hollowing)
 from tetlap.errors import NumericalError
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
 from tetlap.onelap import (build_one_lap_solver, build_union_solver, glue,
                            one_lap_solve)
+from tetlap.upproj import build_up_projection
 from tetlap.uplap import (
     _disc_rows,
     _up_solve_with_state,
@@ -104,7 +104,8 @@ def test_f_solve_contract(rng):
     state = build_up_solver(c, h)
     nf = len(state.f_all)
     f_solve = state.interior.solve
-    _, blocks = concat_blocks(h.interior_edges_by_region())
+    sizes = [len(f) for f in h.interior_edges_by_region()]
+    blocks = np.split(np.arange(nf), np.cumsum(sizes)[:-1])
     assert np.array_equal(f_solve(np.zeros(nf)), np.zeros(nf))
     lff = state.lup[state.f_all][:, state.f_all]
     b_f = lff @ rng.standard_normal(nf)
@@ -169,6 +170,13 @@ def box_state(k, r=None):
         c, find_hollowing(c, r or c.num_simplexes ** 0.6, RELAXED))
 
 
+def projection_state(k):
+    """The up projection's elimination, of the triangle Gram matrix."""
+    c = gen_grid(GridSpec((k, k, k)))
+    return build_up_projection(
+        c, find_hollowing(c, c.num_simplexes ** 0.6, RELAXED))
+
+
 SCHUR_STATES = {
     "box": lambda: box_state(4, 48),
     # big enough for regions whose interior reaches below the root front
@@ -180,11 +188,12 @@ SCHUR_STATES = {
         (10, 4, 4), [HoleSpec((1, 1, 0), (1, 1, 4), "tunnel"),
                      HoleSpec((8, 1, 0), (1, 1, 4), "tunnel")]),
     "ring": lambda: build_union_solver(glued_ring()).up_state,
+    "projection": lambda: projection_state(8),
 }
 
 
 def full_interior_schur_apply(state, x):
-    """The Schur apply through a full interior solve over all of Lup[C, F]."""
+    """The Schur apply through a full interior solve over all of A[C, F]."""
     lup = state.lup
     l_cf = lup[state.c_idx][:, state.f_all].tocsr()
     l_fc = lup[state.f_all][:, state.c_idx].tocsr()
@@ -203,7 +212,7 @@ def test_schur_apply_equals_the_full_interior_solve(rng, name):
                               full_interior_schur_apply(state, x))
 
 
-@pytest.mark.parametrize("name", ["box8", "sphere", "ring"])
+@pytest.mark.parametrize("name", ["box8", "sphere", "ring", "projection"])
 def test_schur_apply_solves_through_the_interface_root_fronts(rng, monkeypatch,
                                                               name):
     # two triangular solves per root front that holds an interface row, and
@@ -231,19 +240,23 @@ def test_schur_apply_solves_through_the_interface_root_fronts(rng, monkeypatch,
     assert calls == {"trtrs": 2 * len(holding), "level": 0, "gemm": 0}
 
 
-def test_an_unpinned_interface_edge_is_refused(monkeypatch):
-    # an interface edge left out of the root pins would drop its couplings
-    # from every Schur apply; the build refuses it instead
-    real = uplap._interface_edges
+def reference_interface_edges(c, boundary_mask):
+    """The interior edges that share a triangle with a wall edge: the
+    interface rule before the pins were read off the pattern of Lup[F, C]."""
+    cls = boundary_mask[c.tri_edges]
+    mixed = cls.any(axis=1)
+    interface = np.zeros(c.num_edges, dtype=bool)
+    interface[c.tri_edges[mixed][~cls[mixed]]] = True
+    return interface
 
-    def dropping_one(c, boundary_mask):
-        interface = real(c, boundary_mask)
-        interface[np.flatnonzero(interface)[0]] = False
-        return interface
-    monkeypatch.setattr(uplap, "_interface_edges", dropping_one)
-    c, h = grid_with_hollowing((4, 4, 4), 48)
-    with pytest.raises(NumericalError, match="outside the pinned interface"):
-        build_up_solver(c, h)
+
+@pytest.mark.parametrize("name", ["box", "two_tunnels", "sphere", "ring"])
+def test_pinned_rows_are_the_edges_sharing_a_triangle_with_the_wall(name):
+    state = SCHUR_STATES[name]()
+    want = reference_interface_edges(state.complex,
+                                     state.hollowing.edge_class < 0)
+    got = state.f_all[state.iface]
+    assert np.array_equal(np.sort(got), np.flatnonzero(want))
 
 
 def test_each_factor_is_scheduled_once_per_build(monkeypatch):
@@ -337,7 +350,7 @@ def test_stalled_schur_pcg_stops_and_names_the_floor(monkeypatch):
     monkeypatch.setattr(uplap, "pcg", spy)
     b = state.up_state.lup @ state.harmonic[:, 0]
     with pytest.raises(NumericalError, match=r"stopped falling.*roundoff "
-                       r"floor u \* \|Lup\|_1 \* \|x\| = ") as caught:
+                       r"floor u \* \|A\|_1 \* \|x\| = ") as caught:
         _up_solve_with_state(state.up_state, b, 1e-6)
     # the true-residual checks, then the final residual
     checks = traces[-1][1:]

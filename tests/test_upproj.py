@@ -1,20 +1,13 @@
 import numpy as np
 import pytest
 
-from tetlap import oracle
+from tetlap import oracle, uplap
 from tetlap.downlap import build_down_state, down_projection
 from tetlap.errors import NumericalError, UnsupportedGeometryError
 from tetlap.hollowing import HollowingConfig, find_hollowing, sphere_hollowing
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
 from tetlap.onelap import build_one_lap_solver, hodge_decompose
-from tetlap.upproj import (
-    build_up_projection,
-    down2_schur_apply,
-    down2_schur_solve,
-    proj_im_F,
-    proj_ker_F,
-    up_project,
-)
+from tetlap.upproj import build_up_projection, up_project
 
 RELAXED = HollowingConfig(min_shell_width=2, min_component_separation=2)
 
@@ -29,51 +22,25 @@ def oracle_up_projection(c):
     return oracle.projection(c.boundary(2).toarray().astype(float))
 
 
-def test_proj_im_f_fixes_its_image(rng):
-    c, h, state = setup()
-    b = state.d2_f @ rng.standard_normal(len(state.f_all))
-    p = proj_im_F(state, b)
-    assert np.linalg.norm(p - b) <= 1e-8 * np.linalg.norm(b)
-
-
-def test_proj_im_f_kills_orthogonal_complement(rng):
-    c, h, state = setup()
-    d2f = state.d2_f.toarray()
-    proj = oracle.projection(d2f)
-    b = rng.standard_normal(c.num_edges)
-    b_perp = b - proj @ b
-    p = proj_im_F(state, b_perp)
-    assert np.linalg.norm(p) <= 1e-8 * np.linalg.norm(b_perp)
-
-
-def test_proj_im_f_idempotent(rng):
-    c, h, state = setup()
-    b = rng.standard_normal(c.num_edges)
-    p1 = proj_im_F(state, b)
-    p2 = proj_im_F(state, p1)
-    assert np.linalg.norm(p2 - p1) <= 1e-8 * max(np.linalg.norm(p1), 1e-30)
-    k1 = proj_ker_F(state, b)
-    assert np.allclose(k1 + p1, b)
-
-
 def test_down2_schur_matches_dense_oracle(rng):
     c, h, state = setup()
     d2 = c.boundary(2).toarray().astype(float)
-    fset, cset = state.f_all, state.c_t
+    fset, cset = state.f_all, state.c_idx
     gram = d2.T @ d2
     sc = gram[np.ix_(cset, cset)] - gram[np.ix_(cset, fset)] @ oracle.pinv(
         gram[np.ix_(fset, fset)]) @ gram[np.ix_(fset, cset)]
+    # the up solve's Schur apply and PCG, run on the triangle Gram matrix
     v = rng.standard_normal(len(cset))
-    got = down2_schur_apply(state, v)
+    got = uplap.schur_apply(state, v)
     assert np.linalg.norm(got - sc @ v) <= 1e-8 * np.linalg.norm(sc @ v)
 
     hv = sc @ rng.standard_normal(len(cset))
     delta = 1e-9
-    x, rep = down2_schur_solve(state, hv, delta)
+    x, rep = uplap.schur_solve(state, hv, delta)
     assert np.linalg.norm(sc @ x - hv) <= (delta + 1e-8) * np.linalg.norm(hv)
     x_oracle = oracle.pinv(sc) @ hv
     assert np.linalg.norm(sc @ (x - x_oracle)) <= (delta + 1e-8) * np.linalg.norm(hv)
-    zero, _ = down2_schur_solve(state, np.zeros(len(cset)), delta)
+    zero, _ = uplap.schur_solve(state, np.zeros(len(cset)), delta)
     assert not zero.any()
 
 
@@ -91,7 +58,7 @@ def two_term_formula(c, fset, cset):
 def test_two_term_projection_formula_matches_oracle(rng):
     # the split-projection identity holds for any triangle partition
     c, h, state = setup((4, 4, 4), 48)
-    two_term = two_term_formula(c, state.f_all, state.c_t)
+    two_term = two_term_formula(c, state.f_all, state.c_idx)
     target = oracle_up_projection(c)
     assert np.linalg.norm(two_term - target) <= 1e-8 * np.linalg.norm(target)
 
@@ -139,7 +106,7 @@ def test_up_project_output_in_image(rng):
 def test_triangle_schur_preconditioner_kappa(rng):
     c, h, state = setup((5, 5, 5), 64)
     d2 = c.boundary(2).toarray().astype(float)
-    fset, cset = state.f_all, state.c_t
+    fset, cset = state.f_all, state.c_idx
     gram = d2.T @ d2
     sc = gram[np.ix_(cset, cset)] - gram[np.ix_(cset, fset)] @ oracle.pinv(
         gram[np.ix_(fset, fset)]) @ gram[np.ix_(fset, cset)]
