@@ -20,7 +20,6 @@ from .complexes import (
     validate,
 )
 from .dissection import (
-    BlockFactor,
     CholeskyFactor,
     nd_cholesky,
     nd_ordering,
@@ -52,9 +51,10 @@ from .onelap import (
     one_lap_solve,
     union_one_lap_solve,
 )
-from .pcg import LinearOperator, estimate_rel_condition, pcg
+from .pcg import LinearOperator, pcg
 from .reports import SolveReport
 from .uplap import (
+    BlockFactor,
     build_sphere_fast_solver,
     build_up_solver,
     schur_apply,

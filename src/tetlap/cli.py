@@ -32,7 +32,6 @@ from .hollowing import (
 from .meshgen import GridSpec, gen_grid, mesh_stats
 from .onelap import build_one_lap_solver, glue, hodge_decompose, one_lap_solve, \
     union_one_lap_solve
-from .uplap import schur_condition_estimate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -186,12 +185,11 @@ def _bench_row(args, k, rng) -> dict:
         schur_iters = report.stages["up_solve"].stages.get(
             "schur", report.stages["up_solve"]).iterations
     up, wall = state.up_state, state.up_state.wall
-    kappa = schur_condition_estimate(up, iters=args.kappa_iters)
     print(f"k={k}: n={n} r={r:.0f} pre={t_pre:.2f}s solve={t_solve:.2f}s "
-          f"schur_iters={schur_iters} kappa={kappa:.1f}")
+          f"schur_iters={schur_iters}")
     return {
         "n": n, "r": r, "t_preprocess": t_pre, "t_solve": t_solve,
-        "pcg_iters_schur": schur_iters, "kappa_est": kappa,
+        "pcg_iters_schur": schur_iters,
         "regions": holl.num_regions, "b1": state.harmonic.shape[1],
         "probes": state.probes, "eps": args.eps,
         "final_residual": report.final_residual,
@@ -259,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'n35' for r = n^(3/5), or an explicit number")
     p.add_argument("--eps", type=float, default=1e-6)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kappa-iters", type=int, default=20)
     p.add_argument("--out", required=True)
     _add_config_args(p)
     p.set_defaults(func=cmd_bench)

@@ -1,8 +1,7 @@
-"""Geometric separators, nested dissection orderings, rank-aware sparse
-Cholesky factorization for PSD matrices whose nonzero graph is a mesh graph,
-and block factors that combine one exact solver with a dense Schur
-complement on a shared index set.  Every factor comes from `nd_cholesky`,
-one ordering per uncoupled block with the fronts joined into one factor.
+"""Geometric separators, nested dissection orderings, and rank-aware sparse
+Cholesky factorization for PSD matrices whose nonzero graph is a mesh graph.
+Every factor comes from `nd_cholesky`: one ordering per uncoupled block of
+rows, and the rows the blocks share as one root front above them all.
 
 The factorization is multifrontal over the separator tree: every tree node
 eliminates its block against a dense frontal matrix and passes a Schur
@@ -19,7 +18,7 @@ solves, for those rows, through those fronts alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,8 +30,6 @@ DEFAULT_BASE_CASE = 64
 DEFAULT_PIVOT_TOL = 1e-12
 # relative residual above which a checked solve calls b outside the image
 IMAGE_TOL = 1e-6
-# largest shared set whose Schur complement BlockFactor pseudo-inverts densely
-DENSE_SHARED_CAP = 5000
 # tested balance bound for the axis-median bisection separator
 BALANCE_BOUND = 0.9
 
@@ -42,7 +39,6 @@ BALANCE_BOUND = 0.9
 # other on a small machine.  One library, one thread pool.
 _POTRF = sla.get_lapack_funcs("potrf", dtype=np.float64)
 _PSTRF = sla.get_lapack_funcs("pstrf", dtype=np.float64)
-_SYEVD = sla.get_lapack_funcs("syevd", dtype=np.float64)
 _TRTRS = sla.get_lapack_funcs("trtrs", dtype=np.float64)
 _TRTRI = sla.get_lapack_funcs("trtri", dtype=np.float64)
 _GEMM = sla.get_blas_funcs("gemm", dtype=np.float64)
@@ -298,17 +294,6 @@ class CholeskyFactor:
                 "root fronts")
         return RootSolve(fronts=fronts, at=at, size=len(cols))
 
-    def gram(self, b) -> np.ndarray:
-        """b^T x for x = solve(b), b a sparse (n, k) matrix, from the forward
-        half of the solve only: the solve is x = P L^-T D L^-1 P^T b, with D
-        zeroing the skipped pivots, so b^T x = W^T W for W = D L^-1 P^T b.
-        W stays sparse through folded levels (an unfolded factor's folded for
-        the call), so the work follows its nonzeros (Gilbert and Peierls)."""
-        levels = (self._levels if self.folded
-                  else _schedule(self._nodes, self.shape[0], folded=True))
-        w = _forward(levels, sp.csr_matrix(b)[self.perm])
-        return _sparse_gram(w[np.flatnonzero(self.kept)])
-
 
 @dataclass
 class RootSolve:
@@ -334,46 +319,87 @@ class RootSolve:
         return z[self.at, 0]
 
 
-def nd_cholesky(matrix, coords, blocks=None, root_pins=None,
+def nd_cholesky(matrix, coords, blocks=None, shared=None, root_pins=None,
                 folded: bool = False, base_case: int = DEFAULT_BASE_CASE,
                 pivot_tol: float = DEFAULT_PIVOT_TOL) -> CholeskyFactor:
-    """The factor of `matrix` over the rows of `blocks`, one block after
-    another (all rows when `blocks` is None), the builder of every nested
-    dissection factor.
+    """The factor of `matrix`, in the matrix's own row order, the builder of
+    every nested dissection factor.
 
-    Each nonempty block gets its own ordering by its rows' `coords` (a 3D
-    location per row), with `root_pins[i]`, positions within block i, in
-    its root separator, and its own pivot threshold; the fronts are then
-    joined, and the levels scheduled once, `folded` for a factor applied as
-    a preconditioner (see `_schedule`: an inverse rounds worse than
-    substitution, so exact solvers stay unfolded).  Raises NumericalError
-    when two blocks are coupled or a block is indefinite, and ValueError
-    when `matrix` has a non-finite stored entry.
+    `blocks` and `shared` partition the rows (by default one block of all
+    rows, and no shared rows).  Each nonempty block gets its own ordering by
+    its rows' `coords` (a 3D location per row), with `root_pins[i]`,
+    positions within block i, in its root separator, and its own pivot
+    threshold.  The `shared` rows, the only ones through which blocks may
+    couple, form one root front above every block's subtree, with a
+    threshold of their own; with none, the blocks' roots are the roots.
+    The tree is factored in one pass and its levels scheduled once,
+    `folded` for a factor applied as a preconditioner (see `_schedule`: an
+    inverse rounds worse than substitution, so exact solvers stay
+    unfolded).  Raises NumericalError when two blocks are coupled outside
+    the shared rows or the matrix is indefinite, and ValueError when it has
+    a non-finite stored entry or `blocks` and `shared` do not partition its
+    rows.
     """
     matrix = _finite_csr(matrix)
     coords = np.asarray(coords, dtype=float)
-    if blocks is None:
-        sizes = [matrix.shape[0]]
-    else:
-        rows = np.concatenate([np.empty(0, dtype=np.int64)] + list(blocks))
-        matrix, coords = matrix[rows][:, rows], coords[rows]
-        sizes = [len(b) for b in blocks]
-    stops = np.cumsum(sizes, dtype=np.int64)
-    label = np.repeat(np.arange(len(sizes)), sizes)
+    n = matrix.shape[0]
+    blocks = [np.arange(n)] if blocks is None else [
+        np.asarray(rows, dtype=np.int64) for rows in blocks]
+    shared = np.asarray([] if shared is None else shared, dtype=np.int64)
+    _check_partition(matrix, blocks, shared)
+    diag = matrix.diagonal()
+    scale = np.empty(n)
+    scale[shared] = _pivot_scale(diag[shared])
+    pins = [None] * len(blocks) if root_pins is None else root_pins
+    subtrees = []
+    for rows, pin in zip(blocks, pins):
+        if len(rows):
+            scale[rows] = _pivot_scale(diag[rows])
+            m = matrix[rows][:, rows]
+            tree = nd_ordering(m, coords[rows], base_case=base_case,
+                               root_pin=pin).tree
+            subtrees.append(_relabel(tree, rows))
+    tree = NdNode(cols=shared, children=subtrees)
+    perm = np.empty(n, dtype=np.int64)
+    _assign_intervals(tree, perm, 0)
+    perm, kept, nodes = _factor_fronts(
+        matrix, NdOrdering(perm=perm, tree=tree, n=n), pivot_tol, scale)
+    return CholeskyFactor(perm=perm, rank=int(kept.sum()), kept=kept,
+                          matrix=matrix, _nodes=[] if folded else nodes,
+                          _levels=_schedule(nodes, n, folded), folded=folded)
+
+
+def _check_partition(matrix, blocks, shared):
+    """Raise ValueError unless `blocks` and `shared` partition the rows of
+    `matrix`, and NumericalError when a stored entry couples two blocks."""
+    n = matrix.shape[0]
+    counts = np.bincount(np.concatenate(blocks + [shared]), minlength=n)
+    if len(counts) != n or np.any(counts != 1):
+        raise ValueError("blocks and shared rows do not partition the "
+                         "matrix's rows")
+    label = np.full(n, -1)   # the shared rows keep -1
+    for i, rows in enumerate(blocks):
+        label[rows] = i
     coo = matrix.tocoo()
-    if np.any(label[coo.row] != label[coo.col]):
+    lr, lc = label[coo.row], label[coo.col]
+    if np.any((lr != lc) & (lr >= 0) & (lc >= 0)):
         raise NumericalError(
-            "index blocks are coupled; the partition does not match the "
-            "matrix")
-    pins = [None] * len(sizes) if root_pins is None else root_pins
-    parts = []
-    for stop, size, pin in zip(stops, sizes, pins):
-        if size:
-            own = slice(stop - size, stop)
-            m = matrix[own, own]
-            parts.append(_factor_fronts(m, nd_ordering(
-                m, coords[own], base_case=base_case, root_pin=pin), pivot_tol))
-    return _join(matrix, parts, folded)
+            "index blocks are coupled outside the shared rows; the partition "
+            "does not match the matrix")
+
+
+def _pivot_scale(diagonal) -> float:
+    """What a block's pivot threshold is relative to: its largest diagonal
+    entry, or 1 when none is positive."""
+    return diagonal.max(initial=0.0) or 1.0
+
+
+def _relabel(node, rows) -> NdNode:
+    """The tree at `node` with its columns, positions in `rows`, made rows."""
+    node.cols = rows[node.cols]
+    for ch in node.children:
+        _relabel(ch, rows)
+    return node
 
 
 def _finite_csr(matrix) -> sp.csr_matrix:
@@ -401,12 +427,13 @@ def _symbolic(tree, mp):
     """The fronts of the separator tree over the permuted CSC matrix `mp`,
     children before parents, the order of their starts (Liu's multifrontal
     structure): a front's rows above its block are its own columns' rows
-    there and its children's update rows there, one sorted union.  Raises
-    NumericalError when a child's update reaches below its parent's
-    block."""
+    there and its children's update rows there, one sorted union.  An
+    empty root (blocks without shared rows) adds no depth: its children
+    are at depth 0.  Raises NumericalError when a child's update reaches
+    below its parent's block."""
     fronts = []
-    _symbolic_front(tree, 0, mp, np.empty(mp.shape[0], dtype=np.int64),
-                    fronts)
+    _symbolic_front(tree, 0 if len(tree.cols) else -1, mp,
+                    np.empty(mp.shape[0], dtype=np.int64), fronts)
     return fronts
 
 
@@ -440,9 +467,11 @@ def _symbolic_front(node, depth, mp, where, fronts):
     return fronts[-1]
 
 
-def _factor_fronts(matrix, ordering, pivot_tol):
+def _factor_fronts(matrix, ordering, pivot_tol, scale):
     """(perm, kept, fronts) of the factor of the float CSR `matrix` along
-    the NdOrdering `ordering`; `_join` schedules the fronts into levels.
+    the NdOrdering `ordering`; `_schedule` makes the fronts levels.  A
+    front's pivot threshold is pivot_tol times the `scale` of its first
+    row, one value per row of `matrix` (see `_pivot_scale`).
 
     The numeric pass over `_symbolic`'s fronts: each front adds up its own
     stored entries, read straight from the permuted CSC arrays, then its
@@ -453,9 +482,7 @@ def _factor_fronts(matrix, ordering, pivot_tol):
     n = matrix.shape[0]
     perm = ordering.perm
     mp = matrix[perm][:, perm].tocsc()
-    scale = max(mp.diagonal().max(initial=0.0), 0.0)
-    if scale <= 0.0:
-        scale = 1.0
+    scale = scale[perm]
 
     nodes: list[_NodeFactor] = []
     updates = []             # Schur updates of fronts whose parent is next
@@ -471,8 +498,8 @@ def _factor_fronts(matrix, ordering, pivot_tol):
             flat[(loc[:, None] * (bs + na) + loc).ravel()] += upd.ravel("F")
         del updates[first:]
 
-        l11, kept_local, order = _dense_rank_chol(front[:bs, :bs], scale,
-                                                  pivot_tol)
+        l11, kept_local, order = _dense_rank_chol(
+            front[:bs, :bs], scale[c0] if bs else 1.0, pivot_tol)
         new_pos[c0 + order] = np.arange(c0, c1)
         # solve-ready block: a unit diagonal at each skipped pivot, whose
         # column is already zero below it, so no solve needs masking
@@ -486,10 +513,13 @@ def _factor_fronts(matrix, ordering, pivot_tol):
             # l21 l11^T = f21; the kept columns never read the skipped ones
             l21 = _triangular_solve(l11, front[bs:, order].T, trans=0).T
             l21[:, skipped] = 0.0
-            gram = _GEMM(1.0, l21.T, l21.T, trans_a=1)
-            update = np.subtract(update, gram, out=gram)   # update - gram
+            outer = _GEMM(1.0, l21.T, l21.T, trans_a=1)   # l21 l21^T
+            update = np.subtract(update, outer, out=outer)
         else:
             l21 = np.zeros((na, bs))
+            # a view would keep the whole front alive until its parent,
+            # for a root the end of the pass
+            update = update.copy("F")
         updates.append(update)
         if bs:  # an empty separator (disconnected halves) stores nothing
             nodes.append(_NodeFactor(start=c0, stop=c1, skipped=skipped,
@@ -505,26 +535,6 @@ def _factor_fronts(matrix, ordering, pivot_tol):
         nd.rows21 = new_pos[nd.rows21]
         kept[nd.start + nd.skipped] = False
     return perm_new, kept, nodes
-
-
-def _join(matrix, parts, folded) -> CholeskyFactor:
-    """The factor of the block-diagonal `matrix` from its blocks' `parts`
-    (see `_factor_fronts`), in turn: every front keeps its arithmetic and
-    is shifted past the blocks before it, and the levels, scheduled once
-    in the form asked for, span all blocks."""
-    offsets = np.cumsum([0] + [len(perm) for perm, _, _ in parts])
-    nodes = [replace(nd, start=nd.start + off, stop=nd.stop + off,
-                     rows21=nd.rows21 + off)
-             for (_, _, fronts), off in zip(parts, offsets) for nd in fronts]
-    kept = np.concatenate([np.empty(0, dtype=bool)]
-                          + [kept for _, kept, _ in parts])
-    return CholeskyFactor(
-        perm=np.concatenate([np.empty(0, dtype=np.int64)]
-                            + [perm + off for (perm, _, _), off
-                               in zip(parts, offsets)]),
-        rank=int(kept.sum()), kept=kept, matrix=matrix,
-        _nodes=[] if folded else nodes,
-        _levels=_schedule(nodes, matrix.shape[0], folded), folded=folded)
 
 
 def _schedule(nodes, n, folded=False):
@@ -647,7 +657,15 @@ def solve_with_factor(factor: CholeskyFactor, b,
         raise ValueError("b has non-finite entries")
     single = b.ndim == 1
     bm = b.reshape(-1, 1) if single else b
-    z = _forward(factor._levels, bm[factor.perm])
+    z = bm[factor.perm]
+    # forward: L y = z, deepest level first; y at a skipped pivot is never
+    # read, since its column of l11 is zero below the diagonal and its
+    # column of l21 is zero
+    for level in reversed(factor._levels):
+        for nd in level.nodes:
+            y = z[nd.start:nd.stop]
+            y[:] = _triangular_solve(nd.l11, y, trans=0)
+        _level_update(z, level, trans=False)
     # backward: L^T x = y, root level first; a zero right-hand side at a
     # skipped pivot makes x exactly 0 there, and zeroing it before the
     # level's product changes nothing else, since the level matrix's
@@ -666,34 +684,15 @@ def solve_with_factor(factor: CholeskyFactor, b,
     return x[:, 0] if single else x
 
 
-def _forward(levels, z):
-    """y with L y = z, deepest level first, in place for a dense z; y at a
-    skipped pivot is never read, since its column of l11 is zero below the
-    diagonal and its column of l21 is zero.  A folded level has no fronts:
-    its product is the whole step, and a sparse z stays sparse."""
-    for level in reversed(levels):
-        for nd in level.nodes:
-            y = z[nd.start:nd.stop]
-            y[:] = _triangular_solve(nd.l11, y, trans=0)
-        z = _level_update(z, level, trans=False)
-    return z
-
-
 def _level_update(z, level, trans):
     """z -= A z[cols] for the level's sparse matrix A, or z[cols] -= A^T z
-    when trans is true, and z: in place for a dense z, a new matrix for a
-    sparse one (forward only).  Sparse, so it calls no dense BLAS."""
+    when trans is true, in place; a folded level's product is the whole
+    step.  Sparse, so it calls no dense BLAS."""
     if level.a.nnz:
         if trans:
             z[level.cols] -= level.at @ z
         else:
             z -= level.a @ z[level.cols]
-    return z
-
-
-def _sparse_gram(w) -> np.ndarray:
-    """W^T W, dense, for a sparse W; a sparse product, no dense BLAS."""
-    return (w.T @ w).toarray()
 
 
 def _check_image(matrix, x, b):
@@ -713,64 +712,3 @@ def _triangular_solve(l11, rhs, trans):
     if info:
         raise NumericalError(f"triangular solve failed (LAPACK info {info})")
     return x
-
-
-# -- block factors ---------------------------------------------------------------
-
-class BlockFactor:
-    """Exact solver for a symmetric PSD matrix whose kept rows split into
-    the rows of one exact solver plus a shared set.
-
-    `solver` solves the matrix over `rows`: a CholeskyFactor, or a
-    GraphDownLap for a dual graph.  The Schur complement onto the shared
-    rows, C_ss - C M^+ C^T with the last term from the solver's `gram`, is
-    pseudo-inverted densely up front through its eigendecomposition (LAPACK
-    `dsyevd`, divide and conquer), with the eigenvalues above
-    DEFAULT_PIVOT_TOL times the largest kept.  Rows in neither set are
-    dropped, and the solution is zero there.  Solves are
-    exact for right-hand sides in the image, and not checked: both users
-    apply one as a preconditioner.  `rank` is the solver's rank plus the
-    Schur complement's, the matrix's rank on the kept rows.
-    """
-
-    def __init__(self, matrix, rows, solver, shared):
-        self.matrix = sp.csr_matrix(matrix)
-        self.rows = np.asarray(rows, dtype=np.int64)
-        self.solver = solver
-        self.shared = np.asarray(shared, dtype=np.int64)
-        if len(self.shared) > DENSE_SHARED_CAP:
-            raise NumericalError(
-                f"shared block has {len(self.shared)} rows, beyond the dense "
-                f"inversion cap {DENSE_SHARED_CAP}")
-        self.coupling, self.schur_pinv = None, np.zeros((0, 0))
-        schur_rank = 0
-        if len(self.shared):
-            rows = self.matrix[self.shared]
-            self.coupling = rows[:, self.rows].tocsr()
-            schur = rows[:, self.shared].toarray() - self.solver.gram(
-                self.coupling.T)
-            w, v, info = _SYEVD(schur, lower=1)
-            if info:
-                raise NumericalError(
-                    f"eigendecomposition failed (LAPACK info {info})")
-            keep = w > DEFAULT_PIVOT_TOL * max(w[-1], 0.0)
-            self.schur_pinv = _GEMM(1.0, v[:, keep] / w[keep], v[:, keep],
-                                    trans_b=1)
-            schur_rank = int(keep.sum())
-        self.rank = self.solver.rank + schur_rank
-
-    def solve(self, v) -> np.ndarray:
-        """x with matrix x = v on the kept rows, for v in the image."""
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        rhs = v[self.rows]
-        if len(self.shared):
-            y = self.solver.solve(rhs, check_image=False)
-            r_s = v[self.shared] - self.coupling @ y
-            x_s = _GEMM(1.0, self.schur_pinv,
-                        r_s.reshape(len(r_s), -1)).reshape(r_s.shape)
-            rhs = rhs - self.coupling.T @ x_s
-            out[self.shared] = x_s
-        out[self.rows] = self.solver.solve(rhs, check_image=False)
-        return out
-

@@ -13,9 +13,10 @@ residual against P1 b is recomputed, and on a miss the up solve runs once
 more a hundred times tighter; a second miss raises NumericalError.
 
 A glued union usually has no global embedding, so the wall preconditioner
-cannot be factored by one geometric dissection.  Instead the shared edges
-form a small dense-Schur block on top of per-chunk nested dissection
-factors.
+cannot be ordered by one geometric dissection.  Each chunk's wall edges are
+dissected in the chunk's own chart instead, and the edges the chunks share,
+which separate them, form the root front above those subtrees: one nested
+dissection factor, like every other wall.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import scipy.sparse as sp
 
 from . import oracle
 from .complexes import Complex3, build_complex
-from .dissection import BlockFactor, nd_cholesky
+from .dissection import CholeskyFactor, nd_cholesky
 from .downlap import (DownState, build_down_state, down_lap_solve,
                       down_projection)
 from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_state,
@@ -448,9 +449,9 @@ def _induced_union_hollowing(glued, chunks, hollowings, edge_maps, tri_maps,
 
 def build_union_solver(u: UnionComplex) -> OneLapState:
     """Solver state on the glued complex.  A glued union has no global
-    embedding, so the wall preconditioner is a BlockFactor of per-chunk
-    factors, ordered in each chunk's own chart, plus a dense shared block
-    on the edges that couple chunks."""
+    embedding, so the wall preconditioner is ordered chunk by chunk, each
+    in its own chart, under a root front of the edges that couple chunks
+    (see `_chunk_wall`)."""
     glued, h = u.complex, u.hollowing
     # each glued edge's midpoint in the chart of a chunk holding it
     midpoints = np.zeros((glued.num_edges, 3))
@@ -464,11 +465,11 @@ def build_union_solver(u: UnionComplex) -> OneLapState:
     return _build_state(glued, h, up_state, embedded=False)
 
 
-def _chunk_wall(matrix, ids, chunk_parts, dense, locations) -> BlockFactor:
-    """BlockFactor of a wall matrix over the glued simplexes `ids`: one
-    block per chunk with its wall simplexes not already taken, factored
-    together by `nd_cholesky` and folded, as a preconditioner's, and the
-    `dense` simplexes plus any left over as the shared set."""
+def _chunk_wall(matrix, ids, chunk_parts, dense, locations) -> CholeskyFactor:
+    """The folded factor of a wall matrix over the glued simplexes `ids`,
+    as a preconditioner's: one block per chunk with its wall simplexes not
+    already taken, ordered by their `locations`, and the `dense` simplexes
+    plus any left over as the shared root front above them."""
     pos = np.full(len(locations), -1, dtype=np.int64)
     pos[ids] = np.arange(len(ids))
     dense_local = pos[dense]
@@ -482,8 +483,8 @@ def _chunk_wall(matrix, ids, chunk_parts, dense, locations) -> BlockFactor:
         taken[locs] = True
         blocks.append(np.unique(locs))
     shared = np.union1d(dense_local, np.flatnonzero(~taken))
-    solver = nd_cholesky(matrix, locations[ids], blocks=blocks, folded=True)
-    return BlockFactor(matrix, np.concatenate(blocks), solver, shared)
+    return nd_cholesky(matrix, locations[ids], blocks=blocks, shared=shared,
+                       folded=True)
 
 
 def union_one_lap_solve(u: UnionComplex, b, eps: float,

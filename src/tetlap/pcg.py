@@ -41,21 +41,6 @@ class LinearOperator:
         return LinearOperator(dim=n, apply=lambda v: v.copy())
 
 
-def check_linearity(op: LinearOperator, rng, trials: int = 8,
-                    tol: float = 1e-8) -> bool:
-    """Statistical linearity check: apply(ax+by) == a apply(x) + b apply(y)."""
-    for _ in range(trials):
-        x = rng.standard_normal(op.dim)
-        y = rng.standard_normal(op.dim)
-        a, b = rng.standard_normal(2)
-        lhs = op.apply(a * x + b * y)
-        rhs = a * op.apply(x) + b * op.apply(y)
-        scale = np.linalg.norm(rhs) + 1.0
-        if np.linalg.norm(lhs - rhs) > tol * scale:
-            return False
-    return True
-
-
 def default_max_iters(n: int) -> int:
     return int(20 * np.sqrt(n)) + 200
 
@@ -165,13 +150,6 @@ def pcg(a_op: LinearOperator, m_op: Optional[LinearOperator], b, tol: float,
     report.residual_trace = trace
     report.converged = final <= target
     return x, report
-
-
-def estimate_rel_condition(a_op: LinearOperator, b_op: LinearOperator,
-                           iters: int = 50, seed: int = 7) -> float:
-    """Lanczos estimate of the relative condition number kappa(A, B)."""
-    lo, hi = generalized_ritz_extremes(a_op, b_op, iters=iters, seed=seed)
-    return float(hi / lo)
 
 
 def generalized_ritz_extremes(a_op: LinearOperator, b_op: LinearOperator,

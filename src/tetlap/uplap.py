@@ -17,7 +17,7 @@ On sphere hollowings `build_sphere_fast_solver` replaces the preconditioner
 solve by the reduced system route: interior disc edges collapse to a
 dual-graph down-Laplacian, rim edges deduplicate by their disc signature,
 and the leftover Schur complement is small enough to pseudo-invert densely
-up front.
+up front (`BlockFactor`).
 """
 
 from __future__ import annotations
@@ -26,17 +26,25 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .complexes import up_laplacian
-from .dissection import BlockFactor, CholeskyFactor, RootSolve, nd_cholesky
+from .dissection import (_GEMM, DEFAULT_PIVOT_TOL, CholeskyFactor, RootSolve,
+                         nd_cholesky)
 from .downlap import GraphDownLap
 from .errors import (NumericalError, check_state, check_tolerance,
                      check_vector, missed_contract, one_norm, roundoff_floor)
 from .hollowing import Hollowing, check_hollowing
 from .pcg import LinearOperator, pcg
 from .reports import SolveReport
+
+# largest shared set whose Schur complement BlockFactor pseudo-inverts densely
+DENSE_SHARED_CAP = 5000
+# scipy's LAPACK, as in `dissection`: numpy's would run a second OpenBLAS
+# thread pool
+_SYEVD = sla.get_lapack_funcs("syevd", dtype=np.float64)
 
 
 @dataclass
@@ -108,14 +116,16 @@ def eliminate(c, h: Hollowing, matrix, d2, coords, regions, c_idx,
     iface = np.flatnonzero(np.diff(l_fc.indptr))
     pinned = np.zeros(matrix.shape[0], dtype=bool)
     pinned[f_all[iface]] = True
+    sizes = [len(f) for f in regions]
+    # the interior factor's rows are f_all's, one block per region
     interior = nd_cholesky(
-        matrix, coords, blocks=regions,
+        matrix[f_all][:, f_all], coords[f_all],
+        blocks=np.split(np.arange(len(f_all)), np.cumsum(sizes)[:-1]),
         root_pins=[np.flatnonzero(pinned[f]) for f in regions])
     return UpSolverState(
         complex=c, hollowing=h, weights=[w.copy() for w in c.weights],
         lup=matrix, d2=d2, f_all=f_all, c_idx=c_idx,
         interior=interior, wall=wall, iface=iface,
-        # the interior factor's rows are f_all's
         root=interior.root_solve(iface),
         l_cc=matrix[c_idx][:, c_idx].tocsr(),
         # column slices keep each row's entries in the matrix's column
@@ -142,18 +152,20 @@ def schur_operator(state: UpSolverState) -> LinearOperator:
                           apply=lambda v: schur_apply(state, v))
 
 
-def schur_solve(state: UpSolverState, h_vec, delta: float):
-    """PCG on the Schur complement, preconditioned by the wall.
+def schur_solve(state: UpSolverState, h_vec, delta: float, stage: str):
+    """PCG on the Schur complement, preconditioned by the wall; its report,
+    the empty one for no wall rows included, carries the caller's `stage`
+    name: `schur` for the up solve, `tri_schur` for the up projection.
 
     A stalled PCG names the share of |h| its residual stalled at: that
     share of h lies outside the Schur complement's image, and rounding in
     forming the right-hand side counts as such a part."""
     h_vec = np.asarray(h_vec, dtype=float)
     if len(h_vec) == 0:
-        return h_vec.copy(), SolveReport(stage="schur")
+        return h_vec.copy(), SolveReport(stage=stage)
     precond = LinearOperator(dim=len(state.c_idx), apply=state.wall.solve)
     x, report = pcg(schur_operator(state), precond, h_vec, tol=delta,
-                    stage="schur")
+                    stage=stage)
     if not report.converged:
         floor = roundoff_floor(one_norm(state.lup), x)
         norm_h = np.linalg.norm(h_vec)
@@ -219,7 +231,7 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
         # the contract with room for rounding, and the check below decides
         nh = np.linalg.norm(h_vec)
         delta = 0.5 * eps * norm_b / nh if nh > 0 else eps
-        x_c, screp = schur_solve(state, h_vec, delta)
+        x_c, screp = schur_solve(state, h_vec, delta, "schur")
         report.add_stage("schur", screp)
         report.params["delta"] = delta
     x = back_substitute(state, b, x_c)
@@ -254,6 +266,64 @@ def _reduced_wall(c, h: Hollowing, lt) -> BlockFactor:
     m11 = GraphDownLap(b1.shape[1], np.column_stack([tails, heads]),
                        c.weights[2][h.boundary_triangles])
     return BlockFactor(lt, e1_local, m11, e2hat_local)
+
+
+class BlockFactor:
+    """Exact solver for a symmetric PSD matrix whose kept rows split into
+    the rows of one exact solver plus a shared set: the sphere reduced
+    wall's, whose `solver` is the `GraphDownLap` of its disc rows.
+
+    The Schur complement onto the shared rows, C_ss - C M^+ C^T with the
+    last term from the solver's `gram`, is pseudo-inverted densely up
+    front through its eigendecomposition (LAPACK `dsyevd`, divide and
+    conquer), with the eigenvalues above DEFAULT_PIVOT_TOL times the
+    largest kept.  Rows in neither set are dropped, and the solution is
+    zero there.  Solves are exact for right-hand sides in the image, and
+    not checked: the wall is applied as a preconditioner.  `rank` is the
+    solver's rank plus the Schur complement's, the matrix's rank on the
+    kept rows.
+    """
+
+    def __init__(self, matrix, rows, solver, shared):
+        self.matrix = sp.csr_matrix(matrix)
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.solver = solver
+        self.shared = np.asarray(shared, dtype=np.int64)
+        if len(self.shared) > DENSE_SHARED_CAP:
+            raise NumericalError(
+                f"shared block has {len(self.shared)} rows, beyond the dense "
+                f"inversion cap {DENSE_SHARED_CAP}")
+        self.coupling, self.schur_pinv = None, np.zeros((0, 0))
+        schur_rank = 0
+        if len(self.shared):
+            rows = self.matrix[self.shared]
+            self.coupling = rows[:, self.rows].tocsr()
+            schur = rows[:, self.shared].toarray() - self.solver.gram(
+                self.coupling.T)
+            w, v, info = _SYEVD(schur, lower=1)
+            if info:
+                raise NumericalError(
+                    f"eigendecomposition failed (LAPACK info {info})")
+            keep = w > DEFAULT_PIVOT_TOL * max(w[-1], 0.0)
+            self.schur_pinv = _GEMM(1.0, v[:, keep] / w[keep], v[:, keep],
+                                    trans_b=1)
+            schur_rank = int(keep.sum())
+        self.rank = self.solver.rank + schur_rank
+
+    def solve(self, v) -> np.ndarray:
+        """x with matrix x = v on the kept rows, for v in the image."""
+        v = np.asarray(v, dtype=float)
+        out = np.zeros_like(v)
+        rhs = v[self.rows]
+        if len(self.shared):
+            y = self.solver.solve(rhs, check_image=False)
+            r_s = v[self.shared] - self.coupling @ y
+            x_s = _GEMM(1.0, self.schur_pinv,
+                        r_s.reshape(len(r_s), -1)).reshape(r_s.shape)
+            rhs = rhs - self.coupling.T @ x_s
+            out[self.shared] = x_s
+        out[self.rows] = self.solver.solve(rhs, check_image=False)
+        return out
 
 
 def _disc_rows(c, h: Hollowing):
@@ -332,14 +402,3 @@ def up_lap_solve_fast(c, h: Hollowing, b, eps: float,
         state = build_sphere_fast_solver(c, h)
     check_state(state, c, h)
     return _up_solve_with_state(state, b, eps)
-
-
-# -- diagnostics ---------------------------------------------------------------
-
-def schur_condition_estimate(state: UpSolverState, iters: int = 60) -> float:
-    """Lanczos estimate of kappa(Sc[Lup]_C, Lup of the wall complex)."""
-    from .pcg import estimate_rel_condition
-    if len(state.c_idx) == 0:
-        return 1.0
-    precond = LinearOperator(dim=len(state.c_idx), apply=state.wall.solve)
-    return estimate_rel_condition(schur_operator(state), precond, iters=iters)

@@ -79,7 +79,8 @@ def up_project(c, h: Hollowing, b, eps: float,
         if np.linalg.norm(h_vec) > 1e-14 * np.linalg.norm(b):
             delta = eps / (2.0 * one_norm(state.lup))
             try:
-                x_c, screp = uplap.schur_solve(state, h_vec, delta)
+                x_c, screp = uplap.schur_solve(state, h_vec, delta,
+                                               "tri_schur")
             except NumericalError as exc:
                 if delta > ROUNDOFF_MULTIPLE * UNIT_ROUNDOFF:
                     raise

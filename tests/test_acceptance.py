@@ -168,7 +168,7 @@ def test_criterion_05_pcg_iteration_scaling(spectral_states):
     iters = []
     for r, c, h, state in spectral_states:
         hv = schur_operator(state).apply(rng.standard_normal(len(state.c_idx)))
-        _, rep = schur_solve(state, hv, 1e-8)
+        _, rep = schur_solve(state, hv, 1e-8, "schur")
         iters.append(rep.iterations)
     rs = [case[1] for case in SPECTRAL_CASES]
     slope = np.polyfit(np.log(rs), np.log(iters), 1)[0]

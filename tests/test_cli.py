@@ -256,8 +256,7 @@ def test_bench_schema(tmp_path):
     with open(out) as f:
         rows = list(csv.DictReader(f))
     assert len(rows) == 1
-    for col in ("n", "r", "t_preprocess", "t_solve", "pcg_iters_schur",
-                "kappa_est"):
+    for col in ("n", "r", "t_preprocess", "t_solve", "pcg_iters_schur"):
         assert col in rows[0]
     # a solid box: the factors' ranks give b1 = 0, so no probe runs
     assert rows[0]["b1"] == rows[0]["probes"] == "0"

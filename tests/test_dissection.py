@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 
 import tetlap
 from tetlap import oracle
-from tetlap import dissection
+from tetlap import dissection, uplap
 from tetlap.complexes import one_laplacian, up_laplacian
 from tetlap.dissection import (
     DEFAULT_PIVOT_TOL,
-    BlockFactor,
     NdNode,
     NdOrdering,
     nd_cholesky,
@@ -26,6 +25,7 @@ from tetlap.dissection import (
 from tetlap.downlap import GraphDownLap
 from tetlap.errors import NumericalError
 from tetlap.meshgen import GridSpec, gen_grid
+from tetlap.uplap import BlockFactor
 
 
 RELAXED = tetlap.HollowingConfig(min_shell_width=2,
@@ -805,9 +805,6 @@ def test_folded_factor_matches_its_substitution_twin(rng):
             assert np.linalg.norm(x - twin) <= FOLD_RTOL * np.linalg.norm(twin)
             # the zero tail: x is exactly 0 at every skipped pivot
             assert not x[folded.perm][~folded.kept].any()
-        rhs = sp.csr_matrix(m @ rng.standard_normal((n, 4)))
-        gram, twin = folded.gram(rhs), exact.gram(rhs)
-        assert np.linalg.norm(gram - twin) <= FOLD_RTOL * np.linalg.norm(twin)
 
 
 def test_folded_factor_keeps_no_dense_block_and_has_no_l():
@@ -824,10 +821,13 @@ def test_folded_factor_keeps_no_dense_block_and_has_no_l():
 
 # the factor kernels use scipy's BLAS and LAPACK only; numpy's dense
 # products and np.linalg run on a second OpenBLAS with its own thread pool
-SCIPY_BLAS_ONLY = ("_symbolic", "_symbolic_front", "_dense_rank_chol",
-                   "solve_with_factor", "_forward", "gram", "__init__",
-                   "_factor_fronts", "_split", "nd_cholesky", "_join",
-                   "_fold_front", "_schedule", "root_solve")
+SCIPY_BLAS_ONLY = {
+    dissection: ("_symbolic", "_symbolic_front", "_dense_rank_chol",
+                 "solve_with_factor", "_factor_fronts", "_split",
+                 "nd_cholesky", "_fold_front", "_schedule", "root_solve"),
+    # the sphere reduced wall's dense Schur block
+    uplap: ("__init__",),
+}
 NUMPY_BLAS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
 
 
@@ -844,12 +844,13 @@ def numpy_blas_uses(func):
 
 
 def test_factor_kernels_call_no_numpy_blas():
-    with open(dissection.__file__) as fh:
-        tree = ast.parse(fh.read())
-    funcs = {node.name: node for node in ast.walk(tree)
-             if isinstance(node, ast.FunctionDef)}
-    for name in SCIPY_BLAS_ONLY:
-        assert list(numpy_blas_uses(funcs[name])) == [], name
+    for module, names in SCIPY_BLAS_ONLY.items():
+        with open(module.__file__) as fh:
+            tree = ast.parse(fh.read())
+        funcs = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            assert list(numpy_blas_uses(funcs[name])) == [], name
 
 
 def test_nd_ordering_indexes_no_sparse_matrix(monkeypatch):
@@ -871,14 +872,16 @@ def test_nd_ordering_indexes_no_sparse_matrix(monkeypatch):
 
 # -- factor build against the per-front slicing reference -------------------
 
-def reference_factor_fronts(matrix, ordering, pivot_tol):
+def reference_factor_fronts(matrix, ordering, pivot_tol, scale):
     """_factor_fronts as one recursion over the separator tree that slices
     each front's columns out of the sparse matrix (`tocoo`), grows its row
-    set by `union1d` and scatters each child update through `np.ix_`."""
+    set by `union1d` and scatters each child update through `np.ix_`.  A
+    front's pivot threshold is relative to the `scale` of its first row;
+    an empty root adds no depth."""
     n = matrix.shape[0]
     perm = ordering.perm
     mp = matrix[perm][:, perm].tocsc()
-    scale = max(mp.diagonal().max(initial=0.0), 0.0) or 1.0
+    scale = scale[perm]
     nodes = []
     new_pos = np.arange(n)
 
@@ -907,7 +910,7 @@ def reference_factor_fronts(matrix, ordering, pivot_tol):
                            bs + np.searchsorted(above, rows))
             front[np.ix_(loc, loc)] += upd
         l11, kept_local, order = dissection._dense_rank_chol(
-            front[:bs, :bs], scale, pivot_tol)
+            front[:bs, :bs], scale[c0] if bs else 1.0, pivot_tol)
         new_pos[c0 + order] = np.arange(c0, c1)
         skipped = np.flatnonzero(~kept_local)
         l11 = np.asfortranarray(l11)
@@ -926,7 +929,7 @@ def reference_factor_fronts(matrix, ordering, pivot_tol):
                 l21=l21, depth=depth))
         return above, update
 
-    factor(ordering.tree, 0)
+    factor(ordering.tree, 0 if len(ordering.tree.cols) else -1)
     nodes.sort(key=lambda nd: nd.start)
     perm_new = np.empty_like(perm)
     perm_new[new_pos] = perm
@@ -941,31 +944,38 @@ def same_bytes(a, b):
     return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
-def assert_builds_like_the_reference(matrix, ordering, pivot_tol):
+def one_scale(matrix):
+    """The pivot threshold scale of a matrix factored as one block."""
+    return np.full(matrix.shape[0],
+                   dissection._pivot_scale(matrix.diagonal()))
+
+
+def assert_builds_like_the_reference(matrix, ordering, pivot_tol, scale):
     """The factor's fronts, and its levels folded and unfolded, are
-    byte-identical to the reference's; returns the factor."""
-    got = dissection._factor_fronts(matrix, ordering, pivot_tol)
-    want = reference_factor_fronts(matrix, ordering, pivot_tol)
+    byte-identical to the reference's; returns the factor's rank."""
+    got = dissection._factor_fronts(matrix, ordering, pivot_tol, scale)
+    want = reference_factor_fronts(matrix, ordering, pivot_tol, scale)
     assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
     assert [(nd.start, nd.stop, nd.depth) for nd in got[2]] == [
         (nd.start, nd.stop, nd.depth) for nd in want[2]]
     for nd, ref in zip(got[2], want[2]):
         for name in ("skipped", "l11", "rows21", "l21"):
             assert same_bytes(getattr(nd, name), getattr(ref, name)), name
+    n = matrix.shape[0]
     for folded in (False, True):
-        f = dissection._join(matrix, [got], folded)
-        r = dissection._join(matrix, [want], folded)
-        assert f.rank == r.rank and len(f._levels) == len(r._levels)
-        for level, ref in zip(f._levels, r._levels):
+        levels = dissection._schedule(got[2], n, folded)
+        ref_levels = dissection._schedule(want[2], n, folded)
+        assert len(levels) == len(ref_levels)
+        for level, ref in zip(levels, ref_levels):
             for name in ("data", "indices", "indptr"):
                 assert same_bytes(getattr(level.a, name),
                                   getattr(ref.a, name)), name
-    return dissection._join(matrix, [got], False)
+    return int(got[1].sum())
 
 
 def factor_calls(monkeypatch, build):
-    """The (matrix, ordering, pivot_tol) of every `_factor_fronts` call
-    that `build()` makes."""
+    """The arguments (matrix, ordering, pivot_tol, scale) of every
+    `_factor_fronts` call that `build()` makes."""
     calls = []
     real = dissection._factor_fronts
 
@@ -985,7 +995,7 @@ def test_shell_box_factors_build_like_the_reference(monkeypatch):
     h = tetlap.find_hollowing(c, c.num_simplexes ** 0.6, RELAXED)
     calls = factor_calls(monkeypatch,
                          lambda: tetlap.build_one_lap_solver(c, h))
-    assert max(m.shape[0] for m, _, _ in calls) == len(h.boundary_edges)
+    assert max(m.shape[0] for m, *_ in calls) == len(h.boundary_edges)
     for args in calls:
         assert_builds_like_the_reference(*args)
 
@@ -996,15 +1006,18 @@ def test_sphere_interior_factors_build_like_the_reference(monkeypatch):
     h = tetlap.sphere_hollowing(c, c.num_simplexes ** 0.6, RELAXED)
     calls = factor_calls(monkeypatch,
                          lambda: tetlap.build_one_lap_solver(c, h))
-    # a pinned root is the one front with a single child
-    assert any(len(o.tree.children) == 1 for _, o, _ in calls)
+    # a pinned root is the one front with a single child, below the empty
+    # root over the regions' subtrees
+    assert any(len(ch.children) == 1
+               for _, o, *_ in calls for ch in o.tree.children)
     for args in calls:
         assert_builds_like_the_reference(*args)
 
 
 def test_ring_factors_build_like_the_reference(monkeypatch):
     # four boxes glued in a ring, each box's far x face to the next box's
-    # x = 0 face; the wall is one factor over the chunks' blocks
+    # x = 0 face; the wall is one factor over the chunks' blocks, each with
+    # its own pivot threshold, under the shared edges' root front
     k = 4
     chunks = [gen_grid(GridSpec((k, 3, 3))) for _ in range(4)]
     groups = []
@@ -1034,8 +1047,10 @@ def test_semidefinite_factors_build_like_the_reference(rng):
              np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)]), 4)):
         m = dissection._finite_csr(m)
         ordering = nd_ordering(m, coords, base_case=base_case)
-        f = assert_builds_like_the_reference(m, ordering, DEFAULT_PIVOT_TOL)
-        assert f.rank == oracle.rank(m.toarray()) < m.shape[0]
+        rank = assert_builds_like_the_reference(m, ordering,
+                                                DEFAULT_PIVOT_TOL,
+                                                one_scale(m))
+        assert rank == oracle.rank(m.toarray()) < m.shape[0]
 
 
 def test_factor_build_slices_no_sparse_matrix_per_front(monkeypatch):
@@ -1060,7 +1075,8 @@ def test_factor_build_slices_no_sparse_matrix_per_front(monkeypatch):
                     patch.setattr(cls, name,
                                   spying(name, getattr(cls, name)))
             _, _, fronts = dissection._factor_fronts(m, ordering,
-                                                     DEFAULT_PIVOT_TOL)
+                                                     DEFAULT_PIVOT_TOL,
+                                                     one_scale(m))
         counts[len(fronts)] = len(calls)
     (few, small), (many, large) = sorted(counts.items())
     assert many > 4 * few
@@ -1093,27 +1109,63 @@ def assert_solves_like_pinv(factor, m, rng):
 
 
 def test_nd_cholesky_over_blocks_solves_their_rows(rng):
-    # the factor's rows are the blocks' rows, one block after another
+    # the factor keeps the matrix's row order, whatever order the blocks
+    # list its rows in
     idx = rng.permutation(11)
-    blocks = [np.sort(idx[:6]), np.sort(idx[6:])]
+    blocks = [idx[:6], idx[6:]]
     m = coupled_psd(rng, blocks, 11)
-    rows = np.concatenate(blocks)
     factor = nd_cholesky(m, rng.random((11, 3)), blocks=blocks)
     assert factor.shape == (11, 11)
-    assert_solves_like_pinv(factor, m[np.ix_(rows, rows)], rng)
-    assert_solves_like_pinv(BlockFactor(m, rows, factor, shared=()), m, rng)
+    assert_solves_like_pinv(factor, m, rng)
 
 
 def test_block_factor_with_shared_set(rng):
+    # two blocks coupled through three shared rows, their root front; with
+    # no shared rows the blocks' roots are the roots, at depth 0
     idx = rng.permutation(12)
     blocks, shared = [np.sort(idx[:5]), np.sort(idx[5:9])], np.sort(idx[9:])
     m = coupled_psd(rng, [np.union1d(b, shared) for b in blocks] + [shared],
                     12)
     coords = rng.random((12, 3))
     for folded in (False, True):
-        solver = nd_cholesky(m, coords, blocks=blocks, folded=folded)
-        factor = BlockFactor(m, np.concatenate(blocks), solver, shared)
+        factor = nd_cholesky(m, coords, blocks=blocks, shared=shared,
+                             folded=folded)
         assert_solves_like_pinv(factor, m, rng)
+        root = factor.perm[factor._levels[0].cols]
+        assert np.array_equal(np.sort(root), shared)
+    exact = nd_cholesky(m, coords, blocks=blocks, shared=shared)
+    assert sum(nd.depth == 0 for nd in exact._nodes) == 1
+    uncoupled = coupled_psd(rng, blocks, 12)
+    apart = nd_cholesky(uncoupled, coords, blocks=blocks + [shared])
+    assert_solves_like_pinv(apart, uncoupled, rng)
+    assert sum(nd.depth == 0 for nd in apart._nodes) == 3
+
+
+def test_shared_root_keeps_each_blocks_pivot_threshold(rng):
+    # two paths, the second weighted 1e-13, each tied to one shared vertex
+    # by an edge of its own weight: a connected graph, of rank n - 1.  One
+    # threshold for the whole matrix would skip every pivot of the second
+    # path; each block's own keeps them, under the shared root too
+    n = 30
+    edges = ([(i, i + 1, 1.0) for i in range(n - 1)]
+             + [(n + i, n + i + 1, 1e-13) for i in range(n - 1)]
+             + [(n - 1, 2 * n, 1.0), (2 * n - 1, 2 * n, 1e-13)])
+    lap = np.zeros((2 * n + 1, 2 * n + 1))
+    for i, j, w in edges:
+        lap[[i, j, i, j], [i, j, j, i]] += [w, w, -w, -w]
+    line = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
+    coords = np.vstack([line, line, [[n, 0, 0]]])
+    blocks = [np.arange(n), np.arange(n, 2 * n)]
+    for folded in (False, True):
+        f = nd_cholesky(lap, coords, blocks=blocks, shared=[2 * n],
+                        folded=folded)
+        assert f.rank == 2 * n
+        y = np.zeros(2 * n + 1)
+        y[n:2 * n] = rng.standard_normal(n)
+        b = lap @ y
+        x = f.solve(b)
+        assert (np.linalg.norm((lap @ x - b)[n:]) <= 1e-9
+                * np.linalg.norm(b[n:]))
 
 
 def test_block_factor_graph_block_with_shared_set(rng):
@@ -1139,72 +1191,37 @@ def test_block_factor_graph_block_with_shared_set(rng):
         assert np.linalg.norm(gram - want) <= SOLVE_RTOL * np.linalg.norm(want)
 
 
-GRAM_RTOL = 1e-13
-
-
-def assert_gram_matches_solve(factor, exact, rhs):
-    """gram(rhs) is rhs^T x for x the exact factor's solve of rhs."""
-    want = rhs.T @ exact.solve(rhs.toarray(), check_image=False)
-    got = factor.gram(rhs)
-    assert got.shape == want.shape
-    assert np.linalg.norm(got - want) <= GRAM_RTOL * np.linalg.norm(want)
-
-
-@pytest.mark.parametrize("folded", [False, True])
-def test_gram_matches_the_exact_solve(rng, folded):
-    # the shared-set fixture of the BlockFactor tests, and a rank-deficient
-    # up-Laplacian with sparse right-hand sides in and off its image
-    idx = rng.permutation(12)
-    blocks, shared = [np.sort(idx[:5]), np.sort(idx[5:9])], np.sort(idx[9:])
-    m = coupled_psd(rng, [np.union1d(b, shared) for b in blocks] + [shared],
-                    12)
-    coords = rng.random((12, 3))
-    factor = nd_cholesky(m, coords, blocks=blocks, folded=folded)
-    rhs = BlockFactor(m, np.concatenate(blocks), factor, shared).coupling.T
-    assert_gram_matches_solve(factor, nd_cholesky(m, coords, blocks=blocks),
-                              rhs)
-    c = gen_grid(GridSpec((4, 4, 4)))
-    lup = up_laplacian(c, 1)
-    factor = nd_cholesky(lup, edge_midpoints(c), folded=folded)
-    exact = nd_cholesky(lup, edge_midpoints(c))
-    off = sp.random(lup.shape[0], 7, density=0.02, random_state=1,
-                    format="csc")
-    for rhs in (off, sp.csc_matrix(lup @ off)):
-        assert_gram_matches_solve(factor, exact, rhs)
-
-
-def test_folded_gram_never_densifies_its_right_hand_side(rng, monkeypatch):
-    c = gen_grid(GridSpec((4, 4, 4)))
-    lup = up_laplacian(c, 1)
-    n = lup.shape[0]
-    factor = nd_cholesky(lup, edge_midpoints(c), folded=True)
-    rhs = sp.random(n, 9, density=0.02, random_state=2, format="csc")
-    dense = []
-
-    def spying(method):
-        def spy(self, *args, **kwargs):
-            dense.append(self.shape)
-            return method(self, *args, **kwargs)
-        return spy
-    for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.csr_array,
-                sp.csc_array, sp.coo_array):
-        for name in ("toarray", "todense"):
-            monkeypatch.setattr(cls, name, spying(getattr(cls, name)))
-    gram = factor.gram(rhs)
-    assert gram.shape == (9, 9)
-    assert dense and all(shape[0] != n for shape in dense)
-
-
 def test_nd_cholesky_rejects_coupled_blocks(rng):
     m = coupled_psd(rng, [np.arange(6)], 6)
     with pytest.raises(NumericalError, match="coupled"):
         nd_cholesky(m, rng.random((6, 3)), blocks=[np.arange(3),
                                                    np.arange(3, 6)])
-    # one block, or blocks that leave the coupling rows out, are fine
+    # one block, or blocks coupled through shared rows only, are fine
     nd_cholesky(m, rng.random((6, 3)), blocks=[np.arange(6)])
     m = coupled_psd(rng, [np.arange(4), np.arange(3, 7)], 7)
     nd_cholesky(m, rng.random((7, 3)), blocks=[np.arange(3),
-                                               np.arange(4, 7)])
+                                               np.arange(4, 7)], shared=[3])
+    # the blocks and the shared rows must partition the rows
+    for blocks, shared in (([np.arange(3), np.arange(4, 7)], None),
+                           ([np.arange(4), np.arange(3, 7)], [3]),
+                           ([np.arange(3), np.arange(4, 8)], [3])):
+        with pytest.raises(ValueError, match="partition"):
+            nd_cholesky(m, rng.random((7, 3)), blocks=blocks, shared=shared)
+
+
+def test_nd_cholesky_rejects_a_coupling_outside_the_shared_rows(rng):
+    # blocks {0, 1, 2} and {4, 5, 6} share row 3, and rows 2 and 4 couple
+    # besides
+    m = coupled_psd(rng, [np.arange(4), np.arange(3, 7), [2, 4]], 7)
+    with pytest.raises(NumericalError, match="coupled"):
+        nd_cholesky(m, rng.random((7, 3)), blocks=[np.arange(3),
+                                                   np.arange(4, 7)],
+                    shared=[3])
+    # with rows 2 and 4 shared as well, the blocks couple through them only
+    factor = nd_cholesky(m, rng.random((7, 3)), blocks=[np.arange(2),
+                                                        np.arange(5, 7)],
+                         shared=[2, 3, 4])
+    assert_solves_like_pinv(factor, m, rng)
 
 
 def test_exact_solves_check_the_image_and_preconditioners_do_not(rng):
@@ -1222,8 +1239,14 @@ def test_exact_solves_check_the_image_and_preconditioners_do_not(rng):
     # preconditioners, are not checked
     unchecked = solve_with_factor(folded, b, check_image=False)
     assert np.array_equal(folded.solve(b), unchecked)
-    block = BlockFactor(m, np.arange(m.shape[0]), folded, shared=())
-    assert np.array_equal(block.solve(b), unchecked)
+    graph = GraphDownLap(4, [[0, 1], [1, 2], [2, 0], [2, 3], [0, 3]],
+                         np.ones(4))
+    cycle = np.array([1.0, 1.0, 1.0, 0.0, 0.0])   # in ker graph.lap
+    b = graph.lap @ rng.standard_normal(5) + cycle
+    with pytest.raises(NumericalError, match="image"):
+        graph.solve(b)
+    block = BlockFactor(graph.lap, np.arange(5), graph, shared=())
+    assert np.array_equal(block.solve(b), graph.solve(b, check_image=False))
 
 
 SEPARATOR_SCRIPT = """
@@ -1237,7 +1260,8 @@ leaves = [NdNode(cols=np.array([0]), start=0, stop=1),
           NdNode(cols=np.array([1]), start=1, stop=2)]
 root = NdNode(cols=np.array([2]), children=leaves, start=2, stop=3)
 try:
-    _factor_fronts(m, NdOrdering(perm=np.arange(3), tree=root, n=3), 1e-12)
+    _factor_fronts(m, NdOrdering(perm=np.arange(3), tree=root, n=3), 1e-12,
+                   np.ones(3))
 except NumericalError as exc:
     print("optimize", sys.flags.optimize, "raised", exc)
 """

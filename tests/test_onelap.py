@@ -478,8 +478,7 @@ def test_only_the_wall_preconditioner_is_folded(rng, union):
         state = build_one_lap_solver(c, h)
         requests = [lambda b: one_lap_solve(c, h, b, 1e-6, state=state),
                     lambda b: hodge_decompose(c, h, b, 1e-6, state=state)]
-    wall = state.up_state.wall
-    factors = {"wall": wall.solver if union else wall,
+    factors = {"wall": state.up_state.wall,
                "interior": state.up_state.interior,
                "lap0": state.down_state.lap0_factor}
     assert {name: f.folded for name, f in factors.items()} == {
@@ -491,27 +490,72 @@ def test_only_the_wall_preconditioner_is_folded(rng, union):
     assert {name: factor_bytes(f) for name, f in factors.items()} == before
 
 
-def ring_wall(monkeypatch):
-    """The wall BlockFactor of ring_of_four's union solver, and the exact
-    (unfolded) factor over the same blocks as its folded solver."""
+def union_wall(monkeypatch, u):
+    """The wall factor of u's union solver, the exact (unfolded) factor of
+    the same call, and the call's (matrix, shared rows)."""
     calls = []
 
     def spy(*args, **kwargs):
         calls.append((args, kwargs))
         return dissection.nd_cholesky(*args, **kwargs)
     monkeypatch.setattr(onelap, "nd_cholesky", spy)
-    wall = build_union_solver(ring_of_four()).up_state.wall
+    wall = build_union_solver(u).up_state.wall
     (args, kwargs), = calls
-    return wall, dissection.nd_cholesky(*args, **dict(kwargs, folded=False))
+    exact = dissection.nd_cholesky(*args, **dict(kwargs, folded=False))
+    return wall, exact, args[0], kwargs["shared"]
+
+
+def test_two_chunk_wall_is_one_factor_with_a_shared_root(rng, monkeypatch):
+    c0, h0 = make_chunk((3, 3, 3))
+    c1, h1 = make_chunk((3, 3, 3))
+    u = glue([c0, c1], face_identifications(c0, c1, 0, 3.0, 0.0), [h0, h1])
+    wall, exact, lt, shared = union_wall(monkeypatch, u)
+    # the shared rows are the glued edges' wall rows, and the depth-0 front
+    pos = np.searchsorted(u.hollowing.boundary_edges, u.shared_edges)
+    assert len(shared) and np.array_equal(shared, pos)
+    assert wall.folded
+    assert np.array_equal(np.sort(wall.perm[wall._levels[0].cols]), shared)
+    # the unfolded twin solves the wall like the pseudo-inverse
+    dense = lt.toarray()
+    assert exact.rank == wall.rank == oracle.rank(dense)
+    b = lt @ rng.standard_normal(lt.shape[0])
+    x = exact.solve(b)
+    assert (np.linalg.norm(dense @ (x - oracle.pinv(dense) @ b))
+            <= 1e-9 * np.linalg.norm(b))
+    assert (np.linalg.norm(wall.solve(b) - x) <= 1e-12 * np.linalg.norm(x))
+
+
+def schur_onto(dense, shared):
+    """The Schur complement of the dense PSD matrix onto the rows
+    `shared`, through the pseudo-inverse of the other rows' block."""
+    rest = np.setdiff1d(np.arange(len(dense)), shared)
+    c = dense[np.ix_(shared, rest)]
+    return (dense[np.ix_(shared, shared)]
+            - c @ oracle.pinv(dense[np.ix_(rest, rest)]) @ c.T)
 
 
 def test_ring_wall_gram_matches_the_exact_solve(monkeypatch):
-    wall, exact = ring_wall(monkeypatch)
-    assert wall.solver.folded and len(wall.shared)
-    rhs = wall.coupling.T
-    want = rhs.T @ exact.solve(rhs.toarray(), check_image=False)
-    got = wall.solver.gram(rhs)
-    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    # the shared root front eliminates the Schur complement onto its rows,
+    # C_ss less the Gram C M^+ C^T of the chunks' exact solves
+    _, exact, lt, shared = union_wall(monkeypatch, ring_of_four())
+    root, = [nd for nd in exact._nodes if nd.depth == 0]
+    assert np.array_equal(np.sort(exact.perm[root.start:root.stop]), shared)
+    want = schur_onto(lt.toarray(), exact.perm[root.start:root.stop])
+    kept = np.setdiff1d(np.arange(len(want)), root.skipped)
+    l11 = root.l11[:, kept]
+    assert (np.linalg.norm(l11 @ l11.T - want)
+            <= 1e-10 * np.linalg.norm(want))
+
+
+def test_ring_schur_block_matches_evr(monkeypatch):
+    # the root front's kept pivots count the Schur complement's rank, as
+    # LAPACK's dsyevr (scipy's default for `eigh`) reads it
+    _, exact, lt, shared = union_wall(monkeypatch, ring_of_four())
+    root, = [nd for nd in exact._nodes if nd.depth == 0]
+    w = sla.eigvalsh(schur_onto(lt.toarray(), shared))
+    rank = int(np.sum(w > dissection.DEFAULT_PIVOT_TOL * w[-1]))
+    assert 0 < rank == len(shared) - len(root.skipped)
+    assert exact.rank == oracle.rank(lt.toarray())
 
 
 def assert_schur_matches_evr(wall):
@@ -527,10 +571,6 @@ def assert_schur_matches_evr(wall):
     assert wall.rank - wall.solver.rank == keep.sum() > 0
     assert (np.linalg.norm(wall.schur_pinv - want)
             <= 1e-12 * np.linalg.norm(want))
-
-
-def test_ring_schur_block_matches_evr(monkeypatch):
-    assert_schur_matches_evr(ring_wall(monkeypatch)[0])
 
 
 def test_sphere_reduced_wall_schur_block_matches_evr():

@@ -8,6 +8,7 @@ from tetlap.hollowing import (HollowingConfig, find_hollowing,
                               sphere_hollowing, surface_hollowing)
 from tetlap.errors import NumericalError
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
+from tetlap.pcg import LinearOperator, generalized_ritz_extremes
 from tetlap.onelap import (build_one_lap_solver, build_union_solver, glue,
                            one_lap_solve)
 from tetlap.upproj import build_up_projection
@@ -18,7 +19,7 @@ from tetlap.uplap import (
     build_sphere_fast_solver,
     build_up_solver,
     schur_apply,
-    schur_condition_estimate,
+    schur_operator,
     schur_solve,
     up_lap_solve,
     up_lap_solve_fast,
@@ -284,11 +285,12 @@ def test_schur_solve_matches_pinv_oracle(rng):
     sc = dense_schur(lup, state.c_idx, state.f_all)
     hv = sc @ rng.standard_normal(len(state.c_idx))
     delta = 1e-9
-    x, rep = schur_solve(state, hv, delta)
+    x, rep = schur_solve(state, hv, delta, "schur")
     assert np.linalg.norm(sc @ x - hv) <= (delta + 1e-8) * np.linalg.norm(hv)
     x_oracle = oracle.pinv(sc) @ hv
     assert np.linalg.norm(sc @ (x - x_oracle)) <= (delta + 1e-8) * np.linalg.norm(hv)
-    zero, _ = schur_solve(state, np.zeros(len(state.c_idx)), delta)
+    zero, _ = schur_solve(state, np.zeros(len(state.c_idx)), delta,
+                          "schur")
     assert np.array_equal(zero, np.zeros(len(state.c_idx)))
 
 
@@ -411,8 +413,10 @@ def test_preconditioner_lower_bound_and_kappa(rng):
     ritz = np.linalg.eigvalsh(basis.T @ sc @ basis)
     assert ritz.min() >= 1 - 1e-6
     assert ritz.max() / ritz.min() <= 64 * h.r
-    est = schur_condition_estimate(state)
-    assert est <= 1.05 * ritz.max() / ritz.min()
+    precond = LinearOperator(dim=len(state.c_idx), apply=state.wall.solve)
+    lo, hi = generalized_ritz_extremes(schur_operator(state), precond,
+                                       iters=60)
+    assert hi / lo <= 1.05 * ritz.max() / ritz.min()
 
 
 # -- sphere fast path -----------------------------------------------------------

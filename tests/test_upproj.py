@@ -36,12 +36,29 @@ def test_down2_schur_matches_dense_oracle(rng):
 
     hv = sc @ rng.standard_normal(len(cset))
     delta = 1e-9
-    x, rep = uplap.schur_solve(state, hv, delta)
+    x, rep = uplap.schur_solve(state, hv, delta, "tri_schur")
     assert np.linalg.norm(sc @ x - hv) <= (delta + 1e-8) * np.linalg.norm(hv)
     x_oracle = oracle.pinv(sc) @ hv
     assert np.linalg.norm(sc @ (x - x_oracle)) <= (delta + 1e-8) * np.linalg.norm(hv)
-    zero, _ = uplap.schur_solve(state, np.zeros(len(cset)), delta)
+    zero, _ = uplap.schur_solve(state, np.zeros(len(cset)), delta,
+                                "tri_schur")
     assert not zero.any()
+
+
+def test_projection_pcg_reports_under_its_own_stage(rng):
+    # the up projection's triangle Schur PCG and the up solve's Schur PCG
+    # name their own stages, the empty case's report included
+    c, h, state = setup()
+    b = rng.standard_normal(c.num_edges)
+    _, report = up_project(c, h, b, 1e-8, state=state)
+    assert report.stages["tri_schur"].stage == "tri_schur"
+    up_state = uplap.build_up_solver(c, h)
+    _, report = uplap.up_lap_solve(c, h, up_state.lup @ b, 1e-8,
+                                   state=up_state)
+    assert report.stages["schur"].stage == "schur"
+    for name in ("schur", "tri_schur"):
+        _, empty = uplap.schur_solve(state, np.zeros(0), 1e-8, name)
+        assert empty.stage == name
 
 
 def two_term_formula(c, fset, cset):
