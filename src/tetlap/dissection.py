@@ -307,8 +307,8 @@ class RootSolve:
     size: int              # rows of the fronts together
 
     def solve(self, b) -> np.ndarray:
-        z = np.zeros((self.size, 1))
-        z[self.at, 0] = b
+        z = np.zeros(self.size)
+        z[self.at] = b
         off = 0
         for nd in self.fronts:
             seg = z[off:off + nd.stop - nd.start]
@@ -316,7 +316,7 @@ class RootSolve:
             seg[nd.skipped] = 0.0
             seg[:] = _triangular_solve(nd.l11, seg, trans=1)
             off += nd.stop - nd.start
-        return z[self.at, 0]
+        return z[self.at]
 
 
 def nd_cholesky(matrix, coords, blocks=None, shared=None, root_pins=None,
@@ -655,9 +655,7 @@ def solve_with_factor(factor: CholeskyFactor, b,
         raise ValueError(f"b has shape {b.shape}, expected ({n},) or ({n}, k)")
     if not np.isfinite(b).all():
         raise ValueError("b has non-finite entries")
-    single = b.ndim == 1
-    bm = b.reshape(-1, 1) if single else b
-    z = bm[factor.perm]
+    z = b[factor.perm]
     # forward: L y = z, deepest level first; y at a skipped pivot is never
     # read, since its column of l11 is zero below the diagonal and its
     # column of l21 is zero
@@ -680,8 +678,8 @@ def solve_with_factor(factor: CholeskyFactor, b,
     x = np.empty_like(z)
     x[factor.perm] = z
     if check_image:
-        _check_image(factor.matrix, x, bm)
-    return x[:, 0] if single else x
+        _check_image(factor.matrix, x, b)
+    return x
 
 
 def _level_update(z, level, trans):
@@ -696,9 +694,9 @@ def _level_update(z, level, trans):
 
 
 def _check_image(matrix, x, b):
-    """Raise unless matrix x meets each nonzero column of b to IMAGE_TOL, a
-    NaN residual included; `matrix` is sparse, so this check calls no dense
-    BLAS."""
+    """Raise unless matrix x meets each nonzero column of b (a 1-D b is one
+    column) to IMAGE_TOL, a NaN residual included; `matrix` is sparse, so
+    this check calls no dense BLAS."""
     norm_b = np.linalg.norm(b, axis=0)
     bad = ~(np.linalg.norm(matrix @ x - b, axis=0)
             <= IMAGE_TOL * np.maximum(norm_b, 1e-300))

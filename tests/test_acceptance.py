@@ -374,16 +374,19 @@ def test_criterion_12_runtime_trend():
         c = gen_grid(GridSpec((k, k, k)))
         n = c.num_simplexes
         r = float(n) ** 0.6
-        t0 = time.perf_counter()
-        h = find_hollowing(c, r, RELAXED)
-        state = build_one_lap_solver(c, h)
         b = rng.standard_normal(c.num_edges)
-        x, rep = one_lap_solve(c, h, b, eps, state=state)
-        elapsed = time.perf_counter() - t0
-        assert rep.final_residual <= eps * rep.initial_residual
+        # best of 3: one timing of 0.02-0.6 s reads the machine's noise
+        elapsed = np.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            h = find_hollowing(c, r, RELAXED)
+            state = build_one_lap_solver(c, h)
+            x, rep = one_lap_solve(c, h, b, eps, state=state)
+            elapsed = min(elapsed, time.perf_counter() - t0)
+            assert rep.final_residual <= eps * rep.initial_residual
         ns.append(n)
         times.append(elapsed)
-        lines.append(f"n={n}: {elapsed:.1f}s")
+        lines.append(f"n={n}: {1e3 * elapsed:.0f} ms")
     slope = np.polyfit(np.log(ns), np.log(times), 1)[0]
     report(12, slope <= 1.9,
            "total solve time " + ", ".join(lines)

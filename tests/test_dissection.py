@@ -1277,3 +1277,31 @@ def test_separator_violation_raises_without_asserts():
     assert out.returncode == 0, out.stderr
     assert "optimize 1 raised" in out.stdout
     assert "separator property" in out.stdout
+
+
+def test_vector_and_column_right_hand_sides_solve_alike(rng):
+    # a 1-D b goes through the same products and substitutions as its
+    # column b[:, None], and its answer stays 1-D
+    c = gen_grid(GridSpec((4, 4, 4)))
+    m = up_laplacian(c, 1)
+    n = m.shape[0]
+    pins = np.arange(0, n, 17)
+    exact = nd_cholesky(m, edge_midpoints(c), base_case=16,
+                        root_pins=[pins])
+    folded = nd_cholesky(m, edge_midpoints(c), base_case=16, folded=True)
+    b = m @ rng.standard_normal(n)
+    for f in (exact, folded):
+        x = f.solve(b)
+        assert x.shape == (n,)
+        assert x.tobytes() == f.solve(b[:, None])[:, 0].tobytes()
+        assert x.tobytes() == solve_with_factor(f, b).tobytes()
+    # the root solve of a b on the pinned rows reads the full solve's rows
+    root = exact.root_solve(pins)
+    v = rng.standard_normal(len(pins))
+    full = np.zeros(n)
+    full[pins] = v
+    y = root.solve(v)
+    assert y.shape == (len(pins),)
+    assert y.tobytes() == exact.solve(full, check_image=False)[pins].tobytes()
+    assert y.tobytes() == exact.solve(full[:, None],
+                                      check_image=False)[pins, 0].tobytes()

@@ -1,9 +1,15 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from tetlap.errors import NumericalError
 from tetlap.pcg import LinearOperator, generalized_ritz_extremes, pcg
+
+
+# the module, which the package's `pcg` function shadows as an attribute
+pcg_module = importlib.import_module("tetlap.pcg")
 
 
 def matrix_operator(m):
@@ -136,3 +142,44 @@ def test_rel_condition_diag_vs_identity():
                                        LinearOperator.identity(2), iters=5)
     assert lo == pytest.approx(1.0, rel=0.05)
     assert hi == pytest.approx(10.0, rel=0.05)
+
+
+def test_residual_checks_leave_the_iterates_alone(rng, monkeypatch):
+    # a check reads x and nothing else: checking at every iteration or at
+    # none gives the same bytes, and the preconditioner is applied once to
+    # start and once per iteration in both.  CG's residual norm is not
+    # monotone, so the stall rule is lifted to keep the checks from
+    # stopping the solve early
+    n, iters = 32, 10
+    lap = path_graph_laplacian(n)
+    b = rng.standard_normal(n)
+    b -= b.mean()   # orthogonal to the all-ones kernel
+    diag = lap.diagonal()
+    applies = {"a": 0, "m": 0}
+
+    def counted(name, fn):
+        def apply(v):
+            applies[name] += 1
+            return fn(v)
+        return LinearOperator(n, apply)
+    runs = []
+    monkeypatch.setattr(pcg_module, "STALL_CHECKS", iters + 1)
+    for every in (1, 10**9):
+        monkeypatch.setattr(pcg_module, "CHECK_EVERY", every)
+        applies.update(a=0, m=0)
+        x, rep = pcg(counted("a", lambda v: lap @ v),
+                     counted("m", lambda v: v / diag), b, tol=1e-14,
+                     max_iters=iters)
+        assert rep.iterations == iters and not rep.converged
+        assert "stalled" not in rep.params
+        assert applies["m"] == rep.iterations + 1
+        # one product per step and one per true residual, each counted
+        assert applies["a"] == iters + rep.params["checks"]
+        assert len(rep.residual_trace) == rep.params["checks"] + 1
+        assert rep.final_residual == np.linalg.norm(lap @ x - b)
+        runs.append((x, rep))
+    (x_all, all_checks), (x_none, no_checks) = runs
+    assert x_all.tobytes() == x_none.tobytes()
+    # the check after the last step reads the final x: none is recomputed
+    assert all_checks.params["checks"] == iters
+    assert no_checks.params["checks"] == 1
