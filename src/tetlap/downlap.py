@@ -1,12 +1,15 @@
 """Exact solver for first down-Laplacian systems and the exact projection
 onto gradients.
 
-The solver runs entirely on a BFS spanning forest of the 1-skeleton: a
-system in the incidence matrix is solved leaf-to-root in linear time, and
-the explicit kernel of d1^T W0^(1/2) (one vector per connected component)
-turns two forest solves plus one projection into an exact down-Laplacian
-solve.  Everything here also works on arbitrary oriented graphs, which the
-fast up-solver reuses for dual graphs of triangle discs.
+The solver runs entirely on a BFS spanning forest of the 1-skeleton.  A
+system in the incidence matrix, or in its transpose, is solved by one
+sparse product with the forest's path matrix (each vertex's signed path of
+parent edges up to its root), stored in O(sum of depths) and built once
+with the forest.  The explicit kernel of d1^T W0^(1/2) (one vector per
+connected component) turns two forest solves plus one projection into an
+exact down-Laplacian solve.  Everything here also works on arbitrary
+oriented graphs, which the fast up-solver reuses for dual graphs of
+triangle discs.
 
 The projection onto gradients, Im(d1^T), solves the unweighted vertex
 Laplacian L0 = d1 d1^T through one nested-dissection factor built with the
@@ -40,6 +43,10 @@ class SpanningForest:
     parent_vertex: np.ndarray  # (n,) -1 at roots
     head_sign: np.ndarray      # (n,) +1 if vertex is the head of its parent edge
     levels: list               # vertex arrays by BFS depth, levels[0] = roots
+    path: sp.csr_matrix        # (n, m); row v holds the head_sign-signed
+                               # parent edges of v and its ancestors, root
+                               # first: sum of depths stored entries
+    path_t: sp.csc_matrix      # path.T, on the same arrays
 
     @classmethod
     def from_graph(cls, n_vertices: int, edges) -> "SpanningForest":
@@ -71,39 +78,40 @@ class SpanningForest:
         head_sign[kids] = np.where(edges[kid_edges, 1] == kids, 1, -1)
         order = np.argsort(depth, kind="stable")
         levels = np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)
+
+        # a vertex's row of the path matrix is its parent's row and then its
+        # own parent edge, filled level by level from the roots down
+        indptr = np.zeros(n_vertices + 1, dtype=np.int64)
+        np.cumsum(depth, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        for k, level in enumerate(levels[1:], start=1):
+            start = indptr[level]
+            span = np.arange(k - 1)
+            indices[start[:, None] + span] = \
+                indices[indptr[parent_vertex[level]][:, None] + span]
+            indices[start + k - 1] = parent_edge[level]
+        edge_sign = np.zeros(m)
+        edge_sign[kid_edges] = head_sign[kids]
+        path = sp.csr_matrix((edge_sign[indices], indices, indptr),
+                             shape=(n_vertices, m))
         return cls(n_vertices=n_vertices, edges=edges, component=comp,
                    roots=roots, parent_edge=parent_edge,
                    parent_vertex=parent_vertex, head_sign=head_sign,
-                   levels=levels)
+                   levels=levels, path=path, path_t=path.T)
 
     # incidence convention: edge e = (u, v) has -1 at u and +1 at v
 
     def solve_transpose(self, b_edges: np.ndarray) -> np.ndarray:
         """y with (d^T y)[e] = y[head] - y[tail] = b[e] on forest edges;
-        y is zero at the roots.  Exact when b is in Im(d^T)."""
-        b_edges = np.asarray(b_edges, dtype=float)
-        shape = (self.n_vertices,) + b_edges.shape[1:]
-        y = np.zeros(shape)
-        for level in self.levels[1:]:
-            pe = self.parent_edge[level]
-            y[level] = y[self.parent_vertex[level]] \
-                + (self.head_sign[level].reshape((-1,) + (1,) * (b_edges.ndim - 1))
-                   * b_edges[pe])
-        return y
+        y is zero at the roots.  Exact when b is in Im(d^T): y[v] sums b
+        over the path from the root to v, signed by edge direction."""
+        return self.path @ np.asarray(b_edges, dtype=float)
 
     def solve_head(self, b_vertices: np.ndarray) -> np.ndarray:
         """x supported on forest edges with (d x) = b; needs b to sum to
-        zero on every component (checked by the caller's residual)."""
-        b = np.asarray(b_vertices, dtype=float).copy()
-        x = np.zeros((len(self.edges),) + b.shape[1:])
-        sgn_shape = (-1,) + (1,) * (b.ndim - 1)
-        for level in self.levels[:0:-1]:
-            pe = self.parent_edge[level]
-            sgn = self.head_sign[level].reshape(sgn_shape)
-            vals = sgn * b[level]
-            x[pe] = vals
-            np.add.at(b, self.parent_vertex[level], sgn * vals)
-        return x
+        zero on every component (checked by the caller's residual).  Each
+        forest edge carries the signed sum of b below it."""
+        return self.path_t @ np.asarray(b_vertices, dtype=float)
 
 
 class GraphDownLap:
@@ -121,8 +129,13 @@ class GraphDownLap:
         self.u = 1.0 / self.sqrt_w
         comp = self.forest.component
         ncomp = len(self.forest.roots)
-        self.u_norm2 = np.zeros(ncomp)
-        np.add.at(self.u_norm2, comp, self.u ** 2)
+        self.u_norm2 = np.bincount(comp, weights=self.u ** 2, minlength=ncomp)
+        # (components, n): row k holds u on component k, so one product
+        # gives every component's dot with u; its transpose, on the same
+        # arrays, spreads one coefficient per component back along u
+        self.kernel = sp.csr_matrix(
+            (self.u, (comp, np.arange(n_vertices))), shape=(ncomp, n_vertices))
+        self.kernel_t = self.kernel.T
         m = len(self.edges)
         rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
         cols = np.concatenate([np.arange(m), np.arange(m)])
@@ -137,6 +150,18 @@ class GraphDownLap:
     def rank(self) -> int:
         """rank d^T W d = rank d = vertices - components."""
         return self.n_vertices - len(self.forest.roots)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes stored by the solver: its forest (the path matrix counted
+        once), weights, kernel, incidence matrix and Laplacian."""
+        f = self.forest
+        arrays = [f.edges, f.component, f.roots, f.parent_edge,
+                  f.parent_vertex, f.head_sign, *f.levels, self.w,
+                  self.sqrt_w, self.u, self.u_norm2]
+        for m in (f.path, self.kernel, self.d, self.lap):
+            arrays += [m.data, m.indices, m.indptr]
+        return sum(a.nbytes for a in arrays)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.lap @ x
@@ -175,11 +200,8 @@ class GraphDownLap:
         return self._project_off_kernel(z)
 
     def _project_off_kernel(self, z: np.ndarray) -> np.ndarray:
-        comp = self.forest.component
-        u = _col(self.u, z.ndim)
-        dots = np.zeros((len(self.forest.roots),) + z.shape[1:])
-        np.add.at(dots, comp, u * z)
-        return z - u * (dots[comp] / _col(self.u_norm2, z.ndim)[comp])
+        coef = (self.kernel @ z) / _col(self.u_norm2, z.ndim)
+        return z - self.kernel_t @ coef
 
 
 def _col(v, ndim):

@@ -310,6 +310,17 @@ class BlockFactor:
             schur_rank = int(keep.sum())
         self.rank = self.solver.rank + schur_rank
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes stored by the factor: its solver's, the row sets, the
+        coupling block and the dense Schur pseudo-inverse, not the input
+        matrix."""
+        arrays = [self.rows, self.shared, self.schur_pinv]
+        if self.coupling is not None:
+            arrays += [self.coupling.data, self.coupling.indices,
+                       self.coupling.indptr]
+        return self.solver.nbytes + sum(a.nbytes for a in arrays)
+
     def solve(self, v) -> np.ndarray:
         """x with matrix x = v on the kept rows, for v in the image."""
         v = np.asarray(v, dtype=float)

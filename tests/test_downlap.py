@@ -284,14 +284,10 @@ def test_forest_on_grids_matches_reference(dims):
     assert_forest_like_reference(c.num_vertices, c.edges)
 
 
-@settings(max_examples=200, deadline=None)
-@given(n=st.integers(0, 40), density=st.floats(0.0, 3.0),
-       seed=st.integers(0, 2**32 - 1))
-@example(n=0, density=0.0, seed=0)
-@example(n=6, density=0.0, seed=0)
-def test_forest_on_random_graphs_matches_reference(n, density, seed):
-    # sparse draws leave several components and isolated vertices; edges
-    # come shuffled, with tails and heads flipped at random
+def random_graph(n, density, seed):
+    """A simple graph on n vertices with about density * n edges: sparse
+    draws leave several components and isolated vertices; edges come
+    shuffled, with tails and heads flipped at random."""
     rng = np.random.default_rng(seed)
     pairs = rng.integers(0, max(n, 1), size=(int(density * n), 2))
     pairs = np.unique(np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1),
@@ -299,10 +295,91 @@ def test_forest_on_random_graphs_matches_reference(n, density, seed):
     pairs = pairs[rng.permutation(len(pairs))]
     flip = rng.random(len(pairs)) < 0.5
     pairs[flip] = pairs[flip][:, ::-1]
-    assert_forest_like_reference(n, pairs)
+    return pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 40), density=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=0, density=0.0, seed=0)
+@example(n=6, density=0.0, seed=0)
+def test_forest_on_random_graphs_matches_reference(n, density, seed):
+    assert_forest_like_reference(n, random_graph(n, density, seed))
 
 
 def test_forest_takes_the_first_listed_of_parallel_edges():
     forest = SpanningForest.from_graph(3, [[0, 1], [1, 2], [1, 0], [0, 1]])
     assert forest.parent_edge.tolist() == [-1, 0, 1]
     assert forest.head_sign.tolist() == [0, 1, 1]
+
+
+# -- path products against the level-by-level reference -----------------------
+
+def reference_solve_transpose(forest, b_edges):
+    """forest.solve_transpose as a walk from the roots down, one BFS level
+    at a time: y[v] = y[parent] + head_sign[v] b[parent edge]."""
+    b_edges = np.asarray(b_edges, dtype=float)
+    y = np.zeros((forest.n_vertices,) + b_edges.shape[1:])
+    sgn_shape = (-1,) + (1,) * (b_edges.ndim - 1)
+    for level in forest.levels[1:]:
+        sgn = forest.head_sign[level].reshape(sgn_shape)
+        y[level] = y[forest.parent_vertex[level]] \
+            + sgn * b_edges[forest.parent_edge[level]]
+    return y
+
+
+def reference_solve_head(forest, b_vertices):
+    """forest.solve_head as a walk from the leaves up, one BFS level at a
+    time: each vertex's parent edge takes its subtree's signed sum of b."""
+    b = np.asarray(b_vertices, dtype=float).copy()
+    x = np.zeros((len(forest.edges),) + b.shape[1:])
+    sgn_shape = (-1,) + (1,) * (b.ndim - 1)
+    for level in forest.levels[:0:-1]:
+        sgn = forest.head_sign[level].reshape(sgn_shape)
+        vals = sgn * b[level]
+        x[forest.parent_edge[level]] = vals
+        np.add.at(b, forest.parent_vertex[level], sgn * vals)
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 40), density=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2**32 - 1), cols=st.sampled_from([None, 1, 3]))
+@example(n=0, density=0.0, seed=0, cols=None)
+@example(n=0, density=0.0, seed=0, cols=3)
+@example(n=6, density=0.0, seed=0, cols=None)
+def test_path_products_match_the_level_walks(n, density, seed, cols):
+    pairs = random_graph(n, density, seed)
+    forest = SpanningForest.from_graph(n, pairs)
+    # one stored entry per vertex and ancestor edge: the sum of the depths
+    assert forest.path.nnz == sum(
+        depth * len(level) for depth, level in enumerate(forest.levels))
+    rng = np.random.default_rng(seed)
+    tail = () if cols is None else (cols,)
+    b_edges = rng.standard_normal((len(pairs),) + tail)
+    b_vertices = rng.standard_normal((n,) + tail)
+    for got, want in [
+            (forest.solve_transpose(b_edges),
+             reference_solve_transpose(forest, b_edges)),
+            (forest.solve_head(b_vertices),
+             reference_solve_head(forest, b_vertices))]:
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_graph_down_lap_counts_every_stored_array_once():
+    # nbytes against every array the solver holds, a buffer shared by two
+    # of them (the path matrix and its transpose, the edge table) once
+    g = GraphDownLap(6, [[0, 1], [1, 2], [2, 0], [3, 4]],
+                     w_vertices=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    buffers = {}
+    for holder in (g, g.forest):
+        for value in vars(holder).values():
+            parts = value if isinstance(value, list) else [value]
+            for part in parts:
+                if sp.issparse(part):
+                    part = [part.data, part.indices, part.indptr]
+                for a in part if isinstance(part, list) else [part]:
+                    if isinstance(a, np.ndarray):
+                        buffers[a.__array_interface__["data"][0], a.nbytes] = a
+    assert g.nbytes == sum(a.nbytes for a in buffers.values())

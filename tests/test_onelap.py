@@ -978,3 +978,24 @@ def test_requests_neither_iterate_nor_factor_on_the_gradient_side(
     assert "schur" in seen
     assert "down_projection" not in seen
     assert "cholesky" not in seen
+
+
+def test_contract_at_fifteen_cubed():
+    # past desk scale: the sphere's fast up solve and the shell's full
+    # solve, each checked against Laplacians assembled apart from the
+    # solvers' states, not against the residuals they report
+    c = gen_grid(GridSpec((15, 15, 15)))
+    r = c.num_simplexes ** 0.6
+    rng = np.random.default_rng(15)
+    eps = 1e-6
+    lup = c.lap_up(1)
+    b = lup @ rng.standard_normal(c.num_edges)
+    x, _ = up_lap_solve_fast(c, sphere_hollowing(c, r, RELAXED), b, eps)
+    assert np.linalg.norm(lup @ x - b) <= eps * np.linalg.norm(b)
+
+    h = find_hollowing(c, r, RELAXED)
+    state = build_one_lap_solver(c, h)
+    assert state.harmonic.shape[1] == 0     # b1 = 0, so P1 b = b
+    b = rng.standard_normal(c.num_edges)
+    x, _ = one_lap_solve(c, h, b, eps, state=state)
+    assert np.linalg.norm(c.lap1() @ x - b) <= eps * np.linalg.norm(b)

@@ -450,6 +450,22 @@ def test_reduced_preconditioner_solves_wall_system(rng):
         assert np.linalg.norm(lt @ x - b) <= 1e-8 * np.linalg.norm(b)
 
 
+def test_wall_bytes_for_either_wall_kind():
+    # the reduced wall stores its graph solver and its dense Schur block,
+    # the folded wall its levels; neither counts the wall matrix
+    c = gen_grid(GridSpec((6, 6, 6)))
+    h = sphere_hollowing(c, 256)
+    reduced = build_sphere_fast_solver(c, h).wall
+    folded = build_up_solver(c, h).wall
+    own = [reduced.rows, reduced.shared, reduced.schur_pinv,
+           reduced.coupling.data, reduced.coupling.indices,
+           reduced.coupling.indptr]
+    assert len(reduced.shared) and reduced.nbytes == \
+        reduced.solver.nbytes + sum(a.nbytes for a in own)
+    assert reduced.solver.nbytes > reduced.solver.forest.path.data.nbytes > 0
+    assert folded.nbytes > 0
+
+
 def test_fast_and_slow_paths_meet_same_contract(rng):
     c = gen_grid(GridSpec((6, 6, 6)))
     hs = sphere_hollowing(c, 256)
