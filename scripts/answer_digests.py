@@ -55,6 +55,16 @@ class FirstAnswers(workloads.Runner):
         self.answers[kind] = call()
 
 
+def first_answers(workload) -> FirstAnswers:
+    """The runner of `workload` at its FULL sizes, once it has ended."""
+    run = FirstAnswers()
+    try:
+        workload(run, workloads.FULL)
+    except _Done:
+        pass
+    return run
+
+
 def digest(*arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -64,11 +74,7 @@ def digest(*arrays) -> str:
 
 def main() -> int:
     for name, workload in workloads.WORKLOADS.items():
-        run = FirstAnswers()
-        try:
-            workload(run, workloads.FULL)
-        except _Done:
-            pass
+        run = first_answers(workload)
         rows = {"x": run.answers["solve"]}
         if "hodge" in run.answers:
             rows["hodge"] = run.answers["hodge"]

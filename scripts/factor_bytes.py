@@ -1,0 +1,40 @@
+"""What the factors of each benchmark workload's first state store.
+
+    python3 scripts/factor_bytes.py
+
+Builds the first state of each workload of perfbench/workloads.py at its
+FULL sizes with seed 0, through `answer_digests.first_answers`, and
+prints one line per factor: workload, factor (`wall`, `interior`, `L0`),
+bytes stored (`nbytes`), number of solve levels and stored entries of the
+level matrices.  A factor without levels (the sphere reduced wall, a
+`BlockFactor`) prints `-` for both; sphere-up's state has no L0 factor.
+"""
+
+from __future__ import annotations
+
+import sys
+
+from answer_digests import first_answers, workloads
+
+
+def factors(state) -> dict:
+    """The wall, interior and L0 factors of a full or an up-solver state."""
+    up = getattr(state, "up_state", state)
+    found = {"wall": up.wall, "interior": up.interior}
+    if hasattr(state, "down_state"):
+        found["L0"] = state.down_state.lap0_factor
+    return found
+
+
+def main() -> int:
+    for name, workload in workloads.WORKLOADS.items():
+        for label, f in factors(first_answers(workload).state).items():
+            levels = getattr(f, "_levels", None)
+            shape = ("- -" if levels is None else
+                     f"{len(levels)} {sum(level.a.nnz for level in levels)}")
+            print(f"{name} {label} {f.nbytes} {shape}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,7 @@
 """Geometric separators, nested dissection orderings, and rank-aware sparse
 Cholesky factorization for PSD matrices whose nonzero graph is a mesh graph.
 Every factor comes from `nd_cholesky`: one ordering per uncoupled block of
-rows, and the rows the blocks share as one root front above them all.
+rows, the blocks' subtrees side by side under an empty root.
 
 The factorization is multifrontal over the separator tree: every tree node
 eliminates its block against a dense frontal matrix and passes a Schur
@@ -319,37 +319,32 @@ class RootSolve:
         return z[self.at]
 
 
-def nd_cholesky(matrix, coords, blocks=None, shared=None, root_pins=None,
-                folded: bool = False, base_case: int = DEFAULT_BASE_CASE,
-                pivot_tol: float = DEFAULT_PIVOT_TOL) -> CholeskyFactor:
+def nd_cholesky(matrix, coords, blocks=None, root_pins=None,
+                folded: bool = False,
+                base_case: int = DEFAULT_BASE_CASE) -> CholeskyFactor:
     """The factor of `matrix`, in the matrix's own row order, the builder of
     every nested dissection factor.
 
-    `blocks` and `shared` partition the rows (by default one block of all
-    rows, and no shared rows).  Each nonempty block gets its own ordering by
-    its rows' `coords` (a 3D location per row), with `root_pins[i]`,
-    positions within block i, in its root separator, and its own pivot
-    threshold.  The `shared` rows, the only ones through which blocks may
-    couple, form one root front above every block's subtree, with a
-    threshold of their own; with none, the blocks' roots are the roots.
+    `blocks` partition the rows, by default into one block of all rows.
+    Each nonempty block gets its own ordering by its rows' `coords` (a 3D
+    location per row), with `root_pins[i]`, positions within block i, in
+    its root separator, and its own pivot threshold, DEFAULT_PIVOT_TOL
+    times its largest diagonal entry; the blocks' roots are the roots.
     The tree is factored in one pass and its levels scheduled once,
     `folded` for a factor applied as a preconditioner (see `_schedule`: an
     inverse rounds worse than substitution, so exact solvers stay
-    unfolded).  Raises NumericalError when two blocks are coupled outside
-    the shared rows or the matrix is indefinite, and ValueError when it has
-    a non-finite stored entry or `blocks` and `shared` do not partition its
-    rows.
+    unfolded).  Raises NumericalError when two blocks are coupled or the
+    matrix is indefinite, and ValueError when it has a non-finite stored
+    entry or `blocks` do not partition its rows.
     """
     matrix = _finite_csr(matrix)
     coords = np.asarray(coords, dtype=float)
     n = matrix.shape[0]
     blocks = [np.arange(n)] if blocks is None else [
         np.asarray(rows, dtype=np.int64) for rows in blocks]
-    shared = np.asarray([] if shared is None else shared, dtype=np.int64)
-    _check_partition(matrix, blocks, shared)
+    _check_partition(matrix, blocks)
     diag = matrix.diagonal()
     scale = np.empty(n)
-    scale[shared] = _pivot_scale(diag[shared])
     pins = [None] * len(blocks) if root_pins is None else root_pins
     subtrees = []
     for rows, pin in zip(blocks, pins):
@@ -359,33 +354,33 @@ def nd_cholesky(matrix, coords, blocks=None, shared=None, root_pins=None,
             tree = nd_ordering(m, coords[rows], base_case=base_case,
                                root_pin=pin).tree
             subtrees.append(_relabel(tree, rows))
-    tree = NdNode(cols=shared, children=subtrees)
+    tree = NdNode(cols=np.empty(0, dtype=np.int64), children=subtrees)
     perm = np.empty(n, dtype=np.int64)
     _assign_intervals(tree, perm, 0)
     perm, kept, nodes = _factor_fronts(
-        matrix, NdOrdering(perm=perm, tree=tree, n=n), pivot_tol, scale)
+        matrix, NdOrdering(perm=perm, tree=tree, n=n), DEFAULT_PIVOT_TOL,
+        scale)
     return CholeskyFactor(perm=perm, rank=int(kept.sum()), kept=kept,
                           matrix=matrix, _nodes=[] if folded else nodes,
                           _levels=_schedule(nodes, n, folded), folded=folded)
 
 
-def _check_partition(matrix, blocks, shared):
-    """Raise ValueError unless `blocks` and `shared` partition the rows of
-    `matrix`, and NumericalError when a stored entry couples two blocks."""
+def _check_partition(matrix, blocks):
+    """Raise ValueError unless `blocks` partition the rows of `matrix`, and
+    NumericalError when a stored entry couples two blocks."""
     n = matrix.shape[0]
-    counts = np.bincount(np.concatenate(blocks + [shared]), minlength=n)
+    counts = np.bincount(np.concatenate([np.empty(0, dtype=np.int64)]
+                                        + blocks), minlength=n)
     if len(counts) != n or np.any(counts != 1):
-        raise ValueError("blocks and shared rows do not partition the "
-                         "matrix's rows")
-    label = np.full(n, -1)   # the shared rows keep -1
+        raise ValueError("blocks do not partition the matrix's rows")
+    label = np.empty(n, dtype=np.int64)
     for i, rows in enumerate(blocks):
         label[rows] = i
     coo = matrix.tocoo()
-    lr, lc = label[coo.row], label[coo.col]
-    if np.any((lr != lc) & (lr >= 0) & (lc >= 0)):
+    if np.any(label[coo.row] != label[coo.col]):
         raise NumericalError(
-            "index blocks are coupled outside the shared rows; the partition "
-            "does not match the matrix")
+            "index blocks are coupled; the partition does not match the "
+            "matrix")
 
 
 def _pivot_scale(diagonal) -> float:
@@ -428,9 +423,9 @@ def _symbolic(tree, mp):
     children before parents, the order of their starts (Liu's multifrontal
     structure): a front's rows above its block are its own columns' rows
     there and its children's update rows there, one sorted union.  An
-    empty root (blocks without shared rows) adds no depth: its children
-    are at depth 0.  Raises NumericalError when a child's update reaches
-    below its parent's block."""
+    empty root (the one above `nd_cholesky`'s blocks) adds no depth: its
+    children are at depth 0.  Raises NumericalError when a child's update
+    reaches below its parent's block."""
     fronts = []
     _symbolic_front(tree, 0 if len(tree.cols) else -1, mp,
                     np.empty(mp.shape[0], dtype=np.int64), fronts)

@@ -163,9 +163,6 @@ class GraphDownLap:
             arrays += [m.data, m.indices, m.indptr]
         return sum(a.nbytes for a in arrays)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.lap @ x
-
     def gram(self, b) -> np.ndarray:
         """b^T x for x = solve(b), b a sparse (edges, k) matrix, from the
         first half of the solve only.  x lives on forest edges, where b =
@@ -215,8 +212,9 @@ class DownState:
     """What the down solve and the gradient projection read, built once."""
 
     graph: GraphDownLap              # 1-skeleton with the vertex weights
-    lap0: sp.csr_matrix              # unweighted vertex Laplacian d1 d1^T
-    lap0_factor: CholeskyFactor      # its nested-dissection factor
+    # nested-dissection factor of the unweighted vertex Laplacian d1 d1^T,
+    # which it keeps as its `matrix`
+    lap0_factor: CholeskyFactor
 
 
 def _graph(c) -> GraphDownLap:
@@ -225,9 +223,8 @@ def _graph(c) -> GraphDownLap:
 
 def build_down_state(c) -> DownState:
     graph = _graph(c)
-    lap0 = (graph.d @ graph.d.T).tocsr()
-    return DownState(graph=graph, lap0=lap0,
-                     lap0_factor=nd_cholesky(lap0, c.vertices))
+    return DownState(graph=graph, lap0_factor=nd_cholesky(
+        graph.d @ graph.d.T, c.vertices))
 
 
 def down_lap_solve(c, b, state: DownState | None = None) -> np.ndarray:
@@ -259,7 +256,7 @@ def down_projection(c, b, eps: float, state: DownState | None = None):
     if np.linalg.norm(g) <= 1e-12 * np.linalg.norm(b):
         return np.zeros_like(b)
     phi = state.lap0_factor.solve(g, check_image=False)
-    resid = np.linalg.norm(state.lap0 @ phi - g)
+    resid = np.linalg.norm(state.lap0_factor.matrix @ phi - g)
     if resid > EXACT_TOL * np.linalg.norm(g):
         raise NumericalError(
             f"down projection: the vertex-Laplacian factor solve left a "

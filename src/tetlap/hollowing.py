@@ -509,29 +509,29 @@ def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
     tet_region, boxes = _box_assignment(c, cuts)
     nreg = len(boxes)
 
-    on_level = [np.isin(c.vertices[:, a], levels[a]) for a in range(3)]
     tri_boundary = np.zeros(c.num_triangles, dtype=bool)
     tri_disc = np.full(c.num_triangles, -1, dtype=np.int64)
-    disc_key = {}
+    # each wall triangle's disc key (axis, level, j, k), the discs numbered
+    # in the order their first triangle comes
+    disc_tris, disc_keys = [], []
     tv = c.triangles
     centroids = c.vertices[tv].mean(axis=1)
     for a in range(3):
-        for q in levels[a]:
+        for i, q in enumerate(levels[a]):
             sel = np.all(np.isclose(c.vertices[tv, a], q), axis=1)
             sel &= ~tri_boundary
-            if not sel.any():
-                continue
             tri_boundary |= sel
             ids = np.flatnonzero(sel)
-            other = [b for b in range(3) if b != a]
-            j = np.searchsorted(cuts[other[0]], centroids[ids, other[0]])
-            k = np.searchsorted(cuts[other[1]], centroids[ids, other[1]])
-            qi = float(q)
-            for t, jj, kk in zip(ids, j, k):
-                key = (a, qi, int(jj), int(kk))
-                if key not in disc_key:
-                    disc_key[key] = len(disc_key)
-                tri_disc[t] = disc_key[key]
+            disc_tris.append(ids)
+            disc_keys.append(np.column_stack(
+                [np.full((len(ids), 2), (a, i))]
+                + [np.searchsorted(cuts[b], centroids[ids, b])
+                   for b in range(3) if b != a]))
+    _, first, disc = np.unique(np.vstack(disc_keys), axis=0,
+                               return_index=True, return_inverse=True)
+    # the rank of each disc's first triangle among the discs' first ones
+    tri_disc[np.concatenate(disc_tris)] = np.argsort(
+        np.argsort(first))[disc.reshape(-1)]
 
     edge_boundary = (d2 @ tri_boundary) > 0
 
@@ -562,7 +562,7 @@ def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
                   shell_tets=[np.empty(0, dtype=np.int64)] * nreg,
                   tri_disc=tri_disc,
                   metrics={"planes": [list(map(float, p)) for p in planes],
-                           "num_regions": nreg, "num_discs": len(disc_key)})
+                           "num_regions": nreg, "num_discs": len(first)})
     _record_metrics(c, h, r)
     return h
 

@@ -12,11 +12,10 @@ are projected back and added.  The up solve first runs at eps itself; the
 residual against P1 b is recomputed, and on a miss the up solve runs once
 more a hundred times tighter; a second miss raises NumericalError.
 
-A glued union usually has no global embedding, so the wall preconditioner
-cannot be ordered by one geometric dissection.  Each chunk's wall edges are
-dissected in the chunk's own chart instead, and the edges the chunks share,
-which separate them, form the root front above those subtrees: one nested
-dissection factor, like every other wall.
+A glued union usually has no global embedding.  `glue` gives its complex
+a chart atlas instead, the chunks' charts side by side along x, and every
+nested dissection ordering reads it as it reads a mesh's coordinates: an
+ordering changes a factor's fill only, never its exactness.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import scipy.sparse as sp
 
 from . import oracle
 from .complexes import Complex3, build_complex
-from .dissection import CholeskyFactor, nd_cholesky
 from .downlap import (DownState, build_down_state, down_lap_solve,
                       down_projection)
 from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_state,
@@ -299,15 +297,13 @@ def betti_numbers(c, cap: int = oracle.SIZE_CAP):
 @dataclass
 class UnionComplex:
     chunks: list
-    hollowings: list
     vertex_maps: list                 # chunk vertex id -> global vertex id
-    complex: Complex3                 # glued complex (coordinates are per-chunk
-                                      # charts, not a global embedding)
+    complex: Complex3                 # glued complex; its coordinates are an
+                                      # atlas for ordering, not an embedding
     edge_maps: list                   # chunk edge id -> global edge id
     tri_maps: list
     tet_maps: list
-    shared_edges: np.ndarray          # global edges present in > 1 chunk
-    shared_triangles: np.ndarray
+    shared_triangles: np.ndarray      # global triangles present in > 1 chunk
     hollowing: Hollowing              # induced labels on the glued complex
 
 
@@ -317,7 +313,9 @@ def glue(chunks, identifications, hollowings) -> UnionComplex:
     `identifications` is a list of vertex classes, each a list of
     (chunk_index, vertex_index) pairs merged into one global vertex.
     Induced shared edges/triangles must be exterior in every chunk and on
-    the boundary class of that chunk's hollowing.
+    the boundary class of that chunk's hollowing.  The glued complex's
+    vertices are the chunks' charts laid side by side along x, an atlas
+    that orders its factors, not an embedding.
     """
     if len(chunks) != len(hollowings):
         raise ValueError("need one hollowing per chunk")
@@ -360,9 +358,15 @@ def glue(chunks, identifications, hollowings) -> UnionComplex:
     uniq, global_id = np.unique(roots, return_inverse=True)
     vertex_maps = [global_id[offsets[k]:offsets[k + 1]] for k in range(len(chunks))]
 
+    # the atlas: chunk 0's chart as it is, each later chart moved along x to
+    # start where the previous one ends; a shared vertex takes the later
+    # chunk's position
     coords = np.zeros((len(uniq), 3))
+    end = chunks[0].vertices[:, 0].min() if chunks else 0.0
     for k, ch in enumerate(chunks):
-        coords[vertex_maps[k]] = ch.vertices  # later chunks win; charts only
+        chart = ch.vertices + [end - ch.vertices[:, 0].min(), 0.0, 0.0]
+        coords[vertex_maps[k]] = chart
+        end = chart[:, 0].max()
 
     tets = np.vstack([vertex_maps[k][ch.tets] for k, ch in enumerate(chunks)])
     # build_complex lex-sorts tets; `order` recovers the permutation
@@ -400,12 +404,10 @@ def glue(chunks, identifications, hollowings) -> UnionComplex:
     union_h = _induced_union_hollowing(glued, chunks, hollowings, edge_maps,
                                        tri_maps, tet_maps, shared_edges,
                                        shared_triangles)
-    return UnionComplex(chunks=list(chunks), hollowings=list(hollowings),
-                        vertex_maps=vertex_maps, complex=glued,
-                        edge_maps=edge_maps, tri_maps=tri_maps,
-                        tet_maps=tet_maps, shared_edges=shared_edges,
-                        shared_triangles=shared_triangles,
-                        hollowing=union_h)
+    return UnionComplex(chunks=list(chunks), vertex_maps=vertex_maps,
+                        complex=glued, edge_maps=edge_maps,
+                        tri_maps=tri_maps, tet_maps=tet_maps,
+                        shared_triangles=shared_triangles, hollowing=union_h)
 
 
 def _merge_weights(glued, chunks, edge_maps, tri_maps, tet_maps, vertex_maps):
@@ -448,43 +450,9 @@ def _induced_union_hollowing(glued, chunks, hollowings, edge_maps, tri_maps,
 
 
 def build_union_solver(u: UnionComplex) -> OneLapState:
-    """Solver state on the glued complex.  A glued union has no global
-    embedding, so the wall preconditioner is ordered chunk by chunk, each
-    in its own chart, under a root front of the edges that couple chunks
-    (see `_chunk_wall`)."""
+    """Solver state on the glued complex, ordered on its atlas (see `glue`)."""
     glued, h = u.complex, u.hollowing
-    # each glued edge's midpoint in the chart of a chunk holding it
-    midpoints = np.zeros((glued.num_edges, 3))
-    for ch, m in zip(u.chunks, u.edge_maps):
-        midpoints[m] = ch.vertices[ch.edges].mean(axis=1)
-    edge_parts = [m[hh.boundary_edges]
-                  for m, hh in zip(u.edge_maps, u.hollowings)]
-    up_state = build_up_solver(
-        glued, h, wall=lambda lt: _chunk_wall(
-            lt, h.boundary_edges, edge_parts, u.shared_edges, midpoints))
-    return _build_state(glued, h, up_state, embedded=False)
-
-
-def _chunk_wall(matrix, ids, chunk_parts, dense, locations) -> CholeskyFactor:
-    """The folded factor of a wall matrix over the glued simplexes `ids`,
-    as a preconditioner's: one block per chunk with its wall simplexes not
-    already taken, ordered by their `locations`, and the `dense` simplexes
-    plus any left over as the shared root front above them."""
-    pos = np.full(len(locations), -1, dtype=np.int64)
-    pos[ids] = np.arange(len(ids))
-    dense_local = pos[dense]
-    dense_local = dense_local[dense_local >= 0]
-    taken = np.zeros(len(ids), dtype=bool)
-    taken[dense_local] = True
-    blocks = []
-    for part in chunk_parts:
-        locs = pos[part]
-        locs = locs[(locs >= 0) & ~taken[locs]]
-        taken[locs] = True
-        blocks.append(np.unique(locs))
-    shared = np.union1d(dense_local, np.flatnonzero(~taken))
-    return nd_cholesky(matrix, locations[ids], blocks=blocks, shared=shared,
-                       folded=True)
+    return _build_state(glued, h, build_up_solver(glued, h), embedded=False)
 
 
 def union_one_lap_solve(u: UnionComplex, b, eps: float,

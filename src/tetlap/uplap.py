@@ -34,8 +34,9 @@ from .complexes import up_laplacian
 from .dissection import (_GEMM, DEFAULT_PIVOT_TOL, CholeskyFactor, RootSolve,
                          nd_cholesky)
 from .downlap import GraphDownLap
-from .errors import (NumericalError, check_state, check_tolerance,
-                     check_vector, missed_contract, one_norm, roundoff_floor)
+from .errors import (NumericalError, UnsupportedGeometryError, check_state,
+                     check_tolerance, check_vector, missed_contract, one_norm,
+                     roundoff_floor)
 from .hollowing import Hollowing, check_hollowing
 from .pcg import LinearOperator, pcg
 from .reports import SolveReport
@@ -250,7 +251,8 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
 # -- sphere-hollowing fast preconditioner -------------------------------------
 
 def build_sphere_fast_solver(c, h: Hollowing) -> UpSolverState:
-    """Up-solver whose wall preconditioner runs through the reduced system."""
+    """Up-solver whose wall preconditioner runs through the reduced system.
+    Raises UnsupportedGeometryError when a hole opens through a disc."""
     if h.kind != "sphere":
         raise ValueError("fast solver requires a sphere hollowing")
     return build_up_solver(c, h, wall=lambda lt: _reduced_wall(c, h, lt))
@@ -363,9 +365,15 @@ def _disc_rows(c, h: Hollowing):
 
     signs = _orient_discs(d2tb, disc_of, e1_mask)
     b1 = (d2tb @ sp.diags(signs))[e1_mask].tocsr()
-    if not (np.all(np.diff(b1.indptr) == 2)
-            and np.all(b1.data.reshape(-1, 2).sum(axis=1) == 0)):
-        raise NumericalError("disc interior edge with unexpected incidence")
+    # a plane holds at most two triangles of an edge, and two of one disc
+    # have opposite signs once it is oriented: a row short of two is an
+    # edge on a single disc triangle
+    lone = int(np.sum(np.diff(b1.indptr) != 2))
+    if lone:
+        raise UnsupportedGeometryError(
+            f"{lone} wall edges lie on a single disc triangle (a hole opens "
+            "through a disc), so the reduced wall has no dual-graph row for "
+            "them; build_up_solver handles this hollowing")
 
     # one rim edge per distinct disc signature: the first with it
     rim = np.flatnonzero(~e1_mask)

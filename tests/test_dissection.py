@@ -1016,8 +1016,7 @@ def test_sphere_interior_factors_build_like_the_reference(monkeypatch):
 
 def test_ring_factors_build_like_the_reference(monkeypatch):
     # four boxes glued in a ring, each box's far x face to the next box's
-    # x = 0 face; the wall is one factor over the chunks' blocks, each with
-    # its own pivot threshold, under the shared edges' root front
+    # x = 0 face; every factor is ordered on the glued complex's atlas
     k = 4
     chunks = [gen_grid(GridSpec((k, 3, 3))) for _ in range(4)]
     groups = []
@@ -1110,58 +1109,37 @@ def assert_solves_like_pinv(factor, m, rng):
 
 def test_nd_cholesky_over_blocks_solves_their_rows(rng):
     # the factor keeps the matrix's row order, whatever order the blocks
-    # list its rows in
+    # list its rows in; the blocks' roots are the roots, at depth 0
     idx = rng.permutation(11)
     blocks = [idx[:6], idx[6:]]
     m = coupled_psd(rng, blocks, 11)
-    factor = nd_cholesky(m, rng.random((11, 3)), blocks=blocks)
-    assert factor.shape == (11, 11)
-    assert_solves_like_pinv(factor, m, rng)
-
-
-def test_block_factor_with_shared_set(rng):
-    # two blocks coupled through three shared rows, their root front; with
-    # no shared rows the blocks' roots are the roots, at depth 0
-    idx = rng.permutation(12)
-    blocks, shared = [np.sort(idx[:5]), np.sort(idx[5:9])], np.sort(idx[9:])
-    m = coupled_psd(rng, [np.union1d(b, shared) for b in blocks] + [shared],
-                    12)
-    coords = rng.random((12, 3))
     for folded in (False, True):
-        factor = nd_cholesky(m, coords, blocks=blocks, shared=shared,
+        factor = nd_cholesky(m, rng.random((11, 3)), blocks=blocks,
                              folded=folded)
+        assert factor.shape == (11, 11)
         assert_solves_like_pinv(factor, m, rng)
-        root = factor.perm[factor._levels[0].cols]
-        assert np.array_equal(np.sort(root), shared)
-    exact = nd_cholesky(m, coords, blocks=blocks, shared=shared)
-    assert sum(nd.depth == 0 for nd in exact._nodes) == 1
-    uncoupled = coupled_psd(rng, blocks, 12)
-    apart = nd_cholesky(uncoupled, coords, blocks=blocks + [shared])
-    assert_solves_like_pinv(apart, uncoupled, rng)
-    assert sum(nd.depth == 0 for nd in apart._nodes) == 3
+    exact = nd_cholesky(m, rng.random((11, 3)), blocks=blocks)
+    assert sum(nd.depth == 0 for nd in exact._nodes) == 2
 
 
-def test_shared_root_keeps_each_blocks_pivot_threshold(rng):
-    # two paths, the second weighted 1e-13, each tied to one shared vertex
-    # by an edge of its own weight: a connected graph, of rank n - 1.  One
-    # threshold for the whole matrix would skip every pivot of the second
-    # path; each block's own keeps them, under the shared root too
+def test_each_block_keeps_its_pivot_threshold(rng):
+    # two paths, the second weighted 1e-13: one threshold for the whole
+    # matrix would skip every pivot of the second path; each block's own
+    # keeps them
     n = 30
     edges = ([(i, i + 1, 1.0) for i in range(n - 1)]
-             + [(n + i, n + i + 1, 1e-13) for i in range(n - 1)]
-             + [(n - 1, 2 * n, 1.0), (2 * n - 1, 2 * n, 1e-13)])
-    lap = np.zeros((2 * n + 1, 2 * n + 1))
+             + [(n + i, n + i + 1, 1e-13) for i in range(n - 1)])
+    lap = np.zeros((2 * n, 2 * n))
     for i, j, w in edges:
         lap[[i, j, i, j], [i, j, j, i]] += [w, w, -w, -w]
     line = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
-    coords = np.vstack([line, line, [[n, 0, 0]]])
     blocks = [np.arange(n), np.arange(n, 2 * n)]
     for folded in (False, True):
-        f = nd_cholesky(lap, coords, blocks=blocks, shared=[2 * n],
+        f = nd_cholesky(lap, np.vstack([line, line]), blocks=blocks,
                         folded=folded)
-        assert f.rank == 2 * n
-        y = np.zeros(2 * n + 1)
-        y[n:2 * n] = rng.standard_normal(n)
+        assert f.rank == 2 * n - 2
+        y = np.zeros(2 * n)
+        y[n:] = rng.standard_normal(n)
         b = lap @ y
         x = f.solve(b)
         assert (np.linalg.norm((lap @ x - b)[n:]) <= 1e-9
@@ -1196,32 +1174,14 @@ def test_nd_cholesky_rejects_coupled_blocks(rng):
     with pytest.raises(NumericalError, match="coupled"):
         nd_cholesky(m, rng.random((6, 3)), blocks=[np.arange(3),
                                                    np.arange(3, 6)])
-    # one block, or blocks coupled through shared rows only, are fine
+    # one block is fine
     nd_cholesky(m, rng.random((6, 3)), blocks=[np.arange(6)])
-    m = coupled_psd(rng, [np.arange(4), np.arange(3, 7)], 7)
-    nd_cholesky(m, rng.random((7, 3)), blocks=[np.arange(3),
-                                               np.arange(4, 7)], shared=[3])
-    # the blocks and the shared rows must partition the rows
-    for blocks, shared in (([np.arange(3), np.arange(4, 7)], None),
-                           ([np.arange(4), np.arange(3, 7)], [3]),
-                           ([np.arange(3), np.arange(4, 8)], [3])):
+    # the blocks must partition the rows
+    for blocks in ([np.arange(3), np.arange(4, 6)],
+                   [np.arange(4), np.arange(3, 6)],
+                   [np.arange(3), np.arange(3, 7)]):
         with pytest.raises(ValueError, match="partition"):
-            nd_cholesky(m, rng.random((7, 3)), blocks=blocks, shared=shared)
-
-
-def test_nd_cholesky_rejects_a_coupling_outside_the_shared_rows(rng):
-    # blocks {0, 1, 2} and {4, 5, 6} share row 3, and rows 2 and 4 couple
-    # besides
-    m = coupled_psd(rng, [np.arange(4), np.arange(3, 7), [2, 4]], 7)
-    with pytest.raises(NumericalError, match="coupled"):
-        nd_cholesky(m, rng.random((7, 3)), blocks=[np.arange(3),
-                                                   np.arange(4, 7)],
-                    shared=[3])
-    # with rows 2 and 4 shared as well, the blocks couple through them only
-    factor = nd_cholesky(m, rng.random((7, 3)), blocks=[np.arange(2),
-                                                        np.arange(5, 7)],
-                         shared=[2, 3, 4])
-    assert_solves_like_pinv(factor, m, rng)
+            nd_cholesky(m, rng.random((6, 3)), blocks=blocks)
 
 
 def test_exact_solves_check_the_image_and_preconditioners_do_not(rng):

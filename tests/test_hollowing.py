@@ -139,6 +139,41 @@ def test_sphere_hollowing_spheres_and_discs():
     assert np.all(h.tet_region >= 0)
 
 
+def reference_tri_disc(c, planes):
+    """The discs numbered triangle by triangle through a dict of their
+    (axis, level, j, k) keys, each new key taking the next number."""
+    lo, hi = c.vertices.min(axis=0), c.vertices.max(axis=0)
+    cuts = [np.array(p) for p in planes]
+    centroids = c.vertices[c.triangles].mean(axis=1)
+    tri_disc = np.full(c.num_triangles, -1, dtype=np.int64)
+    taken = np.zeros(c.num_triangles, dtype=bool)
+    keys = {}
+    for a in range(3):
+        for q in np.concatenate([[lo[a]], cuts[a], [hi[a]]]):
+            sel = np.all(np.isclose(c.vertices[c.triangles, a], q), axis=1)
+            sel &= ~taken
+            taken |= sel
+            for t in np.flatnonzero(sel):
+                key = (a, float(q)) + tuple(
+                    int(np.searchsorted(cuts[b], centroids[t, b]))
+                    for b in range(3) if b != a)
+                tri_disc[t] = keys.setdefault(key, len(keys))
+    return tri_disc
+
+
+@pytest.mark.parametrize("dims, r, holes", [
+    ((12, 12, 12), None, []),
+    ((6, 6, 6), 64, [HoleSpec((2, 2, 0), (1, 1, 6), "tunnel")]),
+    ((10, 4, 4), 64, []),
+])
+def test_sphere_discs_are_numbered_like_the_reference(dims, r, holes):
+    c = gen_grid(GridSpec(dims, holes=holes))
+    h = sphere_hollowing(c, r or c.num_simplexes ** 0.6, RELAXED)
+    want = reference_tri_disc(c, h.metrics["planes"])
+    assert np.array_equal(h.tri_disc, want)
+    assert h.metrics["num_discs"] == want.max() + 1
+
+
 def test_sphere_hollowing_degenerate_boundary_is_outer_sphere():
     c = gen_grid(GridSpec((2, 2, 2)))
     h = sphere_hollowing(c, 280)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tetlap import dissection, downlap, onelap, oracle, uplap, upproj
 from tetlap.complexes import down_laplacian, one_laplacian
 from tetlap.downlap import down_projection
-from tetlap.errors import NumericalError, TetlapError
+from tetlap.errors import NumericalError, TetlapError, UnsupportedGeometryError
 from tetlap.hollowing import (
     HollowingConfig,
     check_hollowing,
@@ -332,6 +332,14 @@ def face_identifications(c0, c1, axis, pos0, pos1):
     return groups
 
 
+def two_chunks():
+    """Two 3^3 boxes, the first's x = 3 face glued to the second's x = 0."""
+    c0, h0 = make_chunk((3, 3, 3))
+    c1, h1 = make_chunk((3, 3, 3))
+    return glue([c0, c1], face_identifications(c0, c1, 0, 3.0, 0.0),
+                [h0, h1])
+
+
 def test_glue_two_chunks_counts():
     c0, h0 = make_chunk()
     c1, h1 = make_chunk()
@@ -490,72 +498,40 @@ def test_only_the_wall_preconditioner_is_folded(rng, union):
     assert {name: factor_bytes(f) for name, f in factors.items()} == before
 
 
-def union_wall(monkeypatch, u):
-    """The wall factor of u's union solver, the exact (unfolded) factor of
-    the same call, and the call's (matrix, shared rows)."""
-    calls = []
-
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs))
-        return dissection.nd_cholesky(*args, **kwargs)
-    monkeypatch.setattr(onelap, "nd_cholesky", spy)
+@pytest.mark.parametrize("name", ["two_chunks", "ring"])
+def test_union_wall_is_folded_and_solves_like_the_pseudo_inverse(rng, name):
+    # the default wall, ordered on the glued complex's atlas: folded, of
+    # the wall up-Laplacian's rank, and a pseudo-inverse on its image
+    u = two_chunks() if name == "two_chunks" else ring_of_four()
     wall = build_union_solver(u).up_state.wall
-    (args, kwargs), = calls
-    exact = dissection.nd_cholesky(*args, **dict(kwargs, folded=False))
-    return wall, exact, args[0], kwargs["shared"]
-
-
-def test_two_chunk_wall_is_one_factor_with_a_shared_root(rng, monkeypatch):
-    c0, h0 = make_chunk((3, 3, 3))
-    c1, h1 = make_chunk((3, 3, 3))
-    u = glue([c0, c1], face_identifications(c0, c1, 0, 3.0, 0.0), [h0, h1])
-    wall, exact, lt, shared = union_wall(monkeypatch, u)
-    # the shared rows are the glued edges' wall rows, and the depth-0 front
-    pos = np.searchsorted(u.hollowing.boundary_edges, u.shared_edges)
-    assert len(shared) and np.array_equal(shared, pos)
+    c, h = u.complex, u.hollowing
+    d2 = c.boundary(2).toarray()[np.ix_(h.boundary_edges,
+                                        h.boundary_triangles)]
+    lt = (d2 * c.weights[2][h.boundary_triangles]) @ d2.T
     assert wall.folded
-    assert np.array_equal(np.sort(wall.perm[wall._levels[0].cols]), shared)
-    # the unfolded twin solves the wall like the pseudo-inverse
-    dense = lt.toarray()
-    assert exact.rank == wall.rank == oracle.rank(dense)
-    b = lt @ rng.standard_normal(lt.shape[0])
-    x = exact.solve(b)
-    assert (np.linalg.norm(dense @ (x - oracle.pinv(dense) @ b))
+    assert wall.rank == oracle.rank(lt)
+    b = lt @ rng.standard_normal(len(lt))
+    assert (np.linalg.norm(lt @ (wall.solve(b) - oracle.pinv(lt) @ b))
             <= 1e-9 * np.linalg.norm(b))
-    assert (np.linalg.norm(wall.solve(b) - x) <= 1e-12 * np.linalg.norm(x))
 
 
-def schur_onto(dense, shared):
-    """The Schur complement of the dense PSD matrix onto the rows
-    `shared`, through the pseudo-inverse of the other rows' block."""
-    rest = np.setdiff1d(np.arange(len(dense)), shared)
-    c = dense[np.ix_(shared, rest)]
-    return (dense[np.ix_(shared, shared)]
-            - c @ oracle.pinv(dense[np.ix_(rest, rest)]) @ c.T)
-
-
-def test_ring_wall_gram_matches_the_exact_solve(monkeypatch):
-    # the shared root front eliminates the Schur complement onto its rows,
-    # C_ss less the Gram C M^+ C^T of the chunks' exact solves
-    _, exact, lt, shared = union_wall(monkeypatch, ring_of_four())
-    root, = [nd for nd in exact._nodes if nd.depth == 0]
-    assert np.array_equal(np.sort(exact.perm[root.start:root.stop]), shared)
-    want = schur_onto(lt.toarray(), exact.perm[root.start:root.stop])
-    kept = np.setdiff1d(np.arange(len(want)), root.skipped)
-    l11 = root.l11[:, kept]
-    assert (np.linalg.norm(l11 @ l11.T - want)
-            <= 1e-10 * np.linalg.norm(want))
-
-
-def test_ring_schur_block_matches_evr(monkeypatch):
-    # the root front's kept pivots count the Schur complement's rank, as
-    # LAPACK's dsyevr (scipy's default for `eigh`) reads it
-    _, exact, lt, shared = union_wall(monkeypatch, ring_of_four())
-    root, = [nd for nd in exact._nodes if nd.depth == 0]
-    w = sla.eigvalsh(schur_onto(lt.toarray(), shared))
-    rank = int(np.sum(w > dissection.DEFAULT_PIVOT_TOL * w[-1]))
-    assert 0 < rank == len(shared) - len(root.skipped)
-    assert exact.rank == oracle.rank(lt.toarray())
+def test_glue_lays_the_chunk_charts_side_by_side():
+    # chunk 0 keeps its chart, and each later chart starts along x where
+    # the previous one ends
+    u = two_chunks()
+    x = [u.complex.vertices[m] for m in u.vertex_maps]
+    assert np.array_equal(x[0], u.chunks[0].vertices)
+    assert x[0][:, 0].max() <= x[1][:, 0].min()
+    # in a ring, chunk 0's face glued to the last chunk moves with that
+    # chunk; the vertices each chunk holds alone keep apart
+    u = ring_of_four()
+    count = np.bincount(np.concatenate(u.vertex_maps))
+    alone = [m[count[m] == 1] for m in u.vertex_maps]
+    ranges = [u.complex.vertices[a, 0] for a in alone]
+    assert all(lo.max() < hi.min() for lo, hi in zip(ranges, ranges[1:]))
+    held = count[u.vertex_maps[0]] == 1
+    assert np.array_equal(u.complex.vertices[alone[0]],
+                          u.chunks[0].vertices[held])
 
 
 def assert_schur_matches_evr(wall):
@@ -656,6 +632,19 @@ def test_one_lap_matches_oracle_on_sphere_hollowings(harmonic_case, name):
     c, _, solve, _, _ = harmonic_case(name)
     b = np.random.default_rng(0).standard_normal(c.num_edges)
     assert_matches_oracle(c, solve, b, 1e-6)
+
+
+def test_reduced_wall_names_a_hole_through_a_disc():
+    # the tunnel opens through discs, so some wall edges lie on a single
+    # disc triangle: the reduced wall names that, and the default wall
+    # solves the same system
+    c, h = HARMONIC_MESHES["sphere_tunnel"][0]()
+    b = c.lap_up(1) @ np.random.default_rng(0).standard_normal(c.num_edges)
+    with pytest.raises(UnsupportedGeometryError,
+                       match="single disc triangle.*build_up_solver"):
+        up_lap_solve_fast(c, h, b, 1e-8)
+    _, report = up_lap_solve(c, h, b, 1e-8)
+    assert report.final_residual <= 1e-8 * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("name", sorted(HARMONIC_MESHES))

@@ -3,8 +3,9 @@ import re
 import subprocess
 import sys
 
-SCRIPT = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "scripts", "answer_digests.py")
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "scripts")
+SCRIPT = os.path.join(SCRIPTS, "answer_digests.py")
 
 
 def test_answer_digests_name_every_answer_and_repeat():
@@ -19,3 +20,23 @@ def test_answer_digests_name_every_answer_and_repeat():
         "ring-rebuild harmonic", "sphere-up x"]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in rows)
     assert runs[1].stdout == runs[0].stdout
+
+
+def test_factor_bytes_names_each_workloads_factors():
+    # workload, factor, bytes, levels and level entries; the sphere
+    # reduced wall has no levels, and sphere-up's state no L0 factor
+    out = subprocess.run([sys.executable,
+                          os.path.join(SCRIPTS, "factor_bytes.py")],
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    rows = [line.split() for line in out.stdout.splitlines()]
+    assert [row[:2] for row in rows] == [
+        [name, label] for name in ("box-stream", "ring-rebuild", "sphere-up")
+        for label in ("wall", "interior", "L0")
+        if (name, label) != ("sphere-up", "L0")]
+    for name, label, nbytes, levels, nnz in rows:
+        assert int(nbytes) > 0
+        if (name, label) == ("sphere-up", "wall"):
+            assert levels == nnz == "-"
+        else:
+            assert int(levels) > 0 and int(nnz) >= 0
