@@ -1122,6 +1122,28 @@ def test_nd_cholesky_over_blocks_solves_their_rows(rng):
     assert sum(nd.depth == 0 for nd in exact._nodes) == 2
 
 
+def test_block_factor_with_shared_set(rng):
+    # two sets coupled through three shared rows: one block, its shared
+    # rows pinned into its root front; uncoupled, the shared set is a block
+    # of its own, and the three blocks' roots are the roots, at depth 0
+    idx = rng.permutation(12)
+    blocks, shared = [np.sort(idx[:5]), np.sort(idx[5:9])], np.sort(idx[9:])
+    m = coupled_psd(rng, [np.union1d(b, shared) for b in blocks] + [shared],
+                    12)
+    coords = rng.random((12, 3))
+    for folded in (False, True):
+        factor = nd_cholesky(m, coords, root_pins=[shared], folded=folded)
+        assert_solves_like_pinv(factor, m, rng)
+        root = factor.perm[factor._levels[0].cols]
+        assert np.isin(shared, root).all()
+    exact = nd_cholesky(m, coords, root_pins=[shared])
+    assert sum(nd.depth == 0 for nd in exact._nodes) == 1
+    uncoupled = coupled_psd(rng, blocks, 12)
+    apart = nd_cholesky(uncoupled, coords, blocks=blocks + [shared])
+    assert_solves_like_pinv(apart, uncoupled, rng)
+    assert sum(nd.depth == 0 for nd in apart._nodes) == 3
+
+
 def test_each_block_keeps_its_pivot_threshold(rng):
     # two paths, the second weighted 1e-13: one threshold for the whole
     # matrix would skip every pivot of the second path; each block's own
@@ -1182,6 +1204,25 @@ def test_nd_cholesky_rejects_coupled_blocks(rng):
                    [np.arange(3), np.arange(3, 7)]):
         with pytest.raises(ValueError, match="partition"):
             nd_cholesky(m, rng.random((6, 3)), blocks=blocks)
+
+
+def test_nd_cholesky_rejects_a_coupling_outside_the_shared_rows(rng):
+    # sets {0, 1, 2} and {4, 5, 6} share row 3, and rows 2 and 4 couple
+    # besides: with row 3 a block of its own, every block is coupled
+    m = coupled_psd(rng, [np.arange(4), np.arange(3, 7), [2, 4]], 7)
+    sets = [np.arange(3), [3], np.arange(4, 7)]
+    with pytest.raises(NumericalError, match="coupled"):
+        nd_cholesky(m, rng.random((7, 3)), blocks=sets)
+    # without row 3's coupling, rows 2 and 4 alone still couple the sets
+    apart = coupled_psd(rng, [np.arange(3), [3], np.arange(4, 7), [2, 4]],
+                        7)
+    with pytest.raises(NumericalError, match="coupled"):
+        nd_cholesky(apart, rng.random((7, 3)), blocks=sets)
+    # one block with rows 2, 3 and 4 pinned into its root solves the rows
+    factor = nd_cholesky(m, rng.random((7, 3)), root_pins=[[2, 3, 4]])
+    assert_solves_like_pinv(factor, m, rng)
+    root, = [nd for nd in factor._nodes if nd.depth == 0]
+    assert np.isin([2, 3, 4], factor.perm[root.start:root.stop]).all()
 
 
 def test_exact_solves_check_the_image_and_preconditioners_do_not(rng):

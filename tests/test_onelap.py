@@ -515,6 +515,57 @@ def test_union_wall_is_folded_and_solves_like_the_pseudo_inverse(rng, name):
             <= 1e-9 * np.linalg.norm(b))
 
 
+def ring_wall():
+    """The ring's wall factor, its exact (unfolded) twin ordered the same
+    way, the wall up-Laplacian, dense, and the twin's root front."""
+    u = ring_of_four()
+    c, h = u.complex, u.hollowing
+    wall = build_union_solver(u).up_state.wall
+    d2 = c.boundary(2).toarray()[np.ix_(h.boundary_edges,
+                                        h.boundary_triangles)]
+    lt = (d2 * c.weights[2][h.boundary_triangles]) @ d2.T
+    midpoints = c.vertices[c.edges].mean(axis=1)
+    exact = dissection.nd_cholesky(lt, midpoints[h.boundary_edges])
+    root, = [nd for nd in exact._nodes if nd.depth == 0]
+    return wall, exact, lt, root
+
+
+def schur_onto(dense, rows):
+    """The Schur complement of the dense PSD matrix onto `rows`, through
+    the pseudo-inverse of the other rows' block."""
+    rest = np.setdiff1d(np.arange(len(dense)), rows)
+    c = dense[np.ix_(rows, rest)]
+    return (dense[np.ix_(rows, rows)]
+            - c @ oracle.pinv(dense[np.ix_(rest, rest)]) @ c.T)
+
+
+def test_ring_wall_gram_matches_the_exact_solve(rng):
+    # the folded wall solves like its exact twin, whose root front
+    # eliminates the Schur complement onto its rows, C_ss less the Gram
+    # C M^+ C^T of the exact solves below it
+    wall, exact, lt, root = ring_wall()
+    b = lt @ rng.standard_normal(len(lt))
+    x = exact.solve(b)
+    assert exact.rank == wall.rank
+    assert (np.linalg.norm(wall.solve(b) - x) <= 1e-12 * np.linalg.norm(x))
+    want = schur_onto(lt, exact.perm[root.start:root.stop])
+    kept = np.setdiff1d(np.arange(len(want)), root.skipped)
+    l11 = root.l11[:, kept]
+    assert (np.linalg.norm(l11 @ l11.T - want)
+            <= 1e-10 * np.linalg.norm(want))
+
+
+def test_ring_schur_block_matches_evr():
+    # the root front's kept pivots count the Schur complement's rank, as
+    # LAPACK's dsyevr (scipy's default for `eigh`) reads it
+    _, exact, lt, root = ring_wall()
+    rows = exact.perm[root.start:root.stop]
+    w = sla.eigvalsh(schur_onto(lt, rows))
+    rank = int(np.sum(w > dissection.DEFAULT_PIVOT_TOL * w[-1]))
+    assert 0 < rank == len(rows) - len(root.skipped)
+    assert exact.rank == oracle.rank(lt)
+
+
 def test_glue_lays_the_chunk_charts_side_by_side():
     # chunk 0 keeps its chart, and each later chart starts along x where
     # the previous one ends
