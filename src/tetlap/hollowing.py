@@ -50,7 +50,7 @@ class Hollowing:
     """Region labels plus the interior/boundary classification they induce."""
 
     r: float
-    kind: str                    # "shell" or "sphere"
+    kind: str                    # "shell", "sphere", "surface" or "union"
     num_regions: int
     tet_region: np.ndarray       # region id per tet; -1 marks wall tets (shell)
     edge_class: np.ndarray       # region id per edge, -1 = boundary
@@ -468,24 +468,21 @@ def _record_metrics(c, h: Hollowing, r):
 def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
     """Surface hollowing: region boundaries are triangulated 2-spheres that
     pairwise intersect in discs.  Requires holes to stay clear of the
-    cutting planes."""
+    cutting planes, and refuses a region boundary that is not a sphere."""
     config = config or HollowingConfig()
     d2 = abs(c.boundary(2))
     labels, ncomp = _check_boundary_structure(c, r, config, _adjacency(d2))
     planes = _plane_positions(c, r, lattice=True)
+    largest = int(np.argmax([np.sum(labels == k) for k in range(ncomp)]))
     if not any(planes):
         # degenerate: one region whose boundary sphere is the outer surface
         h = _single_region(c, r, "sphere")
-        sizes = [np.sum(labels == k) for k in range(ncomp)]
-        outer = np.flatnonzero(labels == int(np.argmax(sizes))) if ncomp \
-            else np.empty(0, dtype=np.int64)
+        outer = np.flatnonzero(labels == largest)
         h.tri_class[outer] = -1
-        if len(outer):
-            h.edge_class[np.unique(c.tri_edges[outer])] = -1
-            h.tri_disc[outer] = 0
+        h.edge_class[np.unique(c.tri_edges[outer])] = -1
+        h.tri_disc[outer] = 0
         h.shells = [outer]
-        _record_metrics(c, h, r)
-        return h
+        return _checked_spheres(c, h, r)
 
     lo = c.vertices.min(axis=0)
     hi = c.vertices.max(axis=0)
@@ -493,8 +490,6 @@ def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
     levels = [np.concatenate([[lo[a]], cuts[a], [hi[a]]]) for a in range(3)]
 
     # holes must not straddle a cutting plane
-    sizes = [np.sum(labels == k) for k in range(ncomp)]
-    largest = int(np.argmax(sizes)) if ncomp else -1
     for k in range(ncomp):
         if k == largest:
             continue
@@ -563,6 +558,17 @@ def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
                   tri_disc=tri_disc,
                   metrics={"planes": [list(map(float, p)) for p in planes],
                            "num_regions": nreg, "num_discs": len(first)})
+    return _checked_spheres(c, h, r)
+
+
+def _checked_spheres(c, h: Hollowing, r) -> Hollowing:
+    """`h` with metrics; raises when a region boundary is not a 2-sphere."""
+    for k, shell in enumerate(h.shells):
+        chi = _euler_characteristic(c, shell)
+        if chi != 2:
+            raise UnsupportedGeometryError(
+                f"region {k} boundary has Euler characteristic {chi}, not 2 "
+                "(not a sphere); a shell hollowing (find_hollowing) fits")
     _record_metrics(c, h, r)
     return h
 
@@ -595,8 +601,11 @@ def _box_assignment(c, cuts):
 # -- validation ---------------------------------------------------------------
 
 def check_hollowing(c, h: Hollowing) -> None:
-    """Raise ValueError naming the field when `h` cannot label `c`: a label
-    array of the wrong length, or a class outside [-1, num_regions)."""
+    """Raise ValueError naming the field when `h` cannot label `c`: an unknown
+    kind, a label array of the wrong length, a class outside [-1,
+    num_regions), or a sphere wall triangle without a disc in tri_disc."""
+    if h.kind not in ("shell", "sphere", "surface", "union"):
+        raise ValueError(f"hollowing kind {h.kind!r} is unknown")
     labels = [("tet_region", h.tet_region, c.num_tets),
               ("edge_class", h.edge_class, c.num_edges),
               ("tri_class", h.tri_class, c.num_triangles)]
@@ -609,6 +618,10 @@ def check_hollowing(c, h: Hollowing) -> None:
         if bad.any():
             raise ValueError(f"hollowing {name} has class {values[bad][0]} "
                              f"outside [-1, {h.num_regions})")
+    if h.kind == "sphere" and (h.tri_disc is None
+                               or np.any(h.tri_disc[h.tri_class < 0] < 0)):
+        raise ValueError("sphere hollowing tri_disc is missing or negative "
+                         "on a wall triangle, which the reduced wall needs")
 
 
 def validate_hollowing(c, h: Hollowing, config: HollowingConfig | None = None):
@@ -682,7 +695,7 @@ def validate_hollowing(c, h: Hollowing, config: HollowingConfig | None = None):
             violations.append(
                 f"region {k} boundary triangle diameter {far} > {diam_cap:.1f}")
 
-    if h.kind == "sphere" and h.num_regions > 1:
+    if h.kind == "sphere":
         violations.extend(_validate_sphere_shells(c, h))
     return violations
 

@@ -66,7 +66,6 @@ class OneLapState:
 
 
 def build_one_lap_solver(c, h: Hollowing) -> OneLapState:
-    check_hollowing(c, h)
     return _build_state(c, h, build_up_solver(c, h), embedded=True)
 
 

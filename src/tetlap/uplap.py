@@ -13,17 +13,17 @@ deeper fronts would act on zeros forward and write only rows the apply
 never reads backward, so the result is the full interior solve's, bit for
 bit, and the Schur residual stays the whole residual.
 
-On sphere hollowings `build_sphere_fast_solver` replaces the preconditioner
-solve by the reduced system route: interior disc edges collapse to a
-dual-graph down-Laplacian, rim edges deduplicate by their disc signature,
-and the leftover Schur complement is small enough to pseudo-invert densely
-up front (`BlockFactor`).
+The wall solve of a sphere hollowing runs through the reduced system:
+interior disc edges collapse to a dual-graph down-Laplacian, rim edges
+deduplicate by their disc signature, and the leftover Schur complement is
+small enough to pseudo-invert densely up front (`BlockFactor`).  Every
+other kind's wall is one folded nested dissection factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
@@ -61,7 +61,7 @@ class UpSolverState:
     f_all: np.ndarray                # interior rows, region by region
     c_idx: np.ndarray                # wall rows
     interior: CholeskyFactor         # lup[F, F] over f_all, one block per region
-    # the wall preconditioner over c_idx: a folded factor by default
+    # the wall preconditioner over c_idx, by kind (see build_up_solver)
     wall: Optional[CholeskyFactor | BlockFactor]
     iface: np.ndarray                # positions in f_all of the interface rows
     root: RootSolve                  # the interior solve through their fronts
@@ -70,13 +70,12 @@ class UpSolverState:
     l_ic: sp.csr_matrix              # lup[F, C] over the interface rows
 
 
-def build_up_solver(c, h: Hollowing,
-                    wall: Optional[Callable] = None) -> UpSolverState:
-    """`eliminate` on Lup: per-region factors of Lup[F, F] plus the
-    wall-complex preconditioner.
+def build_up_solver(c, h: Hollowing) -> UpSolverState:
+    """`eliminate` on Lup: per-region factors of Lup[F, F] plus the exact
+    solver of the wall complex's up-Laplacian over the boundary edges.
 
-    `wall(lt)` returns the exact solver of the wall complex's up-Laplacian
-    `lt` over the boundary edges; by default one nested dissection factor
+    A sphere hollowing's wall solves through the reduced system
+    (`_reduced_wall`); every other kind's is one nested dissection factor
     ordered by edge midpoints, folded, since it is applied once per Schur
     iteration.
     """
@@ -85,15 +84,15 @@ def build_up_solver(c, h: Hollowing,
     lup = up_laplacian(c, 1, d2)
     c_idx = h.boundary_edges
     midpoints = c.vertices[c.edges].mean(axis=1)
-    wall_factor = None
+    wall = None
     if len(c_idx):
         bt = h.boundary_triangles
         d2c = d2[c_idx][:, bt]
         lt = (d2c @ sp.diags(c.weights[2][bt]) @ d2c.T).tocsr()
-        wall_factor = (nd_cholesky(lt, midpoints[c_idx], folded=True)
-                       if wall is None else wall(lt))
+        wall = (_reduced_wall(c, h, lt) if h.kind == "sphere" else
+                nd_cholesky(lt, midpoints[c_idx], folded=True))
     return eliminate(c, h, lup, d2, midpoints, h.interior_edges_by_region(),
-                     c_idx, wall_factor)
+                     c_idx, wall)
 
 
 def eliminate(c, h: Hollowing, matrix, d2, coords, regions, c_idx,
@@ -248,14 +247,16 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
     return x, report
 
 
-# -- sphere-hollowing fast preconditioner -------------------------------------
+# -- sphere reduced wall ------------------------------------------------------
 
 def build_sphere_fast_solver(c, h: Hollowing) -> UpSolverState:
-    """Up-solver whose wall preconditioner runs through the reduced system.
-    Raises UnsupportedGeometryError when a hole opens through a disc."""
+    """`build_up_solver`, for sphere hollowings only (else ValueError)."""
     if h.kind != "sphere":
         raise ValueError("fast solver requires a sphere hollowing")
-    return build_up_solver(c, h, wall=lambda lt: _reduced_wall(c, h, lt))
+    return build_up_solver(c, h)
+
+
+up_lap_solve_fast = up_lap_solve    # build_up_solver picks the sphere wall
 
 
 def _reduced_wall(c, h: Hollowing, lt) -> BlockFactor:
@@ -351,8 +352,6 @@ def _disc_rows(c, h: Hollowing):
     bt = h.boundary_triangles
     d2tb = c.boundary(2).astype(float)[c_idx][:, bt].tocsr()
     disc_of = h.tri_disc[bt]
-    if np.any(disc_of < 0):
-        raise NumericalError("sphere hollowing lacks disc labels")
 
     # edges x discs: the discs of each edge's triangles, one sorted entry
     # per disc (the CSR constructor sums duplicates and sorts each row)
@@ -373,7 +372,7 @@ def _disc_rows(c, h: Hollowing):
         raise UnsupportedGeometryError(
             f"{lone} wall edges lie on a single disc triangle (a hole opens "
             "through a disc), so the reduced wall has no dual-graph row for "
-            "them; build_up_solver handles this hollowing")
+            "them; a shell hollowing (find_hollowing) handles this mesh")
 
     # one rim edge per distinct disc signature: the first with it
     rim = np.flatnonzero(~e1_mask)
@@ -410,14 +409,3 @@ def _orient_discs(d2tb, disc_of, e1_mask) -> np.ndarray:
     if np.any(signs[t2] != -signs[t1] * val):
         raise NumericalError("disc is not orientable")
     return signs
-
-
-def up_lap_solve_fast(c, h: Hollowing, b, eps: float,
-                      state: Optional[UpSolverState] = None):
-    """Sphere-hollowing up-solver; same contract as up_lap_solve."""
-    b = check_vector(b, c.num_edges, "b")
-    eps = check_tolerance(eps)
-    if state is None:
-        state = build_sphere_fast_solver(c, h)
-    check_state(state, c, h)
-    return _up_solve_with_state(state, b, eps)

@@ -25,12 +25,11 @@ from tetlap.onelap import (
 )
 from tetlap.pcg import LinearOperator, generalized_ritz_extremes
 from tetlap.uplap import (
-    build_sphere_fast_solver,
+    BlockFactor,
     build_up_solver,
     schur_operator,
     schur_solve,
     up_lap_solve,
-    up_lap_solve_fast,
 )
 from tetlap.upproj import build_up_projection, up_project
 
@@ -339,7 +338,8 @@ def test_criterion_11_fast_path_parity():
     c = gen_grid(GridSpec((6, 6, 6)))
     hs = sphere_hollowing(c, 256)
     assert hs.num_regions > 1
-    state = build_sphere_fast_solver(c, hs)
+    state = build_up_solver(c, hs)
+    assert isinstance(state.wall, BlockFactor)
     lup = c.lap_up(1)
 
     # reduced preconditioner solves the wall system exactly
@@ -354,7 +354,7 @@ def test_criterion_11_fast_path_parity():
                         np.linalg.norm(lt @ x - b) / np.linalg.norm(b))
 
     b = lup @ rng.standard_normal(c.num_edges)
-    x_fast, _ = up_lap_solve_fast(c, hs, b, eps, state=state)
+    x_fast, _ = up_lap_solve(c, hs, b, eps, state=state)
     fast_res = np.linalg.norm(lup @ x_fast - b) / np.linalg.norm(b)
     h_shell = find_hollowing(c, 256, RELAXED)
     x_slow, _ = up_lap_solve(c, h_shell, b, eps)

@@ -91,6 +91,36 @@ def test_solve_and_hodge_on_a_sphere_hollowing(tmp_path):
     assert np.linalg.norm(parts["harmonic"]) <= 1e-9 * np.linalg.norm(b)
 
 
+def test_sphere_hollowing_of_a_tunnel_mesh_is_unsupported(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dims": [6, 6, 6], "holes": [
+        {"lo": [2, 2, 0], "size": [1, 1, 6], "kind": "tunnel"}]}))
+    mesh_path = tmp_path / "mesh.json"
+    assert main(["gen", "--spec", str(spec), "--out", str(mesh_path)]) == 0
+    code = main(["hollow", "--mesh", str(mesh_path), "--r", "64", "--sphere",
+                 "--out", str(tmp_path / "holl.json")])
+    assert code == 4
+    assert "Euler characteristic 0, not 2" in capsys.readouterr().err
+
+
+def test_solve_names_a_sphere_hollowing_without_discs(tmp_path, grid_files,
+                                                       capsys):
+    # a hand-written sphere hollowing file with no tri_disc field
+    mesh_path, _ = grid_files
+    holl = tmp_path / "sphere.json"
+    assert main(["hollow", "--mesh", str(mesh_path), "--r", "48", "--sphere",
+                 "--out", str(holl)]) == 0
+    data = json.loads(holl.read_text())
+    del data["tri_disc"]
+    holl.write_text(json.dumps(data))
+    b_path, _ = write_rhs(tmp_path, mesh_path)
+    capsys.readouterr()
+    code = main(["solve", "--mesh", str(mesh_path), "--holl", str(holl),
+                 "--b", str(b_path), "--out", str(tmp_path / "x.json")])
+    assert code == 1
+    assert "tri_disc" in capsys.readouterr().err
+
+
 def test_solve_meets_reported_contract(tmp_path, grid_files):
     mesh_path, holl_path = grid_files
     mesh = load_complex(mesh_path)

@@ -6,6 +6,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetlap import downlap, hollowing, meshgen, oracle, uplap
 from tetlap.complexes import build_complex
@@ -161,14 +163,18 @@ def reference_tri_disc(c, planes):
     return tri_disc
 
 
+# holes may come within two triangle hops of the outer boundary
+NEAR_HOLES = HollowingConfig(min_shell_width=2, min_component_separation=2)
+
+
 @pytest.mark.parametrize("dims, r, holes", [
     ((12, 12, 12), None, []),
-    ((6, 6, 6), 64, [HoleSpec((2, 2, 0), (1, 1, 6), "tunnel")]),
+    ((6, 6, 6), 256, [HoleSpec((1, 1, 1), (1, 1, 1))]),
     ((10, 4, 4), 64, []),
 ])
 def test_sphere_discs_are_numbered_like_the_reference(dims, r, holes):
     c = gen_grid(GridSpec(dims, holes=holes))
-    h = sphere_hollowing(c, r or c.num_simplexes ** 0.6, RELAXED)
+    h = sphere_hollowing(c, r or c.num_simplexes ** 0.6, NEAR_HOLES)
     want = reference_tri_disc(c, h.metrics["planes"])
     assert np.array_equal(h.tri_disc, want)
     assert h.metrics["num_discs"] == want.max() + 1
@@ -188,6 +194,69 @@ def test_sphere_hollowing_rejects_hole_on_plane():
     c = gen_grid(GridSpec((9, 9, 9), holes=[HoleSpec((4, 4, 4), (1, 1, 1))]))
     with pytest.raises(UnsupportedGeometryError, match="crosses a cutting plane"):
         sphere_hollowing(c, 1000)
+
+
+TUNNEL = HoleSpec((1, 1, 0), (1, 1, 4), "tunnel")
+
+
+@pytest.mark.parametrize("dims, r, holes", [
+    ((6, 6, 6), 64, [HoleSpec((2, 2, 0), (1, 1, 6), "tunnel")]),
+    ((10, 4, 4), 64, [TUNNEL, HoleSpec((8, 1, 0), (1, 1, 4), "tunnel")]),
+    ((4, 4, 4), None, [TUNNEL]),      # one region, r = n - 1
+])
+def test_sphere_hollowing_rejects_a_tunnel_through_a_region(dims, r, holes):
+    # a tunnel through a region makes its boundary a torus
+    c = gen_grid(GridSpec(dims, holes=holes))
+    with pytest.raises(UnsupportedGeometryError,
+                       match=r"boundary has Euler characteristic 0, not 2"):
+        sphere_hollowing(c, r or c.num_simplexes - 1, NEAR_HOLES)
+
+
+def test_validate_names_a_torus_boundary():
+    # the 4^3 tunnel mesh as one sphere-kind region bounded by the whole
+    # exterior, a torus: built by hand, since sphere_hollowing refuses it
+    c = gen_grid(GridSpec((4, 4, 4), holes=[TUNNEL]))
+    ext = np.flatnonzero(c.exterior_triangles)
+    tri_class = np.zeros(c.num_triangles, dtype=np.int64)
+    tri_class[ext] = -1
+    edge_class = np.zeros(c.num_edges, dtype=np.int64)
+    edge_class[np.unique(c.tri_edges[ext])] = -1
+    h = Hollowing(r=c.num_simplexes - 1.0, kind="sphere", num_regions=1,
+                  tet_region=np.zeros(c.num_tets, dtype=np.int64),
+                  edge_class=edge_class, tri_class=tri_class, shells=[ext],
+                  tri_disc=np.where(tri_class < 0, 0, -1))
+    assert validate_hollowing(c, h) == [
+        "region 0 boundary has Euler characteristic 0, not 2"]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sphere_hollowing_keeps_its_sphere_contract(data):
+    # random cavity boxes, 8^3 to 13^3 with one or two holes: whatever
+    # sphere_hollowing returns has 2-sphere region boundaries
+    k = data.draw(st.integers(8, 13))
+
+    def cavity(x_lo, x_hi):
+        """A cavity whose cells lie in [x_lo, x_hi) along x."""
+        size = (data.draw(st.integers(1, min(2, x_hi - x_lo))),
+                data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2)))
+        lo = (data.draw(st.integers(x_lo, x_hi - size[0])),
+              *[data.draw(st.integers(1, k - 1 - s)) for s in size[1:]])
+        return HoleSpec(lo, size)
+    if k >= 10 and data.draw(st.booleans()):
+        # two holes on either side of a gap of HOLE_SEPARATION cells
+        cut = data.draw(st.integers(2, k - 2 - meshgen.HOLE_SEPARATION))
+        holes = [cavity(1, cut),
+                 cavity(cut + meshgen.HOLE_SEPARATION, k - 1)]
+    else:
+        holes = [cavity(1, k - 1)]
+    c = gen_grid(GridSpec((k, k, k), holes=holes))
+    try:
+        h = sphere_hollowing(c, c.num_simplexes ** 0.6, NEAR_HOLES)
+    except UnsupportedGeometryError:
+        return
+    assert not [v for v in validate_hollowing(c, h, NEAR_HOLES)
+                if "Euler characteristic" in v]
 
 
 def test_boundary_triangle_total_scaling():

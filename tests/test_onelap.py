@@ -13,6 +13,7 @@ from tetlap.complexes import down_laplacian, one_laplacian
 from tetlap.downlap import down_projection
 from tetlap.errors import NumericalError, TetlapError, UnsupportedGeometryError
 from tetlap.hollowing import (
+    Hollowing,
     HollowingConfig,
     check_hollowing,
     find_hollowing,
@@ -293,6 +294,30 @@ def test_check_hollowing_names_a_wrong_length():
     h.tri_disc = np.full(c.num_triangles - 1, -1)
     with pytest.raises(ValueError, match="hollowing tri_disc has shape"):
         check_hollowing(c, h)
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("kind", "hollowing kind 'spherical' is unknown"),
+    ("no discs", "sphere hollowing tri_disc is missing"),
+    ("unlabelled", "tri_disc is missing or negative on a wall triangle"),
+])
+def test_bad_sphere_hollowing_rejected_before_factoring(monkeypatch, defect,
+                                                        message):
+    # hand-written hollowings: the wall is picked by kind, and the sphere
+    # kind's reduced wall needs a disc on every wall triangle
+    c, h = sphere_setup((4, 4, 4), 48)
+    if defect == "kind":
+        h.kind = "spherical"
+    elif defect == "no discs":
+        h.tri_disc = None
+    else:
+        h.tri_disc[h.boundary_triangles[5]] = -1
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("factored before checking the hollowing")
+    monkeypatch.setattr(dissection, "_factor_fronts", no_factor)
+    with pytest.raises(ValueError, match=message):
+        one_lap_solve(c, h, np.ones(c.num_edges), 1e-6)
 
 
 def test_betti_numbers_diagnostics():
@@ -635,10 +660,6 @@ HARMONIC_MESHES = {
     "sphere_box": (lambda: sphere_setup((6, 6, 6), 64), 0),
     "sphere_cavity": (lambda: sphere_setup(
         (6, 6, 6), 256, [HoleSpec((1, 1, 1), (1, 1, 1))]), 0),
-    "sphere_tunnel": (lambda: sphere_setup(
-        (6, 6, 6), 64, [HoleSpec((2, 2, 0), (1, 1, 6), "tunnel")]), 1),
-    "sphere_two_tunnels": (lambda: sphere_setup((10, 4, 4), 64, TWO_TUNNELS),
-                           2),
 }
 SPHERES = sorted(name for name in HARMONIC_MESHES if name.startswith("sphere"))
 
@@ -686,15 +707,25 @@ def test_one_lap_matches_oracle_on_sphere_hollowings(harmonic_case, name):
 
 
 def test_reduced_wall_names_a_hole_through_a_disc():
-    # the tunnel opens through discs, so some wall edges lie on a single
-    # disc triangle: the reduced wall names that, and the default wall
-    # solves the same system
-    c, h = HARMONIC_MESHES["sphere_tunnel"][0]()
+    # a hand-made sphere hollowing whose wall is one face of the box, one
+    # open disc: its rim edges lie on a single disc triangle, as where a
+    # hole opens through a disc, and the reduced wall names that; a shell
+    # hollowing solves the same system
+    c = gen_grid(GridSpec((4, 4, 4)))
+    face = np.flatnonzero(np.all(c.vertices[c.triangles, 2] == 0.0, axis=1))
+    tri_class = np.zeros(c.num_triangles, dtype=np.int64)
+    tri_class[face] = -1
+    edge_class = np.zeros(c.num_edges, dtype=np.int64)
+    edge_class[np.unique(c.tri_edges[face])] = -1
+    h = Hollowing(r=48.0, kind="sphere", num_regions=1,
+                  tet_region=np.zeros(c.num_tets, dtype=np.int64),
+                  edge_class=edge_class, tri_class=tri_class, shells=[face],
+                  tri_disc=np.where(tri_class < 0, 0, -1))
     b = c.lap_up(1) @ np.random.default_rng(0).standard_normal(c.num_edges)
     with pytest.raises(UnsupportedGeometryError,
-                       match="single disc triangle.*build_up_solver"):
-        up_lap_solve_fast(c, h, b, 1e-8)
-    _, report = up_lap_solve(c, h, b, 1e-8)
+                       match="single disc triangle.*find_hollowing"):
+        up_lap_solve(c, h, b, 1e-8)
+    _, report = up_lap_solve(c, find_hollowing(c, 48, RELAXED), b, 1e-8)
     assert report.final_residual <= 1e-8 * np.linalg.norm(b)
 
 

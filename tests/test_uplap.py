@@ -451,19 +451,25 @@ def test_reduced_preconditioner_solves_wall_system(rng):
 
 
 def test_wall_bytes_for_either_wall_kind():
-    # the reduced wall stores its graph solver and its dense Schur block,
-    # the folded wall its levels; neither counts the wall matrix
+    # sphere hollowings get the reduced wall, which stores its graph solver
+    # and its dense Schur block; shells, surfaces and glued unions get the
+    # folded wall, which stores its levels; neither counts the wall matrix
     c = gen_grid(GridSpec((6, 6, 6)))
-    h = sphere_hollowing(c, 256)
-    reduced = build_sphere_fast_solver(c, h).wall
-    folded = build_up_solver(c, h).wall
+    reduced = build_up_solver(c, sphere_hollowing(c, 256)).wall
+    assert isinstance(reduced, uplap.BlockFactor)
     own = [reduced.rows, reduced.shared, reduced.schur_pinv,
            reduced.coupling.data, reduced.coupling.indices,
            reduced.coupling.indptr]
     assert len(reduced.shared) and reduced.nbytes == \
         reduced.solver.nbytes + sum(a.nbytes for a in own)
     assert reduced.solver.nbytes > reduced.solver.forest.path.data.nbytes > 0
-    assert folded.nbytes > 0
+    shell = find_hollowing(c, 256, RELAXED)
+    union = glue([c], [], [shell])
+    for cx, h in ((c, shell), (c, surface_hollowing(c)),
+                  (union.complex, union.hollowing)):
+        folded = build_up_solver(cx, h).wall
+        assert isinstance(folded, dissection.CholeskyFactor) and folded.folded
+        assert folded.nbytes > 0
 
 
 def test_fast_and_slow_paths_meet_same_contract(rng):
