@@ -1,5 +1,8 @@
-"""Region partitions of a 3-complex: thick-wall ("shell") hollowings and
-surface ("sphere") hollowings, plus their validation.
+"""Region partitions of a 3-complex: thick-wall ("shell"), lattice-plane
+("sphere") and whole-exterior ("surface") hollowings, plus their
+validation.  Every kind labels simplexes by one rule (`_classes`): a wall
+triangle or edge is a boundary simplex, and every other simplex belongs to
+the region of the tets that hold it.  Only the walls differ.
 
 A shell hollowing marks a set of wall tetrahedra; regions are the face
 connected components of the remaining tetrahedra, and every simplex of a
@@ -8,9 +11,10 @@ axis cutting planes, a band along the outer boundary, and half-bands around
 interior holes that a plane happens to cross, then thickened layer by layer
 until every region's enclosing shell reaches the requested width.
 
-A sphere hollowing cuts along the lattice planes themselves: region
-boundaries are the triangulated box surfaces (2-spheres), adjacent regions
-share a disc of triangles, and no tetrahedron is ever a boundary simplex.
+A sphere hollowing cuts along the lattice planes themselves: the wall is
+the plane triangles, a region's boundary is the wall triangles of its own
+tets (a triangulated box surface, a 2-sphere), adjacent regions share a
+disc of triangles, and no tetrahedron is ever a boundary simplex.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ class Hollowing:
     """Region labels plus the interior/boundary classification they induce."""
 
     r: float
-    kind: str                    # "shell", "sphere", "surface" or "union"
+    kind: str                    # "shell", "sphere", "surface" (one region
+                                 # walled by the exterior) or "union"
     num_regions: int
     tet_region: np.ndarray       # region id per tet; -1 marks wall tets (shell)
     edge_class: np.ndarray       # region id per edge, -1 = boundary
@@ -146,16 +151,17 @@ def _grouped_unique(groups, ids, size: int, ngroups: int) -> list:
 # -- well-shapedness checks ---------------------------------------------------
 
 def _check_boundary_structure(c, r, config: HollowingConfig, tri_adj):
-    """Raise UnsupportedGeometryError naming the violated condition."""
+    """The exterior triangle components and the largest one (-1 when there
+    is none); raise UnsupportedGeometryError naming a violated condition."""
     if r >= c.num_simplexes:
         raise ValueError(f"r = {r} must be smaller than the complex "
                          f"({c.num_simplexes} simplexes)")
     labels = _exterior_components(c, tri_adj)
-    ncomp = int(labels.max()) + 1 if (labels >= 0).any() else 0
+    sizes = np.bincount(labels[labels >= 0])
+    ncomp = len(sizes)
+    largest = int(np.argmax(sizes)) if ncomp else -1
     if ncomp <= 1:
-        return labels, ncomp
-    sizes = np.array([(labels == k).sum() for k in range(ncomp)])
-    largest = int(np.argmax(sizes))
+        return labels, largest
     # condition: boundary components far enough apart in triangle hops
     sep = config.min_component_separation
     for k in range(ncomp):
@@ -180,7 +186,7 @@ def _check_boundary_structure(c, r, config: HollowingConfig, tri_adj):
             raise UnsupportedGeometryError(
                 f"hole boundary component {k} has 1-skeleton diameter {diam} "
                 f"> {cap:.1f} (diameter_factor * r^(1/3))")
-    return labels, ncomp
+    return labels, largest
 
 
 # -- plane placement ----------------------------------------------------------
@@ -235,30 +241,27 @@ def find_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
     """
     config = config or HollowingConfig()
     tri_adj = _adjacency(abs(c.boundary(2)))
-    labels, ncomp = _check_boundary_structure(c, r, config, tri_adj)
+    labels, largest = _check_boundary_structure(c, r, config, tri_adj)
     planes = _plane_positions(c, r, lattice=False)
 
     if not any(planes):
         return _single_region(c, r, "shell")
 
-    tri_tets = abs(c.boundary(3)).tocsr()
-    tet_adj = _adjacency(tri_tets)
+    tet_adj = _adjacency(abs(c.boundary(3)))
     wall = np.zeros(c.num_tets, dtype=bool)
 
     def seed_band(tris):
         """Tets with a face within SEED_DEPTH triangle hops of `tris`."""
         near = _bfs_hops(tri_adj, tris, cap=SEED_DEPTH) < np.inf
-        return np.asarray((tri_tets[near].sum(axis=0) > 0)).ravel()
+        return near[c.tet_tris].any(axis=1)
 
     # seed: a band of tets along the largest boundary component
-    sizes = [np.sum(labels == k) for k in range(ncomp)]
-    largest = int(np.argmax(sizes)) if ncomp else -1
-    if ncomp:
+    if largest >= 0:
         wall |= seed_band(np.flatnonzero(labels == largest))
     # each hole's vertex coordinates and seed band
     holes = [(c.vertices[np.unique(c.triangles[labels == k])],
               seed_band(np.flatnonzero(labels == k)))
-             for k in range(ncomp) if k != largest]
+             for k in range(labels.max() + 1) if k != largest]
 
     # plane walls plus half-bands around any hole a plane crosses
     tet_coords = c.vertices[c.tets]           # (nt, 4, 3)
@@ -277,7 +280,7 @@ def find_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
             raise UnsupportedGeometryError(
                 "hollowing walls swallowed the whole mesh; r is too small "
                 "for this complex at the requested shell width")
-        h = _classify_shell(c, wall, r, tri_adj, tet_adj, tri_tets)
+        h = _classify_shell(c, wall, r, tri_adj, tet_adj)
         widths = h.metrics.get("shell_widths", [])
         if not widths or min(widths) >= config.min_shell_width:
             break
@@ -297,16 +300,14 @@ def surface_hollowing(c, r=None) -> Hollowing:
     nonempty boundary, e.g. to glue on, at the price of a preconditioner
     that is the whole surface complex."""
     r = float(c.num_simplexes if r is None else r)
-    h = _single_region(c, r, "shell")
+    h = _single_region(c, r, "surface")
     # triangles touching any exterior edge join the boundary class: glued
     # unions rely on interior triangles of different chunks never sharing
     # an edge, and surface walls have zero thickness
-    touches_ext = (abs(c.boundary(2)).T @ c.exterior_edges) > 0
-    bt = np.flatnonzero(c.exterior_triangles | touches_ext)
-    h.tri_class[bt] = -1
-    h.edge_class[np.flatnonzero(c.exterior_edges)] = -1
+    touches_ext = c.exterior_edges[c.tri_edges].any(axis=1)
+    h.tri_class, h.edge_class = _classes(
+        c, h.tet_region, c.exterior_triangles | touches_ext, c.exterior_edges)
     h.shells = [np.flatnonzero(c.exterior_triangles)]
-    h.metrics["surface"] = True
     _record_metrics(c, h, r)
     return h
 
@@ -319,51 +320,52 @@ def _single_region(c, r, kind) -> Hollowing:
         tri_class=np.zeros(c.num_triangles, dtype=np.int64),
         shells=[np.empty(0, dtype=np.int64)],
         shell_tets=[np.empty(0, dtype=np.int64)],
-        tri_disc=None if kind == "shell" else np.full(c.num_triangles, -1,
-                                                      dtype=np.int64),
+        tri_disc=np.full(c.num_triangles, -1, dtype=np.int64)
+        if kind == "sphere" else None,
         metrics={"degenerate": True},
     )
 
 
-def _classify_shell(c, wall, r, tri_adj, tet_adj, tri_tets) -> Hollowing:
+def _classes(c, tet_region, wall_tris, wall_edges):
+    """tri_class and edge_class: -1 on the wall triangles and edges (index
+    arrays or masks), and on every other simplex the region of the tets
+    that hold it, all of which share one region."""
+    out = []
+    inner = tet_region >= 0
+    for table, wall, size in ((c.tet_tris, wall_tris, c.num_triangles),
+                              (c.tet_edges, wall_edges, c.num_edges)):
+        cls = np.full(size, -1, dtype=np.int64)
+        cls[table[inner].reshape(-1)] = np.repeat(tet_region[inner],
+                                                  table.shape[1])
+        cls[wall] = -1
+        out.append(cls)
+    return out
+
+
+def _classify_shell(c, wall, r, tri_adj, tet_adj) -> Hollowing:
     interior_ids = np.flatnonzero(~wall)
     sub = tet_adj[interior_ids][:, interior_ids]
     nreg, comp = connected_components(sub, directed=False)
     tet_region = np.full(c.num_tets, -1, dtype=np.int64)
     tet_region[interior_ids] = comp
+    tri_class, edge_class = _classes(c, tet_region, c.tet_tris[wall],
+                                     c.tet_edges[wall])
 
-    faces = c.tet_tris
-    edges6 = c.tet_edges
-    tri_wall = np.zeros(c.num_triangles, dtype=bool)
-    tri_wall[faces[wall].reshape(-1)] = True
-    edge_wall = np.zeros(c.num_edges, dtype=bool)
-    edge_wall[edges6[wall].reshape(-1)] = True
-
-    tri_class = np.full(c.num_triangles, -1, dtype=np.int64)
-    edge_class = np.full(c.num_edges, -1, dtype=np.int64)
-    owner = np.full(c.num_triangles, -1, dtype=np.int64)
-    owner[faces[~wall].reshape(-1)] = np.repeat(tet_region[~wall], 4)
-    tri_class[~tri_wall] = owner[~tri_wall]
-    eowner = np.full(c.num_edges, -1, dtype=np.int64)
-    eowner[edges6[~wall].reshape(-1)] = np.repeat(tet_region[~wall], 6)
-    edge_class[~edge_wall] = eowner[~edge_wall]
-
-    shells_t, shells_tri, widths, metrics = _assign_shells(
-        c, wall, tet_region, nreg, tri_adj, tet_adj, tri_tets)
-    metrics["shell_widths"] = widths
-    metrics["num_regions"] = nreg
+    shells_t, shells_tri, widths = _assign_shells(
+        c, wall, tet_region, nreg, tri_adj, tet_adj)
     h = Hollowing(r=r, kind="shell", num_regions=nreg, tet_region=tet_region,
                   edge_class=edge_class, tri_class=tri_class,
-                  shells=shells_tri, shell_tets=shells_t, metrics=metrics)
+                  shells=shells_tri, shell_tets=shells_t,
+                  metrics={"shell_widths": widths, "num_regions": nreg})
     _record_metrics(c, h, r)
     return h
 
 
-def _assign_shells(c, wall, tet_region, nreg, tri_adj, tet_adj, tri_tets):
+def _assign_shells(c, wall, tet_region, nreg, tri_adj, tet_adj):
     """Per-region wall membership via geodesic channels through the wall.
 
-    `tri_adj` and `tet_adj` are the triangle and tet adjacencies, and
-    `tri_tets` is |d3|, all as built by the calling public function."""
+    `tri_adj` and `tet_adj` are the triangle and tet adjacencies, as built
+    by the calling public function."""
     wall_ids = np.flatnonzero(wall)
     nw = len(wall_ids)
     wsub = tet_adj[wall_ids][:, wall_ids]
@@ -376,15 +378,12 @@ def _assign_shells(c, wall, tet_region, nreg, tri_adj, tet_adj, tri_tets):
     dists = [_bfs_hops(wsub, sources) for sources in
              _grouped_unique(region[inner], cross.row[inner], nw, nreg)]
     # the mesh exterior acts as one more "far side"
-    ext_tris = np.flatnonzero(c.exterior_triangles)
-    ext_tets = np.unique(tri_tets[ext_tris].indices)
-    ext_local = np.flatnonzero(np.isin(wall_ids, ext_tets))
-    dist_ext = _bfs_hops(wsub, ext_local)
+    ext_tets = c.exterior_triangles[faces[wall_ids]].any(axis=1)
+    dist_ext = _bfs_hops(wsub, np.flatnonzero(ext_tets))
 
     shells_t, shells_tri, widths = [], [], []
     interface = _interface_triangles(c, wall, tet_region)
-    outside = interface >= 0
-    outside[ext_tris] = True
+    outside = (interface >= 0) | c.exterior_triangles
     for k in range(nreg):
         member = np.zeros(nw, dtype=bool)
         for j in list(range(nreg)) + ["ext"]:
@@ -410,7 +409,7 @@ def _assign_shells(c, wall, tet_region, nreg, tri_adj, tet_adj, tri_tets):
         d = _bfs_hops(tri_adj[shell_tris][:, shell_tris],
                       np.searchsorted(shell_tris, inner))
         widths.append(float(d[np.searchsorted(shell_tris, outer)].min()))
-    return shells_t, shells_tri, widths, {}
+    return shells_t, shells_tri, widths
 
 
 def _interface_triangles(c, wall, tet_region):
@@ -466,20 +465,19 @@ def _record_metrics(c, h: Hollowing, r):
 # -- sphere hollowing ---------------------------------------------------------
 
 def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
-    """Surface hollowing: region boundaries are triangulated 2-spheres that
-    pairwise intersect in discs.  Requires holes to stay clear of the
+    """Lattice-plane hollowing: region boundaries are triangulated 2-spheres
+    that pairwise intersect in discs.  Requires holes to stay clear of the
     cutting planes, and refuses a region boundary that is not a sphere."""
     config = config or HollowingConfig()
-    d2 = abs(c.boundary(2))
-    labels, ncomp = _check_boundary_structure(c, r, config, _adjacency(d2))
+    labels, largest = _check_boundary_structure(
+        c, r, config, _adjacency(abs(c.boundary(2))))
     planes = _plane_positions(c, r, lattice=True)
-    largest = int(np.argmax([np.sum(labels == k) for k in range(ncomp)]))
     if not any(planes):
         # degenerate: one region whose boundary sphere is the outer surface
         h = _single_region(c, r, "sphere")
         outer = np.flatnonzero(labels == largest)
-        h.tri_class[outer] = -1
-        h.edge_class[np.unique(c.tri_edges[outer])] = -1
+        h.tri_class, h.edge_class = _classes(c, h.tet_region, outer,
+                                             c.tri_edges[outer])
         h.tri_disc[outer] = 0
         h.shells = [outer]
         return _checked_spheres(c, h, r)
@@ -490,7 +488,7 @@ def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
     levels = [np.concatenate([[lo[a]], cuts[a], [hi[a]]]) for a in range(3)]
 
     # holes must not straddle a cutting plane
-    for k in range(ncomp):
+    for k in range(labels.max() + 1):
         if k == largest:
             continue
         hv = np.unique(c.triangles[labels == k])
@@ -501,8 +499,8 @@ def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
                         "hole crosses a cutting plane; sphere hollowings "
                         "need holes interior to a single region")
 
-    tet_region, boxes = _box_assignment(c, cuts)
-    nreg = len(boxes)
+    tet_region = _box_assignment(c, cuts)
+    nreg = int(tet_region.max()) + 1
 
     tri_boundary = np.zeros(c.num_triangles, dtype=bool)
     tri_disc = np.full(c.num_triangles, -1, dtype=np.int64)
@@ -528,29 +526,13 @@ def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
     tri_disc[np.concatenate(disc_tris)] = np.argsort(
         np.argsort(first))[disc.reshape(-1)]
 
-    edge_boundary = (d2 @ tri_boundary) > 0
-
-    tri_class = np.full(c.num_triangles, -1, dtype=np.int64)
-    faces = c.tet_tris
-    owner = np.full(c.num_triangles, -1, dtype=np.int64)
-    owner[faces.reshape(-1)] = np.repeat(tet_region, 4)
-    tri_class[~tri_boundary] = owner[~tri_boundary]
-    edge_class = np.full(c.num_edges, -1, dtype=np.int64)
-    edges6 = c.tet_edges
-    eowner = np.full(c.num_edges, -1, dtype=np.int64)
-    eowner[edges6.reshape(-1)] = np.repeat(tet_region, 6)
-    edge_class[~edge_boundary] = eowner[~edge_boundary]
-
-    # region boundary spheres: boundary triangles on the region's box faces
-    shells = []
-    ids = np.flatnonzero(tri_boundary)
-    for b in range(nreg):
-        blo, bhi = boxes[b]
-        inside = np.ones(len(ids), dtype=bool)
-        for a in range(3):
-            inside &= (centroids[ids, a] >= blo[a] - 1e-9) \
-                & (centroids[ids, a] <= bhi[a] + 1e-9)
-        shells.append(ids[inside])
+    tri_class, edge_class = _classes(c, tet_region, tri_boundary,
+                                     c.tri_edges[tri_boundary])
+    # region boundary spheres: the wall triangles of each region's tets
+    faces = c.tet_tris.reshape(-1)
+    on_wall = tri_boundary[faces]
+    shells = _grouped_unique(np.repeat(tet_region, 4)[on_wall],
+                             faces[on_wall], c.num_triangles, nreg)
 
     h = Hollowing(r=r, kind="sphere", num_regions=nreg, tet_region=tet_region,
                   edge_class=edge_class, tri_class=tri_class, shells=shells,
@@ -574,28 +556,13 @@ def _checked_spheres(c, h: Hollowing, r) -> Hollowing:
 
 
 def _box_assignment(c, cuts):
+    """Region per tet: the rank of the box between cutting planes that
+    holds its centroid, among the boxes that hold a tet."""
     centroids = c.vertices[c.tets].mean(axis=1)
-    key = np.zeros(c.num_tets, dtype=np.int64)
-    dims = []
-    for a in range(3):
-        k = np.searchsorted(cuts[a], centroids[:, a])
-        dims.append(len(cuts[a]) + 1)
-        key = key * (len(cuts[a]) + 1) + k
-    used, tet_region = np.unique(key, return_inverse=True)
-    lo = c.vertices.min(axis=0)
-    hi = c.vertices.max(axis=0)
-    boxes = []
-    for u in used:
-        kz = u % dims[2]
-        ky = (u // dims[2]) % dims[1]
-        kx = u // (dims[1] * dims[2])
-        blo, bhi = [], []
-        for a, ka in zip(range(3), (kx, ky, kz)):
-            lev = np.concatenate([[lo[a]], cuts[a], [hi[a]]])
-            blo.append(lev[ka])
-            bhi.append(lev[ka + 1])
-        boxes.append((np.array(blo), np.array(bhi)))
-    return tet_region, boxes
+    key = np.ravel_multi_index(
+        [np.searchsorted(cut, centroids[:, a]) for a, cut in enumerate(cuts)],
+        [len(cut) + 1 for cut in cuts])
+    return np.unique(key, return_inverse=True)[1]
 
 
 # -- validation ---------------------------------------------------------------
@@ -671,10 +638,9 @@ def validate_hollowing(c, h: Hollowing, config: HollowingConfig | None = None):
     if h.kind == "shell" and h.num_regions > 1:
         widths = h.metrics.get("shell_widths")
         if widths is None:
-            tri_tets = abs(c.boundary(3)).tocsr()
-            _, _, widths, _ = _assign_shells(
+            _, _, widths = _assign_shells(
                 c, h.tet_region < 0, h.tet_region, h.num_regions,
-                tri_adj, _adjacency(tri_tets), tri_tets)
+                tri_adj, _adjacency(abs(c.boundary(3))))
         bad_w = [w for w in widths if w < config.min_shell_width]
         if bad_w:
             violations.append(

@@ -89,7 +89,7 @@ def build_up_solver(c, h: Hollowing) -> UpSolverState:
         bt = h.boundary_triangles
         d2c = d2[c_idx][:, bt]
         lt = (d2c @ sp.diags(c.weights[2][bt]) @ d2c.T).tocsr()
-        wall = (_reduced_wall(c, h, lt) if h.kind == "sphere" else
+        wall = (_reduced_wall(c, h, lt, d2c) if h.kind == "sphere" else
                 nd_cholesky(lt, midpoints[c_idx], folded=True))
     return eliminate(c, h, lup, d2, midpoints, h.interior_edges_by_region(),
                      c_idx, wall)
@@ -259,11 +259,12 @@ def build_sphere_fast_solver(c, h: Hollowing) -> UpSolverState:
 up_lap_solve_fast = up_lap_solve    # build_up_solver picks the sphere wall
 
 
-def _reduced_wall(c, h: Hollowing, lt) -> BlockFactor:
+def _reduced_wall(c, h: Hollowing, lt, d2c) -> BlockFactor:
     """Exact wall solver through the reduced system: disc-interior rows are
     a dual-graph down-Laplacian, one rim row per disc signature forms the
-    dense shared set, and the duplicate rim rows are dropped."""
-    e1_local, e2hat_local, b1 = _disc_rows(c, h)
+    dense shared set, and the duplicate rim rows are dropped.  `lt` is the
+    wall complex's up-Laplacian and `d2c` its d2."""
+    e1_local, e2hat_local, b1 = _disc_rows(h, d2c)
     tails = b1.indices[b1.data < 0]
     heads = b1.indices[b1.data > 0]
     m11 = GraphDownLap(b1.shape[1], np.column_stack([tails, heads]),
@@ -340,23 +341,21 @@ class BlockFactor:
         return out
 
 
-def _disc_rows(c, h: Hollowing):
+def _disc_rows(h: Hollowing, d2c):
     """Split the wall edges by the discs their boundary triangles lie in.
 
-    Returns the positions within the boundary edges of the disc-interior
-    edges, one position per rim-edge disc signature, and the disc-interior
-    rows of d2 over the boundary triangles with each disc oriented
-    consistently, so that every row holds one -1 and one +1.
-    """
-    c_idx = h.boundary_edges
-    bt = h.boundary_triangles
-    d2tb = c.boundary(2).astype(float)[c_idx][:, bt].tocsr()
-    disc_of = h.tri_disc[bt]
+    `d2c` is d2 over the boundary edges and triangles.  Returns the
+    positions within the boundary edges of the disc-interior edges, one
+    position per rim-edge disc signature, and the disc-interior rows of
+    `d2c` with each disc oriented consistently, so that every row holds
+    one -1 and one +1."""
+    d2tb = d2c.tocsr()
+    disc_of = h.tri_disc[h.boundary_triangles]
 
     # edges x discs: the discs of each edge's triangles, one sorted entry
     # per disc (the CSR constructor sums duplicates and sorts each row)
     coo = d2tb.tocoo()
-    n_c = len(c_idx)
+    n_c = d2tb.shape[0]
     sig = sp.csr_matrix((np.ones(coo.nnz), (coo.row, disc_of[coo.col])),
                         shape=(n_c, int(disc_of.max(initial=-1)) + 1))
     counts = np.diff(sig.indptr)

@@ -100,7 +100,7 @@ def test_sphere_hollowing_of_a_tunnel_mesh_is_unsupported(tmp_path, capsys):
     code = main(["hollow", "--mesh", str(mesh_path), "--r", "64", "--sphere",
                  "--out", str(tmp_path / "holl.json")])
     assert code == 4
-    assert "Euler characteristic 0, not 2" in capsys.readouterr().err
+    assert "Euler characteristic 1, not 2" in capsys.readouterr().err
 
 
 def test_solve_names_a_sphere_hollowing_without_discs(tmp_path, grid_files,

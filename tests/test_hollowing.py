@@ -18,6 +18,7 @@ from tetlap.hollowing import (
     _bfs_hops,
     find_hollowing,
     sphere_hollowing,
+    surface_hollowing,
     validate_hollowing,
 )
 from tetlap.meshgen import (GridSpec, HoleSpec, _adjacency, gen_grid,
@@ -205,10 +206,15 @@ TUNNEL = HoleSpec((1, 1, 0), (1, 1, 4), "tunnel")
     ((4, 4, 4), None, [TUNNEL]),      # one region, r = n - 1
 ])
 def test_sphere_hollowing_rejects_a_tunnel_through_a_region(dims, r, holes):
-    # a tunnel through a region makes its boundary a torus
+    # a tunnel wall off the cutting planes holds no wall triangle: a tunnel
+    # along a region's edge, against two cutting planes, leaves one hole
+    # in its boundary (chi 1; through a region's middle it leaves two, chi
+    # 0), and the one region bounded by the whole exterior has a torus
+    chi = 0 if r is None else 1
     c = gen_grid(GridSpec(dims, holes=holes))
     with pytest.raises(UnsupportedGeometryError,
-                       match=r"boundary has Euler characteristic 0, not 2"):
+                       match=rf"boundary has Euler characteristic {chi}, "
+                             "not 2"):
         sphere_hollowing(c, r or c.num_simplexes - 1, NEAR_HOLES)
 
 
@@ -333,14 +339,52 @@ HOLLOWING_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(HOLLOWING_DIGESTS))
-def test_hollowing_is_unchanged(name):
-    make, r, config, digest, violations = HOLLOWING_DIGESTS[name]
+def assert_unchanged(build, digests, name):
+    make, r, config, digest, violations = digests[name]
     c = make()
-    h = find_hollowing(c, c.num_simplexes ** 0.6 if r is None else r, config)
+    h = build(c, c.num_simplexes ** 0.6 if r is None else r, config)
     text = json.dumps(h.to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert validate_hollowing(c, h, config) == violations
+
+
+@pytest.mark.parametrize("name", sorted(HOLLOWING_DIGESTS))
+def test_hollowing_is_unchanged(name):
+    assert_unchanged(find_hollowing, HOLLOWING_DIGESTS, name)
+
+
+# the same digests of sphere_hollowing, recorded with shells taken from the
+# plane triangles inside each region's closed box
+SPHERE_DIGESTS = {
+    "box12": (lambda: gen_grid(GridSpec((12, 12, 12))), None, NEAR_HOLES,
+              "c394c362bc3a130a0feea42207b1c349ec995b82406e8079f95262c3a96d9dc7",
+              []),
+    "cavity6": (lambda: gen_grid(GridSpec((6, 6, 6), holes=[
+        HoleSpec((1, 1, 1), (1, 1, 1))])), 256, NEAR_HOLES,
+        "d7428ed76355c1bb9cf1765a0b243c54e054585c5b32893592eb84c927ebbc19",
+        []),
+    "chunk1044": (lambda: gen_grid(GridSpec((10, 4, 4))), 64, NEAR_HOLES,
+                  "e980723a2a05ff90471f31fa324df0224c1ce885084b01014300a4fbc6549e48",
+                  []),
+    "box8": (lambda: gen_grid(GridSpec((8, 8, 8))), 512, HollowingConfig(),
+             "c24e18c8c52b6403b6696e36c903988eaee33134cddb2d76d89ef15660ecebba",
+             []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPHERE_DIGESTS))
+def test_sphere_hollowing_is_unchanged(name):
+    assert_unchanged(sphere_hollowing, SPHERE_DIGESTS, name)
+
+
+def test_surface_hollowing_counts_its_whole_boundary():
+    # the 4^3 box's exterior: 192 triangles, 288 edges and 98 vertices
+    c = gen_grid(GridSpec((4, 4, 4)))
+    h = surface_hollowing(c)
+    assert h.kind == "surface" and h.tri_disc is None
+    assert h.metrics["boundary_simplexes_max"] == 192 + 288 + 98
+    assert np.array_equal(h.shells[0], np.flatnonzero(c.exterior_triangles))
+    assert validate_hollowing(c, h) == []
 
 
 def test_validate_names_a_vertex_shared_by_two_regions_once():
@@ -363,7 +407,8 @@ def test_validate_names_a_vertex_shared_by_two_regions_once():
 # functions whose graph searches and per-region passes run in scipy.sparse
 # .csgraph and grouped array operations
 LOOP_FREE = [hollowing._bfs_hops, hollowing.find_hollowing,
-             hollowing._assign_shells, hollowing._interface_triangles,
+             hollowing._classes, hollowing._assign_shells,
+             hollowing._interface_triangles,
              hollowing._record_metrics, hollowing.validate_hollowing,
              downlap.SpanningForest.from_graph, uplap._disc_rows,
              uplap._orient_discs, meshgen.skeleton_diameter]

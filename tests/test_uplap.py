@@ -34,6 +34,12 @@ def grid_with_hollowing(dims=(5, 5, 5), r=64):
     return c, h
 
 
+def wall_d2(c, h):
+    """d2 over the boundary edges and triangles, as `_disc_rows` takes it."""
+    return c.boundary(2).astype(float)[h.boundary_edges][:,
+                                                        h.boundary_triangles]
+
+
 def dense_schur(m, cset, fset):
     return m[np.ix_(cset, cset)] - m[np.ix_(cset, fset)] @ oracle.pinv(
         m[np.ix_(fset, fset)]) @ m[np.ix_(fset, cset)]
@@ -431,7 +437,7 @@ def test_reduced_rows_have_unit_pair_structure():
     c = gen_grid(GridSpec((6, 6, 6)))
     h = sphere_hollowing(c, 256)
     assert h.num_regions > 1
-    _, _, b1 = _disc_rows(c, h)
+    _, _, b1 = _disc_rows(h, wall_d2(c, h))
     for i in range(b1.shape[0]):
         row = b1.data[b1.indptr[i]:b1.indptr[i + 1]]
         assert sorted(row) == [-1.0, 1.0]
@@ -545,7 +551,7 @@ def reference_disc_rows(c, h):
 def test_disc_rows_match_reference(k):
     c = gen_grid(GridSpec((k, k, k)))
     h = sphere_hollowing(c, c.num_simplexes ** 0.6, RELAXED)
-    got = _disc_rows(c, h)
+    got = _disc_rows(h, wall_d2(c, h))
     want = reference_disc_rows(c, h)
     for a, b in zip(got[:2], want[:2]):
         assert a.dtype == b.dtype and np.array_equal(a, b)
