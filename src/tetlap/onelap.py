@@ -1,5 +1,5 @@
-"""Full 1-Laplacian solver, Hodge decomposition, Betti diagnostics, and the
-solver for unions of complexes glued along exterior simplexes.
+"""Full 1-Laplacian solver, Hodge decomposition, Betti diagnostics, and
+the gluing of complexes along exterior simplexes.
 
 The solve follows the split route of the Hodge decomposition
 b = gradient + curl + harmonic.  An orthonormal basis H of the harmonic
@@ -12,10 +12,12 @@ are projected back and added.  The up solve first runs at eps itself; the
 residual against P1 b is recomputed, and on a miss the up solve runs once
 more a hundred times tighter; a second miss raises NumericalError.
 
-A glued union usually has no global embedding.  `glue` gives its complex
-a chart atlas instead, the chunks' charts side by side along x, and every
-nested dissection ordering reads it as it reads a mesh's coordinates: an
-ordering changes a factor's fill only, never its exactness.
+A glued union is a complex with a hollowing of kind "union", built and
+solved by the same functions as a mesh.  It usually has no global
+embedding: `glue` gives its complex a chart atlas instead, the chunks'
+charts side by side along x, and every nested dissection ordering reads it
+as it reads a mesh's coordinates: an ordering changes a factor's fill only,
+never its exactness.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from . import oracle
 from .complexes import Complex3, build_complex
@@ -66,17 +69,13 @@ class OneLapState:
 
 
 def build_one_lap_solver(c, h: Hollowing) -> OneLapState:
-    return _build_state(c, h, build_up_solver(c, h), embedded=True)
-
-
-def _build_state(c, h, up_state, embedded: bool) -> OneLapState:
-    """The state over an up solver; an `embedded` complex (a mesh in R^3,
-    so b3 = 0) also has its probe budget checked against b0 - chi."""
+    """The state a solve reads, for a mesh and a glued union alike."""
+    up_state = build_up_solver(c, h)
     down_state = build_down_state(c)
     # the skeleton graph's d1^T W0 d1 is the down-Laplacian, assembled once
     lup, ldown = up_state.lup, down_state.graph.lap
     budget, closed = probe_budget(c, h, up_state, down_state)
-    _check_budget(c, budget, down_state, embedded)
+    _check_budget(c, h, budget, down_state)
     harmonic, probes = harmonic_basis(c, up_state, down_state, budget, closed)
     return OneLapState(complex=c, hollowing=h, weights=up_state.weights,
                        lap1=(ldown + lup).tocsr(),
@@ -107,13 +106,13 @@ def probe_budget(c, h: Hollowing, up_state: UpSolverState,
     return budget, closed
 
 
-def _check_budget(c, budget, down_state: DownState, embedded: bool):
-    """Raise when the budget is below a lower bound on b1: 0, and for an
-    embedded complex (b3 = 0) b0 - chi = b1 - b2, which where b2 = 0
-    catches a factor rank counted too high."""
+def _check_budget(c, h: Hollowing, budget, down_state: DownState):
+    """Raise when the budget is below a lower bound on b1: 0, and for a
+    complex embedded in R^3 (b3 = 0; a union's atlas is no embedding)
+    b0 - chi = b1 - b2, which where b2 = 0 catches a rank counted too high."""
     b0 = len(down_state.graph.forest.roots)
     chi = c.num_vertices - c.num_edges + c.num_triangles - c.num_tets
-    if budget < 0 or (embedded and budget < b0 - chi):
+    if budget < 0 or (h.kind != "union" and budget < b0 - chi):
         raise NumericalError(
             f"the factors' ranks bound b1 by {budget}, below a lower bound "
             f"on b1 (0, or b0 - chi = {b0 - chi} for a complex in R^3); a "
@@ -213,11 +212,7 @@ def one_lap_solve(c, h: Hollowing, b, eps: float,
     if state is None:
         state = build_one_lap_solver(c, h)
     check_state(state, c, h)
-    return _one_lap_core(state, b, eps)
-
-
-def _one_lap_core(state: OneLapState, b, eps: float):
-    c, harm = state.complex, state.harmonic
+    harm = state.harmonic
     report = SolveReport(stage="one_lap_solve", size=len(b),
                          params={"eps": eps, "b1": harm.shape[1]})
     p1b = b - harm @ (harm.T @ b)
@@ -299,9 +294,6 @@ class UnionComplex:
     vertex_maps: list                 # chunk vertex id -> global vertex id
     complex: Complex3                 # glued complex; its coordinates are an
                                       # atlas for ordering, not an embedding
-    edge_maps: list                   # chunk edge id -> global edge id
-    tri_maps: list
-    tet_maps: list
     shared_triangles: np.ndarray      # global triangles present in > 1 chunk
     hollowing: Hollowing              # induced labels on the glued complex
 
@@ -310,34 +302,25 @@ def glue(chunks, identifications, hollowings) -> UnionComplex:
     """Glue chunks by identifying classes of exterior vertices.
 
     `identifications` is a list of vertex classes, each a list of
-    (chunk_index, vertex_index) pairs merged into one global vertex.
-    Induced shared edges/triangles must be exterior in every chunk and on
-    the boundary class of that chunk's hollowing.  The glued complex's
-    vertices are the chunks' charts laid side by side along x, an atlas
-    that orders its factors, not an embedding.
+    (chunk_index, vertex_index) pairs merged into one global vertex; every
+    member is checked.  With the chunks' vertices numbered one after
+    another, glued vertices are numbered in order of their classes'
+    smallest such number.  Induced shared edges/triangles must be exterior
+    in every chunk and on the boundary class of that chunk's hollowing.
+    The glued complex's vertices are the chunks' charts laid side by side
+    along x, an atlas that orders its factors, not an embedding.
     """
     if len(chunks) != len(hollowings):
         raise ValueError("need one hollowing per chunk")
     for ch, hh in zip(chunks, hollowings):
         check_hollowing(ch, hh)
     offsets = np.cumsum([0] + [ch.num_vertices for ch in chunks])
-    total = offsets[-1]
-    parent = np.arange(total)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    pairs = []
     for group in identifications:
-        if len(group) < 2:
-            continue
         seen_chunks = [g[0] for g in group]
         if len(set(seen_chunks)) != len(seen_chunks):
             raise ValueError("identification class names one chunk twice "
                              "(maps must be injective)")
-        base = None
         for chunk_idx, vid in group:
             if not (0 <= chunk_idx < len(chunks)):
                 raise ValueError(f"identification names unknown chunk {chunk_idx}")
@@ -347,20 +330,20 @@ def glue(chunks, identifications, hollowings) -> UnionComplex:
             if not ch.exterior_vertices[vid]:
                 raise ValueError(
                     f"vertex {vid} of chunk {chunk_idx} is not exterior")
-            g = find(offsets[chunk_idx] + vid)
-            if base is None:
-                base = g
-            else:
-                parent[g] = base
+        ids = [offsets[k] + v for k, v in group]
+        pairs.extend((ids[0], i) for i in ids[1:])
 
-    roots = np.array([find(i) for i in range(total)])
-    uniq, global_id = np.unique(roots, return_inverse=True)
+    # connected_components numbers classes in order of their smallest member
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    same = sp.csr_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])),
+                         shape=(offsets[-1], offsets[-1]))
+    num_vertices, global_id = connected_components(same, directed=False)
     vertex_maps = [global_id[offsets[k]:offsets[k + 1]] for k in range(len(chunks))]
 
     # the atlas: chunk 0's chart as it is, each later chart moved along x to
     # start where the previous one ends; a shared vertex takes the later
     # chunk's position
-    coords = np.zeros((len(uniq), 3))
+    coords = np.zeros((num_vertices, 3))
     end = chunks[0].vertices[:, 0].min() if chunks else 0.0
     for k, ch in enumerate(chunks):
         chart = ch.vertices + [end - ch.vertices[:, 0].min(), 0.0, 0.0]
@@ -404,9 +387,8 @@ def glue(chunks, identifications, hollowings) -> UnionComplex:
                                        tri_maps, tet_maps, shared_edges,
                                        shared_triangles)
     return UnionComplex(chunks=list(chunks), vertex_maps=vertex_maps,
-                        complex=glued, edge_maps=edge_maps,
-                        tri_maps=tri_maps, tet_maps=tet_maps,
-                        shared_triangles=shared_triangles, hollowing=union_h)
+                        complex=glued, shared_triangles=shared_triangles,
+                        hollowing=union_h)
 
 
 def _merge_weights(glued, chunks, edge_maps, tri_maps, tet_maps, vertex_maps):
@@ -420,7 +402,7 @@ def _merge_weights(glued, chunks, edge_maps, tri_maps, tet_maps, vertex_maps):
                 raise ValueError(
                     f"chunks disagree on the weight of a shared {dim}-simplex")
             out[maps[k]] = w
-        glued.weights[dim] = np.where(np.isnan(out), 1.0, out)
+        glued.weights[dim] = out
 
 
 def _induced_union_hollowing(glued, chunks, hollowings, edge_maps, tri_maps,
@@ -449,18 +431,12 @@ def _induced_union_hollowing(glued, chunks, hollowings, edge_maps, tri_maps,
 
 
 def build_union_solver(u: UnionComplex) -> OneLapState:
-    """Solver state on the glued complex, ordered on its atlas (see `glue`)."""
-    glued, h = u.complex, u.hollowing
-    return _build_state(glued, h, build_up_solver(glued, h), embedded=False)
+    """build_one_lap_solver on the glued complex and its hollowing."""
+    return build_one_lap_solver(u.complex, u.hollowing)
 
 
 def union_one_lap_solve(u: UnionComplex, b, eps: float,
                         state: Optional[OneLapState] = None):
-    """1-Laplacian solve on the glued complex, same contract as
-    one_lap_solve; b is indexed by the glued complex's edge order."""
-    b = check_vector(b, u.complex.num_edges, "b")
-    eps = check_tolerance(eps)
-    if state is None:
-        state = build_union_solver(u)
-    check_state(state, u.complex, u.hollowing)
-    return _one_lap_core(state, b, eps)
+    """one_lap_solve on the glued complex and its hollowing; b is indexed
+    by the glued complex's edge order."""
+    return one_lap_solve(u.complex, u.hollowing, b, eps, state)

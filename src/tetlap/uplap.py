@@ -28,12 +28,11 @@ from typing import Optional
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .complexes import up_laplacian
 from .dissection import (_GEMM, DEFAULT_PIVOT_TOL, CholeskyFactor, RootSolve,
                          nd_cholesky)
-from .downlap import GraphDownLap
+from .downlap import GraphDownLap, SpanningForest
 from .errors import (NumericalError, UnsupportedGeometryError, check_state,
                      check_tolerance, check_vector, missed_contract, one_norm,
                      roundoff_floor)
@@ -387,24 +386,19 @@ def _orient_discs(d2tb, disc_of, e1_mask) -> np.ndarray:
 
     Two triangles of one disc sharing a disc-interior edge must give it
     opposite signs.  Each piece of triangles linked that way keeps the
-    orientation of its smallest triangle, and the signs spread from it
-    level by level in a breadth-first search."""
+    orientation of its smallest triangle, the root of its breadth-first
+    forest, and the signs spread from it level by level."""
     nt = d2tb.shape[1]
     rows = d2tb.tocsr()[e1_mask]
     # links[t, t2] = d2[e, t] * d2[e, t2] for the edge e the two share
-    links = (rows.T @ rows).tocoo()
-    keep = (links.row != links.col) & (disc_of[links.row] == disc_of[links.col])
+    links = sp.triu(rows.T @ rows, k=1).tocoo()
+    keep = disc_of[links.row] == disc_of[links.col]
     t1, t2, val = links.row[keep], links.col[keep], links.data[keep]
-    link = sp.csr_matrix((val, (t1, t2)), shape=(nt, nt))
-    graph = abs(link)
-    _, piece = connected_components(graph, directed=False)
-    _, roots = np.unique(piece, return_index=True)
-    depth, pred = dijkstra(graph, unweighted=True, min_only=True,
-                           indices=roots, return_predecessors=True)[:2]
+    forest = SpanningForest.from_graph(nt, np.column_stack([t1, t2]))
     signs = np.ones(nt)
-    for level in range(1, int(depth.max(initial=0)) + 1):
-        t = np.flatnonzero(depth == level)
-        signs[t] = -signs[pred[t]] * np.asarray(link[pred[t], t]).ravel()
+    for level in forest.levels[1:]:
+        signs[level] = (-signs[forest.parent_vertex[level]]
+                        * val[forest.parent_edge[level]])
     if np.any(signs[t2] != -signs[t1] * val):
         raise NumericalError("disc is not orientable")
     return signs

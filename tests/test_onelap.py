@@ -399,6 +399,15 @@ def test_glue_rejects_duplicate_chunk_in_class():
         glue([c0], [[(0, 0), (0, 1)]], [h0])
 
 
+def test_glue_checks_one_member_classes():
+    chunks, holls = map(list, zip(*[make_chunk() for _ in range(4)]))
+    with pytest.raises(ValueError, match="unknown chunk 9"):
+        glue(chunks, [[(9, 0)]], holls)
+    interior = int(np.flatnonzero(~chunks[0].exterior_vertices)[0])
+    with pytest.raises(ValueError, match="not exterior"):
+        glue(chunks, [[(0, interior)]], holls)
+
+
 def test_union_single_chunk_matches_plain_solver(rng):
     c, h = setup((4, 4, 4), 48)
     u = glue([c], [], [h])
@@ -634,15 +643,25 @@ def test_sphere_reduced_wall_schur_block_matches_evr():
 
 # -- harmonic basis ------------------------------------------------------------
 
-def ring_of_four():
-    """Acceptance criterion 10's ring: four 3^3 boxes glued in a cycle."""
+def ring_of_four(reverse=False):
+    """Acceptance criterion 10's ring: four 3^3 boxes glued in a cycle;
+    with `reverse`, every class lists its members the other way round."""
     chunks, holls = zip(*[make_chunk((3, 3, 3)) for _ in range(4)])
     groups = []
     for k in range(4):
         nxt = (k + 1) % 4
         pairs = face_identifications(chunks[k], chunks[nxt], 0, 3.0, 0.0)
         groups.extend([[(k, a[1]), (nxt, b[1])] for a, b in pairs])
+    if reverse:
+        groups = [g[::-1] for g in groups]
     return glue(list(chunks), groups, list(holls))
+
+
+def test_glue_numbering_does_not_depend_on_class_order():
+    # a glued vertex is numbered by its class's smallest chunk-offset index
+    u, v = ring_of_four(), ring_of_four(reverse=True)
+    assert np.array_equal(u.complex.vertices, v.complex.vertices)
+    assert np.array_equal(u.complex.tets, v.complex.tets)
 
 
 TWO_TUNNELS = [HoleSpec((1, 1, 0), (1, 1, 4), "tunnel"),
