@@ -51,7 +51,7 @@ from .onelap import (
     one_lap_solve,
     union_one_lap_solve,
 )
-from .pcg import LinearOperator, pcg
+from .pcg import pcg
 from .reports import SolveReport
 from .uplap import (
     BlockFactor,

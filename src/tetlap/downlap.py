@@ -25,8 +25,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .dissection import _GEMM, CholeskyFactor, nd_cholesky
-from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_tolerance,
-                     check_vector, one_norm, roundoff_floor)
+from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_vector,
+                     one_norm, roundoff_floor)
 
 EXACT_TOL = 1e-10
 
@@ -184,7 +184,7 @@ class GraphDownLap:
             allowed = max(EXACT_TOL * max(np.linalg.norm(b), 1e-300),
                           ROUNDOFF_MULTIPLE
                           * roundoff_floor(self.lap_norm1, x))
-            if resid > allowed:
+            if not resid <= allowed:
                 raise NumericalError(
                     "right-hand side is not in the image of the down-Laplacian")
         return x
@@ -229,20 +229,19 @@ def build_down_state(c) -> DownState:
 
 def down_lap_solve(c, b, state: DownState | None = None) -> np.ndarray:
     """Exact solve of L1down x = b; errors when b is outside the image."""
+    b = check_vector(b, c.num_edges, "b")
     graph = _graph(c) if state is None else state.graph
     return graph.solve(b)
 
 
-def down_projection(c, b, eps: float, state: DownState | None = None):
+def down_projection(c, b, state: DownState | None = None):
     """Orthogonal projection onto Im(d1^T), the gradients.
 
     One solve of the vertex Laplacian system L0 phi = d1 b through the
-    state's nested-dissection factor, then d1^T phi.  The result is exact
-    up to roundoff, so eps, the contract |p - P b| <= eps |P b|, is
-    validated but sets no inner tolerance.
+    state's nested-dissection factor, then d1^T phi, exact up to roundoff:
+    it takes no tolerance.
     """
     b = check_vector(b, c.num_edges, "b")
-    check_tolerance(eps)
     if state is None:
         state = build_down_state(c)
     d = state.graph.d

@@ -29,8 +29,8 @@ from scipy.sparse.csgraph import connected_components, dijkstra
 from .errors import UnsupportedGeometryError
 from .meshgen import _adjacency, _exterior_components, skeleton_diameter
 
-# default measured-constant thresholds; the asymptotic statements behind
-# them are O(.) bounds, so the validator takes them from the config
+# measured-constant budgets for the asymptotic O(.) bounds, which the
+# validator and the boundary-structure check hold a hollowing to
 DEFAULT_REGION_FACTOR = 64.0       # region simplexes  <= C_r * r
 DEFAULT_BOUNDARY_FACTOR = 256.0    # boundary simplexes <= C_b * r^(2/3)
 DEFAULT_DIAMETER_FACTOR = 16.0     # shell triangle diameter <= C_d * r^(1/3)
@@ -42,9 +42,6 @@ MAX_EXPAND_ROUNDS = 8     # wall growth rounds toward the shell width
 
 @dataclass
 class HollowingConfig:
-    region_factor: float = DEFAULT_REGION_FACTOR
-    boundary_factor: float = DEFAULT_BOUNDARY_FACTOR
-    diameter_factor: float = DEFAULT_DIAMETER_FACTOR
     min_shell_width: int = MIN_SHELL_WIDTH
     min_component_separation: int = 5   # triangle distance between holes
 
@@ -177,7 +174,7 @@ def _check_boundary_structure(c, r, config: HollowingConfig, tri_adj):
                     f"boundary components closer than {sep + 1} "
                     f"(components {k} and {other} at triangle distance {int(dmin)})")
     # condition: every hole boundary has small 1-skeleton diameter
-    cap = config.diameter_factor * max(r, 1.0) ** (1.0 / 3.0)
+    cap = DEFAULT_DIAMETER_FACTOR * max(r, 1.0) ** (1.0 / 3.0)
     for k in range(ncomp):
         if k == largest:
             continue
@@ -245,7 +242,10 @@ def find_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
     planes = _plane_positions(c, r, lattice=False)
 
     if not any(planes):
-        return _single_region(c, r, "shell")
+        # no wall fits: the one region has an empty boundary class
+        h = _single_region(c, r, "shell")
+        h.metrics["degenerate"] = True
+        return h
 
     tet_adj = _adjacency(abs(c.boundary(3)))
     wall = np.zeros(c.num_tets, dtype=bool)
@@ -322,7 +322,6 @@ def _single_region(c, r, kind) -> Hollowing:
         shell_tets=[np.empty(0, dtype=np.int64)],
         tri_disc=np.full(c.num_triangles, -1, dtype=np.int64)
         if kind == "sphere" else None,
-        metrics={"degenerate": True},
     )
 
 
@@ -626,11 +625,11 @@ def validate_hollowing(c, h: Hollowing, config: HollowingConfig | None = None):
         violations.append(
             f"{int(bad.sum())} triangles span interior edges of two regions")
 
-    # region size budgets (configured constants)
-    if h.metrics.get("region_simplexes_max", 0) > config.region_factor * r:
+    # region size budgets
+    if h.metrics.get("region_simplexes_max", 0) > DEFAULT_REGION_FACTOR * r:
         violations.append("region exceeds region_factor * r simplexes")
     if h.metrics.get("boundary_simplexes_max", 0) > \
-            config.boundary_factor * r ** (2 / 3):
+            DEFAULT_BOUNDARY_FACTOR * r ** (2 / 3):
         violations.append("region boundary exceeds boundary_factor * r^(2/3)")
 
     # shell width and boundary diameter
@@ -645,7 +644,7 @@ def validate_hollowing(c, h: Hollowing, config: HollowingConfig | None = None):
         if bad_w:
             violations.append(
                 f"shell width {min(bad_w)} below {config.min_shell_width}")
-    diam_cap = config.diameter_factor * r ** (1 / 3)
+    diam_cap = DEFAULT_DIAMETER_FACTOR * r ** (1 / 3)
     for k, shell in enumerate(h.shells):
         if len(shell) == 0:
             continue

@@ -152,7 +152,7 @@ def harmonic_basis(c, up_state: UpSolverState, down_state: DownState,
         return d2 @ (w2 * (d2.T @ x))
 
     def grad_free(v):
-        return v - down_projection(c, v, PROBE_TOL, state=down_state)
+        return v - down_projection(c, v, state=down_state)
 
     def up_solve(rhs, tol):
         return _up_solve_with_state(up_state, rhs, tol)[0]
@@ -225,7 +225,7 @@ def one_lap_solve(c, h: Hollowing, b, eps: float,
         return np.zeros_like(b), report
     target = eps * report.initial_residual
     down = state.down_state
-    b_down = down_projection(c, b, eps, state=down)
+    b_down = down_projection(c, b, state=down)
     x_down = down_lap_solve(c, b_down, state=down)
     for stage, delta in (("up_solve", eps), ("up_solve_retry",
                                              RETRY_SHARE * eps)):
@@ -234,7 +234,7 @@ def one_lap_solve(c, h: Hollowing, b, eps: float,
         report.add_stage(stage, up_rep)
         # keep the curl part of x_up and the gradient part of x_down
         x = x_up - harm @ (harm.T @ x_up) + down_projection(
-            c, x_down - x_up, eps, state=down)
+            c, x_down - x_up, state=down)
         report.final_residual = float(np.linalg.norm(state.lap1 @ x - p1b))
         if report.final_residual <= target:
             break
@@ -266,7 +266,7 @@ def hodge_decompose(c, h: Hollowing, f, eps: float,
         state = build_one_lap_solver(c, h)
     check_state(state, c, h)
     harmonic = state.harmonic @ (state.harmonic.T @ f)
-    gradient = down_projection(c, f, eps, state=state.down_state)
+    gradient = down_projection(c, f, state=state.down_state)
     curl = f - gradient - harmonic
     return gradient, curl, harmonic
 

@@ -1,6 +1,7 @@
 """Up-Laplacian solver: block elimination of interior edges against a
 hollowing, nested dissection factors per region, and PCG on the Schur
-complement preconditioned by the wall complex.
+complement preconditioned by the wall complex: `schur_solve` hands `pcg`
+`schur_apply` and the wall's `solve` as plain functions.
 
 `eliminate` builds that elimination for any symmetric PSD matrix split by
 a hollowing; `upproj` runs it on the triangle Gram matrix d2^T d2, and
@@ -37,7 +38,7 @@ from .errors import (NumericalError, UnsupportedGeometryError, check_state,
                      check_tolerance, check_vector, missed_contract, one_norm,
                      roundoff_floor)
 from .hollowing import Hollowing, check_hollowing
-from .pcg import LinearOperator, pcg
+from .pcg import pcg
 from .reports import SolveReport
 
 # largest shared set whose Schur complement BlockFactor pseudo-inverts densely
@@ -146,11 +147,6 @@ def schur_apply(state: UpSolverState, x_c):
     return state.l_cc @ x_c - state.l_ci @ y
 
 
-def schur_operator(state: UpSolverState) -> LinearOperator:
-    return LinearOperator(dim=len(state.c_idx),
-                          apply=lambda v: schur_apply(state, v))
-
-
 def schur_solve(state: UpSolverState, h_vec, delta: float, stage: str):
     """PCG on the Schur complement, preconditioned by the wall; its report,
     the empty one for no wall rows included, carries the caller's `stage`
@@ -162,9 +158,8 @@ def schur_solve(state: UpSolverState, h_vec, delta: float, stage: str):
     h_vec = np.asarray(h_vec, dtype=float)
     if len(h_vec) == 0:
         return h_vec.copy(), SolveReport(stage=stage)
-    precond = LinearOperator(dim=len(state.c_idx), apply=state.wall.solve)
-    x, report = pcg(schur_operator(state), precond, h_vec, tol=delta,
-                    stage=stage)
+    x, report = pcg(lambda v: schur_apply(state, v), state.wall.solve, h_vec,
+                    tol=delta, stage=stage)
     if not report.converged:
         floor = roundoff_floor(one_norm(state.lup), x)
         norm_h = np.linalg.norm(h_vec)

@@ -23,11 +23,11 @@ from tetlap.onelap import (
     one_lap_solve,
     union_one_lap_solve,
 )
-from tetlap.pcg import LinearOperator, generalized_ritz_extremes
+from tetlap.pcg import generalized_ritz_extremes
 from tetlap.uplap import (
     BlockFactor,
     build_up_solver,
-    schur_operator,
+    schur_apply,
     schur_solve,
     up_lap_solve,
 )
@@ -150,10 +150,9 @@ def test_criterion_04_spectral_bound(spectral_states):
     worst_low = np.inf
     details = []
     for r, c, h, state in spectral_states:
-        precond = LinearOperator(dim=len(state.c_idx),
-                                 apply=state.wall.solve)
-        lo, hi = generalized_ritz_extremes(schur_operator(state), precond,
-                                           iters=60)
+        lo, hi = generalized_ritz_extremes(lambda v: schur_apply(state, v),
+                                           state.wall.solve,
+                                           len(state.c_idx), iters=60)
         worst_kappa_ratio = max(worst_kappa_ratio, (hi / lo) / (64 * r))
         worst_low = min(worst_low, lo)
         details.append(f"r={r}: kappa={hi / lo:.2f}")
@@ -166,7 +165,7 @@ def test_criterion_05_pcg_iteration_scaling(spectral_states):
     rng = np.random.default_rng(SEED + 5)
     iters = []
     for r, c, h, state in spectral_states:
-        hv = schur_operator(state).apply(rng.standard_normal(len(state.c_idx)))
+        hv = schur_apply(state, rng.standard_normal(len(state.c_idx)))
         _, rep = schur_solve(state, hv, 1e-8, "schur")
         iters.append(rep.iterations)
     rs = [case[1] for case in SPECTRAL_CASES]

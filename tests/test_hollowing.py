@@ -13,6 +13,7 @@ from tetlap import downlap, hollowing, meshgen, oracle, uplap
 from tetlap.complexes import build_complex
 from tetlap.errors import UnsupportedGeometryError
 from tetlap.hollowing import (
+    DEFAULT_REGION_FACTOR,
     Hollowing,
     HollowingConfig,
     _bfs_hops,
@@ -31,7 +32,7 @@ def test_find_hollowing_grid_regions_and_sizes():
     c = gen_grid(GridSpec((8, 8, 8)))
     h = find_hollowing(c, 128, RELAXED)
     assert 2 <= h.num_regions <= 64
-    assert h.metrics["region_simplexes_max"] <= RELAXED.region_factor * 128
+    assert h.metrics["region_simplexes_max"] <= DEFAULT_REGION_FACTOR * 128
     assert validate_hollowing(c, h, RELAXED) == []
 
 
@@ -189,6 +190,8 @@ def test_sphere_hollowing_degenerate_boundary_is_outer_sphere():
                           np.flatnonzero(c.exterior_triangles))
     from tetlap.hollowing import _euler_characteristic
     assert _euler_characteristic(c, h.shells[0]) == 2
+    # the outer sphere is its wall
+    assert "degenerate" not in h.metrics
 
 
 def test_sphere_hollowing_rejects_hole_on_plane():
@@ -385,6 +388,8 @@ def test_surface_hollowing_counts_its_whole_boundary():
     assert h.metrics["boundary_simplexes_max"] == 192 + 288 + 98
     assert np.array_equal(h.shells[0], np.flatnonzero(c.exterior_triangles))
     assert validate_hollowing(c, h) == []
+    # the exterior is its wall
+    assert "degenerate" not in h.metrics
 
 
 def test_validate_names_a_vertex_shared_by_two_regions_once():

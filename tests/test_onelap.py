@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from tetlap import dissection, downlap, onelap, oracle, uplap, upproj
 from tetlap.complexes import down_laplacian, one_laplacian
-from tetlap.downlap import down_projection
+from tetlap.downlap import down_lap_solve, down_projection
 from tetlap.errors import NumericalError, TetlapError, UnsupportedGeometryError
 from tetlap.hollowing import (
     Hollowing,
@@ -242,12 +242,16 @@ ENTRY_POINTS = {
     "up_lap_solve_fast":
         lambda c, h, u, v, eps=1e-6: up_lap_solve_fast(c, h, v, eps),
     "up_project": lambda c, h, u, v, eps=1e-6: up_project(c, h, v, eps),
-    "down_projection":
-        lambda c, h, u, v, eps=1e-6: down_projection(c, v, eps),
 }
+# the exact down solve and projection take no tolerance
+EXACT_ENTRY_POINTS = {
+    "down_lap_solve": lambda c, h, u, v: down_lap_solve(c, v),
+    "down_projection": lambda c, h, u, v: down_projection(c, v),
+}
+ALL_ENTRY_POINTS = ENTRY_POINTS | EXACT_ENTRY_POINTS
 
 
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("entry", sorted(ALL_ENTRY_POINTS))
 @pytest.mark.parametrize("defect", ["short", "nan", "inf"])
 def test_entry_points_reject_bad_vectors(entry, defect):
     c, h = make_chunk((2, 2, 2))
@@ -258,7 +262,7 @@ def test_entry_points_reject_bad_vectors(entry, defect):
     name = "f" if entry == "hodge_decompose" else "b"
     message = "shape" if defect == "short" else "non-finite"
     with pytest.raises(ValueError, match=rf"^{name} has {message}"):
-        ENTRY_POINTS[entry](c, h, u, v)
+        ALL_ENTRY_POINTS[entry](c, h, u, v)
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

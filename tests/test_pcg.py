@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from tetlap.errors import NumericalError
-from tetlap.pcg import LinearOperator, generalized_ritz_extremes, pcg
+from tetlap.pcg import generalized_ritz_extremes, pcg
 
 
 # the module, which the package's `pcg` function shadows as an attribute
@@ -13,9 +13,9 @@ pcg_module = importlib.import_module("tetlap.pcg")
 
 
 def matrix_operator(m):
-    """The operator of multiplying by the matrix `m`, dense or sparse."""
+    """The function multiplying by the matrix `m`, dense or sparse."""
     m = sp.csr_matrix(m) if sp.issparse(m) else np.asarray(m, dtype=float)
-    return LinearOperator(dim=m.shape[0], apply=lambda v: m @ v)
+    return lambda v: m @ v
 
 
 def path_graph_laplacian(n):
@@ -26,7 +26,7 @@ def path_graph_laplacian(n):
 def test_perfect_preconditioner_one_iteration(rng):
     a = np.diag([1.0, 3.0, 7.0])
     op = matrix_operator(a)
-    m = LinearOperator(dim=3, apply=lambda v: np.linalg.solve(a, v))
+    m = lambda v: np.linalg.solve(a, v)
     x, rep = pcg(op, m, np.array([1.0, 2.0, 3.0]), tol=1e-12)
     assert rep.iterations == 1
     assert np.allclose(a @ x, [1, 2, 3], atol=1e-10)
@@ -121,8 +121,8 @@ def test_preconditioned_residual_trace_monotone_on_small_instances(rng):
 def test_rel_condition_identity_pair(rng):
     a = np.diag([2.0, 5.0, 9.0, 11.0])
     op = matrix_operator(a)
-    m = LinearOperator(dim=4, apply=lambda v: np.linalg.solve(a, v))
-    lo, hi = generalized_ritz_extremes(op, m, iters=10)
+    m = lambda v: np.linalg.solve(a, v)
+    lo, hi = generalized_ritz_extremes(op, m, 4, iters=10)
     assert lo == pytest.approx(1.0, rel=0.05)
     assert hi == pytest.approx(1.0, rel=0.05)
 
@@ -130,16 +130,15 @@ def test_rel_condition_identity_pair(rng):
 def test_rel_condition_scaled_pair():
     a = np.diag([2.0, 5.0, 9.0, 11.0])
     op = matrix_operator(2.0 * a)
-    m = LinearOperator(dim=4, apply=lambda v: np.linalg.solve(a, v))
-    lo, hi = generalized_ritz_extremes(op, m, iters=10)
+    m = lambda v: np.linalg.solve(a, v)
+    lo, hi = generalized_ritz_extremes(op, m, 4, iters=10)
     assert lo == pytest.approx(2.0, rel=0.05)
     assert hi / lo == pytest.approx(1.0, rel=0.05)
 
 
 def test_rel_condition_diag_vs_identity():
     a = np.diag([1.0, 10.0])
-    lo, hi = generalized_ritz_extremes(matrix_operator(a),
-                                       LinearOperator.identity(2), iters=5)
+    lo, hi = generalized_ritz_extremes(matrix_operator(a), None, 2, iters=5)
     assert lo == pytest.approx(1.0, rel=0.05)
     assert hi == pytest.approx(10.0, rel=0.05)
 
@@ -161,7 +160,7 @@ def test_residual_checks_leave_the_iterates_alone(rng, monkeypatch):
         def apply(v):
             applies[name] += 1
             return fn(v)
-        return LinearOperator(n, apply)
+        return apply
     runs = []
     monkeypatch.setattr(pcg_module, "STALL_CHECKS", iters + 1)
     for every in (1, 10**9):
@@ -183,3 +182,27 @@ def test_residual_checks_leave_the_iterates_alone(rng, monkeypatch):
     # the check after the last step reads the final x: none is recomputed
     assert all_checks.params["checks"] == iters
     assert no_checks.params["checks"] == 1
+
+
+def test_pcg_rejects_a_negative_preconditioner():
+    with pytest.raises(NumericalError, match="not positive semidefinite"):
+        pcg(matrix_operator(np.diag([1.0, 2.0])), lambda v: -v,
+            np.array([1.0, 1.0]), tol=1e-12)
+
+
+def test_pcg_rejects_a_preconditioner_turning_negative_mid_run():
+    a = np.diag(np.arange(1.0, 9.0))
+    calls = []
+
+    def m(v):
+        calls.append(1)
+        return v if len(calls) < 3 else -v
+    with pytest.raises(NumericalError, match="not positive semidefinite"):
+        pcg(matrix_operator(a), m, np.ones(8), tol=1e-12)
+    assert len(calls) == 3
+
+
+def test_pcg_rejects_an_operator_of_another_shape():
+    with pytest.raises(ValueError, match=r"shape \(3,\).*shape \(2,\)"):
+        pcg(lambda v: np.append(v, 0.0), None, np.array([1.0, 1.0]),
+            tol=1e-12)

@@ -137,20 +137,20 @@ def test_triangle_schur_preconditioner_kappa(rng):
     assert ritz.max() / ritz.min() <= 64 * h.r
 
 
-def betti0_projection(c, b, eps):
+def betti0_projection(c, b):
     """The projection onto Im(Lup) when b1 = 0: b less its gradient part."""
-    return b - down_projection(c, b, eps, state=build_down_state(c))
+    return b - down_projection(c, b, state=build_down_state(c))
 
 
 def test_betti0_projection_solid_box(rng):
     c = gen_grid(GridSpec((3, 3, 3)))
     b_curl = c.boundary(2).astype(float) @ rng.standard_normal(c.num_triangles)
-    p = betti0_projection(c, b_curl, eps=1e-8)
+    p = betti0_projection(c, b_curl)
     assert np.linalg.norm(p - b_curl) <= 1e-7 * np.linalg.norm(b_curl)
 
     proj = oracle_up_projection(c)
     b = rng.standard_normal(c.num_edges)
-    p = betti0_projection(c, b, eps=1e-8)
+    p = betti0_projection(c, b)
     want = proj @ b
     assert np.linalg.norm(p - want) <= 1e-8 * np.linalg.norm(want)
 
@@ -163,7 +163,7 @@ def test_betti0_projection_documented_misuse_on_tunnel(rng):
     assert harm.shape[1] == 1  # beta_1 = 1
     proj = oracle_up_projection(c)
     b = rng.standard_normal(c.num_edges)
-    p = betti0_projection(c, b, eps=1e-8)
+    p = betti0_projection(c, b)
     gap = p - proj @ b
     harm_part = harm @ (harm.T @ b)
     assert np.linalg.norm(gap - harm_part) <= 1e-6 * np.linalg.norm(b)
