@@ -5,9 +5,11 @@
 Builds the first state of each workload of perfbench/workloads.py at its
 FULL sizes with seed 0, through `answer_digests.first_answers`, and
 prints one line per factor: workload, factor (`wall`, `interior`, `L0`),
-bytes stored (`nbytes`), number of solve levels and stored entries of the
-level matrices.  A factor without levels (the sphere reduced wall, a
-`BlockFactor`) prints `-` for both; sphere-up's state has no L0 factor.
+bytes stored (`nbytes`), number of solve levels, stored entries of the
+level matrices, and the bytes of the root fronts' packed pseudo-inverses
+(part of `nbytes`; 0 in a folded factor).  A factor without levels (the
+sphere reduced wall, a `BlockFactor`) prints `-` for the last three;
+sphere-up's state has no L0 factor.
 """
 
 from __future__ import annotations
@@ -30,8 +32,13 @@ def main() -> int:
     for name, workload in workloads.WORKLOADS.items():
         for label, f in factors(first_answers(workload).state).items():
             levels = getattr(f, "_levels", None)
-            shape = ("- -" if levels is None else
-                     f"{len(levels)} {sum(level.a.nnz for level in levels)}")
+            if levels is None:
+                shape = "- - -"
+            else:
+                pinv = sum(nd.pinv.nbytes for nd in f._nodes
+                           if nd.pinv is not None)
+                shape = (f"{len(levels)} "
+                         f"{sum(level.a.nnz for level in levels)} {pinv}")
             print(f"{name} {label} {f.nbytes} {shape}")
     return 0
 

@@ -12,7 +12,9 @@ it last), so the factor is rank-revealing and solves against right-hand
 sides in the image remain exact.  Solves walk the tree by levels, the
 fronts of one depth at a time: by substitution in an exact solver, and in a
 factor applied as a preconditioner through each level's inverted blocks,
-folded into one sparse matrix.  A right-hand side that lives on root fronts
+folded into one sparse matrix.  An exact solver's root fronts, which have
+no rows above them, apply their pseudo-inverses instead, packed, one
+symmetric product per front.  A right-hand side that lives on root fronts
 solves, for those rows, through those fronts alone.
 """
 
@@ -38,10 +40,15 @@ BALANCE_BOUND = 0.9
 # thread pool, and alternating between them makes the pools starve each
 # other on a small machine.  One library, one thread pool.
 _POTRF = sla.get_lapack_funcs("potrf", dtype=np.float64)
+_POTRI = sla.get_lapack_funcs("potri", dtype=np.float64)
 _PSTRF = sla.get_lapack_funcs("pstrf", dtype=np.float64)
 _TRTRS = sla.get_lapack_funcs("trtrs", dtype=np.float64)
 _TRTRI = sla.get_lapack_funcs("trtri", dtype=np.float64)
+_TRTTP = sla.get_lapack_funcs("trttp", dtype=np.float64)
 _GEMM = sla.get_blas_funcs("gemm", dtype=np.float64)
+# packed `dspmv`, not `dsymv` on the full block, which thrashes on two
+# cores once numpy's thread pool is awake (README, configuration notes)
+_SPMV = sla.get_blas_funcs("spmv", dtype=np.float64)
 
 
 # -- separators -------------------------------------------------------------
@@ -186,6 +193,14 @@ class _NodeFactor:
     l21: np.ndarray        # dense (len(rows21), block) sub-diagonal part, a
                            # Fortran-order view into its level's data
     depth: int             # depth of the front in the separator tree
+    # an exact factor's root front: the kept block of its pseudo-inverse,
+    # lower, packed by columns (see `_root_pinv`)
+    pinv: np.ndarray | None = None
+
+    @property
+    def rank(self) -> int:
+        """Kept pivots of the front."""
+        return self.stop - self.start - len(self.skipped)
 
 
 @dataclass
@@ -223,12 +238,15 @@ class CholeskyFactor:
 
     @property
     def nbytes(self) -> int:
-        """Bytes stored by the factor: its fronts' dense blocks and its
-        levels' sparse matrices (each front's l21 is a view into its
-        level's), not the input matrix."""
+        """Bytes stored by the factor: its fronts' dense blocks, the root
+        fronts' packed pseudo-inverses and its levels' sparse matrices
+        (each front's l21 is a view into its level's), not the input
+        matrix."""
         arrays = [self.perm, self.kept]
         for nd in self._nodes:
             arrays += [nd.skipped, nd.l11, nd.rows21]
+            if nd.pinv is not None:
+                arrays.append(nd.pinv)
         for level in self._levels:
             arrays += [level.cols, level.skipped, level.a.data,
                        level.a.indices, level.a.indptr]
@@ -301,20 +319,20 @@ class RootSolve:
     some rows of the root fronts, read back on those rows alone.  Below the
     root every front and level product then acts on zeros, forward, and
     backward it writes only rows below the root, so the root fronts' own
-    substitutions give the same rows, in the same arithmetic."""
+    pseudo-inverse products (`_root_product`) give the same rows, in the
+    same arithmetic."""
     fronts: list           # the root fronts holding the rows
     at: np.ndarray         # each row's position in the fronts, one after another
     size: int              # rows of the fronts together
 
     def solve(self, b) -> np.ndarray:
-        z = np.zeros(self.size)
+        """The solve for b of shape (len(rows),) or (len(rows), k)."""
+        b = np.asarray(b, dtype=float)
+        z = np.zeros((self.size,) + b.shape[1:])
         z[self.at] = b
         off = 0
         for nd in self.fronts:
-            seg = z[off:off + nd.stop - nd.start]
-            seg[:] = _triangular_solve(nd.l11, seg, trans=0)
-            seg[nd.skipped] = 0.0
-            seg[:] = _triangular_solve(nd.l11, seg, trans=1)
+            _root_product(nd, z[off:off + nd.stop - nd.start])
             off += nd.stop - nd.start
         return z[self.at]
 
@@ -333,9 +351,19 @@ def nd_cholesky(matrix, coords, blocks=None, root_pins=None,
     The tree is factored in one pass and its levels scheduled once,
     `folded` for a factor applied as a preconditioner (see `_schedule`: an
     inverse rounds worse than substitution, so exact solvers stay
-    unfolded).  Raises NumericalError when two blocks are coupled or the
-    matrix is indefinite, and ValueError when it has a non-finite stored
-    entry or `blocks` do not partition its rows.
+    unfolded).  An exact solver's root fronts are the exception, and get
+    their pseudo-inverses (`_root_pinv`): a root front has no rows above
+    it, so its two substitutions run back to back and are one product with
+    that inverse, the last step of the solve.  Its forward error is of the
+    order of the substitutions' (the front's condition number times the
+    unit roundoff), and no later product carries it into other rows, as a
+    folded inverse's is carried down the levels below.  The tests
+    `test_root_pinv_matches_the_front_schur_pinv` and
+    `test_root_pinv_of_a_definite_and_of_an_all_skipped_front` bound the
+    inverse against the pseudo-inverse of the front's Schur complement,
+    and the solve tests bound the answer against the matrix.  Raises NumericalError when two blocks are coupled
+    or the matrix is indefinite, and ValueError when it has a non-finite
+    stored entry or `blocks` do not partition its rows.
     """
     matrix = _finite_csr(matrix)
     coords = np.asarray(coords, dtype=float)
@@ -360,6 +388,10 @@ def nd_cholesky(matrix, coords, blocks=None, root_pins=None,
     perm, kept, nodes = _factor_fronts(
         matrix, NdOrdering(perm=perm, tree=tree, n=n), DEFAULT_PIVOT_TOL,
         scale)
+    if not folded:
+        for nd in nodes:
+            if nd.depth == 0:
+                nd.pinv = _root_pinv(nd)
     return CholeskyFactor(perm=perm, rank=int(kept.sum()), kept=kept,
                           matrix=matrix, _nodes=[] if folded else nodes,
                           _levels=_schedule(nodes, n, folded), folded=folded)
@@ -607,6 +639,36 @@ def _fold_front(nd):
     return np.broadcast_to(rows, keep.shape)[keep], block.T[keep]
 
 
+def _root_pinv(nd):
+    """The kept block of the root front's pseudo-inverse K = L11^-T D
+    L11^-1, D the identity on the kept pivots and zero on the skipped ones:
+    its lower triangle packed by columns (LAPACK `dpotri` on the kept block
+    of l11, then `dtrttp`).  Kept pivots come first (`_dense_rank_chol`),
+    so K is zero outside that block."""
+    rank = nd.rank
+    if not rank:
+        return np.empty(0)
+    inv, info = _POTRI(nd.l11[:rank, :rank], lower=1)
+    if info == 0:
+        packed, info = _TRTTP(inv, uplo="L")
+    if info:
+        raise NumericalError(f"front inverse failed (LAPACK info {info})")
+    return packed
+
+
+def _root_product(nd, seg):
+    """seg = K seg in place, for K the root front's pseudo-inverse (see
+    `_root_pinv`): one BLAS `dspmv` per column of seg on the kept rows, and
+    zeros on the skipped ones."""
+    rank = nd.rank
+    cols = seg.reshape(len(seg), -1)
+    if rank:
+        for j in range(cols.shape[1]):
+            cols[:rank, j] = _SPMV(rank, 1.0, nd.pinv, cols[:rank, j],
+                                   lower=1)
+    cols[rank:] = 0.0
+
+
 def _dense_rank_chol(a, scale, pivot_tol):
     """Dense lower Cholesky that skips (zeroes) pivots at or below
     pivot_tol * scale: (l, kept, order), kept pivots first, with
@@ -640,7 +702,11 @@ def solve_with_factor(factor: CholeskyFactor, b,
     zero pivots get the zero-tail treatment (x is 0 there), so the result is
     exact for b in Im(M).  The solve walks the separator tree by levels:
     one sparse product per level and direction, and in an unfolded factor
-    one LAPACK `dtrtrs` per front and direction besides.  Raises ValueError
+    one LAPACK `dtrtrs` per front below the root and direction besides,
+    and per root front and column of b one BLAS `dspmv` with its packed
+    pseudo-inverse (`_root_product`): a root front has no rows above it,
+    so its forward and backward substitutions run back to back, with only
+    the zeroing of its skipped pivots between them.  Raises ValueError
     for a b of another row count or with non-finite entries, and with
     `check_image` NumericalError when M x misses a nonzero column of b by
     more than IMAGE_TOL relative to it."""
@@ -656,8 +722,9 @@ def solve_with_factor(factor: CholeskyFactor, b,
     # column of l21 is zero
     for level in reversed(factor._levels):
         for nd in level.nodes:
-            y = z[nd.start:nd.stop]
-            y[:] = _triangular_solve(nd.l11, y, trans=0)
+            if nd.pinv is None:
+                y = z[nd.start:nd.stop]
+                y[:] = _triangular_solve(nd.l11, y, trans=0)
         _level_update(z, level, trans=False)
     # backward: L^T x = y, root level first; a zero right-hand side at a
     # skipped pivot makes x exactly 0 there, and zeroing it before the
@@ -668,7 +735,10 @@ def solve_with_factor(factor: CholeskyFactor, b,
         _level_update(z, level, trans=True)
         for nd in level.nodes:
             seg = z[nd.start:nd.stop]
-            seg[:] = _triangular_solve(nd.l11, seg, trans=1)
+            if nd.pinv is None:
+                seg[:] = _triangular_solve(nd.l11, seg, trans=1)
+            else:   # the root front's whole solve
+                _root_product(nd, seg)
 
     x = np.empty_like(z)
     x[factor.perm] = z

@@ -50,34 +50,14 @@ class SpanningForest:
 
     @classmethod
     def from_graph(cls, n_vertices: int, edges) -> "SpanningForest":
-        """A vertex's parent is its smallest-index neighbour one level nearer
-        the root, through the first listed edge between the two."""
+        """The forest of `bfs_parents`, with its path matrix."""
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         m = len(edges)
-        ends = np.concatenate([edges[:, 0], edges[:, 1]])
-        others = np.concatenate([edges[:, 1], edges[:, 0]])
-        graph = sp.csr_matrix((np.ones(2 * m), (ends, others)),
-                              shape=(n_vertices, n_vertices))
-        _, comp = connected_components(graph, directed=False)
-        _, roots = np.unique(comp, return_index=True)
-        depth = dijkstra(graph, unweighted=True, min_only=True,
-                         indices=roots).astype(np.int64)
-
-        # every edge that leads one level down, sorted by child, parent and
-        # edge id; each child keeps the first
-        up = depth[others] == depth[ends] + 1
-        child, par, edge = others[up], ends[up], np.tile(np.arange(m), 2)[up]
-        first = np.lexsort((edge, par, child))
-        first = first[np.unique(child[first], return_index=True)[1]]
-        parent_edge = np.full(n_vertices, -1, dtype=np.int64)
-        parent_vertex = np.full(n_vertices, -1, dtype=np.int64)
+        comp, roots, depth, parent_vertex, parent_edge, levels = bfs_parents(
+            n_vertices, edges)
+        kids = np.flatnonzero(parent_edge >= 0)
         head_sign = np.zeros(n_vertices, dtype=np.int64)
-        kids, kid_edges = child[first], edge[first]
-        parent_edge[kids] = kid_edges
-        parent_vertex[kids] = par[first]
-        head_sign[kids] = np.where(edges[kid_edges, 1] == kids, 1, -1)
-        order = np.argsort(depth, kind="stable")
-        levels = np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)
+        head_sign[kids] = np.where(edges[parent_edge[kids], 1] == kids, 1, -1)
 
         # a vertex's row of the path matrix is its parent's row and then its
         # own parent edge, filled level by level from the roots down
@@ -91,7 +71,7 @@ class SpanningForest:
                 indices[indptr[parent_vertex[level]][:, None] + span]
             indices[start + k - 1] = parent_edge[level]
         edge_sign = np.zeros(m)
-        edge_sign[kid_edges] = head_sign[kids]
+        edge_sign[parent_edge[kids]] = head_sign[kids]
         path = sp.csr_matrix((edge_sign[indices], indices, indptr),
                              shape=(n_vertices, m))
         return cls(n_vertices=n_vertices, edges=edges, component=comp,
@@ -112,6 +92,38 @@ class SpanningForest:
         zero on every component (checked by the caller's residual).  Each
         forest edge carries the signed sum of b below it."""
         return self.path_t @ np.asarray(b_vertices, dtype=float)
+
+
+def bfs_parents(n_vertices: int, edges):
+    """(component, roots, depth, parent_vertex, parent_edge, levels) of the
+    breadth-first forest of the graph whose edge k joins edges[k, 0] and
+    edges[k, 1]: a component's root is its smallest vertex, and a vertex's
+    parent its smallest-index neighbour one level nearer the root, through
+    the first listed edge between the two (-1 at the roots); levels are
+    vertex arrays by depth, levels[0] the roots."""
+    m = len(edges)
+    ends = np.concatenate([edges[:, 0], edges[:, 1]])
+    others = np.concatenate([edges[:, 1], edges[:, 0]])
+    graph = sp.csr_matrix((np.ones(2 * m), (ends, others)),
+                          shape=(n_vertices, n_vertices))
+    _, comp = connected_components(graph, directed=False)
+    _, roots = np.unique(comp, return_index=True)
+    depth = dijkstra(graph, unweighted=True, min_only=True,
+                     indices=roots).astype(np.int64)
+
+    # every edge that leads one level down, sorted by child, parent and
+    # edge id; each child keeps the first
+    up = depth[others] == depth[ends] + 1
+    child, par, edge = others[up], ends[up], np.tile(np.arange(m), 2)[up]
+    first = np.lexsort((edge, par, child))
+    first = first[np.unique(child[first], return_index=True)[1]]
+    parent_edge = np.full(n_vertices, -1, dtype=np.int64)
+    parent_vertex = np.full(n_vertices, -1, dtype=np.int64)
+    parent_edge[child[first]] = edge[first]
+    parent_vertex[child[first]] = par[first]
+    order = np.argsort(depth, kind="stable")
+    levels = np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)
+    return comp, roots, depth, parent_vertex, parent_edge, levels
 
 
 class GraphDownLap:
@@ -197,8 +209,10 @@ class GraphDownLap:
         return self._project_off_kernel(z)
 
     def _project_off_kernel(self, z: np.ndarray) -> np.ndarray:
+        """z projected off the kernel, in place: `_half` owns its z."""
         coef = (self.kernel @ z) / _col(self.u_norm2, z.ndim)
-        return z - self.kernel_t @ coef
+        z -= self.kernel_t @ coef
+        return z
 
 
 def _col(v, ndim):

@@ -9,7 +9,8 @@ a hollowing; `upproj` runs it on the triangle Gram matrix d2^T d2, and
 
 The Schur complement reaches the interior only through the interface rows,
 the interior rows coupled to the wall.  They are pinned into their region's
-root front, so each Schur apply solves through those root fronts alone:
+root front, so each Schur apply solves through those root fronts alone,
+one packed pseudo-inverse product per front and no triangular solve:
 deeper fronts would act on zeros forward and write only rows the apply
 never reads backward, so the result is the full interior solve's, bit for
 bit, and the Schur residual stays the whole residual.
@@ -33,7 +34,7 @@ import scipy.sparse as sp
 from .complexes import up_laplacian
 from .dissection import (_GEMM, DEFAULT_PIVOT_TOL, CholeskyFactor, RootSolve,
                          nd_cholesky)
-from .downlap import GraphDownLap, SpanningForest
+from .downlap import GraphDownLap, bfs_parents
 from .errors import (NumericalError, UnsupportedGeometryError, check_state,
                      check_tolerance, check_vector, missed_contract, one_norm,
                      roundoff_floor)
@@ -140,8 +141,9 @@ def schur_apply(state: UpSolverState, x_c):
     eliminated matrix A.
 
     A[F,C] x vanishes off the interface rows, and A[C,F] reads only them,
-    so the interior solve runs through the root fronts holding them: the
-    same arithmetic on the same rows as the full solve."""
+    so the interior solve runs through the root fronts holding them, one
+    packed pseudo-inverse product each: the same arithmetic on the same
+    rows as the full solve."""
     x_c = np.asarray(x_c, dtype=float)
     y = state.root.solve(state.l_ic @ x_c)
     return state.l_cc @ x_c - state.l_ci @ y
@@ -389,11 +391,11 @@ def _orient_discs(d2tb, disc_of, e1_mask) -> np.ndarray:
     links = sp.triu(rows.T @ rows, k=1).tocoo()
     keep = disc_of[links.row] == disc_of[links.col]
     t1, t2, val = links.row[keep], links.col[keep], links.data[keep]
-    forest = SpanningForest.from_graph(nt, np.column_stack([t1, t2]))
+    *_, parent_vertex, parent_edge, levels = bfs_parents(
+        nt, np.column_stack([t1, t2]))
     signs = np.ones(nt)
-    for level in forest.levels[1:]:
-        signs[level] = (-signs[forest.parent_vertex[level]]
-                        * val[forest.parent_edge[level]])
+    for level in levels[1:]:
+        signs[level] = -signs[parent_vertex[level]] * val[parent_edge[level]]
     if np.any(signs[t2] != -signs[t1] * val):
         raise NumericalError("disc is not orientable")
     return signs

@@ -739,9 +739,11 @@ def test_factor_remaps_positions_pivoted_inside_fronts():
 
 
 def test_solve_by_levels_makes_no_per_front_update(rng, monkeypatch):
-    # unfolded, one triangular solve per front and direction; folded, none.
-    # In both forms the blocks go through at most one sparse product per
-    # level and direction: no dense product, no per-front gather or scatter
+    # unfolded, one triangular solve per front below the root and
+    # direction, and one packed product per root front and column; folded,
+    # neither.  In both forms the blocks go through at most one sparse
+    # product per level and direction: no dense product, no per-front
+    # gather or scatter
     c = gen_grid(GridSpec((4, 4, 4)))
     m = up_laplacian(c, 1)
     exact = nd_cholesky(m, edge_midpoints(c), base_case=16)
@@ -759,7 +761,9 @@ def test_solve_by_levels_makes_no_per_front_update(rng, monkeypatch):
                 assert np.shares_memory(nd.l21, level.a.data)
     assert all(level.nodes for level in exact._levels)
     assert not folded._nodes and not any(lv.nodes for lv in folded._levels)
-    calls = {"gemm": 0, "trtrs": 0, "level": 0}
+    roots = [nd for nd in exact._nodes if nd.depth == 0]
+    assert roots and all(nd.rank for nd in roots)
+    calls = {"gemm": 0, "trtrs": 0, "spmv": 0, "level": 0}
 
     def counting(name, fn):
         def spy(*args, **kwargs):
@@ -767,18 +771,48 @@ def test_solve_by_levels_makes_no_per_front_update(rng, monkeypatch):
             return fn(*args, **kwargs)
         return spy
     for name, attr in (("gemm", "_GEMM"), ("trtrs", "_TRTRS"),
-                       ("level", "_level_update")):
+                       ("spmv", "_SPMV"), ("level", "_level_update")):
         monkeypatch.setattr(dissection, attr,
                             counting(name, getattr(dissection, attr)))
-    for f, trtrs in ((exact, 2 * len(exact._nodes)), (folded, 0)):
-        for shape in (f.shape[0], (f.shape[0], 3)):
-            calls.update(gemm=0, trtrs=0, level=0)
+    for f, trtrs, spmv in (
+            (exact, 2 * (len(exact._nodes) - len(roots)), len(roots)),
+            (folded, 0, 0)):
+        for shape, k in ((f.shape[0], 1), ((f.shape[0], 3), 3)):
+            calls.update(gemm=0, trtrs=0, spmv=0, level=0)
             b = m @ rng.standard_normal(shape)
             assert (np.linalg.norm(m @ f.solve(b) - b)
                     <= 1e-9 * np.linalg.norm(b))
             assert calls["gemm"] == 0
             assert calls["trtrs"] == trtrs
+            assert calls["spmv"] == spmv * k
             assert calls["level"] <= 2 * len(f._levels)
+
+
+def test_root_pinv_of_a_definite_and_of_an_all_skipped_front(rng):
+    # path + I is one definite front, whose pseudo-inverse is its inverse,
+    # packed whole; the zero matrix is one front with every pivot skipped,
+    # whose pseudo-inverse is zero and stores nothing
+    n = 20
+    line = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
+    m = (path_laplacian(n) + sp.identity(n)).tocsr()
+    f = nd_cholesky(m, line)
+    root, = f._nodes
+    assert root.depth == 0 and root.rank == n
+    assert root.pinv.shape == (n * (n + 1) // 2,)
+    inv = np.linalg.inv(m.toarray())
+    k = f.root_solve(np.arange(n)).solve(np.eye(n))
+    assert np.linalg.norm(k - inv) <= 1e-13 * np.linalg.norm(inv)
+    b = rng.standard_normal(n)
+    assert np.linalg.norm(f.solve(b) - inv @ b) <= 1e-13 * np.linalg.norm(b)
+    assert f.solve(np.zeros((n, 0))).shape == (n, 0)
+    zero = nd_cholesky(sp.csr_matrix((n, n)), line)
+    root, = zero._nodes
+    assert root.depth == 0 and root.rank == 0 and root.pinv.size == 0
+    assert not zero.root_solve(np.arange(n)).solve(np.eye(n)).any()
+    assert not zero.solve(np.zeros((n, 2))).any()
+    assert not zero.solve(b, check_image=False).any()
+    with pytest.raises(NumericalError):
+        zero.solve(b)
 
 
 # the folded solve multiplies by inverted triangular blocks instead of

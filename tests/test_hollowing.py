@@ -415,8 +415,9 @@ LOOP_FREE = [hollowing._bfs_hops, hollowing.find_hollowing,
              hollowing._classes, hollowing._assign_shells,
              hollowing._interface_triangles,
              hollowing._record_metrics, hollowing.validate_hollowing,
-             downlap.SpanningForest.from_graph, uplap._disc_rows,
-             uplap._orient_discs, meshgen.skeleton_diameter]
+             downlap.SpanningForest.from_graph, downlap.bfs_parents,
+             uplap._disc_rows, uplap._orient_discs,
+             meshgen.skeleton_diameter]
 
 
 @pytest.mark.parametrize("func", LOOP_FREE, ids=lambda f: f.__qualname__)

@@ -593,6 +593,51 @@ def test_ring_wall_gram_matches_the_exact_solve(rng):
             <= 1e-10 * np.linalg.norm(want))
 
 
+def unpacked_root_pinv(root):
+    """The root front's pseudo-inverse K, dense in the front's order, from
+    its kept block, packed lower by columns."""
+    k = np.zeros((root.stop - root.start,) * 2)
+    col, row = np.triu_indices(root.rank)
+    k[row, col] = k[col, row] = root.pinv
+    return k
+
+
+def assert_root_pinvs_match_the_schur_pinv(factor, dense, blocks):
+    """Each root front's K is a generalized inverse of the Schur complement
+    S onto its rows (zero on its skipped pivots), so on the image of S it
+    is S's pseudo-inverse; and the front's root solve applies that K."""
+    roots = [nd for nd in factor._nodes if nd.depth == 0]
+    assert roots
+    for root in roots:
+        rows = factor.perm[root.start:root.stop]
+        block, = [b for b in blocks if np.isin(rows[0], b)]
+        local = np.searchsorted(block, rows)
+        s = schur_onto(dense[np.ix_(block, block)], local)
+        k = unpacked_root_pinv(root)
+        p = oracle.projection(s)
+        want = oracle.pinv(s)
+        assert (np.linalg.norm(p @ k @ p - want)
+                <= 1e-10 * np.linalg.norm(want))
+        assert np.array_equal(
+            factor.root_solve(rows).solve(np.eye(len(rows))), k)
+
+
+def test_root_pinv_matches_the_front_schur_pinv():
+    # the exact twin of the ring's wall, one root front with skipped
+    # pivots, and a 6^3 sphere's interior, one root front per region
+    _, exact, lt, root = ring_wall()
+    assert len(root.skipped) and root.rank
+    assert_root_pinvs_match_the_schur_pinv(exact, lt, [np.arange(len(lt))])
+    c = gen_grid(GridSpec((6, 6, 6)))
+    h = sphere_hollowing(c, 256)
+    state = uplap.build_sphere_fast_solver(c, h)
+    sizes = [len(f) for f in h.interior_edges_by_region()]
+    blocks = np.split(np.arange(len(state.f_all)), np.cumsum(sizes)[:-1])
+    assert len(blocks) > 1
+    assert_root_pinvs_match_the_schur_pinv(
+        state.interior, state.interior.matrix.toarray(), blocks)
+
+
 def test_ring_schur_block_matches_evr():
     # the root front's kept pivots count the Schur complement's rank, as
     # LAPACK's dsyevr (scipy's default for `eigh`) reads it

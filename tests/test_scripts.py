@@ -23,8 +23,9 @@ def test_answer_digests_name_every_answer_and_repeat():
 
 
 def test_factor_bytes_names_each_workloads_factors():
-    # workload, factor, bytes, levels and level entries; the sphere
-    # reduced wall has no levels, and sphere-up's state no L0 factor
+    # workload, factor, bytes, levels, level entries and root
+    # pseudo-inverse bytes; the sphere reduced wall has no levels, a folded
+    # wall no root pseudo-inverses, and sphere-up's state no L0 factor
     out = subprocess.run([sys.executable,
                           os.path.join(SCRIPTS, "factor_bytes.py")],
                          capture_output=True, text=True, timeout=600)
@@ -34,9 +35,13 @@ def test_factor_bytes_names_each_workloads_factors():
         [name, label] for name in ("box-stream", "ring-rebuild", "sphere-up")
         for label in ("wall", "interior", "L0")
         if (name, label) != ("sphere-up", "L0")]
-    for name, label, nbytes, levels, nnz in rows:
+    for name, label, nbytes, levels, nnz, pinv in rows:
         assert int(nbytes) > 0
         if (name, label) == ("sphere-up", "wall"):
-            assert levels == nnz == "-"
+            assert levels == nnz == pinv == "-"
         else:
             assert int(levels) > 0 and int(nnz) >= 0
+            if label == "wall":
+                assert int(pinv) == 0
+            else:
+                assert 0 < int(pinv) < int(nbytes)

@@ -221,8 +221,8 @@ def test_schur_apply_equals_the_full_interior_solve(rng, name):
 @pytest.mark.parametrize("name", ["box8", "sphere", "ring", "projection"])
 def test_schur_apply_solves_through_the_interface_root_fronts(rng, monkeypatch,
                                                               name):
-    # two triangular solves per root front that holds an interface row, and
-    # no deeper front, level product or dense product
+    # one packed pseudo-inverse product per root front that holds an
+    # interface row, and no triangular solve, level product or dense product
     state = SCHUR_STATES[name]()
     factor = state.interior
     pos = np.empty(factor.shape[0], dtype=np.int64)
@@ -231,19 +231,20 @@ def test_schur_apply_solves_through_the_interface_root_fronts(rng, monkeypatch,
         (pos[state.iface] >= nd.start) & (pos[state.iface] < nd.stop))]
     assert state.root.fronts == holding
     assert len(holding) < len(factor._nodes)
-    calls = {"trtrs": 0, "level": 0, "gemm": 0}
+    assert all(nd.rank for nd in holding)
+    calls = {"spmv": 0, "trtrs": 0, "level": 0, "gemm": 0}
 
     def counting(name, fn):
         def spy(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         return spy
-    for key, attr in (("trtrs", "_TRTRS"), ("level", "_level_update"),
-                      ("gemm", "_GEMM")):
+    for key, attr in (("spmv", "_SPMV"), ("trtrs", "_TRTRS"),
+                      ("level", "_level_update"), ("gemm", "_GEMM")):
         monkeypatch.setattr(dissection, attr,
                             counting(key, getattr(dissection, attr)))
     schur_apply(state, rng.standard_normal(len(state.c_idx)))
-    assert calls == {"trtrs": 2 * len(holding), "level": 0, "gemm": 0}
+    assert calls == {"spmv": len(holding), "trtrs": 0, "level": 0, "gemm": 0}
 
 
 def reference_interface_edges(c, boundary_mask):
