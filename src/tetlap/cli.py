@@ -30,8 +30,7 @@ from .hollowing import (
     validate_hollowing,
 )
 from .meshgen import GridSpec, gen_grid, mesh_stats
-from .onelap import build_one_lap_solver, glue, hodge_decompose, one_lap_solve, \
-    union_one_lap_solve
+from .onelap import build_one_lap_solver, glue, hodge_decompose, one_lap_solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,7 +134,7 @@ def cmd_union_solve(args) -> int:
                 for group in union_spec.get("identify", [])]
     u = glue(chunks, identify, holls)
     b = _load_vector(args.b, u.complex.num_edges, "right-hand side")
-    x, report = union_one_lap_solve(u, b, args.eps)
+    x, report = one_lap_solve(u.complex, u.hollowing, b, args.eps)
     _save_vector(args.out, x)
     if args.report:
         with open(args.report, "w") as f:

@@ -13,9 +13,10 @@ sides in the image remain exact.  Solves walk the tree by levels, the
 fronts of one depth at a time: by substitution in an exact solver, and in a
 factor applied as a preconditioner through each level's inverted blocks,
 folded into one sparse matrix.  An exact solver's root fronts, which have
-no rows above them, apply their pseudo-inverses instead, packed, one
-symmetric product per front.  A right-hand side that lives on root fronts
-solves, for those rows, through those fronts alone.
+no rows above them, keep only their pseudo-inverses, packed, and apply
+them in one symmetric product per front.  A factor stores nothing its
+solves do not read.  A right-hand side that lives on root fronts solves,
+for those rows, through those fronts alone.
 """
 
 from __future__ import annotations
@@ -187,8 +188,9 @@ class _NodeFactor:
     start: int
     stop: int
     skipped: np.ndarray    # local positions of skipped pivots
-    l11: np.ndarray        # dense lower-triangular block, Fortran order; a
-                           # skipped pivot's column is the identity's
+    l11: np.ndarray | None  # dense lower-triangular block, Fortran order,
+                            # a skipped pivot's column the identity's; None
+                            # in an exact factor's root front (see `pinv`)
     rows21: np.ndarray     # permuted row indices below the block
     l21: np.ndarray        # dense (len(rows21), block) sub-diagonal part, a
                            # Fortran-order view into its level's data
@@ -218,11 +220,14 @@ class _Level:
 
 @dataclass
 class CholeskyFactor:
-    """P L L^T P^T factorization with skipped (rank-deficient) pivots.
+    """P L L^T P^T factorization with skipped (rank-deficient) pivots, kept
+    as what its solves read: the fronts below the root with their dense
+    blocks, the root fronts with their packed pseudo-inverses alone, and
+    the levels' sparse matrices.
 
     A folded factor (built with `folded=True`) keeps only its levels'
     sparse matrices: it solves with one sparse product per level and
-    direction, and has no fronts left to assemble L from."""
+    direction, and keeps no fronts."""
 
     perm: np.ndarray
     rank: int
@@ -238,50 +243,16 @@ class CholeskyFactor:
 
     @property
     def nbytes(self) -> int:
-        """Bytes stored by the factor: its fronts' dense blocks, the root
-        fronts' packed pseudo-inverses and its levels' sparse matrices
-        (each front's l21 is a view into its level's), not the input
-        matrix."""
+        """Bytes stored by the factor: its fronts' dense blocks or packed
+        pseudo-inverses and its levels' sparse matrices (each front's l21 is
+        a view into its level's), not the input matrix."""
         arrays = [self.perm, self.kept]
         for nd in self._nodes:
-            arrays += [nd.skipped, nd.l11, nd.rows21]
-            if nd.pinv is not None:
-                arrays.append(nd.pinv)
+            arrays += [nd.skipped, nd.l11, nd.rows21, nd.pinv]
         for level in self._levels:
             arrays += [level.cols, level.skipped, level.a.data,
                        level.a.indices, level.a.indptr]
-        return sum(a.nbytes for a in arrays)
-
-    @property
-    def L(self) -> sp.csc_matrix:
-        """The lower factor, assembled from the node blocks on each access;
-        its column at a skipped pivot is zero."""
-        if self.folded:
-            raise ValueError("a folded factor stores its levels' inverted "
-                             "blocks, not L")
-        coo_r, coo_c, coo_v = [], [], []
-        for nd in self._nodes:
-            bs = nd.stop - nd.start
-            r, c = np.tril_indices(bs)
-            v = nd.l11[r, c]
-            v[(r == c) & np.isin(r, nd.skipped)] = 0.0
-            keep = v != 0.0
-            coo_r.append(r[keep] + nd.start)
-            coo_c.append(c[keep] + nd.start)
-            coo_v.append(v[keep])
-            if len(nd.rows21):
-                rr = np.repeat(nd.rows21, bs).reshape(len(nd.rows21), bs)
-                cc = np.tile(np.arange(bs), (len(nd.rows21), 1)) + nd.start
-                keep = nd.l21 != 0.0
-                coo_r.append(rr[keep])
-                coo_c.append(cc[keep])
-                coo_v.append(nd.l21[keep])
-        n = len(self.perm)
-        return sp.csc_matrix(
-            (np.concatenate(coo_v) if coo_v else [],
-             (np.concatenate(coo_r) if coo_r else [],
-              np.concatenate(coo_c) if coo_c else [])),
-            shape=(n, n))
+        return sum(a.nbytes for a in arrays if a is not None)
 
     def solve(self, b, check_image: bool = True) -> np.ndarray:
         """`solve_with_factor`, whose image check a folded factor skips:
@@ -343,29 +314,47 @@ def nd_cholesky(matrix, coords, blocks=None, root_pins=None,
     """The factor of `matrix`, in the matrix's own row order, the builder of
     every nested dissection factor.
 
-    `blocks` partition the rows, by default into one block of all rows.
-    Each nonempty block gets its own ordering by its rows' `coords` (a 3D
-    location per row), with `root_pins[i]`, positions within block i, in
-    its root separator, and its own pivot threshold, DEFAULT_PIVOT_TOL
-    times its largest diagonal entry; the blocks' roots are the roots.
-    The tree is factored in one pass and its levels scheduled once,
-    `folded` for a factor applied as a preconditioner (see `_schedule`: an
-    inverse rounds worse than substitution, so exact solvers stay
-    unfolded).  An exact solver's root fronts are the exception, and get
-    their pseudo-inverses (`_root_pinv`): a root front has no rows above
-    it, so its two substitutions run back to back and are one product with
-    that inverse, the last step of the solve.  Its forward error is of the
-    order of the substitutions' (the front's condition number times the
-    unit roundoff), and no later product carries it into other rows, as a
-    folded inverse's is carried down the levels below.  The tests
+    The tree of `_ordered_fronts` is factored in one pass and its levels
+    scheduled once, `folded` for a factor applied as a preconditioner (see
+    `_schedule`: an inverse rounds worse than substitution, so exact
+    solvers stay unfolded).  An exact solver's root fronts are the
+    exception: each trades its l11 for its pseudo-inverse (`_root_pinv`).
+    A root front has no rows above it, so its two substitutions run back to
+    back and are one product with that inverse, the last step of the
+    solve.  Its forward error is of the order of the substitutions' (the
+    front's condition number times the unit roundoff), and no later
+    product carries it into other rows, as a folded inverse's is carried
+    down the levels below.  The tests
     `test_root_pinv_matches_the_front_schur_pinv` and
     `test_root_pinv_of_a_definite_and_of_an_all_skipped_front` bound the
     inverse against the pseudo-inverse of the front's Schur complement,
-    and the solve tests bound the answer against the matrix.  Raises NumericalError when two blocks are coupled
-    or the matrix is indefinite, and ValueError when it has a non-finite
-    stored entry or `blocks` do not partition its rows.
+    and the solve tests bound the answer against the matrix.  Raises
+    NumericalError when two blocks are coupled or the matrix is
+    indefinite, and ValueError when it has a non-finite stored entry or
+    `blocks` do not partition its rows.
     """
     matrix = _finite_csr(matrix)
+    perm, kept, nodes = _ordered_fronts(matrix, coords, blocks, root_pins,
+                                        base_case)
+    if not folded:
+        for nd in nodes:
+            if nd.depth == 0:
+                nd.pinv, nd.l11 = _root_pinv(nd), None
+    return CholeskyFactor(perm=perm, rank=int(kept.sum()), kept=kept,
+                          matrix=matrix, _nodes=[] if folded else nodes,
+                          _levels=_schedule(nodes, len(perm), folded),
+                          folded=folded)
+
+
+def _ordered_fronts(matrix, coords, blocks, root_pins, base_case):
+    """(perm, kept, fronts) of `_factor_fronts` for the float CSR `matrix`.
+
+    `blocks` partition the rows, by default (None) into one block of all
+    rows.  Each nonempty block gets its own ordering by its rows' `coords`
+    (a 3D location per row), with `root_pins[i]`, positions within block
+    i, in its root separator, and its own pivot threshold,
+    DEFAULT_PIVOT_TOL times its largest diagonal entry; the blocks' roots
+    are the roots, under one empty root."""
     coords = np.asarray(coords, dtype=float)
     n = matrix.shape[0]
     blocks = [np.arange(n)] if blocks is None else [
@@ -385,16 +374,8 @@ def nd_cholesky(matrix, coords, blocks=None, root_pins=None,
     tree = NdNode(cols=np.empty(0, dtype=np.int64), children=subtrees)
     perm = np.empty(n, dtype=np.int64)
     _assign_intervals(tree, perm, 0)
-    perm, kept, nodes = _factor_fronts(
-        matrix, NdOrdering(perm=perm, tree=tree, n=n), DEFAULT_PIVOT_TOL,
-        scale)
-    if not folded:
-        for nd in nodes:
-            if nd.depth == 0:
-                nd.pinv = _root_pinv(nd)
-    return CholeskyFactor(perm=perm, rank=int(kept.sum()), kept=kept,
-                          matrix=matrix, _nodes=[] if folded else nodes,
-                          _levels=_schedule(nodes, n, folded), folded=folded)
+    return _factor_fronts(matrix, NdOrdering(perm=perm, tree=tree, n=n),
+                          DEFAULT_PIVOT_TOL, scale)
 
 
 def _check_partition(matrix, blocks):

@@ -424,28 +424,43 @@ def _interface_triangles(c, wall, tet_region):
     return interface
 
 
+def _wall_faces(c, tet_region, wall_tris, nreg) -> list:
+    """Per region, the triangles of its tets in the mask `wall_tris`."""
+    faces = c.tet_tris.reshape(-1)
+    on_wall = wall_tris[faces]
+    return _grouped_unique(np.repeat(tet_region, 4)[on_wall], faces[on_wall],
+                           c.num_triangles, nreg)
+
+
 def _record_metrics(c, h: Hollowing, r):
     def count(parts):
         return np.array([len(p) for p in parts], dtype=np.int64)
 
+    def entries(parts, table):
+        """(region, id) of each entry of the rows of `table` at each
+        region's `parts`."""
+        members = np.concatenate([np.empty(0, dtype=np.int64), *parts])
+        return (np.repeat(np.arange(nreg), count(parts) * table.shape[1]),
+                table[members].reshape(-1))
+
     nreg = h.num_regions
     interior = sum(np.bincount(cls[cls >= 0], minlength=nreg)
                    for cls in (h.tet_region, h.tri_class, h.edge_class))
-    # a region's boundary: its shell triangles, plus the edges and vertices
-    # of its wall tets and the tets themselves (shell), or of its shell
-    # triangles (sphere)
-    bsizes = count(h.shells)
+    # a region's boundary: its wall tets and their triangles (shell), or
+    # the wall triangles of its own tets (sphere, surface); then the wall
+    # edges of those, and the vertices of the wall edges
     if h.kind == "shell":
-        owned, edges, verts = h.shell_tets, c.tet_edges, c.tets
-        bsizes += count(owned)
+        owned, table = h.shell_tets, c.tet_edges
+        bsizes = count(owned) + count(h.shells)
     else:
-        owned, edges, verts = h.shells, c.tri_edges, c.triangles
-    members = np.concatenate([np.empty(0, dtype=np.int64), *owned])
-    region = np.repeat(np.arange(nreg), count(owned))
-    for table, size in ((edges, c.num_edges), (verts, c.num_vertices)):
-        bsizes += count(_grouped_unique(
-            np.repeat(region, table.shape[1]), table[members].reshape(-1),
-            size, nreg))
+        owned = _wall_faces(c, h.tet_region, h.tri_class < 0, nreg)
+        table = c.tri_edges
+        bsizes = count(owned)
+    region, ids = entries(owned, table)
+    wall = h.edge_class[ids] < 0
+    edges = _grouped_unique(region[wall], ids[wall], c.num_edges, nreg)
+    bsizes += count(edges) + count(_grouped_unique(
+        *entries(edges, c.edges), c.num_vertices, nreg))
     sizes = interior + bsizes
     total_boundary = int((h.tri_class < 0).sum())
     h.metrics.update({
@@ -527,11 +542,8 @@ def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
 
     tri_class, edge_class = _classes(c, tet_region, tri_boundary,
                                      c.tri_edges[tri_boundary])
-    # region boundary spheres: the wall triangles of each region's tets
-    faces = c.tet_tris.reshape(-1)
-    on_wall = tri_boundary[faces]
-    shells = _grouped_unique(np.repeat(tet_region, 4)[on_wall],
-                             faces[on_wall], c.num_triangles, nreg)
+    # region boundary spheres
+    shells = _wall_faces(c, tet_region, tri_boundary, nreg)
 
     h = Hollowing(r=r, kind="sphere", num_regions=nreg, tet_region=tet_region,
                   edge_class=edge_class, tri_class=tri_class, shells=shells,

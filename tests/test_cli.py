@@ -162,7 +162,6 @@ def test_missed_contract_exits_3(tmp_path, grid_files, monkeypatch, capsys,
         raise missed_contract("1-Laplacian solve", 0.5, "eps * |P1 b|", 1e-6,
                               1e-6, "|L1|_1", 1e-15, "also with the up solve")
     monkeypatch.setattr(cli, "one_lap_solve", missed)
-    monkeypatch.setattr(cli, "union_one_lap_solve", missed)
     union = tmp_path / "union.json"
     union.write_text(json.dumps({"chunks": [str(mesh_path)],
                                  "hollowings": [str(holl_path)],

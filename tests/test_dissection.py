@@ -27,6 +27,8 @@ from tetlap.errors import NumericalError
 from tetlap.meshgen import GridSpec, gen_grid
 from tetlap.uplap import BlockFactor
 
+from factor_fronts import exact_build, lower_factor, same_bytes
+
 
 RELAXED = tetlap.HollowingConfig(min_shell_width=2,
                                  min_component_separation=2)
@@ -114,24 +116,24 @@ def test_vertex_separator_size_scales_with_surface(k):
 
 # -- ordering and factorization ----------------------------------------------
 
-def single_front(m, folded=False):
+def single_front(m):
     """The factor of `m` as one front in the identity order."""
     n = sp.csr_matrix(m).shape[0]
-    return nd_cholesky(m, np.zeros((n, 3)), base_case=n, folded=folded)
+    return nd_cholesky(m, np.zeros((n, 3)), base_case=n)
 
 
 def test_cholesky_identity():
-    f = single_front(sp.eye(5).tocsr())
-    assert np.allclose(f.L.toarray(), np.eye(5))
+    f, fronts = exact_build(sp.eye(5).tocsr(), np.zeros((5, 3)), base_case=5)
+    assert np.allclose(lower_factor(fronts, 5).toarray(), np.eye(5))
     assert f.rank == 5
 
 
 def test_cholesky_diagonal_any_permutation():
     d = sp.diags([1.0, 4.0, 9.0, 16.0]).tocsr()
     line = np.column_stack([[1.0, 3.0, 0.0, 2.0], np.zeros(4), np.zeros(4)])
-    f = nd_cholesky(d, line, base_case=1)
+    f, fronts = exact_build(d, line, base_case=1)
     assert not np.array_equal(f.perm, np.arange(4))
-    assert f.L.nnz == 4
+    assert lower_factor(fronts, 4).nnz == 4
     assert f.rank == 4
     x = solve_with_factor(f, np.array([1.0, 4.0, 9.0, 16.0]))
     assert np.allclose(x, 1.0)
@@ -139,10 +141,11 @@ def test_cholesky_diagonal_any_permutation():
 
 def test_cholesky_rank_deficient_2x2():
     m = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-    f = single_front(m)
+    f, fronts = exact_build(m, np.zeros((2, 3)), base_case=2)
     assert f.rank == 1
-    assert np.allclose(f.L.toarray()[:, 0], [1.0, -1.0])
-    assert f.L.toarray()[1, 1] == 0.0
+    lp = lower_factor(fronts, 2).toarray()
+    assert np.allclose(lp[:, 0], [1.0, -1.0])
+    assert lp[1, 1] == 0.0
     x = solve_with_factor(f, np.array([1.0, -1.0]))
     assert np.allclose(m @ x, [1.0, -1.0], atol=1e-12)
     with pytest.raises(NumericalError, match="image"):
@@ -171,8 +174,8 @@ def test_path_within_base_case_is_fill_free():
     n = 40
     m = path_laplacian(n) + sp.eye(n)
     coords = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
-    f = nd_cholesky(m, coords, base_case=64)
-    assert f.L.nnz == 2 * n - 1
+    _, fronts = exact_build(m, coords, base_case=64)
+    assert lower_factor(fronts, n).nnz == 2 * n - 1
 
 
 def test_path_fill_matches_symbolic_oracle():
@@ -180,17 +183,19 @@ def test_path_fill_matches_symbolic_oracle():
     m = path_laplacian(n) + sp.eye(n)
     coords = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
     ordering = nd_ordering(m, coords, base_case=16)
-    f = nd_cholesky(m, coords, base_case=16)
-    assert f.L.nnz == symbolic_fill_count(m, ordering.perm)
-    assert f.L.nnz <= 3 * n  # near fill-free: at most two extra per separator
+    _, fronts = exact_build(m, coords, base_case=16)
+    nnz = lower_factor(fronts, n).nnz
+    assert nnz == symbolic_fill_count(m, ordering.perm)
+    assert nnz <= 3 * n  # near fill-free: at most two extra per separator
 
 
 def test_reconstruction_and_rank_small_mesh(rng):
     c = gen_grid(GridSpec((2, 2, 2)))
     lu = up_laplacian(c, 1)
-    f = nd_cholesky(lu, edge_midpoints(c), base_case=16)
+    f, fronts = exact_build(lu, edge_midpoints(c), base_case=16)
     p = np.eye(c.num_edges)[:, f.perm]
-    rec = p @ f.L.toarray() @ f.L.toarray().T @ p.T
+    lp = lower_factor(fronts, c.num_edges).toarray()
+    rec = p @ lp @ lp.T @ p.T
     m = lu.toarray()
     assert np.linalg.norm(rec - m) <= 1e-8 * np.linalg.norm(m)
     assert f.rank == oracle.rank(c.boundary(2).toarray())
@@ -240,9 +245,9 @@ def test_fill_scaling_subquadratic():
     for k in (5, 8, 13):
         c = gen_grid(GridSpec((k, k, k)))
         m = one_laplacian(c)
-        f = nd_cholesky(m, edge_midpoints(c))
+        _, fronts = exact_build(m, edge_midpoints(c))
         sizes.append(c.num_edges)
-        fills.append(f.L.nnz)
+        fills.append(lower_factor(fronts, c.num_edges).nnz)
     slope = np.polyfit(np.log(sizes), np.log(fills), 1)[0]
     assert slope <= 1.5
 
@@ -426,19 +431,19 @@ def test_ordering_with_root_pin_matches_reference():
 
 # -- factor solve against the masked reference -----------------------------
 
-def reference_solve(factor, b):
-    """The factor solve as a masked loop: every node solves only on its
-    kept pivots, through a copied kept-by-kept block, and leaves x = 0 at
-    skipped pivots."""
+def reference_solve(perm, fronts, b):
+    """The factor solve as a masked loop over the fronts of `exact_build`:
+    every front solves only on its kept pivots, through a copied
+    kept-by-kept block, and leaves x = 0 at skipped pivots."""
     b = np.asarray(b, dtype=float)
     single = b.ndim == 1
-    z = (b.reshape(-1, 1) if single else b)[factor.perm].copy()
+    z = (b.reshape(-1, 1) if single else b)[perm].copy()
     masks = []
-    for nd in factor._nodes:
+    for nd in fronts:
         kk = np.ones(nd.stop - nd.start, dtype=bool)
         kk[nd.skipped] = False
         masks.append(kk)
-    for nd, kk in zip(factor._nodes, masks):
+    for nd, kk in zip(fronts, masks):
         seg = z[nd.start:nd.stop]
         y = np.zeros_like(seg)
         if kk.any():
@@ -447,7 +452,7 @@ def reference_solve(factor, b):
         z[nd.start:nd.stop] = y
         if len(nd.rows21):
             z[nd.rows21] -= nd.l21 @ y
-    for nd, kk in zip(reversed(factor._nodes), reversed(masks)):
+    for nd, kk in zip(reversed(fronts), reversed(masks)):
         seg = z[nd.start:nd.stop]
         if len(nd.rows21):
             seg = seg - nd.l21.T @ z[nd.rows21]
@@ -457,7 +462,7 @@ def reference_solve(factor, b):
                                          lower=False)
         z[nd.start:nd.stop] = x
     x = np.empty_like(z)
-    x[factor.perm] = z
+    x[perm] = z
     return x[:, 0] if single else x
 
 
@@ -465,9 +470,9 @@ def reference_solve(factor, b):
 SOLVE_RTOL = 1e-12
 
 
-def assert_matches_reference(factor, m, b):
+def assert_matches_reference(factor, fronts, m, b):
     x = factor.solve(b)
-    ref = reference_solve(factor, b)
+    ref = reference_solve(factor.perm, fronts, b)
     assert x.shape == ref.shape
     assert np.linalg.norm(x - ref) <= SOLVE_RTOL * np.linalg.norm(ref)
     # the zero tail: x is exactly 0 at every skipped pivot
@@ -475,31 +480,30 @@ def assert_matches_reference(factor, m, b):
     assert np.linalg.norm(m @ x - b) <= 1e-9 * np.linalg.norm(b)
 
 
-def rank_deficient_fixtures(rng, folded=False):
+def rank_deficient_fixtures(rng):
+    """(matrix, coords, base_case) of semidefinite matrices: two single
+    fronts and two trees of several."""
     c = gen_grid(GridSpec((2, 2, 2)))
     g = rng.standard_normal((10, 6))
     n = 30
     line = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
     return [
-        (single_front(sp.csr_matrix([[1.0, -1.0], [-1.0, 1.0]]), folded),
-         np.array([[1.0, -1.0], [-1.0, 1.0]])),
-        (nd_cholesky(up_laplacian(c, 1), edge_midpoints(c), base_case=16,
-                     folded=folded),
-         up_laplacian(c, 1)),
-        (single_front(sp.csr_matrix(g @ g.T), folded),
-         g @ g.T),
-        (nd_cholesky(graph_path_laplacian(n), line, base_case=4,
-                     folded=folded),
-         graph_path_laplacian(n)),
+        (np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros((2, 3)), 2),
+        (up_laplacian(c, 1), edge_midpoints(c), 16),
+        (g @ g.T, np.zeros((10, 3)), 10),
+        (graph_path_laplacian(n), line, 4),
     ]
 
 
 def test_solve_matches_reference_on_rank_deficient_fixtures(rng):
-    for factor, m in rank_deficient_fixtures(rng):
+    for m, coords, base_case in rank_deficient_fixtures(rng):
+        factor, fronts = exact_build(m, coords, base_case=base_case)
         assert factor.rank < factor.shape[0]
         n = factor.shape[0]
-        assert_matches_reference(factor, m, m @ rng.standard_normal(n))
-        assert_matches_reference(factor, m, m @ rng.standard_normal((n, 3)))
+        assert_matches_reference(factor, fronts, m,
+                                 m @ rng.standard_normal(n))
+        assert_matches_reference(factor, fronts, m,
+                                 m @ rng.standard_normal((n, 3)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -516,28 +520,29 @@ def test_solve_matches_reference_on_random_graph_laplacians(n, degree,
     adj = sp.csr_matrix((w, (pairs[:, 0], pairs[:, 1])), shape=(n, n))
     adj = adj + adj.T
     m = (sp.diags(np.asarray(adj.sum(axis=1)).ravel()) - adj).tocsr()
-    factor = nd_cholesky(m, rng.random((n, 3)), base_case=base_case)
+    factor, fronts = exact_build(m, rng.random((n, 3)), base_case=base_case)
     assert factor.rank < n
-    assert_matches_reference(factor, m, m @ rng.standard_normal(n))
-    assert_matches_reference(factor, m, m @ rng.standard_normal((n, 2)))
+    assert_matches_reference(factor, fronts, m, m @ rng.standard_normal(n))
+    assert_matches_reference(factor, fronts, m,
+                             m @ rng.standard_normal((n, 2)))
 
 
 def test_factor_l_is_assembled_without_touching_the_nodes(rng):
     n = 30
     m = graph_path_laplacian(n)
     line = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
-    f = nd_cholesky(m, line, base_case=4)
+    f, fronts = exact_build(m, line, base_case=4)
     assert f.rank == n - 1
     before = [(nd.skipped.copy(), nd.l11.copy(), nd.rows21.copy(),
-               nd.l21.copy()) for nd in f._nodes]
-    first, second = f.L, f.L
+               nd.l21.copy()) for nd in fronts]
+    first, second = lower_factor(fronts, n), lower_factor(fronts, n)
     assert (first != second).nnz == 0
     lp = first.toarray()
     rec = np.empty((n, n))
     rec[np.ix_(f.perm, f.perm)] = lp @ lp.T
     assert np.linalg.norm(rec - m.toarray()) <= 1e-12 * n
     assert not lp[:, ~f.kept].any()
-    for nd, arrays in zip(f._nodes, before):
+    for nd, arrays in zip(fronts, before):
         for now, then in zip((nd.skipped, nd.l11, nd.rows21, nd.l21), arrays):
             assert np.array_equal(now, then)
 
@@ -549,8 +554,9 @@ def test_solve_through_an_empty_separator(rng):
     m = sp.block_diag([half, half]).tocsr()
     ordering = nd_ordering(m, np.zeros((12, 3)), base_case=4)
     assert len(ordering.tree.cols) == 0
-    f = nd_cholesky(m, np.zeros((12, 3)), base_case=4)
-    assert_matches_reference(f, m.toarray(), m @ rng.standard_normal(12))
+    f, fronts = exact_build(m, np.zeros((12, 3)), base_case=4)
+    assert_matches_reference(f, fronts, m.toarray(),
+                             m @ rng.standard_normal(12))
     # the same without a common root: two blocks joined after each was
     # factored under its own pivot threshold, one scaled far below the
     # other, so one threshold for both would skip every pivot of the second
@@ -558,21 +564,22 @@ def test_solve_through_an_empty_separator(rng):
     line = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
     parts = [graph_path_laplacian(n), 1e-13 * graph_path_laplacian(n)]
     m = sp.block_diag(parts).tocsr()
-    f = joined = nd_cholesky(m, np.vstack([line, line]),
-                             blocks=[np.arange(n), np.arange(n, 2 * n)])
+    f, fronts = exact_build(m, np.vstack([line, line]),
+                            blocks=[np.arange(n), np.arange(n, 2 * n)])
     for i, part in enumerate(parts):
         assert f.kept[i * n:(i + 1) * n].sum() == nd_cholesky(part, line).rank
         assert f.kept[i * n:(i + 1) * n].sum() == n - 1
         b = np.zeros(2 * n)
         b_i = b[i * n:(i + 1) * n]
         b_i[:] = part @ rng.standard_normal(n)
-        got = joined.solve(b)
+        got = f.solve(b)
         x_i = got[i * n:(i + 1) * n]
         assert not got[(1 - i) * n:(2 - i) * n].any()
         assert np.linalg.norm(part @ x_i - b_i) <= 1e-9 * np.linalg.norm(b_i)
         assert (np.linalg.norm(part @ (x_i - oracle.pinv(part) @ b_i))
                 <= 1e-9 * np.linalg.norm(b_i))
-    assert_matches_reference(f, m.toarray(), m @ rng.standard_normal(2 * n))
+    assert_matches_reference(f, fronts, m.toarray(),
+                             m @ rng.standard_normal(2 * n))
 
 
 @pytest.mark.parametrize("columns", [None, 3])
@@ -613,11 +620,12 @@ def rhs_layouts(m, rng):
 def test_solve_matches_reference_in_every_rhs_layout(rng, layout):
     c = gen_grid(GridSpec((3, 3, 2)))
     m = up_laplacian(c, 1).toarray()
-    factor = nd_cholesky(up_laplacian(c, 1), edge_midpoints(c), base_case=16)
-    assert factor.rank < factor.shape[0] and len(factor._nodes) > 1
+    factor, fronts = exact_build(up_laplacian(c, 1), edge_midpoints(c),
+                                 base_case=16)
+    assert factor.rank < factor.shape[0] and len(fronts) > 1
     b = rhs_layouts(m, rng)[layout]
     before = b.copy()
-    assert_matches_reference(factor, m, b)
+    assert_matches_reference(factor, fronts, m, b)
     assert np.array_equal(b, before)
 
 
@@ -713,7 +721,7 @@ def test_factor_remaps_positions_pivoted_inside_fronts():
     c = gen_grid(GridSpec((2, 2, 2)))
     m = up_laplacian(c, 1)
     ordering = nd_ordering(m, edge_midpoints(c), base_case=16)
-    f = nd_cholesky(m, edge_midpoints(c), base_case=16)
+    f, fronts = exact_build(m, edge_midpoints(c), base_case=16)
     assert len(f._nodes) > 1
     moved = 0
     for nd in f._nodes:
@@ -725,15 +733,15 @@ def test_factor_remaps_positions_pivoted_inside_fronts():
         assert np.array_equal(nd.skipped,
                               np.arange(bs - len(nd.skipped), bs))
     assert moved
-    lp = f.L.toarray()
+    lp = lower_factor(fronts, m.shape[0]).toarray()
     rec = np.empty(m.shape)
     rec[np.ix_(f.perm, f.perm)] = lp @ lp.T
     assert np.linalg.norm(rec - m.toarray()) <= 1e-12 * np.linalg.norm(
         m.toarray())
     # bit-for-bit determinism of the pivoted factor
-    again = nd_cholesky(m, edge_midpoints(c), base_case=16)
+    again, fronts2 = exact_build(m, edge_midpoints(c), base_case=16)
     assert f.perm.tobytes() == again.perm.tobytes()
-    for nd, nd2 in zip(f._nodes, again._nodes):
+    for nd, nd2 in zip(fronts, fronts2):
         assert nd.l11.tobytes() == nd2.l11.tobytes()
         assert nd.rows21.tobytes() == nd2.rows21.tobytes()
 
@@ -822,9 +830,10 @@ FOLD_RTOL = 1e-13
 
 def test_folded_factor_matches_its_substitution_twin(rng):
     # each twin comes from the same builder, folded=True the only change
-    twins = zip(rank_deficient_fixtures(np.random.default_rng(3)),
-                rank_deficient_fixtures(np.random.default_rng(3), folded=True))
-    for (exact, m), (folded, _) in twins:
+    for m, coords, base_case in rank_deficient_fixtures(
+            np.random.default_rng(3)):
+        exact = nd_cholesky(m, coords, base_case=base_case)
+        folded = nd_cholesky(m, coords, base_case=base_case, folded=True)
         assert folded.folded and not exact.folded
         assert (folded.rank, folded.perm.tobytes(), folded.kept.tobytes(),
                 len(folded._levels)) == (
@@ -843,14 +852,17 @@ def test_folded_factor_matches_its_substitution_twin(rng):
 
 def test_folded_factor_keeps_no_dense_block_and_has_no_l():
     c = gen_grid(GridSpec((4, 4, 4)))
-    exact = nd_cholesky(up_laplacian(c, 1), edge_midpoints(c), base_case=16)
+    exact, fronts = exact_build(up_laplacian(c, 1), edge_midpoints(c),
+                                base_case=16)
     folded = nd_cholesky(up_laplacian(c, 1), edge_midpoints(c), base_case=16,
                          folded=True)
     assert 0 < folded.nbytes < exact.nbytes
-    with pytest.raises(ValueError, match="folded"):
-        folded.L
-    # the unfolded factor keeps its fronts and its L
-    assert exact.L.nnz and all(nd.l11.size for nd in exact._nodes)
+    # neither factor has an L: the folded one keeps no fronts, the
+    # unfolded one keeps its fronts, from which the tests assemble L
+    assert not folded._nodes and not hasattr(folded, "L")
+    assert not hasattr(exact, "L") and len(exact._nodes) == len(fronts)
+    assert (lower_factor(fronts, exact.shape[0]).nnz
+            and all(nd.l11.size for nd in fronts))
 
 
 # the factor kernels use scipy's BLAS and LAPACK only; numpy's dense
@@ -858,7 +870,8 @@ def test_folded_factor_keeps_no_dense_block_and_has_no_l():
 SCIPY_BLAS_ONLY = {
     dissection: ("_symbolic", "_symbolic_front", "_dense_rank_chol",
                  "solve_with_factor", "_factor_fronts", "_split",
-                 "nd_cholesky", "_fold_front", "_schedule", "root_solve"),
+                 "nd_cholesky", "_ordered_fronts", "_fold_front",
+                 "_schedule", "root_solve"),
     # the sphere reduced wall's dense Schur block
     uplap: ("__init__",),
 }
@@ -972,10 +985,6 @@ def reference_factor_fronts(matrix, ordering, pivot_tol, scale):
         nd.rows21 = new_pos[nd.rows21]
         kept[nd.start + nd.skipped] = False
     return perm_new, kept, nodes
-
-
-def same_bytes(a, b):
-    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def one_scale(matrix):

@@ -381,11 +381,18 @@ def test_sphere_hollowing_is_unchanged(name):
 
 
 def test_surface_hollowing_counts_its_whole_boundary():
-    # the 4^3 box's exterior: 192 triangles, 288 edges and 98 vertices
+    # the 4^3 box's boundary class: its 192 exterior triangles and the 348
+    # interior ones that touch an exterior edge, its 288 exterior edges and
+    # their 98 vertices; the region is every tet, triangle and edge
     c = gen_grid(GridSpec((4, 4, 4)))
     h = surface_hollowing(c)
     assert h.kind == "surface" and h.tri_disc is None
-    assert h.metrics["boundary_simplexes_max"] == 192 + 288 + 98
+    assert (h.tri_class < 0).sum() == h.metrics["boundary_triangles_total"]
+    assert h.metrics["boundary_triangles_total"] == 192 + 348
+    assert (h.edge_class < 0).sum() == 288
+    assert h.metrics["boundary_simplexes_max"] == 540 + 288 + 98
+    assert h.metrics["region_simplexes_max"] == (
+        c.num_tets + c.num_triangles + c.num_edges + 98)
     assert np.array_equal(h.shells[0], np.flatnonzero(c.exterior_triangles))
     assert validate_hollowing(c, h) == []
     # the exterior is its wall

@@ -35,6 +35,8 @@ from tetlap.onelap import (
 from tetlap.uplap import up_lap_solve, up_lap_solve_fast
 from tetlap.upproj import up_project
 
+from factor_fronts import exact_build
+
 # the package exports the function pcg under the submodule's name
 pcg_module = importlib.import_module("tetlap.pcg")
 
@@ -480,11 +482,50 @@ def factor_bytes(f) -> list:
     """The bytes of every array a CholeskyFactor stores."""
     arrays = [f.perm, f.kept, f.matrix.data]
     for nd in f._nodes:
-        arrays += [nd.skipped, nd.l11, nd.rows21, nd.l21]
+        arrays += [nd.skipped, nd.l11, nd.rows21, nd.l21, nd.pinv]
     for level in f._levels:
         arrays += [level.cols, level.skipped, level.a.data, level.a.indices,
                    level.a.indptr]
-    return [a.tobytes() for a in arrays]
+    return [a.tobytes() for a in arrays if a is not None]
+
+
+def held_arrays(f) -> list:
+    """Every array the factor holds besides its input matrix, each once: a
+    view counts as the array it views."""
+    arrays = [f.perm, f.kept]
+    for nd in f._nodes:
+        arrays += [v for v in vars(nd).values() if isinstance(v, np.ndarray)]
+    for level in f._levels:
+        arrays += [level.cols, level.skipped]
+        arrays += [getattr(m, name) for m in (level.a, level.at)
+                   for name in ("data", "indices", "indptr")]
+    owners = {}
+    for a in arrays:
+        owner = a if a.base is None else a.base
+        owners[id(owner)] = owner
+    return list(owners.values())
+
+
+@pytest.mark.parametrize("kind", ["shell", "sphere"])
+def test_exact_factors_store_only_what_their_solves_read(kind):
+    # the interior and L0 factors: each root front keeps its packed
+    # pseudo-inverse and no dense l11, every other front its l11 and no
+    # pseudo-inverse, and nbytes is every array held; the folded wall keeps
+    # no fronts
+    c, h = setup() if kind == "shell" else sphere_setup((6, 6, 6), 64)
+    state = build_one_lap_solver(c, h)
+    for f in (state.up_state.interior, state.down_state.lap0_factor):
+        assert not f.folded
+        roots = [nd for nd in f._nodes if nd.depth == 0]
+        assert roots and all(nd.l11 is None and nd.pinv is not None
+                             for nd in roots)
+        assert all(nd.l11 is not None and nd.pinv is None
+                   for nd in f._nodes if nd.depth)
+        assert f.nbytes == sum(a.nbytes for a in held_arrays(f))
+    wall = state.up_state.wall
+    if kind == "shell":
+        assert wall.folded and not wall._nodes
+        assert wall.nbytes == sum(a.nbytes for a in held_arrays(wall))
 
 
 def test_state_assembles_the_down_laplacian_once(monkeypatch):
@@ -555,7 +596,8 @@ def test_union_wall_is_folded_and_solves_like_the_pseudo_inverse(rng, name):
 
 def ring_wall():
     """The ring's wall factor, its exact (unfolded) twin ordered the same
-    way, the wall up-Laplacian, dense, and the twin's root front."""
+    way, the wall up-Laplacian, dense, and the twin's root front as
+    factored, with its l11."""
     u = ring_of_four()
     c, h = u.complex, u.hollowing
     wall = build_union_solver(u).up_state.wall
@@ -563,8 +605,8 @@ def ring_wall():
                                         h.boundary_triangles)]
     lt = (d2 * c.weights[2][h.boundary_triangles]) @ d2.T
     midpoints = c.vertices[c.edges].mean(axis=1)
-    exact = dissection.nd_cholesky(lt, midpoints[h.boundary_edges])
-    root, = [nd for nd in exact._nodes if nd.depth == 0]
+    exact, fronts = exact_build(lt, midpoints[h.boundary_edges])
+    root, = [nd for nd in fronts if nd.depth == 0]
     return wall, exact, lt, root
 
 
