@@ -4,12 +4,13 @@
 
 Builds the first state of each workload of perfbench/workloads.py at its
 FULL sizes with seed 0, through `answer_digests.first_answers`, and
-prints one line per factor: workload, factor (`wall`, `interior`, `L0`),
-bytes stored (`nbytes`), number of solve levels, stored entries of the
-level matrices, and the bytes of the root fronts' packed pseudo-inverses
-(part of `nbytes`; 0 in a folded factor).  A factor without levels (the
-sphere reduced wall, a `BlockFactor`) prints `-` for the last three;
-sphere-up's state has no L0 factor.
+prints one line per factor: workload, factor (`wall`, `interior`, `L0`,
+`graph`), bytes stored (`nbytes`), number of solve levels, stored entries
+of the level matrices, and the bytes of the root fronts' packed
+pseudo-inverses (part of `nbytes`; 0 in a folded factor).  `graph` is the
+down solver on the 1-skeleton (a `GraphDownLap`).  A factor without levels
+(it, and the sphere reduced wall, a `BlockFactor`) prints `-` for the last
+three; sphere-up's state has no L0 factor and no graph.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from answer_digests import first_answers, workloads
 
 
 def factors(state) -> dict:
-    """The wall, interior and L0 factors of a full or an up-solver state."""
+    """The wall, interior, L0 and graph factors of a full state, or the
+    wall and interior of an up-solver state."""
     up = getattr(state, "up_state", state)
     found = {"wall": up.wall, "interior": up.interior}
     if hasattr(state, "down_state"):
         found["L0"] = state.down_state.lap0_factor
+        found["graph"] = state.down_state.graph
     return found
 
 

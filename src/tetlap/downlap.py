@@ -13,7 +13,9 @@ triangle discs.
 
 The projection onto gradients, Im(d1^T), solves the unweighted vertex
 Laplacian L0 = d1 d1^T through one nested-dissection factor built with the
-state, so every projection is exact up to roundoff.
+state, so every projection is exact up to roundoff.  The state keeps the
+complex's own d1, from which L0, the projection and the down solve's
+image check read; no edges x edges matrix is assembled.
 """
 
 from __future__ import annotations
@@ -25,73 +27,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .dissection import _GEMM, CholeskyFactor, nd_cholesky
-from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_vector,
-                     one_norm, roundoff_floor)
+from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_state,
+                     check_vector, roundoff_floor)
 
 EXACT_TOL = 1e-10
-
-
-@dataclass
-class SpanningForest:
-    """BFS forest of an oriented graph; root = smallest index per component."""
-
-    n_vertices: int
-    edges: np.ndarray          # (m, 2), tail -> head orientation
-    component: np.ndarray      # (n,) component id
-    roots: np.ndarray
-    parent_edge: np.ndarray    # (n,) edge id into `edges`, -1 at roots
-    parent_vertex: np.ndarray  # (n,) -1 at roots
-    head_sign: np.ndarray      # (n,) +1 if vertex is the head of its parent edge
-    levels: list               # vertex arrays by BFS depth, levels[0] = roots
-    path: sp.csr_matrix        # (n, m); row v holds the head_sign-signed
-                               # parent edges of v and its ancestors, root
-                               # first: sum of depths stored entries
-    path_t: sp.csc_matrix      # path.T, on the same arrays
-
-    @classmethod
-    def from_graph(cls, n_vertices: int, edges) -> "SpanningForest":
-        """The forest of `bfs_parents`, with its path matrix."""
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        m = len(edges)
-        comp, roots, depth, parent_vertex, parent_edge, levels = bfs_parents(
-            n_vertices, edges)
-        kids = np.flatnonzero(parent_edge >= 0)
-        head_sign = np.zeros(n_vertices, dtype=np.int64)
-        head_sign[kids] = np.where(edges[parent_edge[kids], 1] == kids, 1, -1)
-
-        # a vertex's row of the path matrix is its parent's row and then its
-        # own parent edge, filled level by level from the roots down
-        indptr = np.zeros(n_vertices + 1, dtype=np.int64)
-        np.cumsum(depth, out=indptr[1:])
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        for k, level in enumerate(levels[1:], start=1):
-            start = indptr[level]
-            span = np.arange(k - 1)
-            indices[start[:, None] + span] = \
-                indices[indptr[parent_vertex[level]][:, None] + span]
-            indices[start + k - 1] = parent_edge[level]
-        edge_sign = np.zeros(m)
-        edge_sign[parent_edge[kids]] = head_sign[kids]
-        path = sp.csr_matrix((edge_sign[indices], indices, indptr),
-                             shape=(n_vertices, m))
-        return cls(n_vertices=n_vertices, edges=edges, component=comp,
-                   roots=roots, parent_edge=parent_edge,
-                   parent_vertex=parent_vertex, head_sign=head_sign,
-                   levels=levels, path=path, path_t=path.T)
-
-    # incidence convention: edge e = (u, v) has -1 at u and +1 at v
-
-    def solve_transpose(self, b_edges: np.ndarray) -> np.ndarray:
-        """y with (d^T y)[e] = y[head] - y[tail] = b[e] on forest edges;
-        y is zero at the roots.  Exact when b is in Im(d^T): y[v] sums b
-        over the path from the root to v, signed by edge direction."""
-        return self.path @ np.asarray(b_edges, dtype=float)
-
-    def solve_head(self, b_vertices: np.ndarray) -> np.ndarray:
-        """x supported on forest edges with (d x) = b; needs b to sum to
-        zero on every component (checked by the caller's residual).  Each
-        forest edge carries the signed sum of b below it."""
-        return self.path_t @ np.asarray(b_vertices, dtype=float)
 
 
 def bfs_parents(n_vertices: int, edges):
@@ -128,50 +67,61 @@ def bfs_parents(n_vertices: int, edges):
 
 class GraphDownLap:
     """Exact solver for d^T W d systems on an oriented graph, where d is the
-    (n_vertices x n_edges) incidence matrix and W the vertex weights."""
+    (n_vertices x n_edges) incidence matrix, -1 at an edge's tail and +1 at
+    its head, and W the vertex weights.  It keeps the path matrix of the
+    `bfs_parents` forest, the kernel and W^(1/2), and nothing else; its
+    solves are exact for b in the image, and not checked."""
 
     def __init__(self, n_vertices: int, edges, w_vertices=None):
-        self.forest = SpanningForest.from_graph(n_vertices, edges)
-        self.edges = self.forest.edges
-        self.n_vertices = n_vertices
-        self.w = np.ones(n_vertices) if w_vertices is None \
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        comp, roots, depth, parent_vertex, parent_edge, levels = bfs_parents(
+            n_vertices, edges)
+        ncomp = len(roots)
+        self.rank = n_vertices - ncomp     # rank d^T W d = rank d
+
+        # the path matrix P (n, m): row v holds the signed parent edges of v
+        # and its ancestors, root first, one stored entry per vertex and
+        # ancestor edge; a row is its parent's row and then its own parent
+        # edge, filled level by level from the roots down.  y = P b solves
+        # d^T y = b (y zero at the roots) and x = P^T b solves d x = b, both
+        # exactly when b is in the image
+        kids = np.flatnonzero(parent_edge >= 0)
+        indptr = np.zeros(n_vertices + 1, dtype=np.int64)
+        np.cumsum(depth, out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        for k, level in enumerate(levels[1:], start=1):
+            start = indptr[level]
+            span = np.arange(k - 1)
+            indices[start[:, None] + span] = \
+                indices[indptr[parent_vertex[level]][:, None] + span]
+            indices[start + k - 1] = parent_edge[level]
+        # +1 where the child is its parent edge's head
+        edge_sign = np.zeros(len(edges))
+        edge_sign[parent_edge[kids]] = np.where(
+            edges[parent_edge[kids], 1] == kids, 1.0, -1.0)
+        self.path = sp.csr_matrix((edge_sign[indices], indices, indptr),
+                                  shape=(n_vertices, len(edges)))
+        self.path_t = self.path.T          # CSC, on the same arrays
+
+        w = np.ones(n_vertices) if w_vertices is None \
             else np.asarray(w_vertices, dtype=float)
-        self.sqrt_w = np.sqrt(self.w)
-        # kernel direction of d^T W^(1/2), one per component
-        self.u = 1.0 / self.sqrt_w
-        comp = self.forest.component
-        ncomp = len(self.forest.roots)
-        self.u_norm2 = np.bincount(comp, weights=self.u ** 2, minlength=ncomp)
+        self.sqrt_w = np.sqrt(w)
+        # kernel direction u = W^(-1/2) 1 of d^T W^(1/2), one per component
+        u = 1.0 / self.sqrt_w
+        self.u_norm2 = np.bincount(comp, weights=u ** 2, minlength=ncomp)
         # (components, n): row k holds u on component k, so one product
         # gives every component's dot with u; its transpose, on the same
         # arrays, spreads one coefficient per component back along u
         self.kernel = sp.csr_matrix(
-            (self.u, (comp, np.arange(n_vertices))), shape=(ncomp, n_vertices))
+            (u, (comp, np.arange(n_vertices))), shape=(ncomp, n_vertices))
         self.kernel_t = self.kernel.T
-        m = len(self.edges)
-        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        cols = np.concatenate([np.arange(m), np.arange(m)])
-        vals = np.concatenate([-np.ones(m), np.ones(m)])
-        self.d = sp.csc_matrix((vals, (rows, cols)), shape=(n_vertices, m))
-        # sorted once, here: products with it sum in one order from the start
-        self.lap = (self.d.T @ sp.diags(self.w) @ self.d).tocsr()
-        self.lap.sort_indices()
-        self.lap_norm1 = one_norm(self.lap)
-
-    @property
-    def rank(self) -> int:
-        """rank d^T W d = rank d = vertices - components."""
-        return self.n_vertices - len(self.forest.roots)
 
     @property
     def nbytes(self) -> int:
-        """Bytes stored by the solver: its forest (the path matrix counted
-        once), weights, kernel, incidence matrix and Laplacian."""
-        f = self.forest
-        arrays = [f.edges, f.component, f.roots, f.parent_edge,
-                  f.parent_vertex, f.head_sign, *f.levels, self.w,
-                  self.sqrt_w, self.u, self.u_norm2]
-        for m in (f.path, self.kernel, self.d, self.lap):
+        """Bytes stored by the solver: its path matrix and kernel (each
+        counted once, not again for its transpose) and W^(1/2)."""
+        arrays = [self.sqrt_w, self.u_norm2]
+        for m in (self.path, self.kernel):
             arrays += [m.data, m.indices, m.indptr]
         return sum(a.nbytes for a in arrays)
 
@@ -183,28 +133,17 @@ class GraphDownLap:
         z = self._half(b.toarray())
         return _GEMM(1.0, z, z, trans_a=1)
 
-    def solve(self, b: np.ndarray, check_image: bool = True) -> np.ndarray:
-        """Exact solve of (d^T W d) x = b for b in the image.
-
-        The image check allows EXACT_TOL |b|, or the rounding error of
-        the product (d^T W d) x when spread weights make that larger."""
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with (d^T W d) x = b, exact for b in the image; x lives on the
+        forest edges."""
         b = np.asarray(b, dtype=float)
         z1 = self._half(b)
-        x = self.forest.solve_head(z1 / _col(self.sqrt_w, z1.ndim))
-        if check_image:
-            resid = np.linalg.norm(self.lap @ x - b)
-            allowed = max(EXACT_TOL * max(np.linalg.norm(b), 1e-300),
-                          ROUNDOFF_MULTIPLE
-                          * roundoff_floor(self.lap_norm1, x))
-            if not resid <= allowed:
-                raise NumericalError(
-                    "right-hand side is not in the image of the down-Laplacian")
-        return x
+        return self.path_t @ (z1 / _col(self.sqrt_w, z1.ndim))
 
     def _half(self, b: np.ndarray) -> np.ndarray:
         """z = W^(-1/2) y for the forest's y with d^T y = b, projected off
         the kernel of d^T W^(1/2)."""
-        z = self.forest.solve_transpose(b)
+        z = self.path @ b
         z /= _col(self.sqrt_w, z.ndim)
         return self._project_off_kernel(z)
 
@@ -223,29 +162,60 @@ def _col(v, ndim):
 
 @dataclass
 class DownState:
-    """What the down solve and the gradient projection read, built once."""
+    """What the down solve and the gradient projection read, built once
+    for one complex; nothing in it changes afterwards."""
 
+    complex: object
+    weights: list                    # [a copy of the complex's w0]
+    d1: sp.csc_matrix                # c.boundary(1) as floats
+    component: np.ndarray            # connected component of each vertex
     graph: GraphDownLap              # 1-skeleton with the vertex weights
     # nested-dissection factor of the unweighted vertex Laplacian d1 d1^T,
     # which it keeps as its `matrix`
     lap0_factor: CholeskyFactor
 
 
-def _graph(c) -> GraphDownLap:
-    return GraphDownLap(c.num_vertices, c.edges, c.weights[0])
-
-
 def build_down_state(c) -> DownState:
-    graph = _graph(c)
-    return DownState(graph=graph, lap0_factor=nd_cholesky(
-        graph.d @ graph.d.T, c.vertices))
+    d1 = c.boundary(1).astype(float)
+    lap0 = d1 @ d1.T
+    return DownState(
+        complex=c, weights=[c.weights[0].copy()], d1=d1,
+        component=connected_components(lap0, directed=False)[1],
+        graph=GraphDownLap(c.num_vertices, c.edges, c.weights[0]),
+        lap0_factor=nd_cholesky(lap0, c.vertices))
+
+
+def down_norm1(edges, w0) -> float:
+    """|d1^T W0 d1|_1: column (u, v) holds w_u + w_v on the diagonal and
+    +-w_u, +-w_v at the other edges of u and of v, so its absolute sum is
+    w_u deg u + w_v deg v, exactly so without parallel edges."""
+    wdeg = w0 * np.bincount(edges.ravel(), minlength=len(w0))
+    return float(np.max(wdeg[edges[:, 0]] + wdeg[edges[:, 1]], initial=0.0))
 
 
 def down_lap_solve(c, b, state: DownState | None = None) -> np.ndarray:
-    """Exact solve of L1down x = b; errors when b is outside the image."""
+    """Exact solve of L1down x = b; NumericalError when b is outside the
+    image, ValueError for a `state` of another complex or older weights.
+
+    The image check allows EXACT_TOL |b|, or ROUNDOFF_MULTIPLE times the
+    rounding error of L1down x when spread weights make that larger."""
     b = check_vector(b, c.num_edges, "b")
-    graph = _graph(c) if state is None else state.graph
-    return graph.solve(b)
+    if state is None:
+        graph, d1, w0 = (GraphDownLap(c.num_vertices, c.edges, c.weights[0]),
+                         c.boundary(1).astype(float), c.weights[0])
+    else:
+        check_state(state, c, None)
+        graph, d1, w0 = state.graph, state.d1, state.weights[0]
+    x = graph.solve(b)
+    resid = np.linalg.norm(d1.T @ (w0 * (d1 @ x)) - b)
+    allowed = max(EXACT_TOL * max(np.linalg.norm(b), 1e-300),
+                  ROUNDOFF_MULTIPLE
+                  * roundoff_floor(down_norm1(c.edges, w0), x))
+    # a NaN residual compares false against any bound
+    if not resid <= allowed:
+        raise NumericalError(
+            "right-hand side is not in the image of the down-Laplacian")
+    return x
 
 
 def down_projection(c, b, state: DownState | None = None):
@@ -253,16 +223,19 @@ def down_projection(c, b, state: DownState | None = None):
 
     One solve of the vertex Laplacian system L0 phi = d1 b through the
     state's nested-dissection factor, then d1^T phi, exact up to roundoff:
-    it takes no tolerance.
+    it takes no tolerance.  A `state` of another complex or older weights
+    raises ValueError.
     """
     b = check_vector(b, c.num_edges, "b")
     if state is None:
         state = build_down_state(c)
-    d = state.graph.d
+    else:
+        check_state(state, c, None)
+    d = state.d1
     # in Im(d1) by construction, so every component of g sums to zero; the
     # roundoff that does not lies in ker L0, where the factor cannot solve
     g = d @ b
-    comp = state.graph.forest.component
+    comp = state.component
     g -= (np.bincount(comp, weights=g) / np.bincount(comp))[comp]
     # below this level g is cancellation noise from a curl-only input and
     # the projection itself sits at machine precision

@@ -45,12 +45,14 @@ def check_tolerance(eps) -> float:
 
 
 def check_state(state, c, h) -> None:
-    """Raise ValueError unless `state` was built for the complex `c` and
-    the hollowing `h` themselves, and `c` still holds the weights recorded
-    in `state.weights`: a state answers for its own operators, whatever the
-    arguments beside it say."""
-    if state.complex is not c or state.hollowing is not h:
-        raise ValueError("state was built for another complex or hollowing")
+    """Raise ValueError unless `state` was built for the complex `c` and,
+    if it has a hollowing, for the hollowing `h` themselves, and `c`
+    still holds the weights recorded in `state.weights`: a state answers
+    for its own operators, whatever the arguments beside it say."""
+    if state.complex is not c:
+        raise ValueError("state was built for another complex")
+    if hasattr(state, "hollowing") and state.hollowing is not h:
+        raise ValueError("state was built for another hollowing")
     changed = [f"w{d}" for d, (built, now)
                in enumerate(zip(state.weights, c.weights))
                if not np.array_equal(built, now)]

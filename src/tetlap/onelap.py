@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from . import oracle
-from .complexes import Complex3, build_complex
+from .complexes import Complex3, build_complex, down_laplacian
 from .downlap import (DownState, build_down_state, down_lap_solve,
                       down_projection)
 from .errors import (ROUNDOFF_MULTIPLE, NumericalError, check_state,
@@ -61,7 +61,6 @@ class OneLapState:
     complex: Complex3
     hollowing: Hollowing
     weights: list                     # the up state's copies of c.weights
-    lap1: sp.csr_matrix
     up_state: UpSolverState
     down_state: DownState
     harmonic: np.ndarray              # orthonormal basis of ker L1, edges x b1
@@ -72,13 +71,10 @@ def build_one_lap_solver(c, h: Hollowing) -> OneLapState:
     """The state a solve reads, for a mesh and a glued union alike."""
     up_state = build_up_solver(c, h)
     down_state = build_down_state(c)
-    # the skeleton graph's d1^T W0 d1 is the down-Laplacian, assembled once
-    lup, ldown = up_state.lup, down_state.graph.lap
     budget, closed = probe_budget(c, h, up_state, down_state)
     _check_budget(c, h, budget, down_state)
     harmonic, probes = harmonic_basis(c, up_state, down_state, budget, closed)
     return OneLapState(complex=c, hollowing=h, weights=up_state.weights,
-                       lap1=(ldown + lup).tocsr(),
                        up_state=up_state, down_state=down_state,
                        harmonic=harmonic, probes=probes)
 
@@ -110,7 +106,7 @@ def _check_budget(c, h: Hollowing, budget, down_state: DownState):
     """Raise when the budget is below a lower bound on b1: 0, and for a
     complex embedded in R^3 (b3 = 0; a union's atlas is no embedding)
     b0 - chi = b1 - b2, which where b2 = 0 catches a rank counted too high."""
-    b0 = len(down_state.graph.forest.roots)
+    b0 = c.num_vertices - down_state.graph.rank
     chi = c.num_vertices - c.num_edges + c.num_triangles - c.num_tets
     if budget < 0 or (h.kind != "union" and budget < b0 - chi):
         raise NumericalError(
@@ -157,11 +153,13 @@ def harmonic_basis(c, up_state: UpSolverState, down_state: DownState,
     def up_solve(rhs, tol):
         return _up_solve_with_state(up_state, rhs, tol)[0]
 
+    lup_norm1 = one_norm(up_state.lup)
+
     def refine(w):
         # solve the curl part away no tighter than the rounding error in
         # Lup w allows, and not at all when Lup w is all rounding error
         lup_w = lup_apply(w)
-        floor = ROUNDOFF_MULTIPLE * roundoff_floor(one_norm(up_state.lup), w)
+        floor = ROUNDOFF_MULTIPLE * roundoff_floor(lup_norm1, w)
         if np.linalg.norm(lup_w) <= floor:
             return w
         tol = max(PROBE_TOL, floor / np.linalg.norm(lup_w))
@@ -235,11 +233,15 @@ def one_lap_solve(c, h: Hollowing, b, eps: float,
         # keep the curl part of x_up and the gradient part of x_down
         x = x_up - harm @ (harm.T @ x_up) + down_projection(
             c, x_down - x_up, state=down)
-        report.final_residual = float(np.linalg.norm(state.lap1 @ x - p1b))
+        # L1 x as Lup x + d1^T (w0 * (d1 x)): no L1 is assembled
+        l1x = state.up_state.lup @ x + down.d1.T @ (
+            down.weights[0] * (down.d1 @ x))
+        report.final_residual = float(np.linalg.norm(l1x - p1b))
         if report.final_residual <= target:
             break
     else:
-        floor = roundoff_floor(one_norm(state.lap1), x)
+        floor = roundoff_floor(
+            one_norm(state.up_state.lup + down_laplacian(c, 1)), x)
         raise missed_contract(
             "1-Laplacian solve", report.final_residual, "eps * |P1 b|",
             target, eps, "|L1|_1", floor,
@@ -255,10 +257,10 @@ def hodge_decompose(c, h: Hollowing, f, eps: float,
 
     The gradient part is one exact projection through the vertex-Laplacian
     factor, correct up to roundoff, and the curl part is f less the other
-    two; both meet eps relative to their exact parts.  The harmonic part
-    comes from the harmonic basis, so it and the curl part carry that
-    basis' error, about HARMONIC_TOL |f|, whatever eps asks for.  A
-    `state` built for another complex or hollowing raises ValueError.
+    two.  The harmonic part comes from the harmonic basis, so it and the
+    curl part carry that basis' error, about HARMONIC_TOL |f|.  `eps` is
+    only validated: no part of the split depends on it.  A `state` built
+    for another complex or hollowing raises ValueError.
     """
     f = check_vector(f, c.num_edges, "f")
     eps = check_tolerance(eps)

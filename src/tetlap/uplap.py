@@ -327,13 +327,13 @@ class BlockFactor:
         out = np.zeros_like(v)
         rhs = v[self.rows]
         if len(self.shared):
-            y = self.solver.solve(rhs, check_image=False)
+            y = self.solver.solve(rhs)
             r_s = v[self.shared] - self.coupling @ y
             x_s = _GEMM(1.0, self.schur_pinv,
                         r_s.reshape(len(r_s), -1)).reshape(r_s.shape)
             rhs = rhs - self.coupling.T @ x_s
             out[self.shared] = x_s
-        out[self.rows] = self.solver.solve(rhs, check_image=False)
+        out[self.rows] = self.solver.solve(rhs)
         return out
 
 

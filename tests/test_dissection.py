@@ -1211,16 +1211,28 @@ def test_each_block_keeps_its_pivot_threshold(rng):
                 * np.linalg.norm(b[n:]))
 
 
+# a graph with a cycle: edges 0, 1 and 2 close the triangle 0 -> 1 -> 2 -> 0
+CYCLE_GRAPH = [[0, 1], [1, 2], [2, 0], [2, 3], [0, 3]]
+
+
+def cycle_graph_incidence() -> np.ndarray:
+    """CYCLE_GRAPH's (vertices, edges) incidence matrix, -1 at each edge's
+    tail and +1 at its head."""
+    d = np.zeros((4, len(CYCLE_GRAPH)))
+    for e, (tail, head) in enumerate(CYCLE_GRAPH):
+        d[tail, e], d[head, e] = -1.0, 1.0
+    return d
+
+
 def test_block_factor_graph_block_with_shared_set(rng):
     # rows 0..4 are the edges of a graph with a cycle, rows 5..6 shared
-    graph = GraphDownLap(4, [[0, 1], [1, 2], [2, 0], [2, 3], [0, 3]],
-                         rng.uniform(0.5, 2.0, 4))
+    w = rng.uniform(0.5, 2.0, 4)
+    graph = GraphDownLap(4, CYCLE_GRAPH, w)
     g = np.zeros((7, 6))
-    g[:5, :4] = graph.d.T.toarray() * np.sqrt(graph.w)
+    g[:5, :4] = cycle_graph_incidence().T * np.sqrt(w)
     g[5:, :] = rng.standard_normal((2, 6))
     m = g @ g.T
-    assert np.allclose(m[:5, :5], graph.lap.toarray())
-    assert graph.rank == oracle.rank(graph.lap) == 3
+    assert graph.rank == oracle.rank(m[:5, :5]) == 3
     assert_solves_like_pinv(BlockFactor(m[:5, :5], np.arange(5), graph, ()),
                             m[:5, :5], rng)
     factor = BlockFactor(m, np.arange(5), graph, shared=[5, 6])
@@ -1228,7 +1240,7 @@ def test_block_factor_graph_block_with_shared_set(rng):
     # the Gram from the half solve is b^T solve(b), for the coupling's
     # columns and for a b outside the image alike
     for b in (factor.coupling.T, sp.csr_matrix(rng.standard_normal((5, 3)))):
-        want = b.T @ graph.solve(b.toarray(), check_image=False)
+        want = b.T @ graph.solve(b.toarray())
         gram = graph.gram(b)
         assert gram.shape == want.shape
         assert np.linalg.norm(gram - want) <= SOLVE_RTOL * np.linalg.norm(want)
@@ -1283,14 +1295,16 @@ def test_exact_solves_check_the_image_and_preconditioners_do_not(rng):
     # preconditioners, are not checked
     unchecked = solve_with_factor(folded, b, check_image=False)
     assert np.array_equal(folded.solve(b), unchecked)
-    graph = GraphDownLap(4, [[0, 1], [1, 2], [2, 0], [2, 3], [0, 3]],
-                         np.ones(4))
-    cycle = np.array([1.0, 1.0, 1.0, 0.0, 0.0])   # in ker graph.lap
-    b = graph.lap @ rng.standard_normal(5) + cycle
-    with pytest.raises(NumericalError, match="image"):
-        graph.solve(b)
-    block = BlockFactor(graph.lap, np.arange(5), graph, shared=())
-    assert np.array_equal(block.solve(b), graph.solve(b, check_image=False))
+    # nor is the graph solver's, which only down_lap_solve checks
+    graph = GraphDownLap(4, CYCLE_GRAPH, np.ones(4))
+    d = cycle_graph_incidence()
+    lap = d.T @ d
+    cycle = np.array([1.0, 1.0, 1.0, 0.0, 0.0])   # in ker lap
+    b = lap @ rng.standard_normal(5) + cycle
+    block = BlockFactor(lap, np.arange(5), graph, shared=())
+    x = graph.solve(b)
+    assert np.array_equal(block.solve(b), x)
+    assert np.linalg.norm(lap @ x - b) > 0.5 * np.linalg.norm(cycle)
 
 
 SEPARATOR_SCRIPT = """

@@ -7,29 +7,43 @@ from scipy.sparse.csgraph import connected_components
 
 from tetlap import oracle
 from tetlap.complexes import build_complex
+from tetlap.complexes import down_laplacian
 from tetlap.downlap import (
     GraphDownLap,
-    SpanningForest,
+    bfs_parents,
     build_down_state,
     down_lap_solve,
+    down_norm1,
     down_projection,
 )
 from tetlap.errors import NumericalError, one_norm
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
+from tetlap.onelap import glue
+
+
+def incidence(n_vertices, edges):
+    """The (n_vertices, edges) incidence matrix, -1 at each edge's tail and
+    +1 at its head."""
+    edges = np.asarray(edges).reshape(-1, 2)
+    m = len(edges)
+    return sp.csc_matrix((np.repeat([-1.0, 1.0], m), (edges.T.ravel(),
+                                                      np.tile(np.arange(m), 2))),
+                         shape=(n_vertices, m))
 
 
 def test_single_edge_incidence_solve():
     # d x = (-1, 1)^T has the solution x = (1) on the single edge
-    forest = SpanningForest.from_graph(2, [[0, 1]])
-    x = forest.solve_head(np.array([-1.0, 1.0]))
+    g = GraphDownLap(2, [[0, 1]])
+    x = g.path_t @ np.array([-1.0, 1.0])
     assert np.allclose(x, [1.0])
 
 
 def test_triangle_graph_partial_solve():
-    g = GraphDownLap(3, [[0, 1], [0, 2], [1, 2]])
-    b0 = g.d @ np.array([1.0, 0.0, 0.0])
-    x = g.forest.solve_head(b0)
-    assert np.allclose(g.d @ x, b0, atol=1e-12)
+    edges = [[0, 1], [0, 2], [1, 2]]
+    g, d = GraphDownLap(3, edges), incidence(3, edges)
+    b0 = d @ np.array([1.0, 0.0, 0.0])
+    x = g.path_t @ b0
+    assert np.allclose(d @ x, b0, atol=1e-12)
     assert np.count_nonzero(x) <= 2  # supported on the spanning tree
 
 
@@ -39,9 +53,9 @@ def test_all_ones_is_infeasible():
     c = gen_grid(GridSpec((1, 1, 1)))
     g = GraphDownLap(c.num_vertices, c.edges)
     ones = np.ones(c.num_vertices)
-    resid = g.d @ g.forest.solve_head(ones) - ones
+    resid = c.boundary(1) @ (g.path_t @ ones) - ones
     want = np.zeros(c.num_vertices)
-    want[g.forest.roots] = -c.num_vertices
+    want[bfs_parents(c.num_vertices, c.edges)[1]] = -c.num_vertices
     assert np.allclose(resid, want, atol=1e-12)
 
 
@@ -85,8 +99,10 @@ def test_down_lap_solve_weighted(rng):
 
 def test_down_lap_solve_disconnected_components(rng):
     # two disjoint edges: blockwise solve, each with its own kernel vector
-    g = GraphDownLap(4, [[0, 1], [2, 3]], w_vertices=[1.0, 2.0, 3.0, 4.0])
-    lap = g.lap.toarray()
+    w = np.array([1.0, 2.0, 3.0, 4.0])
+    g = GraphDownLap(4, [[0, 1], [2, 3]], w_vertices=w)
+    d = incidence(4, [[0, 1], [2, 3]]).toarray()
+    lap = d.T @ np.diag(w) @ d
     b = oracle.project_onto_image(lap, rng.standard_normal(2))
     x = g.solve(b)
     assert np.linalg.norm(lap @ x - b) <= 1e-10 * max(np.linalg.norm(b), 1e-30)
@@ -101,14 +117,15 @@ def test_down_lap_solve_rejects_off_image():
         down_lap_solve(c, col)
 
 
-def test_graph_solve_rejects_a_nan_right_hand_side():
-    # a NaN residual compares false against any bound: the check must not
-    # read that as inside it
-    g = GraphDownLap(3, [[0, 1], [0, 2], [1, 2]])
-    b = g.lap @ np.array([1.0, 0.0, 0.0])
-    b[1] = np.nan
-    with pytest.raises(NumericalError, match="image"):
-        g.solve(b)
+def test_down_lap_solve_rejects_an_overflowing_right_hand_side():
+    # finite entries near the float64 limit overflow in the solve, and
+    # inf - inf makes the residual NaN, which compares false against any
+    # bound: the check must not read that as inside it
+    c = gen_grid(GridSpec((1, 1, 1)))
+    b = np.full(c.num_edges, 1e308)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="image"):
+        down_lap_solve(c, b)
 
 
 def test_one_norm_leaves_a_non_canonical_csr_alone():
@@ -120,14 +137,6 @@ def test_one_norm_leaves_a_non_canonical_csr_alone():
     assert one_norm(m) == 5.0
     assert np.array_equal(m.indices, indices)
     assert np.array_equal(m.data, data)
-
-
-def test_graph_laplacian_is_stored_sorted():
-    # sorted where it is built, not as a side effect of a norm
-    c = gen_grid(GridSpec((3, 3, 3)))
-    lap = GraphDownLap(c.num_vertices, c.edges, c.weights[0]).lap
-    for row in np.split(lap.indices, lap.indptr[1:-1]):
-        assert np.all(np.diff(row) > 0)
 
 
 def test_down_lap_solve_on_vertex_weights_over_eight_decades():
@@ -149,6 +158,28 @@ def test_down_lap_solve_on_vertex_weights_over_eight_decades():
             off = b + share * curl * np.linalg.norm(b) / np.linalg.norm(curl)
             with pytest.raises(NumericalError, match="image"):
                 down_lap_solve(c, off)
+
+
+def test_a_down_state_refuses_another_complex_or_changed_weights():
+    # c2 is the same 2^3 box with w0 tripled: a state built on it answers
+    # for c2's down-Laplacian, so a solve on c through it would miss c's
+    c, c2 = gen_grid(GridSpec((2, 2, 2))), gen_grid(GridSpec((2, 2, 2)))
+    c2.weights[0] = 3.0 * c2.weights[0]
+    b = c.lap_down(1) @ np.random.default_rng(0).standard_normal(c.num_edges)
+    other = build_down_state(c2)
+    for call in (down_lap_solve, down_projection):
+        with pytest.raises(ValueError,
+                           match="^state was built for another complex"):
+            call(c, b, state=other)
+    # the same complex object, with w0 changed in place since the build
+    own = build_down_state(c)
+    c.weights[0][3] = 2.0
+    for call in (down_lap_solve, down_projection):
+        with pytest.raises(ValueError, match="^weights w0 changed since"):
+            call(c, b, state=own)
+    # a state built on the new weights answers for them
+    x = down_lap_solve(c, b, state=build_down_state(c))
+    assert np.linalg.norm(c.lap_down(1) @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 def test_down_lap_exactness_many_vectors(rng):
@@ -189,8 +220,9 @@ def test_down_projection_matches_oracle(rng):
         proj = d1.T @ oracle.pinv(d1 @ d1.T) @ d1
         # the factor skips one pivot per connected component
         state = build_down_state(c)
-        roots = state.graph.forest.roots
-        assert state.lap0_factor.rank == c.num_vertices - len(roots)
+        b0 = connected_components(state.lap0_factor.matrix)[0]
+        assert state.lap0_factor.rank == state.graph.rank \
+            == c.num_vertices - b0
         for eps in (1e-6, 1e-10, 1e-12):
             b = rng.standard_normal(c.num_edges)
             p = down_projection(c, b, state=state)
@@ -234,10 +266,11 @@ def test_down_projection_of_an_almost_harmonic_input():
 # -- spanning forest against the breadth-first reference -----------------------
 
 def reference_spanning_forest(n_vertices, edges):
-    """SpanningForest.from_graph as a Python breadth-first search: levels
-    in ascending order, each vertex's neighbours in ascending order, and a
-    vertex takes the first visitor as its parent.  Needs a simple graph:
-    parallel edges would sum their ids."""
+    """bfs_parents as a Python breadth-first search: levels in ascending
+    order, each vertex's neighbours in ascending order, and a vertex takes
+    the first visitor as its parent; head_sign is +1 where a vertex is the
+    head of its parent edge.  Needs a simple graph: parallel edges would
+    sum their ids."""
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     m = len(edges)
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -275,10 +308,25 @@ def reference_spanning_forest(n_vertices, edges):
                 levels=levels)
 
 
+def forest(n_vertices, edges):
+    """bfs_parents' forest by name, with each vertex's sign as the path
+    matrix of GraphDownLap stores it at its parent edge (0 at the roots)."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    comp, roots, _, parent_vertex, parent_edge, levels = bfs_parents(
+        n_vertices, edges)
+    path = GraphDownLap(n_vertices, edges).path
+    kids = np.flatnonzero(parent_edge >= 0)
+    head_sign = np.zeros(n_vertices, dtype=np.int64)
+    head_sign[kids] = np.asarray(path[kids, parent_edge[kids]]).ravel()
+    return dict(component=comp, roots=roots, parent_edge=parent_edge,
+                parent_vertex=parent_vertex, head_sign=head_sign,
+                levels=levels, n_vertices=n_vertices, edges=edges)
+
+
 def assert_forest_like_reference(n_vertices, edges):
-    got = SpanningForest.from_graph(n_vertices, edges)
+    got = forest(n_vertices, edges)
     for name, want in reference_spanning_forest(n_vertices, edges).items():
-        have = getattr(got, name)
+        have = got[name]
         if name == "levels":
             assert len(have) == len(want)
             pairs = zip(have, want)
@@ -318,37 +366,39 @@ def test_forest_on_random_graphs_matches_reference(n, density, seed):
 
 
 def test_forest_takes_the_first_listed_of_parallel_edges():
-    forest = SpanningForest.from_graph(3, [[0, 1], [1, 2], [1, 0], [0, 1]])
-    assert forest.parent_edge.tolist() == [-1, 0, 1]
-    assert forest.head_sign.tolist() == [0, 1, 1]
+    f = forest(3, [[0, 1], [1, 2], [1, 0], [0, 1]])
+    assert f["parent_edge"].tolist() == [-1, 0, 1]
+    assert f["head_sign"].tolist() == [0, 1, 1]
 
 
 # -- path products against the level-by-level reference -----------------------
 
-def reference_solve_transpose(forest, b_edges):
-    """forest.solve_transpose as a walk from the roots down, one BFS level
-    at a time: y[v] = y[parent] + head_sign[v] b[parent edge]."""
+def reference_solve_transpose(f, b_edges):
+    """y = P b, the forest solve of d^T y = b, as a walk from the roots
+    down, one BFS level at a time: y[v] = y[parent] + head_sign[v] b[parent
+    edge]."""
     b_edges = np.asarray(b_edges, dtype=float)
-    y = np.zeros((forest.n_vertices,) + b_edges.shape[1:])
+    y = np.zeros((f["n_vertices"],) + b_edges.shape[1:])
     sgn_shape = (-1,) + (1,) * (b_edges.ndim - 1)
-    for level in forest.levels[1:]:
-        sgn = forest.head_sign[level].reshape(sgn_shape)
-        y[level] = y[forest.parent_vertex[level]] \
-            + sgn * b_edges[forest.parent_edge[level]]
+    for level in f["levels"][1:]:
+        sgn = f["head_sign"][level].reshape(sgn_shape)
+        y[level] = y[f["parent_vertex"][level]] \
+            + sgn * b_edges[f["parent_edge"][level]]
     return y
 
 
-def reference_solve_head(forest, b_vertices):
-    """forest.solve_head as a walk from the leaves up, one BFS level at a
-    time: each vertex's parent edge takes its subtree's signed sum of b."""
+def reference_solve_head(f, b_vertices):
+    """x = P^T b, the forest solve of d x = b, as a walk from the leaves
+    up, one BFS level at a time: each vertex's parent edge takes its
+    subtree's signed sum of b."""
     b = np.asarray(b_vertices, dtype=float).copy()
-    x = np.zeros((len(forest.edges),) + b.shape[1:])
+    x = np.zeros((len(f["edges"]),) + b.shape[1:])
     sgn_shape = (-1,) + (1,) * (b.ndim - 1)
-    for level in forest.levels[:0:-1]:
-        sgn = forest.head_sign[level].reshape(sgn_shape)
+    for level in f["levels"][:0:-1]:
+        sgn = f["head_sign"][level].reshape(sgn_shape)
         vals = sgn * b[level]
-        x[forest.parent_edge[level]] = vals
-        np.add.at(b, forest.parent_vertex[level], sgn * vals)
+        x[f["parent_edge"][level]] = vals
+        np.add.at(b, f["parent_vertex"][level], sgn * vals)
     return x
 
 
@@ -360,36 +410,40 @@ def reference_solve_head(forest, b_vertices):
 @example(n=6, density=0.0, seed=0, cols=None)
 def test_path_products_match_the_level_walks(n, density, seed, cols):
     pairs = random_graph(n, density, seed)
-    forest = SpanningForest.from_graph(n, pairs)
+    g = GraphDownLap(n, pairs)
+    # the walks read bfs_parents' forest and the path matrix's signs at the
+    # parent edges, which the forest tests above check against the
+    # reference search
+    f = forest(n, pairs)
     # one stored entry per vertex and ancestor edge: the sum of the depths
-    assert forest.path.nnz == sum(
-        depth * len(level) for depth, level in enumerate(forest.levels))
+    assert g.path.nnz == sum(
+        depth * len(level) for depth, level in enumerate(f["levels"]))
     rng = np.random.default_rng(seed)
     tail = () if cols is None else (cols,)
     b_edges = rng.standard_normal((len(pairs),) + tail)
     b_vertices = rng.standard_normal((n,) + tail)
     for got, want in [
-            (forest.solve_transpose(b_edges),
-             reference_solve_transpose(forest, b_edges)),
-            (forest.solve_head(b_vertices),
-             reference_solve_head(forest, b_vertices))]:
+            (g.path @ b_edges, reference_solve_transpose(f, b_edges)),
+            (g.path_t @ b_vertices, reference_solve_head(f, b_vertices))]:
         assert got.shape == want.shape
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_graph_down_lap_counts_every_stored_array_once():
     # nbytes against every array the solver holds, a buffer shared by two
-    # of them (the path matrix and its transpose, the edge table) once
+    # of them (the path matrix and its transpose, the kernel and its
+    # transpose) once
     g = GraphDownLap(6, [[0, 1], [1, 2], [2, 0], [3, 4]],
                      w_vertices=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     buffers = {}
-    for holder in (g, g.forest):
-        for value in vars(holder).values():
-            parts = value if isinstance(value, list) else [value]
-            for part in parts:
-                if sp.issparse(part):
-                    part = [part.data, part.indices, part.indptr]
-                for a in part if isinstance(part, list) else [part]:
-                    if isinstance(a, np.ndarray):
-                        buffers[a.__array_interface__["data"][0], a.nbytes] = a
+    for value in vars(g).values():
+        parts = [value.data, value.indices, value.indptr] \
+            if sp.issparse(value) else [value]
+        for a in parts:
+            if isinstance(a, np.ndarray):
+                buffers[a.__array_interface__["data"][0], a.nbytes] = a
     assert g.nbytes == sum(a.nbytes for a in buffers.values())
+    # the path matrix, its transpose, the kernel, its transpose, its
+    # norms, W^(1/2) and the rank: no incidence matrix or Laplacian
+    assert sorted(vars(g)) == ["kernel", "kernel_t", "path", "path_t",
+                               "rank", "sqrt_w", "u_norm2"]

@@ -422,7 +422,7 @@ LOOP_FREE = [hollowing._bfs_hops, hollowing.find_hollowing,
              hollowing._classes, hollowing._assign_shells,
              hollowing._interface_triangles,
              hollowing._record_metrics, hollowing.validate_hollowing,
-             downlap.SpanningForest.from_graph, downlap.bfs_parents,
+             downlap.GraphDownLap.__init__, downlap.bfs_parents,
              uplap._disc_rows, uplap._orient_discs,
              meshgen.skeleton_diameter]
 

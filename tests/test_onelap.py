@@ -5,13 +5,15 @@ import pickle
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetlap import dissection, downlap, onelap, oracle, uplap, upproj
 from tetlap.complexes import down_laplacian, one_laplacian
-from tetlap.downlap import down_lap_solve, down_projection
-from tetlap.errors import NumericalError, TetlapError, UnsupportedGeometryError
+from tetlap.downlap import down_lap_solve, down_norm1, down_projection
+from tetlap.errors import (NumericalError, TetlapError,
+                           UnsupportedGeometryError, one_norm)
 from tetlap.hollowing import (
     Hollowing,
     HollowingConfig,
@@ -528,10 +530,39 @@ def test_exact_factors_store_only_what_their_solves_read(kind):
         assert wall.nbytes == sum(a.nbytes for a in held_arrays(wall))
 
 
-def test_state_assembles_the_down_laplacian_once(monkeypatch):
-    # L1 is the skeleton graph's d1^T W0 d1 plus Lup: the same entries as
-    # down_laplacian's, on vertex weights that are not all one
-    c, h = setup()
+def sparse_matrices(obj, seen=None) -> list:
+    """Every scipy sparse matrix reachable from `obj` through attributes,
+    slots, lists, tuples and dicts, each object once."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (np.ndarray, str, bytes)):
+        return []
+    seen.add(id(obj))
+    if sp.issparse(obj):
+        return [obj]
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple)):
+        children = list(obj)
+    else:
+        children = list(getattr(obj, "__dict__", {}).values()) + [
+            getattr(obj, name) for name in getattr(type(obj), "__slots__", ())
+            if hasattr(obj, name)]
+    return [m for child in children for m in sparse_matrices(child, seen)]
+
+
+@pytest.mark.parametrize("kind", ["shell", "sphere", "union"])
+def test_state_keeps_no_edge_matrix_but_lup(monkeypatch, kind):
+    # the residual of a solve is Lup x + d1^T (w0 * (d1 x)), so neither L1
+    # nor the down-Laplacian is assembled: Lup is the state's one
+    # edges x edges matrix, and the down state is built once
+    if kind == "union":
+        c0, h0 = make_chunk((3, 3, 3))
+        c1, h1 = make_chunk((3, 3, 3))
+        u = glue([c0, c1], face_identifications(c0, c1, 0, 3.0, 0.0),
+                 [h0, h1])
+        c, h = u.complex, u.hollowing
+    else:
+        c, h = setup() if kind == "shell" else sphere_setup((6, 6, 6), 64)
     c.weights[0] = np.random.default_rng(4).uniform(0.5, 2.0, c.num_vertices)
     calls = []
     real = onelap.build_down_state
@@ -542,11 +573,34 @@ def test_state_assembles_the_down_laplacian_once(monkeypatch):
     monkeypatch.setattr(onelap, "build_down_state", spy)
     state = build_one_lap_solver(c, h)
     assert len(calls) == 1
-    want = (down_laplacian(c, 1) + state.up_state.lup).tocsr().sorted_indices()
-    got = state.lap1.sorted_indices()
-    for name in ("indptr", "indices", "data"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-    assert not hasattr(onelap, "down_laplacian")
+    n = c.num_edges
+    square = [m for m in sparse_matrices(state) if m.shape == (n, n)]
+    assert len(square) == 1 and square[0] is state.up_state.lup
+    assert not hasattr(state, "lap1")
+    b = np.random.default_rng(5).standard_normal(n)
+    x, rep = one_lap_solve(c, h, b, 1e-6, state=state)
+    target = b - state.harmonic @ (state.harmonic.T @ b)
+    assert rep.final_residual == pytest.approx(
+        np.linalg.norm(one_laplacian(c) @ x - target), rel=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["box", "cavity", "union"])
+def test_down_norm1_is_the_degree_formula(kind):
+    # max over edges (u, v) of w_u deg u + w_v deg v against the assembled
+    # down-Laplacian's largest absolute column sum, on spread weights
+    if kind == "union":
+        c0, h0 = make_chunk((3, 3, 3))
+        c1, h1 = make_chunk((2, 3, 3))
+        c = glue([c0, c1], face_identifications(c0, c1, 0, 3.0, 0.0),
+                 [h0, h1]).complex
+    else:
+        holes = [HoleSpec((1, 1, 1), (1, 1, 1))] if kind == "cavity" else []
+        c = gen_grid(GridSpec((4, 3, 3), holes=holes))
+    for seed in range(3):
+        c.weights[0] = np.exp(np.random.default_rng(seed).uniform(
+            np.log(1e-4), np.log(1e4), c.num_vertices))
+        assert down_norm1(c.edges, c.weights[0]) == pytest.approx(
+            one_norm(down_laplacian(c, 1)), rel=4 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("union", [False, True])

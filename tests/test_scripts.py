@@ -24,8 +24,9 @@ def test_answer_digests_name_every_answer_and_repeat():
 
 def test_factor_bytes_names_each_workloads_factors():
     # workload, factor, bytes, levels, level entries and root
-    # pseudo-inverse bytes; the sphere reduced wall has no levels, a folded
-    # wall no root pseudo-inverses, and sphere-up's state no L0 factor
+    # pseudo-inverse bytes; the sphere reduced wall and the 1-skeleton
+    # graph solver have no levels, a folded wall no root pseudo-inverses,
+    # and sphere-up's state no L0 factor and no graph solver
     out = subprocess.run([sys.executable,
                           os.path.join(SCRIPTS, "factor_bytes.py")],
                          capture_output=True, text=True, timeout=600)
@@ -33,11 +34,11 @@ def test_factor_bytes_names_each_workloads_factors():
     rows = [line.split() for line in out.stdout.splitlines()]
     assert [row[:2] for row in rows] == [
         [name, label] for name in ("box-stream", "ring-rebuild", "sphere-up")
-        for label in ("wall", "interior", "L0")
-        if (name, label) != ("sphere-up", "L0")]
+        for label in ("wall", "interior", "L0", "graph")
+        if name != "sphere-up" or label in ("wall", "interior")]
     for name, label, nbytes, levels, nnz, pinv in rows:
         assert int(nbytes) > 0
-        if (name, label) == ("sphere-up", "wall"):
+        if (name, label) == ("sphere-up", "wall") or label == "graph":
             assert levels == nnz == pinv == "-"
         else:
             assert int(levels) > 0 and int(nnz) >= 0

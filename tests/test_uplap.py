@@ -468,7 +468,7 @@ def test_wall_bytes_for_either_wall_kind():
            reduced.coupling.indptr]
     assert len(reduced.shared) and reduced.nbytes == \
         reduced.solver.nbytes + sum(a.nbytes for a in own)
-    assert reduced.solver.nbytes > reduced.solver.forest.path.data.nbytes > 0
+    assert reduced.solver.nbytes > reduced.solver.path.data.nbytes > 0
     shell = find_hollowing(c, 256, RELAXED)
     union = glue([c], [], [shell])
     for cx, h in ((c, shell), (c, surface_hollowing(c)),
