@@ -55,9 +55,10 @@ class FirstAnswers(workloads.Runner):
         self.answers[kind] = call()
 
 
-def first_answers(workload) -> FirstAnswers:
-    """The runner of `workload` at its FULL sizes, once it has ended."""
-    run = FirstAnswers()
+def first_answers(workload, run=None) -> FirstAnswers:
+    """The runner of `workload` at its FULL sizes, once it has ended: `run`,
+    a `FirstAnswers`, or a new one."""
+    run = FirstAnswers() if run is None else run
     try:
         workload(run, workloads.FULL)
     except _Done:

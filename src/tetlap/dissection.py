@@ -14,9 +14,12 @@ fronts of one depth at a time: by substitution in an exact solver, and in a
 factor applied as a preconditioner through each level's inverted blocks,
 folded into one sparse matrix.  An exact solver's root fronts, which have
 no rows above them, keep only their pseudo-inverses, packed, and apply
-them in one symmetric product per front.  A factor stores nothing its
-solves do not read.  A right-hand side that lives on root fronts solves,
-for those rows, through those fronts alone.
+them in one symmetric product per front.  A solve is a forward sweep and
+a backward sweep, which a caller may run apart, changing the right-hand
+side on root rows between them.  A factor stores nothing its solves do
+not read.  A right-hand side that lives on root fronts solves, for those
+rows, through those fronts alone, in place when the rows fill the fronts
+in factor order.
 """
 
 from __future__ import annotations
@@ -263,25 +266,31 @@ class CholeskyFactor:
     def root_solve(self, rows) -> "RootSolve":
         """The solve for right-hand sides that vanish outside `rows`, read
         on `rows` only, through the root (depth-0) fronts that hold them.
-        Raises NumericalError when a row lies in a deeper front."""
+        The rows must fill those fronts in factor order, front after front
+        (as `uplap.eliminate` orders the interface rows); NumericalError
+        otherwise, and when a row lies in a deeper front."""
         if self.folded:
             raise ValueError("a folded factor keeps no fronts to solve with")
         n = self.shape[0]
         pos = np.empty(n, dtype=np.int64)
         pos[self.perm] = np.arange(n)
         p = pos[np.asarray(rows, dtype=np.int64)]
-        fronts = [nd for nd in self._nodes if nd.depth == 0
-                  and np.any((nd.start <= p) & (p < nd.stop))]
+        roots = [nd for nd in self._nodes if nd.depth == 0]
+        at_root = np.zeros(n, dtype=bool)
+        for nd in roots:
+            at_root[nd.start:nd.stop] = True
+        if not at_root[p].all():
+            raise NumericalError(
+                f"{int(np.sum(~at_root[p]))} of the rows lie below the "
+                "factor's root fronts")
+        fronts = [nd for nd in roots
+                  if np.any((nd.start <= p) & (p < nd.stop))]
         cols = np.concatenate([np.empty(0, dtype=np.int64)]
                               + [np.arange(nd.start, nd.stop) for nd in fronts])
-        where = np.full(n, -1, dtype=np.int64)
-        where[cols] = np.arange(len(cols))
-        at = where[p]
-        if np.any(at < 0):
+        if not np.array_equal(p, cols):
             raise NumericalError(
-                f"{int(np.sum(at < 0))} of the rows lie below the factor's "
-                "root fronts")
-        return RootSolve(fronts=fronts, at=at, size=len(cols))
+                "the rows do not fill their root fronts in factor order")
+        return RootSolve(fronts=fronts, cols=cols)
 
 
 @dataclass
@@ -291,21 +300,26 @@ class RootSolve:
     root every front and level product then acts on zeros, forward, and
     backward it writes only rows below the root, so the root fronts' own
     pseudo-inverse products (`_root_product`) give the same rows, in the
-    same arithmetic."""
-    fronts: list           # the root fronts holding the rows
-    at: np.ndarray         # each row's position in the fronts, one after another
-    size: int              # rows of the fronts together
+    same arithmetic.  The rows fill their fronts in factor order, front
+    after front (`CholeskyFactor.root_solve` checks it), so each front's
+    product reads its own slice of b and writes the same slice of the
+    answer, in place."""
+    fronts: list           # the root fronts holding the rows, by start
+    cols: np.ndarray       # the rows' positions in the factor: the fronts'
 
     def solve(self, b) -> np.ndarray:
         """The solve for b of shape (len(rows),) or (len(rows), k)."""
-        b = np.asarray(b, dtype=float)
-        z = np.zeros((self.size,) + b.shape[1:])
-        z[self.at] = b
+        b = np.ascontiguousarray(b, dtype=float)
+        if b.ndim not in (1, 2) or b.shape[0] != len(self.cols):
+            raise ValueError(f"b has shape {b.shape}, expected "
+                             f"({len(self.cols)},) or ({len(self.cols)}, k)")
+        y = np.empty_like(b)
+        xs, ys, k = b.reshape(-1), y.reshape(-1), _columns(b)
         off = 0
         for nd in self.fronts:
-            _root_product(nd, z[off:off + nd.stop - nd.start])
+            _root_product(nd, xs, ys, off, k)
             off += nd.stop - nd.start
-        return z[self.at]
+        return y
 
 
 def nd_cholesky(matrix, coords, blocks=None, root_pins=None,
@@ -637,17 +651,17 @@ def _root_pinv(nd):
     return packed
 
 
-def _root_product(nd, seg):
-    """seg = K seg in place, for K the root front's pseudo-inverse (see
-    `_root_pinv`): one BLAS `dspmv` per column of seg on the kept rows, and
-    zeros on the skipped ones."""
+def _root_product(nd, xs, ys, off, k):
+    """Rows off:off + bs of y = K x for K the root front's pseudo-inverse
+    (see `_root_pinv`), x and y distinct C-order arrays of k columns, flat
+    (`xs`, `ys`): one BLAS `dspmv` per column on the kept rows, reading x
+    and writing y in place through offsets and strides, and zeros on the
+    skipped rows."""
     rank = nd.rank
-    cols = seg.reshape(len(seg), -1)
-    if rank:
-        for j in range(cols.shape[1]):
-            cols[:rank, j] = _SPMV(rank, 1.0, nd.pinv, cols[:rank, j],
-                                   lower=1)
-    cols[rank:] = 0.0
+    for j in range(k if rank else 0):
+        _SPMV(rank, 1.0, nd.pinv, xs, incx=k, offx=off * k + j, y=ys,
+              incy=k, offy=off * k + j, lower=1, overwrite_y=1)
+    ys[(off + rank) * k:(off + nd.stop - nd.start) * k] = 0.0
 
 
 def _dense_rank_chol(a, scale, pivot_tol):
@@ -681,13 +695,11 @@ def solve_with_factor(factor: CholeskyFactor, b,
                       check_image: bool = True) -> np.ndarray:
     """Solve M x = b through the factor, for b of shape (n,) or (n, k);
     zero pivots get the zero-tail treatment (x is 0 there), so the result is
-    exact for b in Im(M).  The solve walks the separator tree by levels:
-    one sparse product per level and direction, and in an unfolded factor
-    one LAPACK `dtrtrs` per front below the root and direction besides,
-    and per root front and column of b one BLAS `dspmv` with its packed
-    pseudo-inverse (`_root_product`): a root front has no rows above it,
-    so its forward and backward substitutions run back to back, with only
-    the zeroing of its skipped pivots between them.  Raises ValueError
+    exact for b in Im(M).  The solve is `backward_sweep` after
+    `forward_sweep`: one sparse product per level and direction, and in an
+    unfolded factor one LAPACK `dtrtrs` per front below the root and
+    direction besides, and per root front and column of b one BLAS `dspmv`
+    with its packed pseudo-inverse (`_root_product`).  Raises ValueError
     for a b of another row count or with non-finite entries, and with
     `check_image` NumericalError when M x misses a nonzero column of b by
     more than IMAGE_TOL relative to it."""
@@ -697,35 +709,60 @@ def solve_with_factor(factor: CholeskyFactor, b,
         raise ValueError(f"b has shape {b.shape}, expected ({n},) or ({n}, k)")
     if not np.isfinite(b).all():
         raise ValueError("b has non-finite entries")
+    x = backward_sweep(factor, forward_sweep(factor, b))
+    if check_image:
+        _check_image(factor.matrix, x, b)
+    return x
+
+
+def forward_sweep(factor: CholeskyFactor, b) -> np.ndarray:
+    """The forward half of the solve, for the float b of shape (n,) or
+    (n, k), unchecked: z with L z = b in factor order (`b[perm]`), except
+    on the root fronts' rows, which keep what the updates from below them
+    leave there.  A root front has no rows above it, so its forward and
+    backward substitutions run back to back, with only the zeroing of its
+    skipped pivots between them, and `backward_sweep` does both in one
+    pseudo-inverse product.  z is the caller's."""
     z = b[factor.perm]
-    # forward: L y = z, deepest level first; y at a skipped pivot is never
-    # read, since its column of l11 is zero below the diagonal and its
-    # column of l21 is zero
+    # L y = z, deepest level first; y at a skipped pivot is never read,
+    # since its column of l11 is zero below the diagonal and its column of
+    # l21 is zero
     for level in reversed(factor._levels):
         for nd in level.nodes:
             if nd.pinv is None:
                 y = z[nd.start:nd.stop]
                 y[:] = _triangular_solve(nd.l11, y, trans=0)
         _level_update(z, level, trans=False)
-    # backward: L^T x = y, root level first; a zero right-hand side at a
-    # skipped pivot makes x exactly 0 there, and zeroing it before the
-    # level's product changes nothing else, since the level matrix's
-    # column at a skipped pivot is zero
+    return z
+
+
+def backward_sweep(factor: CholeskyFactor, z) -> np.ndarray:
+    """The backward half of the solve, in the matrix's row order: each
+    root front's pseudo-inverse product, then L^T x = z, root level first,
+    for z from `forward_sweep`, or one that differs from it on root rows
+    only (`uplap.back_substitute`).  z is read, not written."""
+    x = z.copy()
+    xs, zs, k = x.reshape(-1), z.reshape(-1), _columns(z)
+    # a zero right-hand side at a skipped pivot makes x exactly 0 there,
+    # and zeroing it before the level's product changes nothing else, since
+    # the level matrix's column at a skipped pivot is zero
     for level in factor._levels:
-        z[level.skipped] = 0.0
-        _level_update(z, level, trans=True)
+        x[level.skipped] = 0.0
+        _level_update(x, level, trans=True)
         for nd in level.nodes:
-            seg = z[nd.start:nd.stop]
             if nd.pinv is None:
+                seg = x[nd.start:nd.stop]
                 seg[:] = _triangular_solve(nd.l11, seg, trans=1)
             else:   # the root front's whole solve
-                _root_product(nd, seg)
+                _root_product(nd, zs, xs, nd.start, k)
+    out = np.empty_like(x)
+    out[factor.perm] = x
+    return out
 
-    x = np.empty_like(z)
-    x[factor.perm] = z
-    if check_image:
-        _check_image(factor.matrix, x, b)
-    return x
+
+def _columns(b) -> int:
+    """The columns of an (n,) or (n, k) right-hand side: 1 or k."""
+    return b.shape[1] if b.ndim == 2 else 1
 
 
 def _level_update(z, level, trans):

@@ -128,27 +128,40 @@ class GraphDownLap:
     def gram(self, b) -> np.ndarray:
         """b^T x for x = solve(b), b a sparse (edges, k) matrix, from the
         first half of the solve only.  x lives on forest edges, where b =
-        d^T y, and d x = W^(-1/2) z for z = _half(b); so b^T x = (W^(-1/2)
-        y)^T z = z^T z, as z is W^(-1/2) y less a part orthogonal to it."""
-        z = self._half(b.toarray())
+        d^T y, and d x = W^(-1/2) z for z the projected `to_vertices(b)`;
+        so b^T x = (W^(-1/2) y)^T z = z^T z, as z is W^(-1/2) y less a part
+        orthogonal to it."""
+        z = self.project(self.to_vertices(b.toarray()))
         return _GEMM(1.0, z, z, trans_a=1)
+
+    def coupled_paths(self, c) -> sp.csr_matrix:
+        """B = C P^T W^(-1/2) for a sparse C over the graph's edges: C x
+        for x = solve(v) is then B project(to_vertices(v)), with no second
+        path product."""
+        b = (c @ self.path_t).tocsr()
+        b.data /= self.sqrt_w[b.indices]
+        return b
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with (d^T W d) x = b, exact for b in the image; x lives on the
-        forest edges."""
+        forest edges.  It is P^T W^(-1/2) Pi W^(-1/2) P b, Pi the
+        projection off the kernel of d^T W^(1/2)."""
         b = np.asarray(b, dtype=float)
-        z1 = self._half(b)
-        return self.path_t @ (z1 / _col(self.sqrt_w, z1.ndim))
+        return self.to_edges(self.project(self.to_vertices(b)))
 
-    def _half(self, b: np.ndarray) -> np.ndarray:
-        """z = W^(-1/2) y for the forest's y with d^T y = b, projected off
-        the kernel of d^T W^(1/2)."""
+    def to_vertices(self, b: np.ndarray) -> np.ndarray:
+        """W^(-1/2) y for the forest's y = P b, with d^T y = b for b in the
+        image; one product with the path matrix."""
         z = self.path @ b
         z /= _col(self.sqrt_w, z.ndim)
-        return self._project_off_kernel(z)
+        return z
 
-    def _project_off_kernel(self, z: np.ndarray) -> np.ndarray:
-        """z projected off the kernel, in place: `_half` owns its z."""
+    def to_edges(self, z: np.ndarray) -> np.ndarray:
+        """P^T W^(-1/2) z, one product with the path matrix's transpose."""
+        return self.path_t @ (z / _col(self.sqrt_w, z.ndim))
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        """z projected off the kernel of d^T W^(1/2), in place."""
         coef = (self.kernel @ z) / _col(self.u_norm2, z.ndim)
         z -= self.kernel_t @ coef
         return z

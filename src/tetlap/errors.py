@@ -35,12 +35,12 @@ def check_vector(v, n: int, name: str) -> np.ndarray:
     return v
 
 
-def check_tolerance(eps) -> float:
-    """`eps` as a float; raises ValueError naming it unless it is finite
-    and positive."""
+def check_tolerance(eps, name: str = "eps") -> float:
+    """`eps` as a float; raises ValueError naming it `name` unless it is
+    finite and positive."""
     eps = float(eps)
     if not (np.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be finite and positive, got {eps!r}")
+        raise ValueError(f"{name} must be finite and positive, got {eps!r}")
     return eps
 
 

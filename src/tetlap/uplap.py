@@ -9,21 +9,28 @@ a hollowing; `upproj` runs it on the triangle Gram matrix d2^T d2, and
 
 The Schur complement reaches the interior only through the interface rows,
 the interior rows coupled to the wall.  They are pinned into their region's
-root front, so each Schur apply solves through those root fronts alone,
-one packed pseudo-inverse product per front and no triangular solve:
+root front and kept in factor order, so each Schur apply solves through
+those root fronts alone, one packed pseudo-inverse product per front, in
+place on its slice of the interface vector, and no triangular solve:
 deeper fronts would act on zeros forward and write only rows the apply
 never reads backward, so the result is the full interior solve's, bit for
-bit, and the Schur residual stays the whole residual.
+bit, and the Schur residual stays the whole residual.  A solve sweeps the
+interior once each way: `schur_rhs` keeps its forward sweep, and
+`back_substitute` takes A[F,C] x_C off that sweep's root rows and runs the
+backward half.
 
 The wall solve of a sphere hollowing runs through the reduced system:
 interior disc edges collapse to a dual-graph down-Laplacian, rim edges
 deduplicate by their disc signature, and the leftover Schur complement is
-small enough to pseudo-invert densely up front (`BlockFactor`).  Every
-other kind's wall is one folded nested dissection factor.
+small enough to pseudo-invert densely up front (`BlockFactor`, which
+carries the rim rows' coupling through the forest paths, so one apply
+takes one path product each way).  Every other kind's wall is one folded
+nested dissection factor.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +40,7 @@ import scipy.sparse as sp
 
 from .complexes import up_laplacian
 from .dissection import (_GEMM, DEFAULT_PIVOT_TOL, CholeskyFactor, RootSolve,
-                         nd_cholesky)
+                         backward_sweep, forward_sweep, nd_cholesky)
 from .downlap import GraphDownLap, bfs_parents
 from .errors import (NumericalError, UnsupportedGeometryError, check_state,
                      check_tolerance, check_vector, missed_contract, one_norm,
@@ -64,8 +71,10 @@ class UpSolverState:
     interior: CholeskyFactor         # lup[F, F] over f_all, one block per region
     # the wall preconditioner over c_idx, by kind (see build_up_solver)
     wall: Optional[CholeskyFactor | BlockFactor]
-    iface: np.ndarray                # positions in f_all of the interface rows
-    root: RootSolve                  # the interior solve through their fronts
+    # positions in f_all of the interface rows, in factor order: they fill
+    # their root fronts, front after front
+    iface: np.ndarray
+    root: RootSolve                  # the interior solve through those fronts
     l_cc: sp.csr_matrix
     l_ci: sp.csr_matrix              # lup[C, F] over the interface columns
     l_ic: sp.csr_matrix              # lup[F, C] over the interface rows
@@ -106,7 +115,10 @@ def eliminate(c, h: Hollowing, matrix, d2, coords, regions, c_idx,
 
     The interface rows are the interior rows that matrix[F, C] couples to
     the wall; for Lup they are the interior edges that share a triangle
-    with a wall edge.  They are pinned into their region's root front.
+    with a wall edge.  They are pinned into their region's root front and
+    ordered as the factor holds them, so each root front's product reads
+    and writes its own slice of a vector over them; l_ic's rows follow
+    that order, and l_ci's columns are renumbered to it.
     The interior factors stay unfolded: the Schur residual is the whole
     residual only while the interior solve is exact.
     """
@@ -114,37 +126,48 @@ def eliminate(c, h: Hollowing, matrix, d2, coords, regions, c_idx,
     matrix.sort_indices()
     f_all = np.concatenate([np.empty(0, dtype=np.int64)] + list(regions))
     l_fc = matrix[f_all][:, c_idx]
-    iface = np.flatnonzero(np.diff(l_fc.indptr))
     pinned = np.zeros(matrix.shape[0], dtype=bool)
-    pinned[f_all[iface]] = True
+    pinned[f_all[np.diff(l_fc.indptr) > 0]] = True
     sizes = [len(f) for f in regions]
     # the interior factor's rows are f_all's, one block per region
     interior = nd_cholesky(
         matrix[f_all][:, f_all], coords[f_all],
         blocks=np.split(np.arange(len(f_all)), np.cumsum(sizes)[:-1]),
         root_pins=[np.flatnonzero(pinned[f]) for f in regions])
+    # the interface rows, in factor order; the pins are their regions'
+    # whole root separators, so these rows fill their root fronts
+    # (`root_solve` checks it) and `root.cols` are their positions in the
+    # factor
+    iface = interior.perm[pinned[f_all][interior.perm]]
+    # matrix[C, F] reads only the interface columns; renumbering them
+    # keeps each row's stored entries in the matrix's column order, so
+    # products with l_ci sum as matrix[C, F] does
+    l_cf = matrix[c_idx][:, f_all]
+    where = np.empty(len(f_all), dtype=l_cf.indices.dtype)
+    where[iface] = np.arange(len(iface))
+    l_ci = sp.csr_matrix((l_cf.data, where[l_cf.indices], l_cf.indptr),
+                         shape=(len(c_idx), len(iface)))
     return UpSolverState(
         complex=c, hollowing=h, weights=[w.copy() for w in c.weights],
         lup=matrix, d2=d2, f_all=f_all, c_idx=c_idx,
         interior=interior, wall=wall, iface=iface,
         root=interior.root_solve(iface),
-        l_cc=matrix[c_idx][:, c_idx].tocsr(),
-        # column slices keep each row's entries in the matrix's column
-        # order, so products with them sum as the full matrix[C, F] does
-        l_ci=matrix[c_idx][:, f_all[iface]].tocsr(),
-        l_ic=l_fc[iface],
-    )
+        l_cc=matrix[c_idx][:, c_idx].tocsr(), l_ci=l_ci, l_ic=l_fc[iface])
 
 
 def schur_apply(state: UpSolverState, x_c):
     """Sc[A]_C x = A[C,C] x - A[C,F] A[F,F]^+ A[F,C] x, implicit, for the
-    eliminated matrix A.
+    eliminated matrix A and x of shape (len(c_idx),); another shape raises
+    ValueError.
 
     A[F,C] x vanishes off the interface rows, and A[C,F] reads only them,
     so the interior solve runs through the root fronts holding them, one
-    packed pseudo-inverse product each: the same arithmetic on the same
-    rows as the full solve."""
+    packed pseudo-inverse product each, in place on the interface vector:
+    the same arithmetic on the same rows as the full solve."""
     x_c = np.asarray(x_c, dtype=float)
+    if x_c.shape != (len(state.c_idx),):
+        raise ValueError(f"x_c has shape {x_c.shape}, expected "
+                         f"({len(state.c_idx)},)")
     y = state.root.solve(state.l_ic @ x_c)
     return state.l_cc @ x_c - state.l_ci @ y
 
@@ -153,11 +176,14 @@ def schur_solve(state: UpSolverState, h_vec, delta: float, stage: str):
     """PCG on the Schur complement, preconditioned by the wall; its report,
     the empty one for no wall rows included, carries the caller's `stage`
     name: `schur` for the up solve, `tri_schur` for the up projection.
+    Raises ValueError for an h of another length or with a non-finite
+    entry, and for a delta that is not finite and positive.
 
     A stalled PCG names the share of |h| its residual stalled at: that
     share of h lies outside the Schur complement's image, and rounding in
     forming the right-hand side counts as such a part."""
-    h_vec = np.asarray(h_vec, dtype=float)
+    h_vec = check_vector(h_vec, len(state.c_idx), "h")
+    delta = check_tolerance(delta, "delta")
     if len(h_vec) == 0:
         return h_vec.copy(), SolveReport(stage=stage)
     x, report = pcg(lambda v: schur_apply(state, v), state.wall.solve, h_vec,
@@ -181,20 +207,26 @@ def schur_solve(state: UpSolverState, h_vec, delta: float, stage: str):
     return x, report
 
 
-def schur_rhs(state: UpSolverState, b) -> np.ndarray:
-    """h = b_C - A[C,F] A[F,F]^+ b_F, the Schur complement's right-hand
-    side; the interior solve goes unchecked, as in `back_substitute`."""
-    y = state.interior.solve(b[state.f_all], check_image=False)
-    return b[state.c_idx] - state.l_ci @ y[state.iface]
+def schur_rhs(state: UpSolverState, b):
+    """(h, z): h = b_C - A[C,F] A[F,F]^+ b_F, the Schur complement's
+    right-hand side, and z the interior forward sweep of b_F, which
+    `back_substitute` finishes.  A[C,F] reads the interface rows only, so
+    of the backward half only their root fronts' products run here."""
+    z = forward_sweep(state.interior, b[state.f_all])
+    y = state.root.solve(z[state.root.cols])
+    return b[state.c_idx] - state.l_ci @ y, z
 
 
-def back_substitute(state: UpSolverState, b, x_c) -> np.ndarray:
-    """x with x_C = x_c and x_F = A[F,F]^+ (b_F - A[F,C] x_c).  The
-    interior solve goes unchecked: each caller checks its own answer."""
-    x = np.zeros_like(b)
-    r_f = b[state.f_all]
-    r_f[state.iface] -= state.l_ic @ x_c
-    x[state.f_all] = state.interior.solve(r_f, check_image=False)
+def back_substitute(state: UpSolverState, z, x_c) -> np.ndarray:
+    """x with x_C = x_c and x_F = A[F,F]^+ (b_F - A[F,C] x_c), for z the
+    forward sweep of b_F from `schur_rhs`, which it overwrites.  A[F,C] x_c
+    lives on the interface rows, root rows the forward sweep leaves as they
+    are, so it is taken off z there and only the root products and the
+    backward sweep run.  The interior solve goes unchecked: each caller
+    checks its own answer."""
+    z[state.root.cols] -= state.l_ic @ x_c
+    x = np.zeros(state.lup.shape[0])
+    x[state.f_all] = backward_sweep(state.interior, z)
     x[state.c_idx] = x_c
     return x
 
@@ -211,6 +243,12 @@ def up_lap_solve(c, h: Hollowing, b, eps: float,
 
 
 def _up_solve_with_state(state: UpSolverState, b, eps: float):
+    """The up solve on a built state.  Its report's timings hold the
+    `perf_counter` seconds of the forward half (`schur_rhs`, after the
+    norm of b), the Schur PCG, `back_substitute`, the residual check and
+    the whole solve, which the four add up to; a zero b is answered by 0
+    and records none."""
+    t0 = time.perf_counter()
     b = np.asarray(b, dtype=float)
     report = SolveReport(stage="up_lap_solve", size=len(b),
                          params={"eps": eps})
@@ -219,8 +257,9 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
         return np.zeros_like(b), report
 
     x_c = np.zeros(0)
+    h_vec, z = schur_rhs(state, b)
+    t1 = time.perf_counter()
     if len(state.c_idx):
-        h_vec = schur_rhs(state, b)
         # b_f - L_fc x_c lies in Im d2[F,:] = Im Lup[F,F] and the interior
         # solve is exact, so the F rows of Lup x - b vanish and the full
         # residual is the Schur residual: delta |h| <= eps |b| / 2 meets
@@ -230,7 +269,9 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
         x_c, screp = schur_solve(state, h_vec, delta, "schur")
         report.add_stage("schur", screp)
         report.params["delta"] = delta
-    x = back_substitute(state, b, x_c)
+    t2 = time.perf_counter()
+    x = back_substitute(state, z, x_c)
+    t3 = time.perf_counter()
 
     resid = np.linalg.norm(state.lup @ x - b)
     report.final_residual = resid
@@ -240,6 +281,10 @@ def _up_solve_with_state(state: UpSolverState, b, eps: float):
             "up-Laplacian solve", resid, "eps * |b|", eps * norm_b, eps,
             "|Lup|_1", roundoff_floor(one_norm(state.lup), x),
             "b outside the image?")
+    t4 = time.perf_counter()
+    report.timings.update(forward=t1 - t0, schur=t2 - t1,
+                          back_substitute=t3 - t2, residual=t4 - t3,
+                          total=t4 - t0)
     return x, report
 
 
@@ -270,18 +315,29 @@ def _reduced_wall(c, h: Hollowing, lt, d2c) -> BlockFactor:
 
 class BlockFactor:
     """Exact solver for a symmetric PSD matrix whose kept rows split into
-    the rows of one exact solver plus a shared set: the sphere reduced
-    wall's, whose `solver` is the `GraphDownLap` of its disc rows.
+    the rows of a `GraphDownLap` plus a shared set: the sphere reduced
+    wall's, whose `solver` is the dual-graph down-Laplacian of its disc
+    rows.
 
-    The Schur complement onto the shared rows, C_ss - C M^+ C^T with the
-    last term from the solver's `gram`, is pseudo-inverted densely up
-    front through its eigendecomposition (LAPACK `dsyevd`, divide and
-    conquer), with the eigenvalues above DEFAULT_PIVOT_TOL times the
-    largest kept.  Rows in neither set are dropped, and the solution is
-    zero there.  Solves are exact for right-hand sides in the image, and
-    not checked: the wall is applied as a preconditioner.  `rank` is the
-    solver's rank plus the Schur complement's, the matrix's rank on the
-    kept rows.
+    The solver's pseudo-inverse is M^+ = P^T D Pi D P, for P its forest
+    path matrix, D = W^(-1/2) and Pi its kernel projection.  In place of
+    the coupling C of the shared rows to the solver's, the factor keeps
+    B = C P^T D (`GraphDownLap.coupled_paths`), so a solve of v = (v_r,
+    v_s) takes one path product each way and no second solver solve:
+
+        u0 = D P v_r,
+        x_s = S^+ (v_s - B Pi u0),
+        x_r = P^T D Pi (u0 - B^T x_s).
+
+    The Schur complement onto the shared rows, S = C_ss - C M^+ C^T =
+    C_ss - (Pi B^T)^T (Pi B^T) from the solver's `gram`, is
+    pseudo-inverted densely up front through its eigendecomposition
+    (LAPACK `dsyevd`, divide and conquer), with the eigenvalues above
+    DEFAULT_PIVOT_TOL times the largest kept.  Rows in neither set are
+    dropped, and the solution is zero there.  Solves are exact for
+    right-hand sides in the image, and not checked: the wall is applied as
+    a preconditioner.  `rank` is the solver's rank plus the Schur
+    complement's, the matrix's rank on the kept rows.
     """
 
     def __init__(self, matrix, rows, solver, shared):
@@ -293,13 +349,14 @@ class BlockFactor:
             raise NumericalError(
                 f"shared block has {len(self.shared)} rows, beyond the dense "
                 f"inversion cap {DENSE_SHARED_CAP}")
-        self.coupling, self.schur_pinv = None, np.zeros((0, 0))
+        block = self.matrix[self.shared]
+        coupling = block[:, self.rows].tocsr()
+        self.path_coupling = solver.coupled_paths(coupling)    # B
+        self.path_coupling_t = self.path_coupling.T
+        self.schur_pinv = np.zeros((0, 0))
         schur_rank = 0
         if len(self.shared):
-            rows = self.matrix[self.shared]
-            self.coupling = rows[:, self.rows].tocsr()
-            schur = rows[:, self.shared].toarray() - self.solver.gram(
-                self.coupling.T)
+            schur = block[:, self.shared].toarray() - solver.gram(coupling.T)
             w, v, info = _SYEVD(schur, lower=1)
             if info:
                 raise NumericalError(
@@ -312,28 +369,32 @@ class BlockFactor:
 
     @property
     def nbytes(self) -> int:
-        """Bytes stored by the factor: its solver's, the row sets, the
-        coupling block and the dense Schur pseudo-inverse, not the input
-        matrix."""
-        arrays = [self.rows, self.shared, self.schur_pinv]
-        if self.coupling is not None:
-            arrays += [self.coupling.data, self.coupling.indices,
-                       self.coupling.indptr]
+        """Bytes stored by the factor: its solver's, the row sets, B (once,
+        not again for its transpose) and the dense Schur pseudo-inverse,
+        not the input matrix."""
+        b = self.path_coupling
+        arrays = [self.rows, self.shared, self.schur_pinv, b.data, b.indices,
+                  b.indptr]
         return self.solver.nbytes + sum(a.nbytes for a in arrays)
 
     def solve(self, v) -> np.ndarray:
-        """x with matrix x = v on the kept rows, for v in the image."""
+        """x with matrix x = v on the kept rows, for v in the image, of
+        shape (n,) or (n, k); another shape raises ValueError."""
         v = np.asarray(v, dtype=float)
+        n = self.matrix.shape[0]
+        if v.ndim not in (1, 2) or v.shape[0] != n:
+            raise ValueError(
+                f"v has shape {v.shape}, expected ({n},) or ({n}, k)")
+        graph = self.solver
         out = np.zeros_like(v)
-        rhs = v[self.rows]
+        u = graph.to_vertices(v[self.rows])
         if len(self.shared):
-            y = self.solver.solve(rhs)
-            r_s = v[self.shared] - self.coupling @ y
+            r_s = v[self.shared] - self.path_coupling @ graph.project(u.copy())
             x_s = _GEMM(1.0, self.schur_pinv,
                         r_s.reshape(len(r_s), -1)).reshape(r_s.shape)
-            rhs = rhs - self.coupling.T @ x_s
+            u -= self.path_coupling_t @ x_s
             out[self.shared] = x_s
-        out[self.rows] = self.solver.solve(rhs)
+        out[self.rows] = graph.to_edges(graph.project(u))
         return out
 
 

@@ -72,24 +72,22 @@ def up_project(c, h: Hollowing, b, eps: float,
         state = build_up_projection(c, h)
     check_state(state, c, h)
     report = SolveReport(stage="up_project", size=len(b), params={"eps": eps})
-    g = state.d2.T @ b
+    h_vec, z = uplap.schur_rhs(state, state.d2.T @ b)
     x_c = np.zeros(len(state.c_idx))
-    if len(state.c_idx):
-        h_vec = uplap.schur_rhs(state, g)
-        if np.linalg.norm(h_vec) > 1e-14 * np.linalg.norm(b):
-            delta = eps / (2.0 * one_norm(state.lup))
-            try:
-                x_c, screp = uplap.schur_solve(state, h_vec, delta,
-                                               "tri_schur")
-            except NumericalError as exc:
-                if delta > ROUNDOFF_MULTIPLE * UNIT_ROUNDOFF:
-                    raise
-                raise NumericalError(
-                    f"{exc}; eps = {eps:.1e} is below the attainable "
-                    "accuracy (the triangle Schur PCG needs a relative "
-                    f"residual of {delta:.1e}, within {ROUNDOFF_MULTIPLE:g} "
-                    f"times float64 roundoff u = {UNIT_ROUNDOFF:.1e})"
-                ) from exc
-            report.add_stage("tri_schur", screp)
-            report.params["delta"] = delta
-    return state.d2 @ uplap.back_substitute(state, g, x_c), report
+    # with no wall rows h is empty, of norm 0
+    if np.linalg.norm(h_vec) > 1e-14 * np.linalg.norm(b):
+        delta = eps / (2.0 * one_norm(state.lup))
+        try:
+            x_c, screp = uplap.schur_solve(state, h_vec, delta, "tri_schur")
+        except NumericalError as exc:
+            if delta > ROUNDOFF_MULTIPLE * UNIT_ROUNDOFF:
+                raise
+            raise NumericalError(
+                f"{exc}; eps = {eps:.1e} is below the attainable "
+                "accuracy (the triangle Schur PCG needs a relative "
+                f"residual of {delta:.1e}, within {ROUNDOFF_MULTIPLE:g} "
+                f"times float64 roundoff u = {UNIT_ROUNDOFF:.1e})"
+            ) from exc
+        report.add_stage("tri_schur", screp)
+        report.params["delta"] = delta
+    return state.d2 @ uplap.back_substitute(state, z, x_c), report

@@ -869,7 +869,8 @@ def test_folded_factor_keeps_no_dense_block_and_has_no_l():
 # products and np.linalg run on a second OpenBLAS with its own thread pool
 SCIPY_BLAS_ONLY = {
     dissection: ("_symbolic", "_symbolic_front", "_dense_rank_chol",
-                 "solve_with_factor", "_factor_fronts", "_split",
+                 "solve_with_factor", "forward_sweep", "backward_sweep",
+                 "_root_product", "_factor_fronts", "_split",
                  "nd_cholesky", "_ordered_fronts", "_fold_front",
                  "_schedule", "root_solve"),
     # the sphere reduced wall's dense Schur block
@@ -1239,7 +1240,8 @@ def test_block_factor_graph_block_with_shared_set(rng):
     assert_solves_like_pinv(factor, m, rng)
     # the Gram from the half solve is b^T solve(b), for the coupling's
     # columns and for a b outside the image alike
-    for b in (factor.coupling.T, sp.csr_matrix(rng.standard_normal((5, 3)))):
+    coupling = factor.matrix[factor.shared][:, factor.rows]
+    for b in (coupling.T, sp.csr_matrix(rng.standard_normal((5, 3)))):
         want = b.T @ graph.solve(b.toarray())
         gram = graph.gram(b)
         assert gram.shape == want.shape
@@ -1353,7 +1355,9 @@ def test_vector_and_column_right_hand_sides_solve_alike(rng):
         assert x.shape == (n,)
         assert x.tobytes() == f.solve(b[:, None])[:, 0].tobytes()
         assert x.tobytes() == solve_with_factor(f, b).tobytes()
-    # the root solve of a b on the pinned rows reads the full solve's rows
+    # the root solve of a b on the pinned rows, taken in factor order,
+    # reads the full solve's rows
+    pins = exact.perm[np.isin(exact.perm, pins)]
     root = exact.root_solve(pins)
     v = rng.standard_normal(len(pins))
     full = np.zeros(n)
@@ -1363,3 +1367,24 @@ def test_vector_and_column_right_hand_sides_solve_alike(rng):
     assert y.tobytes() == exact.solve(full, check_image=False)[pins].tobytes()
     assert y.tobytes() == exact.solve(full[:, None],
                                       check_image=False)[pins, 0].tobytes()
+
+
+def test_root_solve_takes_rows_that_fill_their_root_fronts_in_order():
+    # rows out of factor order, short of their fronts, or in a deeper
+    # front are refused rather than solved on the wrong slices
+    c = gen_grid(GridSpec((4, 4, 4)))
+    m = up_laplacian(c, 1)
+    pins = np.arange(0, m.shape[0], 17)
+    exact = nd_cholesky(m, edge_midpoints(c), base_case=16,
+                        root_pins=[pins])
+    root, = [nd for nd in exact._nodes if nd.depth == 0]
+    rows = exact.perm[root.start:root.stop]
+    assert np.array_equal(exact.root_solve(rows).cols,
+                          np.arange(root.start, root.stop))
+    for bad in (rows[::-1], rows[1:]):
+        with pytest.raises(NumericalError, match="factor order"):
+            exact.root_solve(bad)
+    with pytest.raises(NumericalError, match="1 of the rows lie below"):
+        exact.root_solve(np.append(rows, exact.perm[0]))
+    with pytest.raises(ValueError, match="b has shape"):
+        exact.root_solve(rows).solve(np.ones(len(rows) + 1))

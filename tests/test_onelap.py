@@ -770,7 +770,7 @@ def assert_schur_matches_evr(wall):
     Schur complement."""
     rows = wall.matrix[wall.shared]
     schur = rows[:, wall.shared].toarray() - wall.solver.gram(
-        wall.coupling.T)
+        rows[:, wall.rows].T)
     w, v = sla.eigh(schur)
     keep = w > dissection.DEFAULT_PIVOT_TOL * max(w[-1], 0.0)
     want = (v[:, keep] / w[keep]) @ v[:, keep].T

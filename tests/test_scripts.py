@@ -46,3 +46,24 @@ def test_factor_bytes_names_each_workloads_factors():
                 assert int(pinv) == 0
             else:
                 assert 0 < int(pinv) < int(nbytes)
+
+
+def test_up_solve_stages_time_each_workloads_first_up_solve():
+    # workload, Schur iterations and five stage timings; the iterations
+    # repeat in a fresh process, the timings need not
+    script = os.path.join(SCRIPTS, "up_solve_stages.py")
+    runs = [subprocess.run([sys.executable, script], capture_output=True,
+                           text=True, timeout=600) for _ in range(2)]
+    rows = []
+    for out in runs:
+        assert out.returncode == 0, out.stderr
+        rows.append([line.split() for line in out.stdout.splitlines()])
+    assert [row[0] for row in rows[0]] == [
+        "box-stream", "ring-rebuild", "sphere-up"]
+    for name, iters, *times in rows[0]:
+        assert int(iters) > 0 and len(times) == 5
+        seconds = [float(t) for t in times]
+        assert all(t >= 0.0 for t in seconds)
+        # printed to the microsecond, so each part may round up
+        assert sum(seconds[:4]) <= seconds[4] + 4e-6
+    assert [row[:2] for row in rows[1]] == [row[:2] for row in rows[0]]

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,12 +8,13 @@ from tetlap import dissection, oracle, uplap
 from tetlap.complexes import build_complex
 from tetlap.hollowing import (HollowingConfig, find_hollowing,
                               sphere_hollowing, surface_hollowing)
-from tetlap.errors import NumericalError
+from tetlap.downlap import GraphDownLap
+from tetlap.errors import NumericalError, one_norm
 from tetlap.meshgen import GridSpec, HoleSpec, gen_grid
 from tetlap.pcg import generalized_ritz_extremes
 from tetlap.onelap import (build_one_lap_solver, build_union_solver, glue,
                            one_lap_solve)
-from tetlap.upproj import build_up_projection
+from tetlap.upproj import build_up_projection, up_project
 from tetlap.uplap import (
     _disc_rows,
     _up_solve_with_state,
@@ -247,6 +250,143 @@ def test_schur_apply_solves_through_the_interface_root_fronts(rng, monkeypatch,
     assert calls == {"spmv": len(holding), "trtrs": 0, "level": 0, "gemm": 0}
 
 
+def two_full_solves(state, b, delta_of):
+    """(x, Schur iterations) of the block elimination with a full interior
+    solve on each side of the Schur PCG, which runs to delta_of(h): one
+    solve for the right-hand side h and one for the back substitution."""
+    lup, f, cset = state.lup, state.f_all, state.c_idx
+    y = state.interior.solve(b[f], check_image=False)
+    h = b[cset] - lup[cset][:, f] @ y
+    x_c, rep = schur_solve(state, h, delta_of(h), "schur")
+    x = np.zeros_like(b)
+    x[f] = state.interior.solve(b[f] - lup[f][:, cset] @ x_c,
+                                check_image=False)
+    x[cset] = x_c
+    return x, rep.iterations
+
+
+@pytest.mark.parametrize("name", list(SCHUR_STATES))
+def test_one_forward_sweep_solves_like_two_full_interior_solves(rng, name):
+    # the back substitution finishes the right-hand side's forward sweep:
+    # the same Schur iterations, and an answer within rounding of the one
+    # from two full interior solves
+    state = SCHUR_STATES[name]()
+    eps = 1e-8
+    b = state.lup @ rng.standard_normal(state.lup.shape[0])
+    x, rep = _up_solve_with_state(state, b, eps)
+    want, iters = two_full_solves(
+        state, b, lambda h: 0.5 * eps * np.linalg.norm(b) / np.linalg.norm(h))
+    assert rep.stages["schur"].iterations == iters
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+    if name == "projection":
+        f = rng.standard_normal(state.d2.shape[0])
+        p, prep = up_project(state.complex, state.hollowing, f, eps, state)
+        delta = eps / (2.0 * one_norm(state.lup))
+        y, iters = two_full_solves(state, state.d2.T @ f, lambda h: delta)
+        assert prep.stages["tri_schur"].iterations == iters
+        want = state.d2 @ y
+        assert np.linalg.norm(p - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name", ["box8", "sphere"])
+def test_up_solve_sweeps_each_interior_front_once_each_way(rng, monkeypatch,
+                                                           name):
+    # one forward and one backward substitution per front below the root;
+    # the walls (folded, or the reduced system) substitute nothing
+    state = SCHUR_STATES[name]()
+    below = sum(nd.pinv is None for nd in state.interior._nodes)
+    assert below
+    calls = {0: 0, 1: 0}
+    real = dissection._TRTRS
+
+    def spy(*args, trans, **kwargs):
+        calls[trans] += 1
+        return real(*args, trans=trans, **kwargs)
+    monkeypatch.setattr(dissection, "_TRTRS", spy)
+    b = state.lup @ rng.standard_normal(state.lup.shape[0])
+    up_lap_solve(state.complex, state.hollowing, b, 1e-8, state)
+    assert calls == {0: below, 1: below}
+
+
+def test_reduced_wall_apply_makes_one_path_product_each_way(rng,
+                                                            monkeypatch):
+    wall = sphere_state().wall
+    graph = wall.solver
+    calls = {"path": 0, "path_t": 0, "solve": 0}
+
+    class Counting:
+        def __init__(self, key, matrix):
+            self.key, self.matrix = key, matrix
+
+        def __matmul__(self, v):
+            calls[self.key] += 1
+            return self.matrix @ v
+    for key in ("path", "path_t"):
+        monkeypatch.setattr(graph, key, Counting(key, getattr(graph, key)))
+    real = GraphDownLap.solve
+
+    def spy(self, b):
+        calls["solve"] += 1
+        return real(self, b)
+    monkeypatch.setattr(GraphDownLap, "solve", spy)
+    wall.solve(rng.standard_normal(wall.matrix.shape[0]))
+    assert calls == {"path": 1, "path_t": 1, "solve": 0}
+
+
+def test_reduced_wall_solves_columns_as_vectors(rng):
+    wall = sphere_state().wall
+    n = wall.matrix.shape[0]
+    v = wall.matrix @ rng.standard_normal((n, 3))
+    x = wall.solve(v)
+    assert x.shape == (n, 3)
+    for j in range(3):
+        col = wall.solve(v[:, j])
+        assert col.shape == (n,)
+        assert np.linalg.norm(x[:, j] - col) <= 1e-13 * np.linalg.norm(col)
+
+
+def test_schur_entry_points_reject_bad_input():
+    # the 6^3 sphere at r = 64; each check names what it got and wanted
+    c = gen_grid(GridSpec((6, 6, 6)))
+    state = build_up_solver(c, sphere_hollowing(c, 64))
+    n = len(state.c_idx)
+    with pytest.raises(ValueError, match=rf"\({n + 1},\).*\({n},\)"):
+        state.wall.solve(np.ones(n + 1))
+    with pytest.raises(ValueError, match=rf"\({n - 1},\).*\({n},\)"):
+        schur_apply(state, np.ones(n - 1))
+    h = np.ones(n)
+    h[3] = np.nan
+    with pytest.raises(ValueError, match="h has non-finite"):
+        schur_solve(state, h, 1e-6, "schur")
+    with pytest.raises(ValueError, match=rf"h has shape \({n + 1},\)"):
+        schur_solve(state, np.ones(n + 1), 1e-6, "schur")
+    for delta in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="delta must be finite and "
+                                             "positive"):
+            schur_solve(state, np.ones(n), delta, "schur")
+
+
+@pytest.mark.parametrize("kind", ["sphere", "shell"])
+def test_up_solve_report_times_its_stages(rng, kind):
+    # 12^3 sphere and 10^3 shell: the up stage of a 1-Laplacian solve
+    # times its four parts, which make up nearly all of its total
+    k = 12 if kind == "sphere" else 10
+    c = gen_grid(GridSpec((k, k, k)))
+    hollow = sphere_hollowing if kind == "sphere" else find_hollowing
+    h = hollow(c, c.num_simplexes ** 0.6, RELAXED)
+    state = build_one_lap_solver(c, h)
+    _, report = one_lap_solve(c, h, rng.standard_normal(c.num_edges), 1e-6,
+                              state)
+    timings = report.stages["up_solve"].timings
+    parts = ("forward", "schur", "back_substitute", "residual")
+    assert sorted(timings) == sorted(parts + ("total",))
+    assert all(timings[p] > 0.0 for p in timings)
+    share = sum(timings[p] for p in parts) / timings["total"]
+    assert 0.9 <= share <= 1.0
+    written = json.loads(report.to_json())["stages"]["up_solve"]["timings"]
+    assert written == timings
+
+
 def reference_interface_edges(c, boundary_mask):
     """The interior edges that share a triangle with a wall edge: the
     interface rule before the pins were read off the pattern of Lup[F, C]."""
@@ -464,8 +604,8 @@ def test_wall_bytes_for_either_wall_kind():
     reduced = build_up_solver(c, sphere_hollowing(c, 256)).wall
     assert isinstance(reduced, uplap.BlockFactor)
     own = [reduced.rows, reduced.shared, reduced.schur_pinv,
-           reduced.coupling.data, reduced.coupling.indices,
-           reduced.coupling.indptr]
+           reduced.path_coupling.data, reduced.path_coupling.indices,
+           reduced.path_coupling.indptr]
     assert len(reduced.shared) and reduced.nbytes == \
         reduced.solver.nbytes + sum(a.nbytes for a in own)
     assert reduced.solver.nbytes > reduced.solver.path.data.nbytes > 0

@@ -56,8 +56,11 @@ def test_projection_pcg_reports_under_its_own_stage(rng):
     _, report = uplap.up_lap_solve(c, h, up_state.lup @ b, 1e-8,
                                    state=up_state)
     assert report.stages["schur"].stage == "schur"
+    # the empty case: one region and no wall rows
+    _, _, bare = setup((2, 2, 2), 280)
+    assert len(bare.c_idx) == 0
     for name in ("schur", "tri_schur"):
-        _, empty = uplap.schur_solve(state, np.zeros(0), 1e-8, name)
+        _, empty = uplap.schur_solve(bare, np.zeros(0), 1e-8, name)
         assert empty.stage == name
 
 
