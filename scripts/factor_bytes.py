@@ -5,12 +5,13 @@
 Builds the first state of each workload of perfbench/workloads.py at its
 FULL sizes with seed 0, through `answer_digests.first_answers`, and
 prints one line per factor: workload, factor (`wall`, `interior`, `L0`,
-`graph`), bytes stored (`nbytes`), number of solve levels, stored entries
-of the level matrices, and the bytes of the root fronts' packed
-pseudo-inverses (part of `nbytes`; 0 in a folded factor).  `graph` is the
-down solver on the 1-skeleton (a `GraphDownLap`).  A factor without levels
-(it, and the sphere reduced wall, a `BlockFactor`) prints `-` for the last
-three; sphere-up's state has no L0 factor and no graph.
+`graph`), bytes stored (`nbytes`), number of solve levels (in an exact
+factor, those below its root fronts), stored entries of the level
+matrices, and the bytes of the root fronts' packed pseudo-inverses (part
+of `nbytes`; 0 in a folded factor).  `graph` is the down solver on the
+1-skeleton (a `GraphDownLap`).  A factor without levels (it, and the
+sphere reduced wall, a `BlockFactor`) prints `-` for the last three;
+sphere-up's state has no L0 factor and no graph.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ def main() -> int:
             if levels is None:
                 shape = "- - -"
             else:
-                pinv = sum(nd.pinv.nbytes for nd in f._nodes
-                           if nd.pinv is not None)
+                pinv = sum(p.nbytes for p in f.root.pinvs)
                 shape = (f"{len(levels)} "
                          f"{sum(level.a.nnz for level in levels)} {pinv}")
             print(f"{name} {label} {f.nbytes} {shape}")

@@ -147,8 +147,6 @@ def cmd_union_solve(args) -> int:
 def cmd_bench(args) -> int:
     """One CSV row per size that meets the contract; a size whose build or
     solve raises NumericalError is named on stderr, and the exit is 3."""
-    if args.family != "grid":
-        raise ValueError(f"unknown bench family {args.family!r}")
     sizes = [int(s) for s in args.sizes.split(",")]
     rng = np.random.default_rng(args.seed)
     rows, code = [], EXIT_OK
@@ -193,8 +191,9 @@ def _bench_row(args, k, rng) -> dict:
         "probes": state.probes, "eps": args.eps,
         "final_residual": report.final_residual,
         "wall_mb": wall.nbytes / 1e6 if wall is not None else 0.0,
-        # a Schur iteration solves through the interface rows' fronts
-        "interior_rows": len(up.f_all), "iface_rows": len(up.iface),
+        # a Schur iteration solves through the interior's root rows
+        "interior_rows": len(up.f_all),
+        "iface_rows": len(up.interior.root.cols),
     }
 
 
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_union_solve)
 
     p = sub.add_parser("bench", help="scaling benchmark on grid meshes")
-    p.add_argument("--family", default="grid")
     p.add_argument("--sizes", required=True, help="comma-separated grid sizes")
     p.add_argument("--r-rule", default="n35",
                    help="'n35' for r = n^(3/5), or an explicit number")

@@ -13,13 +13,12 @@ sides in the image remain exact.  Solves walk the tree by levels, the
 fronts of one depth at a time: by substitution in an exact solver, and in a
 factor applied as a preconditioner through each level's inverted blocks,
 folded into one sparse matrix.  An exact solver's root fronts, which have
-no rows above them, keep only their pseudo-inverses, packed, and apply
-them in one symmetric product per front.  A solve is a forward sweep and
-a backward sweep, which a caller may run apart, changing the right-hand
-side on root rows between them.  A factor stores nothing its solves do
-not read.  A right-hand side that lives on root fronts solves, for those
-rows, through those fronts alone, in place when the rows fill the fronts
-in factor order.
+no rows above them, leave the levels: its `root` keeps only their
+pseudo-inverses, packed, and applies them in one symmetric product per
+front.  A solve is a forward sweep and a backward sweep, which a caller
+may run apart, changing the right-hand side on root rows between them;
+a right-hand side that lives on root rows solves, for those rows, through
+`root` alone.  A factor stores nothing its solves do not read.
 """
 
 from __future__ import annotations
@@ -138,9 +137,11 @@ def nd_ordering(matrix, coords, base_case: int = DEFAULT_BASE_CASE,
     centroids, ...).  `root_pin` forces the given rows into the root
     separator, eliminated after everything else.  The graph is read once,
     as an edge list of the stored entries, and no sparse matrix is sliced.
+    Raises ValueError unless the matrix is square and `coords` has one
+    finite row per matrix row.
     """
     coo = sp.coo_matrix(matrix)
-    coords = np.asarray(coords, dtype=float)
+    coords = _checked_coords(coo.shape, coords)
     n = coo.shape[0]
     idx = np.arange(n)
     free = np.ones(n, dtype=bool)
@@ -153,6 +154,21 @@ def nd_ordering(matrix, coords, base_case: int = DEFAULT_BASE_CASE,
     perm = np.empty(n, dtype=np.int64)
     _assign_intervals(tree, perm, 0)
     return NdOrdering(perm=perm, tree=tree, n=n)
+
+
+def _checked_coords(shape, coords) -> np.ndarray:
+    """`coords` as floats; ValueError naming `matrix` unless its `shape`
+    is square, and naming `coords` unless it has one finite row per
+    matrix row (of any length)."""
+    if shape[0] != shape[1]:
+        raise ValueError(f"matrix has shape {shape}, expected a square one")
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or len(coords) != shape[0]:
+        raise ValueError(f"coords has shape {coords.shape}, expected one "
+                         f"row per matrix row ({shape[0]}, d)")
+    if not np.isfinite(coords).all():
+        raise ValueError("coords has non-finite entries")
+    return coords
 
 
 def _nd_recurse(coords, idx, eu, ev, base_case):
@@ -191,16 +207,12 @@ class _NodeFactor:
     start: int
     stop: int
     skipped: np.ndarray    # local positions of skipped pivots
-    l11: np.ndarray | None  # dense lower-triangular block, Fortran order,
-                            # a skipped pivot's column the identity's; None
-                            # in an exact factor's root front (see `pinv`)
+    l11: np.ndarray        # dense lower-triangular block, Fortran order, a
+                           # skipped pivot's column the identity's
     rows21: np.ndarray     # permuted row indices below the block
     l21: np.ndarray        # dense (len(rows21), block) sub-diagonal part, a
                            # Fortran-order view into its level's data
     depth: int             # depth of the front in the separator tree
-    # an exact factor's root front: the kept block of its pseudo-inverse,
-    # lower, packed by columns (see `_root_pinv`)
-    pinv: np.ndarray | None = None
 
     @property
     def rank(self) -> int:
@@ -225,19 +237,22 @@ class _Level:
 class CholeskyFactor:
     """P L L^T P^T factorization with skipped (rank-deficient) pivots, kept
     as what its solves read: the fronts below the root with their dense
-    blocks, the root fronts with their packed pseudo-inverses alone, and
-    the levels' sparse matrices.
+    blocks and the levels' sparse matrices, and the root fronts as `root`,
+    their packed pseudo-inverses alone.
 
     A folded factor (built with `folded=True`) keeps only its levels'
-    sparse matrices: it solves with one sparse product per level and
-    direction, and keeps no fronts."""
+    sparse matrices, its root fronts folded into the first: it solves with
+    one sparse product per level and direction, keeps no fronts, and its
+    `root` is empty."""
 
     perm: np.ndarray
     rank: int
     kept: np.ndarray              # bool per permuted position
     matrix: sp.csr_matrix         # original matrix, for residual checks
-    _nodes: list = field(repr=False)    # by start; none when folded
-    _levels: list = field(repr=False)   # root first (see `_schedule`)
+    _nodes: list = field(repr=False)    # below the root, by start; none
+                                        # when folded
+    _levels: list = field(repr=False)   # shallowest first (`_schedule`)
+    root: RootSolve = field(repr=False)
     folded: bool = False
 
     @property
@@ -246,16 +261,17 @@ class CholeskyFactor:
 
     @property
     def nbytes(self) -> int:
-        """Bytes stored by the factor: its fronts' dense blocks or packed
-        pseudo-inverses and its levels' sparse matrices (each front's l21 is
-        a view into its level's), not the input matrix."""
-        arrays = [self.perm, self.kept]
+        """Bytes stored by the factor: its fronts' dense blocks, its root
+        fronts' packed pseudo-inverses and its levels' sparse matrices
+        (each front's l21 is a view into its level's), not the input
+        matrix."""
+        arrays = [self.perm, self.kept, self.root.cols, *self.root.pinvs]
         for nd in self._nodes:
-            arrays += [nd.skipped, nd.l11, nd.rows21, nd.pinv]
+            arrays += [nd.skipped, nd.l11, nd.rows21]
         for level in self._levels:
             arrays += [level.cols, level.skipped, level.a.data,
                        level.a.indices, level.a.indptr]
-        return sum(a.nbytes for a in arrays if a is not None)
+        return sum(a.nbytes for a in arrays)
 
     def solve(self, b, check_image: bool = True) -> np.ndarray:
         """`solve_with_factor`, whose image check a folded factor skips:
@@ -263,52 +279,26 @@ class CholeskyFactor:
         return solve_with_factor(self, b,
                                  check_image=check_image and not self.folded)
 
-    def root_solve(self, rows) -> "RootSolve":
-        """The solve for right-hand sides that vanish outside `rows`, read
-        on `rows` only, through the root (depth-0) fronts that hold them.
-        The rows must fill those fronts in factor order, front after front
-        (as `uplap.eliminate` orders the interface rows); NumericalError
-        otherwise, and when a row lies in a deeper front."""
-        if self.folded:
-            raise ValueError("a folded factor keeps no fronts to solve with")
-        n = self.shape[0]
-        pos = np.empty(n, dtype=np.int64)
-        pos[self.perm] = np.arange(n)
-        p = pos[np.asarray(rows, dtype=np.int64)]
-        roots = [nd for nd in self._nodes if nd.depth == 0]
-        at_root = np.zeros(n, dtype=bool)
-        for nd in roots:
-            at_root[nd.start:nd.stop] = True
-        if not at_root[p].all():
-            raise NumericalError(
-                f"{int(np.sum(~at_root[p]))} of the rows lie below the "
-                "factor's root fronts")
-        fronts = [nd for nd in roots
-                  if np.any((nd.start <= p) & (p < nd.stop))]
-        cols = np.concatenate([np.empty(0, dtype=np.int64)]
-                              + [np.arange(nd.start, nd.stop) for nd in fronts])
-        if not np.array_equal(p, cols):
-            raise NumericalError(
-                "the rows do not fill their root fronts in factor order")
-        return RootSolve(fronts=fronts, cols=cols)
-
 
 @dataclass
 class RootSolve:
-    """`CholeskyFactor.solve` for a right-hand side b that vanishes outside
-    some rows of the root fronts, read back on those rows alone.  Below the
-    root every front and level product then acts on zeros, forward, and
-    backward it writes only rows below the root, so the root fronts' own
-    pseudo-inverse products (`_root_product`) give the same rows, in the
-    same arithmetic.  The rows fill their fronts in factor order, front
-    after front (`CholeskyFactor.root_solve` checks it), so each front's
-    product reads its own slice of b and writes the same slice of the
-    answer, in place."""
-    fronts: list           # the root fronts holding the rows, by start
-    cols: np.ndarray       # the rows' positions in the factor: the fronts'
+    """An exact factor's root (depth-0) fronts, each kept as the kept block
+    of its pseudo-inverse (`_root_pinv`).  A root front has no rows above
+    it, so its forward and backward substitutions run back to back, with
+    only the zeroing of its skipped pivots between them, and `solve` does
+    both in one symmetric product per front (`_root_product`).  That is
+    also the whole solve for a b that vanishes off the root rows, read
+    back on them: below the root every product then acts on zeros forward
+    and writes only rows below the root backward."""
+    cols: np.ndarray       # the fronts' positions in the factor, in order
+    sizes: list            # rows per front
+    ranks: list            # kept pivots per front, its first rows
+    pinvs: list            # per front, its pseudo-inverse, packed
 
     def solve(self, b) -> np.ndarray:
-        """The solve for b of shape (len(rows),) or (len(rows), k)."""
+        """K b for K the root fronts' pseudo-inverses, b of shape
+        (len(cols),) or (len(cols), k) over `cols`, each front's product
+        reading its own slice of b and writing the same slice of K b."""
         b = np.ascontiguousarray(b, dtype=float)
         if b.ndim not in (1, 2) or b.shape[0] != len(self.cols):
             raise ValueError(f"b has shape {b.shape}, expected "
@@ -316,9 +306,9 @@ class RootSolve:
         y = np.empty_like(b)
         xs, ys, k = b.reshape(-1), y.reshape(-1), _columns(b)
         off = 0
-        for nd in self.fronts:
-            _root_product(nd, xs, ys, off, k)
-            off += nd.stop - nd.start
+        for size, rank, pinv in zip(self.sizes, self.ranks, self.pinvs):
+            _root_product(pinv, rank, size, xs, ys, off, k)
+            off += size
         return y
 
 
@@ -332,32 +322,36 @@ def nd_cholesky(matrix, coords, blocks=None, root_pins=None,
     scheduled once, `folded` for a factor applied as a preconditioner (see
     `_schedule`: an inverse rounds worse than substitution, so exact
     solvers stay unfolded).  An exact solver's root fronts are the
-    exception: each trades its l11 for its pseudo-inverse (`_root_pinv`).
-    A root front has no rows above it, so its two substitutions run back to
-    back and are one product with that inverse, the last step of the
-    solve.  Its forward error is of the order of the substitutions' (the
-    front's condition number times the unit roundoff), and no later
-    product carries it into other rows, as a folded inverse's is carried
-    down the levels below.  The tests
+    exception: they leave the levels for its `root`, which keeps each
+    one's pseudo-inverse (`_root_pinv`) in place of its l11.  The
+    product with that inverse has a forward error of the order of the two
+    substitutions' (the front's condition number times the unit
+    roundoff), and no later product carries it into other rows, as a
+    folded inverse's is carried down the levels below.  The tests
     `test_root_pinv_matches_the_front_schur_pinv` and
     `test_root_pinv_of_a_definite_and_of_an_all_skipped_front` bound the
     inverse against the pseudo-inverse of the front's Schur complement,
     and the solve tests bound the answer against the matrix.  Raises
     NumericalError when two blocks are coupled or the matrix is
-    indefinite, and ValueError when it has a non-finite stored entry or
-    `blocks` do not partition its rows.
+    indefinite, and ValueError for a bad `coords` or `matrix` (see
+    `nd_ordering`) or a non-finite stored entry, and when `blocks` do not
+    partition its rows.
     """
     matrix = _finite_csr(matrix)
     perm, kept, nodes = _ordered_fronts(matrix, coords, blocks, root_pins,
                                         base_case)
-    if not folded:
-        for nd in nodes:
-            if nd.depth == 0:
-                nd.pinv, nd.l11 = _root_pinv(nd), None
+    roots = [] if folded else [nd for nd in nodes if nd.depth == 0]
+    root = RootSolve(
+        cols=np.concatenate([np.empty(0, dtype=np.int64)]
+                            + [np.arange(nd.start, nd.stop) for nd in roots]),
+        sizes=[nd.stop - nd.start for nd in roots],
+        ranks=[nd.rank for nd in roots],
+        pinvs=[_root_pinv(nd) for nd in roots])
+    nodes = [nd for nd in nodes if nd.depth or folded]
     return CholeskyFactor(perm=perm, rank=int(kept.sum()), kept=kept,
                           matrix=matrix, _nodes=[] if folded else nodes,
                           _levels=_schedule(nodes, len(perm), folded),
-                          folded=folded)
+                          root=root, folded=folded)
 
 
 def _ordered_fronts(matrix, coords, blocks, root_pins, base_case):
@@ -369,7 +363,7 @@ def _ordered_fronts(matrix, coords, blocks, root_pins, base_case):
     i, in its root separator, and its own pivot threshold,
     DEFAULT_PIVOT_TOL times its largest diagonal entry; the blocks' roots
     are the roots, under one empty root."""
-    coords = np.asarray(coords, dtype=float)
+    coords = _checked_coords(matrix.shape, coords)
     n = matrix.shape[0]
     blocks = [np.arange(n)] if blocks is None else [
         np.asarray(rows, dtype=np.int64) for rows in blocks]
@@ -560,16 +554,17 @@ def _factor_fronts(matrix, ordering, pivot_tol, scale):
 
 
 def _schedule(nodes, n, folded=False):
-    """The solve's levels, root first: the fronts of each depth, with their
-    blocks as one sparse matrix of n rows and one column per position of
-    the level, its data the blocks column by column.  Unfolded, the blocks
+    """The solve's levels, shallowest first: the fronts of each depth, with
+    their blocks as one sparse matrix of n rows and one column per position
+    of the level, its data the blocks column by column.  Unfolded, the blocks
     are the l21, and each node's l21 becomes a view into the data, so no
     block is stored twice.  Folded, they are the columns of `_fold_front`,
     and the level keeps no fronts."""
     levels = []
     for depth in range(max((nd.depth for nd in nodes), default=-1) + 1):
         group = [nd for nd in nodes if nd.depth == depth]
-        if not group:   # only empty separators at this depth
+        # no front here: only empty separators, or an exact factor's root
+        if not group:
             continue
         counts = np.concatenate([_fold_counts(nd) if folded
                                  else np.full(nd.stop - nd.start,
@@ -651,17 +646,17 @@ def _root_pinv(nd):
     return packed
 
 
-def _root_product(nd, xs, ys, off, k):
-    """Rows off:off + bs of y = K x for K the root front's pseudo-inverse
-    (see `_root_pinv`), x and y distinct C-order arrays of k columns, flat
-    (`xs`, `ys`): one BLAS `dspmv` per column on the kept rows, reading x
-    and writing y in place through offsets and strides, and zeros on the
+def _root_product(pinv, rank, size, xs, ys, off, k):
+    """Rows off:off + size of y = K x for K the pseudo-inverse of a root
+    front of `size` rows, the first `rank` kept, packed in `pinv` (see
+    `_root_pinv`), x and y distinct C-order arrays of k columns, flat (`xs`,
+    `ys`): one BLAS `dspmv` per column on the kept rows, reading x and
+    writing y in place through offsets and strides, and zeros on the
     skipped rows."""
-    rank = nd.rank
     for j in range(k if rank else 0):
-        _SPMV(rank, 1.0, nd.pinv, xs, incx=k, offx=off * k + j, y=ys,
+        _SPMV(rank, 1.0, pinv, xs, incx=k, offx=off * k + j, y=ys,
               incy=k, offy=off * k + j, lower=1, overwrite_y=1)
-    ys[(off + rank) * k:(off + nd.stop - nd.start) * k] = 0.0
+    ys[(off + rank) * k:(off + size) * k] = 0.0
 
 
 def _dense_rank_chol(a, scale, pivot_tol):
@@ -699,7 +694,7 @@ def solve_with_factor(factor: CholeskyFactor, b,
     `forward_sweep`: one sparse product per level and direction, and in an
     unfolded factor one LAPACK `dtrtrs` per front below the root and
     direction besides, and per root front and column of b one BLAS `dspmv`
-    with its packed pseudo-inverse (`_root_product`).  Raises ValueError
+    with its packed pseudo-inverse (`RootSolve`).  Raises ValueError
     for a b of another row count or with non-finite entries, and with
     `check_image` NumericalError when M x misses a nonzero column of b by
     more than IMAGE_TOL relative to it."""
@@ -718,31 +713,28 @@ def solve_with_factor(factor: CholeskyFactor, b,
 def forward_sweep(factor: CholeskyFactor, b) -> np.ndarray:
     """The forward half of the solve, for the float b of shape (n,) or
     (n, k), unchecked: z with L z = b in factor order (`b[perm]`), except
-    on the root fronts' rows, which keep what the updates from below them
-    leave there.  A root front has no rows above it, so its forward and
-    backward substitutions run back to back, with only the zeroing of its
-    skipped pivots between them, and `backward_sweep` does both in one
-    pseudo-inverse product.  z is the caller's."""
+    on the root rows, which keep what the updates from below them leave
+    there for `backward_sweep` to start with.  z is the caller's."""
     z = b[factor.perm]
     # L y = z, deepest level first; y at a skipped pivot is never read,
     # since its column of l11 is zero below the diagonal and its column of
     # l21 is zero
     for level in reversed(factor._levels):
         for nd in level.nodes:
-            if nd.pinv is None:
-                y = z[nd.start:nd.stop]
-                y[:] = _triangular_solve(nd.l11, y, trans=0)
+            y = z[nd.start:nd.stop]
+            y[:] = _triangular_solve(nd.l11, y, trans=0)
         _level_update(z, level, trans=False)
     return z
 
 
 def backward_sweep(factor: CholeskyFactor, z) -> np.ndarray:
-    """The backward half of the solve, in the matrix's row order: each
-    root front's pseudo-inverse product, then L^T x = z, root level first,
+    """The backward half of the solve, in the matrix's row order: the root
+    fronts' solve (`factor.root`), then L^T x = z, shallowest level first,
     for z from `forward_sweep`, or one that differs from it on root rows
     only (`uplap.back_substitute`).  z is read, not written."""
     x = z.copy()
-    xs, zs, k = x.reshape(-1), z.reshape(-1), _columns(z)
+    root = factor.root
+    x[root.cols] = root.solve(z[root.cols])
     # a zero right-hand side at a skipped pivot makes x exactly 0 there,
     # and zeroing it before the level's product changes nothing else, since
     # the level matrix's column at a skipped pivot is zero
@@ -750,11 +742,8 @@ def backward_sweep(factor: CholeskyFactor, z) -> np.ndarray:
         x[level.skipped] = 0.0
         _level_update(x, level, trans=True)
         for nd in level.nodes:
-            if nd.pinv is None:
-                seg = x[nd.start:nd.stop]
-                seg[:] = _triangular_solve(nd.l11, seg, trans=1)
-            else:   # the root front's whole solve
-                _root_product(nd, zs, xs, nd.start, k)
+            seg = x[nd.start:nd.stop]
+            seg[:] = _triangular_solve(nd.l11, seg, trans=1)
     out = np.empty_like(x)
     out[factor.perm] = x
     return out

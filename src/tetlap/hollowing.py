@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .errors import UnsupportedGeometryError
+from .errors import UnsupportedGeometryError, check_tolerance
 from .meshgen import _adjacency, _exterior_components, skeleton_diameter
 
 # measured-constant budgets for the asymptotic O(.) bounds, which the
@@ -233,9 +233,11 @@ def find_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
 
     Preconditions: the complex has a well-shaped boundary structure at
     parameter r (checked; violations raise UnsupportedGeometryError) and
-    r < number of simplexes.  Small meshes where no wall fits return the
-    degenerate single-region hollowing with an empty boundary class.
+    r < number of simplexes.  An r that is not finite and positive raises
+    ValueError.  Small meshes where no wall fits return the degenerate
+    single-region hollowing with an empty boundary class.
     """
+    check_tolerance(r, "r")
     config = config or HollowingConfig()
     tri_adj = _adjacency(abs(c.boundary(2)))
     labels, largest = _check_boundary_structure(c, r, config, tri_adj)
@@ -298,8 +300,10 @@ def surface_hollowing(c, r=None) -> Hollowing:
     """Single-region hollowing whose boundary class is every exterior
     simplex.  The one valid choice for small chunks that still need a
     nonempty boundary, e.g. to glue on, at the price of a preconditioner
-    that is the whole surface complex."""
-    r = float(c.num_simplexes if r is None else r)
+    that is the whole surface complex.  A given r that is not finite and
+    positive raises ValueError; by default it is the number of
+    simplexes."""
+    r = float(c.num_simplexes) if r is None else check_tolerance(r, "r")
     h = _single_region(c, r, "surface")
     # triangles touching any exterior edge join the boundary class: glued
     # unions rely on interior triangles of different chunks never sharing
@@ -481,7 +485,9 @@ def _record_metrics(c, h: Hollowing, r):
 def sphere_hollowing(c, r, config: HollowingConfig | None = None) -> Hollowing:
     """Lattice-plane hollowing: region boundaries are triangulated 2-spheres
     that pairwise intersect in discs.  Requires holes to stay clear of the
-    cutting planes, and refuses a region boundary that is not a sphere."""
+    cutting planes, and refuses a region boundary that is not a sphere.  An
+    r that is not finite and positive raises ValueError."""
+    check_tolerance(r, "r")
     config = config or HollowingConfig()
     labels, largest = _check_boundary_structure(
         c, r, config, _adjacency(abs(c.boundary(2))))

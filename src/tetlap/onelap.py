@@ -305,9 +305,10 @@ def glue(chunks, identifications, hollowings) -> UnionComplex:
 
     `identifications` is a list of vertex classes, each a list of
     (chunk_index, vertex_index) pairs merged into one global vertex; every
-    member is checked.  With the chunks' vertices numbered one after
-    another, glued vertices are numbered in order of their classes'
-    smallest such number.  Induced shared edges/triangles must be exterior
+    member is checked.  Classes that share a member merge, and a merge that
+    joins two vertices of one chunk raises ValueError.  With the chunks'
+    vertices numbered one after another, glued vertices are numbered in
+    order of their classes' smallest such number.  Induced shared edges/triangles must be exterior
     in every chunk and on the boundary class of that chunk's hollowing.
     The glued complex's vertices are the chunks' charts laid side by side
     along x, an atlas that orders its factors, not an embedding.
@@ -341,6 +342,13 @@ def glue(chunks, identifications, hollowings) -> UnionComplex:
                          shape=(offsets[-1], offsets[-1]))
     num_vertices, global_id = connected_components(same, directed=False)
     vertex_maps = [global_id[offsets[k]:offsets[k + 1]] for k in range(len(chunks))]
+    # classes sharing a member merge, which may join two vertices of a chunk
+    for k, vmap in enumerate(vertex_maps):
+        counts = np.bincount(vmap)
+        if counts.max(initial=0) > 1:
+            a, b = np.flatnonzero(vmap == np.argmax(counts))[:2]
+            raise ValueError(f"identifications merge vertices {a} and {b} of "
+                             f"chunk {k} (maps must be injective)")
 
     # the atlas: chunk 0's chart as it is, each later chart moved along x to
     # start where the previous one ends; a shared vertex takes the later

@@ -8,13 +8,13 @@ a hollowing; `upproj` runs it on the triangle Gram matrix d2^T d2, and
 `schur_rhs` and `back_substitute` serve both.
 
 The Schur complement reaches the interior only through the interface rows,
-the interior rows coupled to the wall.  They are pinned into their region's
-root front and kept in factor order, so each Schur apply solves through
-those root fronts alone, one packed pseudo-inverse product per front, in
-place on its slice of the interface vector, and no triangular solve:
-deeper fronts would act on zeros forward and write only rows the apply
-never reads backward, so the result is the full interior solve's, bit for
-bit, and the Schur residual stays the whole residual.  A solve sweeps the
+the interior rows coupled to the wall.  Each region's are pinned as its
+root separator, so they are the interior factor's root rows, and each
+Schur apply solves through the factor's `root` alone, one packed
+pseudo-inverse product per root front, and no triangular solve: deeper
+fronts would act on zeros forward and write only rows the apply never
+reads backward, so the result is the full interior solve's, bit for bit,
+and the Schur residual stays the whole residual.  A solve sweeps the
 interior once each way: `schur_rhs` keeps its forward sweep, and
 `back_substitute` takes A[F,C] x_C off that sweep's root rows and runs the
 backward half.
@@ -39,7 +39,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .complexes import up_laplacian
-from .dissection import (_GEMM, DEFAULT_PIVOT_TOL, CholeskyFactor, RootSolve,
+from .dissection import (_GEMM, DEFAULT_PIVOT_TOL, CholeskyFactor,
                          backward_sweep, forward_sweep, nd_cholesky)
 from .downlap import GraphDownLap, bfs_parents
 from .errors import (NumericalError, UnsupportedGeometryError, check_state,
@@ -71,13 +71,10 @@ class UpSolverState:
     interior: CholeskyFactor         # lup[F, F] over f_all, one block per region
     # the wall preconditioner over c_idx, by kind (see build_up_solver)
     wall: Optional[CholeskyFactor | BlockFactor]
-    # positions in f_all of the interface rows, in factor order: they fill
-    # their root fronts, front after front
-    iface: np.ndarray
-    root: RootSolve                  # the interior solve through those fronts
     l_cc: sp.csr_matrix
-    l_ci: sp.csr_matrix              # lup[C, F] over the interface columns
-    l_ic: sp.csr_matrix              # lup[F, C] over the interface rows
+    # lup[C, F] and lup[F, C] over the interior's root rows, in factor order
+    l_ci: sp.csr_matrix
+    l_ic: sp.csr_matrix
 
 
 def build_up_solver(c, h: Hollowing) -> UpSolverState:
@@ -115,10 +112,9 @@ def eliminate(c, h: Hollowing, matrix, d2, coords, regions, c_idx,
 
     The interface rows are the interior rows that matrix[F, C] couples to
     the wall; for Lup they are the interior edges that share a triangle
-    with a wall edge.  They are pinned into their region's root front and
-    ordered as the factor holds them, so each root front's product reads
-    and writes its own slice of a vector over them; l_ic's rows follow
-    that order, and l_ci's columns are renumbered to it.
+    with a wall edge.  Each region's are pinned as its root separator, so
+    they lie in the interior factor's root rows, `interior.root.cols`, and
+    l_ic's rows and l_ci's columns run over those rows in that order.
     The interior factors stay unfolded: the Schur residual is the whole
     residual only while the interior solve is exact.
     """
@@ -134,25 +130,21 @@ def eliminate(c, h: Hollowing, matrix, d2, coords, regions, c_idx,
         matrix[f_all][:, f_all], coords[f_all],
         blocks=np.split(np.arange(len(f_all)), np.cumsum(sizes)[:-1]),
         root_pins=[np.flatnonzero(pinned[f]) for f in regions])
-    # the interface rows, in factor order; the pins are their regions'
-    # whole root separators, so these rows fill their root fronts
-    # (`root_solve` checks it) and `root.cols` are their positions in the
-    # factor
-    iface = interior.perm[pinned[f_all][interior.perm]]
-    # matrix[C, F] reads only the interface columns; renumbering them
-    # keeps each row's stored entries in the matrix's column order, so
-    # products with l_ci sum as matrix[C, F] does
+    # the root rows, as positions in f_all, in factor order
+    root_rows = interior.perm[interior.root.cols]
+    # matrix[C, F] reads only the interface columns, all root rows;
+    # renumbering them keeps each row's stored entries in the matrix's
+    # column order, so products with l_ci sum as matrix[C, F] does
     l_cf = matrix[c_idx][:, f_all]
     where = np.empty(len(f_all), dtype=l_cf.indices.dtype)
-    where[iface] = np.arange(len(iface))
+    where[root_rows] = np.arange(len(root_rows))
     l_ci = sp.csr_matrix((l_cf.data, where[l_cf.indices], l_cf.indptr),
-                         shape=(len(c_idx), len(iface)))
+                         shape=(len(c_idx), len(root_rows)))
     return UpSolverState(
         complex=c, hollowing=h, weights=[w.copy() for w in c.weights],
         lup=matrix, d2=d2, f_all=f_all, c_idx=c_idx,
-        interior=interior, wall=wall, iface=iface,
-        root=interior.root_solve(iface),
-        l_cc=matrix[c_idx][:, c_idx].tocsr(), l_ci=l_ci, l_ic=l_fc[iface])
+        interior=interior, wall=wall,
+        l_cc=matrix[c_idx][:, c_idx].tocsr(), l_ci=l_ci, l_ic=l_fc[root_rows])
 
 
 def schur_apply(state: UpSolverState, x_c):
@@ -161,14 +153,14 @@ def schur_apply(state: UpSolverState, x_c):
     ValueError.
 
     A[F,C] x vanishes off the interface rows, and A[C,F] reads only them,
-    so the interior solve runs through the root fronts holding them, one
-    packed pseudo-inverse product each, in place on the interface vector:
-    the same arithmetic on the same rows as the full solve."""
+    all root rows of the interior factor, so the interior solve runs
+    through its `root` alone, one packed pseudo-inverse product per root
+    front: the same arithmetic on the same rows as the full solve."""
     x_c = np.asarray(x_c, dtype=float)
     if x_c.shape != (len(state.c_idx),):
         raise ValueError(f"x_c has shape {x_c.shape}, expected "
                          f"({len(state.c_idx)},)")
-    y = state.root.solve(state.l_ic @ x_c)
+    y = state.interior.root.solve(state.l_ic @ x_c)
     return state.l_cc @ x_c - state.l_ci @ y
 
 
@@ -210,10 +202,11 @@ def schur_solve(state: UpSolverState, h_vec, delta: float, stage: str):
 def schur_rhs(state: UpSolverState, b):
     """(h, z): h = b_C - A[C,F] A[F,F]^+ b_F, the Schur complement's
     right-hand side, and z the interior forward sweep of b_F, which
-    `back_substitute` finishes.  A[C,F] reads the interface rows only, so
-    of the backward half only their root fronts' products run here."""
+    `back_substitute` finishes.  A[C,F] reads root rows only, so of the
+    backward half only the root fronts' products run here."""
     z = forward_sweep(state.interior, b[state.f_all])
-    y = state.root.solve(z[state.root.cols])
+    root = state.interior.root
+    y = root.solve(z[root.cols])
     return b[state.c_idx] - state.l_ci @ y, z
 
 
@@ -221,10 +214,9 @@ def back_substitute(state: UpSolverState, z, x_c) -> np.ndarray:
     """x with x_C = x_c and x_F = A[F,F]^+ (b_F - A[F,C] x_c), for z the
     forward sweep of b_F from `schur_rhs`, which it overwrites.  A[F,C] x_c
     lives on the interface rows, root rows the forward sweep leaves as they
-    are, so it is taken off z there and only the root products and the
-    backward sweep run.  The interior solve goes unchecked: each caller
-    checks its own answer."""
-    z[state.root.cols] -= state.l_ic @ x_c
+    are, so it is taken off z there and only the backward sweep runs.  The
+    interior solve goes unchecked: each caller checks its own answer."""
+    z[state.interior.root.cols] -= state.l_ic @ x_c
     x = np.zeros(state.lup.shape[0])
     x[state.f_all] = backward_sweep(state.interior, z)
     x[state.c_idx] = x_c

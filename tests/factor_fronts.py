@@ -1,6 +1,7 @@
 """An exact factor's fronts as they leave the numeric pass, before its root
-fronts trade their dense l11 for packed pseudo-inverses, and the lower
-factor L assembled from them; the factor itself keeps neither."""
+fronts trade their dense l11 for the packed pseudo-inverses of its `root`,
+and the lower factor L assembled from them; the factor itself keeps
+neither."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,23 +18,29 @@ def exact_build(matrix, coords, blocks=None, root_pins=None,
                 base_case=DEFAULT_BASE_CASE):
     """(factor, fronts): the exact `nd_cholesky` factor and its fronts from
     the same ordering and numeric pass.  Asserts that the factor's perm,
-    kept and fronts are those, byte for byte, each root front holding its
-    pseudo-inverse in place of its l11."""
+    kept and fronts below the root are those, byte for byte, and its
+    `root` holds each root front's pseudo-inverse in place of its l11."""
     factor = dissection.nd_cholesky(matrix, coords, blocks=blocks,
                                     root_pins=root_pins, base_case=base_case)
     perm, kept, fronts = dissection._ordered_fronts(
         factor.matrix, coords, blocks, root_pins, base_case)
     assert same_bytes(perm, factor.perm) and same_bytes(kept, factor.kept)
+    below = [nd for nd in fronts if nd.depth]
     assert [(nd.start, nd.stop, nd.depth) for nd in factor._nodes] == [
-        (nd.start, nd.stop, nd.depth) for nd in fronts]
-    for got, nd in zip(factor._nodes, fronts):
-        for name in ("skipped", "rows21", "l21"):
+        (nd.start, nd.stop, nd.depth) for nd in below]
+    for got, nd in zip(factor._nodes, below):
+        for name in ("skipped", "l11", "rows21", "l21"):
             assert same_bytes(getattr(got, name), getattr(nd, name)), name
-        if nd.depth == 0:
-            assert got.l11 is None
-            assert same_bytes(got.pinv, dissection._root_pinv(nd))
-        else:
-            assert same_bytes(got.l11, nd.l11) and got.pinv is None
+    roots = [nd for nd in fronts if nd.depth == 0]
+    root = factor.root
+    assert same_bytes(root.cols, np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [np.arange(nd.start, nd.stop) for nd in roots]))
+    assert root.sizes == [nd.stop - nd.start for nd in roots]
+    assert root.ranks == [nd.rank for nd in roots]
+    assert len(root.pinvs) == len(roots)
+    for pinv, nd in zip(root.pinvs, roots):
+        assert same_bytes(pinv, dissection._root_pinv(nd))
     return factor, fronts
 
 

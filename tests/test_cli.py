@@ -277,7 +277,7 @@ def test_union_solve_command(tmp_path):
 
 def test_bench_schema(tmp_path):
     out = tmp_path / "bench.csv"
-    code = main(["bench", "--family", "grid", "--sizes", "4",
+    code = main(["bench", "--sizes", "4",
                  "--r-rule", "48", "--eps", "1e-5", "--seed", "3",
                  "--shell-width", "2", "--separation", "2",
                  "--out", str(out)])

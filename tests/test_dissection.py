@@ -757,20 +757,23 @@ def test_solve_by_levels_makes_no_per_front_update(rng, monkeypatch):
     exact = nd_cholesky(m, edge_midpoints(c), base_case=16)
     folded = nd_cholesky(m, edge_midpoints(c), base_case=16, folded=True)
     assert exact.rank < exact.shape[0]
-    assert len(exact._levels) == len(folded._levels) < len(exact._nodes)
+    # the exact factor's root fronts leave the levels for its root record
+    assert len(exact._levels) + 1 == len(folded._levels) < len(exact._nodes)
     # the transpose shares each level's arrays; unfolded, every l21 is a
     # view into its level's data too, so no block is stored twice, and
     # folded, no front is left and no dense block kept
     for f in (exact, folded):
-        for level in f._levels[1:]:
+        for level in f._levels:
             assert level.a.nnz
             assert np.shares_memory(level.at.data, level.a.data)
             for nd in level.nodes:
                 assert np.shares_memory(nd.l21, level.a.data)
     assert all(level.nodes for level in exact._levels)
+    assert all(nd.depth for nd in exact._nodes)
     assert not folded._nodes and not any(lv.nodes for lv in folded._levels)
-    roots = [nd for nd in exact._nodes if nd.depth == 0]
-    assert roots and all(nd.rank for nd in roots)
+    assert not len(folded.root.cols) and not folded.root.pinvs
+    roots = exact.root.ranks
+    assert roots and all(roots)
     calls = {"gemm": 0, "trtrs": 0, "spmv": 0, "level": 0}
 
     def counting(name, fn):
@@ -783,7 +786,7 @@ def test_solve_by_levels_makes_no_per_front_update(rng, monkeypatch):
         monkeypatch.setattr(dissection, attr,
                             counting(name, getattr(dissection, attr)))
     for f, trtrs, spmv in (
-            (exact, 2 * (len(exact._nodes) - len(roots)), len(roots)),
+            (exact, 2 * len(exact._nodes), len(roots)),
             (folded, 0, 0)):
         for shape, k in ((f.shape[0], 1), ((f.shape[0], 3), 3)):
             calls.update(gemm=0, trtrs=0, spmv=0, level=0)
@@ -804,19 +807,21 @@ def test_root_pinv_of_a_definite_and_of_an_all_skipped_front(rng):
     line = np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)])
     m = (path_laplacian(n) + sp.identity(n)).tocsr()
     f = nd_cholesky(m, line)
-    root, = f._nodes
-    assert root.depth == 0 and root.rank == n
-    assert root.pinv.shape == (n * (n + 1) // 2,)
+    assert not f._nodes and not f._levels
+    pinv, = f.root.pinvs
+    assert f.root.sizes == f.root.ranks == [n]
+    assert pinv.shape == (n * (n + 1) // 2,)
     inv = np.linalg.inv(m.toarray())
-    k = f.root_solve(np.arange(n)).solve(np.eye(n))
+    k = f.root.solve(np.eye(n))
     assert np.linalg.norm(k - inv) <= 1e-13 * np.linalg.norm(inv)
     b = rng.standard_normal(n)
     assert np.linalg.norm(f.solve(b) - inv @ b) <= 1e-13 * np.linalg.norm(b)
     assert f.solve(np.zeros((n, 0))).shape == (n, 0)
     zero = nd_cholesky(sp.csr_matrix((n, n)), line)
-    root, = zero._nodes
-    assert root.depth == 0 and root.rank == 0 and root.pinv.size == 0
-    assert not zero.root_solve(np.arange(n)).solve(np.eye(n)).any()
+    pinv, = zero.root.pinvs
+    assert zero.root.sizes == [n] and zero.root.ranks == [0]
+    assert pinv.size == 0
+    assert not zero.root.solve(np.eye(n)).any()
     assert not zero.solve(np.zeros((n, 2))).any()
     assert not zero.solve(b, check_image=False).any()
     with pytest.raises(NumericalError):
@@ -835,10 +840,11 @@ def test_folded_factor_matches_its_substitution_twin(rng):
         exact = nd_cholesky(m, coords, base_case=base_case)
         folded = nd_cholesky(m, coords, base_case=base_case, folded=True)
         assert folded.folded and not exact.folded
+        # the exact twin's root fronts are its root record, not a level
         assert (folded.rank, folded.perm.tobytes(), folded.kept.tobytes(),
                 len(folded._levels)) == (
             exact.rank, exact.perm.tobytes(), exact.kept.tobytes(),
-            len(exact._levels))
+            len(exact._levels) + 1)
         n = exact.shape[0]
         for shape in (n, (n, 3)):
             b = m @ rng.standard_normal(shape)
@@ -860,7 +866,8 @@ def test_folded_factor_keeps_no_dense_block_and_has_no_l():
     # neither factor has an L: the folded one keeps no fronts, the
     # unfolded one keeps its fronts, from which the tests assemble L
     assert not folded._nodes and not hasattr(folded, "L")
-    assert not hasattr(exact, "L") and len(exact._nodes) == len(fronts)
+    assert not hasattr(exact, "L")
+    assert len(exact._nodes) + len(exact.root.pinvs) == len(fronts)
     assert (lower_factor(fronts, exact.shape[0]).nnz
             and all(nd.l11.size for nd in fronts))
 
@@ -872,9 +879,9 @@ SCIPY_BLAS_ONLY = {
                  "solve_with_factor", "forward_sweep", "backward_sweep",
                  "_root_product", "_factor_fronts", "_split",
                  "nd_cholesky", "_ordered_fronts", "_fold_front",
-                 "_schedule", "root_solve"),
+                 "_schedule", "RootSolve.solve"),
     # the sphere reduced wall's dense Schur block
-    uplap: ("__init__",),
+    uplap: ("BlockFactor.__init__",),
 }
 NUMPY_BLAS = {"dot", "matmul", "inner", "vdot", "tensordot", "einsum", "linalg"}
 
@@ -895,10 +902,35 @@ def test_factor_kernels_call_no_numpy_blas():
     for module, names in SCIPY_BLAS_ONLY.items():
         with open(module.__file__) as fh:
             tree = ast.parse(fh.read())
-        funcs = {node.name: node for node in ast.walk(tree)
+        # module functions by name, methods as Class.method
+        funcs = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
+        funcs.update({f"{cls.name}.{node.name}": node for cls in tree.body
+                      if isinstance(cls, ast.ClassDef) for node in cls.body
+                      if isinstance(node, ast.FunctionDef)})
         for name in names:
             assert list(numpy_blas_uses(funcs[name])) == [], name
+
+
+def test_nd_entry_points_reject_bad_coords_and_non_square_matrices():
+    # short, long, non-finite and 1-D coords, and a non-square matrix, are
+    # refused where they enter, not by an IndexError deep inside or by
+    # silently reading the first rows
+    m = path_laplacian(6)
+    line = np.column_stack([np.arange(6.0), np.zeros(6), np.zeros(6)])
+    holed = line.copy()
+    holed[2, 1] = np.nan
+    for build in (nd_ordering, nd_cholesky):
+        for coords in (line[:5], np.vstack([line, line[:1]]), line[:, 0]):
+            with pytest.raises(ValueError, match="coords has shape"):
+                build(m, coords)
+        with pytest.raises(ValueError, match="coords has non-finite"):
+            build(m, holed)
+        with pytest.raises(ValueError, match=r"matrix has shape \(6, 5\)"):
+            build(sp.csr_matrix(np.ones((6, 5))), line)
+        # any number of columns per row
+        build(m, line[:, :2])
+    assert nd_cholesky(m, line[:, :1]).rank == 6
 
 
 def test_nd_ordering_indexes_no_sparse_matrix(monkeypatch):
@@ -1163,7 +1195,7 @@ def test_nd_cholesky_over_blocks_solves_their_rows(rng):
         assert factor.shape == (11, 11)
         assert_solves_like_pinv(factor, m, rng)
     exact = nd_cholesky(m, rng.random((11, 3)), blocks=blocks)
-    assert sum(nd.depth == 0 for nd in exact._nodes) == 2
+    assert len(exact.root.pinvs) == 2
 
 
 def test_block_factor_with_shared_set(rng):
@@ -1178,14 +1210,16 @@ def test_block_factor_with_shared_set(rng):
     for folded in (False, True):
         factor = nd_cholesky(m, coords, root_pins=[shared], folded=folded)
         assert_solves_like_pinv(factor, m, rng)
-        root = factor.perm[factor._levels[0].cols]
+        # folded, the root fronts are the first level
+        root = factor.perm[factor._levels[0].cols if folded
+                           else factor.root.cols]
         assert np.isin(shared, root).all()
     exact = nd_cholesky(m, coords, root_pins=[shared])
-    assert sum(nd.depth == 0 for nd in exact._nodes) == 1
+    assert len(exact.root.pinvs) == 1
     uncoupled = coupled_psd(rng, blocks, 12)
     apart = nd_cholesky(uncoupled, coords, blocks=blocks + [shared])
     assert_solves_like_pinv(apart, uncoupled, rng)
-    assert sum(nd.depth == 0 for nd in apart._nodes) == 3
+    assert len(apart.root.pinvs) == 3
 
 
 def test_each_block_keeps_its_pivot_threshold(rng):
@@ -1278,8 +1312,8 @@ def test_nd_cholesky_rejects_a_coupling_outside_the_shared_rows(rng):
     # one block with rows 2, 3 and 4 pinned into its root solves the rows
     factor = nd_cholesky(m, rng.random((7, 3)), root_pins=[[2, 3, 4]])
     assert_solves_like_pinv(factor, m, rng)
-    root, = [nd for nd in factor._nodes if nd.depth == 0]
-    assert np.isin([2, 3, 4], factor.perm[root.start:root.stop]).all()
+    assert len(factor.root.pinvs) == 1
+    assert np.isin([2, 3, 4], factor.perm[factor.root.cols]).all()
 
 
 def test_exact_solves_check_the_image_and_preconditioners_do_not(rng):
@@ -1355,36 +1389,17 @@ def test_vector_and_column_right_hand_sides_solve_alike(rng):
         assert x.shape == (n,)
         assert x.tobytes() == f.solve(b[:, None])[:, 0].tobytes()
         assert x.tobytes() == solve_with_factor(f, b).tobytes()
-    # the root solve of a b on the pinned rows, taken in factor order,
-    # reads the full solve's rows
-    pins = exact.perm[np.isin(exact.perm, pins)]
-    root = exact.root_solve(pins)
-    v = rng.standard_normal(len(pins))
+    # the root solve of a b on the root rows, which hold the pins, taken
+    # in factor order, reads the full solve's rows
+    rows = exact.perm[exact.root.cols]
+    assert np.isin(pins, rows).all()
+    v = rng.standard_normal(len(rows))
     full = np.zeros(n)
-    full[pins] = v
-    y = root.solve(v)
-    assert y.shape == (len(pins),)
-    assert y.tobytes() == exact.solve(full, check_image=False)[pins].tobytes()
+    full[rows] = v
+    y = exact.root.solve(v)
+    assert y.shape == (len(rows),)
+    assert y.tobytes() == exact.solve(full, check_image=False)[rows].tobytes()
     assert y.tobytes() == exact.solve(full[:, None],
-                                      check_image=False)[pins, 0].tobytes()
-
-
-def test_root_solve_takes_rows_that_fill_their_root_fronts_in_order():
-    # rows out of factor order, short of their fronts, or in a deeper
-    # front are refused rather than solved on the wrong slices
-    c = gen_grid(GridSpec((4, 4, 4)))
-    m = up_laplacian(c, 1)
-    pins = np.arange(0, m.shape[0], 17)
-    exact = nd_cholesky(m, edge_midpoints(c), base_case=16,
-                        root_pins=[pins])
-    root, = [nd for nd in exact._nodes if nd.depth == 0]
-    rows = exact.perm[root.start:root.stop]
-    assert np.array_equal(exact.root_solve(rows).cols,
-                          np.arange(root.start, root.stop))
-    for bad in (rows[::-1], rows[1:]):
-        with pytest.raises(NumericalError, match="factor order"):
-            exact.root_solve(bad)
-    with pytest.raises(NumericalError, match="1 of the rows lie below"):
-        exact.root_solve(np.append(rows, exact.perm[0]))
+                                      check_image=False)[rows, 0].tobytes()
     with pytest.raises(ValueError, match="b has shape"):
-        exact.root_solve(rows).solve(np.ones(len(rows) + 1))
+        exact.root.solve(np.ones(len(rows) + 1))

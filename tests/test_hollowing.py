@@ -50,6 +50,18 @@ def test_find_hollowing_rejects_r_too_large():
         find_hollowing(c, c.num_simplexes, RELAXED)
 
 
+@pytest.mark.parametrize("build", [find_hollowing, sphere_hollowing,
+                                   surface_hollowing])
+@pytest.mark.parametrize("r", [-5.0, 0.0, np.nan, np.inf])
+def test_hollowing_builders_reject_an_r_that_is_not_finite_and_positive(
+        build, r):
+    # the size metrics divide by r: a negative r would make them negative,
+    # and a zero r infinite
+    c = gen_grid(GridSpec((5, 5, 5)))
+    with pytest.raises(ValueError, match="r must be finite and positive"):
+        build(c, r)
+
+
 def test_find_hollowing_rejects_close_boundary_components():
     # two cavities two cells apart violate the component-distance condition
     keep = np.ones((8, 4, 4), dtype=bool)

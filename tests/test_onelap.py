@@ -407,6 +407,18 @@ def test_glue_rejects_duplicate_chunk_in_class():
         glue([c0], [[(0, 0), (0, 1)]], [h0])
 
 
+def test_glue_rejects_classes_that_merge_two_vertices_of_one_chunk():
+    # both classes hold vertex w of chunk 1, so they merge, and would make
+    # the far-apart exterior vertices a and b of chunk 0 one vertex
+    c0, h0 = make_chunk()
+    c1, h1 = make_chunk()
+    ext = np.flatnonzero(c0.exterior_vertices)
+    a, b = int(ext[0]), int(ext[-1])
+    w = int(np.flatnonzero(c1.exterior_vertices)[0])
+    with pytest.raises(ValueError, match=f"vertices {a} and {b} of chunk 0"):
+        glue([c0, c1], [[(0, a), (1, w)], [(0, b), (1, w)]], [h0, h1])
+
+
 def test_glue_checks_one_member_classes():
     chunks, holls = map(list, zip(*[make_chunk() for _ in range(4)]))
     with pytest.raises(ValueError, match="unknown chunk 9"):
@@ -482,21 +494,22 @@ def test_union_solve_leaves_the_glued_complex_unchanged(rng):
 
 def factor_bytes(f) -> list:
     """The bytes of every array a CholeskyFactor stores."""
-    arrays = [f.perm, f.kept, f.matrix.data]
+    arrays = [f.perm, f.kept, f.matrix.data, f.root.cols, *f.root.pinvs]
     for nd in f._nodes:
-        arrays += [nd.skipped, nd.l11, nd.rows21, nd.l21, nd.pinv]
+        arrays += [nd.skipped, nd.l11, nd.rows21, nd.l21]
     for level in f._levels:
         arrays += [level.cols, level.skipped, level.a.data, level.a.indices,
                    level.a.indptr]
-    return [a.tobytes() for a in arrays if a is not None]
+    return [a.tobytes() for a in arrays]
 
 
 def held_arrays(f) -> list:
     """Every array the factor holds besides its input matrix, each once: a
     view counts as the array it views."""
     arrays = [f.perm, f.kept]
-    for nd in f._nodes:
-        arrays += [v for v in vars(nd).values() if isinstance(v, np.ndarray)]
+    for held in (f.root, *f._nodes):
+        arrays += [v for v in vars(held).values() if isinstance(v, np.ndarray)]
+    arrays += f.root.pinvs
     for level in f._levels:
         arrays += [level.cols, level.skipped]
         arrays += [getattr(m, name) for m in (level.a, level.at)
@@ -510,23 +523,19 @@ def held_arrays(f) -> list:
 
 @pytest.mark.parametrize("kind", ["shell", "sphere"])
 def test_exact_factors_store_only_what_their_solves_read(kind):
-    # the interior and L0 factors: each root front keeps its packed
-    # pseudo-inverse and no dense l11, every other front its l11 and no
-    # pseudo-inverse, and nbytes is every array held; the folded wall keeps
-    # no fronts
+    # the interior and L0 factors: the root fronts keep their packed
+    # pseudo-inverses alone, in the root record, every other front its
+    # l11, and nbytes is every array held; the folded wall keeps no fronts
+    # and an empty root record
     c, h = setup() if kind == "shell" else sphere_setup((6, 6, 6), 64)
     state = build_one_lap_solver(c, h)
     for f in (state.up_state.interior, state.down_state.lap0_factor):
         assert not f.folded
-        roots = [nd for nd in f._nodes if nd.depth == 0]
-        assert roots and all(nd.l11 is None and nd.pinv is not None
-                             for nd in roots)
-        assert all(nd.l11 is not None and nd.pinv is None
-                   for nd in f._nodes if nd.depth)
+        assert f.root.pinvs and all(nd.depth for nd in f._nodes)
         assert f.nbytes == sum(a.nbytes for a in held_arrays(f))
     wall = state.up_state.wall
     if kind == "shell":
-        assert wall.folded and not wall._nodes
+        assert wall.folded and not wall._nodes and not wall.root.pinvs
         assert wall.nbytes == sum(a.nbytes for a in held_arrays(wall))
 
 
@@ -689,33 +698,37 @@ def test_ring_wall_gram_matches_the_exact_solve(rng):
             <= 1e-10 * np.linalg.norm(want))
 
 
-def unpacked_root_pinv(root):
-    """The root front's pseudo-inverse K, dense in the front's order, from
+def unpacked_root_pinv(size, rank, pinv):
+    """A root front's pseudo-inverse K, dense in the front's order, from
     its kept block, packed lower by columns."""
-    k = np.zeros((root.stop - root.start,) * 2)
-    col, row = np.triu_indices(root.rank)
-    k[row, col] = k[col, row] = root.pinv
+    k = np.zeros((size, size))
+    col, row = np.triu_indices(rank)
+    k[row, col] = k[col, row] = pinv
     return k
 
 
 def assert_root_pinvs_match_the_schur_pinv(factor, dense, blocks):
     """Each root front's K is a generalized inverse of the Schur complement
     S onto its rows (zero on its skipped pivots), so on the image of S it
-    is S's pseudo-inverse; and the front's root solve applies that K."""
-    roots = [nd for nd in factor._nodes if nd.depth == 0]
-    assert roots
-    for root in roots:
-        rows = factor.perm[root.start:root.stop]
+    is S's pseudo-inverse; and the root solve applies those K, one per
+    front."""
+    root = factor.root
+    assert root.pinvs
+    bounds = np.cumsum([0] + root.sizes)
+    ks = []
+    for lo, hi, rank, pinv in zip(bounds, bounds[1:], root.ranks,
+                                  root.pinvs):
+        rows = factor.perm[root.cols[lo:hi]]
         block, = [b for b in blocks if np.isin(rows[0], b)]
         local = np.searchsorted(block, rows)
         s = schur_onto(dense[np.ix_(block, block)], local)
-        k = unpacked_root_pinv(root)
+        ks.append(unpacked_root_pinv(hi - lo, rank, pinv))
         p = oracle.projection(s)
         want = oracle.pinv(s)
-        assert (np.linalg.norm(p @ k @ p - want)
+        assert (np.linalg.norm(p @ ks[-1] @ p - want)
                 <= 1e-10 * np.linalg.norm(want))
-        assert np.array_equal(
-            factor.root_solve(rows).solve(np.eye(len(rows))), k)
+    assert np.array_equal(root.solve(np.eye(len(root.cols))),
+                          sla.block_diag(*ks))
 
 
 def test_root_pinv_matches_the_front_schur_pinv():

@@ -210,11 +210,26 @@ def full_interior_schur_apply(state, x):
 
 
 @pytest.mark.parametrize("name", list(SCHUR_STATES))
+def test_interface_rows_are_interior_root_rows(name):
+    # every interior row that A[F, C] couples to the wall is pinned as its
+    # region's root separator, so it lies in the interior factor's root
+    state = SCHUR_STATES[name]()
+    lup = state.lup
+    l_fc = lup[state.f_all][:, state.c_idx].tocsr()
+    coupled = np.flatnonzero(np.diff(l_fc.indptr))
+    assert len(coupled)
+    interior = state.interior
+    pos = np.empty(interior.shape[0], dtype=np.int64)
+    pos[interior.perm] = np.arange(interior.shape[0])
+    assert np.isin(pos[coupled], interior.root.cols).all()
+
+
+@pytest.mark.parametrize("name", list(SCHUR_STATES))
 def test_schur_apply_equals_the_full_interior_solve(rng, name):
     # the interface rows sit in the root fronts, so solving through those
     # alone is the same arithmetic on the same rows
     state = SCHUR_STATES[name]()
-    assert len(state.iface)
+    assert state.l_ic.nnz
     for _ in range(3):
         x = rng.standard_normal(len(state.c_idx))
         assert np.array_equal(schur_apply(state, x),
@@ -224,17 +239,12 @@ def test_schur_apply_equals_the_full_interior_solve(rng, name):
 @pytest.mark.parametrize("name", ["box8", "sphere", "ring", "projection"])
 def test_schur_apply_solves_through_the_interface_root_fronts(rng, monkeypatch,
                                                               name):
-    # one packed pseudo-inverse product per root front that holds an
-    # interface row, and no triangular solve, level product or dense product
+    # one packed pseudo-inverse product per root front, and no triangular
+    # solve, level product or dense product
     state = SCHUR_STATES[name]()
     factor = state.interior
-    pos = np.empty(factor.shape[0], dtype=np.int64)
-    pos[factor.perm] = np.arange(factor.shape[0])
-    holding = [nd for nd in factor._nodes if nd.depth == 0 and np.any(
-        (pos[state.iface] >= nd.start) & (pos[state.iface] < nd.stop))]
-    assert state.root.fronts == holding
-    assert len(holding) < len(factor._nodes)
-    assert all(nd.rank for nd in holding)
+    roots = factor.root.ranks
+    assert factor._nodes and roots and all(roots)
     calls = {"spmv": 0, "trtrs": 0, "level": 0, "gemm": 0}
 
     def counting(name, fn):
@@ -247,7 +257,7 @@ def test_schur_apply_solves_through_the_interface_root_fronts(rng, monkeypatch,
         monkeypatch.setattr(dissection, attr,
                             counting(key, getattr(dissection, attr)))
     schur_apply(state, rng.standard_normal(len(state.c_idx)))
-    assert calls == {"spmv": len(holding), "trtrs": 0, "level": 0, "gemm": 0}
+    assert calls == {"spmv": len(roots), "trtrs": 0, "level": 0, "gemm": 0}
 
 
 def two_full_solves(state, b, delta_of):
@@ -294,7 +304,7 @@ def test_up_solve_sweeps_each_interior_front_once_each_way(rng, monkeypatch,
     # one forward and one backward substitution per front below the root;
     # the walls (folded, or the reduced system) substitute nothing
     state = SCHUR_STATES[name]()
-    below = sum(nd.pinv is None for nd in state.interior._nodes)
+    below = len(state.interior._nodes)
     assert below
     calls = {0: 0, 1: 0}
     real = dissection._TRTRS
@@ -402,7 +412,7 @@ def test_pinned_rows_are_the_edges_sharing_a_triangle_with_the_wall(name):
     state = SCHUR_STATES[name]()
     want = reference_interface_edges(state.complex,
                                      state.hollowing.edge_class < 0)
-    got = state.f_all[state.iface]
+    got = state.f_all[state.interior.perm[state.interior.root.cols]]
     assert np.array_equal(np.sort(got), np.flatnonzero(want))
 
 
